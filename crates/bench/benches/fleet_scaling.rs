@@ -4,58 +4,30 @@
 //! The fleet deployment ([`ScenarioBuilder::fleet`]) puts `n` VCs on a
 //! serial RT-Link schedule with 8× slot headroom, and this bench times
 //! whole engine runs at each fleet size, reporting simulated slots per
-//! wall-clock second. At every size up to 1k VCs the legacy per-slot
-//! event stream is timed on the identical scenario, so the table
-//! carries the event-driven cursor's speedup directly; at 10k only the
-//! cursor runs (the per-slot driver is the reason this bench exists).
-//! A second row family stretches the same fleet to a 1024× headroom
-//! (≈ 0.1 % duty cycle — low-power TDMA territory), where idle slots
-//! dominate the legacy driver's wall time and the cursor's batch-skip
-//! pays in full.
+//! wall-clock second. A second row family stretches the same fleet to a
+//! 1024× headroom (≈ 0.1 % duty cycle — low-power TDMA territory), where
+//! idle slots dominate and the slot cursor's batch-skip pays in full.
 //!
-//! A third row family compares the occupied-slot execution strategies
-//! on the dense fleet: the epoch-compiled cycle plan
-//! ([`CyclePlanMode::Planned`], the default) against the direct
-//! per-slot oracle, both on the event-driven cursor — the dense rows
-//! are bounded by exactly the per-occupied-slot work the plan
-//! pre-resolves.
-//!
-//! Asserted: the 10k-VC run completes; the cursor's slots/sec is at
-//! least 10× legacy at 1k VCs on the sparse schedule; the compiled
-//! plan's slots/sec is at least 1.5× the direct oracle at 1k VCs on
-//! the dense schedule; and at 100 VCs both steppings and both plan
-//! modes produce **equal** [`evm_core::RunResult`]s — speed is the
-//! only difference.
-//!
-//! Every row's baseline column holds the retired strategy it is
-//! measured against: legacy stepping for the dense/sparse stepping
-//! rows, the direct oracle for the plan rows.
+//! Asserted: every fleet actuates, and the 10k-VC run completes.
 //!
 //! Writes `fleet_scaling.csv` and `fleet_scaling.json`. Pass `--smoke`
 //! for the CI-sized run (1 / 100 / 1000 VCs, same files).
+//!
+//! [`ScenarioBuilder::fleet`]: evm_core::runtime::ScenarioBuilder::fleet
 
 use std::time::Instant;
 
 use evm_bench::{banner, f, row, write_result};
-use evm_core::runtime::{CyclePlanMode, Engine, Scenario, SlotStepping};
+use evm_core::runtime::{Engine, Scenario};
 use evm_core::RunResult;
 
 /// Fleet scenario sized for benching: enough cycles for a stable
 /// measurement at small `n`, two cycles at 10k (≈ 480k slots).
-fn scenario(n: usize, stepping: SlotStepping) -> Scenario {
-    let mut s = Scenario::builder().fleet(n).stepping(stepping).build();
+fn scenario(n: usize) -> Scenario {
+    let mut s = Scenario::builder().fleet(n).build();
     let spc = s.rtlink.slots_per_cycle as u64;
     let cycles = (200_000 / spc).clamp(2, 100);
     s.duration = s.rtlink.cycle_duration() * cycles;
-    s
-}
-
-/// The dense fleet under an explicit occupied-slot execution strategy
-/// (event-driven cursor on both sides — the plan axis is orthogonal to
-/// stepping).
-fn plan_scenario(n: usize, plan: CyclePlanMode) -> Scenario {
-    let mut s = scenario(n, SlotStepping::EventDriven);
-    s.plan = plan;
     s
 }
 
@@ -63,10 +35,9 @@ fn plan_scenario(n: usize, plan: CyclePlanMode) -> Scenario {
 /// slot-count headroom (≈ 0.1 % duty cycle — low-power TDMA territory,
 /// where a node transmits for milliseconds and sleeps for minutes).
 /// The serial schedule packs the same occupied slots at the front of
-/// the cycle; everything added is idle air the cursor never visits and
-/// the legacy driver pays one queue event for.
-fn sparse_scenario(n: usize, stepping: SlotStepping) -> Scenario {
-    let mut s = Scenario::builder().fleet(n).stepping(stepping).build();
+/// the cycle; everything added is idle air the cursor never visits.
+fn sparse_scenario(n: usize) -> Scenario {
+    let mut s = Scenario::builder().fleet(n).build();
     s.rtlink.slots_per_cycle = 1024 * (3 * n + 1);
     let cycle = s.rtlink.cycle_duration();
     s.sample_every = cycle / 4;
@@ -82,7 +53,7 @@ fn sparse_scenario(n: usize, stepping: SlotStepping) -> Scenario {
 /// time, the slot count and one result. Engine construction stays
 /// outside the timed region — setup cost is not what this bench
 /// measures — and best-of-`reps` suppresses first-run jitter (cold
-/// caches, frequency ramp) on the rows whose ratio is asserted.
+/// caches, frequency ramp).
 fn timed(s: Scenario, reps: usize) -> (f64, u64, RunResult) {
     let slots = s.duration / s.rtlink.slot_duration;
     let mut best = f64::INFINITY;
@@ -113,17 +84,6 @@ fn main() {
         &[1, 10, 100, 1_000, 10_000]
     };
 
-    // Differential spot checks: at 100 VCs both steppings and both
-    // plan modes produce the same result, byte for byte.
-    {
-        let legacy = Engine::new(scenario(100, SlotStepping::Legacy)).run();
-        let event = Engine::new(scenario(100, SlotStepping::EventDriven)).run();
-        assert!(legacy.actuations > 0, "fleet run must actuate");
-        assert!(event == legacy, "steppings diverged at 100 VCs");
-        let direct = Engine::new(plan_scenario(100, CyclePlanMode::Direct)).run();
-        assert!(event == direct, "plan modes diverged at 100 VCs");
-    }
-
     println!(
         "{}",
         row(&[
@@ -132,136 +92,55 @@ fn main() {
             "slots".into(),
             "wall [s]".into(),
             "slots/s".into(),
-            "baseline slots/s".into(),
-            "speedup".into(),
         ])
     );
-    let mut csv =
-        String::from("schedule,vcs,nodes,slots,wall_s,slots_per_s,baseline_slots_per_s,speedup\n");
+    let mut csv = String::from("schedule,vcs,nodes,slots,wall_s,slots_per_s\n");
     let mut json_rows = Vec::new();
-    let mut speedup_at_1k = f64::NAN;
-    let mut run_row =
-        |kind: &str, n: usize, reps: usize, primary: Scenario, baseline: Option<Scenario>| {
-            let (wall, slots, r) = timed(primary, reps);
-            assert!(r.actuations > 0, "{kind} fleet of {n} must actuate");
-            let rate = slots as f64 / wall;
-            let baseline_rate = baseline.map(|s| {
-                let (baseline_wall, _, br) = timed(s, reps);
-                assert!(
-                    br.actuations > 0,
-                    "baseline {kind} fleet of {n} must actuate"
-                );
-                slots as f64 / baseline_wall
-            });
-            let speedup = baseline_rate.map(|b| rate / b);
-            println!(
-                "{}",
-                row(&[
-                    format!("{kind}/{n}"),
-                    format!("{}", r.meta.nodes),
-                    format!("{slots}"),
-                    f(wall),
-                    f(rate),
-                    baseline_rate.map_or_else(|| "-".into(), f),
-                    speedup.map_or_else(|| "-".into(), f),
-                ])
-            );
-            csv.push_str(&format!(
-                "{kind},{n},{},{slots},{wall:.4},{rate:.1},{},{}\n",
-                r.meta.nodes,
-                baseline_rate.map_or_else(String::new, |v| format!("{v:.1}")),
-                speedup.map_or_else(String::new, |v| format!("{v:.2}")),
-            ));
-            json_rows.push((
-                kind.to_string(),
-                n,
-                r.meta.nodes,
-                slots,
-                wall,
-                rate,
-                speedup,
-            ));
-            speedup
-        };
+    let mut run_row = |kind: &str, n: usize, reps: usize, s: Scenario| {
+        let (wall, slots, r) = timed(s, reps);
+        assert!(r.actuations > 0, "{kind} fleet of {n} must actuate");
+        let rate = slots as f64 / wall;
+        println!(
+            "{}",
+            row(&[
+                format!("{kind}/{n}"),
+                format!("{}", r.meta.nodes),
+                format!("{slots}"),
+                f(wall),
+                f(rate),
+            ])
+        );
+        csv.push_str(&format!(
+            "{kind},{n},{},{slots},{wall:.4},{rate:.1}\n",
+            r.meta.nodes
+        ));
+        json_rows.push((kind.to_string(), n, r.meta.nodes, slots, wall, rate));
+    };
 
     // Dense rows: the default fleet shape (8× headroom) at every size.
-    // The legacy driver pays one queue event per slot; at 10k VCs (240k
-    // slots/cycle) that is the regime this PR retires, so the baseline
-    // is only timed up to 1k.
     for &n in sizes {
-        let legacy = (n <= 1_000).then(|| scenario(n, SlotStepping::Legacy));
-        run_row(
-            "dense",
-            n,
-            1,
-            scenario(n, SlotStepping::EventDriven),
-            legacy,
-        );
+        run_row("dense", n, 1, scenario(n));
     }
 
     // Sparse rows: the 1024× headroom shape, where idle air dominates
-    // and the cursor's batch-skip is the whole game. This is the
-    // headline speedup — the dense rows share their wall time between
-    // slot advancement and per-cycle node work, which no stepping
-    // strategy can skip.
+    // and the cursor's batch-skip is the whole game. The dense rows
+    // share their wall time between slot advancement and per-cycle node
+    // work, which no skipping can avoid.
     for &n in &[100usize, 1_000] {
-        let s = run_row(
-            "sparse",
-            n,
-            3,
-            sparse_scenario(n, SlotStepping::EventDriven),
-            Some(sparse_scenario(n, SlotStepping::Legacy)),
-        );
-        if n == 1_000 {
-            speedup_at_1k = s.expect("legacy timed at 1k");
-        }
+        run_row("sparse", n, 3, sparse_scenario(n));
     }
-
-    assert!(
-        speedup_at_1k >= 10.0,
-        "event-driven cursor must be >= 10x legacy at 1k VCs on the \
-         sparse schedule (got {speedup_at_1k:.2}x)"
-    );
-
-    // Plan rows: the epoch-compiled cycle plan vs the direct per-slot
-    // oracle on the dense fleet. Dense schedules are bounded by
-    // occupied-slot dispatch — the floor the plan flattens — so this is
-    // where the win must show.
-    let mut plan_speedup_at_1k = f64::NAN;
-    let plan_sizes: &[usize] = if smoke { &[1_000] } else { &[1_000, 10_000] };
-    for &n in plan_sizes {
-        let s = run_row(
-            "plan",
-            n,
-            3,
-            plan_scenario(n, CyclePlanMode::Planned),
-            Some(plan_scenario(n, CyclePlanMode::Direct)),
-        );
-        if n == 1_000 {
-            plan_speedup_at_1k = s.expect("direct oracle timed at 1k");
-        }
-    }
-    assert!(
-        plan_speedup_at_1k >= 1.5,
-        "compiled cycle plan must be >= 1.5x the direct oracle at 1k VCs \
-         on the dense schedule (got {plan_speedup_at_1k:.2}x)"
-    );
 
     write_result("fleet_scaling.csv", &csv);
     let mut out = String::from("{\n  \"bench\": \"fleet_scaling\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n  \"rows\": [\n"));
-    for (i, (kind, n, nodes, slots, wall, rate, speedup)) in json_rows.iter().enumerate() {
+    for (i, (kind, n, nodes, slots, wall, rate)) in json_rows.iter().enumerate() {
         let comma = if i + 1 == json_rows.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"schedule\": \"{kind}\", \"vcs\": {n}, \"nodes\": {nodes}, \
              \"slots\": {slots}, \"wall_s\": {wall:.4}, \
-             \"slots_per_s\": {rate:.1}, \"speedup_vs_baseline\": {}}}{comma}\n",
-            speedup.map_or_else(|| "null".into(), |v| format!("{v:.2}")),
+             \"slots_per_s\": {rate:.1}}}{comma}\n",
         ));
     }
-    out.push_str(&format!(
-        "  ],\n  \"speedup_at_1k_sparse\": {speedup_at_1k:.2},\n  \
-         \"plan_speedup_at_1k\": {plan_speedup_at_1k:.2}\n}}\n"
-    ));
+    out.push_str("  ]\n}\n");
     write_result("fleet_scaling.json", &out);
 }

@@ -156,7 +156,7 @@ fn main() {
 
     // End-to-end tier comparison: the full 4-VC engine run on each
     // execution tier. The runs must be *identical* — same RunResult bit
-    // for bit — and the optimized tiers only change wall-clock time.
+    // for bit — and the compiled tier only changes wall-clock time.
     println!();
     println!(
         "{}",
@@ -177,7 +177,7 @@ fn main() {
             }
             Some(o) => assert!(
                 r == *o,
-                "tier {} diverged from the interp oracle end-to-end",
+                "tier {} diverged from the interpreter end-to-end",
                 tier.label()
             ),
         }

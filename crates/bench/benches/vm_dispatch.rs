@@ -1,8 +1,8 @@
 //! E13 — interpreter microbenchmarks, per execution tier.
 //!
-//! Measures the EVM's execution machinery across the three capsule
-//! tiers (stack oracle / superinstruction-fused / compiled closure
-//! chain): raw dispatch throughput on the countdown loop, the compiled
+//! Measures the EVM's execution machinery across the two capsule tiers
+//! (stack interpreter / compiled closure chain): raw dispatch
+//! throughput on the countdown loop, the compiled
 //! PID capsule against the native controller, capsule I/O through the
 //! inline-caching ModBus environment, and capsule encode/decode (the
 //! migration serialization path). Self-timed with a warmup pass and
@@ -63,7 +63,6 @@ fn arith_loop_program(iters: u32) -> Program {
 fn tier_suffix(tier: Tier) -> &'static str {
     match tier {
         Tier::Interp => "",
-        Tier::Fused => "_fused",
         Tier::Compiled => "_compiled",
     }
 }
@@ -98,8 +97,7 @@ fn main() {
     };
 
     // Raw dispatch: ~5k executed ops per run of the countdown loop, at
-    // each tier. The fused tier collapses the 6-op loop body into two
-    // dispatches; the compiled tier runs it as a single closure.
+    // each tier. The compiled tier runs the loop as a single closure.
     let program = arith_loop_program(1_000);
     for tier in Tier::ALL {
         let mut vm = Vm::with_tier(1_000_000, tier);
@@ -222,16 +220,8 @@ fn main() {
     }
     out.push_str("  },\n  \"speedups\": {\n");
     out.push_str(&format!(
-        "    \"arith_fused_vs_interp\": {:.3},\n",
-        speedup("vm_dispatch_5k_ops", "vm_dispatch_5k_ops_fused")
-    ));
-    out.push_str(&format!(
         "    \"arith_compiled_vs_interp\": {:.3},\n",
         speedup("vm_dispatch_5k_ops", "vm_dispatch_5k_ops_compiled")
-    ));
-    out.push_str(&format!(
-        "    \"pid_fused_vs_interp\": {:.3},\n",
-        speedup("pid_capsule", "pid_capsule_fused")
     ));
     out.push_str(&format!(
         "    \"pid_compiled_vs_interp\": {:.3},\n",

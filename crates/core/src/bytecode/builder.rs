@@ -188,9 +188,8 @@ pub fn compile_control_law(spec: &ControlLawSpec) -> Program {
 /// A conservative per-invocation gas budget for a compiled control law.
 ///
 /// The budget is **tier-independent**: gas is defined on the stack
-/// bytecode (1 unit per fetched op), and the optimized tiers preserve
-/// that accounting exactly — fused superinstructions charge the sum of
-/// their constituents, and compiled blocks charge their source ops'
+/// bytecode (1 unit per fetched op), and the compiled tier preserves
+/// that accounting exactly — compiled blocks charge their source ops'
 /// gas even when dead code was eliminated. A budget that admits the
 /// capsule on [`Tier::Interp`](crate::bytecode::Tier) therefore admits
 /// it, with identical `gas_used`, on every tier (enforced by

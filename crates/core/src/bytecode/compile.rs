@@ -28,10 +28,9 @@ use std::fmt;
 
 use evm_plant::{read_bound, write_bound, BoundRegister, Plant, RegisterMap};
 
-use super::fuse::BinSel;
 use super::interp::{VmEnv, VmError, N_VARS};
 use super::isa::Program;
-use super::regir::{self, Reg, Step, Term, TrapMode, UnSel};
+use super::regir::{self, BinSel, Reg, Step, Term, TrapMode, UnSel};
 
 /// An operand resolved at compile time: a register, a task variable
 /// read in place, or a folded constant.
@@ -186,7 +185,7 @@ impl fmt::Debug for CompiledProgram {
 
 /// Whether `program` lowers to the register IR and closure chain, i.e.
 /// runs natively on [`super::Tier::Compiled`] instead of falling back
-/// to the fused tier.
+/// to the stack interpreter.
 #[must_use]
 pub fn compiles(program: &Program) -> bool {
     regir::lower(program).is_some()

@@ -1,18 +1,16 @@
-//! The stack-machine interpreter — the semantic *oracle* for the tiered
-//! execution engine.
+//! The stack-machine interpreter — the production execution path and
+//! the semantic reference for the compiled tier.
 //!
 //! [`Vm::run`] dispatches on [`Tier`]: `Interp` executes the stack
-//! program directly (this file), `Fused` runs the superinstruction
-//! rewrite from [`super::fuse`], and `Compiled` runs the closure chain
-//! from [`super::compile`] (falling back to `Fused` for programs the
-//! register-IR lowering rejects). Whatever the tier, results, gas,
-//! variable snapshots and trap behavior are bit-identical to this
-//! interpreter.
+//! program directly (this file), and `Compiled` runs the closure chain
+//! from [`super::compile`] (falling back to this interpreter for
+//! programs the register-IR lowering rejects). Whatever the tier,
+//! results, gas, variable snapshots and trap behavior are bit-identical
+//! to this interpreter.
 
 use std::fmt;
 
 use super::compile::{self, CompiledProgram};
-use super::fuse::{self, FusedProgram};
 use super::isa::{Op, Program};
 
 /// Maximum data-stack depth (mirrors the 8-bit platform's tight RAM).
@@ -20,38 +18,35 @@ pub const MAX_STACK: usize = 32;
 /// Number of task-local variables.
 pub const N_VARS: usize = 32;
 /// Maximum call depth.
-pub(crate) const MAX_CALLS: usize = 8;
+const MAX_CALLS: usize = 8;
 
 /// The fixed extension-word dispatch table: direct indexing, no hashing.
-pub(crate) type ExtTable = [Option<Program>; 256];
+type ExtTable = [Option<Program>; 256];
 
 /// Which execution engine a [`Vm`] uses.
 ///
-/// All tiers are observationally identical (results, gas, variables,
+/// Both tiers are observationally identical (results, gas, variables,
 /// traps, environment effects); they differ only in speed. `Interp` is
-/// the oracle and the default, so existing goldens never move.
+/// the default, the production path the golden digests pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
-    /// The stack interpreter in this module (the oracle).
+    /// The stack interpreter in this module.
     #[default]
     Interp,
-    /// Superinstruction fusion: hot stack idioms in one dispatch.
-    Fused,
     /// Register IR lowered to a chain of boxed closures; programs that
-    /// do not lower (e.g. `call`/`ext`) fall back to [`Tier::Fused`].
+    /// do not lower (e.g. `call`/`ext`) fall back to [`Tier::Interp`].
     Compiled,
 }
 
 impl Tier {
-    /// Every tier, oracle first — handy for differential loops.
-    pub const ALL: [Tier; 3] = [Tier::Interp, Tier::Fused, Tier::Compiled];
+    /// Every tier, the interpreter first — handy for differential loops.
+    pub const ALL: [Tier; 2] = [Tier::Interp, Tier::Compiled];
 
     /// Short lower-case label used in sweep keys and bench rows.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             Tier::Interp => "interp",
-            Tier::Fused => "fused",
             Tier::Compiled => "compiled",
         }
     }
@@ -171,9 +166,9 @@ impl VmEnv for NullEnv {
     }
 }
 
-/// Per-program artifacts for the non-oracle tiers, rebuilt lazily
-/// whenever a different program is installed (capsule-install time in
-/// the runtime: the controller runs one control-law program per task).
+/// Per-program artifacts of the compiled tier, rebuilt lazily whenever
+/// a different program is installed (capsule-install time in the
+/// runtime: the controller runs one control-law program per task).
 #[derive(Debug)]
 struct Prepared {
     source: Program,
@@ -181,7 +176,7 @@ struct Prepared {
     /// the O(1) hit test, updated when a content-equal program with a
     /// different id shows up.
     source_id: u64,
-    fused: FusedProgram,
+    /// `None` when the program does not lower (it runs interpreted).
     compiled: Option<CompiledProgram>,
 }
 
@@ -198,12 +193,14 @@ pub struct Vm {
     prepared: Option<Prepared>,
     /// Register file reused by the compiled tier across invocations.
     scratch: Vec<f64>,
+    /// Data stack reused by the interpreter across invocations.
+    stack: Vec<f64>,
 }
 
 impl Clone for Vm {
     fn clone(&self) -> Self {
         // The prepared artifacts are a cache (closures are not Clone);
-        // the clone rebuilds them on its first non-oracle run.
+        // the clone rebuilds them on its first compiled run.
         Vm {
             vars: self.vars,
             extensions: self.extensions.clone(),
@@ -212,6 +209,7 @@ impl Clone for Vm {
             tier: self.tier,
             prepared: None,
             scratch: Vec::new(),
+            stack: Vec::new(),
         }
     }
 }
@@ -243,6 +241,7 @@ impl Vm {
             tier,
             prepared: None,
             scratch: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -307,43 +306,37 @@ impl Vm {
     /// the task-local variables (as on the real machine).
     pub fn run(&mut self, program: &Program, env: &mut dyn VmEnv) -> Result<f64, VmError> {
         let mut gas = 0u64;
-        let result = match self.tier {
-            Tier::Interp => exec(
-                program,
-                &self.extensions,
+        let compiled = match self.tier {
+            Tier::Interp => None,
+            Tier::Compiled => {
+                self.prepare(program);
+                self.prepared.as_ref().and_then(|p| p.compiled.as_ref())
+            }
+        };
+        let result = match compiled {
+            Some(compiled) => compile::run(
+                compiled,
+                &mut self.scratch,
                 &mut self.vars,
                 self.gas_limit,
                 &mut gas,
                 env,
             ),
-            Tier::Fused | Tier::Compiled => {
-                self.prepare(program);
-                let prepared = self.prepared.as_ref().expect("prepared above");
-                match (&prepared.compiled, self.tier) {
-                    (Some(compiled), Tier::Compiled) => compile::run(
-                        compiled,
-                        &mut self.scratch,
-                        &mut self.vars,
-                        self.gas_limit,
-                        &mut gas,
-                        env,
-                    ),
-                    _ => fuse::exec_fused(
-                        &prepared.fused,
-                        &self.extensions,
-                        &mut self.vars,
-                        self.gas_limit,
-                        &mut gas,
-                        env,
-                    ),
-                }
-            }
+            None => exec(
+                program,
+                &self.extensions,
+                &mut self.vars,
+                &mut self.stack,
+                self.gas_limit,
+                &mut gas,
+                env,
+            ),
         };
         self.gas_used_last = gas;
         result
     }
 
-    /// Rebuilds the fused/compiled artifacts iff `program` differs from
+    /// Rebuilds the compiled artifacts iff `program` differs from
     /// the one prepared last. The steady-state hit is O(1): programs are
     /// immutable and carry a construction-unique cache id, so an id
     /// match proves content equality without walking the instruction
@@ -359,7 +352,6 @@ impl Vm {
                 self.prepared = Some(Prepared {
                     source: program.clone(),
                     source_id: program.cache_id(),
-                    fused: fuse::fuse(program),
                     compiled: compile::compile(program),
                 });
             }
@@ -379,6 +371,7 @@ fn exec(
     program: &Program,
     extensions: &ExtTable,
     vars: &mut [f64; N_VARS],
+    stack: &mut Vec<f64>,
     gas_limit: u64,
     gas_out: &mut u64,
     env: &mut dyn VmEnv,
@@ -392,7 +385,10 @@ fn exec(
         }
     };
     {
-        let mut stack: Vec<f64> = Vec::with_capacity(MAX_STACK);
+        // The caller's buffer is reused across runs: once it has grown to
+        // `MAX_STACK`, a run never allocates.
+        stack.clear();
+        stack.reserve(MAX_STACK);
         let mut calls: Vec<(FrameRef, usize)> = Vec::new();
         let mut gas: u64 = 0;
         let mut frame = FrameRef::Main;

@@ -9,17 +9,15 @@
 //! WCET for the schedulability gate, and the interpreter enforces it.
 //!
 //! Execution is **tiered** ([`Tier`]): the stack interpreter in
-//! [`interp`] is the semantic oracle; [`fuse`] rewrites hot stack
-//! idioms into superinstructions; [`regir`] lowers the stack program to
-//! a register IR which [`compile`] turns into a chain of boxed
-//! closures. All tiers are bit-identical in results, gas, variables and
-//! traps — only speed differs.
+//! [`interp`] is the production path and the semantic reference;
+//! [`regir`] lowers the stack program to a register IR which [`compile`]
+//! turns into a chain of boxed closures. Both tiers are bit-identical in
+//! results, gas, variables and traps — only speed differs.
 
 mod asm;
 mod builder;
 mod capsule;
 mod compile;
-mod fuse;
 mod interp;
 mod isa;
 mod regir;

@@ -17,10 +17,9 @@
 //! charge.
 //!
 //! Programs the IR cannot express bail out (`lower` returns `None`) and
-//! run on the fused tier instead: anything with `call`/`ext` (dynamic
-//! frames) or with inconsistent stack depths at a join point.
+//! run on the stack interpreter instead: anything with `call`/`ext`
+//! (dynamic frames) or with inconsistent stack depths at a join point.
 
-use super::fuse::BinSel;
 use super::interp::{VmError, MAX_STACK, N_VARS};
 use super::isa::{Op, Program};
 
@@ -30,6 +29,75 @@ pub(crate) type Reg = u16;
 /// First register index used for in-block temporaries; indices below
 /// mirror stack slots at block boundaries.
 pub(crate) const TEMP_BASE: usize = MAX_STACK;
+
+/// Binary-operator selector of the pure, non-trapping binary stack ops.
+/// `Div` is deliberately absent: it can trap, so it lowers to its own
+/// [`Step::Div`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BinSel {
+    Add,
+    Sub,
+    Mul,
+    Min,
+    Max,
+    Gt,
+    Lt,
+    Ge,
+    Le,
+    Eq,
+}
+
+impl BinSel {
+    /// The selector for a pure, non-trapping binary stack op.
+    pub(crate) fn of(op: Op) -> Option<BinSel> {
+        match op {
+            Op::Add => Some(BinSel::Add),
+            Op::Sub => Some(BinSel::Sub),
+            Op::Mul => Some(BinSel::Mul),
+            Op::Min => Some(BinSel::Min),
+            Op::Max => Some(BinSel::Max),
+            Op::Gt => Some(BinSel::Gt),
+            Op::Lt => Some(BinSel::Lt),
+            Op::Ge => Some(BinSel::Ge),
+            Op::Le => Some(BinSel::Le),
+            Op::Eq => Some(BinSel::Eq),
+            _ => None,
+        }
+    }
+
+    /// Applies the operator exactly as the stack interpreter does.
+    #[inline]
+    pub(crate) fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            BinSel::Add => a + b,
+            BinSel::Sub => a - b,
+            BinSel::Mul => a * b,
+            BinSel::Min => a.min(b),
+            BinSel::Max => a.max(b),
+            BinSel::Gt => f64::from(a > b),
+            BinSel::Lt => f64::from(a < b),
+            BinSel::Ge => f64::from(a >= b),
+            BinSel::Le => f64::from(a <= b),
+            BinSel::Eq => f64::from(a == b),
+        }
+    }
+
+    /// The operator as a bare function pointer (for closure capture).
+    pub(crate) fn func(self) -> fn(f64, f64) -> f64 {
+        match self {
+            BinSel::Add => |a, b| a + b,
+            BinSel::Sub => |a, b| a - b,
+            BinSel::Mul => |a, b| a * b,
+            BinSel::Min => f64::min,
+            BinSel::Max => f64::max,
+            BinSel::Gt => |a, b| f64::from(a > b),
+            BinSel::Lt => |a, b| f64::from(a < b),
+            BinSel::Ge => |a, b| f64::from(a >= b),
+            BinSel::Le => |a, b| f64::from(a <= b),
+            BinSel::Eq => |a, b| f64::from(a == b),
+        }
+    }
+}
 
 /// Unary-operator selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

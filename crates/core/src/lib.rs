@@ -21,8 +21,6 @@
 //! * [`health`] — output-deviation and heartbeat fault detectors,
 //! * [`arbitration`] — new-master selection,
 //! * [`migration`] — the TCB + stack + data + metadata transfer protocol,
-//! * [`taskops`] — gated task assignment / migration / partition /
-//!   replication between kernels (§3.1.1 op 1),
 //! * [`synthesis`] — logical-task → physical-node mapping and the binary
 //!   quadratic programming runtime optimizer (§3.1.1 op 7),
 //! * [`runtime`] — the co-simulation engine tying the plant, ModBus
@@ -46,7 +44,6 @@ pub mod migration;
 pub mod roles;
 pub mod runtime;
 pub mod synthesis;
-pub mod taskops;
 pub mod transfers;
 
 pub use arbitration::{select_master, Candidate};
@@ -60,8 +57,7 @@ pub use metrics::{MigrationRecord, NodeEnergy, RunAggregate, RunMeta, RunResult,
 pub use migration::{admit_arrival, CapsuleImage, MigrationOutcome, MigrationPlan};
 pub use roles::ControllerMode;
 pub use runtime::{
-    Engine, ReroutePolicy, Scenario, ScenarioBuilder, SlotStepping, TopologyError, TopologySpec,
-    VcId, VcMap,
+    Engine, ReroutePolicy, Scenario, ScenarioBuilder, TopologyError, TopologySpec, VcId, VcMap,
 };
 pub use synthesis::{Assignment, BqpInstance, SynthesisProblem};
 pub use transfers::{FaultResponse, ObjectTransfer};

@@ -9,15 +9,14 @@
 //! [`VcId`], so several Virtual Components share one RT-Link cycle
 //! without observing each other.
 //!
-//! Two slot-stepping strategies share one slot body
-//! ([`SlotStepping`]): the legacy driver arms one `Ev::Slot` per slot
-//! unconditionally, while the event-driven cursor walks a per-epoch
-//! [`SlotTable`] and jumps straight to the next occupied slot or cycle
-//! boundary, reserving the queue sequence numbers the legacy re-arms
-//! would have consumed so both strategies produce byte-identical runs.
-//! The steady state is allocation-free: node state lives in dense
-//! topology-indexed tables, labels are interned at setup, and dispatch
-//! effects/timers drain into reusable scratch buffers.
+//! Slots are advanced by a cursor over the epoch's [`CyclePlan`] that
+//! jumps straight to the next occupied slot or cycle boundary. Every
+//! virtual slot, fired or skipped, still takes one queue sequence
+//! number, so the same-instant event order (which the golden digests
+//! pin) does not depend on how many slots were skipped. The steady
+//! state is allocation-free: node state lives in dense topology-indexed
+//! tables, labels are interned at setup, and dispatch effects/timers
+//! drain into reusable scratch buffers.
 //!
 //! Construction lives in [`super::setup`]; the heads' fault plane
 //! (arbitration, migration, failover commits) in [`super::failover`].
@@ -35,9 +34,8 @@ use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
 use crate::runtime::behavior::{Effect, NodeBehavior, NodeCtx, Timer};
 use crate::runtime::behaviors::RelayCore;
 use crate::runtime::plan::CyclePlan;
-use crate::runtime::reconfig::{ReconfigState, ReroutePolicy};
+use crate::runtime::reconfig::ReconfigState;
 use crate::runtime::registry::NodeRegistry;
-use crate::runtime::scenario::{CyclePlanMode, SlotStepping};
 use crate::runtime::topo::{FlowKind, RoleMap, VcId, VcMap};
 use crate::runtime::{Message, Scenario};
 
@@ -48,7 +46,6 @@ pub(super) const NO_NODE: u32 = u32::MAX;
 /// arbitration/migration ones.
 #[derive(Debug)]
 pub(super) enum Ev {
-    Slot,
     PlantStep,
     Sample,
     Deliver {
@@ -57,11 +54,11 @@ pub(super) enum Ev {
         msg: Message,
     },
     /// One transmission's whole delivered-listener set, folded into a
-    /// single event carrying one shared message image (planned mode).
-    /// `entry` indexes the generation-`gen` plan; bit `i` of `mask`
-    /// selects listener `i` of that entry. Reserves the sequence numbers
-    /// of the per-listener `Deliver`s it replaces, so ordering against
-    /// every other event is identical to the direct path.
+    /// single event carrying one shared message image. `entry` indexes
+    /// the generation-`gen` plan; bit `i` of `mask` selects listener `i`
+    /// of that entry. Reserves one sequence number per delivered
+    /// listener, so ordering against every other event is that of one
+    /// `Deliver` per listener.
     Broadcast {
         gen: u64,
         entry: u32,
@@ -93,80 +90,6 @@ pub(super) enum Ev {
     Reconfigure,
 }
 
-/// One scheduled transmission, with its flow semantic resolved once per
-/// epoch instead of per slot.
-#[derive(Debug)]
-pub(super) struct SlotEntry {
-    pub(super) owner: NodeId,
-    pub(super) kind: Option<FlowKind>,
-    pub(super) listeners: Vec<NodeId>,
-}
-
-/// Per-epoch slot occupancy: the schedule flattened into contiguous
-/// entry ranges per slot, plus a next-occupied-slot index so the
-/// event-driven cursor can jump over empty stretches in O(1). Rebuilt
-/// whenever an epoch commits (`schedule` / `flow_kinds` change).
-#[derive(Debug, Default)]
-pub(super) struct SlotTable {
-    /// `entries` range per slot (`slots_per_cycle` rows).
-    pub(super) per_slot: Vec<(u32, u32)>,
-    pub(super) entries: Vec<SlotEntry>,
-    /// `next_occ[s]` = smallest occupied slot `>= s`, or
-    /// `slots_per_cycle` if none; `slots_per_cycle + 1` rows so the
-    /// lookup from `s + 1` stays in bounds.
-    next_occ: Vec<u32>,
-}
-
-impl SlotTable {
-    /// Flattens `schedule` + `flow_kinds` for one epoch.
-    pub(super) fn build(
-        spc: usize,
-        schedule: &SlotSchedule,
-        flow_kinds: &HashMap<(usize, NodeId), FlowKind>,
-    ) -> Self {
-        let mut per_slot = Vec::with_capacity(spc);
-        let mut entries = Vec::new();
-        for slot in 0..spc {
-            let lo = u32::try_from(entries.len()).expect("schedule fits u32");
-            for a in schedule.in_slot(slot) {
-                entries.push(SlotEntry {
-                    owner: a.owner,
-                    kind: flow_kinds.get(&(slot, a.owner)).copied(),
-                    listeners: a.listeners.clone(),
-                });
-            }
-            let hi = u32::try_from(entries.len()).expect("schedule fits u32");
-            per_slot.push((lo, hi));
-        }
-        let mut next_occ = vec![u32::try_from(spc).expect("slot count fits u32"); spc + 1];
-        for slot in (0..spc).rev() {
-            next_occ[slot] = if per_slot[slot].0 != per_slot[slot].1 {
-                u32::try_from(slot).expect("slot fits u32")
-            } else {
-                next_occ[slot + 1]
-            };
-        }
-        SlotTable {
-            per_slot,
-            entries,
-            next_occ,
-        }
-    }
-
-    fn is_occupied(&self, slot: usize) -> bool {
-        self.per_slot[slot].0 != self.per_slot[slot].1
-    }
-
-    /// Virtual-slot distance from unoccupied `slot` to the next stop:
-    /// the next occupied slot in this cycle, else the cycle boundary
-    /// (slot 0 always fires — sync plus cycle-start housekeeping).
-    fn slots_until_stop(&self, slot: usize) -> u64 {
-        let spc = self.per_slot.len() as u64;
-        let next = u64::from(self.next_occ[slot + 1]).min(spc);
-        next - slot as u64
-    }
-}
-
 /// The co-simulation engine. Build with [`Engine::new`], run with
 /// [`Engine::run`] (or incrementally with [`Engine::run_until`] +
 /// [`Engine::finalize`]).
@@ -181,7 +104,7 @@ pub struct Engine {
     pub(super) rtlink: RtLink,
     pub(super) schedule: SlotSchedule,
     /// `(slot, owner) → flow semantic` for every scheduled flow (the
-    /// cold, inspectable copy; the hot loop reads [`Engine::slot_table`]).
+    /// cold, inspectable copy; the hot loop reads [`Engine::plan`]).
     pub(super) flow_kinds: HashMap<(usize, NodeId), FlowKind>,
     /// Store-and-forward state per forwarding node ([`FlowKind::Relay`]
     /// slots transmit from here, not from the node's behavior), indexed
@@ -213,10 +136,8 @@ pub struct Engine {
     /// Interned node labels, by dense index — `NodeCtx.label` borrows
     /// from here instead of allocating per dispatch.
     pub(super) labels: Vec<String>,
-    /// Per-epoch slot occupancy for the hot loop (see [`SlotTable`]).
-    pub(super) slot_table: SlotTable,
-    /// The epoch-compiled cycle plan the planned slot body runs from
-    /// (see [`super::plan`]); rebuilt wherever [`Engine::slot_table`] is.
+    /// The epoch-compiled cycle plan the slot loop runs from (see
+    /// [`super::plan`]); rebuilt at setup and at every epoch commit.
     pub(super) plan: CyclePlan,
     /// The retired previous plan generation — in-flight folded
     /// broadcasts pushed just before an epoch commit resolve here.
@@ -235,8 +156,8 @@ pub struct Engine {
     /// Boundary time of the next virtual slot event.
     pub(super) vslot_time: SimTime,
     /// Queue sequence number reserved for the next virtual slot event —
-    /// keeps same-instant ordering against real queue entries identical
-    /// to the legacy `Ev::Slot` chain.
+    /// orders it against same-instant queue entries as if every slot
+    /// were a queued event (the order the golden digests pin).
     pub(super) vslot_seq: u64,
     /// Per-VC QoS tallies, indexed by `VcId` — the single source of
     /// truth; the global `RunResult` counters are derived from these at
@@ -307,13 +228,14 @@ impl Engine {
         self.forwarders.clone()
     }
 
-    /// The slot in which `owner` serves `kind`, if scheduled.
+    /// The lowest slot in which `owner` serves `kind`, if scheduled.
     #[must_use]
     pub fn slot_serving(&self, owner: NodeId, kind: FlowKind) -> Option<usize> {
         self.flow_kinds
             .iter()
-            .find(|&(&(_, o), k)| o == owner && *k == kind)
+            .filter(|&(&(_, o), k)| o == owner && *k == kind)
             .map(|(&(slot, _), _)| slot)
+            .min()
     }
 
     /// Dense index of `id` in the topology tables, if deployed.
@@ -331,15 +253,6 @@ impl Engine {
         self.dense_ix(id).map(|ix| &self.meters[ix])
     }
 
-    /// Mutable access to the radio energy meter of `id`, if deployed.
-    #[inline]
-    pub(super) fn meter_mut(&mut self, id: NodeId) -> Option<&mut EnergyMeter> {
-        match self.dense_ix(id) {
-            Some(ix) => Some(&mut self.meters[ix]),
-            None => None,
-        }
-    }
-
     /// Runs the scenario to completion and returns the results.
     #[must_use]
     pub fn run(mut self) -> RunResult {
@@ -353,32 +266,13 @@ impl Engine {
     /// can be advanced again with a later horizon, or closed out with
     /// [`Engine::finalize`]; [`Engine::run`] is exactly
     /// `run_until(start + duration)` followed by `finalize()`.
+    ///
+    /// The slot cursor races the queue head; the earlier of the two
+    /// fires. Empty slots are batch-skipped up to the next occupied slot,
+    /// cycle boundary or queue event. Each fired or skipped slot takes
+    /// one queue sequence number, as if it were a queued event, so every
+    /// same-instant ordering decision is independent of skipping.
     pub fn run_until(&mut self, until: SimTime) {
-        match self.scenario.stepping {
-            SlotStepping::Legacy => self.run_until_legacy(until),
-            SlotStepping::EventDriven => self.run_until_cursor(until),
-        }
-    }
-
-    /// Legacy stepping: pure event-queue pump; `Ev::Slot` re-arms itself.
-    fn run_until_legacy(&mut self, until: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= until {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
-            self.now = t;
-            self.handle(ev);
-            self.debug_check_invariants();
-        }
-    }
-
-    /// Event-driven stepping: the slot cursor races the queue head; the
-    /// earlier of the two fires. Empty slots are batch-skipped up to the
-    /// next occupied slot, cycle boundary or queue event, reserving the
-    /// queue sequence numbers the legacy `Ev::Slot` re-arms would have
-    /// consumed so every same-instant ordering decision is identical.
-    fn run_until_cursor(&mut self, until: SimTime) {
         let dur = self.scenario.rtlink.slot_duration;
         let spc = self.scenario.rtlink.slots_per_cycle as u64;
         loop {
@@ -402,12 +296,12 @@ impl Engine {
                 break;
             }
             let slot = usize::try_from(self.vslot_k % spc).expect("slot fits usize");
-            if slot == 0 || self.slot_table.is_occupied(slot) {
+            if slot == 0 || self.plan.is_occupied(slot) {
                 let cycle = self.vslot_k / spc;
                 self.now = self.vslot_time;
                 self.on_slot_body(cycle, slot);
-                // The legacy driver re-arms `Ev::Slot` here; reserve the
-                // same sequence number so later pushes order identically.
+                // The next slot takes its sequence number now, after the
+                // pushes this slot made: the pinned event order.
                 self.vslot_k += 1;
                 self.vslot_time += dur;
                 self.vslot_seq = self.queue.skip_seq();
@@ -427,7 +321,7 @@ impl Engine {
                 } else {
                     whole + 1
                 };
-                let n = self.slot_table.slots_until_stop(slot).min(n_time).max(1);
+                let n = self.plan.slots_until_stop(slot).min(n_time).max(1);
                 self.vslot_k += n;
                 self.vslot_time += dur * n;
                 self.vslot_seq = self.queue.skip_seqs(n);
@@ -596,7 +490,6 @@ impl Engine {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::PlantStep => self.on_plant_step(),
-            Ev::Slot => self.on_slot(),
             Ev::Sample => self.on_sample(),
             Ev::Deliver { to, from, msg } => {
                 // Capsule fragments belong to the engine's transfer
@@ -665,146 +558,21 @@ impl Engine {
             .push(self.now + self.scenario.sample_every, Ev::Sample);
     }
 
-    /// Legacy stepping entry: one `Ev::Slot` per slot, re-armed
-    /// unconditionally.
-    fn on_slot(&mut self) {
-        let (cycle, slot) = self.rtlink.slot_at(self.now);
-        self.on_slot_body(cycle, slot);
-        self.queue
-            .push(self.now + self.scenario.rtlink.slot_duration, Ev::Slot);
-    }
-
-    /// Processes all transmissions of `slot` (in `cycle`), starting now.
+    /// Processes all transmissions of `slot` (in `cycle`), starting now,
+    /// from the epoch-compiled [`CyclePlan`]: dense indices, distances,
+    /// channel budgets and airtime constants are all pre-resolved, so
+    /// the slot is reduced to the RNG draws (see [`super::plan`] for
+    /// their order). Delivered listener sets fold into one
+    /// [`Ev::Broadcast`] per transmission (one shared message image),
+    /// reserving one sequence number per delivered listener.
     fn on_slot_body(&mut self, cycle: u64, slot: usize) {
-        match self.scenario.plan {
-            CyclePlanMode::Planned => self.on_slot_body_planned(cycle, slot),
-            CyclePlanMode::Direct => self.on_slot_body_direct(cycle, slot),
-        }
-    }
-
-    /// Direct slot body: re-resolves every slot-invariant term from the
-    /// live structures per slot — the pre-plan behavior, kept verbatim
-    /// as the differential oracle for [`Engine::on_slot_body_planned`].
-    fn on_slot_body_direct(&mut self, cycle: u64, slot: usize) {
         if slot == 0 {
-            self.on_cycle_start_direct();
-        }
-        // Detect window a listener pays before shutting down on an empty
-        // slot: guard + PHY header airtime.
-        let detect = self.scenario.rtlink.guard
-            + evm_netsim::frame::airtime_for_bytes(evm_netsim::PHY_HEADER_BYTES);
-        let keepalives = self.scenario.reroute == ReroutePolicy::Heartbeat;
-        // Lift the table out for the slot so behaviors can be dispatched
-        // while iterating it; nothing mid-slot rebuilds it (epoch commits
-        // happen in `on_cycle_start`, above).
-        let table = mem::take(&mut self.slot_table);
-        let (lo, hi) = table.per_slot[slot];
-        for e in &table.entries[lo as usize..hi as usize] {
-            let owner = e.owner;
-            if !self.alive(owner) {
-                continue;
-            }
-            let kind = e.kind;
-            let msg = match kind {
-                // Forwarding slots transmit the captured frame from the
-                // owner's relay core; everything else asks the behavior.
-                Some(FlowKind::Relay { job, .. }) => match self.dense_ix(owner) {
-                    Some(ix) => self.relay_cores[ix]
-                        .as_mut()
-                        .and_then(|c| c.take(job as usize)),
-                    None => None,
-                },
-                // Dedicated transfer slots transmit from the engine's
-                // transfer plane; idle (no migration in flight) they stay
-                // silent — never keepalive-filled.
-                Some(FlowKind::Transfer { vc }) => self.take_transfer_chunk(vc, owner),
-                Some(k) => self
-                    .dispatch(owner, |n, ctx| n.take_outgoing(k, ctx))
-                    .flatten(),
-                None => None,
-            };
-            // Under the heartbeat reroute policy, forwarders and heads
-            // fill otherwise-empty owned slots with a keepalive —
-            // "alive but starved" stays distinguishable from "dead", so
-            // silence is sufficient evidence for marking a node down.
-            let msg = match (msg, kind) {
-                (Some(m), _) => Some(m),
-                (None, Some(FlowKind::Relay { .. } | FlowKind::ControlPlane { .. }))
-                    if keepalives =>
-                {
-                    Some(Message::Heartbeat { from: owner })
-                }
-                (None, _) => None,
-            };
-            let Some(msg) = msg else {
-                // Empty slot: listeners still pay the detect window.
-                for &l in &e.listeners {
-                    if self.alive(l) {
-                        if let Some(m) = self.meter_mut(l) {
-                            m.add(RadioState::Listen, detect);
-                        }
-                    }
-                }
-                continue;
-            };
-            // Every frame actually put on the air stamps the liveness
-            // ledger (the heartbeat bookkeeping behind dead-forwarder
-            // detection and head re-election).
-            if keepalives {
-                self.reconfig.ledger.heard(owner, cycle);
-            }
-            let frame = Frame::new(owner, FrameKind::Broadcast, msg.payload_bytes(), 0);
-            let airtime = frame.airtime();
-            let guard = self.scenario.rtlink.guard;
-            if let Some(m) = self.meter_mut(owner) {
-                m.add(RadioState::Idle, guard);
-                m.add(RadioState::Tx, airtime);
-            }
-            for &to in &e.listeners {
-                if !self.alive(to) {
-                    continue;
-                }
-                if let Some(m) = self.meter_mut(to) {
-                    m.add(RadioState::Rx, guard + airtime);
-                }
-                if !self.scenario.fault_plan.link_usable(owner, to, self.now) {
-                    continue;
-                }
-                let d = self.topology.distance(owner, to);
-                if !self.channel.sample_delivery(&frame, to, d) {
-                    continue;
-                }
-                if self.rng.chance(self.scenario.extra_loss) {
-                    continue;
-                }
-                self.queue.push(
-                    self.now + guard + airtime,
-                    Ev::Deliver {
-                        to,
-                        from: owner,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-        }
-        self.slot_table = table;
-    }
-
-    /// Planned slot body: runs the epoch-compiled [`CyclePlan`] — dense
-    /// indices, distances, channel budgets and airtime constants all
-    /// pre-resolved — consuming the RNG streams draw-for-draw like
-    /// [`Engine::on_slot_body_direct`]. Delivered listener sets fold
-    /// into one [`Ev::Broadcast`] per transmission (one shared message
-    /// image), reserving the per-listener sequence numbers the direct
-    /// path would have consumed.
-    fn on_slot_body_planned(&mut self, cycle: u64, slot: usize) {
-        if slot == 0 {
-            self.on_cycle_start_planned();
+            self.on_cycle_start();
         }
         let guard = self.scenario.rtlink.guard;
         // Lift the plan out for the slot so behaviors can be dispatched
         // while iterating it; nothing mid-slot rebuilds it (epoch commits
-        // happen in `on_cycle_start_planned`, above).
+        // happen in `on_cycle_start`, above).
         let plan = mem::take(&mut self.plan);
         let (lo, hi) = plan.per_slot[slot];
         for eix in lo..hi {
@@ -850,7 +618,7 @@ impl Engine {
             m.add(RadioState::Tx, airtime);
             // Fold delivered listeners into one event when they fit the
             // mask; wider listener sets (not seen in practice) fall back
-            // to the direct path's per-listener pushes.
+            // to one `Deliver` push per listener.
             let fold = listeners.len() <= 64;
             let mut mask = 0u64;
             let mut delivered = 0u64;
@@ -952,48 +720,16 @@ impl Engine {
 
     /// Cycle-boundary housekeeping: epoch commits and heartbeat-silence
     /// scans (the reconfiguration plane), sync reception energy, per-node
-    /// cycle hooks (heartbeat silence checks), and the per-VC per-cycle
-    /// regulation-error samples.
-    fn on_cycle_start_direct(&mut self) {
+    /// cycle hooks, and the per-VC per-cycle regulation-error samples.
+    /// The meter stamp and the hook dispatch share one pass (the hooks
+    /// draw no RNG and touch no meters), only hook-bearing nodes are
+    /// dispatched ([`NodeBehavior::has_cycle_hook`]), and the error
+    /// samples read pre-bound plant-tag handles.
+    fn on_cycle_start(&mut self) {
         // The reconfiguration plane acts strictly at cycle boundaries,
         // before any transmission of the new cycle: a staged epoch
         // becomes visible here or never — frames are never torn across
         // epochs mid-cycle.
-        self.reconfig_on_cycle_start();
-        let sync = self.scenario.rtlink.sync_listen;
-        // Registration order is topology order, so the registry scans
-        // are index loops over the dense tables.
-        for ix in 0..self.node_ids.len() {
-            let id = self.node_ids[ix];
-            if self.alive(id) {
-                self.meters[ix].add(RadioState::Rx, sync);
-            }
-        }
-        for ix in 0..self.node_ids.len() {
-            let id = self.node_ids[ix];
-            if self.alive(id) {
-                self.dispatch(id, |n, ctx| n.on_cycle_start(ctx));
-            }
-        }
-        // One regulation-error sample per VC per RT-Link cycle — the
-        // per-cycle error trace the multi-VC isolation contract is pinned
-        // on (a fault in one VC must leave every other VC's trace
-        // byte-identical).
-        for (pv_tag, setpoint, series) in &mut self.err_series {
-            if let Some(pv) = self.plant.read_tag(pv_tag) {
-                series.push(self.now, pv - *setpoint);
-            }
-        }
-    }
-
-    /// [`Engine::on_cycle_start_direct`] run from the plan: the meter
-    /// stamp and the cycle hook fuse into one pass (byte-identical — the
-    /// hooks draw no RNG and touch no meters, so stamping and
-    /// dispatching interleaved observes the same state as two scans),
-    /// only hook-bearing nodes are dispatched (the rest are no-ops by
-    /// [`NodeBehavior::has_cycle_hook`]), and the regulation-error
-    /// samples read pre-bound plant-tag handles.
-    fn on_cycle_start_planned(&mut self) {
         self.reconfig_on_cycle_start();
         let sync = self.scenario.rtlink.sync_listen;
         let plan = mem::take(&mut self.plan);

@@ -2,35 +2,30 @@
 //!
 //! An RT-Link cycle is a static program per epoch: which slot carries
 //! which flow, who transmits, who listens, and at what cost never change
-//! between epoch commits. The direct slot body nevertheless re-resolves
-//! all of it every slot — dense-index lookups, `topology.distance` per
-//! listener per delivery, the O-QPSK BER series per delivery, airtime
-//! arithmetic per frame, two full-registry scans per cycle boundary and a
-//! string-keyed plant-tag read per VC per cycle. [`CyclePlan`] applies
-//! the same compile-don't-interpret move the capsule tiers applied to
+//! between epoch commits. [`CyclePlan`] applies the same
+//! compile-don't-interpret move the compiled capsule tier applies to
 //! bytecode one layer down: at setup and at every epoch commit the
-//! [`super::driver::SlotTable`] is lowered into flat records with every
-//! slot-invariant term pre-resolved, and the hot path is reduced to the
-//! RNG draws.
+//! schedule and its flow semantics are lowered into flat records with
+//! every slot-invariant term pre-resolved (dense indices, distances,
+//! channel budgets, the cycle-start hook list, bound plant tags), plus a
+//! next-occupied-slot index the slot cursor jumps over empty stretches
+//! with. The hot path is reduced to the RNG draws.
 //!
-//! **The RNG-draw-order invariant.** The planned path must consume the
-//! engine and channel RNG streams draw-for-draw like the direct path:
-//! per delivered listener, the channel PER chance, the link's burst
-//! process, then the engine's `extra_loss` chance — in listener order.
-//! Plan compilation itself draws nothing (it is built unconditionally in
-//! both modes). Links with log-normal shadowing enabled get no
-//! [`LinkBudget`] — their shadowing realization is drawn lazily from the
-//! channel RNG on first use, so pre-resolving it would reorder draws;
-//! those listeners fall back to the unbudgeted sampler per delivery.
+//! **The RNG-draw order.** Per delivered listener, in listener order:
+//! the channel PER chance, the link's burst process, then the engine's
+//! `extra_loss` chance. Plan compilation itself draws nothing. Links
+//! with log-normal shadowing enabled get no [`LinkBudget`] — their
+//! shadowing realization is drawn lazily from the channel RNG on first
+//! use, so pre-resolving it would reorder draws; those listeners fall
+//! back to the unbudgeted sampler per delivery. The golden digests pin
+//! this order.
 //!
-//! **The rebuild rule.** The plan is rebuilt exactly where the slot
-//! table is: at engine setup and at epoch commit (`apply_epoch`), both
-//! strictly at cycle boundaries. One previous generation is kept so a
-//! folded broadcast pushed in the last slots before a commit can still
-//! resolve its listener set; deliveries land within their own slot
-//! (guard + airtime < slot), so one generation is strictly enough.
-
-use std::mem;
+//! **The rebuild rule.** The plan is rebuilt at engine setup and at
+//! epoch commit (`apply_epoch`), both strictly at cycle boundaries. One
+//! previous generation is kept so a folded broadcast pushed in the last
+//! slots before a commit can still resolve its listener set; deliveries
+//! land within their own slot (guard + airtime < slot), so one
+//! generation is strictly enough.
 
 use evm_netsim::{BurstSlot, LinkBudget, NodeId};
 use evm_plant::BoundTag;
@@ -80,10 +75,14 @@ pub(super) struct PlanEntry {
 /// epoch. See the module docs for the invariants.
 #[derive(Debug, Default)]
 pub(super) struct CyclePlan {
-    /// [`CyclePlan::entries`] range per slot.
+    /// [`CyclePlan::entries`] range per slot (`slots_per_cycle` rows).
     pub(super) per_slot: Vec<(u32, u32)>,
     pub(super) entries: Vec<PlanEntry>,
     pub(super) listeners: Vec<PlanListener>,
+    /// `next_occ[s]` = smallest occupied slot `>= s`, or
+    /// `slots_per_cycle` if none; `slots_per_cycle + 1` rows so the
+    /// lookup from `s + 1` stays in bounds.
+    next_occ: Vec<u32>,
     /// Listener cost of an empty occupied slot: guard + PHY-header
     /// airtime.
     pub(super) detect: SimDuration,
@@ -94,56 +93,83 @@ pub(super) struct CyclePlan {
     /// does work — the others are provably no-ops and skipped.
     pub(super) hooks: Vec<u32>,
     /// Pre-bound plant-tag handle per `err_series` row (`None` when the
-    /// tag is unpublished, mirroring the direct path's silent skip).
+    /// tag is unpublished: that row is silently not sampled).
     pub(super) err_tags: Vec<Option<BoundTag>>,
     /// Monotone plan identity; folded broadcasts carry it so delivery
     /// resolves against the generation that scheduled the transmission.
     pub(super) generation: u64,
 }
 
+impl CyclePlan {
+    /// `true` if `slot` carries at least one scheduled transmission.
+    pub(super) fn is_occupied(&self, slot: usize) -> bool {
+        self.per_slot[slot].0 != self.per_slot[slot].1
+    }
+
+    /// Virtual-slot distance from unoccupied `slot` to the next stop:
+    /// the next occupied slot in this cycle, else the cycle boundary
+    /// (slot 0 always fires — sync plus cycle-start housekeeping).
+    pub(super) fn slots_until_stop(&self, slot: usize) -> u64 {
+        let spc = self.per_slot.len() as u64;
+        let next = u64::from(self.next_occ[slot + 1]).min(spc);
+        next - slot as u64
+    }
+}
+
 impl Engine {
-    /// Lowers the current slot table (plus the cycle-boundary state) into
-    /// a fresh [`CyclePlan`], retiring the previous plan to
-    /// `plan_prev`. Draws no RNG; called at setup and at epoch commit in
-    /// both plan modes so engine state stays uniform.
+    /// Lowers the committed schedule and flow semantics (plus the
+    /// cycle-boundary state) into a fresh [`CyclePlan`], retiring the
+    /// previous plan to `plan_prev`. Draws no RNG.
     pub(super) fn rebuild_plan(&mut self) {
         let generation = self.plan.generation + 1;
+        let spc = self.scenario.rtlink.slots_per_cycle;
         let keepalives = self.scenario.reroute == ReroutePolicy::Heartbeat;
-        // Lift the table out so the channel can be borrowed mutably while
-        // walking it; nothing below touches the table's owner.
-        let table = mem::take(&mut self.slot_table);
-        let mut entries = Vec::with_capacity(table.entries.len());
+        let mut per_slot = Vec::with_capacity(spc);
+        let mut entries = Vec::new();
         let mut listeners = Vec::new();
-        for e in &table.entries {
-            let owner_ix = self.dense_ix(e.owner).expect("scheduled owner is deployed");
-            let lo = u32::try_from(listeners.len()).expect("listener count fits u32");
-            for &l in &e.listeners {
-                let ix = self.dense_ix(l).expect("scheduled listener is deployed");
-                let distance = self.topology.distance(e.owner, l);
-                listeners.push(PlanListener {
-                    id: l,
-                    ix: u32::try_from(ix).expect("dense index fits u32"),
-                    distance,
-                    budget: self.channel.link_budget((e.owner, l), distance),
-                    burst: self.channel.burst_slot((e.owner, l)),
+        for slot in 0..spc {
+            let first = u32::try_from(entries.len()).expect("schedule fits u32");
+            for a in self.schedule.in_slot(slot) {
+                let owner = a.owner;
+                let owner_ix = self.dense_ix(owner).expect("scheduled owner is deployed");
+                let kind = self.flow_kinds.get(&(slot, owner)).copied();
+                let lo = u32::try_from(listeners.len()).expect("listener count fits u32");
+                for &l in &a.listeners {
+                    let ix = self.dense_ix(l).expect("scheduled listener is deployed");
+                    let distance = self.topology.distance(owner, l);
+                    listeners.push(PlanListener {
+                        id: l,
+                        ix: u32::try_from(ix).expect("dense index fits u32"),
+                        distance,
+                        budget: self.channel.link_budget((owner, l), distance),
+                        burst: self.channel.burst_slot((owner, l)),
+                    });
+                }
+                let hi = u32::try_from(listeners.len()).expect("listener count fits u32");
+                entries.push(PlanEntry {
+                    owner,
+                    owner_ix: u32::try_from(owner_ix).expect("dense index fits u32"),
+                    kind,
+                    keepalive_eligible: keepalives
+                        && matches!(
+                            kind,
+                            Some(FlowKind::Relay { .. } | FlowKind::ControlPlane { .. })
+                        ),
+                    lo,
+                    hi,
                 });
             }
-            let hi = u32::try_from(listeners.len()).expect("listener count fits u32");
-            entries.push(PlanEntry {
-                owner: e.owner,
-                owner_ix: u32::try_from(owner_ix).expect("dense index fits u32"),
-                kind: e.kind,
-                keepalive_eligible: keepalives
-                    && matches!(
-                        e.kind,
-                        Some(FlowKind::Relay { .. } | FlowKind::ControlPlane { .. })
-                    ),
-                lo,
-                hi,
-            });
+            let end = u32::try_from(entries.len()).expect("schedule fits u32");
+            per_slot.push((first, end));
         }
-        let per_slot = table.per_slot.clone();
-        self.slot_table = table;
+        let mut next_occ = vec![u32::try_from(spc).expect("slot count fits u32"); spc + 1];
+        for slot in (0..spc).rev() {
+            next_occ[slot] = if per_slot[slot].0 != per_slot[slot].1 {
+                u32::try_from(slot).expect("slot fits u32")
+            } else {
+                next_occ[slot + 1]
+            };
+        }
         let hooks = self
             .node_ids
             .iter()
@@ -162,12 +188,13 @@ impl Engine {
             per_slot,
             entries,
             listeners,
+            next_occ,
             detect,
             keepalives,
             hooks,
             err_tags,
             generation,
         };
-        self.plan_prev = mem::replace(&mut self.plan, plan);
+        self.plan_prev = std::mem::replace(&mut self.plan, plan);
     }
 }

@@ -45,7 +45,7 @@ use evm_sim::{SimDuration, SimTime};
 use crate::membership::{elect_head, HeadCandidate, HeartbeatLedger};
 use crate::roles::ControllerMode;
 use crate::runtime::behaviors::{HeadNode, RelayCore};
-use crate::runtime::driver::{Engine, SlotTable};
+use crate::runtime::driver::Engine;
 use crate::runtime::topo::{route_flows, synth_flows, FlowKind, RelayJob, RouteError, VcId, VcMap};
 
 /// When (and whether) the runtime re-routes around failures mid-run.
@@ -493,15 +493,8 @@ impl Engine {
         self.forwarders = forwarders;
         self.schedule = epoch.schedule;
         self.flow_kinds = epoch.flow_kinds;
-        // The hot loop reads the flattened occupancy table, not the
-        // schedule maps — rebuild it with every commit.
-        self.slot_table = SlotTable::build(
-            self.scenario.rtlink.slots_per_cycle,
-            &self.schedule,
-            &self.flow_kinds,
-        );
-        // ... and the compiled cycle plan is lowered from the table:
-        // same commit, same boundary (see `super::plan`).
+        // The hot loop reads the compiled cycle plan, not the schedule
+        // maps: re-lower it at this commit's boundary (see `super::plan`).
         self.rebuild_plan();
         self.reconfig.epoch = epoch.seq;
         self.reconfig.last_commit_at = Some(self.now);

@@ -52,64 +52,6 @@ impl Layout {
     }
 }
 
-/// How the engine advances RT-Link slots.
-///
-/// Both modes share the same per-slot body and produce byte-identical
-/// [`crate::metrics::RunResult`]s (pinned by the stepping differential
-/// suite); they differ only in how the next slot is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SlotStepping {
-    /// Push an `Ev::Slot` event every slot, occupied or not — the
-    /// pre-fleet behavior, kept as the differential baseline. Idle slots
-    /// cost a heap push/pop each, which dominates at fleet scale.
-    Legacy,
-    /// Advance a virtual slot cursor over the epoch's occupancy table,
-    /// batch-skipping empty slots (reserving their event sequence
-    /// numbers so ordering stays exactly as if each had fired).
-    #[default]
-    EventDriven,
-}
-
-impl SlotStepping {
-    /// Stable label for report keys and CSV cells.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SlotStepping::Legacy => "legacy",
-            SlotStepping::EventDriven => "event",
-        }
-    }
-}
-
-/// How the engine executes an occupied slot (and the cycle boundary).
-///
-/// Both modes produce byte-identical [`crate::metrics::RunResult`]s
-/// (pinned by the plan differential suite); they differ only in how much
-/// slot-invariant work is resolved ahead of time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CyclePlanMode {
-    /// Execute from the epoch-compiled `CyclePlan`: dense indices,
-    /// per-link distances and channel budgets, airtime constants, the
-    /// cycle-start hook list and bound plant tags are all pre-resolved at
-    /// epoch commit, so the hot path is reduced to the RNG draws.
-    #[default]
-    Planned,
-    /// Re-resolve everything per slot from the live structures — the
-    /// pre-plan behavior, kept as the differential oracle.
-    Direct,
-}
-
-impl CyclePlanMode {
-    /// Stable label for report keys and CSV cells.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CyclePlanMode::Planned => "planned",
-            CyclePlanMode::Direct => "direct",
-        }
-    }
-}
-
 /// A fully specified co-simulation run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -155,17 +97,9 @@ pub struct Scenario {
     /// reconfiguration plane).
     pub reroute: ReroutePolicy,
     /// Execution tier every controller VM runs capsules on. `Interp`
-    /// (the oracle, default) keeps every golden byte-identical; the
-    /// other tiers are bit-identical by contract and only faster.
+    /// (the default) is the production path the golden digests pin;
+    /// `Compiled` is bit-identical by contract.
     pub tier: Tier,
-    /// Slot-advancement strategy. `EventDriven` (default) skips empty
-    /// slots via the occupancy-table cursor; `Legacy` fires an event per
-    /// slot. Byte-identical results by contract.
-    pub stepping: SlotStepping,
-    /// Occupied-slot execution strategy. `Planned` (default) runs from
-    /// the epoch-compiled cycle plan; `Direct` re-resolves everything per
-    /// slot. Byte-identical results by contract.
-    pub plan: CyclePlanMode,
     /// Scripted reconfiguration requests: at each instant the engine
     /// recomputes the epoch (with whatever down set it has, possibly
     /// empty) and commits it at the next cycle boundary. Test/bench knob
@@ -253,8 +187,6 @@ impl Scenario {
             heartbeat_cycles: 16,
             reroute: ReroutePolicy::Static,
             tier: Tier::Interp,
-            stepping: SlotStepping::EventDriven,
-            plan: CyclePlanMode::Planned,
             force_reconfig: Vec::new(),
             fault: None,
             backup_fault: None,
@@ -611,20 +543,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn tier(mut self, tier: Tier) -> Self {
         self.inner.tier = tier;
-        self
-    }
-
-    /// Sets the slot-advancement strategy ([`Scenario::stepping`]).
-    #[must_use]
-    pub fn stepping(mut self, stepping: SlotStepping) -> Self {
-        self.inner.stepping = stepping;
-        self
-    }
-
-    /// Sets the occupied-slot execution strategy ([`Scenario::plan`]).
-    #[must_use]
-    pub fn plan(mut self, plan: CyclePlanMode) -> Self {
-        self.inner.plan = plan;
         self
     }
 

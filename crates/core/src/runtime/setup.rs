@@ -27,11 +27,10 @@ use crate::runtime::behaviors::{
     ActuationGate, ActuatorNode, ControllerCore, ControllerNode, GatewayNode, HeadNode, RelayCore,
     RelayNode, ReplicaParams, SensorNode,
 };
-use crate::runtime::driver::{Engine, Ev, SlotTable, NO_NODE};
+use crate::runtime::driver::{Engine, Ev, NO_NODE};
 use crate::runtime::plan::CyclePlan;
 use crate::runtime::reconfig::{ReconfigError, ReconfigState, Reconfigurator};
 use crate::runtime::registry::NodeRegistry;
-use crate::runtime::scenario::SlotStepping;
 use crate::runtime::topo::VcId;
 use crate::runtime::Scenario;
 use crate::transfers::ObjectTransfer;
@@ -156,7 +155,6 @@ impl Engine {
             relay_cores[ix] = Some(RelayCore::new(jobs));
             forwarders.push(id);
         }
-        let slot_table = SlotTable::build(scenario.rtlink.slots_per_cycle, &schedule, &flow_kinds);
 
         let regmap = RegisterMap::gas_plant_standard();
 
@@ -456,7 +454,6 @@ impl Engine {
             node_ids,
             node_index,
             labels,
-            slot_table,
             plan: CyclePlan::default(),
             plan_prev: CyclePlan::default(),
             fx_effects: Vec::with_capacity(8),
@@ -512,19 +509,15 @@ impl Engine {
         }
         engine.queue.reserve(64 + 4 * engine.node_ids.len());
 
-        // Compile the setup epoch's cycle plan (draws no RNG; built in
-        // both plan modes so engine state stays uniform).
+        // Compile the setup epoch's cycle plan (draws no RNG).
         engine.rebuild_plan();
 
-        // Seed events. Under event-driven stepping the slot chain is a
-        // cursor, not queue traffic: reserve the sequence number the
-        // legacy `Ev::Slot` push would have taken so same-instant
-        // orderings match the legacy driver exactly.
+        // Seed events. The slot chain is a cursor, not queue traffic,
+        // but the first slot still takes its sequence number here,
+        // between the plant step and the first sample: the same-instant
+        // order the golden digests pin.
         engine.queue.push(SimTime::ZERO, Ev::PlantStep);
-        match engine.scenario.stepping {
-            SlotStepping::Legacy => engine.queue.push(engine.vslot_time, Ev::Slot),
-            SlotStepping::EventDriven => engine.vslot_seq = engine.queue.skip_seq(),
-        }
+        engine.vslot_seq = engine.queue.skip_seq();
         engine.queue.push(SimTime::ZERO, Ev::Sample);
         if let Some((at, _)) = engine.scenario.fault {
             engine.queue.push(at, Ev::InjectFault);

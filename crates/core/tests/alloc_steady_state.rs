@@ -4,17 +4,16 @@
 //! series/queue reservation made at setup, the cycle plan compiled —
 //! the steady-state slot loop must not touch the heap at all: no
 //! per-slot clones, no label `String`s, no dispatch scratch growth, no
-//! per-listener message copies. This test installs a counting global
-//! allocator, warms a compiled-tier run, then steps several more
-//! seconds of simulated time and asserts that **zero** allocations and
-//! **zero** deallocations happened in the window.
+//! per-listener message copies, no per-run interpreter stack. This test
+//! installs a counting global allocator, warms a run, then steps several
+//! more seconds of simulated time and asserts that **zero** allocations
+//! and **zero** deallocations happened in the window.
 //!
-//! Covered windows: both steppings on the planned path, the direct
-//! oracle, and a planned run with a live capsule migration in flight —
-//! multi-listener folded broadcasts with a `CapsuleChunk` crossing the
-//! window every cycle (the image is padded so the stop-and-wait
-//! shipment spans the whole measured window; its start and completion
-//! both land outside it).
+//! Covered windows: the default interpreter tier, the compiled tier, and
+//! a run with a live capsule migration in flight — multi-listener folded
+//! broadcasts with a `CapsuleChunk` crossing the window every cycle (the
+//! image is padded so the stop-and-wait shipment spans the whole
+//! measured window; its start and completion both land outside it).
 //!
 //! A single `#[test]` covers all windows sequentially: the counters
 //! are process-global, so concurrent tests would pollute each other's
@@ -23,9 +22,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use evm_core::runtime::{
-    CyclePlanMode, Engine, ReroutePolicy, Scenario, ScenarioBuilder, SlotStepping,
-};
+use evm_core::runtime::{Engine, ReroutePolicy, Scenario, ScenarioBuilder};
 use evm_core::Tier;
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
@@ -60,14 +57,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A fault-free single-VC star on the compiled tier: the steady state
-/// is pure slot traffic — samples, capsule runs, actuations,
-/// keepalives — with no failover or reconfiguration churn.
-fn scenario(stepping: SlotStepping, plan: CyclePlanMode) -> Scenario {
+/// A fault-free single-VC star on `tier`: the steady state is pure slot
+/// traffic — samples, capsule runs, actuations, keepalives — with no
+/// failover or reconfiguration churn.
+fn scenario(tier: Tier) -> Scenario {
     ScenarioBuilder::star()
-        .tier(Tier::Compiled)
-        .stepping(stepping)
-        .plan(plan)
+        .tier(tier)
         .duration(SimDuration::from_secs(30))
         .build()
 }
@@ -81,7 +76,6 @@ fn scenario(stepping: SlotStepping, plan: CyclePlanMode) -> Scenario {
 /// trace lines allocate inside the window.
 fn migration_scenario() -> Scenario {
     ScenarioBuilder::star()
-        .tier(Tier::Compiled)
         .reroute(ReroutePolicy::Heartbeat)
         .transfer_slots(1)
         .capsule_pad_bytes(16384)
@@ -92,7 +86,7 @@ fn migration_scenario() -> Scenario {
 
 fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
     let mut engine = Engine::new(s);
-    // Warm: ~40 RT-Link cycles — every capsule compiled and cached,
+    // Warm: ~40 RT-Link cycles — every capsule prepared and cached,
     // every lazily-grown structure at its steady footprint.
     engine.run_until(SimTime::from_secs(10));
 
@@ -113,18 +107,8 @@ fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
 
 #[test]
 fn warmed_hot_loop_never_touches_the_heap() {
-    assert_zero_alloc_steady_state(
-        "event+planned",
-        scenario(SlotStepping::EventDriven, CyclePlanMode::Planned),
-    );
-    assert_zero_alloc_steady_state(
-        "legacy+planned",
-        scenario(SlotStepping::Legacy, CyclePlanMode::Planned),
-    );
-    assert_zero_alloc_steady_state(
-        "event+direct",
-        scenario(SlotStepping::EventDriven, CyclePlanMode::Direct),
-    );
+    assert_zero_alloc_steady_state("interp", scenario(Tier::Interp));
+    assert_zero_alloc_steady_state("compiled", scenario(Tier::Compiled));
     let migration = migration_scenario();
     {
         // The shipment must actually span the window, or the chunk leg
@@ -142,5 +126,5 @@ fn warmed_hot_loop_never_touches_the_heap() {
             "the head kill must start a live migration"
         );
     }
-    assert_zero_alloc_steady_state("migration-in-flight planned", migration);
+    assert_zero_alloc_steady_state("migration-in-flight", migration);
 }

@@ -3,7 +3,7 @@
 //! accounting and the fail-safe/migration paths — all through the public
 //! topology-generic API.
 
-use evm_core::runtime::{nodes, Engine, FlowKind, Scenario};
+use evm_core::runtime::{nodes, Engine, FlowKind, Reconfigurator, Scenario, ScenarioBuilder};
 use evm_core::RunResult;
 use evm_sim::{SimDuration, SimTime};
 
@@ -51,6 +51,41 @@ fn schedule_is_pipeline_ordered() {
     assert_eq!(roles.gateway, nodes::GW);
     assert_eq!(roles.primary(), nodes::CTRL_A);
     assert_eq!(roles.head, Some(nodes::HEAD));
+}
+
+/// With two transfer slots per VC the primary serves the same
+/// `Transfer` flow in two slots. `slot_serving` must name the lowest of
+/// them on every engine, whatever order its flow map iterates in.
+#[test]
+fn slot_serving_returns_the_lowest_matching_slot() {
+    let scenario = ScenarioBuilder::star().transfer_slots(2).build();
+    let kind = FlowKind::Transfer { vc: 0 };
+    let probe = Engine::new(scenario.clone());
+    let primary = probe.roles().primary();
+    let epoch = Reconfigurator::compute(
+        0,
+        probe.topology(),
+        &[],
+        probe.vc_map(),
+        &scenario.rtlink,
+        scenario.serial_schedule,
+        scenario.transfer_slots,
+    )
+    .expect("the setup epoch computes");
+    let reserved: Vec<usize> = epoch
+        .flow_kinds
+        .iter()
+        .filter(|&(&(_, owner), &k)| owner == primary && k == kind)
+        .map(|(&(slot, _), _)| slot)
+        .collect();
+    assert_eq!(reserved.len(), 2, "two transfer slots reserved");
+    let lowest = reserved.iter().copied().min();
+    // Each engine's flow map is a fresh `HashMap` with its own random
+    // iteration order.
+    for _ in 0..8 {
+        let e = Engine::new(scenario.clone());
+        assert_eq!(e.slot_serving(primary, kind), lowest);
+    }
 }
 
 #[test]

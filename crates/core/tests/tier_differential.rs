@@ -1,15 +1,15 @@
 //! Differential property suite for tiered capsule execution.
 //!
-//! The stack interpreter ([`Tier::Interp`]) is the semantic oracle; the
-//! fused and compiled tiers are optimizations that must be **bit
-//! identical** to it in every observable: run result (value or typed
-//! trap), gas consumed, the variable file, and every actuator write and
-//! emission — under any gas limit, including budgets that starve a
-//! program mid-loop. This suite drives hundreds of seeded random
-//! programs (well-formed or not), the real compiled control laws, and a
-//! full Fig. 5 engine run through all three tiers and asserts exact
-//! agreement, comparing floats by bit pattern so NaN payloads and
-//! signed zeros cannot hide a divergence.
+//! The stack interpreter ([`Tier::Interp`]) is the semantic reference;
+//! the compiled tier is an optimization that must be **bit identical**
+//! to it in every observable: run result (value or typed trap), gas
+//! consumed, the variable file, and every actuator write and emission —
+//! under any gas limit, including budgets that starve a program
+//! mid-loop. This suite drives hundreds of seeded random programs
+//! (well-formed or not), the real compiled control laws, and a full
+//! Fig. 5 engine run through both tiers and asserts exact agreement,
+//! comparing floats by bit pattern so NaN payloads and signed zeros
+//! cannot hide a divergence.
 
 use evm_core::bytecode::{
     compile_control_law, compiles, control_law_gas_budget, ControlLawSpec, NullEnv, N_VARS,
@@ -54,21 +54,19 @@ fn observe(program: &Program, tier: Tier, gas_limit: u64, exts: &[(u8, Program)]
     }
 }
 
-/// Asserts the fused and compiled tiers agree with the oracle on every
+/// Asserts the compiled tier agrees with the interpreter on every
 /// observable, for each gas limit.
 fn assert_tiers_agree(program: &Program, gas_limits: &[u64], exts: &[(u8, Program)]) {
     for &gas in gas_limits {
-        let oracle = observe(program, Tier::Interp, gas, exts);
-        for tier in [Tier::Fused, Tier::Compiled] {
-            let got = observe(program, tier, gas, exts);
-            assert_eq!(
-                got,
-                oracle,
-                "tier {tier} diverged from the oracle at gas limit {gas} \
-                 on program {:?}",
-                program.ops()
-            );
-        }
+        let interp = observe(program, Tier::Interp, gas, exts);
+        let compiled = observe(program, Tier::Compiled, gas, exts);
+        assert_eq!(
+            compiled,
+            interp,
+            "compiled tier diverged from the interpreter at gas limit {gas} \
+             on program {:?}",
+            program.ops()
+        );
     }
 }
 
@@ -142,7 +140,7 @@ fn random_straightline_op(rng: &mut SimRng) -> Op {
 }
 
 /// ~600 fully random programs (including malformed ones, wild jumps,
-/// unknown extensions and recursive calls) agree across all three tiers
+/// unknown extensions and recursive calls) agree across both tiers
 /// under four gas budgets, from starvation to comfortable.
 #[test]
 fn random_programs_agree_across_tiers() {
@@ -181,12 +179,11 @@ fn straightline_programs_compile_and_agree() {
     }
 }
 
-/// A counted decrement loop (the superinstruction showcase) agrees at
-/// every gas limit that could interrupt it — before the loop, exactly
-/// at a fused boundary, one op into a fused sequence, and after
-/// completion. This pins the deopt path: a fused tier must trap with
-/// the same error, the same gas and the same variable file as the
-/// oracle stepping op by op.
+/// A counted decrement loop (the spin-accelerator showcase) agrees at
+/// every gas limit that could interrupt it — before the loop, mid-trip
+/// and after completion. This pins the metered fallback: the compiled
+/// tier must trap with the same error, the same gas and the same
+/// variable file as the interpreter stepping op by op.
 #[test]
 fn decrement_loop_agrees_at_every_starvation_point() {
     // var0 = 10; while (var0 != 0) { var0 -= 1 } ; halt
@@ -238,19 +235,18 @@ fn pid_control_law_is_bit_identical_across_tiers() {
             let out = vm.run(&program, &mut env).expect("control law runs");
             outs.push((out.to_bits(), env.writes, env.emissions));
         }
-        assert_eq!(outs[0], outs[1], "fused diverged at step {k}");
-        assert_eq!(outs[0], outs[2], "compiled diverged at step {k}");
-        let oracle_vars = vms[0].snapshot_vars().map(f64::to_bits);
-        assert_eq!(vms[1].snapshot_vars().map(f64::to_bits), oracle_vars);
-        assert_eq!(vms[2].snapshot_vars().map(f64::to_bits), oracle_vars);
+        assert_eq!(outs[0], outs[1], "compiled diverged at step {k}");
+        assert_eq!(
+            vms[1].snapshot_vars().map(f64::to_bits),
+            vms[0].snapshot_vars().map(f64::to_bits)
+        );
     }
 }
 
-/// `control_law_gas_budget` is tier-independent: every tier charges
-/// exactly the oracle's gas (fused superinstructions charge the sum of
-/// their constituents), so a budget admitted by the schedulability gate
-/// admits the capsule on any tier — and starving any tier below its
-/// per-invocation cost traps identically.
+/// `control_law_gas_budget` is tier-independent: the compiled tier
+/// charges exactly the interpreter's gas, so a budget admitted by the
+/// schedulability gate admits the capsule on either tier — and starving
+/// either tier below its per-invocation cost traps identically.
 #[test]
 fn gas_budget_is_tier_independent() {
     let spec = ControlLawSpec::from_loop(&lts_level_loop());
@@ -268,8 +264,7 @@ fn gas_budget_is_tier_independent() {
         vm.run(&program, &mut env).expect("within budget");
         per_tier_gas.push((first, vm.gas_used()));
     }
-    assert_eq!(per_tier_gas[0], per_tier_gas[1], "fused gas differs");
-    assert_eq!(per_tier_gas[0], per_tier_gas[2], "compiled gas differs");
+    assert_eq!(per_tier_gas[0], per_tier_gas[1], "compiled gas differs");
     // The documented budget actually covers both the init and steady
     // paths, on every tier.
     assert!(per_tier_gas[0].0 <= budget && per_tier_gas[0].1 <= budget);
@@ -279,8 +274,8 @@ fn gas_budget_is_tier_independent() {
 }
 
 /// Runtime extension words (the dictionary): boundary indices, runtime
-/// replacement, and fused-tier execution of extension bodies all agree
-/// with the oracle.
+/// replacement, and the compiled tier's interpreter fallback for
+/// extension calls all agree with the interpreter.
 #[test]
 fn extension_dictionary_agrees_across_tiers() {
     let square = Program::new(vec![Op::Dup, Op::Mul, Op::Ret]);
@@ -300,11 +295,11 @@ fn extension_dictionary_agrees_across_tiers() {
     }
 }
 
-/// The tentpole end-to-end guarantee: a full Fig. 5 engine run —
-/// scheduler, channel, plant, detectors, every capsule invocation on
-/// every controller replica — is **byte-identical** across tiers. The
-/// entire [`evm_core::RunResult`] (series, traces, QoS metrics, energy)
-/// is compared structurally.
+/// The end-to-end guarantee: a full Fig. 5 engine run — scheduler,
+/// channel, plant, detectors, every capsule invocation on every
+/// controller replica — is **byte-identical** across tiers. The entire
+/// [`evm_core::RunResult`] (series, traces, QoS metrics, energy) is
+/// compared structurally.
 #[test]
 fn fig5_run_is_byte_identical_across_tiers() {
     let run_at = |tier: Tier| {
@@ -313,10 +308,8 @@ fn fig5_run_is_byte_identical_across_tiers() {
         s.tier = tier;
         Engine::new(s).run()
     };
-    let oracle = run_at(Tier::Interp);
-    assert!(oracle.actuations > 100, "run must exercise the capsules");
-    let fused = run_at(Tier::Fused);
+    let interp = run_at(Tier::Interp);
+    assert!(interp.actuations > 100, "run must exercise the capsules");
     let compiled = run_at(Tier::Compiled);
-    assert!(fused == oracle, "fused tier changed the Fig. 5 run");
-    assert!(compiled == oracle, "compiled tier changed the Fig. 5 run");
+    assert!(compiled == interp, "compiled tier changed the Fig. 5 run");
 }

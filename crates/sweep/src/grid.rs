@@ -11,8 +11,8 @@
 //! results are reproducible no matter which thread runs which cell.
 
 use evm_core::runtime::{
-    CyclePlanMode, Layout, ReroutePolicy, Role, Scenario, SlotStepping, Tier, TopologySpec,
-    CLUSTER_HOP_M, CLUSTER_RING_M, GRID_SPACING_M, LINE_SPACING_M,
+    Layout, ReroutePolicy, Role, Scenario, Tier, TopologySpec, CLUSTER_HOP_M, CLUSTER_RING_M,
+    GRID_SPACING_M, LINE_SPACING_M,
 };
 use evm_netsim::GilbertElliott;
 use evm_sim::derive_seed;
@@ -167,10 +167,6 @@ pub struct CellConfig {
     pub reroute: ReroutePolicy,
     /// VM execution tier every controller replica runs capsules on.
     pub tier: Tier,
-    /// Slot-advancement strategy of the cell's engine.
-    pub stepping: SlotStepping,
-    /// Occupied-slot execution strategy of the cell's engine.
-    pub plan: CyclePlanMode,
     /// Synthetic padding (bytes) appended to the migrated capsule image —
     /// the Fig. 6(b) image-size axis.
     pub capsule_pad: usize,
@@ -204,26 +200,12 @@ impl CellConfig {
         } else {
             format!("|{}", self.reroute.label())
         };
-        // Likewise the tier suffix: interp cells (the oracle default)
-        // keep their historical keys, so tier axes never move goldens.
+        // Likewise the tier suffix: interp cells (the default) keep
+        // their historical keys, so tier axes never move goldens.
         let tier = if self.tier == Tier::Interp {
             String::new()
         } else {
             format!("|{}", self.tier.label())
-        };
-        // And the stepping suffix: event-driven (the default cursor)
-        // keeps the historical keys; only legacy rows grow one.
-        let stepping = if self.stepping == SlotStepping::EventDriven {
-            String::new()
-        } else {
-            format!("|{}", self.stepping.label())
-        };
-        // And the plan suffix: planned (the default compiled cycle plan)
-        // keeps the historical keys; only direct-oracle rows grow one.
-        let plan = if self.plan == CyclePlanMode::Planned {
-            String::new()
-        } else {
-            format!("|{}", self.plan.label())
         };
         // Migration suffixes appear only off the disabled defaults, so
         // pre-migration grids (and their goldens) render unchanged.
@@ -238,7 +220,7 @@ impl CellConfig {
             format!("|xfer{}", self.transfer_slots)
         };
         format!(
-            "{}v{}|loss{}|{}|det{}x{}{topo}{reroute}{tier}{stepping}{plan}{cap}{xfer}",
+            "{}v{}|loss{}|{}|det{}x{}{topo}{reroute}{tier}{cap}{xfer}",
             self.star.label(),
             self.vcs,
             self.loss,
@@ -275,8 +257,6 @@ pub struct SweepGrid {
     detection: Option<Vec<(f64, u32)>>,
     reroute: Option<Vec<ReroutePolicy>>,
     tier: Option<Vec<Tier>>,
-    stepping: Option<Vec<SlotStepping>>,
-    plan: Option<Vec<CyclePlanMode>>,
     capsule_pad: Option<Vec<usize>>,
     transfer_slots: Option<Vec<usize>>,
     seeds_per_cell: u32,
@@ -301,8 +281,6 @@ impl SweepGrid {
             detection: None,
             reroute: None,
             tier: None,
-            stepping: None,
-            plan: None,
             capsule_pad: None,
             transfer_slots: None,
             seeds_per_cell: 1,
@@ -396,37 +374,15 @@ impl SweepGrid {
         self
     }
 
-    /// Sweeps the VM execution tier (interp / fused / compiled) — the
-    /// tiered-execution axis: the same scenario runs on the oracle
-    /// interpreter and the optimized tiers side by side. Every metric
-    /// must agree across tier rows (the tiers are bit-identical by
-    /// contract); only wall-clock differs.
+    /// Sweeps the VM execution tier (interp / compiled) — the
+    /// tiered-execution axis: the same scenario runs on the interpreter
+    /// and the compiled tier side by side. Every metric must agree
+    /// across tier rows (the tiers are bit-identical by contract); only
+    /// wall-clock differs.
     #[must_use]
     pub fn over_tier(mut self, tiers: &[Tier]) -> Self {
         assert!(!tiers.is_empty(), "empty axis");
         self.tier = Some(tiers.to_vec());
-        self
-    }
-
-    /// Sweeps the slot-advancement strategy (legacy per-slot events vs
-    /// the event-driven occupancy cursor) — the fleet hot-loop axis:
-    /// every metric must agree across stepping rows (the cursor is
-    /// byte-identical by contract); only wall-clock differs.
-    #[must_use]
-    pub fn over_stepping(mut self, steppings: &[SlotStepping]) -> Self {
-        assert!(!steppings.is_empty(), "empty axis");
-        self.stepping = Some(steppings.to_vec());
-        self
-    }
-
-    /// Sweeps the occupied-slot execution strategy (the epoch-compiled
-    /// cycle plan vs the direct per-slot oracle) — the dispatch-floor
-    /// axis: every metric must agree across plan rows (the plan is
-    /// byte-identical by contract); only wall-clock differs.
-    #[must_use]
-    pub fn over_plan(mut self, plans: &[CyclePlanMode]) -> Self {
-        assert!(!plans.is_empty(), "empty axis");
-        self.plan = Some(plans.to_vec());
         self
     }
 
@@ -496,8 +452,6 @@ impl SweepGrid {
             * ax(self.detection.as_ref().map(Vec::len))
             * ax(self.reroute.as_ref().map(Vec::len))
             * ax(self.tier.as_ref().map(Vec::len))
-            * ax(self.stepping.as_ref().map(Vec::len))
-            * ax(self.plan.as_ref().map(Vec::len))
             * ax(self.capsule_pad.as_ref().map(Vec::len))
             * ax(self.transfer_slots.as_ref().map(Vec::len))
             * self.seeds_per_cell as usize
@@ -511,8 +465,7 @@ impl SweepGrid {
 
     /// Expands the cartesian product into the work-list, in a fixed axis
     /// order (topology → vcs → stars → loss → burst → detection →
-    /// reroute → tier → stepping → plan → capsule size → transfer
-    /// slots → replicate). Cell ids and seeds depend only on the grid
+    /// reroute → tier → capsule size → transfer slots → replicate). Cell ids and seeds depend only on the grid
     /// definition.
     ///
     /// Every cell's topology is validated here, so a malformed template
@@ -571,14 +524,6 @@ impl SweepGrid {
             .tier
             .clone()
             .unwrap_or_else(|| vec![self.template.tier]);
-        let steppings = self
-            .stepping
-            .clone()
-            .unwrap_or_else(|| vec![self.template.stepping]);
-        let plans = self
-            .plan
-            .clone()
-            .unwrap_or_else(|| vec![self.template.plan]);
         let pads = self
             .capsule_pad
             .clone()
@@ -599,80 +544,63 @@ impl SweepGrid {
                             for &(threshold, consecutive) in &detection {
                                 for &reroute in &reroutes {
                                     for &tier in &tiers {
-                                        for &stepping in &steppings {
-                                            for &plan in &plans {
-                                                for &pad in &pads {
-                                                    for &budget in &budgets {
-                                                        for rep in 0..self.seeds_per_cell {
-                                                            let id = cells.len();
-                                                            let seed = derive_seed(
-                                                                self.base_seed,
-                                                                id as u64,
-                                                            );
-                                                            let mut scenario =
-                                                                self.template.clone();
-                                                            // Any varied topology axis rebuilds
-                                                            // the topology (a vcs value also
-                                                            // re-derives the hosting manifest).
-                                                            if topo.is_some()
-                                                                || vcs.is_some()
-                                                                || star.is_some()
-                                                            {
-                                                                let s =
-                                                                    star.unwrap_or(template_shape);
-                                                                let n = vcs.unwrap_or(template_vcs);
-                                                                scenario.topology = build_topology(
-                                                                    id,
-                                                                    topo.unwrap_or(Layout::Star),
-                                                                    n,
-                                                                    s,
-                                                                    self.radius_m,
-                                                                    self.backup_relays,
-                                                                );
-                                                                scenario.host_vcs(n);
-                                                            }
-                                                            scenario.extra_loss = loss;
-                                                            if let Some(b) = burst {
-                                                                scenario.channel.burst =
-                                                                    b.to_process();
-                                                            }
-                                                            scenario.detect_threshold = threshold;
-                                                            scenario.detect_consecutive =
-                                                                consecutive;
-                                                            scenario.reroute = reroute;
-                                                            scenario.tier = tier;
-                                                            scenario.stepping = stepping;
-                                                            scenario.plan = plan;
-                                                            scenario.capsule_pad_bytes = pad;
-                                                            scenario.transfer_slots = budget;
-                                                            scenario.seed = seed;
-                                                            validate_cell(id, &scenario);
-                                                            cells.push(SweepCell {
-                                                                id,
-                                                                config: CellConfig {
-                                                                    topo: topo
-                                                                        .unwrap_or(Layout::Star),
-                                                                    vcs: vcs
-                                                                        .unwrap_or(template_vcs),
-                                                                    star: star
-                                                                        .unwrap_or(template_shape),
-                                                                    loss,
-                                                                    burst: *burst,
-                                                                    detect_threshold: threshold,
-                                                                    detect_consecutive: consecutive,
-                                                                    reroute,
-                                                                    tier,
-                                                                    stepping,
-                                                                    plan,
-                                                                    capsule_pad: pad,
-                                                                    transfer_slots: budget,
-                                                                    rep,
-                                                                    seed,
-                                                                },
-                                                                scenario,
-                                                            });
-                                                        }
+                                        for &pad in &pads {
+                                            for &budget in &budgets {
+                                                for rep in 0..self.seeds_per_cell {
+                                                    let id = cells.len();
+                                                    let seed =
+                                                        derive_seed(self.base_seed, id as u64);
+                                                    let mut scenario = self.template.clone();
+                                                    // Any varied topology axis rebuilds
+                                                    // the topology (a vcs value also
+                                                    // re-derives the hosting manifest).
+                                                    if topo.is_some()
+                                                        || vcs.is_some()
+                                                        || star.is_some()
+                                                    {
+                                                        let s = star.unwrap_or(template_shape);
+                                                        let n = vcs.unwrap_or(template_vcs);
+                                                        scenario.topology = build_topology(
+                                                            id,
+                                                            topo.unwrap_or(Layout::Star),
+                                                            n,
+                                                            s,
+                                                            self.radius_m,
+                                                            self.backup_relays,
+                                                        );
+                                                        scenario.host_vcs(n);
                                                     }
+                                                    scenario.extra_loss = loss;
+                                                    if let Some(b) = burst {
+                                                        scenario.channel.burst = b.to_process();
+                                                    }
+                                                    scenario.detect_threshold = threshold;
+                                                    scenario.detect_consecutive = consecutive;
+                                                    scenario.reroute = reroute;
+                                                    scenario.tier = tier;
+                                                    scenario.capsule_pad_bytes = pad;
+                                                    scenario.transfer_slots = budget;
+                                                    scenario.seed = seed;
+                                                    validate_cell(id, &scenario);
+                                                    cells.push(SweepCell {
+                                                        id,
+                                                        config: CellConfig {
+                                                            topo: topo.unwrap_or(Layout::Star),
+                                                            vcs: vcs.unwrap_or(template_vcs),
+                                                            star: star.unwrap_or(template_shape),
+                                                            loss,
+                                                            burst: *burst,
+                                                            detect_threshold: threshold,
+                                                            detect_consecutive: consecutive,
+                                                            reroute,
+                                                            tier,
+                                                            capsule_pad: pad,
+                                                            transfer_slots: budget,
+                                                            rep,
+                                                            seed,
+                                                        },
+                                                        scenario,
+                                                    });
                                                 }
                                             }
                                         }
@@ -1057,74 +985,26 @@ mod tests {
     }
 
     /// The `over_tier` axis rewrites the VM tier knob per cell; interp
-    /// cells (the oracle default) keep their historical keys while the
-    /// optimized tiers grow a suffix, so tier sweeps never move
-    /// pre-existing goldens.
+    /// cells (the default) keep their historical keys while compiled
+    /// cells grow a suffix, so tier sweeps never move pre-existing
+    /// goldens.
     #[test]
     fn tier_axis_rewrites_vm_tier_and_suffixes_keys() {
         let cells = SweepGrid::new(short_template())
-            .over_tier(&[Tier::Interp, Tier::Fused, Tier::Compiled])
+            .over_tier(&[Tier::Interp, Tier::Compiled])
             .seeds_per_cell(2)
             .expand();
-        assert_eq!(cells.len(), 6);
+        assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].scenario.tier, Tier::Interp);
-        assert_eq!(cells[2].scenario.tier, Tier::Fused);
-        assert_eq!(cells[4].scenario.tier, Tier::Compiled);
+        assert_eq!(cells[2].scenario.tier, Tier::Compiled);
         assert!(!cells[0].config.key().contains("interp"));
-        assert!(cells[2].config.key().ends_with("|fused"));
-        assert!(cells[4].config.key().ends_with("|compiled"));
+        assert!(cells[2].config.key().ends_with("|compiled"));
         // Replicates pool within a tier, never across.
         assert_eq!(cells[0].config.key(), cells[1].config.key());
         assert_ne!(cells[1].config.key(), cells[2].config.key());
         // Without the axis, cells inherit the template tier (interp).
         let bare = SweepGrid::new(short_template()).expand();
         assert_eq!(bare[0].config.tier, Tier::Interp);
-    }
-
-    /// The `over_stepping` axis rewrites the slot-advancement knob per
-    /// cell; event-driven cells (the default cursor) keep their
-    /// historical keys while legacy rows grow a suffix, so stepping
-    /// sweeps never move goldens.
-    #[test]
-    fn stepping_axis_rewrites_knob_and_suffixes_keys() {
-        let cells = SweepGrid::new(short_template())
-            .over_stepping(&[SlotStepping::EventDriven, SlotStepping::Legacy])
-            .seeds_per_cell(2)
-            .expand();
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].scenario.stepping, SlotStepping::EventDriven);
-        assert_eq!(cells[2].scenario.stepping, SlotStepping::Legacy);
-        assert!(!cells[0].config.key().contains("event"));
-        assert!(cells[2].config.key().ends_with("|legacy"));
-        // Replicates pool within a stepping, never across.
-        assert_eq!(cells[0].config.key(), cells[1].config.key());
-        assert_ne!(cells[1].config.key(), cells[2].config.key());
-        // Without the axis, cells inherit the template stepping.
-        let bare = SweepGrid::new(short_template()).expand();
-        assert_eq!(bare[0].config.stepping, SlotStepping::EventDriven);
-    }
-
-    /// The `over_plan` axis rewrites the occupied-slot execution knob
-    /// per cell; planned cells (the default compiled plan) keep their
-    /// historical keys while direct-oracle rows grow a suffix, so plan
-    /// sweeps never move goldens.
-    #[test]
-    fn plan_axis_rewrites_knob_and_suffixes_keys() {
-        let cells = SweepGrid::new(short_template())
-            .over_plan(&[CyclePlanMode::Planned, CyclePlanMode::Direct])
-            .seeds_per_cell(2)
-            .expand();
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].scenario.plan, CyclePlanMode::Planned);
-        assert_eq!(cells[2].scenario.plan, CyclePlanMode::Direct);
-        assert!(!cells[0].config.key().contains("planned"));
-        assert!(cells[2].config.key().ends_with("|direct"));
-        // Replicates pool within a plan mode, never across.
-        assert_eq!(cells[0].config.key(), cells[1].config.key());
-        assert_ne!(cells[1].config.key(), cells[2].config.key());
-        // Without the axis, cells inherit the template plan.
-        let bare = SweepGrid::new(short_template()).expand();
-        assert_eq!(bare[0].config.plan, CyclePlanMode::Planned);
     }
 
     /// The migration axes rewrite the capsule-pad and transfer-slot

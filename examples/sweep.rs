@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use evm::core::runtime::{CyclePlanMode, Layout, ReroutePolicy, Scenario, ScenarioBuilder, Tier};
+use evm::core::runtime::{Layout, ReroutePolicy, Scenario, ScenarioBuilder, Tier};
 use evm::netsim::NodeId;
 use evm::plant::ActuatorFault;
 use evm::prelude::*;
@@ -55,20 +55,9 @@ fn main() {
             // speed knob, never a semantics knob.
             (
                 SweepGrid::new(template.clone())
-                    .over_tier(&[Tier::Interp, Tier::Fused, Tier::Compiled])
+                    .over_tier(&Tier::ALL)
                     .seeds_per_cell(2),
                 "sweep_smoke_tier",
-            ),
-            // Plan-identity smoke: the same failover scenario on the
-            // epoch-compiled cycle plan and the direct per-slot oracle.
-            // The report must show identical metrics on both plan rows
-            // (asserted below) — the plan is a pure speed knob, never a
-            // semantics knob.
-            (
-                SweepGrid::new(template.clone())
-                    .over_plan(&[CyclePlanMode::Planned, CyclePlanMode::Direct])
-                    .seeds_per_cell(2),
-                "sweep_smoke_plan",
             ),
             (
                 SweepGrid::new(template)
@@ -210,7 +199,7 @@ fn main() {
                 .skip(1)
                 .map(|line| line.split_once(',').expect("keyed row").1)
                 .collect();
-            assert_eq!(metrics.len(), 3, "one row per tier");
+            assert_eq!(metrics.len(), Tier::ALL.len(), "one row per tier");
             assert!(
                 metrics.windows(2).all(|w| w[0] == w[1]),
                 "tier rows diverged: {metrics:#?}"
@@ -223,30 +212,6 @@ fn main() {
                 "tier sweep report depends on thread count"
             );
             println!("tier rows metric-identical; serial/parallel reports byte-identical");
-        }
-
-        if stem == "sweep_smoke_plan" {
-            // Both plan rows must carry identical metrics — only the
-            // key's `|direct` suffix may differ between rows.
-            let csv = report.to_csv();
-            let metrics: Vec<&str> = csv
-                .lines()
-                .skip(1)
-                .map(|line| line.split_once(',').expect("keyed row").1)
-                .collect();
-            assert_eq!(metrics.len(), 2, "one row per plan mode");
-            assert!(
-                metrics.windows(2).all(|w| w[0] == w[1]),
-                "plan rows diverged: {metrics:#?}"
-            );
-            // And the report must be byte-identical serial vs parallel.
-            let serial = SweepReport::build(&cells, &run_cells(&cells, 1));
-            assert_eq!(
-                serial.to_csv(),
-                report.to_csv(),
-                "plan sweep report depends on thread count"
-            );
-            println!("plan rows metric-identical; serial/parallel reports byte-identical");
         }
 
         if stem == "sweep_smoke_migration" {

@@ -9,9 +9,7 @@
 //! untouched. A behavior change that moves one is a re-pin, and a re-pin
 //! must be a deliberate, reviewed diff of this file.
 
-use evm::core::runtime::{
-    CyclePlanMode, Engine, ReroutePolicy, Role, Scenario, ScenarioBuilder, SlotStepping, Tier,
-};
+use evm::core::runtime::{Engine, ReroutePolicy, Role, Scenario, ScenarioBuilder};
 use evm::core::{MigrationRecord, NodeEnergy, RunMeta, RunResult, VcRunStats};
 use evm::netsim::{NodeCrash, NodeId};
 use evm::prelude::*;
@@ -186,16 +184,12 @@ struct Golden {
     trace: u64,
 }
 
-/// Runs `make()`'s scenario on every slot stepping × cycle plan × VM
-/// tier and asserts each run reproduces `pinned`; returns the run on the
-/// default path for scenario-specific checks.
+/// Runs `make()`'s scenario and asserts the run reproduces `pinned`;
+/// returns the run for scenario-specific checks.
 fn check(name: &str, make: impl Fn() -> Scenario, pinned: &Golden) -> RunResult {
-    let reference = Engine::new(make()).run();
-    assert!(
-        reference.actuations > 20,
-        "{name}: run must exercise the loop"
-    );
-    let (result, trace) = (result_digest(&reference), trace_digest(&reference));
+    let r = Engine::new(make()).run();
+    assert!(r.actuations > 20, "{name}: run must exercise the loop");
+    let (result, trace) = (result_digest(&r), trace_digest(&r));
     assert!(
         result == pinned.result && trace == pinned.trace,
         "{name}: digests moved: result {result:#018x} (pinned {:#018x}), \
@@ -203,25 +197,7 @@ fn check(name: &str, make: impl Fn() -> Scenario, pinned: &Golden) -> RunResult 
         pinned.result,
         pinned.trace
     );
-    for stepping in [SlotStepping::EventDriven, SlotStepping::Legacy] {
-        for plan in [CyclePlanMode::Planned, CyclePlanMode::Direct] {
-            for tier in Tier::ALL {
-                let mut s = make();
-                s.stepping = stepping;
-                s.plan = plan;
-                s.tier = tier;
-                let r = Engine::new(s).run();
-                assert_eq!(
-                    (result_digest(&r), trace_digest(&r)),
-                    (pinned.result, pinned.trace),
-                    "{name}: {}/{}/{tier} diverged from the pinned digests",
-                    stepping.label(),
-                    plan.label()
-                );
-            }
-        }
-    }
-    reference
+    r
 }
 
 /// The first dedicated relay that carries forwarding jobs in the
