@@ -3,7 +3,7 @@
 //! A [`SweepGrid`] starts from a template [`Scenario`] (everything the
 //! axes do not touch — duration, scripted faults, epoch, warm/cold
 //! backups — comes from the template) and takes the cartesian product of
-//! up to five axes: star shape, extra link loss, burst process, detection
+//! up to five axes: star shape, extra link loss, detection
 //! parameters and seed replicates. [`SweepGrid::expand`] materializes one
 //! [`SweepCell`] per point, each with a seed derived purely from the base
 //! seed and the cell index ([`derive_seed`]) — never from shared mutable
@@ -14,7 +14,6 @@ use evm_core::runtime::{
     Layout, ReroutePolicy, Role, Scenario, Tier, TopologySpec, CLUSTER_HOP_M, CLUSTER_RING_M,
     GRID_SPACING_M, LINE_SPACING_M,
 };
-use evm_netsim::GilbertElliott;
 use evm_sim::derive_seed;
 
 /// Star-topology role counts for one grid axis value.
@@ -84,67 +83,6 @@ impl StarShape {
     }
 }
 
-/// Gilbert–Elliott burst-process parameters for one grid axis value.
-///
-/// A plain-data mirror of [`GilbertElliott`] so axis values can be
-/// compared, labeled and stored in cell metadata.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstSpec {
-    /// P(Good → Bad) per packet.
-    pub p_gb: f64,
-    /// P(Bad → Good) per packet.
-    pub p_bg: f64,
-    /// Loss probability while Good.
-    pub loss_good: f64,
-    /// Loss probability while Bad.
-    pub loss_bad: f64,
-}
-
-impl BurstSpec {
-    /// A loss-free link process.
-    #[must_use]
-    pub fn ideal() -> Self {
-        BurstSpec {
-            p_gb: 0.0,
-            p_bg: 1.0,
-            loss_good: 0.0,
-            loss_bad: 0.0,
-        }
-    }
-
-    /// The industrial-floor process used by the lossy channel preset.
-    #[must_use]
-    pub fn industrial() -> Self {
-        BurstSpec {
-            p_gb: 0.01,
-            p_bg: 0.2,
-            loss_good: 0.0,
-            loss_bad: 0.6,
-        }
-    }
-
-    /// Materializes the process for a scenario's channel config.
-    #[must_use]
-    pub fn to_process(self) -> GilbertElliott {
-        GilbertElliott::new(self.p_gb, self.p_bg, self.loss_good, self.loss_bad)
-    }
-
-    /// Stable label, e.g. `ideal` or `gb0.01-bg0.2-lg0-lb0.6`. All four
-    /// parameters render with `f64`'s round-trip `Display`, so distinct
-    /// processes never share a label.
-    #[must_use]
-    pub fn label(&self) -> String {
-        if *self == BurstSpec::ideal() {
-            "ideal".to_string()
-        } else {
-            format!(
-                "gb{}-bg{}-lg{}-lb{}",
-                self.p_gb, self.p_bg, self.loss_good, self.loss_bad
-            )
-        }
-    }
-}
-
 /// Cell metadata: the axis values (and derived seed) behind one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
@@ -157,8 +95,6 @@ pub struct CellConfig {
     pub star: StarShape,
     /// Extra per-link Bernoulli loss.
     pub loss: f64,
-    /// Burst-process override; `None` keeps the template's channel.
-    pub burst: Option<BurstSpec>,
     /// Deviation-detector threshold.
     pub detect_threshold: f64,
     /// Consecutive anomalies to confirm a fault.
@@ -220,11 +156,10 @@ impl CellConfig {
             format!("|xfer{}", self.transfer_slots)
         };
         format!(
-            "{}v{}|loss{}|{}|det{}x{}{topo}{reroute}{tier}{cap}{xfer}",
+            "{}v{}|loss{}|det{}x{}{topo}{reroute}{tier}{cap}{xfer}",
             self.star.label(),
             self.vcs,
             self.loss,
-            self.burst.map_or_else(|| "chan".to_string(), |b| b.label()),
             self.detect_threshold,
             self.detect_consecutive,
         )
@@ -253,7 +188,6 @@ pub struct SweepGrid {
     vcs: Option<Vec<usize>>,
     stars: Option<Vec<StarShape>>,
     loss: Option<Vec<f64>>,
-    burst: Option<Vec<BurstSpec>>,
     detection: Option<Vec<(f64, u32)>>,
     reroute: Option<Vec<ReroutePolicy>>,
     tier: Option<Vec<Tier>>,
@@ -277,7 +211,6 @@ impl SweepGrid {
             vcs: None,
             stars: None,
             loss: None,
-            burst: None,
             detection: None,
             reroute: None,
             tier: None,
@@ -344,14 +277,6 @@ impl SweepGrid {
             assert!((0.0..=1.0).contains(&p), "loss out of [0,1]: {p}");
         }
         self.loss = Some(losses.to_vec());
-        self
-    }
-
-    /// Sweeps the Gilbert–Elliott burst process applied to every link.
-    #[must_use]
-    pub fn over_burst(mut self, bursts: &[BurstSpec]) -> Self {
-        assert!(!bursts.is_empty(), "empty axis");
-        self.burst = Some(bursts.to_vec());
         self
     }
 
@@ -448,7 +373,6 @@ impl SweepGrid {
             * ax(self.vcs.as_ref().map(Vec::len))
             * ax(self.stars.as_ref().map(Vec::len))
             * ax(self.loss.as_ref().map(Vec::len))
-            * ax(self.burst.as_ref().map(Vec::len))
             * ax(self.detection.as_ref().map(Vec::len))
             * ax(self.reroute.as_ref().map(Vec::len))
             * ax(self.tier.as_ref().map(Vec::len))
@@ -464,7 +388,7 @@ impl SweepGrid {
     }
 
     /// Expands the cartesian product into the work-list, in a fixed axis
-    /// order (topology → vcs → stars → loss → burst → detection →
+    /// order (topology → vcs → stars → loss → detection →
     /// reroute → tier → capsule size → transfer slots → replicate). Cell ids and seeds depend only on the grid
     /// definition.
     ///
@@ -506,10 +430,6 @@ impl SweepGrid {
             .loss
             .clone()
             .unwrap_or_else(|| vec![self.template.extra_loss]);
-        let bursts: Vec<Option<BurstSpec>> = match &self.burst {
-            Some(v) => v.iter().copied().map(Some).collect(),
-            None => vec![None],
-        };
         let detection = self.detection.clone().unwrap_or_else(|| {
             vec![(
                 self.template.detect_threshold,
@@ -540,68 +460,59 @@ impl SweepGrid {
             for &vcs in &vcs_axis {
                 for star in &stars {
                     for &loss in &losses {
-                        for burst in &bursts {
-                            for &(threshold, consecutive) in &detection {
-                                for &reroute in &reroutes {
-                                    for &tier in &tiers {
-                                        for &pad in &pads {
-                                            for &budget in &budgets {
-                                                for rep in 0..self.seeds_per_cell {
-                                                    let id = cells.len();
-                                                    let seed =
-                                                        derive_seed(self.base_seed, id as u64);
-                                                    let mut scenario = self.template.clone();
-                                                    // Any varied topology axis rebuilds
-                                                    // the topology (a vcs value also
-                                                    // re-derives the hosting manifest).
-                                                    if topo.is_some()
-                                                        || vcs.is_some()
-                                                        || star.is_some()
-                                                    {
-                                                        let s = star.unwrap_or(template_shape);
-                                                        let n = vcs.unwrap_or(template_vcs);
-                                                        scenario.topology = build_topology(
-                                                            id,
-                                                            topo.unwrap_or(Layout::Star),
-                                                            n,
-                                                            s,
-                                                            self.radius_m,
-                                                            self.backup_relays,
-                                                        );
-                                                        scenario.host_vcs(n);
-                                                    }
-                                                    scenario.extra_loss = loss;
-                                                    if let Some(b) = burst {
-                                                        scenario.channel.burst = b.to_process();
-                                                    }
-                                                    scenario.detect_threshold = threshold;
-                                                    scenario.detect_consecutive = consecutive;
-                                                    scenario.reroute = reroute;
-                                                    scenario.tier = tier;
-                                                    scenario.capsule_pad_bytes = pad;
-                                                    scenario.transfer_slots = budget;
-                                                    scenario.seed = seed;
-                                                    validate_cell(id, &scenario);
-                                                    cells.push(SweepCell {
+                        for &(threshold, consecutive) in &detection {
+                            for &reroute in &reroutes {
+                                for &tier in &tiers {
+                                    for &pad in &pads {
+                                        for &budget in &budgets {
+                                            for rep in 0..self.seeds_per_cell {
+                                                let id = cells.len();
+                                                let seed = derive_seed(self.base_seed, id as u64);
+                                                let mut scenario = self.template.clone();
+                                                // Any varied topology axis rebuilds
+                                                // the topology (a vcs value also
+                                                // re-derives the hosting manifest).
+                                                if topo.is_some() || vcs.is_some() || star.is_some()
+                                                {
+                                                    let s = star.unwrap_or(template_shape);
+                                                    let n = vcs.unwrap_or(template_vcs);
+                                                    scenario.topology = build_topology(
                                                         id,
-                                                        config: CellConfig {
-                                                            topo: topo.unwrap_or(Layout::Star),
-                                                            vcs: vcs.unwrap_or(template_vcs),
-                                                            star: star.unwrap_or(template_shape),
-                                                            loss,
-                                                            burst: *burst,
-                                                            detect_threshold: threshold,
-                                                            detect_consecutive: consecutive,
-                                                            reroute,
-                                                            tier,
-                                                            capsule_pad: pad,
-                                                            transfer_slots: budget,
-                                                            rep,
-                                                            seed,
-                                                        },
-                                                        scenario,
-                                                    });
+                                                        topo.unwrap_or(Layout::Star),
+                                                        n,
+                                                        s,
+                                                        self.radius_m,
+                                                        self.backup_relays,
+                                                    );
+                                                    scenario.host_vcs(n);
                                                 }
+                                                scenario.extra_loss = loss;
+                                                scenario.detect_threshold = threshold;
+                                                scenario.detect_consecutive = consecutive;
+                                                scenario.reroute = reroute;
+                                                scenario.tier = tier;
+                                                scenario.capsule_pad_bytes = pad;
+                                                scenario.transfer_slots = budget;
+                                                scenario.seed = seed;
+                                                validate_cell(id, &scenario);
+                                                cells.push(SweepCell {
+                                                    id,
+                                                    config: CellConfig {
+                                                        topo: topo.unwrap_or(Layout::Star),
+                                                        vcs: vcs.unwrap_or(template_vcs),
+                                                        star: star.unwrap_or(template_shape),
+                                                        loss,
+                                                        detect_threshold: threshold,
+                                                        detect_consecutive: consecutive,
+                                                        reroute,
+                                                        tier,
+                                                        capsule_pad: pad,
+                                                        transfer_slots: budget,
+                                                        rep,
+                                                        seed,
+                                                    },
+                                                    scenario,
+                                                });
                                             }
                                         }
                                     }
@@ -801,7 +712,6 @@ mod tests {
                 head: true,
             }])
             .over_loss(&[0.25])
-            .over_burst(&[BurstSpec::industrial()])
             .over_detection(&[(3.5, 4)])
             .expand();
         assert_eq!(cells.len(), 1);
@@ -820,7 +730,6 @@ mod tests {
         assert_eq!(cells[0].scenario.topology, template.topology);
         assert_eq!(cells[0].scenario.extra_loss, template.extra_loss);
         assert_eq!(cells[0].config.star, StarShape::fig5());
-        assert_eq!(cells[0].config.burst, None);
     }
 
     #[test]
@@ -845,16 +754,6 @@ mod tests {
         assert_ne!(cells[0].config.key(), cells[1].config.key());
         let cells = SweepGrid::new(short_template())
             .over_loss(&[0.1, 0.1001])
-            .expand();
-        assert_ne!(cells[0].config.key(), cells[1].config.key());
-        // Burst processes differing in any parameter stay distinct too.
-        let a = BurstSpec::industrial();
-        let b = BurstSpec {
-            loss_good: 0.3,
-            ..BurstSpec::industrial()
-        };
-        let cells = SweepGrid::new(short_template())
-            .over_burst(&[a, b])
             .expand();
         assert_ne!(cells[0].config.key(), cells[1].config.key());
     }

@@ -7,8 +7,9 @@
 //! the runtime into that statistics-producing system in three layers:
 //!
 //! * [`grid`] — the [`SweepGrid`] DSL: axes over `ScenarioBuilder` knobs
-//!   (extra loss, Gilbert–Elliott burstiness, detection parameters, star
-//!   role counts, seed replicates) expanded into a work-list of
+//!   (layout, VC count, star role counts, extra loss, detection
+//!   parameters, reroute policy, VM tier, capsule size, transfer slots)
+//!   times seed replicates, expanded into a work-list of
 //!   [`SweepCell`]s with stable per-cell seeds
 //!   ([`evm_sim::derive_seed`]),
 //! * [`executor`] — a work-stealing thread pool over std threads and
@@ -49,5 +50,5 @@ pub mod grid;
 pub mod report;
 
 pub use executor::{available_threads, run_cells, run_cells_checked, run_indexed};
-pub use grid::{BurstSpec, CellConfig, StarShape, SweepCell, SweepGrid};
+pub use grid::{CellConfig, StarShape, SweepCell, SweepGrid};
 pub use report::{CellStats, SweepReport, SweepRow, VcCellStats, VcRow};

@@ -378,7 +378,7 @@ impl SweepReport {
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "key,topology,sensors,controllers,actuators,head,loss,burst,detect_threshold,\
+            "key,topology,sensors,controllers,actuators,head,loss,detect_threshold,\
              detect_consecutive,reroute,runs,detected_runs,fail_safe_runs,detect_mean_s,\
              failover_mean_s,failover_p50_s,failover_p99_s,hit_ratio,e2e_p50_ms,\
              e2e_p99_ms,ise_mean,mean_current_ma,epochs_mean,reroute_cycles_mean\n",
@@ -389,7 +389,7 @@ impl SweepReport {
             // distinct config points never render identical axis cells.
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.6},{},{},{},{},{},{}",
                 r.key,
                 c.topo.label(),
                 c.star.sensors,
@@ -397,7 +397,6 @@ impl SweepReport {
                 c.star.actuators,
                 c.star.head,
                 c.loss,
-                c.burst.map_or_else(|| "chan".to_string(), |b| b.label()),
                 c.detect_threshold,
                 c.detect_consecutive,
                 c.reroute.label(),

@@ -8,11 +8,18 @@
 //! the capsule VM: a performance change must leave every one of them
 //! untouched. A behavior change that moves one is a re-pin, and a re-pin
 //! must be a deliberate, reviewed diff of this file.
+//!
+//! The sweep goldens pin the grid layer the same way: seven short grids
+//! that together use every `SweepGrid` axis, each reduced to a digest of
+//! its expanded cells (id, seed, key and run digest) and a digest of the
+//! six rendered report views.
 
-use evm::core::runtime::{Engine, ReroutePolicy, Role, Scenario, ScenarioBuilder};
+use evm::core::runtime::{Engine, Layout, ReroutePolicy, Role, Scenario, ScenarioBuilder, Tier};
 use evm::core::{MigrationRecord, NodeEnergy, RunMeta, RunResult, VcRunStats};
 use evm::netsim::{NodeCrash, NodeId};
+use evm::plant::ActuatorFault;
 use evm::prelude::*;
+use evm::sweep::{available_threads, run_cells, StarShape, SweepGrid, SweepReport};
 
 /// Incremental FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -367,6 +374,203 @@ fn two_vc_crash_digest() {
         &Golden {
             result: 0x070a_8417_8d17_9b1b,
             trace: 0xc1ee_f123_a1b6_4a7d,
+        },
+    );
+}
+
+/// The two pinned digests of one sweep grid.
+struct SweepGolden {
+    cells: u64,
+    report: u64,
+}
+
+/// Expands and runs `grid`, and asserts the cell list and the rendered
+/// report reproduce `pinned`.
+fn check_sweep(name: &str, grid: &SweepGrid, pinned: &SweepGolden) {
+    let cells = grid.expand();
+    let results = run_cells(&cells, available_threads().min(4));
+    let mut h = Fnv::new();
+    h.len(cells.len());
+    for (c, r) in cells.iter().zip(&results) {
+        h.len(c.id);
+        h.u64(c.scenario.seed);
+        h.str(&c.config.key());
+        h.u64(result_digest(r));
+    }
+    let cells_digest = h.0;
+    let report = SweepReport::build(&cells, &results);
+    let mut h = Fnv::new();
+    for view in [
+        report.to_csv(),
+        report.cells_csv(),
+        report.vcs_csv(),
+        report.topology_csv(),
+        report.reconfig_csv(),
+        report.to_markdown(),
+    ] {
+        h.str(&view);
+    }
+    let report_digest = h.0;
+    assert!(
+        cells_digest == pinned.cells && report_digest == pinned.report,
+        "{name}: sweep digests moved: cells {cells_digest:#018x} (pinned {:#018x}), \
+         report {report_digest:#018x} (pinned {:#018x})",
+        pinned.cells,
+        pinned.report
+    );
+}
+
+/// The 60 s Fig. 6b-style failover template of the smoke grids.
+fn smoke_template() -> Scenario {
+    Scenario::builder()
+        .duration(SimDuration::from_secs(60))
+        .fault_at(SimTime::from_secs(15), ActuatorFault::paper_fault())
+        .reconfig_epoch(SimDuration::ZERO)
+        .build()
+}
+
+/// The redundant 2-hop line of the reconfiguration smoke grids, with
+/// `controllers` replicas and node `victim` crashing at `crash_s`.
+fn line_template(controllers: usize, victim: u16, crash_s: u64) -> ScenarioBuilder {
+    ScenarioBuilder::star()
+        .line(2)
+        .sensors(1)
+        .controllers(controllers)
+        .actuators(1)
+        .head(true)
+        .backup_relays(1)
+        .crash_node_at(NodeId(victim), SimTime::from_secs(crash_s))
+        .duration(SimDuration::from_secs(60))
+}
+
+/// VC count × extra loss.
+#[test]
+fn sweep_vcs_loss_digest() {
+    check_sweep(
+        "vcs_loss",
+        &SweepGrid::new(smoke_template())
+            .over_vcs(&[1, 2])
+            .over_loss(&[0.0, 0.2])
+            .seeds_per_cell(2),
+        &SweepGolden {
+            cells: 0x7a3a_4e2c_cd87_969e,
+            report: 0x621c_d0d2_626f_9504,
+        },
+    );
+}
+
+/// Every VM execution tier.
+#[test]
+fn sweep_tier_digest() {
+    check_sweep(
+        "tier",
+        &SweepGrid::new(smoke_template())
+            .over_tier(&Tier::ALL)
+            .seeds_per_cell(2),
+        &SweepGolden {
+            cells: 0xc3c9_bffd_d2f3_3b2f,
+            report: 0xd7e9_fbc9_8a8d_c15d,
+        },
+    );
+}
+
+/// Every layout family at one role shape.
+#[test]
+fn sweep_topology_digest() {
+    check_sweep(
+        "topology",
+        &SweepGrid::new(smoke_template())
+            .over_topology(&[
+                Layout::Star,
+                Layout::Line { hops: 2 },
+                Layout::Grid { w: 2, h: 3 },
+                Layout::Clustered,
+            ])
+            .over_stars(&[StarShape {
+                sensors: 1,
+                controllers: 2,
+                actuators: 1,
+                head: true,
+            }])
+            .seeds_per_cell(2),
+        &SweepGolden {
+            cells: 0x9d26_d058_d9bd_ebc5,
+            report: 0x326c_665c_46ee_4fca,
+        },
+    );
+}
+
+/// Forwarder kill (R1) under both reroute policies.
+#[test]
+fn sweep_fwdkill_digest() {
+    check_sweep(
+        "fwdkill",
+        &SweepGrid::new(line_template(2, 6, 15).build())
+            .over_reroute(&[ReroutePolicy::Static, ReroutePolicy::Heartbeat])
+            .seeds_per_cell(2),
+        &SweepGolden {
+            cells: 0x8441_e605_a522_b40f,
+            report: 0xd359_0072_5736_7968,
+        },
+    );
+}
+
+/// Head kill, then a primary fault, under both reroute policies.
+#[test]
+fn sweep_headkill_digest() {
+    check_sweep(
+        "headkill",
+        &SweepGrid::new(
+            line_template(3, 6, 10)
+                .fault_at(SimTime::from_secs(30), ActuatorFault::paper_fault())
+                .reconfig_epoch(SimDuration::ZERO)
+                .build(),
+        )
+        .over_reroute(&[ReroutePolicy::Static, ReroutePolicy::Heartbeat])
+        .seeds_per_cell(2),
+        &SweepGolden {
+            cells: 0x7578_25ed_4d89_2e2a,
+            report: 0xd9a4_79e4_2a0b_6b59,
+        },
+    );
+}
+
+/// Live migration over capsule size × transfer-slot budget.
+#[test]
+fn sweep_migration_digest() {
+    check_sweep(
+        "migration",
+        &SweepGrid::new(
+            line_template(3, 6, 10)
+                .reroute(ReroutePolicy::Heartbeat)
+                .reconfig_epoch(SimDuration::ZERO)
+                .build(),
+        )
+        .over_capsule_size(&[0, 512])
+        .over_transfer_slots(&[1, 2])
+        .seeds_per_cell(2),
+        &SweepGolden {
+            cells: 0x594b_af2b_8d49_8581,
+            report: 0x45f2_037a_9f4f_97b5,
+        },
+    );
+}
+
+/// Star role counts × extra loss × detection parameters, on an explicit
+/// base seed.
+#[test]
+fn sweep_star_detection_digest() {
+    check_sweep(
+        "star_detection",
+        &SweepGrid::new(smoke_template())
+            .over_stars(&[StarShape::fig5(), StarShape::with_controllers(3)])
+            .over_loss(&[0.1])
+            .over_detection(&[(5.0, 3), (3.0, 4)])
+            .seeds_per_cell(2)
+            .base_seed(7),
+        &SweepGolden {
+            cells: 0xe81d_6d19_8483_0f50,
+            report: 0xe6f1_e600_5cb7_1b4f,
         },
     );
 }
