@@ -44,7 +44,8 @@ pub use driver::Engine;
 pub use messages::Message;
 pub use reconfig::{Epoch, ReconfigError, Reconfigurator, ReroutePolicy};
 pub use scenario::Layout;
-pub use scenario::{Scenario, ScenarioBuilder};
+pub use scenario::{Scenario, ScenarioBuilder, TopologyShape};
+pub use setup::{check_setup, CheckedSetup};
 pub use topo::{
     monitor_register, route_flows, synth_flows, FlowKind, NodeSpec, RelayJob, Role, RoleMap,
     RouteError, RoutedFlows, TopologyError, TopologySpec, VcId, VcMap, CLUSTER_HOP_M,

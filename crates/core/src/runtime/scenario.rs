@@ -160,7 +160,7 @@ impl Scenario {
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder {
             inner: Scenario::baseline(),
-            star: StarParams::fig5(),
+            shape: TopologyShape::fig5(),
             explicit_topology: false,
         }
     }
@@ -249,7 +249,7 @@ impl Scenario {
     /// dropped with them (a fault can only apply where its VC exists, so
     /// a `vcs` sweep axis never builds a cell that would abort
     /// mid-batch). Does **not** touch the topology — the builder and the
-    /// sweep grid pair this with [`TopologySpec::multi_star`].
+    /// sweep grid pair this with [`TopologyShape::materialize`].
     ///
     /// # Panics
     ///
@@ -339,24 +339,37 @@ impl Scenario {
     }
 }
 
-/// Topology knobs accumulated by the builder DSL: a layout family plus
-/// the per-VC role counts every family shares.
-#[derive(Debug, Clone)]
-struct StarParams {
-    layout: Layout,
-    vcs: usize,
-    sensors: usize,
-    controllers: usize,
-    actuators: usize,
-    head: bool,
-    radius_m: f64,
-    backup_relays: usize,
+/// A topology described by shape: a layout family, the VC count and the
+/// per-VC role counts every family shares. The builder DSL accumulates
+/// one, and the sweep grid's topology axes edit one per cell;
+/// [`TopologyShape::materialize`] turns either into a [`TopologySpec`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TopologyShape {
+    /// Layout family.
+    pub layout: Layout,
+    /// Virtual Components hosted (1 for line and grid).
+    pub vcs: usize,
+    /// Sensor nodes per VC (≥ 1; sensor 0 carries the focus PV).
+    pub sensors: usize,
+    /// Controller replicas per VC (≥ 1; the first is the initial primary).
+    pub controllers: usize,
+    /// Actuator nodes per VC (0 routes actuation through the gateway).
+    pub actuators: usize,
+    /// Whether each VC deploys its head.
+    pub head: bool,
+    /// Star ring radius in meters (the other layouts use their
+    /// calibrated default spacings).
+    pub radius_m: f64,
+    /// Redundant relay chains (line and clustered layouts only).
+    pub backup_relays: usize,
 }
 
-impl StarParams {
-    /// The Fig. 5 parameter set.
-    fn fig5() -> Self {
-        StarParams {
+impl TopologyShape {
+    /// The Fig. 5 testbed: a single-VC star of 2 sensors, 2 controllers,
+    /// 1 actuator and the head on a 15 m ring.
+    #[must_use]
+    pub fn fig5() -> Self {
+        TopologyShape {
             layout: Layout::Star,
             vcs: 1,
             sensors: 2,
@@ -365,6 +378,65 @@ impl StarParams {
             head: true,
             radius_m: 15.0,
             backup_relays: 0,
+        }
+    }
+
+    /// Builds the topology spec of this shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a single-VC layout (line, grid) is asked to host more
+    /// than one VC, backup relays are asked of a layout without a relay
+    /// chain (star, grid), or the layout's generator rejects the role
+    /// counts.
+    #[must_use]
+    pub fn materialize(&self) -> TopologySpec {
+        let chainless = |family: &str| {
+            assert!(
+                self.backup_relays == 0,
+                "backup relays apply to line/clustered layouts, not {family}"
+            );
+        };
+        let single_vc = |family: &str| {
+            assert!(
+                self.vcs == 1,
+                "{family} layouts host a single VC, got {}",
+                self.vcs
+            );
+        };
+        let (s, c, a, h) = (self.sensors, self.controllers, self.actuators, self.head);
+        match self.layout {
+            Layout::Star => {
+                chainless("star");
+                TopologySpec::multi_star(self.vcs, s, c, a, h, self.radius_m)
+            }
+            Layout::Line { hops } => {
+                single_vc("line");
+                TopologySpec::line_with_backups(
+                    hops,
+                    s,
+                    c,
+                    a,
+                    h,
+                    LINE_SPACING_M,
+                    self.backup_relays,
+                )
+            }
+            Layout::Grid { w, h: rows } => {
+                single_vc("grid");
+                chainless("grid");
+                TopologySpec::grid(w, rows, s, c, a, h, GRID_SPACING_M)
+            }
+            Layout::Clustered => TopologySpec::clustered_with_backups(
+                self.vcs,
+                s,
+                c,
+                a,
+                h,
+                CLUSTER_HOP_M,
+                CLUSTER_RING_M,
+                self.backup_relays,
+            ),
         }
     }
 }
@@ -383,7 +455,7 @@ impl StarParams {
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     inner: Scenario,
-    star: StarParams,
+    shape: TopologyShape,
     explicit_topology: bool,
 }
 
@@ -421,7 +493,7 @@ impl ScenarioBuilder {
             (1..=MAX_VCS).contains(&n),
             "vc count out of 1..={MAX_VCS}: {n}"
         );
-        self.star.vcs = n;
+        self.shape.vcs = n;
         self
     }
 
@@ -429,7 +501,7 @@ impl ScenarioBuilder {
     /// focus PV, the rest publish monitoring flows).
     #[must_use]
     pub fn sensors(mut self, n: usize) -> Self {
-        self.star.sensors = n;
+        self.shape.sensors = n;
         self
     }
 
@@ -437,7 +509,7 @@ impl ScenarioBuilder {
     /// initial primary).
     #[must_use]
     pub fn controllers(mut self, n: usize) -> Self {
-        self.star.controllers = n;
+        self.shape.controllers = n;
         self
     }
 
@@ -447,7 +519,7 @@ impl ScenarioBuilder {
     /// endpoint for now).
     #[must_use]
     pub fn actuators(mut self, n: usize) -> Self {
-        self.star.actuators = n;
+        self.shape.actuators = n;
         self
     }
 
@@ -455,14 +527,14 @@ impl ScenarioBuilder {
     /// there is no arbitration and no failover — the minimal data plane.
     #[must_use]
     pub fn head(mut self, present: bool) -> Self {
-        self.star.head = present;
+        self.shape.head = present;
         self
     }
 
     /// Sets the star ring radius in meters.
     #[must_use]
     pub fn radius_m(mut self, radius: f64) -> Self {
-        self.star.radius_m = radius;
+        self.shape.radius_m = radius;
         self
     }
 
@@ -481,7 +553,7 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn line(mut self, hops: usize) -> Self {
         assert!(hops >= 1, "a line needs at least one hop");
-        self.star.layout = Layout::Line { hops };
+        self.shape.layout = Layout::Line { hops };
         self
     }
 
@@ -496,7 +568,7 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn grid(mut self, w: usize, h: usize) -> Self {
         assert!(w >= 1 && h >= 1, "degenerate lattice");
-        self.star.layout = Layout::Grid { w, h };
+        self.shape.layout = Layout::Grid { w, h };
         self
     }
 
@@ -514,8 +586,8 @@ impl ScenarioBuilder {
             (1..=MAX_VCS).contains(&k),
             "vc count out of 1..={MAX_VCS}: {k}"
         );
-        self.star.layout = Layout::Clustered;
-        self.star.vcs = k;
+        self.shape.layout = Layout::Clustered;
+        self.shape.vcs = k;
         self
     }
 
@@ -528,7 +600,7 @@ impl ScenarioBuilder {
     /// chain (star, grid).
     #[must_use]
     pub fn backup_relays(mut self, n: usize) -> Self {
-        self.star.backup_relays = n;
+        self.shape.backup_relays = n;
         self
     }
 
@@ -773,7 +845,7 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn build(mut self) -> Scenario {
         if !self.explicit_topology {
-            let p = &self.star;
+            let p = &self.shape;
             for &(vc, at) in &self.inner.primary_crashes {
                 assert!(
                     (vc as usize) < p.vcs,
@@ -781,62 +853,9 @@ impl ScenarioBuilder {
                     p.vcs,
                 );
             }
-            self.inner.topology = match p.layout {
-                Layout::Star => {
-                    assert!(
-                        p.backup_relays == 0,
-                        "backup relays apply to line/clustered layouts"
-                    );
-                    TopologySpec::multi_star(
-                        p.vcs,
-                        p.sensors,
-                        p.controllers,
-                        p.actuators,
-                        p.head,
-                        p.radius_m,
-                    )
-                }
-                Layout::Line { hops } => {
-                    assert!(p.vcs == 1, "line layouts host a single VC");
-                    TopologySpec::line_with_backups(
-                        hops,
-                        p.sensors,
-                        p.controllers,
-                        p.actuators,
-                        p.head,
-                        LINE_SPACING_M,
-                        p.backup_relays,
-                    )
-                }
-                Layout::Grid { w, h } => {
-                    assert!(p.vcs == 1, "grid layouts host a single VC");
-                    assert!(
-                        p.backup_relays == 0,
-                        "backup relays apply to line/clustered layouts"
-                    );
-                    TopologySpec::grid(
-                        w,
-                        h,
-                        p.sensors,
-                        p.controllers,
-                        p.actuators,
-                        p.head,
-                        GRID_SPACING_M,
-                    )
-                }
-                Layout::Clustered => TopologySpec::clustered_with_backups(
-                    p.vcs,
-                    p.sensors,
-                    p.controllers,
-                    p.actuators,
-                    p.head,
-                    CLUSTER_HOP_M,
-                    CLUSTER_RING_M,
-                    p.backup_relays,
-                ),
-            };
-            if self.star.vcs != self.inner.n_vcs() {
-                self.inner.host_vcs(self.star.vcs);
+            self.inner.topology = p.materialize();
+            if p.vcs != self.inner.n_vcs() {
+                self.inner.host_vcs(p.vcs);
             }
         }
         self.inner

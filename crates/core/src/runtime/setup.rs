@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use evm_mac::rtlink::RtLink;
-use evm_netsim::{Channel, EnergyMeter, NodeId, RadioPowerModel};
+use evm_netsim::{Channel, EnergyMeter, NodeId, RadioPowerModel, Topology};
 use evm_plant::{GasPlant, LocalController, RegisterMap};
 use evm_sim::{EventQueue, SimDuration, SimRng, SimTime, TimeSeries, Trace};
 
@@ -29,9 +29,9 @@ use crate::runtime::behaviors::{
 };
 use crate::runtime::driver::{Engine, Ev, NO_NODE};
 use crate::runtime::plan::CyclePlan;
-use crate::runtime::reconfig::{ReconfigError, ReconfigState, Reconfigurator};
+use crate::runtime::reconfig::{Epoch, ReconfigError, ReconfigState, Reconfigurator};
 use crate::runtime::registry::NodeRegistry;
-use crate::runtime::topo::VcId;
+use crate::runtime::topo::{TopologyError, VcId, VcMap};
 use crate::runtime::Scenario;
 use crate::transfers::ObjectTransfer;
 
@@ -60,59 +60,118 @@ enum Duty {
     Actuator(VcId),
 }
 
+/// The first stage of engine setup, checked: the resolved deployment and
+/// its epoch-0 configuration. [`Engine::try_new`] builds the engine from
+/// it; batch runners call [`check_setup`] alone to reject a scenario
+/// before any engine exists.
+pub struct CheckedSetup {
+    rng: SimRng,
+    channel: Channel,
+    topology: Topology,
+    vcs: VcMap,
+    epoch0: Epoch,
+}
+
+/// Runs the first stage of engine setup: resolves the topology spec,
+/// checks the hosting manifest and the scripted primary crashes against
+/// it, and computes epoch 0 (routes, slot schedule, transfer lane) with
+/// [`Reconfigurator::compute`]. Draws exactly the channel randomness
+/// engine construction draws, so a scenario that passes here builds.
+///
+/// # Errors
+///
+/// [`TopologyError`] for a malformed spec, a manifest whose loop count
+/// differs from the topology's VC count, a crash on an unhosted VC, an
+/// unroutable flow, or flows (or transfer lane) that do not fit the
+/// RT-Link cycle.
+pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
+    let mut rng = SimRng::seed_from(scenario.seed);
+    let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
+    let (topology, vcs) = scenario.topology.try_resolve(&mut channel)?;
+    let hosted = vcs.n_vcs();
+    if hosted != scenario.n_vcs() {
+        return Err(TopologyError::ManifestMismatch {
+            topology: hosted,
+            manifest: scenario.n_vcs(),
+        });
+    }
+    if let Some(&(vc, at)) = scenario
+        .primary_crashes
+        .iter()
+        .find(|&&(vc, _)| vc as usize >= hosted)
+    {
+        return Err(TopologyError::CrashOnUnhostedVc { vc, at, hosted });
+    }
+    // The same Reconfigurator the runtime re-invokes mid-run builds the
+    // setup-time configuration: logical single-hop flows, the multi-hop
+    // routing pass (on a fully-connected star the routed list is
+    // byte-identical to the logical one; elsewhere flows expand into
+    // relay hop chains), then slot placement.
+    let epoch0 = Reconfigurator::compute(
+        0,
+        &topology,
+        &[],
+        &vcs,
+        &scenario.rtlink,
+        scenario.serial_schedule,
+        scenario.transfer_slots,
+    )
+    .map_err(|e| match e {
+        ReconfigError::Unroutable(e) => TopologyError::Unroutable(e),
+        ReconfigError::Unschedulable(e) => TopologyError::Unschedulable(e),
+    })?;
+    Ok(CheckedSetup {
+        rng,
+        channel,
+        topology,
+        vcs,
+        epoch0,
+    })
+}
+
 impl Engine {
     /// Builds the deployment described by the scenario's topology.
     ///
     /// # Panics
     ///
-    /// Panics if the topology is malformed, its hosting manifest does not
-    /// match the topology's VC count, a scripted fault targets a VC the
-    /// deployment does not host, or its flow pipeline cannot be scheduled
-    /// within one RT-Link cycle — configuration errors, not runtime
-    /// conditions.
+    /// Panics on any [`TopologyError`] — configuration errors, not
+    /// runtime conditions.
     #[must_use]
     pub fn new(scenario: Scenario) -> Self {
         match Engine::try_new(scenario) {
             Ok(engine) => engine,
+            Err(
+                e @ (TopologyError::ManifestMismatch { .. }
+                | TopologyError::CrashOnUnhostedVc { .. }
+                | TopologyError::Unroutable(_)
+                | TopologyError::Unschedulable(_)),
+            ) => panic!("{e}"),
             Err(e) => panic!("malformed topology spec: {e}"),
         }
     }
 
-    /// Like [`Engine::new`], but reports a malformed topology spec as a
-    /// typed [`crate::runtime::TopologyError`] instead of panicking —
-    /// the path batch runners use so one bad cell fails alone instead of
-    /// aborting the whole sweep.
+    /// Like [`Engine::new`], but reports every setup failure as a typed
+    /// [`TopologyError`] instead of panicking — the path batch runners
+    /// use so one bad cell fails alone instead of aborting the whole
+    /// sweep.
     ///
     /// # Errors
     ///
-    /// Any [`crate::runtime::TopologyError`] from resolving the spec.
+    /// Any [`TopologyError`] from [`check_setup`].
     ///
     /// # Panics
     ///
-    /// Scenario-level configuration errors (manifest/VC-count mismatch,
-    /// fault targeting an unhosted VC, unschedulable flow pipeline) still
-    /// panic.
+    /// Panics if a VC's focus sensor reads a register other than its
+    /// hosted loop's PV — a misconfigured manifest.
     #[allow(clippy::too_many_lines)]
-    pub fn try_new(scenario: Scenario) -> Result<Self, crate::runtime::TopologyError> {
-        let mut rng = SimRng::seed_from(scenario.seed);
-        let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
-        let (topology, vcs) = scenario.topology.try_resolve(&mut channel)?;
-        assert_eq!(
-            vcs.n_vcs(),
-            scenario.n_vcs(),
-            "topology hosts {} VC(s) but the scenario's manifest names {} \
-             loop(s); pair `.vcs(n)` / `multi_star` with `Scenario::host_vcs`",
-            vcs.n_vcs(),
-            scenario.n_vcs(),
-        );
-        for &(vc, at) in &scenario.primary_crashes {
-            assert!(
-                (vc as usize) < vcs.n_vcs(),
-                "crash at {at} targets VC {vc}, but the deployment hosts \
-                 only {} VC(s)",
-                vcs.n_vcs(),
-            );
-        }
+    pub fn try_new(scenario: Scenario) -> Result<Self, TopologyError> {
+        let CheckedSetup {
+            rng,
+            channel,
+            topology,
+            vcs,
+            epoch0,
+        } = check_setup(&scenario)?;
 
         // --- Dense node tables (the driver's hot-loop index space) -----
         let node_ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
@@ -127,25 +186,6 @@ impl Engine {
         }
         let labels: Vec<String> = topology.nodes().iter().map(|n| n.label.clone()).collect();
 
-        // --- Epoch 0 from the role-derived flow pipeline ---------------
-        // The same Reconfigurator the runtime re-invokes mid-run builds
-        // the setup-time configuration: logical single-hop flows, the
-        // multi-hop routing pass (on a fully-connected star the routed
-        // list is byte-identical to the logical one; elsewhere flows
-        // expand into relay hop chains), then slot placement.
-        let epoch0 = match Reconfigurator::compute(
-            0,
-            &topology,
-            &[],
-            &vcs,
-            &scenario.rtlink,
-            scenario.serial_schedule,
-            scenario.transfer_slots,
-        ) {
-            Ok(epoch) => epoch,
-            Err(ReconfigError::Unroutable(e)) => panic!("topology flows must route: {e}"),
-            Err(ReconfigError::Unschedulable(e)) => panic!("topology flows must schedule: {e}"),
-        };
         let schedule = epoch0.schedule;
         let flow_kinds = epoch0.flow_kinds;
         let mut relay_cores: Vec<Option<RelayCore>> = (0..node_ids.len()).map(|_| None).collect();

@@ -23,8 +23,9 @@
 
 use std::collections::BTreeMap;
 
-use evm_mac::rtlink::Flow;
+use evm_mac::rtlink::{Flow, ScheduleError};
 use evm_netsim::{Channel, NodeId, NodeInfo, NodeKind, Position, Topology};
+use evm_sim::SimTime;
 
 /// Identifies one Virtual Component hosted by the deployment (dense,
 /// starting at 0; VC 0 is the focus loop). `u16` so a fleet deployment
@@ -778,8 +779,10 @@ impl TopologySpec {
     }
 }
 
-/// A malformed [`TopologySpec`], reported per cell instead of aborting a
-/// whole sweep.
+/// A scenario whose deployment cannot be set up: a malformed
+/// [`TopologySpec`], a hosting manifest or crash script that does not fit
+/// it, or flows that cannot be routed or scheduled. Reported per cell
+/// instead of aborting a whole sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
     /// No gateway node in the spec.
@@ -802,6 +805,28 @@ pub enum TopologyError {
     MissingController(VcId),
     /// A VC has more than one actuator node.
     MultipleActuators(VcId),
+    /// The topology hosts a different number of VCs than the scenario's
+    /// hosting manifest names loops.
+    ManifestMismatch {
+        /// VCs the topology hosts.
+        topology: usize,
+        /// Loops the manifest names.
+        manifest: usize,
+    },
+    /// A scripted primary crash targets a VC the deployment does not host.
+    CrashOnUnhostedVc {
+        /// The targeted VC.
+        vc: VcId,
+        /// When the crash was scripted.
+        at: SimTime,
+        /// VCs the deployment hosts.
+        hosted: usize,
+    },
+    /// A flow cannot be routed over the physical connectivity.
+    Unroutable(RouteError),
+    /// The routed flows (or the transfer lane after them) do not fit the
+    /// RT-Link cycle.
+    Unschedulable(ScheduleError),
 }
 
 impl std::fmt::Display for TopologyError {
@@ -829,6 +854,17 @@ impl std::fmt::Display for TopologyError {
                 "VC {vc} has multiple actuators: controller outputs address a \
                  single actuation endpoint"
             ),
+            TopologyError::ManifestMismatch { topology, manifest } => write!(
+                f,
+                "topology hosts {topology} VC(s) but the scenario's manifest names \
+                 {manifest} loop(s); pair `.vcs(n)` / `multi_star` with `Scenario::host_vcs`"
+            ),
+            TopologyError::CrashOnUnhostedVc { vc, at, hosted } => write!(
+                f,
+                "crash at {at} targets VC {vc}, but the deployment hosts only {hosted} VC(s)"
+            ),
+            TopologyError::Unroutable(e) => write!(f, "topology flows must route: {e}"),
+            TopologyError::Unschedulable(e) => write!(f, "topology flows must schedule: {e}"),
         }
     }
 }

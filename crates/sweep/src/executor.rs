@@ -84,12 +84,12 @@ pub fn run_cells(cells: &[SweepCell], threads: usize) -> Vec<RunResult> {
     })
 }
 
-/// Like [`run_cells`], but a cell with a malformed topology reports its
+/// Like [`run_cells`], but a cell that fails engine setup reports its
 /// [`TopologyError`] in place instead of panicking the worker — one bad
 /// cell (e.g. a hand-built spec in the template) fails alone and the
-/// rest of the batch completes. `SweepGrid::expand` already rejects
-/// malformed specs up front, so this is the belt for cells built or
-/// mutated outside the grid DSL.
+/// rest of the batch completes. `SweepGrid::expand` already runs the same
+/// setup check up front, so this is the belt for cells built or mutated
+/// outside the grid DSL.
 #[must_use]
 pub fn run_cells_checked(
     cells: &[SweepCell],
@@ -172,6 +172,29 @@ mod tests {
         assert_eq!(
             out[1].as_ref().unwrap_err(),
             &TopologyError::MissingController(0)
+        );
+    }
+
+    /// A scenario-level setup failure — here a topology hosting two VCs
+    /// under a one-loop manifest — is reported in place too, not raised
+    /// as a worker panic.
+    #[test]
+    fn checked_run_reports_setup_failures_in_place() {
+        use evm_core::runtime::{Scenario, TopologySpec};
+        let mut template = Scenario::baseline();
+        template.duration = evm_sim::SimDuration::from_secs(2);
+        let mut cells = crate::grid::SweepGrid::new(template)
+            .over_loss(&[0.0, 0.1])
+            .expand();
+        cells[1].scenario.topology = TopologySpec::multi_star(2, 2, 2, 1, true, 15.0);
+        let out = run_cells_checked(&cells, 2);
+        assert!(out[0].is_ok());
+        assert_eq!(
+            out[1].as_ref().unwrap_err(),
+            &TopologyError::ManifestMismatch {
+                topology: 2,
+                manifest: 1
+            }
         );
     }
 }
