@@ -3,16 +3,20 @@
 //! A [`SweepGrid`] starts from a template [`Scenario`] (everything the
 //! axes do not touch — duration, scripted faults, epoch, warm/cold
 //! backups — comes from the template) and takes the cartesian product of
-//! up to five axes: star shape, extra link loss, detection
-//! parameters and seed replicates. [`SweepGrid::expand`] materializes one
-//! [`SweepCell`] per point, each with a seed derived purely from the base
-//! seed and the cell index ([`derive_seed`]) — never from shared mutable
-//! state — so the work-list is identical no matter who expands it, and
-//! results are reproducible no matter which thread runs which cell.
+//! its axes and the seed replicates. The axes cover the layout family, the
+//! VC count, star role counts, extra link loss, detection parameters, the
+//! reroute policy, the VM tier, the capsule size and the transfer-slot
+//! budget. [`SweepGrid::expand`] materializes one [`SweepCell`] per point,
+//! each with a seed derived purely from the base seed and the cell index
+//! ([`derive_seed`]) — never from shared mutable state — so the work-list
+//! is identical no matter who expands it, and results are reproducible no
+//! matter which thread runs which cell.
+
+use std::fmt;
+use std::sync::Arc;
 
 use evm_core::runtime::{
-    Layout, ReroutePolicy, Role, Scenario, Tier, TopologySpec, CLUSTER_HOP_M, CLUSTER_RING_M,
-    GRID_SPACING_M, LINE_SPACING_M,
+    check_setup, Layout, ReroutePolicy, Role, Scenario, Tier, TopologyShape, TopologySpec, MAX_VCS,
 };
 use evm_sim::derive_seed;
 
@@ -51,9 +55,9 @@ impl StarShape {
         }
     }
 
-    /// Reads the per-VC shape off an existing topology spec (for grids
-    /// that keep the template's topology): VC 0's role counts, which for
-    /// the symmetric multi-VC stars is every VC's shape.
+    /// Reads the per-VC shape off an existing topology spec: VC 0's role
+    /// counts, which for the symmetric multi-VC layouts is every VC's
+    /// shape.
     #[must_use]
     pub fn of_spec(spec: &TopologySpec) -> Self {
         let count = |pred: fn(&Role) -> bool| {
@@ -83,7 +87,7 @@ impl StarShape {
     }
 }
 
-/// Cell metadata: the axis values (and derived seed) behind one scenario.
+/// Cell metadata: the knob values (and derived seed) behind one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellConfig {
     /// The layout family of the cell's topology (star unless the grid
@@ -116,53 +120,56 @@ pub struct CellConfig {
 }
 
 impl CellConfig {
-    /// The config-point key: every axis except the seed replicate. Cells
-    /// sharing a key are pooled into one report row. Float axes render
+    /// Describes a built cell: the layout comes from the shape its
+    /// topology was rebuilt from (star when no topology axis rebuilt it),
+    /// every other knob from the scenario itself — so the key describes
+    /// the cell whichever axes produced it.
+    fn describe(scenario: &Scenario, shape: Option<&TopologyShape>, rep: u32) -> Self {
+        CellConfig {
+            topo: shape.map_or(Layout::Star, |s| s.layout),
+            vcs: scenario.n_vcs(),
+            star: StarShape::of_spec(&scenario.topology),
+            loss: scenario.extra_loss,
+            detect_threshold: scenario.detect_threshold,
+            detect_consecutive: scenario.detect_consecutive,
+            reroute: scenario.reroute,
+            tier: scenario.tier,
+            capsule_pad: scenario.capsule_pad_bytes,
+            transfer_slots: scenario.transfer_slots,
+            rep,
+            seed: scenario.seed,
+        }
+    }
+
+    /// The config-point key: every knob except the seed replicate. Cells
+    /// sharing a key are pooled into one report row. Float knobs render
     /// with `f64`'s round-trip `Display` (never truncated), so distinct
     /// config points can never collide into one row.
     #[must_use]
     pub fn key(&self) -> String {
-        // Star keys keep their pre-topology-axis format, so star-only
-        // grids (and their pinned goldens) render unchanged.
-        let topo = if self.topo == Layout::Star {
-            String::new()
-        } else {
-            format!("|{}", self.topo.label())
-        };
-        // The reroute suffix appears only off the static default, for the
-        // same reason.
-        let reroute = if self.reroute == ReroutePolicy::Static {
-            String::new()
-        } else {
-            format!("|{}", self.reroute.label())
-        };
-        // Likewise the tier suffix: interp cells (the default) keep
-        // their historical keys, so tier axes never move goldens.
-        let tier = if self.tier == Tier::Interp {
-            String::new()
-        } else {
-            format!("|{}", self.tier.label())
-        };
-        // Migration suffixes appear only off the disabled defaults, so
-        // pre-migration grids (and their goldens) render unchanged.
-        let cap = if self.capsule_pad == 0 {
-            String::new()
-        } else {
-            format!("|cap{}", self.capsule_pad)
-        };
-        let xfer = if self.transfer_slots == 0 {
-            String::new()
-        } else {
-            format!("|xfer{}", self.transfer_slots)
-        };
-        format!(
-            "{}v{}|loss{}|det{}x{}{topo}{reroute}{tier}{cap}{xfer}",
+        let mut key = format!(
+            "{}v{}|loss{}|det{}x{}",
             self.star.label(),
             self.vcs,
             self.loss,
             self.detect_threshold,
             self.detect_consecutive,
-        )
+        );
+        // The remaining knobs add a suffix only off their default, so
+        // keys from before their axes existed (and the goldens pinning
+        // them) render unchanged.
+        let suffixes = [
+            (self.topo != Layout::Star).then(|| self.topo.label()),
+            (self.reroute != ReroutePolicy::Static).then(|| self.reroute.label().to_string()),
+            (self.tier != Tier::Interp).then(|| self.tier.label().to_string()),
+            (self.capsule_pad != 0).then(|| format!("cap{}", self.capsule_pad)),
+            (self.transfer_slots != 0).then(|| format!("xfer{}", self.transfer_slots)),
+        ];
+        for suffix in suffixes.into_iter().flatten() {
+            key.push('|');
+            key.push_str(&suffix);
+        }
+        key
     }
 }
 
@@ -171,32 +178,72 @@ impl CellConfig {
 pub struct SweepCell {
     /// Position in the expanded work-list (also the seed stream).
     pub id: usize,
-    /// The axis values behind the scenario.
+    /// The knob values behind the scenario.
     pub config: CellConfig,
     /// The ready-to-run scenario.
     pub scenario: Scenario,
 }
 
+/// A cell under construction: the template scenario plus, once a
+/// topology axis has touched it, the shape its topology is rebuilt from.
+struct Draft {
+    scenario: Scenario,
+    shape: Option<TopologyShape>,
+}
+
+impl Draft {
+    /// The draft's topology shape, started on first use from the
+    /// template's own: a star of its VC count and VC 0's role counts.
+    fn shape(&mut self) -> &mut TopologyShape {
+        let scenario = &self.scenario;
+        self.shape.get_or_insert_with(|| {
+            let roles = StarShape::of_spec(&scenario.topology);
+            TopologyShape {
+                layout: Layout::Star,
+                vcs: scenario.n_vcs(),
+                sensors: roles.sensors,
+                controllers: roles.controllers,
+                actuators: roles.actuators,
+                head: roles.head,
+                ..TopologyShape::fig5()
+            }
+        })
+    }
+}
+
+/// One axis value: an edit of a cell draft.
+type Edit = Arc<dyn Fn(&mut Draft) + Send + Sync>;
+
+/// One grid axis: its name (the setter that added it) and one edit per
+/// value.
+#[derive(Clone)]
+struct Axis {
+    name: &'static str,
+    edits: Vec<Edit>,
+}
+
 /// A cartesian grid of scenarios over `ScenarioBuilder` knobs.
 ///
-/// Axes left unset collapse to the template's own value, so the smallest
+/// Knobs without an axis keep the template's own value, so the smallest
 /// grid is the template itself repeated over seed replicates.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SweepGrid {
     template: Scenario,
-    topo: Option<Vec<Layout>>,
-    vcs: Option<Vec<usize>>,
-    stars: Option<Vec<StarShape>>,
-    loss: Option<Vec<f64>>,
-    detection: Option<Vec<(f64, u32)>>,
-    reroute: Option<Vec<ReroutePolicy>>,
-    tier: Option<Vec<Tier>>,
-    capsule_pad: Option<Vec<usize>>,
-    transfer_slots: Option<Vec<usize>>,
+    axes: Vec<Axis>,
     seeds_per_cell: u32,
     base_seed: u64,
-    radius_m: f64,
-    backup_relays: usize,
+}
+
+impl fmt::Debug for SweepGrid {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let axes: Vec<(&str, usize)> = self.axes.iter().map(|a| (a.name, a.edits.len())).collect();
+        f.debug_struct("SweepGrid")
+            .field("template", &self.template)
+            .field("axes", &axes)
+            .field("seeds_per_cell", &self.seeds_per_cell)
+            .field("base_seed", &self.base_seed)
+            .finish()
+    }
 }
 
 impl SweepGrid {
@@ -207,40 +254,48 @@ impl SweepGrid {
         let base_seed = template.seed;
         SweepGrid {
             template,
-            topo: None,
-            vcs: None,
-            stars: None,
-            loss: None,
-            detection: None,
-            reroute: None,
-            tier: None,
-            capsule_pad: None,
-            transfer_slots: None,
+            axes: Vec::new(),
             seeds_per_cell: 1,
             base_seed,
-            radius_m: 15.0,
-            backup_relays: 0,
         }
     }
 
+    /// Adds the axis `name`, one draft edit per value (`apply` writes the
+    /// value into the draft), or replaces it in place if the grid already
+    /// has it. Private on purpose: an edit of a knob that [`CellConfig`]
+    /// does not describe would pool different cells into one report row.
+    fn axis<T: Copy + Send + Sync + 'static>(
+        mut self,
+        name: &'static str,
+        values: &[T],
+        apply: fn(&mut Draft, T),
+    ) -> Self {
+        assert!(!values.is_empty(), "empty axis");
+        let edits = values
+            .iter()
+            .map(|&v| Arc::new(move |d: &mut Draft| apply(d, v)) as Edit)
+            .collect();
+        let axis = Axis { name, edits };
+        match self.axes.iter_mut().find(|a| a.name == name) {
+            Some(slot) => *slot = axis,
+            None => self.axes.push(axis),
+        }
+        self
+    }
+
     /// Sweeps the number of Virtual Components hosted on the shared cycle
-    /// (each cell rebuilds the topology as a multi-VC star and re-derives
+    /// (each cell rebuilds its topology at that VC count and re-derives
     /// the hosting manifest via `Scenario::host_vcs`).
     ///
     /// # Panics
     ///
     /// Panics if any count is outside `1..=MAX_VCS`.
     #[must_use]
-    pub fn over_vcs(mut self, vcs: &[usize]) -> Self {
-        assert!(!vcs.is_empty(), "empty axis");
+    pub fn over_vcs(self, vcs: &[usize]) -> Self {
         for &n in vcs {
-            assert!(
-                (1..=evm_core::runtime::MAX_VCS).contains(&n),
-                "vc count out of range: {n}"
-            );
+            assert!((1..=MAX_VCS).contains(&n), "vc count out of range: {n}");
         }
-        self.vcs = Some(vcs.to_vec());
-        self
+        self.axis("vcs", vcs, |d, n| d.shape().vcs = n)
     }
 
     /// Sweeps the layout family (star / line / grid / clustered) at the
@@ -249,20 +304,22 @@ impl SweepGrid {
     /// spacings; line and grid host a single VC, so combining them with a
     /// `vcs` value above 1 is rejected at expansion.
     #[must_use]
-    pub fn over_topology(mut self, layouts: &[Layout]) -> Self {
-        assert!(!layouts.is_empty(), "empty axis");
-        self.topo = Some(layouts.to_vec());
-        self
+    pub fn over_topology(self, layouts: &[Layout]) -> Self {
+        self.axis("topology", layouts, |d, layout| d.shape().layout = layout)
     }
 
-    /// Sweeps star topologies (role counts). Cells rebuild the topology at
-    /// the grid's ring radius; without this axis the template topology is
-    /// used unchanged.
+    /// Sweeps star role counts. Cells rebuild the topology (a star on a
+    /// 15 m ring unless a topology axis picks another layout); without a
+    /// topology axis of any kind the template topology is used unchanged.
     #[must_use]
-    pub fn over_stars(mut self, shapes: &[StarShape]) -> Self {
-        assert!(!shapes.is_empty(), "empty axis");
-        self.stars = Some(shapes.to_vec());
-        self
+    pub fn over_stars(self, shapes: &[StarShape]) -> Self {
+        self.axis("stars", shapes, |d, s| {
+            let shape = d.shape();
+            shape.sensors = s.sensors;
+            shape.controllers = s.controllers;
+            shape.actuators = s.actuators;
+            shape.head = s.head;
+        })
     }
 
     /// Sweeps the extra per-link Bernoulli loss probability.
@@ -271,21 +328,20 @@ impl SweepGrid {
     ///
     /// Panics if any probability is outside `[0, 1]`.
     #[must_use]
-    pub fn over_loss(mut self, losses: &[f64]) -> Self {
-        assert!(!losses.is_empty(), "empty axis");
+    pub fn over_loss(self, losses: &[f64]) -> Self {
         for &p in losses {
             assert!((0.0..=1.0).contains(&p), "loss out of [0,1]: {p}");
         }
-        self.loss = Some(losses.to_vec());
-        self
+        self.axis("loss", losses, |d, p| d.scenario.extra_loss = p)
     }
 
     /// Sweeps the deviation detector's `(threshold, consecutive)` pair.
     #[must_use]
-    pub fn over_detection(mut self, detection: &[(f64, u32)]) -> Self {
-        assert!(!detection.is_empty(), "empty axis");
-        self.detection = Some(detection.to_vec());
-        self
+    pub fn over_detection(self, detection: &[(f64, u32)]) -> Self {
+        self.axis("detection", detection, |d, (threshold, consecutive)| {
+            d.scenario.detect_threshold = threshold;
+            d.scenario.detect_consecutive = consecutive;
+        })
     }
 
     /// Sweeps the runtime re-routing policy (static vs heartbeat) — the
@@ -293,10 +349,8 @@ impl SweepGrid {
     /// self-healing side by side, and the report's reconfiguration
     /// columns (epochs, reroute latency) separate the two.
     #[must_use]
-    pub fn over_reroute(mut self, policies: &[ReroutePolicy]) -> Self {
-        assert!(!policies.is_empty(), "empty axis");
-        self.reroute = Some(policies.to_vec());
-        self
+    pub fn over_reroute(self, policies: &[ReroutePolicy]) -> Self {
+        self.axis("reroute", policies, |d, p| d.scenario.reroute = p)
     }
 
     /// Sweeps the VM execution tier (interp / compiled) — the
@@ -305,10 +359,8 @@ impl SweepGrid {
     /// across tier rows (the tiers are bit-identical by contract); only
     /// wall-clock differs.
     #[must_use]
-    pub fn over_tier(mut self, tiers: &[Tier]) -> Self {
-        assert!(!tiers.is_empty(), "empty axis");
-        self.tier = Some(tiers.to_vec());
-        self
+    pub fn over_tier(self, tiers: &[Tier]) -> Self {
+        self.axis("tier", tiers, |d, t| d.scenario.tier = t)
     }
 
     /// Sweeps the synthetic padding appended to the migrated capsule
@@ -316,19 +368,19 @@ impl SweepGrid {
     /// whose transfer lane is enabled and whose script triggers a
     /// migration.
     #[must_use]
-    pub fn over_capsule_size(mut self, pads: &[usize]) -> Self {
-        assert!(!pads.is_empty(), "empty axis");
-        self.capsule_pad = Some(pads.to_vec());
-        self
+    pub fn over_capsule_size(self, pads: &[usize]) -> Self {
+        self.axis("capsule_size", pads, |d, b| {
+            d.scenario.capsule_pad_bytes = b
+        })
     }
 
     /// Sweeps the per-cycle transfer-slot budget of the capsule-migration
     /// lane (0 keeps migration disabled — the historical default).
     #[must_use]
-    pub fn over_transfer_slots(mut self, budgets: &[usize]) -> Self {
-        assert!(!budgets.is_empty(), "empty axis");
-        self.transfer_slots = Some(budgets.to_vec());
-        self
+    pub fn over_transfer_slots(self, budgets: &[usize]) -> Self {
+        self.axis("transfer_slots", budgets, |d, n| {
+            d.scenario.transfer_slots = n
+        })
     }
 
     /// Number of seed replicates per config point (≥ 1).
@@ -346,39 +398,11 @@ impl SweepGrid {
         self
     }
 
-    /// Ring radius used when the star axis rebuilds topologies.
-    #[must_use]
-    pub fn radius_m(mut self, radius: f64) -> Self {
-        self.radius_m = radius;
-        self
-    }
-
-    /// Redundant relay chains added when a topology axis rebuilds line or
-    /// clustered cells (a rebuilt topology does not inherit the
-    /// template's chains — `StarShape` carries role counts only, so a
-    /// reroute-policy sweep over rebuilt multi-hop cells must ask for its
-    /// redundancy here or the heartbeat rows would misreport as
-    /// "reroute failed").
-    #[must_use]
-    pub fn backup_relays(mut self, n: usize) -> Self {
-        self.backup_relays = n;
-        self
-    }
-
-    /// Number of cells the grid expands to.
+    /// Number of cells the grid expands to: the product of the axis
+    /// lengths times the seed replicates.
     #[must_use]
     pub fn len(&self) -> usize {
-        let ax = |n: Option<usize>| n.unwrap_or(1);
-        ax(self.topo.as_ref().map(Vec::len))
-            * ax(self.vcs.as_ref().map(Vec::len))
-            * ax(self.stars.as_ref().map(Vec::len))
-            * ax(self.loss.as_ref().map(Vec::len))
-            * ax(self.detection.as_ref().map(Vec::len))
-            * ax(self.reroute.as_ref().map(Vec::len))
-            * ax(self.tier.as_ref().map(Vec::len))
-            * ax(self.capsule_pad.as_ref().map(Vec::len))
-            * ax(self.transfer_slots.as_ref().map(Vec::len))
-            * self.seeds_per_cell as usize
+        self.axes.iter().map(|a| a.edits.len()).product::<usize>() * self.seeds_per_cell as usize
     }
 
     /// `true` for a degenerate grid (never: axes reject empty inputs).
@@ -387,266 +411,57 @@ impl SweepGrid {
         self.len() == 0
     }
 
-    /// Expands the cartesian product into the work-list, in a fixed axis
-    /// order (topology → vcs → stars → loss → detection →
-    /// reroute → tier → capsule size → transfer slots → replicate). Cell ids and seeds depend only on the grid
-    /// definition.
+    /// Expands the cartesian product into the work-list. Cell ids count
+    /// in mixed radix over the axes: the first axis added is outermost
+    /// and the seed replicate innermost, so cell ids and seeds depend
+    /// only on the grid definition.
     ///
-    /// Every cell's topology is validated here, so a malformed template
-    /// fails fast at grid definition (with the cell id and the typed
-    /// `TopologyError`) instead of panicking a worker hours into the
-    /// batch.
+    /// Each cell applies its axis edits to the template, rebuilds its
+    /// topology and hosting manifest once if a topology axis touched it,
+    /// and then passes the first stage of engine setup ([`check_setup`]).
+    /// A malformed grid therefore fails fast at definition, with the cell
+    /// id and the typed error, instead of panicking a worker hours into
+    /// the batch.
     ///
     /// # Panics
     ///
-    /// Panics if any cell's topology spec is malformed.
+    /// Panics if a cell's topology shape cannot be built or the cell
+    /// fails the setup check.
     #[must_use]
     pub fn expand(&self) -> Vec<SweepCell> {
-        // The backup-relay knob only acts when cells rebuild their
-        // topology; silently dropping it would produce exactly the
-        // "reroute failed" misreporting it exists to prevent.
-        assert!(
-            self.backup_relays == 0
-                || self.topo.is_some()
-                || self.vcs.is_some()
-                || self.stars.is_some(),
-            "backup_relays needs a topology-rebuilding axis (over_topology/over_vcs/\
-             over_stars); without one, bake the chains into the template via \
-             ScenarioBuilder::backup_relays"
-        );
-        let topo_axis: Vec<Option<Layout>> = match &self.topo {
-            Some(v) => v.iter().copied().map(Some).collect(),
-            None => vec![None],
-        };
-        let vcs_axis: Vec<Option<usize>> = match &self.vcs {
-            Some(v) => v.iter().copied().map(Some).collect(),
-            None => vec![None],
-        };
-        let stars: Vec<Option<StarShape>> = match &self.stars {
-            Some(v) => v.iter().copied().map(Some).collect(),
-            None => vec![None],
-        };
-        let losses = self
-            .loss
-            .clone()
-            .unwrap_or_else(|| vec![self.template.extra_loss]);
-        let detection = self.detection.clone().unwrap_or_else(|| {
-            vec![(
-                self.template.detect_threshold,
-                self.template.detect_consecutive,
-            )]
-        });
-        let reroutes = self
-            .reroute
-            .clone()
-            .unwrap_or_else(|| vec![self.template.reroute]);
-        let tiers = self
-            .tier
-            .clone()
-            .unwrap_or_else(|| vec![self.template.tier]);
-        let pads = self
-            .capsule_pad
-            .clone()
-            .unwrap_or_else(|| vec![self.template.capsule_pad_bytes]);
-        let budgets = self
-            .transfer_slots
-            .clone()
-            .unwrap_or_else(|| vec![self.template.transfer_slots]);
-
-        let template_shape = StarShape::of_spec(&self.template.topology);
-        let template_vcs = self.template.n_vcs();
-        let mut cells = Vec::with_capacity(self.len());
-        for &topo in &topo_axis {
-            for &vcs in &vcs_axis {
-                for star in &stars {
-                    for &loss in &losses {
-                        for &(threshold, consecutive) in &detection {
-                            for &reroute in &reroutes {
-                                for &tier in &tiers {
-                                    for &pad in &pads {
-                                        for &budget in &budgets {
-                                            for rep in 0..self.seeds_per_cell {
-                                                let id = cells.len();
-                                                let seed = derive_seed(self.base_seed, id as u64);
-                                                let mut scenario = self.template.clone();
-                                                // Any varied topology axis rebuilds
-                                                // the topology (a vcs value also
-                                                // re-derives the hosting manifest).
-                                                if topo.is_some() || vcs.is_some() || star.is_some()
-                                                {
-                                                    let s = star.unwrap_or(template_shape);
-                                                    let n = vcs.unwrap_or(template_vcs);
-                                                    scenario.topology = build_topology(
-                                                        id,
-                                                        topo.unwrap_or(Layout::Star),
-                                                        n,
-                                                        s,
-                                                        self.radius_m,
-                                                        self.backup_relays,
-                                                    );
-                                                    scenario.host_vcs(n);
-                                                }
-                                                scenario.extra_loss = loss;
-                                                scenario.detect_threshold = threshold;
-                                                scenario.detect_consecutive = consecutive;
-                                                scenario.reroute = reroute;
-                                                scenario.tier = tier;
-                                                scenario.capsule_pad_bytes = pad;
-                                                scenario.transfer_slots = budget;
-                                                scenario.seed = seed;
-                                                validate_cell(id, &scenario);
-                                                cells.push(SweepCell {
-                                                    id,
-                                                    config: CellConfig {
-                                                        topo: topo.unwrap_or(Layout::Star),
-                                                        vcs: vcs.unwrap_or(template_vcs),
-                                                        star: star.unwrap_or(template_shape),
-                                                        loss,
-                                                        detect_threshold: threshold,
-                                                        detect_consecutive: consecutive,
-                                                        reroute,
-                                                        tier,
-                                                        capsule_pad: pad,
-                                                        transfer_slots: budget,
-                                                        rep,
-                                                        seed,
-                                                    },
-                                                    scenario,
-                                                });
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+        let len = self.len();
+        let reps = self.seeds_per_cell as usize;
+        (0..len)
+            .map(|id| {
+                let mut draft = Draft {
+                    scenario: self.template.clone(),
+                    shape: None,
+                };
+                let mut stride = len;
+                for axis in &self.axes {
+                    stride /= axis.edits.len();
+                    (axis.edits[id / stride % axis.edits.len()])(&mut draft);
                 }
-            }
-        }
-        cells
-    }
-}
-
-/// Expansion-time validation of one cell: the topology must resolve
-/// (roles), route (every flow's receivers reachable over the physical
-/// connectivity — the multi-hop layouts make this a real failure mode)
-/// and schedule (the pipeline fits the RT-Link cycle). Mirrors engine
-/// construction exactly — same channel stream — so a cell that passes
-/// here cannot panic a worker hours into the batch.
-fn validate_cell(id: usize, scenario: &Scenario) {
-    let mut rng = evm_sim::SimRng::seed_from(scenario.seed);
-    let mut channel = evm_netsim::Channel::new(scenario.channel.clone(), rng.fork(1));
-    let (topology, map) = match scenario.topology.try_resolve(&mut channel) {
-        Ok(out) => out,
-        Err(e) => panic!("sweep cell {id} has a malformed topology: {e}"),
-    };
-    let routed =
-        match evm_core::runtime::route_flows(&topology, &evm_core::runtime::synth_flows(&map)) {
-            Ok(routed) => routed,
-            Err(e) => panic!("sweep cell {id} has an unroutable topology: {e}"),
-        };
-    let flows: Vec<_> = routed.flows.into_iter().map(|(f, _)| f).collect();
-    let placed = if scenario.serial_schedule {
-        evm_mac::rtlink::SlotSchedule::place_flows_serial(&scenario.rtlink, &flows)
-    } else {
-        evm_mac::rtlink::SlotSchedule::place_flows(&scenario.rtlink, &topology, &flows)
-    };
-    let mut schedule = match placed {
-        Ok((s, _order)) => s,
-        Err(e) => panic!("sweep cell {id} cannot schedule its flows: {e}"),
-    };
-    // The migration lane reserves its slots after the pipeline at engine
-    // setup; mirror that reservation so an overflowing budget fails here
-    // with the cell id, not inside a worker.
-    if scenario.transfer_slots > 0 {
-        for vc in 0..map.n_vcs() {
-            let roles = map.vc(vc as evm_core::runtime::VcId);
-            let Some(&src) = roles.controllers.first() else {
-                continue;
-            };
-            let mut listeners: Vec<_> = roles
-                .head
-                .into_iter()
-                .chain(roles.controllers.iter().copied())
-                .filter(|&n| n != src)
-                .collect();
-            listeners.sort_unstable();
-            listeners.dedup();
-            if listeners.is_empty() {
-                continue;
-            }
-            if let Err(e) =
-                schedule.reserve_transfer_slots(src, &listeners, scenario.transfer_slots)
-            {
-                panic!("sweep cell {id} cannot reserve its transfer slots: {e}");
-            }
-        }
-    }
-}
-
-/// Materializes one cell's topology for the given layout family. Line
-/// and grid layouts host a single VC; pairing them with a multi-VC axis
-/// value is a grid-definition error surfaced with the cell id.
-fn build_topology(
-    id: usize,
-    layout: Layout,
-    vcs: usize,
-    s: StarShape,
-    radius_m: f64,
-    backup_relays: usize,
-) -> TopologySpec {
-    match layout {
-        Layout::Star => {
-            assert!(
-                backup_relays == 0,
-                "sweep cell {id}: backup relays apply to line/clustered layouts"
-            );
-            TopologySpec::multi_star(vcs, s.sensors, s.controllers, s.actuators, s.head, radius_m)
-        }
-        Layout::Line { hops } => {
-            assert!(
-                vcs == 1,
-                "sweep cell {id}: line layouts host a single VC, got {vcs}"
-            );
-            TopologySpec::line_with_backups(
-                hops,
-                s.sensors,
-                s.controllers,
-                s.actuators,
-                s.head,
-                LINE_SPACING_M,
-                backup_relays,
-            )
-        }
-        Layout::Grid { w, h } => {
-            assert!(
-                vcs == 1,
-                "sweep cell {id}: grid layouts host a single VC, got {vcs}"
-            );
-            assert!(
-                backup_relays == 0,
-                "sweep cell {id}: backup relays apply to line/clustered layouts"
-            );
-            TopologySpec::grid(
-                w,
-                h,
-                s.sensors,
-                s.controllers,
-                s.actuators,
-                s.head,
-                GRID_SPACING_M,
-            )
-        }
-        Layout::Clustered => TopologySpec::clustered_with_backups(
-            vcs,
-            s.sensors,
-            s.controllers,
-            s.actuators,
-            s.head,
-            CLUSTER_HOP_M,
-            CLUSTER_RING_M,
-            backup_relays,
-        ),
+                let Draft {
+                    mut scenario,
+                    shape,
+                } = draft;
+                if let Some(shape) = &shape {
+                    scenario.topology = shape.materialize();
+                    scenario.host_vcs(shape.vcs);
+                }
+                scenario.seed = derive_seed(self.base_seed, id as u64);
+                if let Err(e) = check_setup(&scenario) {
+                    panic!("sweep cell {id}: {e}");
+                }
+                let rep = u32::try_from(id % reps).expect("replicate index fits u32");
+                SweepCell {
+                    id,
+                    config: CellConfig::describe(&scenario, shape.as_ref(), rep),
+                    scenario,
+                }
+            })
+            .collect()
     }
 }
 
@@ -864,143 +679,128 @@ mod tests {
         assert_eq!(cells[1].scenario.topology.nodes.len(), 15);
     }
 
-    /// The `over_reroute` axis rewrites the policy knob per cell; static
-    /// cells keep their historical keys while heartbeat cells grow a
-    /// suffix, so pre-existing star-grid goldens never move.
+    /// Every public axis, one row each: the off-default value lands on
+    /// the scenario, replicates share a key, the two values get distinct
+    /// keys, and the default value keys exactly like the bare template
+    /// (no suffix).
     #[test]
-    fn reroute_axis_rewrites_policy_and_suffixes_keys() {
-        let cells = SweepGrid::new(short_template())
-            .over_reroute(&[ReroutePolicy::Static, ReroutePolicy::Heartbeat])
-            .seeds_per_cell(2)
-            .expand();
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].scenario.reroute, ReroutePolicy::Static);
-        assert_eq!(cells[2].scenario.reroute, ReroutePolicy::Heartbeat);
-        assert!(!cells[0].config.key().contains("static"));
-        assert!(cells[2].config.key().ends_with("|heartbeat"));
-        // Replicates pool within a policy, never across.
-        assert_eq!(cells[0].config.key(), cells[1].config.key());
-        assert_ne!(cells[1].config.key(), cells[2].config.key());
+    fn every_axis_sets_its_knob_and_keys_its_cells() {
+        type Row = (&'static str, SweepGrid, fn(&Scenario) -> bool, &'static str);
+        let base = || SweepGrid::new(short_template()).seeds_per_cell(2);
+        let rows: [Row; 9] = [
+            (
+                "vcs",
+                base().over_vcs(&[1, 2]),
+                |s| s.n_vcs() == 2 && s.topology.n_vcs() == 2,
+                "s2c2a1hv2|loss0|det5x3",
+            ),
+            (
+                "topology",
+                base().over_topology(&[Layout::Star, Layout::Line { hops: 2 }]),
+                |s| {
+                    s.topology
+                        .nodes
+                        .iter()
+                        .any(|n| matches!(n.role, Role::Relay(_)))
+                },
+                "s2c2a1hv1|loss0|det5x3|line2",
+            ),
+            (
+                "stars",
+                base().over_stars(&[StarShape::fig5(), StarShape::with_controllers(3)]),
+                |s| StarShape::of_spec(&s.topology).controllers == 3,
+                "s2c3a1hv1|loss0|det5x3",
+            ),
+            (
+                "loss",
+                base().over_loss(&[0.0, 0.1]),
+                |s| s.extra_loss == 0.1,
+                "s2c2a1hv1|loss0.1|det5x3",
+            ),
+            (
+                "detection",
+                base().over_detection(&[(5.0, 3), (2.0, 5)]),
+                |s| (s.detect_threshold, s.detect_consecutive) == (2.0, 5),
+                "s2c2a1hv1|loss0|det2x5",
+            ),
+            (
+                "reroute",
+                base().over_reroute(&[ReroutePolicy::Static, ReroutePolicy::Heartbeat]),
+                |s| s.reroute == ReroutePolicy::Heartbeat,
+                "s2c2a1hv1|loss0|det5x3|heartbeat",
+            ),
+            (
+                "tier",
+                base().over_tier(&[Tier::Interp, Tier::Compiled]),
+                |s| s.tier == Tier::Compiled,
+                "s2c2a1hv1|loss0|det5x3|compiled",
+            ),
+            (
+                "capsule_size",
+                base().over_capsule_size(&[0, 256]),
+                |s| s.capsule_pad_bytes == 256,
+                "s2c2a1hv1|loss0|det5x3|cap256",
+            ),
+            (
+                "transfer_slots",
+                base().over_transfer_slots(&[0, 2]),
+                |s| s.transfer_slots == 2,
+                "s2c2a1hv1|loss0|det5x3|xfer2",
+            ),
+        ];
+        let bare = SweepGrid::new(short_template()).expand()[0].config.key();
+        for (name, grid, knob_set, off_key) in rows {
+            let cells = grid.expand();
+            assert_eq!(cells.len(), 4, "{name}");
+            let key = |i: usize| cells[i].config.key();
+            assert!(!knob_set(&cells[0].scenario), "{name}: default cell");
+            assert!(knob_set(&cells[2].scenario), "{name}: knob not set");
+            assert_eq!(key(0), key(1), "{name}: replicates must share a key");
+            assert_eq!(key(2), key(3), "{name}: replicates must share a key");
+            assert_eq!(key(2), off_key, "{name}");
+            assert_eq!(key(0), bare, "{name}: the default value adds no suffix");
+        }
     }
 
-    /// The `over_tier` axis rewrites the VM tier knob per cell; interp
-    /// cells (the default) keep their historical keys while compiled
-    /// cells grow a suffix, so tier sweeps never move pre-existing
-    /// goldens.
+    /// Calling a setter again replaces its axis in place: the axis keeps
+    /// its position in the order, and its old values are gone.
     #[test]
-    fn tier_axis_rewrites_vm_tier_and_suffixes_keys() {
+    fn repeated_axis_replaces_in_place() {
         let cells = SweepGrid::new(short_template())
-            .over_tier(&[Tier::Interp, Tier::Compiled])
-            .seeds_per_cell(2)
+            .over_loss(&[0.0, 0.1])
+            .over_detection(&[(5.0, 3), (2.0, 5)])
+            .over_loss(&[0.2, 0.3, 0.4])
             .expand();
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].scenario.tier, Tier::Interp);
-        assert_eq!(cells[2].scenario.tier, Tier::Compiled);
-        assert!(!cells[0].config.key().contains("interp"));
-        assert!(cells[2].config.key().ends_with("|compiled"));
-        // Replicates pool within a tier, never across.
-        assert_eq!(cells[0].config.key(), cells[1].config.key());
-        assert_ne!(cells[1].config.key(), cells[2].config.key());
-        // Without the axis, cells inherit the template tier (interp).
-        let bare = SweepGrid::new(short_template()).expand();
-        assert_eq!(bare[0].config.tier, Tier::Interp);
-    }
-
-    /// The migration axes rewrite the capsule-pad and transfer-slot
-    /// knobs per cell; disabled cells (pad 0, budget 0 — the historical
-    /// defaults) keep their keys, so migration sweeps never move
-    /// pre-existing goldens.
-    #[test]
-    fn migration_axes_rewrite_knobs_and_suffix_keys() {
-        let cells = SweepGrid::new(short_template())
-            .over_capsule_size(&[0, 256])
-            .over_transfer_slots(&[0, 2])
-            .seeds_per_cell(2)
-            .expand();
-        assert_eq!(cells.len(), 8);
-        // Axis order: capsule size is outer, transfer slots inner.
-        assert_eq!(cells[0].scenario.capsule_pad_bytes, 0);
-        assert_eq!(cells[0].scenario.transfer_slots, 0);
-        assert_eq!(cells[2].scenario.transfer_slots, 2);
-        assert_eq!(cells[4].scenario.capsule_pad_bytes, 256);
-        // Defaults keep the historical key; off-default cells grow
-        // |cap{n} / |xfer{n} suffixes.
-        assert!(!cells[0].config.key().contains("cap"));
-        assert!(!cells[0].config.key().contains("xfer"));
-        assert!(cells[2].config.key().ends_with("|xfer2"));
-        assert!(cells[4].config.key().ends_with("|cap256"));
-        assert!(cells[6].config.key().ends_with("|cap256|xfer2"));
-        // Replicates pool within a config point, never across.
-        assert_eq!(cells[0].config.key(), cells[1].config.key());
-        assert_ne!(cells[1].config.key(), cells[2].config.key());
-        // Without the axes, cells inherit the (disabled) template knobs.
-        let bare = SweepGrid::new(short_template()).expand();
-        assert_eq!(bare[0].config.capsule_pad, 0);
-        assert_eq!(bare[0].config.transfer_slots, 0);
+        assert_eq!(cells.len(), 6);
+        let loss: Vec<f64> = cells.iter().map(|c| c.config.loss).collect();
+        assert_eq!(loss, [0.2, 0.2, 0.3, 0.3, 0.4, 0.4]);
+        assert_eq!(cells[1].config.detect_consecutive, 5);
     }
 
     /// A transfer budget that cannot fit after the pipeline fails at
-    /// expansion with the cell id, mirroring engine setup.
+    /// expansion with the cell id, exactly as engine setup would.
     #[test]
-    #[should_panic(expected = "sweep cell 0 cannot reserve its transfer slots")]
+    #[should_panic(expected = "sweep cell 0: topology flows must schedule")]
     fn overflowing_transfer_budget_rejected_at_expansion() {
         let _ = SweepGrid::new(short_template())
             .over_transfer_slots(&[500])
             .expand();
     }
 
-    /// Rebuilt multi-hop cells keep their redundancy when the grid asks
-    /// for it: `backup_relays` threads through the topology axis, so a
-    /// reroute sweep over rebuilt line cells still has a chain to fall
-    /// back to.
+    /// A topology hosting more VCs than the manifest names loops fails
+    /// at expansion, not in a worker.
     #[test]
-    fn backup_relays_thread_through_topology_rebuilds() {
-        let cells = SweepGrid::new(short_template())
-            .over_topology(&[Layout::Line { hops: 2 }])
-            .over_stars(&[StarShape {
-                sensors: 1,
-                controllers: 2,
-                actuators: 1,
-                head: true,
-            }])
-            .backup_relays(1)
-            .expand();
-        assert!(cells[0]
-            .scenario
-            .topology
-            .nodes
-            .iter()
-            .any(|n| n.label == "RB1"));
-        // Without the knob, rebuilt cells have no backup chain.
-        let bare = SweepGrid::new(short_template())
-            .over_topology(&[Layout::Line { hops: 2 }])
-            .over_stars(&[StarShape {
-                sensors: 1,
-                controllers: 2,
-                actuators: 1,
-                head: true,
-            }])
-            .expand();
-        assert!(!bare[0]
-            .scenario
-            .topology
-            .nodes
-            .iter()
-            .any(|n| n.label.starts_with("RB")));
-    }
-
-    /// `backup_relays` without a rebuild axis would be silently dropped —
-    /// rejected at expansion instead.
-    #[test]
-    #[should_panic(expected = "backup_relays needs a topology-rebuilding axis")]
-    fn backup_relays_without_rebuild_axis_rejected() {
-        let _ = SweepGrid::new(short_template()).backup_relays(1).expand();
+    #[should_panic(expected = "sweep cell 0: topology hosts 2 VC(s)")]
+    fn expand_rejects_manifest_mismatch() {
+        let mut template = short_template();
+        template.topology = TopologySpec::multi_star(2, 2, 2, 1, true, 15.0);
+        let _ = SweepGrid::new(template).over_loss(&[0.0, 0.1]).expand();
     }
 
     /// A malformed template fails at grid definition with the cell id,
     /// not hours later inside a worker thread.
     #[test]
-    #[should_panic(expected = "sweep cell 0 has a malformed topology")]
+    #[should_panic(expected = "sweep cell 0: topology needs a gateway")]
     fn expand_rejects_malformed_template() {
         let mut template = short_template();
         template.topology.nodes.retain(|n| n.role != Role::Gateway);
@@ -1012,7 +812,7 @@ mod tests {
     /// connectivity (a stranded node) is rejected with the cell id
     /// instead of panicking a worker mid-batch.
     #[test]
-    #[should_panic(expected = "sweep cell 0 has an unroutable topology")]
+    #[should_panic(expected = "sweep cell 0: topology flows must route")]
     fn expand_rejects_unroutable_template() {
         let mut template = short_template();
         // Strand the focus sensor far out of everyone's radio range.
@@ -1023,7 +823,7 @@ mod tests {
     /// ...and so is schedulability: a pipeline that cannot fit the
     /// configured RT-Link cycle fails at expansion.
     #[test]
-    #[should_panic(expected = "sweep cell 0 cannot schedule its flows")]
+    #[should_panic(expected = "sweep cell 0: topology flows must schedule")]
     fn expand_rejects_unschedulable_template() {
         let mut template = short_template();
         template.rtlink.slots_per_cycle = 4; // 3 data slots for 8 flows
