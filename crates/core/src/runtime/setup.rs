@@ -76,7 +76,8 @@ pub struct CheckedSetup {
 /// checks the hosting manifest and the scripted primary crashes against
 /// it, and computes epoch 0 (routes, slot schedule, transfer lane) with
 /// [`Reconfigurator::compute`]. Draws exactly the channel randomness
-/// engine construction draws, so a scenario that passes here builds.
+/// engine construction draws, so the check sees the links the engine
+/// will.
 ///
 /// # Errors
 ///
