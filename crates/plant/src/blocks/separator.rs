@@ -8,10 +8,24 @@
 //! red trace).
 
 use crate::stream::Stream;
-use crate::thermo::Composition;
+use crate::thermo::{flash, Composition, FlashResult, N_COMPONENTS};
+
+/// The exact bits of a flash's inputs: T, P and every fraction. Bits
+/// rather than `==`, so `-0.0` and `0.0` never share an entry.
+type FlashKey = [u64; 2 + N_COMPONENTS];
+
+fn flash_key(t_k: f64, p_kpa: f64, z: &Composition) -> FlashKey {
+    let mut key = [0; 2 + N_COMPONENTS];
+    key[0] = t_k.to_bits();
+    key[1] = p_kpa.to_bits();
+    for (k, x) in key[2..].iter_mut().zip(z.fractions()) {
+        *k = x.to_bits();
+    }
+    key
+}
 
 /// A vertical two-phase separator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Separator {
     /// Liquid-section volume, m³.
     volume_m3: f64,
@@ -25,6 +39,33 @@ pub struct Separator {
     liquid_comp: Composition,
     /// Liquid inflow over the last step, kmol/h (for reporting).
     last_liquid_in: f64,
+    /// The last flash this vessel ran, keyed on its exact inputs. The
+    /// flash is a pure function of (T, P, composition), so a key hit
+    /// reuses a result that recomputing would reproduce bit for bit.
+    /// Per instance: parallel sweep workers never share one.
+    memo: Option<(FlashKey, FlashResult)>,
+}
+
+/// Equality is over the vessel's physical state; the flash memo is a
+/// cache of it and takes no part.
+impl PartialEq for Separator {
+    fn eq(&self, other: &Self) -> bool {
+        let Separator {
+            volume_m3,
+            t_k,
+            p_kpa,
+            holdup_kmol,
+            liquid_comp,
+            last_liquid_in,
+            memo: _,
+        } = self;
+        *volume_m3 == other.volume_m3
+            && *t_k == other.t_k
+            && *p_kpa == other.p_kpa
+            && *holdup_kmol == other.holdup_kmol
+            && *liquid_comp == other.liquid_comp
+            && *last_liquid_in == other.last_liquid_in
+    }
 }
 
 impl Separator {
@@ -55,6 +96,7 @@ impl Separator {
             holdup_kmol: 0.0,
             liquid_comp: initial_comp,
             last_liquid_in: 0.0,
+            memo: None,
         };
         sep.holdup_kmol = sep.max_holdup_kmol() * initial_level_pct / 100.0;
         sep
@@ -113,7 +155,16 @@ impl Separator {
             p_kpa: self.p_kpa,
             ..*feed
         };
-        let (vapor, liquid) = at_vessel.split_phases();
+        let key = flash_key(self.t_k, self.p_kpa, &feed.composition);
+        let res = match self.memo {
+            Some((k, res)) if k == key => res,
+            _ => {
+                let res = flash(&feed.composition, self.t_k, self.p_kpa);
+                self.memo = Some((key, res));
+                res
+            }
+        };
+        let (vapor, liquid) = at_vessel.split_by(&res);
         self.last_liquid_in = liquid.molar_flow;
         if liquid.molar_flow > 0.0 {
             let added = liquid.molar_flow * dt_s / 3600.0;
@@ -218,6 +269,96 @@ mod tests {
             (s.holdup_kmol - (h0 + fed_liquid - drawn)).abs() < 1e-6,
             "holdup drifted"
         );
+    }
+
+    fn stream_bits(s: &Stream) -> Vec<u64> {
+        let mut bits = vec![s.molar_flow.to_bits(), s.t_k.to_bits(), s.p_kpa.to_bits()];
+        bits.extend(s.composition.fractions().iter().map(|x| x.to_bits()));
+        bits
+    }
+
+    fn comp_bits(c: &Composition) -> Vec<u64> {
+        c.fractions().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Feeds `(vessel T, feed composition)` cases in order to a memoized
+    /// separator and to one whose memo is cleared before every call; at
+    /// each call both must match `Stream::split_phases` bit for bit.
+    fn check_memo_sequence(cases: &[(f64, Composition)]) {
+        let mut memo = lts();
+        let mut fresh = lts();
+        for (i, &(t_k, comp)) in cases.iter().enumerate() {
+            let feed = Stream::new(1400.0, 303.15, 6000.0, comp);
+            let (want_vapor, want_liquid) = Stream {
+                t_k,
+                p_kpa: memo.p_kpa(),
+                ..feed
+            }
+            .split_phases();
+            memo.set_t_k(t_k);
+            fresh.set_t_k(t_k);
+            fresh.memo = None;
+            let vapor = memo.feed(&feed, 1.0);
+            let fresh_vapor = fresh.feed(&feed, 1.0);
+            assert_eq!(stream_bits(&vapor), stream_bits(&want_vapor), "call {i}");
+            assert_eq!(
+                stream_bits(&fresh_vapor),
+                stream_bits(&want_vapor),
+                "call {i}"
+            );
+            assert_eq!(
+                memo.last_liquid_in().to_bits(),
+                want_liquid.molar_flow.to_bits(),
+                "call {i}"
+            );
+            assert_eq!(
+                memo.holdup_kmol.to_bits(),
+                fresh.holdup_kmol.to_bits(),
+                "call {i}"
+            );
+            assert_eq!(
+                comp_bits(&memo.liquid_composition()),
+                comp_bits(&fresh.liquid_composition()),
+                "call {i}"
+            );
+        }
+    }
+
+    /// A feed whose raw amounts are binary fractions summing to exactly
+    /// 1, so normalization leaves every bit as written.
+    const BINARY_RAW: [f64; N_COMPONENTS] = [0.125, 0.125, 0.25, 0.25, 0.125, 0.0625, 0.0625];
+
+    #[test]
+    fn memo_is_exact_and_invalidates_on_one_ulp_of_temperature() {
+        let a = Composition::new(BINARY_RAW);
+        let t = 253.15_f64;
+        let t_next = f64::from_bits(t.to_bits() + 1);
+        check_memo_sequence(&[(t, a), (t, a), (t_next, a), (t, a)]);
+    }
+
+    #[test]
+    fn memo_is_exact_and_invalidates_on_one_composition_fraction() {
+        let a = Composition::new(BINARY_RAW);
+        let mut raw = BINARY_RAW;
+        raw[Component::C3.index()] = f64::from_bits(raw[Component::C3.index()].to_bits() + 1);
+        let b = Composition::new(raw);
+        let differing = comp_bits(&a)
+            .iter()
+            .zip(comp_bits(&b))
+            .filter(|(x, y)| **x != *y)
+            .count();
+        assert_eq!(differing, 1, "B must differ from A in exactly one fraction");
+        check_memo_sequence(&[(253.15, a), (253.15, a), (253.15, b), (253.15, a)]);
+    }
+
+    #[test]
+    fn memo_takes_no_part_in_equality() {
+        let mut cached = lts();
+        let _ = cached.feed(&feed(), 1.0);
+        let mut uncached = cached.clone();
+        uncached.memo = None;
+        assert_eq!(cached, uncached);
+        assert_ne!(cached, lts(), "physical state still counts");
     }
 
     #[test]

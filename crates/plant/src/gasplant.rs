@@ -87,16 +87,16 @@ pub struct GasPlant {
     reboiler_duty_pct: f64,
     condenser_duty_pct: f64,
 
+    /// The raw-gas feed: constant, so built once.
+    feed: Stream,
     /// LTS overhead from the previous step (recycle stream through the
     /// exchanger, one-step delay for a stable explicit solution).
     lts_vapor_prev: Stream,
 
-    /// Tag name → slot in `tag_values`. Assigned on first publish and
-    /// stable for the life of the plant, so a [`BoundTag`] handle stays
-    /// valid across steps.
-    tag_index: HashMap<String, usize>,
-    /// Latest published measurements, indexed by `tag_index`.
-    tag_values: Vec<f64>,
+    /// Tag name → position in [`MEASUREMENT_TAGS`] and `tag_values`.
+    tag_index: HashMap<&'static str, usize>,
+    /// Latest published measurements, in [`MEASUREMENT_TAGS`] order.
+    tag_values: [f64; MEASUREMENT_TAGS.len()],
     /// Elapsed simulation time, s.
     elapsed_s: f64,
 }
@@ -105,7 +105,7 @@ pub struct GasPlant {
 ///
 /// Obtained from [`GasPlant::bind_tag`] once, then read with
 /// [`GasPlant::read_bound`] without the per-read string hash of
-/// [`Plant::read_tag`]. Handles never go stale: tag slots are append-only.
+/// [`Plant::read_tag`]. Handles never go stale: the tag table is fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundTag(usize);
 
@@ -168,6 +168,12 @@ impl GasPlant {
             lts_flash.liquid,
         );
 
+        let feed = Stream::new(
+            config.feed_kmolh,
+            config.feed_t_k,
+            config.feed_p_kpa,
+            feed_comp,
+        );
         let lts_vapor_prev =
             Stream::new(sales_ss, config.lts_t_k, config.lts_p_kpa, lts_flash.vapor);
 
@@ -186,9 +192,14 @@ impl GasPlant {
             distillate_valve,
             reboiler_duty_pct: 60.0,
             condenser_duty_pct: 60.0,
+            feed,
             lts_vapor_prev,
-            tag_index: HashMap::new(),
-            tag_values: Vec::new(),
+            tag_index: MEASUREMENT_TAGS
+                .iter()
+                .enumerate()
+                .map(|(ix, &tag)| (tag, ix))
+                .collect(),
+            tag_values: [0.0; MEASUREMENT_TAGS.len()],
             elapsed_s: 0.0,
         };
         // Publish a consistent initial tag snapshot.
@@ -221,22 +232,11 @@ impl GasPlant {
         self.lts_liq_valve.opening_pct()
     }
 
-    fn publish(&mut self, key: &str, value: f64) {
-        // Update in place: after the first cycle every tag exists, and
-        // re-inserting would re-allocate the key `String` on each step.
-        if let Some(&ix) = self.tag_index.get(key) {
-            self.tag_values[ix] = value;
-        } else {
-            self.tag_index
-                .insert(key.to_string(), self.tag_values.len());
-            self.tag_values.push(value);
-        }
-    }
-
-    /// Resolves a published tag name to a reusable [`BoundTag`] handle.
+    /// Resolves a published tag name to a reusable [`BoundTag`] handle:
+    /// its position in [`MEASUREMENT_TAGS`].
     ///
     /// Returns `None` for unknown tags. The constructor publishes a full
-    /// snapshot, so every measurement tag is bindable from step zero.
+    /// snapshot, so every measurement tag reads a live value from step zero.
     #[must_use]
     pub fn bind_tag(&self, tag: &str) -> Option<BoundTag> {
         self.tag_index.get(tag).copied().map(BoundTag)
@@ -248,6 +248,36 @@ impl GasPlant {
         self.tag_values[slot.0]
     }
 }
+
+/// Names of all published (read-only) measurement tags, in the order
+/// `step` publishes them: the Fig. 6b series first.
+pub const MEASUREMENT_TAGS: [&str; 25] = [
+    "LTS.LiquidPct",
+    "SepLiq.MolarFlow",
+    "LTSLiq.MolarFlow",
+    "TowerFeed.MolarFlow",
+    "InletSep.LevelPct",
+    "InletSep.LiqIn",
+    "LTS.LiqIn",
+    "Chiller.OutletTempK",
+    "SalesGas.MolarFlow",
+    "SalesGas.TempK",
+    "Column.PressureKPa",
+    "Column.SumpLevelPct",
+    "Column.DrumLevelPct",
+    "Column.TrayTempK",
+    "Column.BottomsC3Frac",
+    "Bottoms.MolarFlow",
+    "Distillate.MolarFlow",
+    "SepLiqValve.OpeningPct",
+    "LTSLiqValve.OpeningPct",
+    "ChillerValve.OpeningPct",
+    "SalesValve.OpeningPct",
+    "BottomsValve.OpeningPct",
+    "DistillateValve.OpeningPct",
+    "ReboilerDuty.Pct",
+    "CondenserDuty.Pct",
+];
 
 /// Names of all writable (actuator) tags.
 pub const ACTUATOR_TAGS: [&str; 8] = [
@@ -279,13 +309,7 @@ impl Plant for GasPlant {
         }
 
         // Feed enters the inlet separator.
-        let feed = Stream::new(
-            self.config.feed_kmolh,
-            self.config.feed_t_k,
-            self.config.feed_p_kpa,
-            Composition::raw_natural_gas(),
-        );
-        let inlet_overhead = self.inlet_sep.feed(&feed, dt);
+        let inlet_overhead = self.inlet_sep.feed(&self.feed, dt);
 
         // Gas/gas exchange against last step's LTS overhead.
         let (hx_hot_out, sales_gas) = self.hx.exchange(&inlet_overhead, &self.lts_vapor_prev);
@@ -321,46 +345,34 @@ impl Plant for GasPlant {
             .column
             .draw_distillate(self.distillate_valve.flow(f64::MAX), dt);
 
-        // Publish measurements (Fig. 6b series first).
-        let lts_level = self.lts.level_pct();
-        let sep_level = self.inlet_sep.level_pct();
-        let chiller_out_t = chilled.t_k;
-        let sump = self.column.sump_level_pct();
-        let drum = self.column.drum_level_pct();
-        let col_p = self.column.pressure_kpa();
-        let tray_t = self.column.tray_temp_k(self.reboiler_duty_pct);
-        let bott_c3 = self.column.bottoms_propane_frac();
-        let lts_liq_in = self.lts.last_liquid_in();
-        let sep_liq_in = self.inlet_sep.last_liquid_in();
-
-        self.publish("LTS.LiquidPct", lts_level);
-        self.publish("SepLiq.MolarFlow", sep_liq.molar_flow);
-        self.publish("LTSLiq.MolarFlow", lts_liq.molar_flow);
-        self.publish("TowerFeed.MolarFlow", tower_feed.molar_flow);
-        self.publish("InletSep.LevelPct", sep_level);
-        self.publish("InletSep.LiqIn", sep_liq_in);
-        self.publish("LTS.LiqIn", lts_liq_in);
-        self.publish("Chiller.OutletTempK", chiller_out_t);
-        self.publish("SalesGas.MolarFlow", sales_gas.molar_flow);
-        self.publish("SalesGas.TempK", sales_gas.t_k);
-        self.publish("Column.PressureKPa", col_p);
-        self.publish("Column.SumpLevelPct", sump);
-        self.publish("Column.DrumLevelPct", drum);
-        self.publish("Column.TrayTempK", tray_t);
-        self.publish("Column.BottomsC3Frac", bott_c3);
-        self.publish("Bottoms.MolarFlow", bottoms.molar_flow);
-        self.publish("Distillate.MolarFlow", distillate.molar_flow);
-        self.publish("SepLiqValve.OpeningPct", self.sep_liq_valve.opening_pct());
-        self.publish("LTSLiqValve.OpeningPct", self.lts_liq_valve.opening_pct());
-        self.publish("ChillerValve.OpeningPct", self.chiller_valve.opening_pct());
-        self.publish("SalesValve.OpeningPct", self.sales_valve.opening_pct());
-        self.publish("BottomsValve.OpeningPct", self.bottoms_valve.opening_pct());
-        self.publish(
-            "DistillateValve.OpeningPct",
+        // Publish measurements, in `MEASUREMENT_TAGS` order.
+        self.tag_values = [
+            self.lts.level_pct(),
+            sep_liq.molar_flow,
+            lts_liq.molar_flow,
+            tower_feed.molar_flow,
+            self.inlet_sep.level_pct(),
+            self.inlet_sep.last_liquid_in(),
+            self.lts.last_liquid_in(),
+            chilled.t_k,
+            sales_gas.molar_flow,
+            sales_gas.t_k,
+            self.column.pressure_kpa(),
+            self.column.sump_level_pct(),
+            self.column.drum_level_pct(),
+            self.column.tray_temp_k(self.reboiler_duty_pct),
+            self.column.bottoms_propane_frac(),
+            bottoms.molar_flow,
+            distillate.molar_flow,
+            self.sep_liq_valve.opening_pct(),
+            self.lts_liq_valve.opening_pct(),
+            self.chiller_valve.opening_pct(),
+            self.sales_valve.opening_pct(),
+            self.bottoms_valve.opening_pct(),
             self.distillate_valve.opening_pct(),
-        );
-        self.publish("ReboilerDuty.Pct", self.reboiler_duty_pct);
-        self.publish("CondenserDuty.Pct", self.condenser_duty_pct);
+            self.reboiler_duty_pct,
+            self.condenser_duty_pct,
+        ];
     }
 
     fn read_tag(&self, tag: &str) -> Option<f64> {
@@ -369,6 +381,9 @@ impl Plant for GasPlant {
 
     fn write_tag(&mut self, tag: &str, value: f64) -> Result<(), String> {
         match tag {
+            _ if value.is_nan() && ACTUATOR_TAGS.contains(&tag) => {
+                return Err(format!("command is NaN: {tag}"));
+            }
             "SepLiqValve.Cmd" => self.sep_liq_valve.command(value),
             "LTSLiqValve.Cmd" => self.lts_liq_valve.command(value),
             "ChillerValve.Cmd" => self.chiller_valve.command(value),
@@ -386,10 +401,12 @@ impl Plant for GasPlant {
     }
 
     fn tags(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tag_index.keys().cloned().collect();
-        v.extend(ACTUATOR_TAGS.iter().map(|s| s.to_string()));
+        let mut v: Vec<String> = MEASUREMENT_TAGS
+            .iter()
+            .chain(&ACTUATOR_TAGS)
+            .map(|s| s.to_string())
+            .collect();
         v.sort();
-        v.dedup();
         v
     }
 }
@@ -504,6 +521,50 @@ mod tests {
             p.read_tag("LTS.LiquidPct").unwrap(),
             "handle must track the live value across steps"
         );
+    }
+
+    #[test]
+    fn tag_table_is_fixed_and_complete() {
+        let mut p = GasPlant::default();
+        for (i, tag) in MEASUREMENT_TAGS.iter().enumerate() {
+            assert_eq!(p.bind_tag(tag), Some(BoundTag(i)), "{tag}");
+            assert!(p.write_tag(tag, 1.0).unwrap_err().contains("read-only"));
+        }
+        let tags = p.tags();
+        assert_eq!(tags.len(), 33, "25 measurements + 8 actuators");
+        assert!(
+            tags.windows(2).all(|w| w[0] < w[1]),
+            "sorted, no duplicates"
+        );
+        for tag in MEASUREMENT_TAGS.iter().chain(&ACTUATOR_TAGS) {
+            assert!(tags.iter().any(|t| t == tag), "missing {tag}");
+        }
+    }
+
+    /// A NaN command is refused on every actuator tag and leaves the
+    /// plant exactly as it was: stepping it afterwards matches a twin
+    /// that never saw the command.
+    #[test]
+    fn nan_commands_are_refused_without_effect() {
+        let mut p = GasPlant::default();
+        let mut twin = p.clone();
+        for tag in ACTUATOR_TAGS {
+            assert!(p.write_tag(tag, f64::NAN).is_err(), "{tag}");
+        }
+        for _ in 0..50 {
+            p.step(0.1);
+            twin.step(0.1);
+        }
+        for tag in MEASUREMENT_TAGS {
+            let (a, b) = (p.read_tag(tag).unwrap(), twin.read_tag(tag).unwrap());
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag}: {a} vs {b}");
+        }
+        // Infinities still clamp into range.
+        p.write_tag("LTSLiqValve.Cmd", f64::INFINITY).unwrap();
+        p.write_tag("ReboilerDuty.Cmd", f64::NEG_INFINITY).unwrap();
+        p.step(0.1);
+        assert_eq!(p.read_tag("ReboilerDuty.Pct"), Some(0.0));
+        assert!(p.lts_valve_pct() > 11.48 && p.lts_valve_pct() <= 100.0);
     }
 
     #[test]

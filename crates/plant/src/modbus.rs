@@ -62,6 +62,20 @@ pub struct BoundRegister {
     pub tag: String,
 }
 
+/// The 16-bit register word carrying engineering value `v`: rounded,
+/// clamped into the u16 range, NaN mapped to 0 by the cast. Every read
+/// and write goes through this one quantizer.
+fn to_raw(v: f64, scale: f64, offset: f64) -> u16 {
+    ((v - offset) / scale)
+        .round()
+        .clamp(0.0, f64::from(u16::MAX)) as u16
+}
+
+/// Engineering value `v` as it arrives after a trip through the wire.
+fn quantize(v: f64, scale: f64, offset: f64) -> f64 {
+    f64::from(to_raw(v, scale, offset)) * scale + offset
+}
+
 /// Reads a bound register in engineering units, quantized through the
 /// 16-bit wire exactly like [`RegisterMap::read_scaled`].
 ///
@@ -72,10 +86,7 @@ pub fn read_bound(plant: &dyn Plant, reg: &BoundRegister) -> Result<f64, ModbusE
     let v = plant
         .read_tag(&reg.tag)
         .ok_or_else(|| ModbusError::TagMissing(reg.tag.clone()))?;
-    let raw = ((v - reg.offset) / reg.scale)
-        .round()
-        .clamp(0.0, f64::from(u16::MAX)) as u16;
-    Ok(f64::from(raw) * reg.scale + reg.offset)
+    Ok(quantize(v, reg.scale, reg.offset))
 }
 
 /// Writes a bound holding register in engineering units, quantized
@@ -93,12 +104,8 @@ pub fn write_bound(
     if !reg.writable {
         return Err(ModbusError::ReadOnly(reg.addr));
     }
-    let raw = ((value - reg.offset) / reg.scale)
-        .round()
-        .clamp(0.0, f64::from(u16::MAX));
-    let quantized = raw * reg.scale + reg.offset;
     plant
-        .write_tag(&reg.tag, quantized)
+        .write_tag(&reg.tag, quantize(value, reg.scale, reg.offset))
         .map_err(|_| ModbusError::TagMissing(reg.tag.clone()))
 }
 
@@ -206,8 +213,7 @@ impl RegisterMap {
         let v = plant
             .read_tag(&e.tag)
             .ok_or_else(|| ModbusError::TagMissing(e.tag.clone()))?;
-        let raw = ((v - e.offset) / e.scale).round();
-        Ok(raw.clamp(0.0, f64::from(u16::MAX)) as u16)
+        Ok(to_raw(v, e.scale, e.offset))
     }
 
     /// Reads a register and converts back to engineering units (what the
@@ -242,12 +248,8 @@ impl RegisterMap {
             return Err(ModbusError::ReadOnly(addr));
         }
         // Quantize through the register exactly as the wire would.
-        let raw = ((value - e.offset) / e.scale)
-            .round()
-            .clamp(0.0, f64::from(u16::MAX));
-        let quantized = raw * e.scale + e.offset;
         plant
-            .write_tag(&e.tag, quantized)
+            .write_tag(&e.tag, quantize(value, e.scale, e.offset))
             .map_err(|_| ModbusError::TagMissing(e.tag.clone()))
     }
 
@@ -354,6 +356,30 @@ mod tests {
             ModbusError::ReadOnly(30001)
         );
         assert_eq!(m.bind(12345), None);
+    }
+
+    /// A NaN command (a capsule can compute one: only divide-by-zero
+    /// traps) quantizes to register word 0 on both write paths, like a
+    /// read of NaN does, instead of reaching the plant as NaN.
+    #[test]
+    fn nan_writes_quantize_to_a_finite_word() {
+        let m = RegisterMap::gas_plant_standard();
+        let cmd = m.bind(40002).expect("holding bound");
+        let mut via_bound = GasPlant::default();
+        let mut via_map = GasPlant::default();
+        write_bound(&mut via_bound, &cmd, f64::NAN).unwrap();
+        m.write_scaled(&mut via_map, 40002, f64::NAN).unwrap();
+        use crate::Plant;
+        for p in [&mut via_bound, &mut via_map] {
+            for _ in 0..50 {
+                p.step(0.1);
+            }
+            let opening = p.read_tag("LTSLiqValve.OpeningPct").unwrap();
+            assert!(opening.is_finite() && opening < 11.48, "opening {opening}");
+        }
+        assert_eq!(to_raw(f64::NAN, 0.01, 0.0), 0);
+        assert_eq!(to_raw(f64::INFINITY, 0.01, 0.0), u16::MAX);
+        assert_eq!(to_raw(f64::NEG_INFINITY, 0.01, 0.0), 0);
     }
 
     #[test]

@@ -68,7 +68,12 @@ impl Stream {
     /// Splits this stream into `(vapor, liquid)` streams at equilibrium.
     #[must_use]
     pub fn split_phases(&self) -> (Stream, Stream) {
-        let res = self.flash();
+        self.split_by(&self.flash())
+    }
+
+    /// Splits this stream into `(vapor, liquid)` by an already computed
+    /// flash of its composition at its T and P.
+    pub(crate) fn split_by(&self, res: &FlashResult) -> (Stream, Stream) {
         let vapor = Stream {
             molar_flow: self.molar_flow * res.vapor_fraction,
             composition: res.vapor,

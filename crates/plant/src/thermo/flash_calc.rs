@@ -78,18 +78,25 @@ pub fn flash(z: &Composition, t_k: f64, p_kpa: f64) -> FlashResult {
         };
     }
 
-    // Bisection on [0, 1]: rr is monotone decreasing in V.
+    // Bisection on [0, 1]: rr is monotone decreasing in V. Once the
+    // midpoint rounds onto an endpoint the bracket is a fixed point (the
+    // update either leaves it unchanged or collapses it onto `mid`), so
+    // every further iteration — and the final midpoint — yields `mid`
+    // again: stopping there is bit-identical to running all 80.
     let mut lo = 0.0f64;
     let mut hi = 1.0f64;
+    let mut v = 0.5 * (lo + hi);
     for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        if rr(mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
+        if v == lo || v == hi {
+            break;
         }
+        if rr(v) > 0.0 {
+            lo = v;
+        } else {
+            hi = v;
+        }
+        v = 0.5 * (lo + hi);
     }
-    let v = 0.5 * (lo + hi);
     FlashResult {
         vapor_fraction: v,
         liquid: liquid_comp(z, &k, v),
@@ -222,6 +229,98 @@ mod tests {
             assert!((sy - 1.0).abs() < 1e-9);
             assert!((0.0..=1.0).contains(&res.vapor_fraction));
         }
+    }
+
+    /// The bisection as it ran before the early exit: always 80
+    /// iterations, then the final midpoint. Kept as the oracle the early
+    /// exit must reproduce bit for bit.
+    fn flash_full_bisection(z: &Composition, t_k: f64, p_kpa: f64) -> FlashResult {
+        let k: [f64; N_COMPONENTS] =
+            std::array::from_fn(|i| wilson_k(Component::ALL[i], t_k, p_kpa));
+        let rr = |v: f64| -> f64 {
+            Component::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| z.fraction(c) * (k[i] - 1.0) / (1.0 + v * (k[i] - 1.0)))
+                .sum()
+        };
+        if rr(0.0) <= 0.0 {
+            return FlashResult {
+                vapor_fraction: 0.0,
+                liquid: *z,
+                vapor: vapor_comp(z, &k, 0.0),
+            };
+        }
+        if rr(1.0) >= 0.0 {
+            return FlashResult {
+                vapor_fraction: 1.0,
+                liquid: liquid_comp(z, &k, 1.0),
+                vapor: *z,
+            };
+        }
+        let mut lo = 0.0f64;
+        let mut hi = 1.0f64;
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if rr(mid) > 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let v = 0.5 * (lo + hi);
+        FlashResult {
+            vapor_fraction: v,
+            liquid: liquid_comp(z, &k, v),
+            vapor: vapor_comp(z, &k, v),
+        }
+    }
+
+    fn assert_bits_eq(a: &FlashResult, b: &FlashResult, what: &str) {
+        assert_eq!(
+            a.vapor_fraction.to_bits(),
+            b.vapor_fraction.to_bits(),
+            "{what}: V {} vs {}",
+            a.vapor_fraction,
+            b.vapor_fraction
+        );
+        let phases = [
+            (a.liquid.fractions(), b.liquid.fractions()),
+            (a.vapor.fractions(), b.vapor.fractions()),
+        ];
+        for (pa, pb) in phases {
+            for (x, y) in pa.iter().zip(pb) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: fraction {x} vs {y}");
+            }
+        }
+    }
+
+    /// The early exit returns exactly what the full 80-step bisection
+    /// returns, on random feeds and at both plant design points.
+    #[test]
+    fn early_exit_matches_full_bisection_bitwise() {
+        let mut rng = SimRng::seed_from(0xF1A8);
+        let mut two_phase = 0;
+        for i in 0..2048 {
+            let (z, t, p) = random_case(&mut rng);
+            let res = flash(&z, t, p);
+            two_phase += usize::from(res.is_two_phase());
+            assert_bits_eq(&res, &flash_full_bisection(&z, t, p), &format!("case {i}"));
+        }
+        assert!(two_phase > 100, "too few two-phase cases: {two_phase}");
+
+        let feed = Composition::raw_natural_gas();
+        let inlet = flash(&feed, 303.15, 6200.0);
+        assert_bits_eq(
+            &inlet,
+            &flash_full_bisection(&feed, 303.15, 6200.0),
+            "inlet",
+        );
+        assert_bits_eq(
+            &flash(&inlet.vapor, LTS_T, LTS_P),
+            &flash_full_bisection(&inlet.vapor, LTS_T, LTS_P),
+            "LTS",
+        );
     }
 
     /// Cooling at fixed pressure can only condense more.
