@@ -378,6 +378,54 @@ fn two_vc_crash_digest() {
     );
 }
 
+/// The `vc_failover_sweep` benchmark cell: an 8-VC star on a 96-slot
+/// cycle under heartbeat rerouting, one transfer slot per VC and a
+/// 1 KiB capsule pad. VC 1's head dies at 60 s, VC 3's primary at
+/// 110 s and VC 5's head at 160 s, so the run recomputes the schedule
+/// at setup and after each head kill.
+#[test]
+fn vc_failover_cell_digest() {
+    let base = || {
+        ScenarioBuilder::star()
+            .vcs(8)
+            .sensors(1)
+            .controllers(3)
+            .actuators(1)
+            .head(true)
+            .slots_per_cycle(96)
+            .reroute(ReroutePolicy::Heartbeat)
+            .transfer_slots(1)
+            .capsule_pad_bytes(1024)
+            .duration(SimDuration::from_secs(300))
+            .crash_vc_primary_at(3, SimTime::from_secs(110))
+            .build()
+    };
+    let probe = Engine::new(base());
+    let head = |vc| probe.vc_map().vc(vc).head.expect("every VC has a head");
+    let kills = [(head(1), 60), (head(5), 160)];
+    let r = check(
+        "vc_failover_cell",
+        || {
+            let mut s = base();
+            for &(node, at) in &kills {
+                s.fault_plan
+                    .add_crash(NodeCrash::permanent(node, SimTime::from_secs(at)));
+            }
+            s
+        },
+        &Golden {
+            result: 0x60e0_1b11_23fb_d67d,
+            trace: 0x2e51_09f1_7533_0013,
+        },
+    );
+    for vc in [1, 5] {
+        assert!(
+            r.migrations.iter().any(|m| m.vc == vc),
+            "the head kill of VC {vc} must migrate live"
+        );
+    }
+}
+
 /// The two pinned digests of one sweep grid.
 struct SweepGolden {
     cells: u64,
