@@ -1312,22 +1312,38 @@ pub struct RoutedFlows {
 
 /// A logical flow that cannot be carried by the physical topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteError {
-    /// Index of the unroutable logical flow.
-    pub flow: usize,
-    /// The chain node the route got stuck at.
-    pub from: NodeId,
-    /// The target (primary receiver or listener) it could not reach.
-    pub to: NodeId,
+pub enum RouteError {
+    /// A target is unreachable from the flow's multicast chain.
+    Unreachable {
+        /// Index of the unroutable logical flow.
+        flow: usize,
+        /// The chain node the route got stuck at.
+        from: NodeId,
+        /// The target (primary receiver or listener) it could not reach.
+        to: NodeId,
+    },
+    /// A forwarder would carry more jobs than a [`FlowKind::Relay`] job
+    /// index can address (256).
+    TooManyJobs {
+        /// Index of the logical flow whose hop overflowed the forwarder.
+        flow: usize,
+        /// The overloaded forwarding node.
+        forwarder: NodeId,
+    },
 }
 
 impl std::fmt::Display for RouteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "flow {} is unroutable: no path {} -> {}",
-            self.flow, self.from, self.to
-        )
+        match self {
+            RouteError::Unreachable { flow, from, to } => {
+                write!(f, "flow {flow} is unroutable: no path {from} -> {to}")
+            }
+            RouteError::TooManyJobs { flow, forwarder } => write!(
+                f,
+                "flow {flow} is unroutable: forwarder {forwarder} already carries \
+                 256 forwarding jobs"
+            ),
+        }
     }
 }
 
@@ -1357,7 +1373,9 @@ impl std::error::Error for RouteError {}
 ///
 /// # Errors
 ///
-/// [`RouteError`] when a target is unreachable from the chain.
+/// [`RouteError::Unreachable`] when a target is unreachable from the
+/// chain, [`RouteError::TooManyJobs`] when a forwarder would carry more
+/// jobs than a relay slot can index.
 pub fn route_flows(
     topology: &Topology,
     logical: &[(Flow, FlowKind)],
@@ -1417,11 +1435,13 @@ pub fn route_flows(
                     continue;
                 }
             }
-            let path = topology.shortest_path(cur, target).ok_or(RouteError {
-                flow: li,
-                from: cur,
-                to: target,
-            })?;
+            let path = topology
+                .shortest_path(cur, target)
+                .ok_or(RouteError::Unreachable {
+                    flow: li,
+                    from: cur,
+                    to: target,
+                })?;
             for w in path.windows(2) {
                 hops.push(Hop {
                     owner: w[0],
@@ -1439,8 +1459,10 @@ pub fn route_flows(
                 *kind
             } else {
                 let node_jobs = jobs.entry(hop.owner).or_default();
-                let job = u8::try_from(node_jobs.len())
-                    .expect("more than 255 forwarding jobs on one node");
+                let job = u8::try_from(node_jobs.len()).map_err(|_| RouteError::TooManyJobs {
+                    flow: li,
+                    forwarder: hop.owner,
+                })?;
                 node_jobs.push(RelayJob {
                     upstream: hops[hi - 1].owner,
                     origin: flow.src,
@@ -2040,7 +2062,49 @@ mod tests {
         let (topo, map) = resolve(&spec);
         let logical = synth_flows(&map);
         let err = route_flows(&topo, &logical).expect_err("unroutable");
-        assert_eq!(err.flow, 0);
-        assert_eq!(err.to, NodeId(1));
+        assert!(
+            matches!(err, RouteError::Unreachable { flow: 0, to, .. } if to == NodeId(1)),
+            "{err}"
+        );
+    }
+
+    /// A relay job index is a `u8`: the 257th flow forwarded by one node
+    /// is a typed error naming that forwarder, not a panic.
+    #[test]
+    fn forwarder_job_overflow_is_a_typed_error() {
+        let node = |id: u16, x: f64| {
+            NodeInfo::new(
+                NodeId(id),
+                NodeKind::Relay,
+                Position::new(x, 0.0),
+                format!("n{id}"),
+            )
+        };
+        // A -- R -- B: every A -> B flow is forwarded by R.
+        let topo = Topology::with_links(
+            vec![node(0, 0.0), node(1, 40.0), node(2, 80.0)],
+            &[(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))],
+        );
+        let flows = |n: usize| -> Vec<(Flow, FlowKind)> {
+            (0..n)
+                .map(|_| {
+                    (
+                        Flow::new(NodeId(0), NodeId(2)),
+                        FlowKind::ControlPublish { vc: 0 },
+                    )
+                })
+                .collect()
+        };
+        let routed = route_flows(&topo, &flows(256)).expect("256 jobs fit a u8 index");
+        assert_eq!(routed.jobs[&NodeId(1)].len(), 256);
+        let err = route_flows(&topo, &flows(257)).expect_err("the 257th job overflows");
+        assert_eq!(
+            err,
+            RouteError::TooManyJobs {
+                flow: 256,
+                forwarder: NodeId(1)
+            }
+        );
+        assert!(err.to_string().contains("forwarder n1"), "{err}");
     }
 }

@@ -12,7 +12,7 @@
 //! chain completes within a single cycle — the property behind the paper's
 //! objective 5 (control cycle ≤ 250 ms, latency ≤ 1/3 cycle).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use evm_netsim::{NodeId, Topology};
 use evm_sim::{SimDuration, SimTime};
@@ -350,6 +350,7 @@ impl SlotSchedule {
     ) -> Result<(SlotSchedule, Vec<usize>), ScheduleError> {
         let mut schedule = SlotSchedule::new(config.slots_per_cycle);
         let mut placed_slot: Vec<usize> = Vec::with_capacity(flows.len());
+        let mut footprint = Footprint::default();
         for (i, flow) in flows.iter().enumerate() {
             let min_slot = match flow.after {
                 None => 1,
@@ -357,18 +358,10 @@ impl SlotSchedule {
                 Some(_) => return Err(ScheduleError::BadPrecedence { flow: i }),
             };
             let listeners = flow.all_listeners();
-            let mut chosen = None;
-            for slot in min_slot..config.slots_per_cycle {
-                if schedule
-                    .in_slot(slot)
-                    .iter()
-                    .all(|a| !conflicts(topology, flow.src, &listeners, a))
-                {
-                    chosen = Some(slot);
-                    break;
-                }
-            }
-            let slot = chosen.ok_or(ScheduleError::OutOfSlots { flow: i })?;
+            footprint.build(topology, flow.src, &listeners);
+            let slot = (min_slot..config.slots_per_cycle)
+                .find(|&slot| !schedule.in_slot(slot).iter().any(|a| footprint.blocks(a)))
+                .ok_or(ScheduleError::OutOfSlots { flow: i })?;
             schedule.assign(SlotAssignment {
                 slot,
                 owner: flow.src,
@@ -433,33 +426,101 @@ impl SlotSchedule {
 /// Two co-slotted transmissions conflict if the owners are within two hops
 /// of each other, or either owner is a neighbor of any of the other's
 /// listeners (hidden-terminal rule).
+///
+/// This pairwise form is the reference: [`SlotSchedule::is_interference_free`]
+/// checks with it, and the placer's [`Footprint`] must agree with it. It
+/// reads the sorted neighbor lists directly and allocates nothing;
+/// `other.owner` is within two hops of `owner` when it is a neighbor, or
+/// a neighbor of one of `owner`'s neighbors.
 fn conflicts(
     topology: &Topology,
     owner: NodeId,
     listeners: &[NodeId],
     other: &SlotAssignment,
 ) -> bool {
-    if owner == other.owner {
-        return true;
+    owner == other.owner
+        || topology.are_neighbors(owner, other.owner)
+        || topology
+            .neighbors(owner)
+            .iter()
+            .any(|&nb| topology.are_neighbors(nb, other.owner))
+        || listeners
+            .iter()
+            .any(|&l| topology.are_neighbors(l, other.owner))
+        || other
+            .listeners
+            .iter()
+            .any(|&l| topology.are_neighbors(l, owner))
+}
+
+/// Everything one flow may not share a slot with, built once per flow so
+/// the greedy placer's conflict test is two array reads per node.
+///
+/// For a flow `src → listeners` the footprint holds
+///
+/// * `owners` = {src} ∪ two_hop(src) ∪ N(each listener), and
+/// * `listeners` = N(src),
+///
+/// and a co-slotted assignment `a` conflicts exactly when
+/// `a.owner ∈ owners` or some `a.listener ∈ listeners`: the 2-hop rule
+/// plus the hidden-terminal rule of [`conflicts`], ORed over the
+/// assignments. The last term reads `src ∈ N(a.listener)` in the pairwise
+/// rule; the two agree because every [`Topology`] constructor keeps
+/// neighbor lists symmetric.
+///
+/// Membership is a per-node-id stamp: starting the next flow bumps the
+/// stamp, which empties both sets at once, so the buffers are allocated
+/// once per placement run and only grow to the largest id seen.
+#[derive(Debug, Default)]
+struct Footprint {
+    owners: Vec<u32>,
+    listeners: Vec<u32>,
+    stamp: u32,
+}
+
+impl Footprint {
+    /// Replaces the footprint with that of the flow `src → listeners`.
+    fn build(&mut self, topology: &Topology, src: NodeId, listeners: &[NodeId]) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        // Distinct nodes stamped into `owners` from neighbor lists.
+        let mut covered = 0;
+        for &nb in topology.neighbors(src) {
+            mark(&mut self.listeners, nb, stamp);
+            covered += usize::from(mark(&mut self.owners, nb, stamp));
+        }
+        // two_hop(src) and N(each listener) in one pass. Neighbor lists
+        // hold deployed nodes only, so once every deployed node is an
+        // owner the remaining lists add nothing: in a dense cell the
+        // first neighbor's list usually covers everyone.
+        for &x in topology.neighbors(src).iter().chain(listeners) {
+            if covered == topology.len() {
+                break;
+            }
+            for &y in topology.neighbors(x) {
+                covered += usize::from(mark(&mut self.owners, y, stamp));
+            }
+        }
+        mark(&mut self.owners, src, stamp);
     }
-    let two_hop: HashSet<NodeId> = topology.two_hop_set(owner);
-    if two_hop.contains(&other.owner) {
-        return true;
+
+    /// `true` if `a` may not share a slot with the footprint's flow.
+    fn blocks(&self, a: &SlotAssignment) -> bool {
+        let has = |set: &[u32], id: NodeId| set.get(usize::from(id.raw())) == Some(&self.stamp);
+        has(&self.owners, a.owner) || a.listeners.iter().any(|&l| has(&self.listeners, l))
     }
-    if listeners
-        .iter()
-        .any(|l| topology.are_neighbors(*l, other.owner))
-    {
-        return true;
+}
+
+/// Stamps `id` into `set`, growing it to cover the id; `true` if `id`
+/// was not stamped yet.
+fn mark(set: &mut Vec<u32>, id: NodeId, stamp: u32) -> bool {
+    let i = usize::from(id.raw());
+    if i >= set.len() {
+        set.resize(i + 1, 0);
     }
-    if other
-        .listeners
-        .iter()
-        .any(|l| topology.are_neighbors(*l, owner))
-    {
-        return true;
-    }
-    false
+    let fresh = set[i] != stamp;
+    set[i] = stamp;
+    fresh
 }
 
 /// The RT-Link protocol clock: maps simulation time to cycles and slots.

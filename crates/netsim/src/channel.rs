@@ -129,7 +129,7 @@ impl Channel {
         let d = d.max(1.0);
         let pl = self.config.path_loss_ref_db + 10.0 * self.config.path_loss_exp * d.log10();
         let sigma = self.config.shadowing_sigma_db;
-        let shadow = if sigma > 0.0 {
+        let shadow = if self.is_shadowed() {
             let rng = &mut self.rng;
             *self
                 .shadowing_db
@@ -139,6 +139,14 @@ impl Channel {
             0.0
         };
         self.config.tx_power_dbm - pl + shadow
+    }
+
+    /// `true` if links draw a log-normal shadowing realization from the
+    /// channel RNG on first use. Without shadowing a link's PER is a pure
+    /// function of distance: both directions agree and no query draws.
+    #[must_use]
+    pub fn is_shadowed(&self) -> bool {
+        self.config.shadowing_sigma_db > 0.0
     }
 
     /// Signal-to-noise ratio in dB on `link` at distance `d`.
@@ -212,7 +220,7 @@ impl Channel {
     ///
     /// [`sample_delivery`]: Channel::sample_delivery
     pub fn link_budget(&mut self, link: (NodeId, NodeId), d: f64) -> Option<LinkBudget> {
-        if self.config.shadowing_sigma_db > 0.0 {
+        if self.is_shadowed() {
             return None;
         }
         Some(LinkBudget {
@@ -258,15 +266,29 @@ pub fn oqpsk_ber(snr_db: f64) -> f64 {
     let mut sum = 0.0;
     for k in 2..=16u32 {
         let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-        sum += sign * binomial(16, k) * (20.0 * snr * (1.0 / k as f64 - 1.0)).exp();
+        sum += sign * BINOMIAL_16[k as usize] * (20.0 * snr * (1.0 / k as f64 - 1.0)).exp();
     }
     ((8.0 / 15.0) * (1.0 / 16.0) * sum).clamp(0.0, 0.5)
 }
 
-fn binomial(n: u32, k: u32) -> f64 {
+/// `C(16, k)` for `k = 0..=16`, filled at compile time by [`binomial`]
+/// itself, so every entry has the bits the loop produces at run time.
+const BINOMIAL_16: [f64; 17] = {
+    let mut row = [0.0; 17];
+    let mut k = 0;
+    while k <= 16 {
+        row[k as usize] = binomial(16, k);
+        k += 1;
+    }
+    row
+};
+
+const fn binomial(n: u32, k: u32) -> f64 {
     let mut r = 1.0;
-    for i in 0..k {
+    let mut i = 0;
+    while i < k {
         r *= (n - i) as f64 / (i + 1) as f64;
+        i += 1;
     }
     r
 }
@@ -287,6 +309,29 @@ mod tests {
             let b = oqpsk_ber(snr10 as f64 / 10.0);
             assert!(b <= prev + 1e-15, "BER not monotone at {snr10}");
             prev = b;
+        }
+    }
+
+    /// The table-driven BER has the bits of the closed form evaluated
+    /// with the binomial loop, across the whole SNR range links see.
+    #[test]
+    fn ber_table_matches_the_loop_form_bit_for_bit() {
+        let loop_form = |snr_db: f64| {
+            let snr = 10f64.powf(snr_db / 10.0);
+            let mut sum = 0.0;
+            for k in 2..=16u32 {
+                let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+                sum += sign * binomial(16, k) * (20.0 * snr * (1.0 / k as f64 - 1.0)).exp();
+            }
+            ((8.0 / 15.0) * (1.0 / 16.0) * sum).clamp(0.0, 0.5)
+        };
+        for snr100 in -1000..=2000 {
+            let snr_db = f64::from(snr100) / 100.0;
+            assert_eq!(
+                oqpsk_ber(snr_db).to_bits(),
+                loop_form(snr_db).to_bits(),
+                "BER differs at {snr_db} dB"
+            );
         }
     }
 

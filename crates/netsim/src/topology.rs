@@ -35,13 +35,18 @@ impl Topology {
         }
         let mut neighbors: HashMap<NodeId, Vec<NodeId>> =
             nodes.iter().map(|n| (n.id, Vec::new())).collect();
+        // Unshadowed links are reciprocal and draw nothing, so the reverse
+        // query would only repeat the forward answer.
+        let reciprocal = !channel.is_shadowed();
         for a in &nodes {
             for b in &nodes {
                 if a.id >= b.id {
                     continue;
                 }
                 let d = a.position.distance_to(&b.position);
-                if channel.is_connected((a.id, b.id), d) && channel.is_connected((b.id, a.id), d) {
+                if channel.is_connected((a.id, b.id), d)
+                    && (reciprocal || channel.is_connected((b.id, a.id), d))
+                {
                     neighbors.get_mut(&a.id).expect("known id").push(b.id);
                     neighbors.get_mut(&b.id).expect("known id").push(a.id);
                 }
@@ -527,6 +532,78 @@ mod tests {
         assert!(!topo.are_neighbors(NodeId(0), NodeId(2)));
         assert_eq!(topo.hops(NodeId(0), NodeId(2)), Some(2));
         assert!(topo.is_fully_connected());
+    }
+
+    /// `derive` asks the channel once per pair when links are unshadowed
+    /// and in both directions when they are shadowed; either way it
+    /// yields the same neighbor lists and leaves the channel RNG where the
+    /// two-query form does.
+    #[test]
+    fn derive_matches_the_two_query_form() {
+        let mut rng = SimRng::seed_from(0xD1CE);
+        let infos: Vec<NodeInfo> = (0..24u16)
+            .map(|i| {
+                let p = Position::new(rng.range(0.0, 160.0), rng.range(0.0, 160.0));
+                NodeInfo::new(NodeId(i), NodeKind::Relay, p, format!("n{i}"))
+            })
+            .collect();
+        for config in [
+            ChannelConfig::default(),
+            ChannelConfig::industrial(),
+            ChannelConfig {
+                shadowing_sigma_db: 6.0,
+                ..ChannelConfig::default()
+            },
+        ] {
+            let mut derived_ch = Channel::new(config.clone(), SimRng::seed_from(17));
+            let topo = Topology::derive(infos.clone(), &mut derived_ch);
+            // The two-query loop, in `derive`'s pair order.
+            let mut reference_ch = Channel::new(config, SimRng::seed_from(17));
+            let mut expect: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+            for a in &infos {
+                for b in &infos {
+                    if a.id >= b.id {
+                        continue;
+                    }
+                    let d = a.position.distance_to(&b.position);
+                    if reference_ch.is_connected((a.id, b.id), d)
+                        && reference_ch.is_connected((b.id, a.id), d)
+                    {
+                        expect.entry(a.id).or_default().push(b.id);
+                        expect.entry(b.id).or_default().push(a.id);
+                    }
+                }
+            }
+            let links: usize = expect.values().map(Vec::len).sum();
+            assert!(
+                links > 0 && links < 24 * 23,
+                "the layout must be partly connected"
+            );
+            for n in &infos {
+                let mut want = expect.remove(&n.id).unwrap_or_default();
+                want.sort_unstable();
+                assert_eq!(
+                    topo.neighbors(n.id),
+                    want.as_slice(),
+                    "neighbors of {}",
+                    n.id
+                );
+            }
+            // The RNG streams continue identically: probe both with a
+            // coin-flip burst process on a fresh link.
+            let probe = (NodeId(900), NodeId(901));
+            let frame = crate::frame::Frame::new(probe.0, crate::frame::FrameKind::Broadcast, 8, 0);
+            for ch in [&mut derived_ch, &mut reference_ch] {
+                ch.set_link_burst(probe, crate::gilbert::GilbertElliott::bernoulli(0.5));
+            }
+            for i in 0..64 {
+                assert_eq!(
+                    derived_ch.sample_delivery(&frame, probe.1, 10.0),
+                    reference_ch.sample_delivery(&frame, probe.1, 10.0),
+                    "channel RNG diverged at draw {i}"
+                );
+            }
+        }
     }
 
     #[test]
