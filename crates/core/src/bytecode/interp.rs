@@ -20,9 +20,6 @@ pub const N_VARS: usize = 32;
 /// Maximum call depth.
 const MAX_CALLS: usize = 8;
 
-/// The fixed extension-word dispatch table: direct indexing, no hashing.
-type ExtTable = [Option<Program>; 256];
-
 /// Which execution engine a [`Vm`] uses.
 ///
 /// Both tiers are observationally identical (results, gas, variables,
@@ -186,7 +183,11 @@ struct Prepared {
 #[derive(Debug)]
 pub struct Vm {
     vars: [f64; N_VARS],
-    extensions: Box<ExtTable>,
+    /// The extension-word dispatch table, indexed by word: grown on the
+    /// first registration to just past the highest word, so a VM that
+    /// never registers one (every runtime replica) carries no table. A
+    /// word past the end is unregistered, like an empty slot.
+    extensions: Vec<Option<Program>>,
     gas_limit: u64,
     gas_used_last: u64,
     tier: Tier,
@@ -235,7 +236,7 @@ impl Vm {
         assert!(gas_limit > 0, "gas limit must be positive");
         Vm {
             vars: [0.0; N_VARS],
-            extensions: Box::new(std::array::from_fn(|_| None)),
+            extensions: Vec::new(),
             gas_limit,
             gas_used_last: 0,
             tier,
@@ -259,7 +260,11 @@ impl Vm {
     /// Registers (or replaces) extension word `n` — the runtime ISA
     /// extension mechanism. Returns the previous definition, if any.
     pub fn register_extension(&mut self, n: u8, body: Program) -> Option<Program> {
-        self.extensions[n as usize].replace(body)
+        let n = n as usize;
+        if self.extensions.len() <= n {
+            self.extensions.resize(n + 1, None);
+        }
+        self.extensions[n].replace(body)
     }
 
     /// Gas consumed by the last invocation.
@@ -359,39 +364,26 @@ impl Vm {
     }
 }
 
-/// Code frame: the main program or a runtime-registered extension word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameRef {
-    Main,
-    Ext(u8),
-}
-
 #[allow(clippy::too_many_lines)]
 fn exec(
     program: &Program,
-    extensions: &ExtTable,
+    extensions: &[Option<Program>],
     vars: &mut [f64; N_VARS],
     stack: &mut Vec<f64>,
     gas_limit: u64,
     gas_out: &mut u64,
     env: &mut dyn VmEnv,
 ) -> Result<f64, VmError> {
-    let code = |f: FrameRef| -> &Program {
-        match f {
-            FrameRef::Main => program,
-            FrameRef::Ext(n) => extensions[n as usize]
-                .as_ref()
-                .expect("checked at ext dispatch"),
-        }
-    };
     {
         // The caller's buffer is reused across runs: once it has grown to
         // `MAX_STACK`, a run never allocates.
         stack.clear();
         stack.reserve(MAX_STACK);
-        let mut calls: Vec<(FrameRef, usize)> = Vec::new();
+        // The executing code (the main program or an extension word's
+        // body) and the return stack of (code, pc) pairs.
+        let mut ops: &[Op] = program.ops();
+        let mut calls: Vec<(&[Op], usize)> = Vec::new();
         let mut gas: u64 = 0;
-        let mut frame = FrameRef::Main;
         let mut pc = 0usize;
 
         macro_rules! pop {
@@ -413,11 +405,10 @@ fn exec(
                 *gas_out = gas;
                 return Err(VmError::OutOfGas);
             }
-            let ops = code(frame).ops();
             let Some(&op) = ops.get(pc) else {
                 // Falling off an extension body behaves like ret.
-                if let Some((f, ret)) = calls.pop() {
-                    frame = f;
+                if let Some((code, ret)) = calls.pop() {
+                    ops = code;
                     pc = ret;
                     continue;
                 }
@@ -551,12 +542,12 @@ fn exec(
                     if calls.len() >= MAX_CALLS {
                         return Err(VmError::CallDepthExceeded);
                     }
-                    calls.push((frame, pc));
+                    calls.push((ops, pc));
                     pc = addr as usize;
                 }
                 Op::Ret => match calls.pop() {
-                    Some((f, ret)) => {
-                        frame = f;
+                    Some((code, ret)) => {
+                        ops = code;
                         pc = ret;
                     }
                     None => {
@@ -587,11 +578,11 @@ fn exec(
                     if calls.len() >= MAX_CALLS {
                         return Err(VmError::CallDepthExceeded);
                     }
-                    if extensions[n as usize].is_none() {
+                    let Some(Some(body)) = extensions.get(n as usize) else {
                         return Err(VmError::UnknownExtension);
-                    }
-                    calls.push((frame, pc));
-                    frame = FrameRef::Ext(n);
+                    };
+                    calls.push((ops, pc));
+                    ops = body.ops();
                     pc = 0;
                 }
                 Op::Nop => {}
@@ -781,13 +772,23 @@ mod tests {
         let mut vm = Vm::new(1000);
         let mut env = NullEnv::default();
         // Define word 1 = "square" at runtime.
-        vm.register_extension(1, Program::new(vec![Op::Dup, Op::Mul, Op::Ret]));
+        let square = Program::new(vec![Op::Dup, Op::Mul, Op::Ret]);
+        assert!(vm.register_extension(1, square.clone()).is_none());
         let p = Program::new(vec![Op::Push(7.0), Op::Ext(1), Op::Halt]);
         assert_eq!(vm.run(&p, &mut env), Ok(49.0));
-        // Redefining replaces the behavior.
+        // A word past the table grown so far is unknown, like an empty slot.
+        let past = Program::new(vec![Op::Push(3.0), Op::Ext(200), Op::Halt]);
+        assert_eq!(vm.run(&past, &mut env), Err(VmError::UnknownExtension));
+        // The last word fits.
+        vm.register_extension(255, Program::new(vec![Op::Push(2.0), Op::Add, Op::Ret]));
+        let last = Program::new(vec![Op::Push(3.0), Op::Ext(255), Op::Ext(1), Op::Halt]);
+        assert_eq!(vm.run(&last, &mut env), Ok(25.0));
+        // Redefining replaces the behavior and hands back the old body.
         let old = vm.register_extension(1, Program::new(vec![Op::Push(0.0), Op::Add, Op::Ret]));
-        assert!(old.is_some());
+        assert_eq!(old, Some(square));
         assert_eq!(vm.run(&p, &mut env), Ok(7.0));
+        // A clone keeps the dictionary.
+        assert_eq!(vm.clone().run(&last, &mut env), Ok(5.0));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Instruction set and byte encoding.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// One EVM instruction.
 ///
@@ -105,9 +106,13 @@ pub enum Op {
 /// instruction list on every capsule invocation. Equality (and the wire
 /// encoding) ignore the id: two programs with the same instructions are
 /// equal, and clones share their original's id.
+///
+/// The instructions live behind an [`Arc`], so a clone is a reference
+/// count bump, not a copy: every replica of one control law (and its
+/// capsule) points at the same instruction list, across threads too.
 #[derive(Debug, Clone)]
 pub struct Program {
-    ops: Vec<Op>,
+    ops: Arc<[Op]>,
     id: u64,
 }
 
@@ -132,7 +137,10 @@ impl Program {
     #[must_use]
     pub fn new(ops: Vec<Op>) -> Self {
         let id = NEXT_PROGRAM_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Program { ops, id }
+        Program {
+            ops: ops.into(),
+            id,
+        }
     }
 
     /// The construction-unique id: equal ids imply equal instructions
@@ -165,7 +173,7 @@ impl Program {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        for op in &self.ops {
+        for op in self.ops.iter() {
             encode_op(op, &mut out);
         }
         out

@@ -17,7 +17,6 @@ use evm_sim::{EventQueue, SimDuration, SimRng, SimTime, TimeSeries, Trace};
 
 use crate::bytecode::{
     compile_control_law, control_law_gas_budget, Capability, Capsule, CapsuleId, ControlLawSpec,
-    Program,
 };
 use crate::component::{MemberInfo, VirtualComponent};
 use crate::metrics::VcRunStats;
@@ -37,8 +36,9 @@ use crate::transfers::ObjectTransfer;
 
 /// Everything VC-specific the node loop below needs, prepared once per VC.
 struct VcPlan {
-    program: Program,
-    gas: u64,
+    /// The authoritative capsule the VC would ship on a live migration:
+    /// the compiled law with its gas budget.
+    capsule: Capsule,
     params: ReplicaParams,
     primary: NodeId,
     act_register: u16,
@@ -199,25 +199,37 @@ impl Engine {
 
         let regmap = RegisterMap::gas_plant_standard();
 
-        // --- Per-VC plans: compiled law, task params, registers --------
+        // --- Per-VC plans: capsule, task params, registers -------------
         // Identical laws (fleet deployments host clones of the standard
-        // loops) compile once; [`Program`] clones share their original's
-        // cache id, so downstream prepared-artifact caches also hit.
-        let mut law_cache: Vec<(ControlLawSpec, Program, u64)> = Vec::new();
+        // loops) compile, budget and checksum once: each VC clones its
+        // law's capsule, whose `Program` shares one instruction list
+        // and cache id, so downstream prepared-artifact caches also hit.
+        // The capsule carries the capabilities a computing replica needs,
+        // version 1 at boot.
+        let mut law_cache: Vec<(ControlLawSpec, Capsule)> = Vec::new();
         let plans: Vec<VcPlan> = (0..vcs.n_vcs())
             .map(|k| {
                 let vc = k as VcId;
                 let spec = scenario.vc_loop(vc);
                 let law = ControlLawSpec::from_loop(spec);
-                let (program, gas) = match law_cache.iter().find(|(l, _, _)| *l == law) {
-                    Some((_, p, g)) => (p.clone(), *g),
+                let id = CapsuleId(u32::try_from(k).expect("vc fits u32"));
+                let mut capsule = match law_cache.iter().find(|(l, _)| *l == law) {
+                    Some((_, c)) => c.clone(),
                     None => {
                         let program = compile_control_law(&law);
                         let gas = control_law_gas_budget(&program);
-                        law_cache.push((law, program.clone(), gas));
-                        (program, gas)
+                        let capsule = Capsule::new(
+                            id,
+                            1,
+                            program,
+                            gas,
+                            vec![Capability::ControllerRole, Capability::DataPlane],
+                        );
+                        law_cache.push((law, capsule.clone()));
+                        capsule
                     }
                 };
+                capsule.id = id;
                 // The focus sensor's downlink register must agree with the
                 // loop the VC hosts — a misconfigured manifest is caught
                 // here rather than silently regulating the wrong PV.
@@ -234,8 +246,7 @@ impl Engine {
                     .holding_register_of(&spec.op_tag)
                     .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
                 VcPlan {
-                    program,
-                    gas,
+                    capsule,
                     params: ReplicaParams {
                         detect_threshold: scenario.detect_threshold,
                         detect_consecutive: scenario.detect_consecutive,
@@ -326,8 +337,8 @@ impl Engine {
                             vc,
                             ControllerMode::Backup,
                             true,
-                            &p.program,
-                            p.gas,
+                            &p.capsule.program,
+                            p.capsule.gas_budget,
                             &p.params,
                         )))
                     }
@@ -343,7 +354,13 @@ impl Engine {
                             (b_mode, scenario.warm_backup)
                         };
                         Box::new(ControllerNode::new(ControllerCore::new(
-                            id, vc, mode, hosts_task, &p.program, p.gas, &p.params,
+                            id,
+                            vc,
+                            mode,
+                            hosts_task,
+                            &p.capsule.program,
+                            p.capsule.gas_budget,
+                            &p.params,
                         )))
                     }
                     Some(Duty::Actuator(vc)) => {
@@ -419,22 +436,7 @@ impl Engine {
             }
         }
 
-        // The authoritative capsule each VC would ship on a live
-        // migration: the compiled law wrapped with its budget and the
-        // capabilities a computing replica needs, version 1 at boot.
-        let capsules: Vec<Capsule> = plans
-            .iter()
-            .enumerate()
-            .map(|(vc, p)| {
-                Capsule::new(
-                    CapsuleId(u32::try_from(vc).expect("vc fits u32")),
-                    1,
-                    p.program.clone(),
-                    p.gas,
-                    vec![Capability::ControllerRole, Capability::DataPlane],
-                )
-            })
-            .collect();
+        let capsules: Vec<Capsule> = plans.iter().map(|p| p.capsule.clone()).collect();
 
         let series = scenario
             .sampled_tags

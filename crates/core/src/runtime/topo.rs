@@ -747,9 +747,9 @@ impl TopologySpec {
     ///
     /// # Errors
     ///
-    /// [`TopologyError`] on a malformed spec: no gateway, duplicate ids,
-    /// non-contiguous VC or role indices, a missing focus sensor or
-    /// controller, or more than one actuator/head per VC.
+    /// [`TopologyError`] on a malformed spec: no gateway, duplicate ids or
+    /// labels, non-contiguous VC or role indices, a missing focus sensor
+    /// or controller, or more than one actuator/head per VC.
     pub fn try_resolve(&self, channel: &mut Channel) -> Result<(Topology, VcMap), TopologyError> {
         let map = VcMap::try_from_spec(self)?;
         let infos: Vec<NodeInfo> = self
@@ -791,6 +791,8 @@ pub enum TopologyError {
     DuplicateGateway,
     /// Two nodes share an id.
     DuplicateNodeId(NodeId),
+    /// Two nodes share a label (per-node results are keyed by label).
+    DuplicateLabel(String),
     /// A sensor node has no input register.
     MissingSensorRegister(NodeId),
     /// A VC has two head nodes.
@@ -835,6 +837,7 @@ impl std::fmt::Display for TopologyError {
             TopologyError::MissingGateway => write!(f, "topology needs a gateway"),
             TopologyError::DuplicateGateway => write!(f, "two gateways in topology spec"),
             TopologyError::DuplicateNodeId(n) => write!(f, "duplicate node id {n}"),
+            TopologyError::DuplicateLabel(l) => write!(f, "duplicate node label {l:?}"),
             TopologyError::MissingSensorRegister(n) => {
                 write!(f, "sensor {n} needs an input register")
             }
@@ -871,6 +874,33 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// The deployment-wide checks of [`VcMap::try_from_spec`], in order:
+/// unique node ids, unique labels (a run's per-node energy and mode
+/// series are keyed by label), then exactly one gateway, whose id is
+/// returned.
+fn check_nodes(spec: &TopologySpec) -> Result<NodeId, TopologyError> {
+    let mut ids: Vec<NodeId> = spec.nodes.iter().map(|n| n.id).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(TopologyError::DuplicateNodeId(w[0]));
+    }
+    let mut labels: Vec<&str> = spec.nodes.iter().map(|n| n.label.as_str()).collect();
+    labels.sort_unstable();
+    if let Some(w) = labels.windows(2).find(|w| w[0] == w[1]) {
+        return Err(TopologyError::DuplicateLabel(w[0].to_string()));
+    }
+    let mut gateway = None;
+    for n in &spec.nodes {
+        if n.role == Role::Gateway {
+            if gateway.is_some() {
+                return Err(TopologyError::DuplicateGateway);
+            }
+            gateway = Some(n.id);
+        }
+    }
+    gateway.ok_or(TopologyError::MissingGateway)
+}
+
 /// Role-resolved addressing for **one** Virtual Component: who plays
 /// which part, in deterministic order.
 #[derive(Debug, Clone, PartialEq)]
@@ -896,6 +926,77 @@ pub struct RoleMap {
 }
 
 impl RoleMap {
+    /// Resolves VC `vc`'s roles from its nodes, given in spec order
+    /// (gateway nodes among them are skipped).
+    fn try_from_nodes<'a>(
+        vc: VcId,
+        gateway: NodeId,
+        nodes: impl IntoIterator<Item = &'a NodeSpec>,
+    ) -> Result<Self, TopologyError> {
+        let mut head = None;
+        let mut sensors: Vec<(u8, NodeId, u16)> = Vec::new();
+        let mut controllers: Vec<(u8, NodeId)> = Vec::new();
+        let mut actuators: Vec<(u8, NodeId)> = Vec::new();
+        let mut relays: Vec<(u8, NodeId)> = Vec::new();
+        for n in nodes {
+            match n.role {
+                Role::Gateway => continue,
+                Role::Head => {
+                    if head.is_some() {
+                        return Err(TopologyError::DuplicateHead(vc));
+                    }
+                    head = Some(n.id);
+                }
+                Role::Sensor(tag) => {
+                    let reg = n
+                        .register
+                        .ok_or(TopologyError::MissingSensorRegister(n.id))?;
+                    sensors.push((tag, n.id, reg));
+                }
+                Role::Controller(i) => controllers.push((i, n.id)),
+                Role::Actuator(i) => actuators.push((i, n.id)),
+                Role::Relay(i) => relays.push((i, n.id)),
+            }
+        }
+        sensors.sort_by_key(|&(tag, _, _)| tag);
+        controllers.sort_by_key(|&(i, _)| i);
+        actuators.sort_by_key(|&(i, _)| i);
+        relays.sort_by_key(|&(i, _)| i);
+        if sensors.is_empty() {
+            return Err(TopologyError::MissingFocusSensor(vc));
+        }
+        if controllers.is_empty() {
+            return Err(TopologyError::MissingController(vc));
+        }
+        if sensors
+            .iter()
+            .enumerate()
+            .any(|(expect, &(tag, _, _))| tag as usize != expect)
+        {
+            return Err(TopologyError::NonContiguousSensors(vc));
+        }
+        if controllers
+            .iter()
+            .enumerate()
+            .any(|(expect, &(i, _))| i as usize != expect)
+        {
+            return Err(TopologyError::NonContiguousControllers(vc));
+        }
+        if actuators.len() > 1 {
+            return Err(TopologyError::MultipleActuators(vc));
+        }
+        Ok(RoleMap {
+            vc,
+            gateway,
+            head,
+            sensor_registers: sensors.iter().map(|&(_, _, r)| r).collect(),
+            sensors: sensors.into_iter().map(|(_, id, _)| id).collect(),
+            controllers: controllers.into_iter().map(|(_, id)| id).collect(),
+            actuators: actuators.into_iter().map(|(_, id)| id).collect(),
+            relays: relays.into_iter().map(|(_, id)| id).collect(),
+        })
+    }
+
     /// The initial primary controller.
     #[must_use]
     pub fn primary(&self) -> NodeId {
@@ -941,92 +1042,22 @@ impl VcMap {
     ///
     /// See [`TopologyError`].
     pub fn try_from_spec(spec: &TopologySpec) -> Result<Self, TopologyError> {
-        {
-            let mut ids: Vec<NodeId> = spec.nodes.iter().map(|n| n.id).collect();
-            ids.sort_unstable();
-            for w in ids.windows(2) {
-                if w[0] == w[1] {
-                    return Err(TopologyError::DuplicateNodeId(w[0]));
-                }
-            }
-        }
-        let mut gateway = None;
-        for n in &spec.nodes {
-            if n.role == Role::Gateway {
-                if gateway.is_some() {
-                    return Err(TopologyError::DuplicateGateway);
-                }
-                gateway = Some(n.id);
-            }
-        }
-        let gateway = gateway.ok_or(TopologyError::MissingGateway)?;
-
+        let gateway = check_nodes(spec)?;
+        // Bucket the nodes by VC in one pass, spec order kept inside each
+        // bucket — what a per-VC scan over the whole spec would visit,
+        // without its quadratic cost in fleet deployments.
         let n_vcs = spec.n_vcs();
-        let mut vcs = Vec::with_capacity(n_vcs);
-        for vc in 0..n_vcs as VcId {
-            let mut head = None;
-            let mut sensors: Vec<(u8, NodeId, u16)> = Vec::new();
-            let mut controllers: Vec<(u8, NodeId)> = Vec::new();
-            let mut actuators: Vec<(u8, NodeId)> = Vec::new();
-            let mut relays: Vec<(u8, NodeId)> = Vec::new();
-            for n in spec.nodes.iter().filter(|n| n.vc == vc) {
-                match n.role {
-                    Role::Gateway => continue,
-                    Role::Head => {
-                        if head.is_some() {
-                            return Err(TopologyError::DuplicateHead(vc));
-                        }
-                        head = Some(n.id);
-                    }
-                    Role::Sensor(tag) => {
-                        let reg = n
-                            .register
-                            .ok_or(TopologyError::MissingSensorRegister(n.id))?;
-                        sensors.push((tag, n.id, reg));
-                    }
-                    Role::Controller(i) => controllers.push((i, n.id)),
-                    Role::Actuator(i) => actuators.push((i, n.id)),
-                    Role::Relay(i) => relays.push((i, n.id)),
-                }
+        let mut buckets: Vec<Vec<&NodeSpec>> = vec![Vec::new(); n_vcs];
+        for n in &spec.nodes {
+            if let Some(bucket) = buckets.get_mut(n.vc as usize) {
+                bucket.push(n);
             }
-            sensors.sort_by_key(|&(tag, _, _)| tag);
-            controllers.sort_by_key(|&(i, _)| i);
-            actuators.sort_by_key(|&(i, _)| i);
-            relays.sort_by_key(|&(i, _)| i);
-            if sensors.is_empty() {
-                return Err(TopologyError::MissingFocusSensor(vc));
-            }
-            if controllers.is_empty() {
-                return Err(TopologyError::MissingController(vc));
-            }
-            if sensors
-                .iter()
-                .enumerate()
-                .any(|(expect, &(tag, _, _))| tag as usize != expect)
-            {
-                return Err(TopologyError::NonContiguousSensors(vc));
-            }
-            if controllers
-                .iter()
-                .enumerate()
-                .any(|(expect, &(i, _))| i as usize != expect)
-            {
-                return Err(TopologyError::NonContiguousControllers(vc));
-            }
-            if actuators.len() > 1 {
-                return Err(TopologyError::MultipleActuators(vc));
-            }
-            vcs.push(RoleMap {
-                vc,
-                gateway,
-                head,
-                sensor_registers: sensors.iter().map(|&(_, _, r)| r).collect(),
-                sensors: sensors.into_iter().map(|(_, id, _)| id).collect(),
-                controllers: controllers.into_iter().map(|(_, id)| id).collect(),
-                actuators: actuators.into_iter().map(|(_, id)| id).collect(),
-                relays: relays.into_iter().map(|(_, id)| id).collect(),
-            });
         }
+        let vcs = buckets
+            .into_iter()
+            .enumerate()
+            .map(|(vc, nodes)| RoleMap::try_from_nodes(vc as VcId, gateway, nodes))
+            .collect::<Result<_, _>>()?;
         Ok(VcMap { gateway, vcs })
     }
 
@@ -1491,6 +1522,26 @@ pub fn route_flows(
 mod tests {
     use super::*;
 
+    /// The per-VC rescan that [`VcMap::try_from_spec`]'s one-pass
+    /// bucketing replaced (quadratic in fleet deployments), kept as the
+    /// reference it must agree with, errors included.
+    fn naive_from_spec(spec: &TopologySpec) -> Result<VcMap, TopologyError> {
+        let gateway = check_nodes(spec)?;
+        let vcs = (0..spec.n_vcs() as VcId)
+            .map(|vc| {
+                RoleMap::try_from_nodes(vc, gateway, spec.nodes.iter().filter(|n| n.vc == vc))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(VcMap { gateway, vcs })
+    }
+
+    /// [`VcMap::try_from_spec`], checked against the per-VC rescan.
+    fn try_map(spec: &TopologySpec) -> Result<VcMap, TopologyError> {
+        let map = VcMap::try_from_spec(spec);
+        assert_eq!(map, naive_from_spec(spec));
+        map
+    }
+
     #[test]
     fn fig5_spec_matches_testbed_layout() {
         let spec = TopologySpec::fig5();
@@ -1746,25 +1797,27 @@ mod tests {
 
         let mut no_gw = good.clone();
         no_gw.nodes.retain(|n| n.role != Role::Gateway);
-        assert_eq!(
-            VcMap::try_from_spec(&no_gw),
-            Err(TopologyError::MissingGateway)
-        );
+        assert_eq!(try_map(&no_gw), Err(TopologyError::MissingGateway));
 
         let mut two_gw = good.clone();
         let mut extra = two_gw.nodes[0].clone();
         extra.id = NodeId(99);
+        extra.label = "GW2".into();
         two_gw.nodes.push(extra);
-        assert_eq!(
-            VcMap::try_from_spec(&two_gw),
-            Err(TopologyError::DuplicateGateway)
-        );
+        assert_eq!(try_map(&two_gw), Err(TopologyError::DuplicateGateway));
 
         let mut dup_id = good.clone();
         dup_id.nodes[2].id = dup_id.nodes[1].id;
         assert_eq!(
-            VcMap::try_from_spec(&dup_id),
+            try_map(&dup_id),
             Err(TopologyError::DuplicateNodeId(dup_id.nodes[1].id))
+        );
+
+        let mut dup_label = good.clone();
+        dup_label.nodes[3].label = dup_label.nodes[2].label.clone();
+        assert_eq!(
+            try_map(&dup_label),
+            Err(TopologyError::DuplicateLabel("Ctrl-A".into()))
         );
 
         let mut no_sensor = good.clone();
@@ -1772,7 +1825,7 @@ mod tests {
             .nodes
             .retain(|n| !matches!(n.role, Role::Sensor(_)));
         assert_eq!(
-            VcMap::try_from_spec(&no_sensor),
+            try_map(&no_sensor),
             Err(TopologyError::MissingFocusSensor(0))
         );
 
@@ -1780,10 +1833,7 @@ mod tests {
         no_ctrl
             .nodes
             .retain(|n| !matches!(n.role, Role::Controller(_)));
-        assert_eq!(
-            VcMap::try_from_spec(&no_ctrl),
-            Err(TopologyError::MissingController(0))
-        );
+        assert_eq!(try_map(&no_ctrl), Err(TopologyError::MissingController(0)));
 
         let mut gap = good.clone();
         for n in &mut gap.nodes {
@@ -1792,7 +1842,7 @@ mod tests {
             }
         }
         assert_eq!(
-            VcMap::try_from_spec(&gap),
+            try_map(&gap),
             Err(TopologyError::NonContiguousControllers(0))
         );
 
@@ -1805,17 +1855,28 @@ mod tests {
             position: Position::new(1.0, 1.0),
             register: None,
         });
-        assert_eq!(
-            VcMap::try_from_spec(&two_act),
-            Err(TopologyError::MultipleActuators(0))
-        );
+        assert_eq!(try_map(&two_act), Err(TopologyError::MultipleActuators(0)));
 
+        // Both sensors lack a register: the first in spec order is named.
         let mut no_reg = good.clone();
         no_reg.nodes[1].register = None;
+        no_reg.nodes[5].register = None;
         assert_eq!(
-            VcMap::try_from_spec(&no_reg),
+            try_map(&no_reg),
             Err(TopologyError::MissingSensorRegister(no_reg.nodes[1].id))
         );
+
+        // Two malformed VCs, the later one first in spec order: the error
+        // names the lowest malformed VC, as a per-VC scan would.
+        let mut two_bad = TopologySpec::multi_star(8, 1, 2, 1, true, 15.0);
+        two_bad
+            .nodes
+            .retain(|n| !(n.vc == 2 && matches!(n.role, Role::Controller(_))));
+        two_bad
+            .nodes
+            .retain(|n| !(n.vc == 5 && matches!(n.role, Role::Sensor(_))));
+        two_bad.nodes.reverse();
+        assert_eq!(try_map(&two_bad), Err(TopologyError::MissingController(2)));
 
         let mut sparse_vc = good;
         for n in &mut sparse_vc.nodes {
@@ -1824,9 +1885,42 @@ mod tests {
             }
         }
         assert!(matches!(
-            VcMap::try_from_spec(&sparse_vc),
+            try_map(&sparse_vc),
             Err(TopologyError::MissingFocusSensor(0))
         ));
+    }
+
+    #[test]
+    fn one_pass_vc_map_matches_per_vc_scan() {
+        let specs = [
+            TopologySpec::fig5(),
+            TopologySpec::minimal(15.0),
+            TopologySpec::star(3, 3, 1, true, 15.0),
+            TopologySpec::multi_star(MAX_VCS, 2, 2, 1, true, 15.0),
+            TopologySpec::line(2, 1, 2, 1, true, LINE_SPACING_M),
+            TopologySpec::line_with_backups(3, 2, 2, 1, true, LINE_SPACING_M, 2),
+            TopologySpec::grid(3, 3, 2, 2, 1, true, GRID_SPACING_M),
+            TopologySpec::clustered(2, 1, 2, 1, true, CLUSTER_HOP_M, CLUSTER_RING_M),
+            TopologySpec::clustered_with_backups(
+                3,
+                2,
+                2,
+                1,
+                true,
+                CLUSTER_HOP_M,
+                CLUSTER_RING_M,
+                2,
+            ),
+            TopologySpec::fleet(64),
+        ];
+        for spec in &specs {
+            assert!(try_map(spec).is_ok());
+        }
+        // Node order is free in a spec: a shuffled fleet resolves the same
+        // way under both algorithms, and to the same map as in order.
+        let mut shuffled = TopologySpec::fleet(64);
+        SimRng::seed_from(0x5107).shuffle(&mut shuffled.nodes);
+        assert_eq!(try_map(&shuffled), try_map(&TopologySpec::fleet(64)));
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! image is padded so the stop-and-wait shipment spans the whole
 //! measured window; its start and completion both land outside it).
 //!
+//! Two more windows pin what a fleet pays per replica at rest: a fresh
+//! [`Vm`] allocates nothing (its extension table is grown only on the
+//! first registered word), and cloning a [`Program`] — what every
+//! replica and capsule of a shared law does — shares its instructions
+//! instead of copying them.
+//!
 //! A single `#[test]` covers all windows sequentially: the counters
 //! are process-global, so concurrent tests would pollute each other's
 //! windows.
@@ -23,7 +29,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use evm_core::runtime::{Engine, ReroutePolicy, Scenario, ScenarioBuilder};
-use evm_core::Tier;
+use evm_core::{Op, Program, Tier, Vm};
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
 
@@ -105,6 +111,13 @@ fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
     assert_eq!(deallocs, 0, "{label}: warmed steady state must not free");
 }
 
+/// Allocations made while running `f`.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.load(Relaxed);
+    let out = std::hint::black_box(f());
+    (ALLOCS.load(Relaxed) - before, out)
+}
+
 #[test]
 fn warmed_hot_loop_never_touches_the_heap() {
     assert_zero_alloc_steady_state("interp", scenario(Tier::Interp));
@@ -127,4 +140,12 @@ fn warmed_hot_loop_never_touches_the_heap() {
         );
     }
     assert_zero_alloc_steady_state("migration-in-flight", migration);
+
+    let (allocs, vm) = allocs_during(|| Vm::new(64));
+    assert_eq!(allocs, 0, "a fresh VM must not allocate");
+    drop(vm);
+    let law = Program::new(vec![Op::Push(1.0), Op::Push(2.0), Op::Add, Op::Halt]);
+    let (allocs, copy) = allocs_during(|| law.clone());
+    assert_eq!(allocs, 0, "a program clone must share its instructions");
+    assert_eq!(copy, law);
 }

@@ -3,7 +3,9 @@
 //! accounting and the fail-safe/migration paths — all through the public
 //! topology-generic API.
 
-use evm_core::runtime::{nodes, Engine, FlowKind, Reconfigurator, Scenario, ScenarioBuilder};
+use evm_core::runtime::{
+    nodes, Engine, FlowKind, Reconfigurator, Scenario, ScenarioBuilder, TopologyError,
+};
 use evm_core::RunResult;
 use evm_sim::{SimDuration, SimTime};
 
@@ -258,4 +260,21 @@ fn cold_backup_requires_migration() {
     let promoted = r.event_time("Ctrl-B -> Active").expect("promotion");
     assert!(migrated <= promoted);
     assert!(r.event_time("image 384 B").is_some(), "plan logged");
+}
+
+#[test]
+fn duplicate_labels_are_a_typed_setup_error() {
+    // Per-node energy and the `Mode.<label>` series are keyed by label:
+    // two nodes sharing one would be silently merged in the results.
+    let mut scenario = Scenario::fig6b();
+    for n in &mut scenario.topology.nodes {
+        if n.label == "Ctrl-B" {
+            n.label = "Ctrl-A".into();
+        }
+    }
+    match Engine::try_new(scenario) {
+        Err(TopologyError::DuplicateLabel(label)) => assert_eq!(label, "Ctrl-A"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a duplicate label must not set up"),
+    }
 }
