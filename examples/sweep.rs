@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use evm::core::runtime::{Layout, ReroutePolicy, Scenario, ScenarioBuilder, Tier};
+use evm::core::runtime::{Layout, ReroutePolicy, Scenario, ScenarioBuilder};
 use evm::netsim::NodeId;
 use evm::plant::ActuatorFault;
 use evm::prelude::*;
@@ -48,16 +48,6 @@ fn main() {
                     .over_loss(&[0.0, 0.2])
                     .seeds_per_cell(2),
                 "sweep_smoke",
-            ),
-            // Tier-identity smoke: the same failover scenario on every
-            // VM execution tier. The report must show identical metrics
-            // on every tier row (asserted below) — the tiers are a pure
-            // speed knob, never a semantics knob.
-            (
-                SweepGrid::new(template.clone())
-                    .over_tier(&Tier::ALL)
-                    .seeds_per_cell(2),
-                "sweep_smoke_tier",
             ),
             (
                 SweepGrid::new(template)
@@ -190,28 +180,15 @@ fn main() {
             );
         }
 
-        if stem == "sweep_smoke_tier" {
-            // Every tier row must carry identical metrics — only the
-            // key's tier suffix may differ between rows.
-            let csv = report.to_csv();
-            let metrics: Vec<&str> = csv
-                .lines()
-                .skip(1)
-                .map(|line| line.split_once(',').expect("keyed row").1)
-                .collect();
-            assert_eq!(metrics.len(), Tier::ALL.len(), "one row per tier");
-            assert!(
-                metrics.windows(2).all(|w| w[0] == w[1]),
-                "tier rows diverged: {metrics:#?}"
-            );
-            // And the report must be byte-identical serial vs parallel.
+        if stem == "sweep_smoke" {
+            // The report must be byte-identical serial vs parallel.
             let serial = SweepReport::build(&cells, &run_cells(&cells, 1));
             assert_eq!(
                 serial.to_csv(),
                 report.to_csv(),
-                "tier sweep report depends on thread count"
+                "sweep report depends on thread count"
             );
-            println!("tier rows metric-identical; serial/parallel reports byte-identical");
+            println!("serial/parallel reports byte-identical");
         }
 
         if stem == "sweep_smoke_migration" {

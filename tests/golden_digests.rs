@@ -9,7 +9,7 @@
 //! untouched. A behavior change that moves one is a re-pin, and a re-pin
 //! must be a deliberate, reviewed diff of this file.
 //!
-//! The sweep goldens pin the grid layer the same way: seven short grids
+//! The sweep goldens pin the grid layer the same way: eight short grids
 //! that together use every `SweepGrid` axis, each reduced to a digest of
 //! its expanded cells (id, seed, key and run digest) and a digest of the
 //! six rendered report views.
@@ -503,6 +503,19 @@ fn sweep_vcs_loss_digest() {
         &SweepGolden {
             cells: 0x7a3a_4e2c_cd87_969e,
             report: 0x621c_d0d2_626f_9504,
+        },
+    );
+}
+
+/// The smoke template on its own: every axis at its default value.
+#[test]
+fn sweep_template_digest() {
+    check_sweep(
+        "template",
+        &SweepGrid::new(smoke_template()).seeds_per_cell(2),
+        &SweepGolden {
+            cells: 0x6539_6072_33c0_5250,
+            report: 0xf1a7_11f5_89a2_78c5,
         },
     );
 }
