@@ -15,10 +15,7 @@
 //! deadlines and regulate), and VC 0's failover latency stays flat as
 //! the pool grows — hosting more loops does not slow the fault plane.
 
-use std::time::Instant;
-
 use evm_bench::{banner, f, row, write_result};
-use evm_core::bytecode::Tier;
 use evm_core::runtime::{Engine, Scenario, ScenarioBuilder};
 use evm_sim::{SimDuration, SimTime};
 use evm_sweep::{available_threads, run_indexed};
@@ -154,41 +151,5 @@ fn main() {
         );
     }
 
-    // End-to-end tier comparison: the full 4-VC engine run on each
-    // execution tier. The runs must be *identical* — same RunResult bit
-    // for bit — and the compiled tier only changes wall-clock time.
-    println!();
-    println!(
-        "{}",
-        row(&["tier".into(), "engine run [ms]".into(), "speedup".into()])
-    );
-    let mut tier_csv = String::from("tier,engine_run_ms,speedup_vs_interp\n");
-    let mut oracle = None;
-    let mut interp_ms = 0.0;
-    for tier in Tier::ALL {
-        let s = scenario(4);
-        let start = Instant::now();
-        let r = Engine::new(Scenario { tier, ..s }).run();
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        match &oracle {
-            None => {
-                interp_ms = ms;
-                oracle = Some(r);
-            }
-            Some(o) => assert!(
-                r == *o,
-                "tier {} diverged from the interpreter end-to-end",
-                tier.label()
-            ),
-        }
-        let speedup = interp_ms / ms;
-        println!(
-            "{}",
-            row(&[tier.label().into(), f(ms), format!("{speedup:.2}x")])
-        );
-        tier_csv.push_str(&format!("{},{ms:.2},{speedup:.3}\n", tier.label()));
-    }
-    write_result("multi_vc_scaling_tiers.csv", &tier_csv);
-
-    println!("\nOK: 1-4 VCs close every loop on one cycle; VC 0 failover latency flat; tiers byte-identical end-to-end");
+    println!("\nOK: 1-4 VCs close every loop on one cycle; VC 0 failover latency flat");
 }

@@ -1,27 +1,23 @@
-//! E13 — interpreter microbenchmarks, per execution tier.
+//! E13 — interpreter microbenchmarks.
 //!
-//! Measures the EVM's execution machinery across the two capsule tiers
-//! (stack interpreter / compiled closure chain): raw dispatch
-//! throughput on the countdown loop, the compiled
-//! PID capsule against the native controller, capsule I/O through the
-//! inline-caching ModBus environment, and capsule encode/decode (the
-//! migration serialization path). Self-timed with a warmup pass and
-//! median-of-runs reporting, like the other figure benches.
+//! Measures the EVM's execution machinery: raw dispatch throughput on
+//! the countdown loop, the compiled PID capsule against the native
+//! controller, and capsule encode/decode (the migration serialization
+//! path). Self-timed with a warmup pass and median-of-runs reporting,
+//! like the other figure benches.
 //!
 //! Writes `vm_dispatch.csv` plus a machine-readable `vm_dispatch.json`
-//! carrying the tier speedups the paper claims (compiled vs interp on
-//! the arith loop and the PID capsule). Pass `--smoke` for a fast CI
-//! run with reduced iteration counts — same rows, same files.
+//! with every row's ns/iter. Pass `--smoke` for a fast CI run with
+//! reduced iteration counts — same rows, same files.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use evm_bench::{banner, f, row, write_result};
 use evm_core::bytecode::{
-    compile_control_law, control_law_gas_budget, ControlLawSpec, ModbusBatchEnv, ModbusCachedEnv,
-    NullEnv, Op, Program, Tier, Vm,
+    compile_control_law, control_law_gas_budget, ControlLawSpec, NullEnv, Op, Program, Vm,
 };
-use evm_plant::{lts_level_loop, GasPlant, LocalController, PlantConfig, RegisterMap};
+use evm_plant::{lts_level_loop, LocalController};
 
 /// Times `iters` calls of `op` and returns nanoseconds per call, taking the
 /// median of `runs` timed repetitions after one warmup run.
@@ -58,15 +54,6 @@ fn arith_loop_program(iters: u32) -> Program {
     ])
 }
 
-/// Row name suffix per tier: the interp rows keep their historical
-/// bare names so existing tooling keeps parsing them.
-fn tier_suffix(tier: Tier) -> &'static str {
-    match tier {
-        Tier::Interp => "",
-        Tier::Compiled => "_compiled",
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     banner(
@@ -96,44 +83,31 @@ fn main() {
         json.push((name.to_string(), ns));
     };
 
-    // Raw dispatch: ~5k executed ops per run of the countdown loop, at
-    // each tier. The compiled tier runs the loop as a single closure.
+    // Raw dispatch: ~5k executed ops per run of the countdown loop.
     let program = arith_loop_program(1_000);
-    for tier in Tier::ALL {
-        let mut vm = Vm::with_tier(1_000_000, tier);
-        let mut env = NullEnv::default();
-        let ns = time_ns_per_iter(500 / scale, runs, || {
-            let r = vm.run(black_box(&program), &mut env).unwrap();
-            black_box(r);
-        });
-        record(
-            &format!("vm_dispatch_5k_ops{}", tier_suffix(tier)),
-            ns,
-            5_000.0,
-        );
-    }
+    let mut vm = Vm::new(1_000_000);
+    let mut env = NullEnv::default();
+    let ns = time_ns_per_iter(500 / scale, runs, || {
+        let r = vm.run(black_box(&program), &mut env).unwrap();
+        black_box(r);
+    });
+    record("vm_dispatch_5k_ops", ns, 5_000.0);
 
-    // Compiled PID capsule vs the native controller, at each tier.
+    // Compiled PID capsule vs the native controller.
     let spec = ControlLawSpec::from_loop(&lts_level_loop());
     let pid = compile_control_law(&spec);
-    for tier in Tier::ALL {
-        let mut vm = Vm::with_tier(control_law_gas_budget(&pid), tier);
-        let mut env = NullEnv {
-            sensor_value: 48.7,
-            ..NullEnv::default()
-        };
-        let ns = time_ns_per_iter(10_000 / scale, runs, || {
-            env.writes.clear();
-            env.emissions.clear();
-            let r = vm.run(black_box(&pid), &mut env).unwrap();
-            black_box(r);
-        });
-        record(
-            &format!("pid_capsule{}", tier_suffix(tier)),
-            ns,
-            pid.len() as f64,
-        );
-    }
+    let mut vm = Vm::new(control_law_gas_budget(&pid));
+    let mut env = NullEnv {
+        sensor_value: 48.7,
+        ..NullEnv::default()
+    };
+    let ns = time_ns_per_iter(10_000 / scale, runs, || {
+        env.writes.clear();
+        env.emissions.clear();
+        let r = vm.run(black_box(&pid), &mut env).unwrap();
+        black_box(r);
+    });
+    record("pid_capsule", ns, pid.len() as f64);
 
     let mut native = LocalController::new(lts_level_loop());
     let ns = time_ns_per_iter(100_000 / scale, runs, || {
@@ -141,51 +115,7 @@ fn main() {
     });
     record("pid_native", ns, 1.0);
 
-    // Capsule I/O through the inline-caching ModBus environment: the
-    // full sensor-read/actuate/emit path against the gas plant's
-    // register map, on the compiled tier. The tag→register scan is
-    // memoized per port, so steady state is pure register traffic.
-    let mut plant = GasPlant::new(PlantConfig::default());
-    let regmap = RegisterMap::gas_plant_standard();
-    let mut env = ModbusCachedEnv::new(
-        &mut plant,
-        &regmap,
-        &["LTS.LiquidPct"],
-        &["LTSLiqValve.Cmd"],
-    );
-    let mut vm = Vm::with_tier(control_law_gas_budget(&pid), Tier::Compiled);
-    let ns = time_ns_per_iter(10_000 / scale, runs, || {
-        env.emissions.clear();
-        let r = vm.run(black_box(&pid), &mut env).unwrap();
-        black_box(r);
-    });
-    record("pid_capsule_modbus_compiled", ns, pid.len() as f64);
-    println!(
-        "  (modbus inline cache: {} slow-path lookups)",
-        env.lookups()
-    );
-
-    // Batched ModBus environment: ports resolved to bound registers at
-    // construction, inputs polled in one pass per run, writes through
-    // the bound holdings — zero address lookups in steady state.
-    let mut plant = GasPlant::new(PlantConfig::default());
-    let mut env = ModbusBatchEnv::new(
-        &mut plant,
-        &regmap,
-        &["LTS.LiquidPct"],
-        &["LTSLiqValve.Cmd"],
-    );
-    let mut vm = Vm::with_tier(control_law_gas_budget(&pid), Tier::Compiled);
-    let ns = time_ns_per_iter(10_000 / scale, runs, || {
-        env.begin_run();
-        env.emissions.clear();
-        let r = vm.run(black_box(&pid), &mut env).unwrap();
-        black_box(r);
-    });
-    record("pid_capsule_modbus_batched", ns, pid.len() as f64);
-
-    // Capsule encode/decode: the migration serialization path
-    // (tier-independent — programs migrate as stack bytecode).
+    // Capsule encode/decode: the migration serialization path.
     let bytes = pid.encode();
     let ns = time_ns_per_iter(100_000 / scale, runs, || {
         black_box(black_box(&pid).encode());
@@ -201,15 +131,7 @@ fn main() {
     }
     write_result("vm_dispatch.csv", &csv);
 
-    // Machine-readable results: every row's ns/iter plus the headline
-    // tier speedups (interp ns / tier ns on the same workload).
-    let ns_of = |name: &str| {
-        json.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, ns)| *ns)
-            .expect("row recorded")
-    };
-    let speedup = |base: &str, tiered: &str| ns_of(base) / ns_of(tiered);
+    // Machine-readable results: every row's ns/iter.
     let mut out = String::from("{\n  \"bench\": \"vm_dispatch\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n  \"rows\": {{\n"));
     for (i, (name, ns)) in json.iter().enumerate() {
@@ -218,19 +140,6 @@ fn main() {
             "    \"{name}\": {{\"ns_per_iter\": {ns:.3}}}{comma}\n"
         ));
     }
-    out.push_str("  },\n  \"speedups\": {\n");
-    out.push_str(&format!(
-        "    \"arith_compiled_vs_interp\": {:.3},\n",
-        speedup("vm_dispatch_5k_ops", "vm_dispatch_5k_ops_compiled")
-    ));
-    out.push_str(&format!(
-        "    \"pid_compiled_vs_interp\": {:.3},\n",
-        speedup("pid_capsule", "pid_capsule_compiled")
-    ));
-    out.push_str(&format!(
-        "    \"modbus_batched_vs_cached\": {:.3}\n",
-        speedup("pid_capsule_modbus_compiled", "pid_capsule_modbus_batched")
-    ));
     out.push_str("  }\n}\n");
     write_result("vm_dispatch.json", &out);
 }

@@ -187,13 +187,8 @@ pub fn compile_control_law(spec: &ControlLawSpec) -> Program {
 
 /// A conservative per-invocation gas budget for a compiled control law.
 ///
-/// The budget is **tier-independent**: gas is defined on the stack
-/// bytecode (1 unit per fetched op), and the compiled tier preserves
-/// that accounting exactly — compiled blocks charge their source ops'
-/// gas even when dead code was eliminated. A budget that admits the
-/// capsule on [`Tier::Interp`](crate::bytecode::Tier) therefore admits
-/// it, with identical `gas_used`, on every tier (enforced by
-/// `tests/tier_differential.rs::gas_budget_is_tier_independent`).
+/// Gas is defined on the stack bytecode: 1 unit per fetched op. The
+/// budget covers both the first (init) run and every later run.
 #[must_use]
 pub fn control_law_gas_budget(program: &Program) -> u64 {
     // Straight-line code: every instruction executes at most once, plus
@@ -204,7 +199,7 @@ pub fn control_law_gas_budget(program: &Program) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{NullEnv, Vm};
+    use crate::bytecode::{NullEnv, Vm, VmError};
     use evm_plant::{lts_level_loop, LocalController};
 
     fn lts_spec() -> ControlLawSpec {
@@ -295,15 +290,27 @@ mod tests {
     fn gas_budget_suffices() {
         let spec = lts_spec();
         let program = compile_control_law(&spec);
-        let mut vm = Vm::new(control_law_gas_budget(&program));
+        let budget = control_law_gas_budget(&program);
+        let mut vm = Vm::new(budget);
         let mut env = NullEnv {
             sensor_value: 42.0,
             ..NullEnv::default()
         };
+        // Both the init run and the steady-state run fit the budget.
         vm.run(&program, &mut env).unwrap();
-        assert!(vm.gas_used() <= control_law_gas_budget(&program));
+        let first = vm.gas_used();
+        vm.run(&program, &mut env).unwrap();
+        let steady = vm.gas_used();
+        assert!(
+            first <= budget && steady <= budget,
+            "{first} / {steady} > {budget}"
+        );
         // And the budget is not absurdly loose.
-        assert!(vm.gas_used() * 3 > control_law_gas_budget(&program));
+        assert!(first * 3 > budget);
+        // One unit short of the init run's cost traps.
+        let mut starved = Vm::new(first - 1);
+        assert_eq!(starved.run(&program, &mut env), Err(VmError::OutOfGas));
+        assert_eq!(starved.gas_used(), first - 1);
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! The stack-machine interpreter — the production execution path and
-//! the semantic reference for the compiled tier.
+//! The stack-machine interpreter: the one way a capsule runs.
 //!
-//! [`Vm::run`] dispatches on [`Tier`]: `Interp` executes the stack
-//! program directly (this file), and `Compiled` runs the closure chain
-//! from [`super::compile`] (falling back to this interpreter for
-//! programs the register-IR lowering rejects). Whatever the tier,
-//! results, gas, variable snapshots and trap behavior are bit-identical
-//! to this interpreter.
+//! [`Vm::run`] executes the stack program directly, gas-metered one unit
+//! per fetched instruction, and dispatches `ext` words through the VM's
+//! runtime extension table.
 
 use std::fmt;
 
-use super::compile::{self, CompiledProgram};
 use super::isa::{Op, Program};
 
 /// Maximum data-stack depth (mirrors the 8-bit platform's tight RAM).
@@ -20,39 +15,16 @@ pub const N_VARS: usize = 32;
 /// Maximum call depth.
 const MAX_CALLS: usize = 8;
 
-/// Which execution engine a [`Vm`] uses.
+/// The execution engine a [`Vm`] uses: the interpreter is the only one.
 ///
-/// Both tiers are observationally identical (results, gas, variables,
-/// traps, environment effects); they differ only in speed. `Interp` is
-/// the default, the production path the golden digests pin.
+/// Kept as a one-variant enum only for the benchmark harness, which
+/// still passes `Scenario::tier` to [`Vm::with_tier`]; it goes away
+/// together with that call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tier {
     /// The stack interpreter in this module.
     #[default]
     Interp,
-    /// Register IR lowered to a chain of boxed closures; programs that
-    /// do not lower (e.g. `call`/`ext`) fall back to [`Tier::Interp`].
-    Compiled,
-}
-
-impl Tier {
-    /// Every tier, the interpreter first — handy for differential loops.
-    pub const ALL: [Tier; 2] = [Tier::Interp, Tier::Compiled];
-
-    /// Short lower-case label used in sweep keys and bench rows.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Tier::Interp => "interp",
-            Tier::Compiled => "compiled",
-        }
-    }
-}
-
-impl fmt::Display for Tier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Runtime faults the interpreter traps.
@@ -62,7 +34,8 @@ pub enum VmError {
     StackUnderflow,
     /// Push onto a full stack.
     StackOverflow,
-    /// Jump or fall-through outside the program.
+    /// Jump, call or fall-through outside the executing code. Only an
+    /// extension body may run off its end: that acts as `ret`.
     PcOutOfRange,
     /// Division by zero.
     DivideByZero,
@@ -163,24 +136,10 @@ impl VmEnv for NullEnv {
     }
 }
 
-/// Per-program artifacts of the compiled tier, rebuilt lazily whenever
-/// a different program is installed (capsule-install time in the
-/// runtime: the controller runs one control-law program per task).
-#[derive(Debug)]
-struct Prepared {
-    source: Program,
-    /// Cache id of the last program recognized as equal to `source` —
-    /// the O(1) hit test, updated when a content-equal program with a
-    /// different id shows up.
-    source_id: u64,
-    /// `None` when the program does not lower (it runs interpreted).
-    compiled: Option<CompiledProgram>,
-}
-
 /// The persistent virtual machine for one task: variables survive across
 /// invocations (that is where PID integrators live), and the extension
 /// dictionary can grow at runtime.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Vm {
     vars: [f64; N_VARS],
     /// The extension-word dispatch table, indexed by word: grown on the
@@ -190,29 +149,8 @@ pub struct Vm {
     extensions: Vec<Option<Program>>,
     gas_limit: u64,
     gas_used_last: u64,
-    tier: Tier,
-    prepared: Option<Prepared>,
-    /// Register file reused by the compiled tier across invocations.
-    scratch: Vec<f64>,
     /// Data stack reused by the interpreter across invocations.
     stack: Vec<f64>,
-}
-
-impl Clone for Vm {
-    fn clone(&self) -> Self {
-        // The prepared artifacts are a cache (closures are not Clone);
-        // the clone rebuilds them on its first compiled run.
-        Vm {
-            vars: self.vars,
-            extensions: self.extensions.clone(),
-            gas_limit: self.gas_limit,
-            gas_used_last: self.gas_used_last,
-            tier: self.tier,
-            prepared: None,
-            scratch: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
 }
 
 impl Vm {
@@ -223,38 +161,25 @@ impl Vm {
     /// Panics if `gas_limit` is zero.
     #[must_use]
     pub fn new(gas_limit: u64) -> Self {
-        Self::with_tier(gas_limit, Tier::Interp)
-    }
-
-    /// Creates a VM with the given gas budget and execution tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gas_limit` is zero.
-    #[must_use]
-    pub fn with_tier(gas_limit: u64, tier: Tier) -> Self {
         assert!(gas_limit > 0, "gas limit must be positive");
         Vm {
             vars: [0.0; N_VARS],
             extensions: Vec::new(),
             gas_limit,
             gas_used_last: 0,
-            tier,
-            prepared: None,
-            scratch: Vec::new(),
             stack: Vec::new(),
         }
     }
 
-    /// The execution tier this VM runs capsules on.
+    /// Same as [`Vm::new`]. Kept only for the benchmark harness, which
+    /// still passes `Scenario::tier`; it goes away with that call site.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gas_limit` is zero.
     #[must_use]
-    pub fn tier(&self) -> Tier {
-        self.tier
-    }
-
-    /// Switches the execution tier (takes effect on the next run).
-    pub fn set_tier(&mut self, tier: Tier) {
-        self.tier = tier;
+    pub fn with_tier(gas_limit: u64, _tier: Tier) -> Self {
+        Self::new(gas_limit)
     }
 
     /// Registers (or replaces) extension word `n` — the runtime ISA
@@ -311,56 +236,17 @@ impl Vm {
     /// the task-local variables (as on the real machine).
     pub fn run(&mut self, program: &Program, env: &mut dyn VmEnv) -> Result<f64, VmError> {
         let mut gas = 0u64;
-        let compiled = match self.tier {
-            Tier::Interp => None,
-            Tier::Compiled => {
-                self.prepare(program);
-                self.prepared.as_ref().and_then(|p| p.compiled.as_ref())
-            }
-        };
-        let result = match compiled {
-            Some(compiled) => compile::run(
-                compiled,
-                &mut self.scratch,
-                &mut self.vars,
-                self.gas_limit,
-                &mut gas,
-                env,
-            ),
-            None => exec(
-                program,
-                &self.extensions,
-                &mut self.vars,
-                &mut self.stack,
-                self.gas_limit,
-                &mut gas,
-                env,
-            ),
-        };
+        let result = exec(
+            program,
+            &self.extensions,
+            &mut self.vars,
+            &mut self.stack,
+            self.gas_limit,
+            &mut gas,
+            env,
+        );
         self.gas_used_last = gas;
         result
-    }
-
-    /// Rebuilds the compiled artifacts iff `program` differs from
-    /// the one prepared last. The steady-state hit is O(1): programs are
-    /// immutable and carry a construction-unique cache id, so an id
-    /// match proves content equality without walking the instruction
-    /// list. A content-equal program built separately (different id)
-    /// deep-compares once, then its id is remembered.
-    fn prepare(&mut self, program: &Program) {
-        match &mut self.prepared {
-            Some(p) if p.source_id == program.cache_id() => {}
-            Some(p) if p.source.len() == program.len() && p.source == *program => {
-                p.source_id = program.cache_id();
-            }
-            _ => {
-                self.prepared = Some(Prepared {
-                    source: program.clone(),
-                    source_id: program.cache_id(),
-                    compiled: compile::compile(program),
-                });
-            }
-        }
     }
 }
 
@@ -380,9 +266,16 @@ fn exec(
         stack.clear();
         stack.reserve(MAX_STACK);
         // The executing code (the main program or an extension word's
-        // body) and the return stack of (code, pc) pairs.
+        // body) and the return stack of (code, pc) pairs, a fixed array
+        // so that `call` and `ext` never allocate.
         let mut ops: &[Op] = program.ops();
-        let mut calls: Vec<(&[Op], usize)> = Vec::new();
+        let mut calls: [(&[Op], usize); MAX_CALLS] = [(&[], 0); MAX_CALLS];
+        let mut depth = 0usize;
+        // The call depth at which the run left the main program for an
+        // extension body; `None` while the main program executes. Code
+        // reached from an extension body is extension code, so returning
+        // to this depth is returning to the main program.
+        let mut ext_base: Option<usize> = None;
         let mut gas: u64 = 0;
         let mut pc = 0usize;
 
@@ -399,6 +292,24 @@ fn exec(
                 stack.push($v);
             }};
         }
+        macro_rules! save_frame {
+            () => {{
+                if depth >= MAX_CALLS {
+                    return Err(VmError::CallDepthExceeded);
+                }
+                calls[depth] = (ops, pc);
+                depth += 1;
+            }};
+        }
+        macro_rules! restore_frame {
+            () => {{
+                depth -= 1;
+                (ops, pc) = calls[depth];
+                if ext_base == Some(depth) {
+                    ext_base = None;
+                }
+            }};
+        }
 
         loop {
             if gas >= gas_limit {
@@ -406,10 +317,10 @@ fn exec(
                 return Err(VmError::OutOfGas);
             }
             let Some(&op) = ops.get(pc) else {
-                // Falling off an extension body behaves like ret.
-                if let Some((code, ret)) = calls.pop() {
-                    ops = code;
-                    pc = ret;
+                // Falling off an extension body behaves like ret; falling
+                // off the main program traps, at any call depth.
+                if ext_base.is_some() {
+                    restore_frame!();
                     continue;
                 }
                 *gas_out = gas;
@@ -539,22 +450,19 @@ fn exec(
                     }
                 }
                 Op::Call(addr) => {
-                    if calls.len() >= MAX_CALLS {
-                        return Err(VmError::CallDepthExceeded);
+                    if addr as usize >= ops.len() {
+                        return Err(VmError::PcOutOfRange);
                     }
-                    calls.push((ops, pc));
+                    save_frame!();
                     pc = addr as usize;
                 }
-                Op::Ret => match calls.pop() {
-                    Some((code, ret)) => {
-                        ops = code;
-                        pc = ret;
-                    }
-                    None => {
+                Op::Ret => {
+                    if depth == 0 {
                         *gas_out = gas;
                         return Ok(stack.last().copied().unwrap_or(0.0));
                     }
-                },
+                    restore_frame!();
+                }
                 Op::Halt => {
                     *gas_out = gas;
                     return Ok(stack.last().copied().unwrap_or(0.0));
@@ -575,13 +483,11 @@ fn exec(
                 Op::ReadBattery => push!(env.battery_fraction()),
                 Op::ReadRole => push!(env.role_code()),
                 Op::Ext(n) => {
-                    if calls.len() >= MAX_CALLS {
-                        return Err(VmError::CallDepthExceeded);
-                    }
+                    save_frame!();
                     let Some(Some(body)) = extensions.get(n as usize) else {
                         return Err(VmError::UnknownExtension);
                     };
-                    calls.push((ops, pc));
+                    ext_base.get_or_insert(depth - 1);
                     ops = body.ops();
                     pc = 0;
                 }
@@ -744,6 +650,16 @@ mod tests {
         );
         assert_eq!(run_ops(vec![Op::Load(200)]), Err(VmError::BadVariable));
         assert_eq!(run_ops(vec![Op::Push(1.0)]), Err(VmError::PcOutOfRange));
+        // A call outside the code, and a jump past the end inside a
+        // called subroutine, trap rather than return.
+        assert_eq!(
+            run_ops(vec![Op::Call(100), Op::Push(7.0), Op::Halt]),
+            Err(VmError::PcOutOfRange)
+        );
+        assert_eq!(
+            run_ops(vec![Op::Call(3), Op::Push(7.0), Op::Halt, Op::Jmp(5)]),
+            Err(VmError::PcOutOfRange)
+        );
         assert_eq!(
             run_ops(vec![Op::Ext(9), Op::Halt]),
             Err(VmError::UnknownExtension)
@@ -783,6 +699,12 @@ mod tests {
         vm.register_extension(255, Program::new(vec![Op::Push(2.0), Op::Add, Op::Ret]));
         let last = Program::new(vec![Op::Push(3.0), Op::Ext(255), Op::Ext(1), Op::Halt]);
         assert_eq!(vm.run(&last, &mut env), Ok(25.0));
+        // Words 0 and 254 dispatch too.
+        for n in [0, 254] {
+            vm.register_extension(n, square.clone());
+            let p = Program::new(vec![Op::Push(3.0), Op::Ext(n), Op::Halt]);
+            assert_eq!(vm.run(&p, &mut env), Ok(9.0), "word {n}");
+        }
         // Redefining replaces the behavior and hands back the old body.
         let old = vm.register_extension(1, Program::new(vec![Op::Push(0.0), Op::Add, Op::Ret]));
         assert_eq!(old, Some(square));
@@ -798,6 +720,33 @@ mod tests {
         vm.register_extension(2, Program::new(vec![Op::Push(5.0)]));
         let p = Program::new(vec![Op::Ext(2), Op::Halt]);
         assert_eq!(vm.run(&p, &mut env), Ok(5.0));
+    }
+
+    #[test]
+    fn only_an_extension_body_runs_off_its_end() {
+        let mut vm = Vm::new(1000);
+        let mut env = NullEnv::default();
+        // Inside an extension body, running off the end returns, also
+        // from a subroutine the body called.
+        vm.register_extension(4, Program::new(vec![Op::Call(2), Op::Ret, Op::Push(5.0)]));
+        let p = Program::new(vec![Op::Ext(4), Op::Push(1.0), Op::Add, Op::Halt]);
+        assert_eq!(vm.run(&p, &mut env), Ok(6.0));
+        // Back in the main program after the word returned, running off
+        // the end traps again.
+        let p = Program::new(vec![Op::Ext(4), Op::Push(1.0), Op::Add]);
+        assert_eq!(vm.run(&p, &mut env), Err(VmError::PcOutOfRange));
+        // A call target is checked against the executing code: a body
+        // that calls past its own end traps.
+        vm.register_extension(3, Program::new(vec![Op::Call(5), Op::Ret]));
+        let p = Program::new(vec![
+            Op::Ext(3),
+            Op::Nop,
+            Op::Nop,
+            Op::Nop,
+            Op::Nop,
+            Op::Halt,
+        ]);
+        assert_eq!(vm.run(&p, &mut env), Err(VmError::PcOutOfRange));
     }
 
     #[test]

@@ -100,26 +100,12 @@ pub enum Op {
 
 /// A sequence of instructions plus its byte encoding.
 ///
-/// Programs are immutable after construction and carry a
-/// construction-unique cache id, so the tiered VM can recognize "same
-/// program as last run" in O(1) instead of re-comparing the whole
-/// instruction list on every capsule invocation. Equality (and the wire
-/// encoding) ignore the id: two programs with the same instructions are
-/// equal, and clones share their original's id.
-///
 /// The instructions live behind an [`Arc`], so a clone is a reference
 /// count bump, not a copy: every replica of one control law (and its
 /// capsule) points at the same instruction list, across threads too.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     ops: Arc<[Op]>,
-    id: u64,
-}
-
-impl PartialEq for Program {
-    fn eq(&self, other: &Self) -> bool {
-        self.ops == other.ops
-    }
 }
 
 impl Default for Program {
@@ -128,27 +114,11 @@ impl Default for Program {
     }
 }
 
-/// Next [`Program::cache_id`]; 0 is never issued, so it can mean
-/// "no program cached yet".
-static NEXT_PROGRAM_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 impl Program {
     /// Creates a program from instructions.
     #[must_use]
     pub fn new(ops: Vec<Op>) -> Self {
-        let id = NEXT_PROGRAM_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Program {
-            ops: ops.into(),
-            id,
-        }
-    }
-
-    /// The construction-unique id: equal ids imply equal instructions
-    /// (programs are immutable), but equal instructions built separately
-    /// get distinct ids. A cache key, not part of program identity.
-    #[must_use]
-    pub(crate) fn cache_id(&self) -> u64 {
-        self.id
+        Program { ops: ops.into() }
     }
 
     /// The instructions.

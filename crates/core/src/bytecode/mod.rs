@@ -8,25 +8,19 @@
 //! declares its worst-case instruction count, the kernel converts that to
 //! WCET for the schedulability gate, and the interpreter enforces it.
 //!
-//! Execution is **tiered** ([`Tier`]): the stack interpreter in
-//! [`interp`] is the production path and the semantic reference;
-//! [`regir`] lowers the stack program to a register IR which [`compile`]
-//! turns into a chain of boxed closures. Both tiers are bit-identical in
-//! results, gas, variables and traps — only speed differs.
+//! There is one execution path: the stack interpreter behind
+//! [`Vm::run`].
 
 mod asm;
 mod builder;
 mod capsule;
-mod compile;
 mod interp;
 mod isa;
-mod regir;
 
 pub use asm::{assemble, disassemble, AsmError};
 pub use builder::{
     compile_control_law, control_law_gas_budget, integrator_of, ControlLawSpec, VAR_INTEGRATOR,
 };
 pub use capsule::{Capability, Capsule, CapsuleId};
-pub use compile::{compiles, ModbusBatchEnv, ModbusCachedEnv};
 pub use interp::{NullEnv, Tier, Vm, VmEnv, VmError, MAX_STACK, N_VARS};
 pub use isa::{Op, Program};

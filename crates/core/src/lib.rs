@@ -48,7 +48,7 @@ pub mod transfers;
 
 pub use arbitration::{select_master, Candidate};
 pub use attest::{attest_capsule, AttestationKey, AttestationReport};
-pub use bytecode::{Capsule, ControlLawSpec, Op, Program, Tier, Vm, VmEnv, VmError};
+pub use bytecode::{Capsule, ControlLawSpec, Op, Program, Vm, VmEnv, VmError};
 pub use component::{MemberInfo, VirtualComponent};
 pub use error::EvmError;
 pub use health::{DeviationDetector, FaultEvidence, HeartbeatMonitor};

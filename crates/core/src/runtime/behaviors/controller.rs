@@ -4,7 +4,7 @@ use evm_netsim::NodeId;
 use evm_rtos::Kernel;
 use evm_sim::{SimDuration, SimRng, SimTime, Trace};
 
-use crate::bytecode::{Program, Tier, Vm, VmEnv, VmError};
+use crate::bytecode::{Program, Vm, VmEnv, VmError};
 use crate::health::{DeviationDetector, HeartbeatMonitor};
 use crate::roles::ControllerMode;
 use crate::runtime::behavior::{NodeBehavior, NodeCtx, Timer};
@@ -25,8 +25,6 @@ pub struct ReplicaParams {
     pub period: SimDuration,
     /// The VC's initial primary (who every replica watches at start).
     pub primary: NodeId,
-    /// Execution tier for the replica's VM.
-    pub tier: Tier,
 }
 
 /// The state of one replica of the focus control capsule: VM, kernel,
@@ -103,7 +101,7 @@ impl ControllerCore {
             id,
             vc,
             mode,
-            vm: Vm::with_tier(gas, params.tier),
+            vm: Vm::new(gas),
             program: program.clone(),
             kernel,
             has_task,

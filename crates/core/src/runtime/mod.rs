@@ -38,7 +38,6 @@ mod setup;
 pub mod topo;
 mod xfer;
 
-pub use crate::bytecode::Tier;
 pub use behavior::{Effect, NodeBehavior, NodeCtx, Timer};
 pub use driver::Engine;
 pub use messages::Message;

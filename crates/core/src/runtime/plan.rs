@@ -2,9 +2,8 @@
 //!
 //! An RT-Link cycle is a static program per epoch: which slot carries
 //! which flow, who transmits, who listens, and at what cost never change
-//! between epoch commits. [`CyclePlan`] applies the same
-//! compile-don't-interpret move the compiled capsule tier applies to
-//! bytecode one layer down: at setup and at every epoch commit the
+//! between epoch commits. [`CyclePlan`] compiles instead of
+//! interpreting: at setup and at every epoch commit the
 //! schedule and its flow semantics are lowered into flat records with
 //! every slot-invariant term pre-resolved (dense indices, distances,
 //! channel budgets, the cycle-start hook list, bound plant tags), plus a

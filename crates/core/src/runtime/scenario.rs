@@ -96,9 +96,10 @@ pub struct Scenario {
     /// forwarders and re-elects a crashed head mid-run (the epoch-based
     /// reconfiguration plane).
     pub reroute: ReroutePolicy,
-    /// Execution tier every controller VM runs capsules on. `Interp`
-    /// (the default) is the production path the golden digests pin;
-    /// `Compiled` is bit-identical by contract.
+    /// Always [`Tier::Interp`]: no engine path reads it. Kept only for
+    /// the benchmark harness, which passes it to
+    /// [`Vm::with_tier`](crate::bytecode::Vm::with_tier); it goes away
+    /// with that call site.
     pub tier: Tier,
     /// Scripted reconfiguration requests: at each instant the engine
     /// recomputes the epoch (with whatever down set it has, possibly
@@ -608,13 +609,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn reroute(mut self, policy: ReroutePolicy) -> Self {
         self.inner.reroute = policy;
-        self
-    }
-
-    /// Sets the VM execution tier ([`Scenario::tier`]).
-    #[must_use]
-    pub fn tier(mut self, tier: Tier) -> Self {
-        self.inner.tier = tier;
         self
     }
 

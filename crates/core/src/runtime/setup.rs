@@ -202,8 +202,7 @@ impl Engine {
         // --- Per-VC plans: capsule, task params, registers -------------
         // Identical laws (fleet deployments host clones of the standard
         // loops) compile, budget and checksum once: each VC clones its
-        // law's capsule, whose `Program` shares one instruction list
-        // and cache id, so downstream prepared-artifact caches also hit.
+        // law's capsule, whose `Program` shares one instruction list.
         // The capsule carries the capabilities a computing replica needs,
         // version 1 at boot.
         let mut law_cache: Vec<(ControlLawSpec, Capsule)> = Vec::new();
@@ -253,7 +252,6 @@ impl Engine {
                         hb_timeout: scenario.rtlink.cycle_duration() * scenario.heartbeat_cycles,
                         period: SimDuration::from_secs_f64(spec.period_s),
                         primary: vcs.vc(vc).primary(),
-                        tier: scenario.tier,
                     },
                     primary: vcs.vc(vc).primary(),
                     act_register,

@@ -1,6 +1,6 @@
 //! Zero-alloc contract for the fleet hot loop.
 //!
-//! Once an engine is warmed — every capsule prepared on its tier, every
+//! Once an engine is warmed — every interpreter stack grown, every
 //! series/queue reservation made at setup, the cycle plan compiled —
 //! the steady-state slot loop must not touch the heap at all: no
 //! per-slot clones, no label `String`s, no dispatch scratch growth, no
@@ -9,11 +9,15 @@
 //! more seconds of simulated time and asserts that **zero** allocations
 //! and **zero** deallocations happened in the window.
 //!
-//! Covered windows: the default interpreter tier, the compiled tier, and
-//! a run with a live capsule migration in flight — multi-listener folded
+//! Covered engine windows: a fault-free star, and a run with a live
+//! capsule migration in flight — multi-listener folded
 //! broadcasts with a `CapsuleChunk` crossing the window every cycle (the
 //! image is padded so the stop-and-wait shipment spans the whole
 //! measured window; its start and completion both land outside it).
+//!
+//! A VM window pins that a warmed [`Vm`] running a program with `call`
+//! and a registered `ext` word allocates nothing: the return stack is a
+//! fixed array, not a per-run buffer.
 //!
 //! Two more windows pin what a fleet pays per replica at rest: a fresh
 //! [`Vm`] allocates nothing (its extension table is grown only on the
@@ -28,8 +32,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use evm_core::bytecode::NullEnv;
 use evm_core::runtime::{Engine, ReroutePolicy, Scenario, ScenarioBuilder};
-use evm_core::{Op, Program, Tier, Vm};
+use evm_core::{Op, Program, Vm};
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
 
@@ -63,12 +68,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A fault-free single-VC star on `tier`: the steady state is pure slot
-/// traffic — samples, capsule runs, actuations, keepalives — with no
-/// failover or reconfiguration churn.
-fn scenario(tier: Tier) -> Scenario {
+/// A fault-free single-VC star: the steady state is pure slot traffic —
+/// samples, capsule runs, actuations, keepalives — with no failover or
+/// reconfiguration churn.
+fn scenario() -> Scenario {
     ScenarioBuilder::star()
-        .tier(tier)
         .duration(SimDuration::from_secs(30))
         .build()
 }
@@ -92,7 +96,7 @@ fn migration_scenario() -> Scenario {
 
 fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
     let mut engine = Engine::new(s);
-    // Warm: ~40 RT-Link cycles — every capsule prepared and cached,
+    // Warm: ~40 RT-Link cycles — every capsule run at least once,
     // every lazily-grown structure at its steady footprint.
     engine.run_until(SimTime::from_secs(10));
 
@@ -120,8 +124,7 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn warmed_hot_loop_never_touches_the_heap() {
-    assert_zero_alloc_steady_state("interp", scenario(Tier::Interp));
-    assert_zero_alloc_steady_state("compiled", scenario(Tier::Compiled));
+    assert_zero_alloc_steady_state("star", scenario());
     let migration = migration_scenario();
     {
         // The shipment must actually span the window, or the chunk leg
@@ -140,6 +143,27 @@ fn warmed_hot_loop_never_touches_the_heap() {
         );
     }
     assert_zero_alloc_steady_state("migration-in-flight", migration);
+
+    // main: push 3; call square; ext 7 (add 1); halt   square: dup mul ret
+    let mut vm = Vm::new(64);
+    vm.register_extension(7, Program::new(vec![Op::Push(1.0), Op::Add, Op::Ret]));
+    let program = Program::new(vec![
+        Op::Push(3.0),
+        Op::Call(4),
+        Op::Ext(7),
+        Op::Halt,
+        Op::Dup,
+        Op::Mul,
+        Op::Ret,
+    ]);
+    let mut env = NullEnv::default();
+    assert_eq!(vm.run(&program, &mut env), Ok(10.0), "warm-up run");
+    let (allocs, ()) = allocs_during(|| {
+        for _ in 0..10 {
+            assert_eq!(vm.run(&program, &mut env), Ok(10.0));
+        }
+    });
+    assert_eq!(allocs, 0, "warmed call/ext runs must not allocate");
 
     let (allocs, vm) = allocs_during(|| Vm::new(64));
     assert_eq!(allocs, 0, "a fresh VM must not allocate");

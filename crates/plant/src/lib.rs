@@ -42,7 +42,7 @@ pub use control::{
 };
 pub use faults::ActuatorFault;
 pub use gasplant::{BoundTag, GasPlant, PlantConfig};
-pub use modbus::{read_bound, write_bound, BoundRegister, ModbusError, RegisterMap};
+pub use modbus::{ModbusError, RegisterMap};
 pub use pid::{PidController, PidParams, SecondOrderFilter};
 pub use stream::Stream;
 pub use thermo::{flash, Component, Composition, FlashResult, N_COMPONENTS};

@@ -43,25 +43,6 @@ struct RegisterEntry {
     writable: bool,
 }
 
-/// A register binding resolved once against a [`RegisterMap`]: the
-/// address, scaling and backing tag are captured so steady-state access
-/// skips the per-call map lookup entirely. This is what a real gateway
-/// does when it assembles a cyclic poll list — resolve the addresses at
-/// configuration time, then run pure register transactions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundRegister {
-    /// The bound register address.
-    pub addr: u16,
-    /// Engineering value = raw × scale + offset.
-    pub scale: f64,
-    /// Engineering offset.
-    pub offset: f64,
-    /// `true` for holding (writable) registers.
-    pub writable: bool,
-    /// The plant tag behind the register.
-    pub tag: String,
-}
-
 /// The 16-bit register word carrying engineering value `v`: rounded,
 /// clamped into the u16 range, NaN mapped to 0 by the cast. Every read
 /// and write goes through this one quantizer.
@@ -74,39 +55,6 @@ fn to_raw(v: f64, scale: f64, offset: f64) -> u16 {
 /// Engineering value `v` as it arrives after a trip through the wire.
 fn quantize(v: f64, scale: f64, offset: f64) -> f64 {
     f64::from(to_raw(v, scale, offset)) * scale + offset
-}
-
-/// Reads a bound register in engineering units, quantized through the
-/// 16-bit wire exactly like [`RegisterMap::read_scaled`].
-///
-/// # Errors
-///
-/// [`ModbusError::TagMissing`] if the plant no longer has the tag.
-pub fn read_bound(plant: &dyn Plant, reg: &BoundRegister) -> Result<f64, ModbusError> {
-    let v = plant
-        .read_tag(&reg.tag)
-        .ok_or_else(|| ModbusError::TagMissing(reg.tag.clone()))?;
-    Ok(quantize(v, reg.scale, reg.offset))
-}
-
-/// Writes a bound holding register in engineering units, quantized
-/// through the wire exactly like [`RegisterMap::write_scaled`].
-///
-/// # Errors
-///
-/// [`ModbusError::ReadOnly`] for an input binding, or
-/// [`ModbusError::TagMissing`] if the plant rejects the tag.
-pub fn write_bound(
-    plant: &mut dyn Plant,
-    reg: &BoundRegister,
-    value: f64,
-) -> Result<(), ModbusError> {
-    if !reg.writable {
-        return Err(ModbusError::ReadOnly(reg.addr));
-    }
-    plant
-        .write_tag(&reg.tag, quantize(value, reg.scale, reg.offset))
-        .map_err(|_| ModbusError::TagMissing(reg.tag.clone()))
 }
 
 /// A ModBus register map over a [`Plant`]'s tags.
@@ -184,19 +132,6 @@ impl RegisterMap {
             .iter()
             .find(|(_, e)| e.writable && e.tag == tag)
             .map(|(&addr, _)| addr)
-    }
-
-    /// Resolves a register address into a [`BoundRegister`] carrying its
-    /// scaling and backing tag, for lookup-free steady-state access.
-    #[must_use]
-    pub fn bind(&self, addr: u16) -> Option<BoundRegister> {
-        self.regs.get(&addr).map(|e| BoundRegister {
-            addr,
-            scale: e.scale,
-            offset: e.offset,
-            writable: e.writable,
-            tag: e.tag.clone(),
-        })
     }
 
     /// Reads a register: fetches the tag, applies scaling, clamps into the
@@ -335,48 +270,20 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bound_register_matches_scaled_paths() {
-        let mut plant = GasPlant::default();
-        let m = RegisterMap::gas_plant_standard();
-        let pv = m.bind(30001).expect("input bound");
-        assert_eq!(pv.tag, "LTS.LiquidPct");
-        assert!(!pv.writable);
-        assert_eq!(
-            read_bound(&plant, &pv).unwrap(),
-            m.read_scaled(&plant, 30001).unwrap()
-        );
-        let cmd = m.bind(40002).expect("holding bound");
-        assert!(cmd.writable);
-        write_bound(&mut plant, &cmd, 75.004).unwrap();
-        let via_map = m.read_scaled(&plant, 30012);
-        assert!(via_map.is_ok(), "write landed through the bound register");
-        assert_eq!(
-            write_bound(&mut plant, &pv, 1.0).unwrap_err(),
-            ModbusError::ReadOnly(30001)
-        );
-        assert_eq!(m.bind(12345), None);
-    }
-
     /// A NaN command (a capsule can compute one: only divide-by-zero
-    /// traps) quantizes to register word 0 on both write paths, like a
-    /// read of NaN does, instead of reaching the plant as NaN.
+    /// traps) quantizes to register word 0, like a read of NaN does,
+    /// instead of reaching the plant as NaN.
     #[test]
     fn nan_writes_quantize_to_a_finite_word() {
         let m = RegisterMap::gas_plant_standard();
-        let cmd = m.bind(40002).expect("holding bound");
-        let mut via_bound = GasPlant::default();
-        let mut via_map = GasPlant::default();
-        write_bound(&mut via_bound, &cmd, f64::NAN).unwrap();
-        m.write_scaled(&mut via_map, 40002, f64::NAN).unwrap();
+        let mut plant = GasPlant::default();
+        m.write_scaled(&mut plant, 40002, f64::NAN).unwrap();
         use crate::Plant;
-        for p in [&mut via_bound, &mut via_map] {
-            for _ in 0..50 {
-                p.step(0.1);
-            }
-            let opening = p.read_tag("LTSLiqValve.OpeningPct").unwrap();
-            assert!(opening.is_finite() && opening < 11.48, "opening {opening}");
+        for _ in 0..50 {
+            plant.step(0.1);
         }
+        let opening = plant.read_tag("LTSLiqValve.OpeningPct").unwrap();
+        assert!(opening.is_finite() && opening < 11.48, "opening {opening}");
         assert_eq!(to_raw(f64::NAN, 0.01, 0.0), 0);
         assert_eq!(to_raw(f64::INFINITY, 0.01, 0.0), u16::MAX);
         assert_eq!(to_raw(f64::NEG_INFINITY, 0.01, 0.0), 0);

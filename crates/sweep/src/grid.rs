@@ -5,9 +5,9 @@
 //! backups — comes from the template) and takes the cartesian product of
 //! its axes and the seed replicates. The axes cover the layout family, the
 //! VC count, star role counts, extra link loss, detection parameters, the
-//! reroute policy, the VM tier, the capsule size and the transfer-slot
-//! budget. [`SweepGrid::expand`] materializes one [`SweepCell`] per point,
-//! each with a seed derived purely from the base seed and the cell index
+//! reroute policy, the capsule size and the transfer-slot budget.
+//! [`SweepGrid::expand`] materializes one [`SweepCell`] per point, each
+//! with a seed derived purely from the base seed and the cell index
 //! ([`derive_seed`]) — never from shared mutable state — so the work-list
 //! is identical no matter who expands it, and results are reproducible no
 //! matter which thread runs which cell.
@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use evm_core::runtime::{
-    check_setup, Layout, ReroutePolicy, Role, Scenario, Tier, TopologyShape, TopologySpec, MAX_VCS,
+    check_setup, Layout, ReroutePolicy, Role, Scenario, TopologyShape, TopologySpec, MAX_VCS,
 };
 use evm_sim::derive_seed;
 
@@ -105,8 +105,6 @@ pub struct CellConfig {
     pub detect_consecutive: u32,
     /// Runtime re-routing policy of the cell.
     pub reroute: ReroutePolicy,
-    /// VM execution tier every controller replica runs capsules on.
-    pub tier: Tier,
     /// Synthetic padding (bytes) appended to the migrated capsule image —
     /// the Fig. 6(b) image-size axis.
     pub capsule_pad: usize,
@@ -133,7 +131,6 @@ impl CellConfig {
             detect_threshold: scenario.detect_threshold,
             detect_consecutive: scenario.detect_consecutive,
             reroute: scenario.reroute,
-            tier: scenario.tier,
             capsule_pad: scenario.capsule_pad_bytes,
             transfer_slots: scenario.transfer_slots,
             rep,
@@ -161,7 +158,6 @@ impl CellConfig {
         let suffixes = [
             (self.topo != Layout::Star).then(|| self.topo.label()),
             (self.reroute != ReroutePolicy::Static).then(|| self.reroute.label().to_string()),
-            (self.tier != Tier::Interp).then(|| self.tier.label().to_string()),
             (self.capsule_pad != 0).then(|| format!("cap{}", self.capsule_pad)),
             (self.transfer_slots != 0).then(|| format!("xfer{}", self.transfer_slots)),
         ];
@@ -351,16 +347,6 @@ impl SweepGrid {
     #[must_use]
     pub fn over_reroute(self, policies: &[ReroutePolicy]) -> Self {
         self.axis("reroute", policies, |d, p| d.scenario.reroute = p)
-    }
-
-    /// Sweeps the VM execution tier (interp / compiled) — the
-    /// tiered-execution axis: the same scenario runs on the interpreter
-    /// and the compiled tier side by side. Every metric must agree
-    /// across tier rows (the tiers are bit-identical by contract); only
-    /// wall-clock differs.
-    #[must_use]
-    pub fn over_tier(self, tiers: &[Tier]) -> Self {
-        self.axis("tier", tiers, |d, t| d.scenario.tier = t)
     }
 
     /// Sweeps the synthetic padding appended to the migrated capsule
@@ -687,7 +673,7 @@ mod tests {
     fn every_axis_sets_its_knob_and_keys_its_cells() {
         type Row = (&'static str, SweepGrid, fn(&Scenario) -> bool, &'static str);
         let base = || SweepGrid::new(short_template()).seeds_per_cell(2);
-        let rows: [Row; 9] = [
+        let rows: [Row; 8] = [
             (
                 "vcs",
                 base().over_vcs(&[1, 2]),
@@ -728,12 +714,6 @@ mod tests {
                 base().over_reroute(&[ReroutePolicy::Static, ReroutePolicy::Heartbeat]),
                 |s| s.reroute == ReroutePolicy::Heartbeat,
                 "s2c2a1hv1|loss0|det5x3|heartbeat",
-            ),
-            (
-                "tier",
-                base().over_tier(&[Tier::Interp, Tier::Compiled]),
-                |s| s.tier == Tier::Compiled,
-                "s2c2a1hv1|loss0|det5x3|compiled",
             ),
             (
                 "capsule_size",

@@ -8,7 +8,7 @@
 //!
 //! * [`grid`] — the [`SweepGrid`] DSL: axes over `ScenarioBuilder` knobs
 //!   (layout, VC count, star role counts, extra loss, detection
-//!   parameters, reroute policy, VM tier, capsule size, transfer slots)
+//!   parameters, reroute policy, capsule size, transfer slots)
 //!   times seed replicates, expanded into a work-list of
 //!   [`SweepCell`]s with stable per-cell seeds
 //!   ([`evm_sim::derive_seed`]),

@@ -9,12 +9,12 @@
 //! untouched. A behavior change that moves one is a re-pin, and a re-pin
 //! must be a deliberate, reviewed diff of this file.
 //!
-//! The sweep goldens pin the grid layer the same way: eight short grids
+//! The sweep goldens pin the grid layer the same way: seven short grids
 //! that together use every `SweepGrid` axis, each reduced to a digest of
 //! its expanded cells (id, seed, key and run digest) and a digest of the
 //! six rendered report views.
 
-use evm::core::runtime::{Engine, Layout, ReroutePolicy, Role, Scenario, ScenarioBuilder, Tier};
+use evm::core::runtime::{Engine, Layout, ReroutePolicy, Role, Scenario, ScenarioBuilder};
 use evm::core::{MigrationRecord, NodeEnergy, RunMeta, RunResult, VcRunStats};
 use evm::netsim::{NodeCrash, NodeId};
 use evm::plant::ActuatorFault;
@@ -516,21 +516,6 @@ fn sweep_template_digest() {
         &SweepGolden {
             cells: 0x6539_6072_33c0_5250,
             report: 0xf1a7_11f5_89a2_78c5,
-        },
-    );
-}
-
-/// Every VM execution tier.
-#[test]
-fn sweep_tier_digest() {
-    check_sweep(
-        "tier",
-        &SweepGrid::new(smoke_template())
-            .over_tier(&Tier::ALL)
-            .seeds_per_cell(2),
-        &SweepGolden {
-            cells: 0xc3c9_bffd_d2f3_3b2f,
-            report: 0xd7e9_fbc9_8a8d_c15d,
         },
     );
 }
