@@ -34,13 +34,10 @@ use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
 use crate::runtime::behavior::{Effect, NodeBehavior, NodeCtx, Timer};
 use crate::runtime::behaviors::RelayCore;
 use crate::runtime::plan::CyclePlan;
-use crate::runtime::reconfig::ReconfigState;
+use crate::runtime::reconfig::{ReconfigState, SlotFlow};
 use crate::runtime::registry::NodeRegistry;
 use crate::runtime::topo::{FlowKind, RoleMap, VcId, VcMap};
 use crate::runtime::{Message, Scenario};
-
-/// Sentinel in [`Engine::node_index`] for raw ids outside the topology.
-pub(super) const NO_NODE: u32 = u32::MAX;
 
 /// Driver events. The fault plane (`super::failover`) schedules the
 /// arbitration/migration ones.
@@ -103,9 +100,10 @@ pub struct Engine {
     pub(super) vcs: VcMap,
     pub(super) rtlink: RtLink,
     pub(super) schedule: SlotSchedule,
-    /// `(slot, owner) → flow semantic` for every scheduled flow (the
-    /// cold, inspectable copy; the hot loop reads [`Engine::plan`]).
-    pub(super) flow_kinds: HashMap<(usize, NodeId), FlowKind>,
+    /// The flow semantic of every scheduled transmission, sorted by
+    /// `(slot, owner)` (the cold, inspectable copy; the hot loop reads
+    /// [`Engine::plan`]).
+    pub(super) flow_kinds: Vec<SlotFlow>,
     /// Store-and-forward state per forwarding node ([`FlowKind::Relay`]
     /// slots transmit from here, not from the node's behavior), indexed
     /// like [`Engine::meters`].
@@ -128,11 +126,9 @@ pub struct Engine {
     /// Radio energy meters, one per topology node, in topology order.
     pub(super) meters: Vec<EnergyMeter>,
     /// Topology node ids in topology order — the dense index space
-    /// shared by [`Engine::meters`], [`Engine::relay_cores`] and
-    /// [`Engine::labels`].
+    /// ([`Topology::index_of`]) shared by [`Engine::meters`],
+    /// [`Engine::relay_cores`] and [`Engine::labels`].
     pub(super) node_ids: Vec<NodeId>,
-    /// Raw id → dense index ([`NO_NODE`] for ids outside the topology).
-    pub(super) node_index: Vec<u32>,
     /// Interned node labels, by dense index — `NodeCtx.label` borrows
     /// from here instead of allocating per dispatch.
     pub(super) labels: Vec<String>,
@@ -228,29 +224,20 @@ impl Engine {
         self.forwarders.clone()
     }
 
-    /// The lowest slot in which `owner` serves `kind`, if scheduled.
+    /// The lowest slot in which `owner` serves `kind`, if scheduled: the
+    /// first match in the slot-ordered flow table.
     #[must_use]
     pub fn slot_serving(&self, owner: NodeId, kind: FlowKind) -> Option<usize> {
         self.flow_kinds
             .iter()
-            .filter(|&(&(_, o), k)| o == owner && *k == kind)
-            .map(|(&(slot, _), _)| slot)
-            .min()
-    }
-
-    /// Dense index of `id` in the topology tables, if deployed.
-    #[inline]
-    pub(super) fn dense_ix(&self, id: NodeId) -> Option<usize> {
-        match self.node_index.get(id.raw() as usize) {
-            Some(&ix) if ix != NO_NODE => Some(ix as usize),
-            _ => None,
-        }
+            .find(|f| f.owner == owner && f.kind == kind)
+            .map(|f| f.slot)
     }
 
     /// The radio energy meter of `id`, if deployed.
     #[inline]
     pub(super) fn meter(&self, id: NodeId) -> Option<&EnergyMeter> {
-        self.dense_ix(id).map(|ix| &self.meters[ix])
+        self.topology.index_of(id).map(|ix| &self.meters[ix])
     }
 
     /// Runs the scenario to completion and returns the results.
@@ -418,7 +405,7 @@ impl Engine {
     }
 
     pub(super) fn label_of(&self, id: NodeId) -> String {
-        match self.dense_ix(id) {
+        match self.topology.index_of(id) {
             Some(ix) => self.labels[ix].clone(),
             None => id.to_string(),
         }
@@ -440,10 +427,10 @@ impl Engine {
                 return None;
             }
             Some(node) => {
-                let label: &str = match self.node_index.get(id.raw() as usize) {
-                    Some(&ix) if ix != NO_NODE => &self.labels[ix as usize],
-                    _ => "?",
-                };
+                let label = self
+                    .topology
+                    .index_of(id)
+                    .map_or("?", |ix| &self.labels[ix]);
                 let mut ctx = NodeCtx {
                     now: self.now,
                     id,
@@ -503,7 +490,7 @@ impl Engine {
                 // frames for its scheduled forwarding slots, *and* still
                 // consumes the frame itself (a controller lending a hop
                 // also hears the PV it forwards).
-                if let Some(ix) = self.dense_ix(to) {
+                if let Some(ix) = self.topology.index_of(to) {
                     if let Some(core) = self.relay_cores[ix].as_mut() {
                         core.offer(from, &msg);
                     }

@@ -41,7 +41,7 @@ mod xfer;
 pub use behavior::{Effect, NodeBehavior, NodeCtx, Timer};
 pub use driver::Engine;
 pub use messages::Message;
-pub use reconfig::{Epoch, ReconfigError, Reconfigurator, ReroutePolicy};
+pub use reconfig::{Epoch, ReconfigError, Reconfigurator, ReroutePolicy, SlotFlow};
 pub use scenario::Layout;
 pub use scenario::{Scenario, ScenarioBuilder, TopologyShape};
 pub use setup::{check_setup, CheckedSetup};

@@ -35,7 +35,7 @@
 //! before — no keepalives, no ledger, no epochs — so all pre-existing
 //! flow, schedule and plant-trace goldens stay byte-identical.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::mem;
 
 use evm_mac::rtlink::{Flow, RtLinkConfig, ScheduleError, SlotSchedule};
@@ -73,6 +73,27 @@ impl ReroutePolicy {
     }
 }
 
+/// The flow semantic one scheduled transmission serves: `owner`
+/// transmits `kind` in `slot`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotFlow {
+    /// The slot within the cycle.
+    pub slot: usize,
+    /// The transmitting node.
+    pub owner: NodeId,
+    /// What the transmission carries.
+    pub kind: FlowKind,
+}
+
+/// The kind `owner` serves in `slot`, looked up by binary search in a
+/// table sorted by `(slot, owner)` (see [`Epoch::flow_kinds`]).
+pub(super) fn kind_at(flows: &[SlotFlow], slot: usize, owner: NodeId) -> Option<FlowKind> {
+    flows
+        .binary_search_by_key(&(slot, owner), |f| (f.slot, f.owner))
+        .ok()
+        .map(|i| flows[i].kind)
+}
+
 /// One configuration epoch: everything the driver swaps when the network
 /// is re-programmed mid-run. Produced by [`Reconfigurator::compute`];
 /// epoch 0 is the setup-time configuration.
@@ -82,8 +103,10 @@ pub struct Epoch {
     pub seq: u64,
     /// The recomputed slot timetable.
     pub schedule: SlotSchedule,
-    /// `(slot, owner) → flow semantic` for every scheduled flow.
-    pub flow_kinds: HashMap<(usize, NodeId), FlowKind>,
+    /// The flow semantic of every scheduled transmission, sorted by
+    /// `(slot, owner)`; no pair appears twice (an owner transmits at most
+    /// once per slot).
+    pub flow_kinds: Vec<SlotFlow>,
     /// Forwarding jobs per node, in emission order.
     pub jobs: BTreeMap<NodeId, Vec<RelayJob>>,
 }
@@ -124,7 +147,7 @@ impl Reconfigurator {
     /// The `down` view is derived from the already-sampled connectivity
     /// graph ([`Topology::without_nodes`]), so recomputation never draws
     /// from the channel's RNG stream — a reconfigured run stays exactly
-    /// reproducible.
+    /// reproducible. With nothing down, `topology` itself is the view.
     ///
     /// With `transfer_slots > 0`, every VC whose (surviving) primary
     /// controller has at least one surviving peer additionally gets that
@@ -147,21 +170,31 @@ impl Reconfigurator {
         serial_schedule: bool,
         transfer_slots: usize,
     ) -> Result<Epoch, ReconfigError> {
-        let view = topology.without_nodes(down);
+        let cut;
+        let view = if down.is_empty() {
+            topology
+        } else {
+            cut = topology.without_nodes(down);
+            &cut
+        };
         let logical = prune_down_flows(synth_flows(vcs), down);
-        let routed = route_flows(&view, &logical).map_err(ReconfigError::Unroutable)?;
+        let routed = route_flows(view, &logical).map_err(ReconfigError::Unroutable)?;
         let flows: Vec<_> = routed.flows.iter().map(|(f, _)| f.clone()).collect();
         let (mut schedule, placed) = if serial_schedule {
             SlotSchedule::place_flows_serial(rtlink, &flows)
         } else {
-            SlotSchedule::place_flows(rtlink, &view, &flows)
+            SlotSchedule::place_flows(rtlink, view, &flows)
         }
         .map_err(ReconfigError::Unschedulable)?;
-        let mut flow_kinds: HashMap<(usize, NodeId), FlowKind> = routed
+        let mut flow_kinds: Vec<SlotFlow> = routed
             .flows
             .iter()
             .zip(&placed)
-            .map(|((flow, kind), &slot)| ((slot, flow.src), *kind))
+            .map(|((flow, kind), &slot)| SlotFlow {
+                slot,
+                owner: flow.src,
+                kind: *kind,
+            })
             .collect();
         if transfer_slots > 0 {
             for vc in 0..vcs.n_vcs() as VcId {
@@ -189,11 +222,18 @@ impl Reconfigurator {
                 let reserved = schedule
                     .reserve_transfer_slots(src, &listeners, transfer_slots)
                     .map_err(ReconfigError::Unschedulable)?;
-                for slot in reserved {
-                    flow_kinds.insert((slot, src), FlowKind::Transfer { vc });
-                }
+                flow_kinds.extend(reserved.into_iter().map(|slot| SlotFlow {
+                    slot,
+                    owner: src,
+                    kind: FlowKind::Transfer { vc },
+                }));
             }
         }
+        // Placement rules out a second flow of one owner in one slot.
+        flow_kinds.sort_unstable_by_key(|f| (f.slot, f.owner));
+        debug_assert!(flow_kinds
+            .windows(2)
+            .all(|w| (w[0].slot, w[0].owner) < (w[1].slot, w[1].owner)));
         Ok(Epoch {
             seq,
             schedule: schedule.with_epoch(seq),
@@ -482,7 +522,10 @@ impl Engine {
         let mut forwarders: Vec<NodeId> = Vec::with_capacity(epoch.jobs.len());
         for (id, jobs) in epoch.jobs {
             let mut core = RelayCore::new(jobs);
-            let ix = self.dense_ix(id).expect("forwarder is a topology node");
+            let ix = self
+                .topology
+                .index_of(id)
+                .expect("forwarder is a topology node");
             if let Some(old) = self.relay_cores[ix].as_mut() {
                 core.migrate_from(old);
             }
@@ -585,21 +628,21 @@ mod tests {
         let epoch =
             Reconfigurator::compute(1, &topology, &[primary], &vcs, &cfg, false, 0).unwrap();
         assert_eq!(epoch.schedule.epoch(), 1);
-        for (&(_, owner), kind) in &epoch.flow_kinds {
-            assert_ne!(owner, primary, "dead node still owns a slot: {kind:?}");
+        for f in &epoch.flow_kinds {
+            assert_ne!(f.owner, primary, "dead node still owns a slot: {f:?}");
         }
         // The PV publish survives, retargeted at the first backup.
         let publish_slots = epoch
             .flow_kinds
-            .values()
-            .filter(|k| matches!(k, FlowKind::SensorPublish { vc: 0, tag: 0 }))
+            .iter()
+            .filter(|f| matches!(f.kind, FlowKind::SensorPublish { vc: 0, tag: 0 }))
             .count();
         assert_eq!(publish_slots, 1, "PV publish retargeted, not dropped");
         // One ControlPublish (the backup's) remains of the original two.
         let outputs = epoch
             .flow_kinds
-            .values()
-            .filter(|k| matches!(k, FlowKind::ControlPublish { vc: 0 }))
+            .iter()
+            .filter(|f| matches!(f.kind, FlowKind::ControlPublish { vc: 0 }))
             .count();
         assert_eq!(outputs, 1);
     }
@@ -617,24 +660,61 @@ mod tests {
         let transfers: Vec<_> = with_lane
             .flow_kinds
             .iter()
-            .filter(|(_, k)| matches!(k, FlowKind::Transfer { .. }))
+            .filter(|f| matches!(f.kind, FlowKind::Transfer { .. }))
             .collect();
         assert_eq!(transfers.len(), 2 * vcs.n_vcs(), "2 slots per VC");
         let pipeline_end = plain.schedule.max_slot().unwrap();
         let primary = vcs.vc(0).primary();
-        for (&(slot, owner), _) in &transfers {
-            assert!(slot > pipeline_end, "transfer lane follows the pipeline");
-            assert_eq!(owner, primary, "primary owns the lane (single VC)");
-            let asg = &with_lane.schedule.in_slot(slot)[0];
+        for f in &transfers {
+            assert!(f.slot > pipeline_end, "transfer lane follows the pipeline");
+            assert_eq!(f.owner, primary, "primary owns the lane (single VC)");
+            let asg = &with_lane.schedule.in_slot(f.slot)[0];
             assert!(
                 asg.listeners.contains(&vcs.vc(0).head.unwrap()),
                 "head listens on the transfer lane"
             );
         }
-        // The control pipeline itself is untouched by the reservation.
+        // The control pipeline itself is untouched by the reservation:
+        // the lane only appends after it.
         assert_eq!(plain.flow_kinds.len() + 2, with_lane.flow_kinds.len());
-        for (key, kind) in &plain.flow_kinds {
-            assert_eq!(with_lane.flow_kinds.get(key), Some(kind));
+        assert_eq!(
+            plain.flow_kinds[..],
+            with_lane.flow_kinds[..plain.flow_kinds.len()]
+        );
+    }
+
+    /// The flow table is sorted by `(slot, owner)` and names exactly the
+    /// schedule's assignments, so `kind_at` finds every one of them and
+    /// nothing else.
+    #[test]
+    fn flow_table_is_sorted_and_mirrors_the_schedule() {
+        let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
+        let spec = TopologySpec::multi_star(3, 2, 2, 1, true, 15.0);
+        let (topology, vcs) = spec.resolve(&mut ch);
+        let cfg = evm_mac::RtLinkConfig {
+            slots_per_cycle: 64,
+            ..evm_mac::RtLinkConfig::default()
+        };
+        for serial in [false, true] {
+            let epoch = Reconfigurator::compute(0, &topology, &[], &vcs, &cfg, serial, 1).unwrap();
+            let table = &epoch.flow_kinds;
+            assert!(table
+                .windows(2)
+                .all(|w| (w[0].slot, w[0].owner) < (w[1].slot, w[1].owner)));
+            let mut assigned = 0;
+            for slot in 0..cfg.slots_per_cycle {
+                for a in epoch.schedule.in_slot(slot) {
+                    let kind = kind_at(table, slot, a.owner).expect("every assignment has a kind");
+                    assert!(table.contains(&SlotFlow {
+                        slot,
+                        owner: a.owner,
+                        kind
+                    }));
+                    assigned += 1;
+                }
+                assert_eq!(kind_at(table, slot, NodeId(999)), None);
+            }
+            assert_eq!(assigned, table.len());
         }
     }
 

@@ -2,13 +2,11 @@
 //! schedule, and instantiate one behavior per role — per Virtual
 //! Component.
 //!
-//! Construction is fleet-aware: role lookups go through a node→duty
-//! index built once (instead of per-node scans over every VC), identical
+//! Construction is fleet-aware: role lookups go through a dense node→duty
+//! table built once (instead of per-node scans over every VC), identical
 //! control laws compile once and are shared, and the hot-loop state the
 //! driver reads every slot (meters, relay cores, labels, slot occupancy)
 //! is laid out in dense topology-indexed tables.
-
-use std::collections::HashMap;
 
 use evm_mac::rtlink::RtLink;
 use evm_netsim::{Channel, EnergyMeter, NodeId, RadioPowerModel, Topology};
@@ -26,7 +24,7 @@ use crate::runtime::behaviors::{
     ActuationGate, ActuatorNode, ControllerCore, ControllerNode, GatewayNode, HeadNode, RelayCore,
     RelayNode, ReplicaParams, SensorNode,
 };
-use crate::runtime::driver::{Engine, Ev, NO_NODE};
+use crate::runtime::driver::{Engine, Ev};
 use crate::runtime::plan::CyclePlan;
 use crate::runtime::reconfig::{Epoch, ReconfigError, ReconfigState, Reconfigurator};
 use crate::runtime::registry::NodeRegistry;
@@ -60,6 +58,23 @@ enum Duty {
     Actuator(VcId),
 }
 
+/// The timing knobs that must be positive, by field path: each divides a
+/// duration or paces a recurring event, so zero would panic mid-setup or
+/// mid-run.
+fn zero_timing_knob(scenario: &Scenario) -> Option<&'static str> {
+    [
+        ("plant_dt", scenario.plant_dt.is_zero()),
+        ("sample_every", scenario.sample_every.is_zero()),
+        (
+            "rtlink.slot_duration",
+            scenario.rtlink.slot_duration.is_zero(),
+        ),
+        ("heartbeat_cycles", scenario.heartbeat_cycles == 0),
+    ]
+    .into_iter()
+    .find_map(|(knob, zero)| zero.then_some(knob))
+}
+
 /// The first stage of engine setup, checked: the resolved deployment and
 /// its epoch-0 configuration. [`Engine::try_new`] builds the engine from
 /// it; batch runners call [`check_setup`] alone to reject a scenario
@@ -72,20 +87,23 @@ pub struct CheckedSetup {
     epoch0: Epoch,
 }
 
-/// Runs the first stage of engine setup: resolves the topology spec,
-/// checks the hosting manifest and the scripted primary crashes against
-/// it, and computes epoch 0 (routes, slot schedule, transfer lane) with
-/// [`Reconfigurator::compute`]. Draws exactly the channel randomness
-/// engine construction draws, so the check sees the links the engine
-/// will.
+/// Runs the first stage of engine setup: checks the timing knobs,
+/// resolves the topology spec, checks the hosting manifest and the
+/// scripted primary crashes against it, and computes epoch 0 (routes,
+/// slot schedule, transfer lane) with [`Reconfigurator::compute`]. Draws
+/// exactly the channel randomness engine construction draws, so the
+/// check sees the links the engine will.
 ///
 /// # Errors
 ///
-/// [`TopologyError`] for a malformed spec, a manifest whose loop count
-/// differs from the topology's VC count, a crash on an unhosted VC, an
-/// unroutable flow, or flows (or transfer lane) that do not fit the
-/// RT-Link cycle.
+/// [`TopologyError`] for a zero timing knob, a malformed spec, a
+/// manifest whose loop count differs from the topology's VC count, a
+/// crash on an unhosted VC, an unroutable flow, or flows (or transfer
+/// lane) that do not fit the RT-Link cycle.
 pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
+    if let Some(knob) = zero_timing_knob(scenario) {
+        return Err(TopologyError::ZeroTiming(knob));
+    }
     let mut rng = SimRng::seed_from(scenario.seed);
     let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
     let (topology, vcs) = scenario.topology.try_resolve(&mut channel)?;
@@ -142,7 +160,8 @@ impl Engine {
         match Engine::try_new(scenario) {
             Ok(engine) => engine,
             Err(
-                e @ (TopologyError::ManifestMismatch { .. }
+                e @ (TopologyError::ZeroTiming(_)
+                | TopologyError::ManifestMismatch { .. }
                 | TopologyError::CrashOnUnhostedVc { .. }
                 | TopologyError::Unroutable(_)
                 | TopologyError::Unschedulable(_)),
@@ -176,15 +195,11 @@ impl Engine {
 
         // --- Dense node tables (the driver's hot-loop index space) -----
         let node_ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
-        let max_raw = node_ids
-            .iter()
-            .map(|id| id.raw() as usize)
-            .max()
-            .unwrap_or(0);
-        let mut node_index = vec![NO_NODE; max_raw + 1];
-        for (ix, id) in node_ids.iter().enumerate() {
-            node_index[id.raw() as usize] = u32::try_from(ix).expect("node count fits u32");
-        }
+        let dense_ix = |id: NodeId| {
+            topology
+                .index_of(id)
+                .expect("VC members and forwarders are deployed")
+        };
         let labels: Vec<String> = topology.nodes().iter().map(|n| n.label.clone()).collect();
 
         let schedule = epoch0.schedule;
@@ -192,8 +207,7 @@ impl Engine {
         let mut relay_cores: Vec<Option<RelayCore>> = (0..node_ids.len()).map(|_| None).collect();
         let mut forwarders: Vec<NodeId> = Vec::with_capacity(epoch0.jobs.len());
         for (id, jobs) in epoch0.jobs {
-            let ix = node_index[id.raw() as usize] as usize;
-            relay_cores[ix] = Some(RelayCore::new(jobs));
+            relay_cores[dense_ix(id)] = Some(RelayCore::new(jobs));
             forwarders.push(id);
         }
 
@@ -271,26 +285,29 @@ impl Engine {
             .map(LocalController::new)
             .collect();
 
-        // --- Node → duty index (roles are disjoint across VCs) ---------
-        let mut duty: HashMap<NodeId, Duty> = HashMap::new();
+        // --- Dense node → duty table (roles are disjoint across VCs) ---
+        let mut duty: Vec<Option<Duty>> = vec![None; node_ids.len()];
+        let mut set_duty = |id: NodeId, d: Duty| {
+            duty[dense_ix(id)] = Some(d);
+        };
         for r in &vcs.vcs {
             if let Some(h) = r.head {
-                duty.insert(h, Duty::Head(r.vc));
+                set_duty(h, Duty::Head(r.vc));
             }
             for (tag, &s) in r.sensors.iter().enumerate() {
-                duty.insert(
+                set_duty(
                     s,
                     Duty::Sensor(r.vc, u8::try_from(tag).expect("tag fits u8")),
                 );
             }
             for &c in &r.controllers {
-                duty.insert(c, Duty::Controller(r.vc));
+                set_duty(c, Duty::Controller(r.vc));
             }
             for &a in &r.actuators {
-                duty.insert(a, Duty::Actuator(r.vc));
+                set_duty(a, Duty::Actuator(r.vc));
             }
             for &rl in &r.relays {
-                duty.insert(rl, Duty::Relay);
+                set_duty(rl, Duty::Relay);
             }
         }
 
@@ -301,7 +318,7 @@ impl Engine {
             ControllerMode::Dormant
         };
         let mut registry = NodeRegistry::new();
-        for info in topology.nodes() {
+        for (info, &node_duty) in topology.nodes().iter().zip(&duty) {
             let id = info.id;
             let behavior: Box<dyn NodeBehavior> = if id == vcs.gateway {
                 // One gate per VC without an actuator node: the gateway is
@@ -322,7 +339,7 @@ impl Engine {
                     gates,
                 ))
             } else {
-                match duty.get(&id).copied() {
+                match node_duty {
                     // A head always runs a monitor replica of its VC's
                     // law: it observes the data plane and can detect
                     // output deviations itself, which is what makes
@@ -379,7 +396,7 @@ impl Engine {
             .iter()
             .map(|roles| VirtualComponent::new(plans[roles.vc as usize].loop_name.clone()))
             .collect();
-        for n in topology.nodes() {
+        for (n, &node_duty) in topology.nodes().iter().zip(&duty) {
             if n.id == vcs.gateway {
                 for record in &mut components {
                     record.add_member(MemberInfo {
@@ -391,7 +408,7 @@ impl Engine {
                 }
                 continue;
             }
-            let Some(&d) = duty.get(&n.id) else { continue };
+            let Some(d) = node_duty else { continue };
             let (vc, mode) = match d {
                 Duty::Controller(vc) => {
                     let mode = if n.id == vcs.vc(vc).primary() {
@@ -493,7 +510,6 @@ impl Engine {
             err_series,
             meters,
             node_ids,
-            node_index,
             labels,
             plan: CyclePlan::default(),
             plan_prev: CyclePlan::default(),

@@ -781,8 +781,8 @@ impl TopologySpec {
 
 /// A scenario whose deployment cannot be set up: a malformed
 /// [`TopologySpec`], a hosting manifest or crash script that does not fit
-/// it, or flows that cannot be routed or scheduled. Reported per cell
-/// instead of aborting a whole sweep.
+/// it, flows that cannot be routed or scheduled, or a zero timing knob.
+/// Reported per cell instead of aborting a whole sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
     /// No gateway node in the spec.
@@ -829,6 +829,10 @@ pub enum TopologyError {
     /// The routed flows (or the transfer lane after them) do not fit the
     /// RT-Link cycle.
     Unschedulable(ScheduleError),
+    /// A timing knob that paces the run is zero; names the scenario
+    /// field (`plant_dt`, `sample_every`, `rtlink.slot_duration` or
+    /// `heartbeat_cycles`).
+    ZeroTiming(&'static str),
 }
 
 impl std::fmt::Display for TopologyError {
@@ -868,6 +872,7 @@ impl std::fmt::Display for TopologyError {
             ),
             TopologyError::Unroutable(e) => write!(f, "topology flows must route: {e}"),
             TopologyError::Unschedulable(e) => write!(f, "topology flows must schedule: {e}"),
+            TopologyError::ZeroTiming(knob) => write!(f, "timing knob `{knob}` must be positive"),
         }
     }
 }

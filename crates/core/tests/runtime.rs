@@ -57,7 +57,7 @@ fn schedule_is_pipeline_ordered() {
 
 /// With two transfer slots per VC the primary serves the same
 /// `Transfer` flow in two slots. `slot_serving` must name the lowest of
-/// them on every engine, whatever order its flow map iterates in.
+/// them, which the slot-ordered flow table lists first.
 #[test]
 fn slot_serving_returns_the_lowest_matching_slot() {
     let scenario = ScenarioBuilder::star().transfer_slots(2).build();
@@ -77,16 +77,44 @@ fn slot_serving_returns_the_lowest_matching_slot() {
     let reserved: Vec<usize> = epoch
         .flow_kinds
         .iter()
-        .filter(|&(&(_, owner), &k)| owner == primary && k == kind)
-        .map(|(&(slot, _), _)| slot)
+        .filter(|f| f.owner == primary && f.kind == kind)
+        .map(|f| f.slot)
         .collect();
     assert_eq!(reserved.len(), 2, "two transfer slots reserved");
     let lowest = reserved.iter().copied().min();
-    // Each engine's flow map is a fresh `HashMap` with its own random
-    // iteration order.
-    for _ in 0..8 {
-        let e = Engine::new(scenario.clone());
-        assert_eq!(e.slot_serving(primary, kind), lowest);
+    assert_eq!(probe.slot_serving(primary, kind), lowest);
+    assert_ne!(lowest, reserved.iter().copied().max());
+}
+
+/// A zero timing knob is a typed setup error naming the knob, caught
+/// before setup divides by it (`sample_every`), a timeout is built from
+/// it (`rtlink.slot_duration`, `heartbeat_cycles`) or the first plant
+/// step runs with it (`plant_dt`).
+#[test]
+fn zero_timing_knobs_are_typed_setup_errors() {
+    for knob in [
+        "sample_every",
+        "rtlink.slot_duration",
+        "heartbeat_cycles",
+        "plant_dt",
+    ] {
+        let mut scenario = Scenario::fig5();
+        match knob {
+            "sample_every" => scenario.sample_every = SimDuration::ZERO,
+            "rtlink.slot_duration" => scenario.rtlink.slot_duration = SimDuration::ZERO,
+            "heartbeat_cycles" => scenario.heartbeat_cycles = 0,
+            _ => scenario.plant_dt = SimDuration::ZERO,
+        }
+        match Engine::try_new(scenario) {
+            Ok(_) => panic!("`{knob}` = 0 was accepted"),
+            Err(e) => {
+                assert_eq!(e, TopologyError::ZeroTiming(knob));
+                assert_eq!(
+                    e.to_string(),
+                    format!("timing knob `{knob}` must be positive")
+                );
+            }
+        }
     }
 }
 

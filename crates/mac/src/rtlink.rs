@@ -12,8 +12,6 @@
 //! chain completes within a single cycle — the property behind the paper's
 //! objective 5 (control cycle ≤ 250 ms, latency ≤ 1/3 cycle).
 
-use std::collections::HashMap;
-
 use evm_netsim::{NodeId, Topology};
 use evm_sim::{SimDuration, SimTime};
 
@@ -156,9 +154,12 @@ impl std::error::Error for ScheduleError {}
 /// A full cycle's slot assignments.
 #[derive(Debug, Clone, Default)]
 pub struct SlotSchedule {
-    /// Assignments per slot index; several assignments may share a slot
-    /// under spatial reuse.
-    slots: HashMap<usize, Vec<SlotAssignment>>,
+    /// Assignments per slot index, in assignment order; several
+    /// assignments may share a slot under spatial reuse. Grown to the
+    /// highest assigned slot, not to `slots_per_cycle`: a fleet cycle is
+    /// far longer than the stretch its schedule occupies. The last row is
+    /// therefore never empty.
+    slots: Vec<Vec<SlotAssignment>>,
     slots_per_cycle: usize,
     /// Configuration epoch this schedule belongs to. Epoch 0 is the
     /// setup-time schedule; a runtime reconfiguration installs a
@@ -174,7 +175,7 @@ impl SlotSchedule {
     #[must_use]
     pub fn new(slots_per_cycle: usize) -> Self {
         SlotSchedule {
-            slots: HashMap::new(),
+            slots: Vec::new(),
             slots_per_cycle,
             epoch: 0,
         }
@@ -211,16 +212,16 @@ impl SlotSchedule {
             "slot {} out of range",
             assignment.slot
         );
-        self.slots
-            .entry(assignment.slot)
-            .or_default()
-            .push(assignment);
+        if assignment.slot >= self.slots.len() {
+            self.slots.resize_with(assignment.slot + 1, Vec::new);
+        }
+        self.slots[assignment.slot].push(assignment);
     }
 
-    /// All assignments in a slot.
+    /// All assignments in a slot (empty past the highest assigned slot).
     #[must_use]
     pub fn in_slot(&self, slot: usize) -> &[SlotAssignment] {
-        self.slots.get(&slot).map(Vec::as_slice).unwrap_or(&[])
+        self.slots.get(slot).map_or(&[], Vec::as_slice)
     }
 
     /// The highest slot index carrying an assignment — i.e. how much of
@@ -229,7 +230,7 @@ impl SlotSchedule {
     /// length when more Virtual Components share one cycle.
     #[must_use]
     pub fn max_slot(&self) -> Option<usize> {
-        self.slots.keys().copied().max()
+        self.slots.len().checked_sub(1)
     }
 
     /// Appends `n` dedicated transfer slots immediately after the last
@@ -268,30 +269,26 @@ impl SlotSchedule {
         Ok(reserved)
     }
 
-    /// The slots in which `node` transmits.
+    /// The slots in which `node` transmits, ascending.
     #[must_use]
     pub fn owned_slots(&self, node: NodeId) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .slots
-            .iter()
-            .filter(|(_, asgs)| asgs.iter().any(|a| a.owner == node))
-            .map(|(&s, _)| s)
-            .collect();
-        v.sort_unstable();
-        v
+        self.slots_where(|a| a.owner == node)
     }
 
-    /// The slots in which `node` listens.
+    /// The slots in which `node` listens, ascending.
     #[must_use]
     pub fn listened_slots(&self, node: NodeId) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .slots
+        self.slots_where(|a| a.listeners.contains(&node))
+    }
+
+    /// The slots holding an assignment that satisfies `pred`, ascending.
+    fn slots_where(&self, pred: impl Fn(&SlotAssignment) -> bool) -> Vec<usize> {
+        self.slots
             .iter()
-            .filter(|(_, asgs)| asgs.iter().any(|a| a.listeners.contains(&node)))
-            .map(|(&s, _)| s)
-            .collect();
-        v.sort_unstable();
-        v
+            .enumerate()
+            .filter(|(_, asgs)| asgs.iter().any(&pred))
+            .map(|(s, _)| s)
+            .collect()
     }
 
     /// The role of `node` in `slot`, if any.
@@ -413,7 +410,7 @@ impl SlotSchedule {
     /// Verifies the 2-hop interference-freedom invariant for every slot.
     #[must_use]
     pub fn is_interference_free(&self, topology: &Topology) -> bool {
-        self.slots.values().all(|asgs| {
+        self.slots.iter().all(|asgs| {
             asgs.iter().enumerate().all(|(i, a)| {
                 asgs[i + 1..]
                     .iter()
@@ -951,5 +948,51 @@ mod tests {
             owner: NodeId(1),
             listeners: vec![],
         });
+    }
+
+    /// The slot table grows to the highest assigned slot only: reads past
+    /// it (and past the cycle) are empty, slot lists come out ascending
+    /// whatever the assignment order, and a transfer reservation appends
+    /// after the grown end.
+    #[test]
+    fn slot_table_grows_to_the_highest_assigned_slot() {
+        let empty = SlotSchedule::default();
+        assert_eq!(empty.slots_per_cycle(), 0);
+        assert_eq!(empty.epoch(), 0);
+        assert_eq!(empty.max_slot(), None);
+        assert!(empty.in_slot(0).is_empty() && empty.in_slot(7).is_empty());
+        assert!(empty.owned_slots(NodeId(1)).is_empty());
+        assert_eq!(SlotSchedule::new(40).max_slot(), None);
+
+        let mut sched = SlotSchedule::new(40);
+        for (slot, owner, listener) in [(9, 1, 2), (3, 2, 1), (6, 1, 3), (3, 4, 5), (1, 3, 1)] {
+            sched.assign(SlotAssignment {
+                slot,
+                owner: NodeId(owner),
+                listeners: vec![NodeId(listener)],
+            });
+        }
+        assert_eq!(sched.max_slot(), Some(9));
+        assert_eq!(sched.slots.len(), 10, "grown to the highest slot only");
+        for past in [10, 39, 40, 1_000] {
+            assert!(sched.in_slot(past).is_empty(), "slot {past}");
+            assert_eq!(sched.role_in(NodeId(1), past), None);
+        }
+        assert!(sched.in_slot(2).is_empty(), "a gap below the top is empty");
+        let owners: Vec<NodeId> = sched.in_slot(3).iter().map(|a| a.owner).collect();
+        assert_eq!(owners, vec![NodeId(2), NodeId(4)], "assignment order");
+        assert_eq!(sched.owned_slots(NodeId(1)), vec![6, 9]);
+        assert_eq!(sched.listened_slots(NodeId(1)), vec![1, 3]);
+        assert_eq!(sched.owned_slots(NodeId(9)), Vec::<usize>::new());
+        assert!((sched.duty_cycle_of(NodeId(1)) - 4.0 / 39.0).abs() < 1e-12);
+
+        let reserved = sched
+            .reserve_transfer_slots(NodeId(5), &[NodeId(1)], 2)
+            .unwrap();
+        assert_eq!(reserved, vec![10, 11]);
+        assert_eq!(sched.max_slot(), Some(11));
+        assert_eq!(sched.owned_slots(NodeId(5)), vec![10, 11]);
+        assert_eq!(sched.listened_slots(NodeId(1)), vec![1, 3, 10, 11]);
+        assert!(sched.in_slot(12).is_empty());
     }
 }

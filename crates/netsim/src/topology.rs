@@ -4,18 +4,55 @@
 //! questions against a [`Channel`]: who hears whom, hop distances and
 //! 2-hop interference sets (which the RT-Link slot scheduler needs).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use crate::channel::Channel;
 use crate::node::{NodeId, NodeInfo, NodeKind, Position};
 
+/// Marks a raw id with no deployed node in [`Topology`]'s id table, and
+/// an undiscovered node in its BFS parent table.
+const ABSENT: u32 = u32::MAX;
+
 /// A static deployment of nodes plus its derived connectivity graph.
+///
+/// Node ids are small integers, so every per-node table is dense: `by_id`
+/// maps a raw id straight to the node's index in `nodes`, and neighbor
+/// lists sit parallel to `nodes`. Nothing is hashed.
 #[derive(Debug)]
 pub struct Topology {
     nodes: Vec<NodeInfo>,
-    by_id: HashMap<NodeId, usize>,
-    /// Adjacency: bidirectional usable links.
-    neighbors: HashMap<NodeId, Vec<NodeId>>,
+    /// Raw id → index into `nodes` ([`ABSENT`] for ids not deployed),
+    /// grown to the highest deployed id.
+    by_id: Vec<u32>,
+    /// Adjacency (bidirectional usable links), parallel to `nodes`:
+    /// sorted and deduplicated.
+    neighbors: Vec<Vec<NodeId>>,
+}
+
+/// The raw id → node index table of `nodes`.
+///
+/// # Panics
+///
+/// Panics if two nodes share a [`NodeId`].
+fn index_ids(nodes: &[NodeInfo]) -> Vec<u32> {
+    let len = nodes.iter().map(|n| n.id.index() + 1).max();
+    let mut by_id = vec![ABSENT; len.unwrap_or(0)];
+    for (i, n) in nodes.iter().enumerate() {
+        let slot = &mut by_id[n.id.index()];
+        assert!(*slot == ABSENT, "duplicate node id {}", n.id);
+        *slot = u32::try_from(i).expect("node count fits u32");
+    }
+    by_id
+}
+
+/// Sorts and deduplicates every neighbor list. Dedup is defensive: a
+/// duplicate edge would double-count a neighbor in BFS expansions and
+/// interference sets.
+fn normalize(neighbors: &mut [Vec<NodeId>]) {
+    for v in neighbors {
+        v.sort_unstable();
+        v.dedup();
+    }
 }
 
 impl Topology {
@@ -28,18 +65,13 @@ impl Topology {
     /// Panics if two nodes share a [`NodeId`].
     #[must_use]
     pub fn derive(nodes: Vec<NodeInfo>, channel: &mut Channel) -> Self {
-        let mut by_id = HashMap::new();
-        for (i, n) in nodes.iter().enumerate() {
-            let prev = by_id.insert(n.id, i);
-            assert!(prev.is_none(), "duplicate node id {}", n.id);
-        }
-        let mut neighbors: HashMap<NodeId, Vec<NodeId>> =
-            nodes.iter().map(|n| (n.id, Vec::new())).collect();
+        let by_id = index_ids(&nodes);
+        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
         // Unshadowed links are reciprocal and draw nothing, so the reverse
         // query would only repeat the forward answer.
         let reciprocal = !channel.is_shadowed();
-        for a in &nodes {
-            for b in &nodes {
+        for (i, a) in nodes.iter().enumerate() {
+            for (j, b) in nodes.iter().enumerate() {
                 if a.id >= b.id {
                     continue;
                 }
@@ -47,17 +79,12 @@ impl Topology {
                 if channel.is_connected((a.id, b.id), d)
                     && (reciprocal || channel.is_connected((b.id, a.id), d))
                 {
-                    neighbors.get_mut(&a.id).expect("known id").push(b.id);
-                    neighbors.get_mut(&b.id).expect("known id").push(a.id);
+                    neighbors[i].push(b.id);
+                    neighbors[j].push(a.id);
                 }
             }
         }
-        for v in neighbors.values_mut() {
-            v.sort_unstable();
-            // Defensive: a duplicate edge would double-count a neighbor in
-            // BFS expansions and interference sets.
-            v.dedup();
-        }
+        normalize(&mut neighbors);
         Topology {
             nodes,
             by_id,
@@ -78,29 +105,22 @@ impl Topology {
     /// unknown id.
     #[must_use]
     pub fn with_links(nodes: Vec<NodeInfo>, links: &[(NodeId, NodeId)]) -> Self {
-        let mut by_id = HashMap::new();
-        for (i, n) in nodes.iter().enumerate() {
-            let prev = by_id.insert(n.id, i);
-            assert!(prev.is_none(), "duplicate node id {}", n.id);
-        }
-        let mut neighbors: HashMap<NodeId, Vec<NodeId>> =
-            nodes.iter().map(|n| (n.id, Vec::new())).collect();
-        for &(a, b) in links {
-            assert!(by_id.contains_key(&a), "link references unknown id {a}");
-            assert!(by_id.contains_key(&b), "link references unknown id {b}");
-            assert!(a != b, "self-link on id {a}");
-            neighbors.get_mut(&a).expect("known id").push(b);
-            neighbors.get_mut(&b).expect("known id").push(a);
-        }
-        for v in neighbors.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        Topology {
+        let mut topology = Topology {
+            by_id: index_ids(&nodes),
+            neighbors: vec![Vec::new(); nodes.len()],
             nodes,
-            by_id,
-            neighbors,
+        };
+        for &(a, b) in links {
+            let [ia, ib] = [a, b].map(|id| {
+                let ix = topology.index_of(id);
+                ix.unwrap_or_else(|| panic!("link references unknown id {id}"))
+            });
+            assert!(a != b, "self-link on id {a}");
+            topology.neighbors[ia].push(b);
+            topology.neighbors[ib].push(a);
         }
+        normalize(&mut topology.neighbors);
+        topology
     }
 
     /// Builds the paper's Fig. 5 testbed shape: a gateway at the origin and
@@ -145,10 +165,21 @@ impl Topology {
         self.nodes.is_empty()
     }
 
+    /// Index of `id` in [`Topology::nodes`], if deployed: the dense
+    /// index space per-node tables can share.
+    #[inline]
+    #[must_use]
+    pub fn index_of(&self, id: NodeId) -> Option<usize> {
+        match self.by_id.get(id.index()) {
+            Some(&i) if i != ABSENT => Some(i as usize),
+            _ => None,
+        }
+    }
+
     /// Looks up a node by id.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&NodeInfo> {
-        self.by_id.get(&id).map(|&i| &self.nodes[i])
+        self.index_of(id).map(|i| &self.nodes[i])
     }
 
     /// Distance between two deployed nodes, meters.
@@ -166,7 +197,8 @@ impl Topology {
     /// Direct neighbors of `id` (usable bidirectional links).
     #[must_use]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        self.neighbors.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.index_of(id)
+            .map_or(&[], |i| self.neighbors[i].as_slice())
     }
 
     /// `true` if `a` and `b` share a usable link. Binary search: every
@@ -194,34 +226,35 @@ impl Topology {
     /// traces) depend on this.
     #[must_use]
     pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        if self.node(from).is_none() || self.node(to).is_none() {
-            return None;
-        }
-        if from == to {
+        let (src, dst) = (self.index_of(from)?, self.index_of(to)?);
+        if src == dst {
             return Some(vec![from]);
         }
-        let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut seen: HashSet<NodeId> = HashSet::from([from]);
-        let mut queue = VecDeque::from([from]);
+        // Parent node index per node index; the source is its own parent,
+        // so `ABSENT` alone marks the undiscovered.
+        let mut parent = vec![ABSENT; self.nodes.len()];
+        parent[src] = src as u32;
+        let mut queue = VecDeque::from([src]);
         'bfs: while let Some(cur) = queue.pop_front() {
-            for &nb in self.neighbors(cur) {
-                if seen.insert(nb) {
-                    parent.insert(nb, cur);
-                    if nb == to {
+            for &nb in &self.neighbors[cur] {
+                let i = self.index_of(nb).expect("neighbors are deployed");
+                if parent[i] == ABSENT {
+                    parent[i] = cur as u32;
+                    if i == dst {
                         break 'bfs;
                     }
-                    queue.push_back(nb);
+                    queue.push_back(i);
                 }
             }
         }
-        if !parent.contains_key(&to) {
+        if parent[dst] == ABSENT {
             return None;
         }
         let mut path = vec![to];
-        let mut cur = to;
-        while let Some(&p) = parent.get(&cur) {
-            path.push(p);
-            cur = p;
+        let mut cur = dst;
+        while cur != src {
+            cur = parent[cur] as usize;
+            path.push(self.nodes[cur].id);
         }
         path.reverse();
         Some(path)
@@ -230,21 +263,24 @@ impl Topology {
     /// `true` if every node can reach every other node.
     #[must_use]
     pub fn is_fully_connected(&self) -> bool {
-        match self.nodes.first() {
-            None => true,
-            Some(first) => {
-                let mut seen: HashSet<NodeId> = HashSet::from([first.id]);
-                let mut queue = VecDeque::from([first.id]);
-                while let Some(cur) = queue.pop_front() {
-                    for &nb in self.neighbors(cur) {
-                        if seen.insert(nb) {
-                            queue.push_back(nb);
-                        }
-                    }
+        if self.nodes.is_empty() {
+            return true;
+        }
+        let mut seen = vec![false; self.nodes.len()];
+        seen[0] = true;
+        let mut reached = 1;
+        let mut queue = VecDeque::from([0]);
+        while let Some(cur) = queue.pop_front() {
+            for &nb in &self.neighbors[cur] {
+                let i = self.index_of(nb).expect("neighbors are deployed");
+                if !seen[i] {
+                    seen[i] = true;
+                    reached += 1;
+                    queue.push_back(i);
                 }
-                seen.len() == self.nodes.len()
             }
         }
+        reached == self.nodes.len()
     }
 
     /// The set of nodes within two hops of `id` (excluding `id` itself):
@@ -281,28 +317,19 @@ impl Topology {
     /// channel's RNG stream (runtime re-routing depends on this).
     #[must_use]
     pub fn without_nodes(&self, dead: &[NodeId]) -> Topology {
-        let nodes: Vec<NodeInfo> = self
+        let (nodes, neighbors): (Vec<NodeInfo>, Vec<Vec<NodeId>>) = self
             .nodes
             .iter()
-            .filter(|n| !dead.contains(&n.id))
-            .cloned()
-            .collect();
-        let by_id = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
-        let neighbors = nodes
-            .iter()
-            .map(|n| {
-                let nbs: Vec<NodeId> = self
-                    .neighbors(n.id)
-                    .iter()
-                    .copied()
-                    .filter(|nb| !dead.contains(nb))
-                    .collect();
-                (n.id, nbs)
+            .zip(&self.neighbors)
+            .filter(|(n, _)| !dead.contains(&n.id))
+            .map(|(n, nbs)| {
+                let nbs = nbs.iter().copied().filter(|nb| !dead.contains(nb));
+                (n.clone(), nbs.collect())
             })
-            .collect();
+            .unzip();
         Topology {
+            by_id: index_ids(&nodes),
             nodes,
-            by_id,
             neighbors,
         }
     }
@@ -313,6 +340,7 @@ mod tests {
     use super::*;
     use crate::channel::{Channel, ChannelConfig};
     use evm_sim::SimRng;
+    use std::collections::HashMap;
 
     fn channel() -> Channel {
         Channel::new(ChannelConfig::default(), SimRng::seed_from(1))
@@ -620,5 +648,191 @@ mod tests {
         );
         assert_eq!(topo.of_kind(NodeKind::Relay), vec![NodeId(4)]);
         assert_eq!(NodeKind::Relay.to_string(), "relay");
+    }
+
+    /// The reference neighbor list of `id`: a scan of an explicit link
+    /// list, sorted and deduplicated.
+    fn scan_neighbors(links: &[(NodeId, NodeId)], id: NodeId) -> Vec<NodeId> {
+        let mut v: Vec<NodeId> = links
+            .iter()
+            .filter_map(|&(a, b)| match () {
+                () if a == id => Some(b),
+                () if b == id => Some(a),
+                () => None,
+            })
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// The reference shortest path: a full BFS over `links` that keeps
+    /// its discovered nodes in a scanned list. Parents are first
+    /// discoverers over sorted neighbor lists, the documented tie-break.
+    fn scan_path(
+        nodes: &[NodeInfo],
+        links: &[(NodeId, NodeId)],
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        let deployed = |id: NodeId| nodes.iter().any(|n| n.id == id);
+        if !deployed(from) || !deployed(to) {
+            return None;
+        }
+        let mut parent: Vec<(NodeId, NodeId)> = vec![(from, from)];
+        let mut queue = VecDeque::from([from]);
+        while let Some(cur) = queue.pop_front() {
+            for nb in scan_neighbors(links, cur) {
+                if !parent.iter().any(|&(n, _)| n == nb) {
+                    parent.push((nb, cur));
+                    queue.push_back(nb);
+                }
+            }
+        }
+        let mut path = vec![to];
+        while *path.last().unwrap() != from {
+            let cur = *path.last().unwrap();
+            path.push(parent.iter().find(|&&(n, _)| n == cur)?.1);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Compares every id-keyed query of `topo` with a scan of `nodes` and
+    /// `links`, over the deployed ids plus absent ones (gaps, 0, one past
+    /// the highest id, `u16::MAX`), then does the same for a random
+    /// `without_nodes` cut (`depth` levels deep).
+    fn check_against_scan(
+        topo: &Topology,
+        nodes: &[NodeInfo],
+        links: &[(NodeId, NodeId)],
+        rng: &mut SimRng,
+        depth: usize,
+    ) {
+        let mut probes: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
+        for n in nodes {
+            probes.push(NodeId(n.id.0.wrapping_add(1)));
+            probes.push(NodeId(n.id.0.wrapping_sub(1)));
+        }
+        probes.extend([NodeId(0), NodeId(u16::MAX)]);
+        probes.sort_unstable();
+        probes.dedup();
+        assert_eq!(topo.len(), nodes.len());
+        let ids: Vec<NodeId> = topo.nodes().iter().map(|n| n.id).collect();
+        let want: Vec<NodeId> = nodes.iter().map(|n| n.id).collect();
+        assert_eq!(ids, want, "node order");
+        for &a in &probes {
+            let info = nodes.iter().find(|n| n.id == a);
+            assert_eq!(topo.node(a).map(|n| &n.label), info.map(|n| &n.label));
+            let nbs = if info.is_some() {
+                scan_neighbors(links, a)
+            } else {
+                Vec::new()
+            };
+            assert_eq!(topo.neighbors(a), nbs.as_slice(), "neighbors of {a}");
+            for &b in &probes {
+                assert_eq!(topo.are_neighbors(a, b), nbs.contains(&b), "{a}-{b}");
+                let path = scan_path(nodes, links, a, b);
+                assert_eq!(topo.hops(a, b), path.as_ref().map(|p| p.len() - 1));
+                assert_eq!(topo.shortest_path(a, b), path, "path {a} -> {b}");
+            }
+        }
+        let connected = nodes
+            .iter()
+            .all(|n| scan_path(nodes, links, nodes[0].id, n.id).is_some());
+        assert_eq!(topo.is_fully_connected(), connected);
+        if depth == 0 {
+            return;
+        }
+        let mut dead: Vec<NodeId> = nodes
+            .iter()
+            .filter(|_| rng.chance(0.3))
+            .map(|n| n.id)
+            .collect();
+        dead.push(NodeId(u16::MAX - 1)); // never deployed: ignored
+        let alive: Vec<NodeInfo> = nodes
+            .iter()
+            .filter(|n| !dead.contains(&n.id))
+            .cloned()
+            .collect();
+        let kept: Vec<(NodeId, NodeId)> = links
+            .iter()
+            .copied()
+            .filter(|(a, b)| !dead.contains(a) && !dead.contains(b))
+            .collect();
+        if !alive.is_empty() {
+            let cut = topo.without_nodes(&dead);
+            check_against_scan(&cut, &alive, &kept, rng, depth - 1);
+        }
+    }
+
+    /// The dense id and adjacency tables answer exactly what a scan of
+    /// the node and link lists answers, on random deployments with
+    /// non-contiguous ids (one near `u16::MAX`), built both from the
+    /// channel and from explicit links.
+    #[test]
+    fn dense_tables_match_a_scan_of_the_node_list() {
+        let mut rng = SimRng::seed_from(0x7AB1E);
+        for _ in 0..40 {
+            let n = 2 + rng.index(11);
+            let mut raw: Vec<u16> = Vec::new();
+            while raw.len() < n - 1 {
+                let id = u16::try_from(1 + rng.index(300) * 3).unwrap();
+                if !raw.contains(&id) {
+                    raw.push(id);
+                }
+            }
+            raw.push(u16::MAX - u16::try_from(rng.index(4)).unwrap());
+            rng.shuffle(&mut raw);
+            let nodes: Vec<NodeInfo> = raw
+                .iter()
+                .map(|&id| {
+                    let p = Position::new(rng.range(0.0, 150.0), rng.range(0.0, 150.0));
+                    NodeInfo::new(NodeId(id), NodeKind::Relay, p, format!("n{id}"))
+                })
+                .collect();
+
+            // Channel-derived: the reference links are the unshadowed
+            // channel's verdict per pair.
+            let mut ch = channel();
+            let derived = Topology::derive(nodes.clone(), &mut ch);
+            let mut links = Vec::new();
+            for a in &nodes {
+                for b in &nodes {
+                    let d = a.position.distance_to(&b.position);
+                    if a.id < b.id && ch.is_connected((a.id, b.id), d) {
+                        links.push((a.id, b.id));
+                    }
+                }
+            }
+            check_against_scan(&derived, &nodes, &links, &mut rng, 2);
+
+            // Explicit links, with duplicates and reversed pairs.
+            let mut links = Vec::new();
+            for _ in 0..rng.index(2 * n) {
+                let a = nodes[rng.index(n)].id;
+                let b = nodes[rng.index(n)].id;
+                if a != b {
+                    links.push((a, b));
+                    if rng.chance(0.2) {
+                        links.push((b, a));
+                    }
+                }
+            }
+            let linked = Topology::with_links(nodes.clone(), &links);
+            check_against_scan(&linked, &nodes, &links, &mut rng, 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "link references unknown id n7")]
+    fn links_to_unknown_ids_panic() {
+        let infos = vec![NodeInfo::new(
+            NodeId(3),
+            NodeKind::Sensor,
+            Position::new(0.0, 0.0),
+            "a",
+        )];
+        let _ = Topology::with_links(infos, &[(NodeId(3), NodeId(7))]);
     }
 }

@@ -197,4 +197,24 @@ mod tests {
             }
         );
     }
+
+    /// A zero timing knob fails its own cell with a typed error; it used
+    /// to panic the worker (here: a division by zero in setup).
+    #[test]
+    fn checked_run_reports_zero_timing_knobs_in_place() {
+        use evm_core::runtime::Scenario;
+        use evm_sim::SimDuration;
+        let mut template = Scenario::fig5();
+        template.duration = SimDuration::from_secs(2);
+        let mut cells = crate::grid::SweepGrid::new(template)
+            .over_loss(&[0.0, 0.1])
+            .expand();
+        cells[0].scenario.sample_every = SimDuration::ZERO;
+        let out = run_cells_checked(&cells, 2);
+        assert_eq!(
+            out[0].as_ref().unwrap_err(),
+            &TopologyError::ZeroTiming("sample_every")
+        );
+        assert!(out[1].is_ok());
+    }
 }
