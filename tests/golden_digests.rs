@@ -426,6 +426,59 @@ fn vc_failover_cell_digest() {
     }
 }
 
+/// A wide star: 70 controller replicas on a 200-slot cycle, so the
+/// focus PV publish has more than 64 listeners and its deliveries do
+/// not fit one 64-bit listener mask. The paper fault at 20 s fails over
+/// with immediate reconfiguration.
+#[test]
+fn wide_star_digest() {
+    let r = check(
+        "wide_star",
+        || {
+            ScenarioBuilder::star()
+                .slots_per_cycle(200)
+                .controllers(70)
+                .head(true)
+                .fault_at(SimTime::from_secs(20), ActuatorFault::paper_fault())
+                .reconfig_epoch(SimDuration::ZERO)
+                .duration(SimDuration::from_secs(60))
+                .build()
+        },
+        &Golden {
+            result: 0x035a_9ca4_bc2c_fb3e,
+            trace: 0x9998_293d_9f0d_fa9b,
+        },
+    );
+    assert!(
+        r.trace.render().contains("head commits failover"),
+        "the fault must fail over"
+    );
+}
+
+/// Fig. 6b under cold standby: the backup holds no task, so the head
+/// migrates the task image and warm-starts it before the failover
+/// commits.
+#[test]
+fn cold_standby_fig6b_digest() {
+    let r = check(
+        "cold_standby_fig6b",
+        || {
+            ScenarioBuilder::star()
+                .fault_at(SimTime::from_secs(300), ActuatorFault::paper_fault())
+                .cold_backup()
+                .build()
+        },
+        &Golden {
+            result: 0x78ea_42a2_38e9_85cc,
+            trace: 0xe269_2526_6f9f_192c,
+        },
+    );
+    assert!(
+        r.trace.render().contains("task activated on"),
+        "the cold backup must receive the task by migration"
+    );
+}
+
 /// The two pinned digests of one sweep grid.
 struct SweepGolden {
     cells: u64,
