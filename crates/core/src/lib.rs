@@ -25,8 +25,9 @@
 //!   quadratic programming runtime optimizer (§3.1.1 op 7),
 //! * [`runtime`] — the co-simulation engine tying the plant, ModBus
 //!   gateway, RT-Link network and EVM nodes together: a deterministic
-//!   slot-pipeline driver over per-role node behaviors, configured by a
-//!   topology DSL (the Fig. 5 testbed is one instance),
+//!   slot-pipeline driver over one closed `Node` enum (a variant per
+//!   role), configured by a topology DSL (the Fig. 5 testbed is one
+//!   instance),
 //! * [`metrics`] — QoS metrics extracted from runs.
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,9 @@
-//! The node-behavior abstraction.
+//! The node type the driver dispatches to.
 //!
-//! Each node in the deployment is a [`NodeBehavior`]: the slot-pipeline
+//! Each node in the deployment is one [`Node`]: the slot-pipeline
 //! driver owns the shared world (plant, channel, schedule, energy meters,
-//! event queue) and calls into behaviors with a [`NodeCtx`] when the node
-//! transmits, receives, or a cycle boundary passes. Behaviors communicate
+//! event queue) and calls into nodes with a [`NodeCtx`] when the node
+//! transmits, receives, or a cycle boundary passes. Nodes communicate
 //! back through returned messages, scheduled [`Timer`]s, and [`Effect`]s —
 //! never by reaching into another node's state, which is what keeps the
 //! runtime topology-generic.
@@ -12,7 +12,11 @@ use evm_netsim::NodeId;
 use evm_plant::{GasPlant, RegisterMap};
 use evm_sim::{SimRng, SimTime, Trace};
 
-use crate::runtime::behaviors::{ControllerCore, HeadPlane};
+use crate::roles::ControllerMode;
+use crate::runtime::behaviors::{
+    log_confirmed_deviation, ActuatorNode, ControllerCore, GatewayNode, HeadNode, HeadPlane,
+    SensorNode,
+};
 use crate::runtime::topo::{FlowKind, VcId, VcMap};
 use crate::runtime::Message;
 
@@ -23,7 +27,7 @@ pub enum Timer {
     TaskDone,
 }
 
-/// A cross-node side effect a behavior hands back to the driver.
+/// A cross-node side effect a node hands back to the driver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Effect {
     /// A confirmed fault report for the head's arbitration (either an
@@ -44,7 +48,7 @@ pub enum Effect {
     },
 }
 
-/// The slice of the world a behavior may touch during one callback.
+/// The slice of the world a node may touch during one callback.
 pub struct NodeCtx<'a> {
     /// Current simulation time.
     pub now: SimTime,
@@ -68,58 +72,140 @@ pub struct NodeCtx<'a> {
     pub timers: &'a mut Vec<(SimTime, Timer)>,
 }
 
-/// Per-role node logic. The driver is the only caller.
-pub trait NodeBehavior {
-    /// Called at the start of every RT-Link cycle (slot 0), before any
-    /// transmissions — heartbeat silence checks live here.
-    fn on_cycle_start(&mut self, _ctx: &mut NodeCtx<'_>) {}
+/// One deployed node. A Virtual Component deploys a closed set of
+/// roles, and the only role change is a backup replica's promotion to
+/// head ([`Node::promote_to_head`]). The driver is the only caller.
+pub enum Node {
+    /// The ModBus bridge between the plant and the radio.
+    Gateway(GatewayNode),
+    /// A sensor publishing one plant signal.
+    Sensor(SensorNode),
+    /// A dedicated forwarder. Its duties live in the driver-held
+    /// [`RelayCore`](crate::runtime::behaviors::RelayCore), so the node
+    /// itself does nothing.
+    Relay,
+    /// A controller replica. Boxed, like [`Node::Head`]: a replica is
+    /// far larger than the other roles, and a fleet deploys many more
+    /// sensors than replicas.
+    Controller(Box<ControllerCore>),
+    /// An actuator node.
+    Actuator(ActuatorNode),
+    /// A Virtual Component's head: monitor replica and control plane.
+    Head(Box<HeadNode>),
+}
 
-    /// `true` if this behavior's [`NodeBehavior::on_cycle_start`] does
-    /// anything. The cycle plan only dispatches the hook to behaviors
-    /// that return `true` here; the default no-op hook is skipped. Must
-    /// be invariant for the life of the behavior (rehydration may swap
-    /// the behavior type, which rebuilds nothing — controller ↔ head
-    /// both return `true`, so membership is stable across re-election).
-    fn has_cycle_hook(&self) -> bool {
-        false
+impl Node {
+    /// Called at the start of every RT-Link cycle (slot 0), before any
+    /// transmissions — heartbeat silence checks live here. Only nodes
+    /// hosting a replica ([`Node::controller`]) do anything, and the
+    /// driver dispatches only to those.
+    pub fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        match self {
+            // Backups raise heartbeat-timeout alerts; the Active replica
+            // has no one to watch (its own silence is what others detect).
+            Node::Controller(core) => {
+                if core.mode == ControllerMode::Backup
+                    && core.watched_silent(ctx.now)
+                    && core.pending_alert.is_none()
+                {
+                    core.pending_alert = Some(core.heartbeat_timeout(ctx));
+                }
+            }
+            Node::Head(head) => head.on_cycle_start(ctx),
+            Node::Gateway(_) | Node::Sensor(_) | Node::Relay | Node::Actuator(_) => {}
+        }
     }
 
     /// What this node transmits in a slot scheduled for `kind`, if
     /// anything. Returning `None` leaves the slot empty (listeners still
     /// pay the detect window).
-    fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message>;
+    pub fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
+        match self {
+            Node::Gateway(gw) => gw.take_outgoing(kind, ctx),
+            Node::Sensor(s) => s.take_outgoing(kind, ctx),
+            Node::Controller(core) => match kind {
+                FlowKind::ControlPublish { vc } if vc == core.vc => core.take_publish(),
+                _ => None,
+            },
+            Node::Actuator(a) => a.take_outgoing(kind),
+            Node::Head(head) => head.take_outgoing(kind),
+            Node::Relay => None,
+        }
+    }
 
     /// A frame addressed to (or subscribed by) this node arrived.
-    fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>);
+    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+        match self {
+            Node::Gateway(gw) => gw.on_deliver(msg, ctx),
+            Node::Sensor(s) => s.on_deliver(msg),
+            Node::Controller(core) => {
+                if let Message::Reconfig {
+                    vc,
+                    promote,
+                    demote,
+                } = *msg
+                {
+                    if vc == core.vc {
+                        core.apply_reconfig(promote, demote, ctx.now, ctx.label, ctx.trace);
+                    }
+                } else if let Some((suspect, mean_dev)) = core.on_data(msg, ctx) {
+                    // The alert waits for this node's publish slot.
+                    if core.pending_alert.is_none() {
+                        core.pending_alert = Some(suspect);
+                        log_confirmed_deviation(ctx, suspect, mean_dev);
+                    }
+                }
+            }
+            Node::Actuator(a) => a.on_deliver(msg, ctx),
+            Node::Head(head) => head.on_deliver(msg, ctx),
+            Node::Relay => {}
+        }
+    }
 
     /// A timer scheduled by this node fired.
-    fn on_timer(&mut self, _timer: Timer, _ctx: &mut NodeCtx<'_>) {}
+    pub fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
+        if let Some(core) = self.controller_mut() {
+            core.on_timer(timer, ctx);
+        }
+    }
 
     /// The controller replica state, for nodes that host one (controller
     /// nodes and the head's monitor). Used by the driver for mode
     /// sampling, arbitration candidates and migration.
-    fn controller_core(&self) -> Option<&ControllerCore> {
-        None
+    #[must_use]
+    pub fn controller(&self) -> Option<&ControllerCore> {
+        match self {
+            Node::Controller(core) => Some(core),
+            Node::Head(head) => Some(&head.monitor),
+            _ => None,
+        }
     }
 
     /// Mutable access to the controller replica state.
-    fn controller_core_mut(&mut self) -> Option<&mut ControllerCore> {
-        None
-    }
-
-    /// Consumes the behavior, yielding its controller replica if it hosts
-    /// one. The reconfiguration plane uses this to *rehydrate* a node
-    /// after head re-election: a surviving backup's core (detectors, VM
-    /// state, kernel) is lifted out of its `ControllerNode` and wrapped
-    /// in a `HeadNode` — same replica, new duties. Callers must check
-    /// [`NodeBehavior::controller_core`] first: the default drops the
-    /// behavior and returns `None`.
-    fn into_controller_core(self: Box<Self>) -> Option<ControllerCore> {
-        None
+    pub fn controller_mut(&mut self) -> Option<&mut ControllerCore> {
+        match self {
+            Node::Controller(core) => Some(core),
+            Node::Head(head) => Some(&mut head.monitor),
+            _ => None,
+        }
     }
 
     /// The head's control plane, for the head node.
-    fn head_plane_mut(&mut self) -> Option<&mut HeadPlane> {
-        None
+    pub fn head_plane_mut(&mut self) -> Option<&mut HeadPlane> {
+        match self {
+            Node::Head(head) => Some(&mut head.plane),
+            _ => None,
+        }
+    }
+
+    /// Head re-election's rehydration: a controller replica becomes a
+    /// head around the *same* core (mode, detectors, VM state and kernel
+    /// carry over) and gains the control plane. Any other node is left
+    /// as it is.
+    pub fn promote_to_head(&mut self) {
+        *self = match std::mem::replace(self, Node::Relay) {
+            Node::Controller(core) => Node::Head(Box::new(HeadNode::new(*core))),
+            other => other,
+        };
     }
 }

@@ -3,7 +3,7 @@
 use evm_netsim::NodeId;
 use evm_sim::SimTime;
 
-use crate::runtime::behavior::{NodeBehavior, NodeCtx};
+use crate::runtime::behavior::NodeCtx;
 use crate::runtime::topo::{FlowKind, VcId};
 use crate::runtime::Message;
 
@@ -72,10 +72,9 @@ impl ActuatorNode {
             pending: None,
         }
     }
-}
 
-impl NodeBehavior for ActuatorNode {
-    fn take_outgoing(&mut self, kind: FlowKind, _ctx: &mut NodeCtx<'_>) -> Option<Message> {
+    /// Forwards the accepted command in the actuator's own slot.
+    pub fn take_outgoing(&mut self, kind: FlowKind) -> Option<Message> {
         match kind {
             FlowKind::ActuateForward { vc } if vc == self.vc => {
                 let (value, pv_ts) = self.pending.take()?;
@@ -89,7 +88,8 @@ impl NodeBehavior for ActuatorNode {
         }
     }
 
-    fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+    /// Gates controller outputs, fail-safe commands and master switches.
+    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
         match *msg {
             Message::ControlOutput {
                 vc,

@@ -7,8 +7,8 @@ use evm_sim::{SimDuration, SimRng, SimTime, Trace};
 use crate::bytecode::{Program, Vm, VmEnv, VmError};
 use crate::health::{DeviationDetector, HeartbeatMonitor};
 use crate::roles::ControllerMode;
-use crate::runtime::behavior::{NodeBehavior, NodeCtx, Timer};
-use crate::runtime::topo::{FlowKind, VcId};
+use crate::runtime::behavior::{NodeCtx, Timer};
+use crate::runtime::topo::VcId;
 use crate::runtime::Message;
 
 /// Detection and task parameters shared by every replica of the focus
@@ -29,7 +29,8 @@ pub struct ReplicaParams {
 
 /// The state of one replica of the focus control capsule: VM, kernel,
 /// detectors, and the node's view of who is currently Active. Hosted by
-/// [`ControllerNode`]s and by the head's monitor.
+/// [`Node::Controller`](crate::runtime::Node::Controller) and by the
+/// head's monitor.
 #[derive(Debug)]
 pub struct ControllerCore {
     /// The hosting node.
@@ -327,6 +328,62 @@ impl ControllerCore {
         admitted
     }
 
+    /// The data-plane frames every replica host handles alike: its VC's
+    /// focus PV starts a capsule run (scheduling [`Timer::TaskDone`]),
+    /// heartbeats and peer outputs stamp the liveness monitor, and peer
+    /// outputs feed the deviation detector. Returns the suspect and its
+    /// mean deviation when a peer fault is *newly confirmed*; routing
+    /// that alert is the host's duty.
+    pub fn on_data(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) -> Option<(NodeId, f64)> {
+        match *msg {
+            Message::SensorValue {
+                vc,
+                tag,
+                value,
+                sampled_at,
+            } => {
+                // Replicas only act on their own VC's focus PV.
+                if vc == self.vc && tag == 0 {
+                    if let Some(wcet) = self.on_pv(value, sampled_at) {
+                        ctx.timers.push((ctx.now + wcet, Timer::TaskDone));
+                    }
+                }
+                None
+            }
+            Message::Heartbeat { from } => {
+                self.heard_from(from, ctx.now);
+                None
+            }
+            Message::ControlOutput {
+                vc, from, value, ..
+            } if vc == self.vc => {
+                self.heard_from(from, ctx.now);
+                let mean_dev = self.observe_peer_output(from, value, ctx.now)?;
+                Some((from, mean_dev))
+            }
+            _ => None,
+        }
+    }
+
+    /// A timer scheduled by this replica's host fired.
+    pub fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
+        match timer {
+            Timer::TaskDone => self.run_capsule(ctx.now, ctx.rng, ctx.trace),
+        }
+    }
+
+    /// Logs a heartbeat timeout on the watched node and returns it as
+    /// the suspect.
+    pub fn heartbeat_timeout(&self, ctx: &mut NodeCtx<'_>) -> NodeId {
+        let suspect = self.watched();
+        ctx.trace.log(
+            ctx.now,
+            "health",
+            format!("{} heartbeat timeout on {suspect}", ctx.id),
+        );
+        suspect
+    }
+
     /// Snapshot of the VM data section (the migrated integrator state).
     #[must_use]
     pub fn snapshot_vars(&self) -> [f64; crate::bytecode::N_VARS] {
@@ -339,120 +396,14 @@ impl ControllerCore {
     }
 }
 
-/// A controller node: a [`ControllerCore`] on the radio.
-pub struct ControllerNode {
-    core: ControllerCore,
-}
-
-impl ControllerNode {
-    /// Wraps a replica as a network node behavior.
-    #[must_use]
-    pub fn new(core: ControllerCore) -> Self {
-        ControllerNode { core }
-    }
-}
-
-impl NodeBehavior for ControllerNode {
-    fn has_cycle_hook(&self) -> bool {
-        true
-    }
-
-    fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Backups raise heartbeat-timeout alerts; the Active replica has
-        // no one to watch (its own silence is what others detect).
-        if self.core.mode == ControllerMode::Backup
-            && self.core.watched_silent(ctx.now)
-            && self.core.pending_alert.is_none()
-        {
-            let suspect = self.core.watched();
-            self.core.pending_alert = Some(suspect);
-            ctx.trace.log(
-                ctx.now,
-                "health",
-                format!("{} heartbeat timeout on {suspect}", ctx.id),
-            );
-        }
-    }
-
-    fn take_outgoing(&mut self, kind: FlowKind, _ctx: &mut NodeCtx<'_>) -> Option<Message> {
-        match kind {
-            FlowKind::ControlPublish { vc } if vc == self.core.vc => self.core.take_publish(),
-            _ => None,
-        }
-    }
-
-    fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
-        match *msg {
-            Message::SensorValue {
-                vc,
-                tag,
-                value,
-                sampled_at,
-            } => {
-                // Controllers only act on their own VC's focus PV.
-                if vc != self.core.vc || tag != 0 {
-                    return;
-                }
-                if let Some(wcet) = self.core.on_pv(value, sampled_at) {
-                    ctx.timers.push((ctx.now + wcet, Timer::TaskDone));
-                }
-            }
-            Message::Heartbeat { from } => self.core.heard_from(from, ctx.now),
-            Message::ControlOutput {
-                vc, from, value, ..
-            } => {
-                if vc != self.core.vc {
-                    return;
-                }
-                self.core.heard_from(from, ctx.now);
-                if let Some(mean_dev) = self.core.observe_peer_output(from, value, ctx.now) {
-                    if self.core.pending_alert.is_none() {
-                        self.core.pending_alert = Some(from);
-                        ctx.trace.log(
-                            ctx.now,
-                            "health",
-                            format!(
-                                "{} confirmed deviation on {from} (mean {mean_dev:.1})",
-                                ctx.id
-                            ),
-                        );
-                    }
-                }
-            }
-            Message::Reconfig {
-                vc,
-                promote,
-                demote,
-            } => {
-                if vc == self.core.vc {
-                    self.core
-                        .apply_reconfig(promote, demote, ctx.now, ctx.label, ctx.trace);
-                }
-            }
-            // Capsule fragments are reassembled by the engine's transfer
-            // plane, not by the behavior layer.
-            Message::FaultAlert { .. }
-            | Message::FailSafe { .. }
-            | Message::ActuateFwd { .. }
-            | Message::CapsuleChunk { .. } => {}
-        }
-    }
-
-    fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
-        match timer {
-            Timer::TaskDone => self.core.run_capsule(ctx.now, ctx.rng, ctx.trace),
-        }
-    }
-
-    fn controller_core(&self) -> Option<&ControllerCore> {
-        Some(&self.core)
-    }
-
-    fn controller_core_mut(&mut self) -> Option<&mut ControllerCore> {
-        Some(&mut self.core)
-    }
-
-    fn into_controller_core(self: Box<Self>) -> Option<ControllerCore> {
-        Some(self.core)
-    }
+/// Logs a newly confirmed output deviation of `suspect`.
+pub(crate) fn log_confirmed_deviation(ctx: &mut NodeCtx<'_>, suspect: NodeId, mean_dev: f64) {
+    ctx.trace.log(
+        ctx.now,
+        "health",
+        format!(
+            "{} confirmed deviation on {suspect} (mean {mean_dev:.1})",
+            ctx.id
+        ),
+    );
 }

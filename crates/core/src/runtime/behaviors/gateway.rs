@@ -2,7 +2,7 @@
 
 use evm_sim::SimTime;
 
-use crate::runtime::behavior::{Effect, NodeBehavior, NodeCtx};
+use crate::runtime::behavior::{Effect, NodeCtx};
 use crate::runtime::behaviors::ActuationGate;
 use crate::runtime::topo::{FlowKind, VcId};
 use crate::runtime::Message;
@@ -43,10 +43,9 @@ impl GatewayNode {
         let _ = ctx.regmap.write_scaled(ctx.plant, register, value);
         ctx.effects.push(Effect::Actuated { vc, pv_sampled_at });
     }
-}
 
-impl NodeBehavior for GatewayNode {
-    fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
+    /// Serves a HIL downlink from the plant's register map.
+    pub fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
         match kind {
             FlowKind::HilDownlink { vc, tag } => {
                 let register = *ctx.vcs.vc(vc).sensor_registers.get(tag as usize)?;
@@ -66,7 +65,9 @@ impl NodeBehavior for GatewayNode {
         }
     }
 
-    fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+    /// Applies forwarded actuations and, for VCs without an actuator
+    /// node, gates controller outputs itself.
+    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
         match *msg {
             Message::ActuateFwd {
                 vc,

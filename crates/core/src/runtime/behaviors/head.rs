@@ -8,8 +8,8 @@
 
 use evm_netsim::NodeId;
 
-use crate::runtime::behavior::{Effect, NodeBehavior, NodeCtx, Timer};
-use crate::runtime::behaviors::ControllerCore;
+use crate::runtime::behavior::{Effect, NodeCtx};
+use crate::runtime::behaviors::{log_confirmed_deviation, ControllerCore};
 use crate::runtime::topo::FlowKind;
 use crate::runtime::Message;
 
@@ -39,8 +39,8 @@ impl HeadPlane {
 
 /// The head node: monitor replica + control plane.
 pub struct HeadNode {
-    monitor: ControllerCore,
-    plane: HeadPlane,
+    pub(crate) monitor: ControllerCore,
+    pub(crate) plane: HeadPlane,
 }
 
 impl HeadNode {
@@ -52,23 +52,12 @@ impl HeadNode {
             plane: HeadPlane::default(),
         }
     }
-}
 
-impl NodeBehavior for HeadNode {
-    fn has_cycle_hook(&self) -> bool {
-        true
-    }
-
-    fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        // The monitor's heartbeat check short-circuits the alert frame (it
-        // would be addressed to this very node).
+    /// The monitor's heartbeat check short-circuits the alert frame (it
+    /// would be addressed to this very node).
+    pub fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.monitor.watched_silent(ctx.now) && !self.plane.decision_pending {
-            let suspect = self.monitor.watched();
-            ctx.trace.log(
-                ctx.now,
-                "health",
-                format!("{} heartbeat timeout on {suspect}", ctx.id),
-            );
+            let suspect = self.monitor.heartbeat_timeout(ctx);
             ctx.effects.push(Effect::Alert {
                 suspect,
                 observer: ctx.id,
@@ -76,7 +65,9 @@ impl NodeBehavior for HeadNode {
         }
     }
 
-    fn take_outgoing(&mut self, kind: FlowKind, _ctx: &mut NodeCtx<'_>) -> Option<Message> {
+    /// Rebroadcasts the oldest pending command in the VC's control-plane
+    /// slot.
+    pub fn take_outgoing(&mut self, kind: FlowKind) -> Option<Message> {
         match kind {
             FlowKind::ControlPlane { vc } if vc == self.monitor.vc => {
                 let (msg, remaining) = self.plane.pending_cmds.first_mut()?;
@@ -91,74 +82,17 @@ impl NodeBehavior for HeadNode {
         }
     }
 
-    fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
-        match *msg {
-            Message::SensorValue {
-                vc,
-                tag,
-                value,
-                sampled_at,
-            } => {
-                // The monitor computes on its own VC's focus PV only.
-                if vc != self.monitor.vc || tag != 0 {
-                    return;
-                }
-                if let Some(wcet) = self.monitor.on_pv(value, sampled_at) {
-                    ctx.timers.push((ctx.now + wcet, Timer::TaskDone));
-                }
-            }
-            Message::Heartbeat { from } => self.monitor.heard_from(from, ctx.now),
-            Message::ControlOutput {
-                vc, from, value, ..
-            } => {
-                if vc != self.monitor.vc {
-                    return;
-                }
-                self.monitor.heard_from(from, ctx.now);
-                if let Some(mean_dev) = self.monitor.observe_peer_output(from, value, ctx.now) {
-                    ctx.trace.log(
-                        ctx.now,
-                        "health",
-                        format!(
-                            "{} confirmed deviation on {from} (mean {mean_dev:.1})",
-                            ctx.id
-                        ),
-                    );
-                    ctx.effects.push(Effect::Alert {
-                        suspect: from,
-                        observer: ctx.id,
-                    });
-                }
-            }
-            Message::FaultAlert { suspect, observer } => {
-                ctx.effects.push(Effect::Alert { suspect, observer });
-            }
-            Message::Reconfig { .. }
-            | Message::FailSafe { .. }
-            | Message::ActuateFwd { .. }
-            | Message::CapsuleChunk { .. } => {}
+    /// Alerts, in-band or from the monitor's own detector, go straight to
+    /// arbitration.
+    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+        if let Message::FaultAlert { suspect, observer } = *msg {
+            ctx.effects.push(Effect::Alert { suspect, observer });
+        } else if let Some((suspect, mean_dev)) = self.monitor.on_data(msg, ctx) {
+            log_confirmed_deviation(ctx, suspect, mean_dev);
+            ctx.effects.push(Effect::Alert {
+                suspect,
+                observer: ctx.id,
+            });
         }
-    }
-
-    fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
-        match timer {
-            Timer::TaskDone => self.monitor.run_capsule(ctx.now, ctx.rng, ctx.trace),
-        }
-    }
-
-    fn controller_core(&self) -> Option<&ControllerCore> {
-        Some(&self.monitor)
-    }
-
-    fn controller_core_mut(&mut self) -> Option<&mut ControllerCore> {
-        Some(&mut self.monitor)
-    }
-
-    fn into_controller_core(self: Box<Self>) -> Option<ControllerCore> {
-        Some(self.monitor)
-    }
-
-    fn head_plane_mut(&mut self) -> Option<&mut HeadPlane> {
-        Some(&mut self.plane)
     }
 }

@@ -1,9 +1,10 @@
 //! Per-role node behaviors.
 //!
-//! One module per role; each implements
-//! [`NodeBehavior`](crate::runtime::behavior::NodeBehavior) over its own
-//! state only. Cross-node concerns (arbitration, migration, energy,
-//! delivery) live in the driver.
+//! One module per role; each holds that role's state and duties, over
+//! its own state only, and [`Node`](crate::runtime::Node) dispatches to
+//! them by variant. The controller and the head share one replica,
+//! [`ControllerCore`]. Cross-node concerns (arbitration, migration,
+//! energy, delivery) live in the driver.
 
 mod actuator;
 mod controller;
@@ -13,8 +14,9 @@ mod relay;
 mod sensor;
 
 pub use actuator::{ActuationGate, ActuatorNode};
-pub use controller::{ControllerCore, ControllerNode, ReplicaParams};
+pub(crate) use controller::log_confirmed_deviation;
+pub use controller::{ControllerCore, ReplicaParams};
 pub use gateway::GatewayNode;
 pub use head::{HeadNode, HeadPlane, CONTROL_PLANE_REPEATS};
-pub use relay::{RelayCore, RelayNode};
+pub use relay::RelayCore;
 pub use sensor::SensorNode;

@@ -4,16 +4,15 @@
 //! ([`crate::runtime::route_flows`]) assigns [`RelayJob`]s to whatever
 //! node sits on a multi-hop route — a dedicated relay, the gateway, or a
 //! controller lending a hop — and the driver keeps one [`RelayCore`] per
-//! forwarding node beside its behavior. A job captures the latest frame
+//! forwarding node beside its [`Node`](crate::runtime::Node). A job captures the latest frame
 //! arriving from its upstream transmitter that matches the relayed flow's
 //! semantic, and retransmits it in the slot scheduled for the matching
-//! [`FlowKind::Relay`] entry. The [`RelayNode`] behavior is what a
-//! dedicated [`crate::runtime::Role::Relay`] node runs: nothing — its
-//! whole existence is its `RelayCore`.
+//! [`FlowKind::Relay`] entry. A dedicated [`crate::runtime::Role::Relay`]
+//! node is [`Node::Relay`](crate::runtime::Node::Relay), which does
+//! nothing — its whole existence is its `RelayCore`.
 
 use evm_netsim::NodeId;
 
-use crate::runtime::behavior::{NodeBehavior, NodeCtx};
 use crate::runtime::topo::{FlowKind, RelayJob};
 use crate::runtime::Message;
 
@@ -105,18 +104,6 @@ fn job_matches(job: &RelayJob, msg: &Message) -> bool {
         ) => vc == *mvc,
         _ => false,
     }
-}
-
-/// A dedicated relay node: no sensing, no computing, no gating — its
-/// forwarding duties live entirely in the driver-held [`RelayCore`].
-pub struct RelayNode;
-
-impl NodeBehavior for RelayNode {
-    fn take_outgoing(&mut self, _kind: FlowKind, _ctx: &mut NodeCtx<'_>) -> Option<Message> {
-        None
-    }
-
-    fn on_deliver(&mut self, _msg: &Message, _ctx: &mut NodeCtx<'_>) {}
 }
 
 #[cfg(test)]

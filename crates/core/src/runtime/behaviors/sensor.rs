@@ -1,6 +1,6 @@
 //! Sensor nodes: receive HIL downlinks, publish timestamped PVs.
 
-use crate::runtime::behavior::{NodeBehavior, NodeCtx};
+use crate::runtime::behavior::NodeCtx;
 use crate::runtime::topo::{FlowKind, VcId};
 use crate::runtime::Message;
 
@@ -21,10 +21,9 @@ impl SensorNode {
             latest: None,
         }
     }
-}
 
-impl NodeBehavior for SensorNode {
-    fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
+    /// Publishes the latest PV in the sensor's own publish slot.
+    pub fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
         match kind {
             FlowKind::SensorPublish { vc, tag } if vc == self.vc && tag == self.tag => {
                 // Freshness stamp: the sensor publishes "now" (on hardware
@@ -40,7 +39,8 @@ impl NodeBehavior for SensorNode {
         }
     }
 
-    fn on_deliver(&mut self, msg: &Message, _ctx: &mut NodeCtx<'_>) {
+    /// Keeps the latest downlinked value of the sensor's signal.
+    pub fn on_deliver(&mut self, msg: &Message) {
         if let Message::SensorValue { vc, tag, value, .. } = *msg {
             if vc == self.vc && tag == self.tag {
                 self.latest = Some(value);

@@ -2,7 +2,7 @@
 //!
 //! A thin event loop that owns the shared world — plant, channel,
 //! schedule, energy meters, event queue, the Virtual Component records —
-//! and drives per-role [`NodeBehavior`]s through it. All role dispatch is
+//! and drives each topology node's [`Node`] through it. All role dispatch is
 //! resolved from the scenario's [`VcMap`]; no node id is hard-coded
 //! anywhere in the runtime. Every piece of per-loop state (component
 //! records, QoS tallies, error traces, fault detectors) is keyed by
@@ -31,11 +31,10 @@ use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
 
 use crate::component::VirtualComponent;
 use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
-use crate::runtime::behavior::{Effect, NodeBehavior, NodeCtx, Timer};
-use crate::runtime::behaviors::RelayCore;
+use crate::runtime::behavior::{Effect, Node, NodeCtx, Timer};
+use crate::runtime::behaviors::{ControllerCore, HeadPlane, RelayCore};
 use crate::runtime::plan::CyclePlan;
 use crate::runtime::reconfig::{ReconfigState, SlotFlow};
-use crate::runtime::registry::NodeRegistry;
 use crate::runtime::topo::{FlowKind, RoleMap, VcId, VcMap};
 use crate::runtime::{Message, Scenario};
 
@@ -45,25 +44,22 @@ use crate::runtime::{Message, Scenario};
 pub(super) enum Ev {
     PlantStep,
     Sample,
-    Deliver {
-        to: NodeId,
-        from: NodeId,
-        msg: Message,
-    },
-    /// One transmission's whole delivered-listener set, folded into a
+    /// Up to 64 delivered listeners of one transmission, folded into a
     /// single event carrying one shared message image. `entry` indexes
-    /// the generation-`gen` plan; bit `i` of `mask` selects listener `i`
-    /// of that entry. Reserves one sequence number per delivered
-    /// listener, so ordering against every other event is that of one
-    /// `Deliver` per listener.
+    /// the generation-`gen` plan; bit `i` of `mask` selects listener
+    /// `base + i` of that entry. Reserves one sequence number per
+    /// delivered listener, so ordering against every other event is that
+    /// of one delivery event per listener.
     Broadcast {
         gen: u64,
         entry: u32,
+        base: u32,
         mask: u64,
         msg: Message,
     },
+    /// A timer of the node at dense index `ix` fired.
     NodeTimer {
-        node: NodeId,
+        ix: u32,
         timer: Timer,
     },
     InjectFault,
@@ -105,7 +101,7 @@ pub struct Engine {
     /// [`Engine::plan`]).
     pub(super) flow_kinds: Vec<SlotFlow>,
     /// Store-and-forward state per forwarding node ([`FlowKind::Relay`]
-    /// slots transmit from here, not from the node's behavior), indexed
+    /// slots transmit from here, not from the node itself), indexed
     /// like [`Engine::meters`].
     pub(super) relay_cores: Vec<Option<RelayCore>>,
     /// Nodes carrying forwarding jobs in the committed epoch, id-sorted.
@@ -116,18 +112,21 @@ pub struct Engine {
     pub(super) trace: Trace,
     pub(super) queue: EventQueue<Ev>,
     pub(super) now: SimTime,
-    pub(super) registry: NodeRegistry,
+    /// Every deployed node, indexed like [`Engine::meters`].
+    pub(super) nodes: Vec<Node>,
 
     pub(super) series: HashMap<String, TimeSeries>,
-    pub(super) mode_series: Vec<(NodeId, TimeSeries)>,
+    /// Per-replica controller-mode traces, keyed by the replica's dense
+    /// index.
+    pub(super) mode_series: Vec<(usize, TimeSeries)>,
     /// Per-VC per-cycle regulation-error traces (`Err.<loop>` series):
     /// `(pv tag, setpoint, series)`, indexed by `VcId`.
     pub(super) err_series: Vec<(String, f64, TimeSeries)>,
     /// Radio energy meters, one per topology node, in topology order.
     pub(super) meters: Vec<EnergyMeter>,
     /// Topology node ids in topology order — the dense index space
-    /// ([`Topology::index_of`]) shared by [`Engine::meters`],
-    /// [`Engine::relay_cores`] and [`Engine::labels`].
+    /// ([`Topology::index_of`]) shared by [`Engine::nodes`],
+    /// [`Engine::meters`], [`Engine::relay_cores`] and [`Engine::labels`].
     pub(super) node_ids: Vec<NodeId>,
     /// Interned node labels, by dense index — `NodeCtx.label` borrows
     /// from here instead of allocating per dispatch.
@@ -238,6 +237,28 @@ impl Engine {
     #[inline]
     pub(super) fn meter(&self, id: NodeId) -> Option<&EnergyMeter> {
         self.topology.index_of(id).map(|ix| &self.meters[ix])
+    }
+
+    /// The controller replica hosted by `id` (controller nodes and the
+    /// head's monitor).
+    pub(super) fn controller(&self, id: NodeId) -> Option<&ControllerCore> {
+        self.topology
+            .index_of(id)
+            .and_then(|ix| self.nodes[ix].controller())
+    }
+
+    /// Mutable controller replica access.
+    pub(super) fn controller_mut(&mut self, id: NodeId) -> Option<&mut ControllerCore> {
+        self.topology
+            .index_of(id)
+            .and_then(|ix| self.nodes[ix].controller_mut())
+    }
+
+    /// The control plane of `head`, if it is a head node.
+    pub(super) fn head_plane_mut(&mut self, head: NodeId) -> Option<&mut HeadPlane> {
+        self.topology
+            .index_of(head)
+            .and_then(|ix| self.nodes[ix].head_plane_mut())
     }
 
     /// Runs the scenario to completion and returns the results.
@@ -411,50 +432,38 @@ impl Engine {
         }
     }
 
-    /// Runs one behavior callback with a scoped [`NodeCtx`], then applies
-    /// the timers and effects it produced. Returns `None` for unknown ids.
+    /// Runs one callback on the node at dense index `ix` with a scoped
+    /// [`NodeCtx`], then applies the timers and effects it produced.
     pub(super) fn dispatch<R>(
         &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut dyn NodeBehavior, &mut NodeCtx<'_>) -> R,
-    ) -> Option<R> {
+        ix: usize,
+        f: impl FnOnce(&mut Node, &mut NodeCtx<'_>) -> R,
+    ) -> R {
         let mut effects = mem::take(&mut self.fx_effects);
         let mut timers = mem::take(&mut self.fx_timers);
-        let out = match self.registry.get_mut(id) {
-            None => {
-                self.fx_effects = effects;
-                self.fx_timers = timers;
-                return None;
-            }
-            Some(node) => {
-                let label = self
-                    .topology
-                    .index_of(id)
-                    .map_or("?", |ix| &self.labels[ix]);
-                let mut ctx = NodeCtx {
-                    now: self.now,
-                    id,
-                    label,
-                    vcs: &self.vcs,
-                    rng: &mut self.rng,
-                    trace: &mut self.trace,
-                    plant: &mut self.plant,
-                    regmap: &self.regmap,
-                    effects: &mut effects,
-                    timers: &mut timers,
-                };
-                f(node, &mut ctx)
-            }
+        let mut ctx = NodeCtx {
+            now: self.now,
+            id: self.node_ids[ix],
+            label: &self.labels[ix],
+            vcs: &self.vcs,
+            rng: &mut self.rng,
+            trace: &mut self.trace,
+            plant: &mut self.plant,
+            regmap: &self.regmap,
+            effects: &mut effects,
+            timers: &mut timers,
         };
+        let out = f(&mut self.nodes[ix], &mut ctx);
+        let node = u32::try_from(ix).expect("dense index fits u32");
         for (at, timer) in timers.drain(..) {
-            self.queue.push(at, Ev::NodeTimer { node: id, timer });
+            self.queue.push(at, Ev::NodeTimer { ix: node, timer });
         }
         self.fx_timers = timers;
         for effect in effects.drain(..) {
             self.apply_effect(effect);
         }
         self.fx_effects = effects;
-        Some(out)
+        out
     }
 
     fn apply_effect(&mut self, effect: Effect) {
@@ -478,33 +487,15 @@ impl Engine {
         match ev {
             Ev::PlantStep => self.on_plant_step(),
             Ev::Sample => self.on_sample(),
-            Ev::Deliver { to, from, msg } => {
-                // Capsule fragments belong to the engine's transfer
-                // plane, not the behavior layer: consume them here.
-                if let Message::CapsuleChunk { vc, seq, .. } = msg {
-                    self.on_chunk_delivered(to, from, vc, seq);
-                    return;
-                }
-                // The forwarding capability sits beside the behavior:
-                // any node with routed relay jobs captures matching
-                // frames for its scheduled forwarding slots, *and* still
-                // consumes the frame itself (a controller lending a hop
-                // also hears the PV it forwards).
-                if let Some(ix) = self.topology.index_of(to) {
-                    if let Some(core) = self.relay_cores[ix].as_mut() {
-                        core.offer(from, &msg);
-                    }
-                }
-                self.dispatch(to, |n, ctx| n.on_deliver(&msg, ctx));
-            }
             Ev::Broadcast {
                 gen,
                 entry,
+                base,
                 mask,
                 msg,
-            } => self.on_broadcast_delivered(gen, entry, mask, &msg),
-            Ev::NodeTimer { node, timer } => {
-                self.dispatch(node, |n, ctx| n.on_timer(timer, ctx));
+            } => self.on_broadcast_delivered(gen, entry, base, mask, &msg),
+            Ev::NodeTimer { ix, timer } => {
+                self.dispatch(ix as usize, |n, ctx| n.on_timer(timer, ctx));
             }
             Ev::InjectFault => self.on_inject_fault(),
             Ev::InjectBackupFault => self.on_inject_backup_fault(),
@@ -533,12 +524,8 @@ impl Engine {
                 series.push(self.now, v);
             }
         }
-        for (node, series) in &mut self.mode_series {
-            let mode = self
-                .registry
-                .controller(*node)
-                .expect("controller registered")
-                .mode;
+        for (ix, series) in &mut self.mode_series {
+            let mode = self.nodes[*ix].controller().expect("replica host").mode;
             series.push(self.now, mode.as_f64());
         }
         self.queue
@@ -549,15 +536,15 @@ impl Engine {
     /// from the epoch-compiled [`CyclePlan`]: dense indices, distances,
     /// channel budgets and airtime constants are all pre-resolved, so
     /// the slot is reduced to the RNG draws (see [`super::plan`] for
-    /// their order). Delivered listener sets fold into one
-    /// [`Ev::Broadcast`] per transmission (one shared message image),
-    /// reserving one sequence number per delivered listener.
+    /// their order). Delivered listeners fold into one [`Ev::Broadcast`]
+    /// per 64-listener chunk of a transmission (one shared message
+    /// image), reserving one sequence number per delivered listener.
     fn on_slot_body(&mut self, cycle: u64, slot: usize) {
         if slot == 0 {
             self.on_cycle_start();
         }
         let guard = self.scenario.rtlink.guard;
-        // Lift the plan out for the slot so behaviors can be dispatched
+        // Lift the plan out for the slot so nodes can be dispatched
         // while iterating it; nothing mid-slot rebuilds it (epoch commits
         // happen in `on_cycle_start`, above).
         let plan = mem::take(&mut self.plan);
@@ -573,9 +560,7 @@ impl Engine {
                     .as_mut()
                     .and_then(|c| c.take(job as usize)),
                 Some(FlowKind::Transfer { vc }) => self.take_transfer_chunk(vc, owner),
-                Some(k) => self
-                    .dispatch(owner, |n, ctx| n.take_outgoing(k, ctx))
-                    .flatten(),
+                Some(k) => self.dispatch(e.owner_ix as usize, |n, ctx| n.take_outgoing(k, ctx)),
                 None => None,
             };
             let msg = match msg {
@@ -603,74 +588,75 @@ impl Engine {
             let m = &mut self.meters[e.owner_ix as usize];
             m.add(RadioState::Idle, guard);
             m.add(RadioState::Tx, airtime);
-            // Fold delivered listeners into one event when they fit the
-            // mask; wider listener sets (not seen in practice) fall back
-            // to one `Deliver` push per listener.
-            let fold = listeners.len() <= 64;
-            let mut mask = 0u64;
-            let mut delivered = 0u64;
-            for (i, l) in listeners.iter().enumerate() {
-                if !self.alive(l.id) {
-                    continue;
-                }
-                self.meters[l.ix as usize].add(RadioState::Rx, guard + airtime);
-                if !self.scenario.fault_plan.link_usable(owner, l.id, self.now) {
-                    continue;
-                }
-                let received = match l.budget {
-                    Some(b) => self.channel.sample_delivery_budget(l.burst, b, air_bytes),
-                    None => {
-                        // Shadowed link: the realization is drawn lazily
-                        // from the channel RNG, so sample unbudgeted.
-                        let frame = Frame::new(owner, FrameKind::Broadcast, msg.payload_bytes(), 0);
-                        self.channel.sample_delivery(&frame, l.id, l.distance)
+            // One event per 64-listener chunk with deliveries. Chunks
+            // are pushed in listener order and nothing else is pushed
+            // in between, so their sequence numbers are contiguous:
+            // exactly those of one push per delivered listener.
+            for (c, chunk) in listeners.chunks(64).enumerate() {
+                let mut mask = 0u64;
+                let mut delivered = 0u64;
+                for (i, l) in chunk.iter().enumerate() {
+                    if !self.alive(l.id) {
+                        continue;
                     }
-                };
-                if !received {
-                    continue;
-                }
-                if self.rng.chance(self.scenario.extra_loss) {
-                    continue;
-                }
-                if fold {
+                    self.meters[l.ix as usize].add(RadioState::Rx, guard + airtime);
+                    if !self.scenario.fault_plan.link_usable(owner, l.id, self.now) {
+                        continue;
+                    }
+                    let received = match l.budget {
+                        Some(b) => self.channel.sample_delivery_budget(l.burst, b, air_bytes),
+                        None => {
+                            // Shadowed link: the realization is drawn
+                            // lazily from the channel RNG, so sample
+                            // unbudgeted.
+                            let frame =
+                                Frame::new(owner, FrameKind::Broadcast, msg.payload_bytes(), 0);
+                            self.channel.sample_delivery(&frame, l.id, l.distance)
+                        }
+                    };
+                    if !received {
+                        continue;
+                    }
+                    if self.rng.chance(self.scenario.extra_loss) {
+                        continue;
+                    }
                     mask |= 1u64 << i;
                     delivered += 1;
-                } else {
+                }
+                if delivered > 0 {
                     self.queue.push(
                         self.now + guard + airtime,
-                        Ev::Deliver {
-                            to: l.id,
-                            from: owner,
+                        Ev::Broadcast {
+                            gen: plan.generation,
+                            entry: eix,
+                            base: u32::try_from(c * 64).expect("listener count fits u32"),
+                            mask,
                             msg: msg.clone(),
                         },
                     );
-                }
-            }
-            if fold && delivered > 0 {
-                self.queue.push(
-                    self.now + guard + airtime,
-                    Ev::Broadcast {
-                        gen: plan.generation,
-                        entry: eix,
-                        mask,
-                        msg,
-                    },
-                );
-                if delivered > 1 {
-                    // Reserve the sequence numbers of the per-listener
-                    // deliveries this event folded.
-                    self.queue.skip_seqs(delivered - 1);
+                    if delivered > 1 {
+                        // Reserve the sequence numbers of the
+                        // per-listener deliveries this event folded.
+                        self.queue.skip_seqs(delivered - 1);
+                    }
                 }
             }
         }
         self.plan = plan;
     }
 
-    /// Delivers one folded broadcast: dispatches each masked listener in
-    /// listener order, exactly as the equivalent run of per-listener
-    /// [`Ev::Deliver`]s would have (their contiguous sequence numbers
-    /// admit no interleaving).
-    fn on_broadcast_delivered(&mut self, gen: u64, entry: u32, mask: u64, msg: &Message) {
+    /// Delivers one folded broadcast chunk: dispatches each masked
+    /// listener in listener order, exactly as one delivery event per
+    /// listener would have (their contiguous sequence numbers admit no
+    /// interleaving).
+    fn on_broadcast_delivered(
+        &mut self,
+        gen: u64,
+        entry: u32,
+        base: u32,
+        mask: u64,
+        msg: &Message,
+    ) {
         let current = self.plan.generation == gen;
         let plan = if current {
             mem::take(&mut self.plan)
@@ -680,23 +666,26 @@ impl Engine {
         debug_assert_eq!(plan.generation, gen, "broadcast outlived its plan");
         let e = &plan.entries[entry as usize];
         let from = e.owner;
-        let listeners = &plan.listeners[e.lo as usize..e.hi as usize];
-        for (i, l) in listeners.iter().enumerate() {
-            if mask & (1u64 << i) == 0 {
-                continue;
-            }
-            let to = l.id;
-            // Mirror the `Ev::Deliver` arm: capsule fragments go to the
-            // transfer plane, everything else is offered to the relay
-            // core and dispatched to the behavior.
+        let listeners = &plan.listeners[(e.lo + base) as usize..e.hi as usize];
+        let mut bits = mask;
+        while bits != 0 {
+            let l = &listeners[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+            // Capsule fragments belong to the engine's transfer plane,
+            // not to the node: consume them here.
             if let Message::CapsuleChunk { vc, seq, .. } = *msg {
-                self.on_chunk_delivered(to, from, vc, seq);
+                self.on_chunk_delivered(l.id, from, vc, seq);
                 continue;
             }
+            // The forwarding capability sits beside the node: any node
+            // with routed relay jobs captures matching frames for its
+            // scheduled forwarding slots, *and* still consumes the frame
+            // itself (a controller lending a hop also hears the PV it
+            // forwards).
             if let Some(core) = self.relay_cores[l.ix as usize].as_mut() {
                 core.offer(from, msg);
             }
-            self.dispatch(to, |n, ctx| n.on_deliver(msg, ctx));
+            self.dispatch(l.ix as usize, |n, ctx| n.on_deliver(msg, ctx));
         }
         if current {
             self.plan = plan;
@@ -709,9 +698,9 @@ impl Engine {
     /// scans (the reconfiguration plane), sync reception energy, per-node
     /// cycle hooks, and the per-VC per-cycle regulation-error samples.
     /// The meter stamp and the hook dispatch share one pass (the hooks
-    /// draw no RNG and touch no meters), only hook-bearing nodes are
-    /// dispatched ([`NodeBehavior::has_cycle_hook`]), and the error
-    /// samples read pre-bound plant-tag handles.
+    /// draw no RNG and touch no meters), only nodes hosting a replica are
+    /// dispatched (the others' hook is a no-op), and the error samples
+    /// read pre-bound plant-tag handles.
     fn on_cycle_start(&mut self) {
         // The reconfiguration plane acts strictly at cycle boundaries,
         // before any transmission of the new cycle: a staged epoch
@@ -719,28 +708,19 @@ impl Engine {
         // epochs mid-cycle.
         self.reconfig_on_cycle_start();
         let sync = self.scenario.rtlink.sync_listen;
-        let plan = mem::take(&mut self.plan);
-        let mut next_hook = 0usize;
         for ix in 0..self.node_ids.len() {
-            let hooked = plan.hooks.get(next_hook).copied()
-                == Some(u32::try_from(ix).expect("dense index fits u32"));
-            if hooked {
-                next_hook += 1;
-            }
-            let id = self.node_ids[ix];
-            if !self.alive(id) {
+            if !self.alive(self.node_ids[ix]) {
                 continue;
             }
             self.meters[ix].add(RadioState::Rx, sync);
-            if hooked {
-                self.dispatch(id, |n, ctx| n.on_cycle_start(ctx));
+            if matches!(self.nodes[ix], Node::Controller(_) | Node::Head(_)) {
+                self.dispatch(ix, |n, ctx| n.on_cycle_start(ctx));
             }
         }
-        for ((_, setpoint, series), tag) in self.err_series.iter_mut().zip(&plan.err_tags) {
+        for ((_, setpoint, series), tag) in self.err_series.iter_mut().zip(&self.plan.err_tags) {
             if let Some(tag) = tag {
                 series.push(self.now, self.plant.read_bound(*tag) - *setpoint);
             }
         }
-        self.plan = plan;
     }
 }

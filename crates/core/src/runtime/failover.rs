@@ -23,8 +23,9 @@ impl Engine {
     pub(super) fn on_inject_fault(&mut self) {
         if let Some((_, fault)) = self.scenario.fault {
             let primary = self.vcs.vc(0).primary();
-            if let Some(c) = self.registry.controller_mut(primary) {
-                c.fault = Some((self.now, fault));
+            let now = self.now;
+            if let Some(c) = self.controller_mut(primary) {
+                c.fault = Some((now, fault));
             }
             let label = self.label_of(primary);
             self.trace
@@ -37,8 +38,9 @@ impl Engine {
             return;
         };
         if let Some((_, fault)) = self.scenario.backup_fault {
-            if let Some(c) = self.registry.controller_mut(backup) {
-                c.fault = Some((self.now, fault));
+            let now = self.now;
+            if let Some(c) = self.controller_mut(backup) {
+                c.fault = Some((now, fault));
             }
             let label = self.label_of(backup);
             self.trace
@@ -65,7 +67,7 @@ impl Engine {
         let Some(head) = self.vcs.vc(vc).head else {
             return;
         };
-        let Some(plane) = self.registry.head_plane_mut(head) else {
+        let Some(plane) = self.head_plane_mut(head) else {
             return;
         };
         if plane.decision_pending {
@@ -77,7 +79,7 @@ impl Engine {
         if self.components[vc as usize].active_controller() != Some(suspect) {
             return;
         }
-        if let Some(plane) = self.registry.head_plane_mut(head) {
+        if let Some(plane) = self.head_plane_mut(head) {
             plane.decision_pending = true;
         }
         let epoch = self.scenario.reconfig_epoch;
@@ -102,7 +104,7 @@ impl Engine {
             return;
         };
         let suspected = {
-            let Some(plane) = self.registry.head_plane_mut(head) else {
+            let Some(plane) = self.head_plane_mut(head) else {
                 return;
             };
             if !plane.suspected.contains(&suspect) {
@@ -119,7 +121,7 @@ impl Engine {
             .iter()
             .filter(|&&id| id != suspect && !suspected.contains(&id))
             .map(|&id| {
-                let c = self.registry.controller(id).expect("controller registered");
+                let c = self.controller(id).expect("controller deployed");
                 Candidate {
                     node: id,
                     eligible: self.alive(id),
@@ -137,7 +139,7 @@ impl Engine {
                 .log(self.now, "vc", "no viable master; engaging fail-safe");
             let _ = self.components[vc as usize].set_mode(suspect, ControllerMode::Indicator);
             let fail_safe = self.scenario.fail_safe_value;
-            if let Some(plane) = self.registry.head_plane_mut(head) {
+            if let Some(plane) = self.head_plane_mut(head) {
                 plane.push_cmd(Message::Reconfig {
                     vc,
                     promote: None,
@@ -152,9 +154,8 @@ impl Engine {
             return;
         };
         let warm = self
-            .registry
             .controller(target)
-            .expect("controller registered")
+            .expect("controller deployed")
             .has_task;
         if warm {
             self.commit_failover(target, suspect);
@@ -171,7 +172,7 @@ impl Engine {
                 Err(e) => {
                     self.trace
                         .log(self.now, "migration", format!("failed: {e}"));
-                    if let Some(plane) = self.registry.head_plane_mut(head) {
+                    if let Some(plane) = self.head_plane_mut(head) {
                         plane.decision_pending = false;
                     }
                     return;
@@ -196,7 +197,7 @@ impl Engine {
                 Err(e) => {
                     self.trace
                         .log(self.now, "migration", format!("failed: {e}"));
-                    if let Some(plane) = self.registry.head_plane_mut(head) {
+                    if let Some(plane) = self.head_plane_mut(head) {
                         plane.decision_pending = false;
                     }
                 }
@@ -207,9 +208,8 @@ impl Engine {
     pub(super) fn on_migration_done(&mut self, target: NodeId, suspect: NodeId) {
         // Admission gate on the target before activation.
         let admitted = self
-            .registry
             .controller_mut(target)
-            .expect("target registered")
+            .expect("target deployed")
             .admit_focus_task();
         if !admitted {
             self.trace
@@ -219,7 +219,7 @@ impl Engine {
                 .vc_of_controller(target)
                 .and_then(|vc| self.vcs.vc(vc).head);
             if let Some(head) = head {
-                if let Some(plane) = self.registry.head_plane_mut(head) {
+                if let Some(plane) = self.head_plane_mut(head) {
                     plane.decision_pending = false;
                 }
             }
@@ -227,11 +227,10 @@ impl Engine {
         }
         // Warm-start the migrated integrator from the suspect's snapshot
         // (the data section of the migrated TCB).
-        if let Some(suspect_core) = self.registry.controller(suspect) {
+        if let Some(suspect_core) = self.controller(suspect) {
             let snapshot = suspect_core.snapshot_vars();
-            self.registry
-                .controller_mut(target)
-                .expect("target registered")
+            self.controller_mut(target)
+                .expect("target deployed")
                 .restore_vars(snapshot);
         }
         self.trace
@@ -250,7 +249,7 @@ impl Engine {
         let Some(head) = self.vcs.vc(vc).head else {
             return;
         };
-        if let Some(plane) = self.registry.head_plane_mut(head) {
+        if let Some(plane) = self.head_plane_mut(head) {
             plane.push_cmd(Message::Reconfig {
                 vc,
                 promote: Some(target),
@@ -260,16 +259,16 @@ impl Engine {
         }
         // The head applies its own commit immediately (it never hears its
         // own broadcast): the monitor re-aims at the new Active.
-        let now = self.now;
-        let head_label = self.label_of(head);
-        if let Some(monitor) = self.registry.controller_mut(head) {
-            monitor.apply_reconfig(
-                Some(target),
-                Some((suspect, ControllerMode::Backup)),
-                now,
-                &head_label,
-                &mut self.trace,
-            );
+        if let Some(ix) = self.topology.index_of(head) {
+            if let Some(monitor) = self.nodes[ix].controller_mut() {
+                monitor.apply_reconfig(
+                    Some(target),
+                    Some((suspect, ControllerMode::Backup)),
+                    self.now,
+                    &self.labels[ix],
+                    &mut self.trace,
+                );
+            }
         }
         self.queue.push(
             self.now + self.scenario.demote_dormant_after,
@@ -288,7 +287,7 @@ impl Engine {
         };
         let _ = self.components[vc as usize].set_mode(target, ControllerMode::Dormant);
         if let Some(head) = self.vcs.vc(vc).head {
-            if let Some(plane) = self.registry.head_plane_mut(head) {
+            if let Some(plane) = self.head_plane_mut(head) {
                 plane.push_cmd(Message::Reconfig {
                     vc,
                     promote: None,

@@ -14,11 +14,11 @@
 //!   [`ScenarioBuilder`] topology DSL,
 //! * [`topo`] — role-based topology specs, the [`RoleMap`], and RT-Link
 //!   flow synthesis,
-//! * [`behavior`] — the [`NodeBehavior`] trait and its driver-side
-//!   contract,
-//! * [`behaviors`] — one implementation per role (gateway, sensor,
-//!   controller, actuator, head),
-//! * [`registry`] — behaviors keyed by [`evm_netsim::NodeId`],
+//! * [`behavior`] — the closed [`Node`] enum (one variant per role) and
+//!   its driver-side contract; the engine keeps one per topology node,
+//!   indexed like the topology ([`evm_netsim::Topology::index_of`]),
+//! * [`behaviors`] — each role's state and duties (gateway, sensor,
+//!   controller replica, actuator, head),
 //! * [`reconfig`] — the epoch-based reconfiguration plane (the
 //!   [`Reconfigurator`] pipeline plus the driver's liveness triggers),
 //! * `xfer` — the live capsule-transfer plane: chunked, acked capsule
@@ -32,13 +32,12 @@ mod failover;
 mod messages;
 mod plan;
 pub mod reconfig;
-pub mod registry;
 mod scenario;
 mod setup;
 pub mod topo;
 mod xfer;
 
-pub use behavior::{Effect, NodeBehavior, NodeCtx, Timer};
+pub use behavior::{Effect, Node, NodeCtx, Timer};
 pub use driver::Engine;
 pub use messages::Message;
 pub use reconfig::{Epoch, ReconfigError, Reconfigurator, ReroutePolicy, SlotFlow};

@@ -6,7 +6,7 @@
 //! interpreting: at setup and at every epoch commit the
 //! schedule and its flow semantics are lowered into flat records with
 //! every slot-invariant term pre-resolved (dense indices, distances,
-//! channel budgets, the cycle-start hook list, bound plant tags), plus a
+//! channel budgets, bound plant tags), plus a
 //! next-occupied-slot index the slot cursor jumps over empty stretches
 //! with. The hot path is reduced to the RNG draws.
 //!
@@ -96,9 +96,6 @@ pub(super) struct CyclePlan {
     /// `true` under the heartbeat reroute policy: transmissions stamp
     /// the liveness ledger and eligible empty slots are keepalive-filled.
     pub(super) keepalives: bool,
-    /// Dense indices (ascending) of nodes whose `on_cycle_start` hook
-    /// does work — the others are provably no-ops and skipped.
-    pub(super) hooks: Vec<u32>,
     /// Pre-bound plant-tag handle per `err_series` row (`None` when the
     /// tag is unpublished: that row is silently not sampled).
     pub(super) err_tags: Vec<Option<BoundTag>>,
@@ -188,13 +185,6 @@ impl Engine {
                 next_occ[slot + 1]
             };
         }
-        let hooks = self
-            .node_ids
-            .iter()
-            .enumerate()
-            .filter(|&(_, &id)| self.registry.get(id).is_some_and(|b| b.has_cycle_hook()))
-            .map(|(ix, _)| u32::try_from(ix).expect("dense index fits u32"))
-            .collect();
         let err_tags = self
             .err_series
             .iter()
@@ -209,7 +199,6 @@ impl Engine {
             next_occ,
             detect,
             keepalives,
-            hooks,
             err_tags,
             generation,
         };

@@ -24,8 +24,8 @@
 //!    chain).
 //! 2. **Head crash** — a silent head is replaced by
 //!    [`crate::membership::elect_head`] over the VC's surviving backup
-//!    replicas (fittest battery, lowest id on ties); the winner's
-//!    behavior is rehydrated from a controller into a head (keeping its
+//!    replicas (fittest battery, lowest id on ties); the winner's node
+//!    swaps in place from a controller into a head (keeping its
 //!    replica state), the component record re-seats the head, and the
 //!    control plane (arbitration, failover commits) resumes on the new
 //!    node.
@@ -44,7 +44,7 @@ use evm_sim::{SimDuration, SimTime};
 
 use crate::membership::{elect_head, HeadCandidate, HeartbeatLedger};
 use crate::roles::ControllerMode;
-use crate::runtime::behaviors::{HeadNode, RelayCore};
+use crate::runtime::behaviors::RelayCore;
 use crate::runtime::driver::Engine;
 use crate::runtime::topo::{route_flows, synth_flows, FlowKind, RelayJob, RouteError, VcId, VcMap};
 
@@ -409,10 +409,11 @@ impl Engine {
     }
 
     /// Re-elects VC `vc`'s head after `dead` went silent: deterministic
-    /// election over the surviving backup replicas, behavior rehydration
-    /// (the winner's [`super::behaviors::ControllerNode`] becomes a
-    /// [`HeadNode`] around the *same* replica core — detectors, VM state
-    /// and kernel carry over), role-map and component-record updates.
+    /// election over the surviving backup replicas, rehydration in place
+    /// (the winner's [`Node::Controller`](super::Node::Controller)
+    /// becomes a [`Node::Head`](super::Node::Head) around the *same*
+    /// replica core — detectors, VM state and kernel carry over), role-map
+    /// and component-record updates.
     fn reelect_head(&mut self, vc: VcId, dead: NodeId) {
         let candidates: Vec<HeadCandidate> = self
             .vcs
@@ -442,16 +443,8 @@ impl Engine {
         };
         // Rehydrate: the winner keeps its replica core (mode, detectors,
         // integrator state) but gains the head's control plane.
-        if self.registry.controller(new_head).is_some() {
-            let old = self
-                .registry
-                .take(new_head)
-                .expect("elected head is registered");
-            let core = old
-                .into_controller_core()
-                .expect("elected head hosts a replica core");
-            self.registry
-                .put_back(new_head, Box::new(HeadNode::new(core)));
+        if let Some(ix) = self.topology.index_of(new_head) {
+            self.nodes[ix].promote_to_head();
         }
         {
             let roles = &mut self.vcs.vcs[vc as usize];

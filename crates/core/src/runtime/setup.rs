@@ -1,6 +1,6 @@
 //! Engine construction: resolve the topology, synthesize the shared
-//! schedule, and instantiate one behavior per role — per Virtual
-//! Component.
+//! schedule, and instantiate one [`Node`] per topology node — per
+//! Virtual Component.
 //!
 //! Construction is fleet-aware: role lookups go through a dense node→duty
 //! table built once (instead of per-node scans over every VC), identical
@@ -19,15 +19,14 @@ use crate::bytecode::{
 use crate::component::{MemberInfo, VirtualComponent};
 use crate::metrics::VcRunStats;
 use crate::roles::ControllerMode;
-use crate::runtime::behavior::NodeBehavior;
+use crate::runtime::behavior::Node;
 use crate::runtime::behaviors::{
-    ActuationGate, ActuatorNode, ControllerCore, ControllerNode, GatewayNode, HeadNode, RelayCore,
-    RelayNode, ReplicaParams, SensorNode,
+    ActuationGate, ActuatorNode, ControllerCore, GatewayNode, HeadNode, RelayCore, ReplicaParams,
+    SensorNode,
 };
 use crate::runtime::driver::{Engine, Ev};
 use crate::runtime::plan::CyclePlan;
 use crate::runtime::reconfig::{Epoch, ReconfigError, ReconfigState, Reconfigurator};
-use crate::runtime::registry::NodeRegistry;
 use crate::runtime::topo::{TopologyError, VcId, VcMap};
 use crate::runtime::Scenario;
 use crate::transfers::ObjectTransfer;
@@ -311,16 +310,15 @@ impl Engine {
             }
         }
 
-        // --- Node behaviors --------------------------------------------
+        // --- Nodes, in topology (dense index) order ---------------------
         let b_mode = if scenario.warm_backup {
             ControllerMode::Backup
         } else {
             ControllerMode::Dormant
         };
-        let mut registry = NodeRegistry::new();
-        for (info, &node_duty) in topology.nodes().iter().zip(&duty) {
-            let id = info.id;
-            let behavior: Box<dyn NodeBehavior> = if id == vcs.gateway {
+        let mut nodes = Vec::with_capacity(node_ids.len());
+        for (&id, &node_duty) in node_ids.iter().zip(&duty) {
+            let node = if id == vcs.gateway {
                 // One gate per VC without an actuator node: the gateway is
                 // then that VC's actuation endpoint.
                 let gates = vcs
@@ -333,7 +331,7 @@ impl Engine {
                     })
                     .collect();
                 let act_registers = plans.iter().map(|p| p.act_register).collect();
-                Box::new(GatewayNode::new(
+                Node::Gateway(GatewayNode::new(
                     scenario.sensor_noise_std,
                     act_registers,
                     gates,
@@ -347,7 +345,7 @@ impl Engine {
                     // still fail over.
                     Some(Duty::Head(vc)) => {
                         let p = &plans[vc as usize];
-                        Box::new(HeadNode::new(ControllerCore::new(
+                        Node::Head(Box::new(HeadNode::new(ControllerCore::new(
                             id,
                             vc,
                             ControllerMode::Backup,
@@ -355,12 +353,12 @@ impl Engine {
                             &p.capsule.program,
                             p.capsule.gas_budget,
                             &p.params,
-                        )))
+                        ))))
                     }
-                    Some(Duty::Sensor(vc, tag)) => Box::new(SensorNode::new(vc, tag)),
+                    Some(Duty::Sensor(vc, tag)) => Node::Sensor(SensorNode::new(vc, tag)),
                     // Dedicated forwarders: their duties live in the
-                    // routed relay cores, not the behavior.
-                    Some(Duty::Relay) => Box::new(RelayNode),
+                    // routed relay cores, not the node.
+                    Some(Duty::Relay) => Node::Relay,
                     Some(Duty::Controller(vc)) => {
                         let p = &plans[vc as usize];
                         let (mode, hosts_task) = if id == p.primary {
@@ -368,7 +366,7 @@ impl Engine {
                         } else {
                             (b_mode, scenario.warm_backup)
                         };
-                        Box::new(ControllerNode::new(ControllerCore::new(
+                        Node::Controller(Box::new(ControllerCore::new(
                             id,
                             vc,
                             mode,
@@ -379,12 +377,12 @@ impl Engine {
                         )))
                     }
                     Some(Duty::Actuator(vc)) => {
-                        Box::new(ActuatorNode::new(vc, plans[vc as usize].primary))
+                        Node::Actuator(ActuatorNode::new(vc, plans[vc as usize].primary))
                     }
                     None => panic!("node must hold a role in some VC"),
                 }
             };
-            registry.insert(id, behavior);
+            nodes.push(node);
         }
 
         // --- Virtual components (one record per hosted loop) -----------
@@ -461,8 +459,8 @@ impl Engine {
         let mode_series = vcs
             .all_controllers()
             .map(|(_, n)| {
-                let label = topology.node(n).expect("member").label.clone();
-                (n, TimeSeries::new(format!("Mode.{label}")))
+                let ix = dense_ix(n);
+                (ix, TimeSeries::new(format!("Mode.{}", labels[ix])))
             })
             .collect();
         let err_series = plans
@@ -504,7 +502,7 @@ impl Engine {
             trace: Trace::new(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            registry,
+            nodes,
             series,
             mode_series,
             err_series,

@@ -119,7 +119,7 @@ impl Engine {
             );
             return;
         }
-        let Some(vars) = self.registry.controller(src).map(|c| c.snapshot_vars()) else {
+        let Some(vars) = self.controller(src).map(|c| c.snapshot_vars()) else {
             return;
         };
         // Receivers only accept strict upgrades, so every shipment is a
@@ -281,10 +281,7 @@ impl Engine {
     /// leaves the receiver's resident state untouched.
     fn finish_transfer(&mut self) {
         let xfer = self.xfer.take().expect("transfer just completed");
-        let resident = self
-            .registry
-            .controller(xfer.dst)
-            .and_then(|c| c.capsule_version);
+        let resident = self.controller(xfer.dst).and_then(|c| c.capsule_version);
         // What a replica host provides: it computes the law and publishes
         // on the data plane.
         let host_caps = [Capability::ControllerRole, Capability::DataPlane];
@@ -307,7 +304,7 @@ impl Engine {
             );
             return;
         }
-        let Some(core) = self.registry.controller_mut(xfer.dst) else {
+        let Some(core) = self.controller_mut(xfer.dst) else {
             self.trace.log(
                 self.now,
                 "migrate",
