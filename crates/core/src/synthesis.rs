@@ -110,6 +110,35 @@ impl SynthesisProblem {
         self.w_comm * comm + self.w_balance * balance + penalty
     }
 
+    /// Checks the instance is well-formed before a solver indexes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hops` is not `nodes.len()` square, or if a task names a
+    /// sensor or actuator node index that is not below `nodes.len()`; the
+    /// message names the task.
+    fn check(&self) {
+        let n = self.nodes.len();
+        assert!(
+            self.hops.len() == n && self.hops.iter().all(|row| row.len() == n),
+            "hops must be {n} x {n}, one row and column per node"
+        );
+        for task in &self.tasks {
+            for (what, node) in [
+                ("sensor", task.sensor_node),
+                ("actuator", task.actuator_node),
+            ] {
+                if let Some(ix) = node {
+                    assert!(
+                        ix < n,
+                        "task `{}`: {what} node index {ix} is out of range for {n} nodes",
+                        task.name
+                    );
+                }
+            }
+        }
+    }
+
     /// Total capacity violation (zero for feasible assignments).
     #[must_use]
     pub fn capacity_violation(&self, a: &Assignment) -> f64 {
@@ -139,9 +168,12 @@ impl SynthesisProblem {
     ///
     /// Panics if the instance has more than 16 tasks × nodes combinations
     /// than fit a u64 enumeration (guard: `nodes.len().pow(tasks.len())`
-    /// must stay below ~10⁸).
+    /// must stay below ~10⁸), or if it is malformed: `hops` not
+    /// `nodes.len()` square, or a task's sensor or actuator node index not
+    /// below `nodes.len()` (the message names the task).
     #[must_use]
     pub fn solve_exhaustive(&self) -> Assignment {
+        self.check();
         let n = self.nodes.len();
         let t = self.tasks.len();
         let total = (n as u128).pow(t as u32);
@@ -171,8 +203,15 @@ impl SynthesisProblem {
 
     /// Greedy solver: places tasks in declaration order on the node that
     /// minimizes incremental cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance is malformed: `hops` not `nodes.len()`
+    /// square, or a task's sensor or actuator node index not below
+    /// `nodes.len()` (the message names the task).
     #[must_use]
     pub fn solve_greedy(&self) -> Assignment {
+        self.check();
         let mut assignment = Assignment {
             task_to_node: Vec::with_capacity(self.tasks.len()),
         };
@@ -204,8 +243,15 @@ impl SynthesisProblem {
     }
 
     /// Simulated-annealing solver over reassignment moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance is malformed: `hops` not `nodes.len()`
+    /// square, or a task's sensor or actuator node index not below
+    /// `nodes.len()` (the message names the task).
     #[must_use]
     pub fn solve_anneal(&self, rng: &mut SimRng, iterations: usize) -> Assignment {
+        self.check();
         let t = self.tasks.len();
         let n = self.nodes.len();
         if t == 0 || n == 0 {
@@ -505,6 +551,23 @@ mod tests {
         hosts.sort_unstable();
         hosts.dedup();
         assert_eq!(hosts.len(), 3, "optimum spreads tasks across all nodes");
+    }
+
+    #[test]
+    #[should_panic(expected = "task `pid-b`: actuator node index 3 is out of range for 3 nodes")]
+    fn solvers_name_the_task_with_an_out_of_range_node() {
+        let mut p = line_problem();
+        p.tasks[1].actuator_node = Some(3);
+        let mut rng = SimRng::seed_from(1);
+        let _ = p.solve_anneal(&mut rng, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "hops must be 3 x 3, one row and column per node")]
+    fn solvers_reject_a_hop_matrix_of_the_wrong_shape() {
+        let mut p = line_problem();
+        p.hops[2].pop();
+        let _ = p.solve_greedy();
     }
 
     #[test]

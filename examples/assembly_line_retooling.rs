@@ -11,7 +11,9 @@
 //! executor proves no Camry operation misses its deadline through the
 //! switch.
 
-use evm::rtos::{Executor, Kernel, TaskImage, TaskSpec};
+use evm::rtos::{
+    assign_rate_monotonic, response_time_analysis, Executor, Kernel, TaskImage, TaskSpec,
+};
 use evm::sim::{SimDuration, SimTime};
 
 fn ms(v: u64) -> SimDuration {
@@ -79,15 +81,29 @@ fn main() {
     );
     assert!(log.misses.is_empty());
 
-    // And show the gate refusing an unsafe retool.
-    let err = stations[0].admit(
-        TaskSpec::new("prius-paint", ms(80), ms(200)),
-        TaskImage::typical_control_task(),
-        None,
-    );
+    // And show the gate refusing an unsafe retool. The mixed set would
+    // stay under full utilization, so no utilization test refuses it:
+    // the kernel's exact response-time analysis does, because under
+    // rate-monotonic priorities prius-paint preempts prius-battery past
+    // its deadline.
+    let paint = TaskSpec::new("prius-paint", ms(60), ms(150));
+    let mut trial = stations[0].active_set();
+    trial.push(paint.clone());
+    assign_rate_monotonic(&mut trial);
+    let verdict = response_time_analysis(&trial);
+    let late: Vec<&str> = trial
+        .tasks()
+        .iter()
+        .zip(&verdict.response_times)
+        .filter(|(_, r)| r.is_none())
+        .map(|(t, _)| t.name.as_str())
+        .collect();
+    let err = stations[0].admit(paint, TaskImage::typical_control_task(), None);
     println!(
-        "\nunsafe retool (+40% util) refused: {}",
-        err.expect_err("must be refused")
+        "\nunsafe retool (+prius-paint 60 ms / 150 ms: util {:.2} < 1, but {} would miss its deadline) refused: {}",
+        trial.total_utilization(),
+        late.join(", "),
+        err.expect_err("response-time analysis must refuse prius-paint")
     );
     println!(
         "running mode untouched: util {:.2}",

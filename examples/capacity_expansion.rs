@@ -17,13 +17,16 @@ use evm::sim::SimRng;
 fn main() {
     let mut rng = SimRng::seed_from(2009);
 
+    // The loops' sensors and actuators sit by the first two controllers,
+    // which every pool below contains (indices must stay below the pool
+    // size).
     let loops: Vec<TaskReq> = (0..8)
         .map(|i| TaskReq {
             name: format!("loop-{i}"),
             cpu_util: 0.17,
             slots: 1,
-            sensor_node: Some(i % 3),
-            actuator_node: Some((i + 1) % 3),
+            sensor_node: Some(i % 2),
+            actuator_node: Some((i + 1) % 2),
         })
         .collect();
 
@@ -37,7 +40,7 @@ fn main() {
             nodes: (0..pool)
                 .map(|i| NodeRes {
                     id: NodeId(10 + i as u16),
-                    cpu_capacity: 0.8,
+                    cpu_capacity: 0.6,
                     slot_capacity: 8,
                 })
                 .collect(),
@@ -62,8 +65,9 @@ fn main() {
     }
 
     println!(
-        "\nreading: two controllers cannot host 1.36 total utilization; from \
-         three onward the optimizer spreads the eight loops and headroom \
-         grows with every join — capacity expands on-line, no redesign."
+        "\nreading: two controllers of 0.6 capacity cannot host 1.36 total \
+         utilization; from three onward the optimizer spreads the eight \
+         loops and the pool's headroom grows with every join — capacity \
+         expands on-line, no redesign."
     );
 }
