@@ -74,10 +74,12 @@ pub struct NodeCtx<'a> {
 
 /// One deployed node. A Virtual Component deploys a closed set of
 /// roles, and the only role change is a backup replica's promotion to
-/// head ([`Node::promote_to_head`]). The driver is the only caller.
+/// head (`promote_to_head`). The driver is the only caller.
 pub enum Node {
-    /// The ModBus bridge between the plant and the radio.
-    Gateway(GatewayNode),
+    /// The ModBus bridge between the plant and the radio. Boxed: its
+    /// per-VC tables would otherwise set the size of every node's slot,
+    /// and a deployment has one gateway.
+    Gateway(Box<GatewayNode>),
     /// A sensor publishing one plant signal.
     Sensor(SensorNode),
     /// A dedicated forwarder. Its duties live in the driver-held
@@ -85,8 +87,8 @@ pub enum Node {
     /// itself does nothing.
     Relay,
     /// A controller replica. Boxed, like [`Node::Head`]: a replica is
-    /// far larger than the other roles, and a fleet deploys many more
-    /// sensors than replicas.
+    /// far larger than a sensor or an actuator, which a fleet deploys
+    /// by the thousand.
     Controller(Box<ControllerCore>),
     /// An actuator node.
     Actuator(ActuatorNode),
@@ -99,7 +101,7 @@ impl Node {
     /// transmissions — heartbeat silence checks live here. Only nodes
     /// hosting a replica ([`Node::controller`]) do anything, and the
     /// driver dispatches only to those.
-    pub fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
         match self {
             // Backups raise heartbeat-timeout alerts; the Active replica
             // has no one to watch (its own silence is what others detect).
@@ -119,7 +121,11 @@ impl Node {
     /// What this node transmits in a slot scheduled for `kind`, if
     /// anything. Returning `None` leaves the slot empty (listeners still
     /// pay the detect window).
-    pub fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
+    pub(crate) fn take_outgoing(
+        &mut self,
+        kind: FlowKind,
+        ctx: &mut NodeCtx<'_>,
+    ) -> Option<Message> {
         match self {
             Node::Gateway(gw) => gw.take_outgoing(kind, ctx),
             Node::Sensor(s) => s.take_outgoing(kind, ctx),
@@ -134,7 +140,7 @@ impl Node {
     }
 
     /// A frame addressed to (or subscribed by) this node arrived.
-    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
         match self {
             Node::Gateway(gw) => gw.on_deliver(msg, ctx),
             Node::Sensor(s) => s.on_deliver(msg),
@@ -163,7 +169,7 @@ impl Node {
     }
 
     /// A timer scheduled by this node fired.
-    pub fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
         if let Some(core) = self.controller_mut() {
             core.on_timer(timer, ctx);
         }
@@ -173,7 +179,7 @@ impl Node {
     /// nodes and the head's monitor). Used by the driver for mode
     /// sampling, arbitration candidates and migration.
     #[must_use]
-    pub fn controller(&self) -> Option<&ControllerCore> {
+    pub(crate) fn controller(&self) -> Option<&ControllerCore> {
         match self {
             Node::Controller(core) => Some(core),
             Node::Head(head) => Some(&head.monitor),
@@ -182,7 +188,7 @@ impl Node {
     }
 
     /// Mutable access to the controller replica state.
-    pub fn controller_mut(&mut self) -> Option<&mut ControllerCore> {
+    pub(crate) fn controller_mut(&mut self) -> Option<&mut ControllerCore> {
         match self {
             Node::Controller(core) => Some(core),
             Node::Head(head) => Some(&mut head.monitor),
@@ -191,7 +197,7 @@ impl Node {
     }
 
     /// The head's control plane, for the head node.
-    pub fn head_plane_mut(&mut self) -> Option<&mut HeadPlane> {
+    pub(crate) fn head_plane_mut(&mut self) -> Option<&mut HeadPlane> {
         match self {
             Node::Head(head) => Some(&mut head.plane),
             _ => None,
@@ -202,7 +208,7 @@ impl Node {
     /// head around the *same* core (mode, detectors, VM state and kernel
     /// carry over) and gains the control plane. Any other node is left
     /// as it is.
-    pub fn promote_to_head(&mut self) {
+    pub(crate) fn promote_to_head(&mut self) {
         *self = match std::mem::replace(self, Node::Relay) {
             Node::Controller(core) => Node::Head(Box::new(HeadNode::new(*core))),
             other => other,

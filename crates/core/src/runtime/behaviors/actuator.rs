@@ -74,7 +74,7 @@ impl ActuatorNode {
     }
 
     /// Forwards the accepted command in the actuator's own slot.
-    pub fn take_outgoing(&mut self, kind: FlowKind) -> Option<Message> {
+    pub(crate) fn take_outgoing(&mut self, kind: FlowKind) -> Option<Message> {
         match kind {
             FlowKind::ActuateForward { vc } if vc == self.vc => {
                 let (value, pv_ts) = self.pending.take()?;
@@ -89,7 +89,7 @@ impl ActuatorNode {
     }
 
     /// Gates controller outputs, fail-safe commands and master switches.
-    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
         match *msg {
             Message::ControlOutput {
                 vc,

@@ -334,7 +334,11 @@ impl ControllerCore {
     /// outputs feed the deviation detector. Returns the suspect and its
     /// mean deviation when a peer fault is *newly confirmed*; routing
     /// that alert is the host's duty.
-    pub fn on_data(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) -> Option<(NodeId, f64)> {
+    pub(crate) fn on_data(
+        &mut self,
+        msg: &Message,
+        ctx: &mut NodeCtx<'_>,
+    ) -> Option<(NodeId, f64)> {
         match *msg {
             Message::SensorValue {
                 vc,
@@ -366,7 +370,7 @@ impl ControllerCore {
     }
 
     /// A timer scheduled by this replica's host fired.
-    pub fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
         match timer {
             Timer::TaskDone => self.run_capsule(ctx.now, ctx.rng, ctx.trace),
         }
@@ -374,7 +378,7 @@ impl ControllerCore {
 
     /// Logs a heartbeat timeout on the watched node and returns it as
     /// the suspect.
-    pub fn heartbeat_timeout(&self, ctx: &mut NodeCtx<'_>) -> NodeId {
+    pub(crate) fn heartbeat_timeout(&self, ctx: &mut NodeCtx<'_>) -> NodeId {
         let suspect = self.watched();
         ctx.trace.log(
             ctx.now,

@@ -45,7 +45,11 @@ impl GatewayNode {
     }
 
     /// Serves a HIL downlink from the plant's register map.
-    pub fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
+    pub(crate) fn take_outgoing(
+        &mut self,
+        kind: FlowKind,
+        ctx: &mut NodeCtx<'_>,
+    ) -> Option<Message> {
         match kind {
             FlowKind::HilDownlink { vc, tag } => {
                 let register = *ctx.vcs.vc(vc).sensor_registers.get(tag as usize)?;
@@ -67,7 +71,7 @@ impl GatewayNode {
 
     /// Applies forwarded actuations and, for VCs without an actuator
     /// node, gates controller outputs itself.
-    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
         match *msg {
             Message::ActuateFwd {
                 vc,

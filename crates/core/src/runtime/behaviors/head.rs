@@ -55,7 +55,7 @@ impl HeadNode {
 
     /// The monitor's heartbeat check short-circuits the alert frame (it
     /// would be addressed to this very node).
-    pub fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_cycle_start(&mut self, ctx: &mut NodeCtx<'_>) {
         if self.monitor.watched_silent(ctx.now) && !self.plane.decision_pending {
             let suspect = self.monitor.heartbeat_timeout(ctx);
             ctx.effects.push(Effect::Alert {
@@ -67,7 +67,7 @@ impl HeadNode {
 
     /// Rebroadcasts the oldest pending command in the VC's control-plane
     /// slot.
-    pub fn take_outgoing(&mut self, kind: FlowKind) -> Option<Message> {
+    pub(crate) fn take_outgoing(&mut self, kind: FlowKind) -> Option<Message> {
         match kind {
             FlowKind::ControlPlane { vc } if vc == self.monitor.vc => {
                 let (msg, remaining) = self.plane.pending_cmds.first_mut()?;
@@ -84,7 +84,7 @@ impl HeadNode {
 
     /// Alerts, in-band or from the monitor's own detector, go straight to
     /// arbitration.
-    pub fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn on_deliver(&mut self, msg: &Message, ctx: &mut NodeCtx<'_>) {
         if let Message::FaultAlert { suspect, observer } = *msg {
             ctx.effects.push(Effect::Alert { suspect, observer });
         } else if let Some((suspect, mean_dev)) = self.monitor.on_data(msg, ctx) {

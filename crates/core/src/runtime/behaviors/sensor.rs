@@ -23,7 +23,11 @@ impl SensorNode {
     }
 
     /// Publishes the latest PV in the sensor's own publish slot.
-    pub fn take_outgoing(&mut self, kind: FlowKind, ctx: &mut NodeCtx<'_>) -> Option<Message> {
+    pub(crate) fn take_outgoing(
+        &mut self,
+        kind: FlowKind,
+        ctx: &mut NodeCtx<'_>,
+    ) -> Option<Message> {
         match kind {
             FlowKind::SensorPublish { vc, tag } if vc == self.vc && tag == self.tag => {
                 // Freshness stamp: the sensor publishes "now" (on hardware
@@ -40,7 +44,7 @@ impl SensorNode {
     }
 
     /// Keeps the latest downlinked value of the sensor's signal.
-    pub fn on_deliver(&mut self, msg: &Message) {
+    pub(crate) fn on_deliver(&mut self, msg: &Message) {
         if let Message::SensorValue { vc, tag, value, .. } = *msg {
             if vc == self.vc && tag == self.tag {
                 self.latest = Some(value);

@@ -331,11 +331,11 @@ impl Engine {
                     })
                     .collect();
                 let act_registers = plans.iter().map(|p| p.act_register).collect();
-                Node::Gateway(GatewayNode::new(
+                Node::Gateway(Box::new(GatewayNode::new(
                     scenario.sensor_noise_std,
                     act_registers,
                     gates,
-                ))
+                )))
             } else {
                 match node_duty {
                     // A head always runs a monitor replica of its VC's
