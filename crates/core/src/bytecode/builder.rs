@@ -313,6 +313,41 @@ mod tests {
         assert_eq!(starved.gas_used(), first - 1);
     }
 
+    /// FNV-1a-64 of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every standard loop's compiled law, pinned: the FNV-1a-64 digest
+    /// of its wire encoding (which carries each `push` literal's raw
+    /// bits), its length and its gas budget. A compiler rewrite must
+    /// leave all three unchanged.
+    #[test]
+    fn standard_laws_compile_to_pinned_programs() {
+        const PINS: [(&str, u64, usize, u64); 8] = [
+            ("LC-InletSep", 0x1615_e5a2_e44d_6fa2, 205, 85),
+            ("TC-Chiller", 0x81f8_a330_2c59_8666, 205, 85),
+            ("LC-LTS", 0x9d63_f835_1d54_709f, 205, 85),
+            ("FC-SalesGas", 0x9da3_dedf_7df6_a7cb, 205, 85),
+            ("PC-Column", 0x3dd4_d0c3_9e2b_d47a, 205, 85),
+            ("LC-Sump", 0xa5d5_83d1_92b3_f5b6, 205, 85),
+            ("LC-RefluxDrum", 0xa5d5_83d1_92b3_f5b6, 205, 85),
+            ("TC-Tray", 0x1368_e755_b36b_8fe4, 205, 85),
+        ];
+        let loops = evm_plant::standard_loops();
+        assert_eq!(loops.len(), PINS.len());
+        for (spec, &(name, digest, len, gas)) in loops.iter().zip(&PINS) {
+            assert_eq!(spec.name, name);
+            let program = compile_control_law(&ControlLawSpec::from_loop(spec));
+            let bytes = program.encode();
+            assert_eq!(fnv1a(&bytes), digest, "{name}: encoding moved");
+            assert_eq!(bytes.len(), len, "{name}: encoded length moved");
+            assert_eq!(control_law_gas_budget(&program), gas, "{name}: gas moved");
+        }
+    }
+
     #[test]
     fn reverse_acting_law_flips_sign() {
         let mut spec = lts_spec();
