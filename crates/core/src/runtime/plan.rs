@@ -19,11 +19,9 @@
 //! back to the unbudgeted sampler per delivery. The golden digests pin
 //! this order.
 //!
-//! **The link-budget memo.** An unshadowed link's budget is a pure
-//! function of its distance, and a shadowed channel has no budget at any
-//! distance, so one rebuild resolves each distinct distance once (keyed
-//! on its bit pattern) and reuses the result bit for bit. A fleet repeats
-//! a handful of cell distances over thousands of listeners.
+//! Budgets come from the channel's link-model memo, which is keyed on
+//! distance and outlives plan rebuilds: each distinct distance is
+//! evaluated once per run, not once per listener or per epoch.
 //!
 //! **The rebuild rule.** The plan is rebuilt at engine setup and at
 //! epoch commit (`apply_epoch`), both strictly at cycle boundaries. One
@@ -31,8 +29,6 @@
 //! slots before a commit can still resolve its listener set; deliveries
 //! land within their own slot (guard + airtime < slot), so one
 //! generation is strictly enough.
-
-use std::collections::BTreeMap;
 
 use evm_netsim::{BurstSlot, LinkBudget, NodeId};
 use evm_plant::BoundTag;
@@ -131,8 +127,6 @@ impl Engine {
         let mut per_slot = Vec::with_capacity(spc);
         let mut entries = Vec::new();
         let mut listeners = Vec::new();
-        // Link budget per distance (`f64::to_bits`); see the module docs.
-        let mut budgets: BTreeMap<u64, Option<LinkBudget>> = BTreeMap::new();
         for slot in 0..spc {
             let first = u32::try_from(entries.len()).expect("schedule fits u32");
             for a in self.schedule.in_slot(slot) {
@@ -149,14 +143,11 @@ impl Engine {
                         .index_of(l)
                         .expect("scheduled listener is deployed");
                     let distance = self.topology.distance(owner, l);
-                    let budget = *budgets
-                        .entry(distance.to_bits())
-                        .or_insert_with(|| self.channel.link_budget((owner, l), distance));
                     listeners.push(PlanListener {
                         id: l,
                         ix: u32::try_from(ix).expect("dense index fits u32"),
                         distance,
-                        budget,
+                        budget: self.channel.link_budget((owner, l), distance),
                         burst: self.channel.burst_slot((owner, l)),
                     });
                 }
@@ -203,55 +194,5 @@ impl Engine {
             generation,
         };
         self.plan_prev = std::mem::replace(&mut self.plan, plan);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use evm_netsim::{Channel, ChannelConfig};
-    use evm_sim::SimRng;
-
-    use crate::runtime::{Engine, ScenarioBuilder};
-
-    /// The per-rebuild budget memo is keyed on distance: on the 2-hop
-    /// line, where a listener distance recurs after a different one,
-    /// every planned budget equals a fresh `link_budget` call on an
-    /// untouched channel. Under shadowing every budget is `None`.
-    #[test]
-    fn memoized_budgets_match_fresh_link_budgets() {
-        for config in [
-            ChannelConfig::default(),
-            ChannelConfig {
-                shadowing_sigma_db: 4.0,
-                ..ChannelConfig::default()
-            },
-        ] {
-            let mut scenario = ScenarioBuilder::star().line(2).build();
-            scenario.channel = config.clone();
-            let engine = Engine::new(scenario);
-            let mut fresh = Channel::new(config, SimRng::seed_from(99));
-            let plan = &engine.plan;
-            let mut distances = Vec::new();
-            for e in &plan.entries {
-                for l in &plan.listeners[e.lo as usize..e.hi as usize] {
-                    let d = engine.topology.distance(e.owner, l.id);
-                    assert_eq!(l.distance.to_bits(), d.to_bits());
-                    let want = fresh.link_budget((e.owner, l.id), d);
-                    assert_eq!(l.budget, want, "{} -> {} at {d} m", e.owner, l.id);
-                    if !fresh.is_shadowed() {
-                        assert!(want.is_some());
-                    }
-                    distances.push(d.to_bits());
-                }
-            }
-            // Interleaved: a distance recurs after a different one.
-            let recurs = distances.iter().enumerate().any(|(i, d)| {
-                distances[i + 1..]
-                    .iter()
-                    .skip_while(|x| *x == d)
-                    .any(|x| x == d)
-            });
-            assert!(recurs, "distances must interleave: {distances:?}");
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! runs a [`GilbertElliott`] process so that losses exhibit realistic
 //! bursts.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use evm_sim::SimRng;
 
@@ -75,6 +75,15 @@ pub struct LinkBudget {
     ber: f64,
 }
 
+/// The deterministic link model at one distance, for an unshadowed
+/// channel: the bit error rate and the topology verdict of
+/// [`Channel::is_connected`].
+#[derive(Debug, Clone, Copy)]
+struct LinkModel {
+    ber: f64,
+    connected: bool,
+}
+
 /// An interned handle to one directed link's burst-process state — a
 /// dense index resolved once (per epoch, by the cycle-plan compiler)
 /// so the delivery hot path reaches the state with an array read
@@ -91,9 +100,18 @@ pub struct BurstSlot(u32);
 /// index; interning a link ([`Channel::burst_slot`]) draws no RNG and
 /// creates the same default state lazy first use would, so eager
 /// interning never perturbs a run.
+///
+/// **The link-model memo.** Without shadowing, a link's BER and its
+/// [`Channel::is_connected`] verdict are pure functions of distance, so
+/// the channel evaluates the model once per distinct distance (keyed on
+/// its bit pattern) and answers every later query on any link at that
+/// distance from the memo, bit for bit. A shadowed channel never
+/// touches the memo, so its RNG draw order is unchanged.
 #[derive(Debug)]
 pub struct Channel {
     config: ChannelConfig,
+    /// Link model per distance (`f64::to_bits`), unshadowed only.
+    link_models: BTreeMap<u64, LinkModel>,
     /// Frozen shadowing realization per (src, dst) pair.
     shadowing_db: HashMap<(NodeId, NodeId), f64>,
     /// Burst-state pool index per (src, dst) pair.
@@ -110,6 +128,7 @@ impl Channel {
     pub fn new(config: ChannelConfig, rng: SimRng) -> Self {
         Channel {
             config,
+            link_models: BTreeMap::new(),
             shadowing_db: HashMap::new(),
             burst_index: HashMap::new(),
             burst_states: Vec::new(),
@@ -126,8 +145,6 @@ impl Channel {
     /// Received power in dBm at distance `d` meters (deterministic part +
     /// the link's frozen shadowing realization).
     pub fn received_power_dbm(&mut self, link: (NodeId, NodeId), d: f64) -> f64 {
-        let d = d.max(1.0);
-        let pl = self.config.path_loss_ref_db + 10.0 * self.config.path_loss_exp * d.log10();
         let sigma = self.config.shadowing_sigma_db;
         let shadow = if self.is_shadowed() {
             let rng = &mut self.rng;
@@ -138,7 +155,7 @@ impl Channel {
         } else {
             0.0
         };
-        self.config.tx_power_dbm - pl + shadow
+        received_dbm(&self.config, d, shadow)
     }
 
     /// `true` if links draw a log-normal shadowing realization from the
@@ -157,19 +174,31 @@ impl Channel {
     /// Expected packet error rate for an `air_bytes`-byte frame on `link`
     /// at distance `d` (before burst losses).
     pub fn packet_error_rate(&mut self, link: (NodeId, NodeId), d: f64, air_bytes: usize) -> f64 {
-        let snr = self.snr_db(link, d);
-        let ber = oqpsk_ber(snr);
-        1.0 - (1.0 - ber).powi((air_bytes * 8) as i32)
+        per_from_ber(oqpsk_ber(self.snr_db(link, d)), air_bytes)
     }
 
     /// `true` if the link would be considered usable by the topology layer.
+    /// Unshadowed, answered from the link-model memo.
     pub fn is_connected(&mut self, link: (NodeId, NodeId), d: f64) -> bool {
-        // Judged on a full-size frame, the worst case.
-        self.packet_error_rate(
-            link,
-            d,
-            crate::frame::MAX_FRAME_BYTES + crate::frame::PHY_HEADER_BYTES,
-        ) <= self.config.connect_per_threshold
+        if self.is_shadowed() {
+            self.packet_error_rate(link, d, CONNECT_FRAME_BYTES)
+                <= self.config.connect_per_threshold
+        } else {
+            self.link_model(d).connected
+        }
+    }
+
+    /// The memoized unshadowed link model at distance `d`, evaluated on
+    /// first sight with exactly the arithmetic of the per-link path.
+    fn link_model(&mut self, d: f64) -> LinkModel {
+        let config = &self.config;
+        *self.link_models.entry(d.to_bits()).or_insert_with(|| {
+            let ber = oqpsk_ber(received_dbm(config, d, 0.0) - config.noise_floor_dbm);
+            LinkModel {
+                ber,
+                connected: per_from_ber(ber, CONNECT_FRAME_BYTES) <= config.connect_per_threshold,
+            }
+        })
     }
 
     /// Samples whether a concrete transmission of `frame` from its source to
@@ -210,7 +239,8 @@ impl Channel {
     }
 
     /// Precomputes the deterministic half of [`sample_delivery`] for a link
-    /// at a fixed distance.
+    /// at a fixed distance, from the link-model memo. Unshadowed, the
+    /// budget depends on the distance alone, not on which link it is.
     ///
     /// Returns `None` when shadowing is enabled: the shadowing realization
     /// is drawn lazily from the channel RNG on first use of a link, so
@@ -219,12 +249,12 @@ impl Channel {
     /// those links.
     ///
     /// [`sample_delivery`]: Channel::sample_delivery
-    pub fn link_budget(&mut self, link: (NodeId, NodeId), d: f64) -> Option<LinkBudget> {
+    pub fn link_budget(&mut self, _link: (NodeId, NodeId), d: f64) -> Option<LinkBudget> {
         if self.is_shadowed() {
             return None;
         }
         Some(LinkBudget {
-            ber: oqpsk_ber(self.snr_db(link, d)),
+            ber: self.link_model(d).ber,
         })
     }
 
@@ -240,8 +270,7 @@ impl Channel {
         budget: LinkBudget,
         air_bytes: usize,
     ) -> bool {
-        let per = 1.0 - (1.0 - budget.ber).powi((air_bytes * 8) as i32);
-        if self.rng.chance(per) {
+        if self.rng.chance(per_from_ber(budget.ber, air_bytes)) {
             return false;
         }
         !self.burst_states[slot.0 as usize].sample_loss(&mut self.rng)
@@ -253,6 +282,24 @@ impl Channel {
         let ix = self.burst_ix(link);
         self.burst_states[ix] = process;
     }
+}
+
+/// The frame length [`Channel::is_connected`] judges a link on: a
+/// full-size frame, the worst case.
+const CONNECT_FRAME_BYTES: usize = crate::frame::MAX_FRAME_BYTES + crate::frame::PHY_HEADER_BYTES;
+
+/// Received power in dBm at distance `d` meters under `config`, plus a
+/// link's shadowing realization `shadow_db`.
+fn received_dbm(config: &ChannelConfig, d: f64, shadow_db: f64) -> f64 {
+    let d = d.max(1.0);
+    let pl = config.path_loss_ref_db + 10.0 * config.path_loss_exp * d.log10();
+    config.tx_power_dbm - pl + shadow_db
+}
+
+/// Packet error rate of an `air_bytes`-byte frame at bit error rate
+/// `ber`.
+fn per_from_ber(ber: f64, air_bytes: usize) -> f64 {
+    1.0 - (1.0 - ber).powi((air_bytes * 8) as i32)
 }
 
 /// BER of IEEE 802.15.4 O-QPSK with DSSS as a function of SNR in dB.
@@ -415,6 +462,38 @@ mod tests {
             let a = direct.sample_delivery(&f, NodeId(2), 42.0);
             let b = planned.sample_delivery_budget(slot, budget, f.air_bytes());
             assert_eq!(a, b, "draw {i} diverged");
+        }
+    }
+
+    /// The link-model memo is keyed on distance: queried at distances
+    /// that recur after a different one, on links that differ each time,
+    /// every budget and connectivity verdict equals a fresh channel's.
+    /// Under shadowing every budget is `None`.
+    #[test]
+    fn memoized_budgets_match_fresh_link_budgets() {
+        let distances = [10.0, 42.0, 10.0, 90.0, 42.0, 0.5, 90.0, 1.0, 500.0, 10.0];
+        for config in [
+            ChannelConfig::default(),
+            ChannelConfig {
+                shadowing_sigma_db: 4.0,
+                ..ChannelConfig::default()
+            },
+        ] {
+            let mut memo = Channel::new(config.clone(), SimRng::seed_from(3));
+            for (i, &d) in distances.iter().enumerate() {
+                let link = (NodeId(1), NodeId(2 + i as u16));
+                let mut fresh = Channel::new(config.clone(), SimRng::seed_from(99));
+                let want = fresh.link_budget(link, d);
+                assert_eq!(memo.link_budget(link, d), want, "budget at {d} m");
+                assert_eq!(want.is_some(), !fresh.is_shadowed());
+                if !memo.is_shadowed() {
+                    assert_eq!(
+                        memo.is_connected(link, d),
+                        fresh.is_connected(link, d),
+                        "verdict at {d} m"
+                    );
+                }
+            }
         }
     }
 

@@ -66,10 +66,13 @@ impl Topology {
     #[must_use]
     pub fn derive(nodes: Vec<NodeInfo>, channel: &mut Channel) -> Self {
         let by_id = index_ids(&nodes);
-        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
         // Unshadowed links are reciprocal and draw nothing, so the reverse
         // query would only repeat the forward answer.
         let reciprocal = !channel.is_shadowed();
+        // Edges first, so every neighbor list is allocated once at its
+        // final degree instead of regrowing push by push.
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let mut degree = vec![0usize; nodes.len()];
         for (i, a) in nodes.iter().enumerate() {
             for (j, b) in nodes.iter().enumerate() {
                 if a.id >= b.id {
@@ -79,10 +82,17 @@ impl Topology {
                 if channel.is_connected((a.id, b.id), d)
                     && (reciprocal || channel.is_connected((b.id, a.id), d))
                 {
-                    neighbors[i].push(b.id);
-                    neighbors[j].push(a.id);
+                    edges.push((i, j));
+                    degree[i] += 1;
+                    degree[j] += 1;
                 }
             }
+        }
+        let mut neighbors: Vec<Vec<NodeId>> =
+            degree.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (i, j) in edges {
+            neighbors[i].push(nodes[j].id);
+            neighbors[j].push(nodes[i].id);
         }
         normalize(&mut neighbors);
         Topology {
