@@ -10,8 +10,7 @@
 
 use evm_plant::PidParams;
 
-use super::asm::assemble;
-use super::isa::Program;
+use super::isa::{Op, Program};
 
 /// Everything needed to compile one control loop into bytecode.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,10 +70,9 @@ pub fn integrator_of(vm: &crate::bytecode::Vm) -> f64 {
 /// output is also emitted on data channel 0 (the health-assessment
 /// publication backups observe).
 ///
-/// # Panics
-///
-/// Panics if the generated assembly fails to assemble (a builder bug, not
-/// an input error).
+/// The instructions are emitted directly, with the two jump offsets
+/// resolved from the emitted positions. Variables follow the table on
+/// [`VAR_INTEGRATOR`].
 #[must_use]
 pub fn compile_control_law(spec: &ControlLawSpec) -> Program {
     let dt = spec.period_s;
@@ -90,99 +88,58 @@ pub fn compile_control_law(spec: &ControlLawSpec) -> Program {
     };
     let sign = if spec.pid.reverse { -1.0 } else { 1.0 };
     let preload = spec.preload.clamp(spec.pid.out_min, spec.pid.out_max);
+    let (omin, omax) = (spec.pid.out_min, spec.pid.out_max);
 
-    let src = format!(
-        r"
-        ; compiled control law: 2nd-order filter + PI (anti-windup clamp)
-            rdsens 0
-            store 31        ; raw pv
-            load 0
-            jz do_init
-            jmp filter
-        do_init:
-            load 31
-            store 1         ; s1 = pv
-            load 31
-            store 2         ; s2 = pv
-            push 1
-            store 0         ; initialized
-            push {preload:?}
-            store 3         ; integrator preload
-        filter:
-            ; s1 += alpha * (pv - s1)
-            load 31
-            load 1
-            sub
-            push {alpha:?}
-            mul
-            load 1
-            add
-            store 1
-            ; s2 += alpha * (s1 - s2)
-            load 1
-            load 2
-            sub
-            push {alpha:?}
-            mul
-            load 2
-            add
-            store 2
-            ; error = sign * (s2 - sp)
-            load 2
-            push {sp:?}
-            sub
-            push {sign:?}
-            mul
-            store 30
-            ; p = kp * error
-            load 30
-            push {kp:?}
-            mul
-            store 29
-            ; integral += ki_step * error
-            load 3
-            load 30
-            push {ki_step:?}
-            mul
-            add
-            store 3
-            ; clamp integral to [out_min - p, out_max - p]
-            load 3
-            push {omin:?}
-            load 29
-            sub
-            max
-            push {omax:?}
-            load 29
-            sub
-            min
-            store 3
-            ; out = clamp(p + integral, out_min, out_max)
-            load 29
-            load 3
-            add
-            push {omin:?}
-            max
-            push {omax:?}
-            min
-            store 28
-            load 28
-            wract 0
-            load 28
-            emit 0
-            load 28
-            halt
-        ",
-        preload = preload,
-        alpha = alpha,
-        sp = spec.setpoint,
-        sign = sign,
-        kp = spec.pid.kp,
-        ki_step = ki_step,
-        omin = spec.pid.out_min,
-        omax = spec.pid.out_max,
-    );
-    assemble(&src).expect("builder emits valid assembly")
+    // Raw PV; the first run (flag 0 unset) takes the init path.
+    let mut ops = vec![Op::ReadSensor(0), Op::Store(31), Op::Load(0)];
+    let branch = ops.len();
+    ops.extend([Op::Jz(0), Op::Jmp(0)]); // targets patched below
+    let init = ops.len();
+    // Init: both filter stages start at the PV, the integrator at the
+    // (clamped) preload.
+    #[rustfmt::skip]
+    ops.extend([
+        Op::Load(31), Op::Store(1),
+        Op::Load(31), Op::Store(2),
+        Op::Push(1.0), Op::Store(0),
+        Op::Push(preload), Op::Store(3),
+    ]);
+    let filter = ops.len();
+    ops[branch] = Op::Jz(jump_offset(branch, init));
+    ops[branch + 1] = Op::Jmp(jump_offset(branch + 1, filter));
+    #[rustfmt::skip]
+    ops.extend([
+        // s1 += alpha * (pv - s1)
+        Op::Load(31), Op::Load(1), Op::Sub, Op::Push(alpha), Op::Mul,
+        Op::Load(1), Op::Add, Op::Store(1),
+        // s2 += alpha * (s1 - s2)
+        Op::Load(1), Op::Load(2), Op::Sub, Op::Push(alpha), Op::Mul,
+        Op::Load(2), Op::Add, Op::Store(2),
+        // error = sign * (s2 - sp)
+        Op::Load(2), Op::Push(spec.setpoint), Op::Sub, Op::Push(sign), Op::Mul,
+        Op::Store(30),
+        // p = kp * error
+        Op::Load(30), Op::Push(spec.pid.kp), Op::Mul, Op::Store(29),
+        // integral += ki_step * error
+        Op::Load(3), Op::Load(30), Op::Push(ki_step), Op::Mul, Op::Add,
+        Op::Store(3),
+        // clamp integral to [out_min - p, out_max - p]
+        Op::Load(3), Op::Push(omin), Op::Load(29), Op::Sub, Op::Max,
+        Op::Push(omax), Op::Load(29), Op::Sub, Op::Min, Op::Store(3),
+        // out = clamp(p + integral, out_min, out_max)
+        Op::Load(29), Op::Load(3), Op::Add, Op::Push(omin), Op::Max,
+        Op::Push(omax), Op::Min, Op::Store(28),
+        // actuate, publish, return
+        Op::Load(28), Op::WriteActuator(0),
+        Op::Load(28), Op::Emit(0),
+        Op::Load(28), Op::Halt,
+    ]);
+    Program::new(ops)
+}
+
+/// The relative offset of a jump at `from` to the instruction at `to`.
+fn jump_offset(from: usize, to: usize) -> i16 {
+    i16::try_from(to as i64 - from as i64).expect("control-law jumps are short")
 }
 
 /// A conservative per-invocation gas budget for a compiled control law.
