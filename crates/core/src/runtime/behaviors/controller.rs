@@ -1,7 +1,7 @@
 //! Controller replicas: the EVM nodes hosting the focus control capsule.
 
 use evm_netsim::NodeId;
-use evm_rtos::Kernel;
+use evm_rtos::{Kernel, TaskImage, TaskSpec};
 use evm_sim::{SimDuration, SimRng, SimTime, Trace};
 
 use crate::bytecode::{Program, Vm, VmEnv, VmError};
@@ -66,38 +66,48 @@ pub struct ControllerCore {
     params: ReplicaParams,
 }
 
+/// The focus task's spec on `kernel`: its WCET is the gas budget at the
+/// kernel's per-instruction cost.
+fn focus_task(kernel: &Kernel, gas: u64, period: SimDuration) -> TaskSpec {
+    TaskSpec::new("focus", kernel.instr_cost() * gas, period)
+}
+
+/// A replica kernel with the focus task of a `gas`-budget law at
+/// `period` already admitted. Setup builds one per control law and
+/// clones it onto every warm replica, so the schedulability analysis
+/// runs once per law, not once per replica.
+///
+/// # Panics
+///
+/// Panics if the focus task fails admission on an empty kernel — a
+/// configuration error.
+#[must_use]
+pub(crate) fn focus_kernel(gas: u64, period: SimDuration) -> Kernel {
+    let mut kernel = Kernel::new("");
+    let task = focus_task(&kernel, gas, period);
+    kernel
+        .admit(task, TaskImage::typical_control_task(), None)
+        .expect("focus task admits on an empty kernel");
+    kernel
+}
+
 impl ControllerCore {
-    /// Builds a replica. `hosts_task` admits the focus task onto the
-    /// kernel immediately (warm replica); otherwise the task must arrive
-    /// by migration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the focus task fails admission on an empty kernel — a
-    /// configuration error.
+    /// Builds a replica. A warm replica starts on a clone of `warm`, its
+    /// law's [`focus_kernel`]; without one the replica starts on an
+    /// empty kernel and the task must arrive by migration.
     #[must_use]
     pub fn new(
         id: NodeId,
         vc: VcId,
         mode: ControllerMode,
-        hosts_task: bool,
+        warm: Option<&Kernel>,
         program: &Program,
         gas: u64,
         params: &ReplicaParams,
     ) -> Self {
         let primary = params.primary;
-        let mut kernel = Kernel::new(format!("{id}"));
-        let mut has_task = false;
-        if hosts_task {
-            kernel
-                .admit(
-                    evm_rtos::TaskSpec::new("focus", kernel.instr_cost() * gas, params.period),
-                    evm_rtos::TaskImage::typical_control_task(),
-                    None,
-                )
-                .expect("focus task admits on an empty kernel");
-            has_task = true;
-        }
+        let has_task = warm.is_some();
+        let kernel = warm.cloned().unwrap_or_else(|| Kernel::new(""));
         ControllerCore {
             id,
             vc,
@@ -309,18 +319,10 @@ impl ControllerCore {
     /// Admission gate for a migrated focus task. Returns `false` if the
     /// kernel refuses it.
     pub fn admit_focus_task(&mut self) -> bool {
-        let gas = self.vm.gas_limit();
+        let task = focus_task(&self.kernel, self.vm.gas_limit(), self.params.period);
         let admitted = self
             .kernel
-            .admit(
-                evm_rtos::TaskSpec::new(
-                    "focus",
-                    self.kernel.instr_cost() * gas,
-                    self.params.period,
-                ),
-                evm_rtos::TaskImage::typical_control_task(),
-                None,
-            )
+            .admit(task, TaskImage::typical_control_task(), None)
             .is_ok();
         if admitted {
             self.has_task = true;

@@ -4,13 +4,15 @@
 //!
 //! Construction is fleet-aware: role lookups go through a dense node→duty
 //! table built once (instead of per-node scans over every VC), identical
-//! control laws compile once and are shared, and the hot-loop state the
+//! control laws compile and pass kernel admission once and are shared,
+//! and the hot-loop state the
 //! driver reads every slot (meters, relay cores, labels, slot occupancy)
 //! is laid out in dense topology-indexed tables.
 
 use evm_mac::rtlink::RtLink;
 use evm_netsim::{Channel, EnergyMeter, NodeId, RadioPowerModel, Topology};
 use evm_plant::{GasPlant, LocalController, RegisterMap};
+use evm_rtos::Kernel;
 use evm_sim::{EventQueue, SimDuration, SimRng, SimTime, TimeSeries, Trace};
 
 use crate::bytecode::{
@@ -21,8 +23,8 @@ use crate::metrics::VcRunStats;
 use crate::roles::ControllerMode;
 use crate::runtime::behavior::Node;
 use crate::runtime::behaviors::{
-    ActuationGate, ActuatorNode, ControllerCore, GatewayNode, HeadNode, RelayCore, ReplicaParams,
-    SensorNode,
+    focus_kernel, ActuationGate, ActuatorNode, ControllerCore, GatewayNode, HeadNode, RelayCore,
+    ReplicaParams, SensorNode,
 };
 use crate::runtime::driver::{Engine, Ev};
 use crate::runtime::plan::CyclePlan;
@@ -31,11 +33,23 @@ use crate::runtime::topo::{TopologyError, VcId, VcMap};
 use crate::runtime::Scenario;
 use crate::transfers::ObjectTransfer;
 
+/// One distinct control law, compiled, budgeted, checksummed and
+/// admitted once however many VCs host it.
+struct CompiledLaw {
+    spec: ControlLawSpec,
+    capsule: Capsule,
+    /// An empty replica kernel with the law's focus task admitted,
+    /// cloned onto every warm replica.
+    kernel: Kernel,
+}
+
 /// Everything VC-specific the node loop below needs, prepared once per VC.
 struct VcPlan {
     /// The authoritative capsule the VC would ship on a live migration:
     /// the compiled law with its gas budget.
     capsule: Capsule,
+    /// The VC's law in the setup law cache.
+    law: usize,
     params: ReplicaParams,
     primary: NodeId,
     act_register: u16,
@@ -214,33 +228,39 @@ impl Engine {
 
         // --- Per-VC plans: capsule, task params, registers -------------
         // Identical laws (fleet deployments host clones of the standard
-        // loops) compile, budget and checksum once: each VC clones its
-        // law's capsule, whose `Program` shares one instruction list.
-        // The capsule carries the capabilities a computing replica needs,
+        // loops) compile, budget, checksum and admit once: each VC clones
+        // its law's capsule, whose `Program` shares one instruction list,
+        // and each warm replica clones its law's admitted kernel. The
+        // capsule carries the capabilities a computing replica needs,
         // version 1 at boot.
-        let mut law_cache: Vec<(ControlLawSpec, Capsule)> = Vec::new();
+        let mut laws: Vec<CompiledLaw> = Vec::new();
         let plans: Vec<VcPlan> = (0..vcs.n_vcs())
             .map(|k| {
                 let vc = k as VcId;
                 let spec = scenario.vc_loop(vc);
-                let law = ControlLawSpec::from_loop(spec);
+                let law_spec = ControlLawSpec::from_loop(spec);
                 let id = CapsuleId(u32::try_from(k).expect("vc fits u32"));
-                let mut capsule = match law_cache.iter().find(|(l, _)| *l == law) {
-                    Some((_, c)) => c.clone(),
+                let period = SimDuration::from_secs_f64(spec.period_s);
+                let law = match laws.iter().position(|l| l.spec == law_spec) {
+                    Some(law) => law,
                     None => {
-                        let program = compile_control_law(&law);
+                        let program = compile_control_law(&law_spec);
                         let gas = control_law_gas_budget(&program);
-                        let capsule = Capsule::new(
-                            id,
-                            1,
-                            program,
-                            gas,
-                            vec![Capability::ControllerRole, Capability::DataPlane],
-                        );
-                        law_cache.push((law, capsule.clone()));
-                        capsule
+                        laws.push(CompiledLaw {
+                            spec: law_spec,
+                            capsule: Capsule::new(
+                                id,
+                                1,
+                                program,
+                                gas,
+                                vec![Capability::ControllerRole, Capability::DataPlane],
+                            ),
+                            kernel: focus_kernel(gas, period),
+                        });
+                        laws.len() - 1
                     }
                 };
+                let mut capsule = laws[law].capsule.clone();
                 capsule.id = id;
                 // The focus sensor's downlink register must agree with the
                 // loop the VC hosts — a misconfigured manifest is caught
@@ -259,11 +279,12 @@ impl Engine {
                     .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
                 VcPlan {
                     capsule,
+                    law,
                     params: ReplicaParams {
                         detect_threshold: scenario.detect_threshold,
                         detect_consecutive: scenario.detect_consecutive,
                         hb_timeout: scenario.rtlink.cycle_duration() * scenario.heartbeat_cycles,
-                        period: SimDuration::from_secs_f64(spec.period_s),
+                        period,
                         primary: vcs.vc(vc).primary(),
                     },
                     primary: vcs.vc(vc).primary(),
@@ -349,7 +370,7 @@ impl Engine {
                             id,
                             vc,
                             ControllerMode::Backup,
-                            true,
+                            Some(&laws[p.law].kernel),
                             &p.capsule.program,
                             p.capsule.gas_budget,
                             &p.params,
@@ -370,7 +391,7 @@ impl Engine {
                             id,
                             vc,
                             mode,
-                            hosts_task,
+                            hosts_task.then_some(&laws[p.law].kernel),
                             &p.capsule.program,
                             p.capsule.gas_budget,
                             &p.params,
