@@ -78,10 +78,20 @@ impl SynthesisProblem {
     ///
     /// # Panics
     ///
-    /// Panics if the assignment length mismatches the task list.
+    /// Panics if the instance is malformed (see [`Self::solve_greedy`]),
+    /// if the assignment's length differs from the task count, or if it
+    /// names a host index not below `nodes.len()`; the message names the
+    /// problem.
     #[must_use]
     pub fn cost(&self, a: &Assignment) -> f64 {
-        assert_eq!(a.task_to_node.len(), self.tasks.len(), "length mismatch");
+        self.check();
+        self.check_assignment(a);
+        self.cost_unchecked(a)
+    }
+
+    /// [`Self::cost`] without the checks, for solvers that checked the
+    /// instance once and build only in-range assignments.
+    fn cost_unchecked(&self, a: &Assignment) -> f64 {
         let mut comm = 0.0;
         let mut node_util = vec![0.0f64; self.nodes.len()];
         let mut node_slots = vec![0u32; self.nodes.len()];
@@ -139,9 +149,40 @@ impl SynthesisProblem {
         }
     }
 
+    /// Checks that `a` places every task on a candidate host.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` has a host count other than `tasks.len()`, or names
+    /// a host index not below `nodes.len()` (the message names the task).
+    fn check_assignment(&self, a: &Assignment) {
+        assert_eq!(
+            a.task_to_node.len(),
+            self.tasks.len(),
+            "assignment places {} tasks, the instance has {}",
+            a.task_to_node.len(),
+            self.tasks.len()
+        );
+        let n = self.nodes.len();
+        for (task, &host) in self.tasks.iter().zip(&a.task_to_node) {
+            assert!(
+                host < n,
+                "task `{}`: host index {host} is out of range for {n} nodes",
+                task.name
+            );
+        }
+    }
+
     /// Total capacity violation (zero for feasible assignments).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed instance or assignment, as [`Self::cost`]
+    /// does.
     #[must_use]
     pub fn capacity_violation(&self, a: &Assignment) -> f64 {
+        self.check();
+        self.check_assignment(a);
         let mut node_util = vec![0.0f64; self.nodes.len()];
         let mut node_slots = vec![0u32; self.nodes.len()];
         for (t, &n) in a.task_to_node.iter().enumerate() {
@@ -157,6 +198,11 @@ impl SynthesisProblem {
     }
 
     /// `true` if the assignment respects all capacities.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed instance or assignment, as [`Self::cost`]
+    /// does.
     #[must_use]
     pub fn is_feasible(&self, a: &Assignment) -> bool {
         self.capacity_violation(a) == 0.0
@@ -181,7 +227,7 @@ impl SynthesisProblem {
         let mut best = Assignment {
             task_to_node: vec![0; t],
         };
-        let mut best_cost = self.cost(&best);
+        let mut best_cost = self.cost_unchecked(&best);
         let mut current = vec![0usize; t];
         for code in 1..total {
             let mut c = code;
@@ -192,7 +238,7 @@ impl SynthesisProblem {
             let a = Assignment {
                 task_to_node: current.clone(),
             };
-            let cost = self.cost(&a);
+            let cost = self.cost_unchecked(&a);
             if cost < best_cost {
                 best_cost = cost;
                 best = a;
@@ -229,7 +275,7 @@ impl SynthesisProblem {
                     w_comm: self.w_comm,
                     w_balance: self.w_balance,
                 };
-                let cost = partial.cost(&Assignment {
+                let cost = partial.cost_unchecked(&Assignment {
                     task_to_node: trial,
                 });
                 if cost < best_cost {
@@ -260,7 +306,7 @@ impl SynthesisProblem {
             };
         }
         let mut current = self.solve_greedy();
-        let mut cur_cost = self.cost(&current);
+        let mut cur_cost = self.cost_unchecked(&current);
         let mut best = current.clone();
         let mut best_cost = cur_cost;
 
@@ -274,7 +320,7 @@ impl SynthesisProblem {
                 continue;
             }
             current.task_to_node[task] = new_node;
-            let new_cost = self.cost(&current);
+            let new_cost = self.cost_unchecked(&current);
             let accept = new_cost <= cur_cost
                 || rng.chance(((cur_cost - new_cost) / temp).exp().clamp(0.0, 1.0));
             if accept {
@@ -291,6 +337,11 @@ impl SynthesisProblem {
     }
 
     /// The explicit BQP encoding of this instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed instance, as [`BqpInstance::from_problem`]
+    /// does.
     #[must_use]
     pub fn to_bqp(&self) -> BqpInstance {
         BqpInstance::from_problem(self)
@@ -321,8 +372,15 @@ impl BqpInstance {
     }
 
     /// Builds the BQP from a synthesis problem.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance is malformed: `hops` not `nodes.len()`
+    /// square, or a task's sensor or actuator node index not below
+    /// `nodes.len()` (the message names the task).
     #[must_use]
     pub fn from_problem(p: &SynthesisProblem) -> Self {
+        p.check();
         let nt = p.tasks.len();
         let nn = p.nodes.len();
         let nv = nt * nn;
@@ -568,6 +626,54 @@ mod tests {
         let mut p = line_problem();
         p.hops[2].pop();
         let _ = p.solve_greedy();
+    }
+
+    #[test]
+    #[should_panic(expected = "task `pid-b`: sensor node index 7 is out of range for 3 nodes")]
+    fn cost_names_the_task_with_an_out_of_range_node() {
+        let mut p = line_problem();
+        p.tasks[1].sensor_node = Some(7);
+        let _ = p.cost(&Assignment {
+            task_to_node: vec![0; p.tasks.len()],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "task `pid-a`: host index 3 is out of range for 3 nodes")]
+    fn cost_names_the_task_with_an_out_of_range_host() {
+        let p = line_problem();
+        let mut hosts = vec![0; p.tasks.len()];
+        hosts[0] = 3;
+        let _ = p.cost(&Assignment {
+            task_to_node: hosts,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "hops must be 3 x 3, one row and column per node")]
+    fn capacity_violation_rejects_a_hop_matrix_of_the_wrong_shape() {
+        let mut p = line_problem();
+        p.hops.pop();
+        let _ = p.capacity_violation(&Assignment {
+            task_to_node: vec![0; p.tasks.len()],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment places 1 tasks, the instance has")]
+    fn capacity_violation_rejects_an_assignment_of_the_wrong_length() {
+        let p = line_problem();
+        let _ = p.capacity_violation(&Assignment {
+            task_to_node: vec![0],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "task `pid-b`: actuator node index 3 is out of range for 3 nodes")]
+    fn bqp_encoding_names_the_task_with_an_out_of_range_node() {
+        let mut p = line_problem();
+        p.tasks[1].actuator_node = Some(3);
+        let _ = BqpInstance::from_problem(&p);
     }
 
     #[test]
