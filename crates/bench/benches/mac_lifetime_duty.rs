@@ -6,6 +6,8 @@
 //! rates", with "an effective battery lifetime of 1.8 years with a 5 %
 //! duty cycle". Absolute years depend on battery assumptions; the *shape*
 //! — RT-Link above both baselines at every duty cycle — is the claim.
+//! The absolute number does not match: this model reads 2.21 y for
+//! RT-Link at 5 % duty, against the paper's ~1.8 y.
 
 use evm_bench::{banner, f, row, write_result};
 use evm_mac::{BMac, DutyCycledMac, RtLink, SMac, Workload};

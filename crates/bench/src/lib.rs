@@ -1,9 +1,10 @@
 //! Shared harness utilities for the figure-regeneration benches.
 //!
 //! Every `[[bench]]` target in this crate regenerates one of the paper's
-//! figures or quantified claims (see `DESIGN.md` §4 for the experiment
-//! index). Each prints the rows/series the paper reports and writes a CSV
-//! under `target/paper_results/` for plotting.
+//! figures or quantified claims. `crates/bench/Cargo.toml` lists the
+//! targets, and a target's header names the claim it checks (most by
+//! experiment number, E1, E2, …). Each prints the rows/series the paper
+//! reports and writes a CSV under `target/paper_results/` for plotting.
 
 use std::fs;
 use std::path::PathBuf;

@@ -6,9 +6,14 @@
 //!
 //! A Virtual Component runs eight control loops. Controllers are added to
 //! the pool one at a time; after each join (gated by attestation +
-//! admission), the BQP synthesis optimizer re-distributes the loops and
-//! the maximum per-node utilization falls — the paper's "on-line capacity
-//! expansion where more controllers can be added to share the load".
+//! admission), the BQP synthesis optimizer re-distributes the loops — the
+//! paper's "on-line capacity expansion where more controllers can be
+//! added to share the load". Two controllers cannot host the load; from
+//! three on every pool is feasible and the mean per-node utilization
+//! falls with each join (0.45 at three, 0.23 at six). The maximum does
+//! not fall: it stays at 0.51 from three to six controllers, because the
+//! communication term keeps the loops on the two nodes next to their
+//! sensors and actuators rather than spreading them for balance.
 
 use evm::core::synthesis::{NodeRes, SynthesisProblem, TaskReq};
 use evm::netsim::NodeId;
@@ -66,8 +71,9 @@ fn main() {
 
     println!(
         "\nreading: two controllers of 0.6 capacity cannot host 1.36 total \
-         utilization; from three onward the optimizer spreads the eight \
-         loops and the pool's headroom grows with every join — capacity \
-         expands on-line, no redesign."
+         utilization; from three onward every pool is feasible and the \
+         mean utilization falls with every join, while the maximum stays \
+         at 0.51 — the communication term keeps the busiest node next to \
+         the loops' sensors and actuators."
     );
 }
