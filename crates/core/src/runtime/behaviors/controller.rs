@@ -93,8 +93,9 @@ pub(crate) fn focus_kernel(gas: u64, period: SimDuration) -> Kernel {
 
 impl ControllerCore {
     /// Builds a replica. A warm replica starts on a clone of `warm`, its
-    /// law's [`focus_kernel`]; without one the replica starts on an
-    /// empty kernel and the task must arrive by migration.
+    /// law's kernel with the focus task already admitted; without one
+    /// the replica starts on an empty kernel and the task must arrive by
+    /// migration.
     #[must_use]
     pub fn new(
         id: NodeId,

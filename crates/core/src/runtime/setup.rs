@@ -5,9 +5,9 @@
 //! Construction is fleet-aware: role lookups go through a dense node→duty
 //! table built once (instead of per-node scans over every VC), identical
 //! control laws compile and pass kernel admission once and are shared,
-//! and the hot-loop state the
-//! driver reads every slot (meters, relay cores, labels, slot occupancy)
-//! is laid out in dense topology-indexed tables.
+//! and the hot-loop state the driver reads every slot (meters, relay
+//! cores, labels, slot occupancy) is laid out in dense topology-indexed
+//! tables.
 
 use evm_mac::rtlink::RtLink;
 use evm_netsim::{Channel, EnergyMeter, NodeId, RadioPowerModel, Topology};
