@@ -3,10 +3,14 @@
 //! accounting and the fail-safe/migration paths — all through the public
 //! topology-generic API.
 
+use evm_core::bytecode::{
+    compile_control_law, control_law_gas_budget, Capability, Capsule, CapsuleId, ControlLawSpec,
+    N_VARS,
+};
 use evm_core::runtime::{
     nodes, Engine, FlowKind, Reconfigurator, Scenario, ScenarioBuilder, TopologyError,
 };
-use evm_core::RunResult;
+use evm_core::{CapsuleImage, RunResult};
 use evm_sim::{SimDuration, SimTime};
 
 fn short(scenario: Scenario, secs: u64) -> RunResult {
@@ -272,22 +276,71 @@ fn double_fault_engages_fail_safe() {
     assert_eq!(b_mode.value_at(SimTime::from_secs(300)), Some(3.0));
 }
 
-#[test]
-fn cold_backup_requires_migration() {
-    let scenario = Scenario::builder()
+/// The cold Fig. 6b scenario the cold-standby tests share: a paper
+/// fault on Ctrl-A at 100 s, an immediate head decision, and one
+/// transfer slot per cycle for the capsule shipment.
+fn cold_standby() -> ScenarioBuilder {
+    Scenario::builder()
         .fault_at(
             SimTime::from_secs(100),
             evm_plant::ActuatorFault::paper_fault(),
         )
         .reconfig_epoch(SimDuration::ZERO)
         .cold_backup()
+        .transfer_slots(1)
         .duration(SimDuration::from_secs(400))
-        .build();
-    let r = Engine::new(scenario).run();
-    let migrated = r.event_time("task activated on").expect("migration ran");
+}
+
+#[test]
+fn cold_backup_requires_migration() {
+    let scenario = cold_standby().build();
+    // The image the primary ships: the VC's compiled law, one version
+    // past boot, with the interpreter's whole variable file.
+    let law = ControlLawSpec::from_loop(scenario.vc_loop(0));
+    let program = compile_control_law(&law);
+    let gas = control_law_gas_budget(&program);
+    let image = CapsuleImage {
+        capsule: Capsule::new(
+            CapsuleId(0),
+            2,
+            program,
+            gas,
+            vec![Capability::ControllerRole, Capability::DataPlane],
+        ),
+        vars: vec![0.0; N_VARS],
+        advertised_digest: 0,
+        pad_bytes: scenario.capsule_pad_bytes,
+    };
+    let e = Engine::new(scenario);
+    let roles = e.roles().clone();
+    let r = e.run();
+
+    assert_eq!(r.migrations.len(), 1, "one shipment promotes the backup");
+    let m = &r.migrations[0];
+    assert_eq!(m.vc, 0);
+    assert_eq!(m.from, roles.controllers[0], "shipped by Ctrl-A");
+    assert_eq!(m.to, roles.controllers[1], "to the cold Ctrl-B");
+    assert_eq!(m.image_bytes, image.size_bytes());
+    assert_eq!(m.frames, image.frames());
+    let activated = r
+        .event_time("attested and activated")
+        .expect("the shipment activates on Ctrl-B");
+    let committed = r
+        .event_time("head commits failover")
+        .expect("the head commits the promotion");
+    assert!(committed >= activated, "no commit before activation");
     let promoted = r.event_time("Ctrl-B -> Active").expect("promotion");
-    assert!(migrated <= promoted);
-    assert!(r.event_time("image 384 B").is_some(), "plan logged");
+    assert!(promoted >= activated);
+}
+
+#[test]
+fn cold_backup_without_transfer_lane_is_a_typed_error() {
+    let scenario = cold_standby().transfer_slots(0).build();
+    match Engine::try_new(scenario) {
+        Err(TopologyError::ColdStandbyWithoutTransferLane) => {}
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a cold backup needs a transfer lane to receive the task"),
+    }
 }
 
 #[test]

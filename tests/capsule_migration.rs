@@ -17,9 +17,16 @@
 //! 4. **Default-off** — with `transfer_slots = 0` (the default) nothing
 //!    migrates and every physical observable is byte-identical to the
 //!    pre-migration engine.
+//! 5. **Cold standby rides the same lane** — promoting a cold backup
+//!    ships the capsule over the same transfer slots, so a tampered
+//!    image or a spent retry budget leaves the backup unpromoted.
+//! 6. **One shipment per VC** — simultaneous head kills in different
+//!    VCs each migrate over their own VC's lane.
 
 use evm::core::runtime::{Engine, ReroutePolicy, Scenario, ScenarioBuilder};
-use evm::netsim::NodeId;
+use evm::core::{ControllerMode, EvmError};
+use evm::netsim::{NodeCrash, NodeId};
+use evm::plant::ActuatorFault;
 use evm::prelude::*;
 
 /// Head-kill scenario: GW=0, S1=1, Ctrl-A=2, Ctrl-B=3, Ctrl-C=4, A1=5,
@@ -168,4 +175,117 @@ fn scenario_defaults_keep_migration_off() {
     assert_eq!(s.migration_max_retries, 8);
     assert_eq!(s.corrupt_transfer_chunk, None);
     assert!(!s.tamper_gas_budget);
+}
+
+/// Cold-standby Fig. 6b: a paper fault on Ctrl-A at 100 s; the backups
+/// hold no task, so promoting Ctrl-B ships the capsule over the single
+/// transfer slot first.
+fn cold_standby() -> ScenarioBuilder {
+    Scenario::builder()
+        .fault_at(SimTime::from_secs(100), ActuatorFault::paper_fault())
+        .reconfig_epoch(SimDuration::ZERO)
+        .cold_backup()
+        .transfer_slots(1)
+        .duration(SimDuration::from_secs(400))
+}
+
+/// Whether `Mode.<label>` ever read Active during the run.
+fn ever_active(r: &evm::core::RunResult, label: &str) -> bool {
+    r.series(&format!("Mode.{label}"))
+        .samples()
+        .iter()
+        .any(|&(_, mode)| mode == ControllerMode::Active.as_f64())
+}
+
+#[test]
+fn cold_standby_promotes_over_the_transfer_lane() {
+    let r = Engine::new(cold_standby().build()).run();
+    assert_eq!(r.migrations.len(), 1);
+    r.event_time("head commits failover").expect("promotion");
+    assert!(ever_active(&r, "Ctrl-B"));
+}
+
+#[test]
+fn cold_standby_tampered_capsule_never_promotes() {
+    let r = Engine::new(cold_standby().tamper_gas_budget().build()).run();
+    r.event_time("transfer started")
+        .expect("the shipment starts");
+    r.event_time("rejected capsule")
+        .expect("attestation rejects the tampered image");
+    assert!(
+        r.event_time("head commits failover").is_none(),
+        "a rejected capsule must not promote the cold backup"
+    );
+    assert!(!ever_active(&r, "Ctrl-B"));
+    assert!(r.migrations.is_empty());
+}
+
+#[test]
+fn cold_standby_zero_retry_budget_abandons_the_shipment() {
+    // With no retransmission budget, the corrupted first chunk ends the
+    // shipment: every frame is still outstanding and no retry was sent.
+    let s = cold_standby()
+        .migration_max_retries(0)
+        .corrupt_transfer_chunk(0)
+        .build();
+    let r = Engine::new(s).run();
+    let trace = r.trace.render();
+    let started = trace
+        .lines()
+        .find(|l| l.contains("transfer started"))
+        .expect("the shipment starts");
+    // "capsule v2 (493 B, 5 frames) Ctrl-A -> Ctrl-B: transfer started"
+    let total: usize = started
+        .split(" B, ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("frame count in the start line");
+    let timeout = EvmError::MigrationTimeout {
+        frames_remaining: total,
+        retries: 0,
+    };
+    assert!(
+        trace.contains(&format!("abandoned: {timeout}")),
+        "the abandoned shipment reports {timeout}"
+    );
+    assert!(
+        r.event_time("head commits failover").is_none(),
+        "an abandoned shipment must not promote the cold backup"
+    );
+    assert!(!ever_active(&r, "Ctrl-B"));
+    assert!(r.migrations.is_empty());
+}
+
+#[test]
+fn simultaneous_head_kills_in_two_vcs_both_migrate() {
+    // The `vc_failover_sweep` star: 8 VCs, one transfer slot each. Both
+    // heads die at the same instant, so both VCs re-elect in the same
+    // heartbeat scan and ship over their own lanes at once.
+    let base = || {
+        ScenarioBuilder::star()
+            .vcs(8)
+            .sensors(1)
+            .controllers(3)
+            .actuators(1)
+            .head(true)
+            .slots_per_cycle(96)
+            .reroute(ReroutePolicy::Heartbeat)
+            .transfer_slots(1)
+            .capsule_pad_bytes(1024)
+            .duration(SimDuration::from_secs(120))
+            .build()
+    };
+    let probe = Engine::new(base());
+    let heads = [1, 5].map(|vc| probe.vc_map().vc(vc).head.expect("every VC has a head"));
+    let mut s = base();
+    for &head in &heads {
+        s.fault_plan
+            .add_crash(NodeCrash::permanent(head, SimTime::from_secs(60)));
+    }
+    let r = Engine::new(s).run();
+    let mut vcs: Vec<_> = r.migrations.iter().map(|m| m.vc).collect();
+    vcs.sort_unstable();
+    assert_eq!(vcs, [1, 5], "each killed head's VC migrates its capsule");
+    assert!(r.event_time("transfer lane busy").is_none());
 }
