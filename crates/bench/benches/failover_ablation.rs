@@ -5,8 +5,9 @@
 //! * **paper-scripted** — warm backup, 300 s reconfiguration epoch
 //!   (reproduces T2 = 600 s),
 //! * **fast** — warm backup, immediate epoch (detection-limited failover),
-//! * **cold** — no warm replica: the task image must be migrated to the
-//!   backup before activation.
+//! * **cold** — no warm replica: the backup must first receive the
+//!   capsule, shipped over one transfer slot per cycle and attested on
+//!   arrival, before the failover commits.
 //!
 //! Reported: switchover instant, outage length (time the level spends
 //! below 25 %), and the control cost over the episode.
@@ -42,6 +43,7 @@ fn main() {
                 .fault_at(SimTime::from_secs(300), ActuatorFault::paper_fault())
                 .reconfig_epoch(SimDuration::ZERO)
                 .cold_backup()
+                .transfer_slots(1)
                 .build(),
         ),
     ];

@@ -30,7 +30,7 @@ pub enum EvmError {
     },
     /// No candidate node could take over.
     NoViableMaster,
-    /// A migration attempt exhausted its retry budget.
+    /// A capsule shipment exhausted its per-chunk retry budget.
     MigrationTimeout {
         /// Frames that never got through, *including* the chunk that was
         /// in flight when the retry budget ran out.
@@ -46,12 +46,6 @@ pub enum EvmError {
         incoming: u16,
         /// Version already resident on the host.
         resident: u16,
-    },
-    /// A migration plan's parameters are unusable (e.g. zero transfer
-    /// slots per cycle).
-    InvalidMigrationPlan {
-        /// What made the plan invalid.
-        reason: String,
     },
     /// Referenced an unknown virtual-component member.
     UnknownMember(NodeId),
@@ -83,9 +77,6 @@ impl fmt::Display for EvmError {
                     f,
                     "capsule v{incoming} rejected: resident v{resident} (receivers only accept upgrades)"
                 )
-            }
-            EvmError::InvalidMigrationPlan { reason } => {
-                write!(f, "invalid migration plan: {reason}")
             }
             EvmError::UnknownMember(n) => write!(f, "unknown member {n}"),
         }

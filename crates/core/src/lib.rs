@@ -20,7 +20,9 @@
 //! * [`membership`] — admission, head election and epochs,
 //! * [`health`] — output-deviation and heartbeat fault detectors,
 //! * [`arbitration`] — new-master selection,
-//! * [`migration`] — the TCB + stack + data + metadata transfer protocol,
+//! * [`migration`] — the capsule image (TCB + stack + data + metadata)
+//!   and its arrival gate; the runtime ships it for every migration,
+//!   head re-election and cold-standby promotion alike,
 //! * [`synthesis`] — logical-task → physical-node mapping and the binary
 //!   quadratic programming runtime optimizer (§3.1.1 op 7),
 //! * [`runtime`] — the co-simulation engine tying the plant, ModBus
@@ -55,7 +57,7 @@ pub use error::EvmError;
 pub use health::{DeviationDetector, FaultEvidence, HeartbeatMonitor};
 pub use membership::{elect_head, HeadCandidate, HeartbeatLedger};
 pub use metrics::{MigrationRecord, NodeEnergy, RunAggregate, RunMeta, RunResult, VcRunStats};
-pub use migration::{admit_arrival, CapsuleImage, MigrationOutcome, MigrationPlan};
+pub use migration::{admit_arrival, CapsuleImage};
 pub use roles::ControllerMode;
 pub use runtime::{
     Engine, ReroutePolicy, Scenario, ScenarioBuilder, TopologyError, TopologySpec, VcId, VcMap,

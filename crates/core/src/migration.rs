@@ -2,154 +2,21 @@
 //!
 //! "This operation includes a capabilities check and the migration of the
 //! task control block, stack, data and timing/precedence-related
-//! metadata." The image is fragmented into RT-Link frames, sent one per
-//! owned slot with per-frame acknowledgment and retransmission, and the
-//! task activates on the target only after the final chunk verifies.
-//!
-//! [`MigrationPlan`] gives the analytic lower bound (no losses);
-//! [`execute_migration`] samples an actual lossy run — experiment E8
-//! sweeps both against image size and link quality.
+//! metadata." A [`CapsuleImage`] is that unit: the runtime's transfer
+//! plane fragments it into RT-Link frames, ships one per owned transfer
+//! slot with per-frame acknowledgment and retransmission, and activates
+//! the task on the target only after the final chunk verifies and
+//! [`admit_arrival`] passes. Both migrations the runtime performs — the
+//! capsule hand-off to a re-elected head and the promotion of a cold
+//! standby backup — take this one path.
 
 use evm_netsim::frame::{frames_needed, max_payload};
 use evm_netsim::NodeId;
 use evm_rtos::TaskImage;
-use evm_sim::{SimDuration, SimRng};
 
 use crate::attest::{attest_capsule, AttestationKey};
 use crate::bytecode::{Capability, Capsule};
 use crate::error::EvmError;
-
-/// Analytic migration plan over a TDMA schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationPlan {
-    /// Total image bytes (TCB registers + stack + data + metadata).
-    pub image_bytes: usize,
-    /// Frames required.
-    pub frames: usize,
-    /// Slots available to the migration per TDMA cycle.
-    pub slots_per_cycle: usize,
-    /// TDMA cycle length.
-    pub cycle: SimDuration,
-    /// Loss-free transfer duration (ceil(frames / slots) cycles), plus one
-    /// cycle for the capability-check handshake and one for activation.
-    pub duration: SimDuration,
-}
-
-impl MigrationPlan {
-    /// Plans a migration of `image` over `slots_per_cycle` dedicated slots
-    /// in a TDMA cycle of length `cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots_per_cycle` is zero; the runtime uses
-    /// [`MigrationPlan::try_new`] instead.
-    #[must_use]
-    pub fn new(image: &TaskImage, slots_per_cycle: usize, cycle: SimDuration) -> Self {
-        MigrationPlan::try_new(image, slots_per_cycle, cycle)
-            .expect("need at least one slot per cycle")
-    }
-
-    /// Fallible twin of [`MigrationPlan::new`] for runtime callers, where
-    /// a zero slot budget is a configuration error to surface, not a
-    /// programming bug to panic on.
-    ///
-    /// # Errors
-    ///
-    /// [`EvmError::InvalidMigrationPlan`] if `slots_per_cycle` is zero.
-    pub fn try_new(
-        image: &TaskImage,
-        slots_per_cycle: usize,
-        cycle: SimDuration,
-    ) -> Result<Self, EvmError> {
-        if slots_per_cycle == 0 {
-            return Err(EvmError::InvalidMigrationPlan {
-                reason: "need at least one slot per cycle".to_string(),
-            });
-        }
-        let image_bytes = image.size_bytes();
-        let frames = frames_needed(image_bytes, max_payload());
-        let transfer_cycles = frames.div_ceil(slots_per_cycle) as u64;
-        // +1 cycle capability-check handshake, +1 cycle activation ack.
-        let duration = cycle * (transfer_cycles + 2);
-        Ok(MigrationPlan {
-            image_bytes,
-            frames,
-            slots_per_cycle,
-            cycle,
-            duration,
-        })
-    }
-}
-
-/// Result of a sampled (lossy) migration execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationOutcome {
-    /// Total frames transmitted, including retransmissions.
-    pub frames_sent: usize,
-    /// Retransmissions among those.
-    pub retries: usize,
-    /// Wall-clock duration from initiation to activation.
-    pub duration: SimDuration,
-}
-
-/// Executes a migration over a lossy link: each owned slot carries one
-/// (re)transmission; a chunk is re-sent until acknowledged. `loss` is the
-/// per-frame loss probability (applied independently to data and ack).
-///
-/// `max_retries` bounds *retransmissions per chunk*: the initial
-/// transmission is free, so a chunk is sent at most `max_retries + 1`
-/// times. On timeout, `frames_remaining` counts every chunk that never
-/// verified — including the one in flight when the budget ran out.
-///
-/// # Errors
-///
-/// [`EvmError::MigrationTimeout`] if any chunk exceeds `max_retries`.
-pub fn execute_migration(
-    plan: &MigrationPlan,
-    loss: f64,
-    max_retries: usize,
-    rng: &mut SimRng,
-) -> Result<MigrationOutcome, EvmError> {
-    let mut frames_sent = 0usize;
-    let mut retries = 0usize;
-    let mut slots_elapsed = 0u64;
-
-    for chunk in 0..plan.frames {
-        let mut attempts = 0usize;
-        loop {
-            frames_sent += 1;
-            slots_elapsed += 1;
-            attempts += 1;
-            let data_ok = !rng.chance(loss);
-            let ack_ok = !rng.chance(loss);
-            if data_ok && ack_ok {
-                break;
-            }
-            // Give up *before* booking another retry: the transmission
-            // that just failed was the last one we were allowed to send,
-            // and no further retransmission follows it. (Booking first
-            // over-counted by one — with `max_retries = 0` a timed-out
-            // chunk reported one retry despite none ever being sent.)
-            if attempts > max_retries {
-                return Err(EvmError::MigrationTimeout {
-                    frames_remaining: plan.frames - chunk,
-                    retries,
-                });
-            }
-            retries += 1;
-        }
-    }
-
-    // Convert slots to wall-clock: slots_per_cycle usable slots per cycle.
-    let cycles = slots_elapsed.div_ceil(plan.slots_per_cycle as u64);
-    // Same +2 cycle overhead as the plan (handshake + activation).
-    let duration = plan.cycle * (cycles + 2);
-    Ok(MigrationOutcome {
-        frames_sent,
-        retries,
-        duration,
-    })
-}
 
 /// The serialized form of a live capsule in flight between hosts: the
 /// versioned code unit, the interpreter's resumable variable state, and
@@ -265,127 +132,6 @@ mod tests {
     use super::*;
     use crate::attest::capsule_digest;
     use crate::bytecode::{CapsuleId, Op, Program};
-
-    fn cycle() -> SimDuration {
-        SimDuration::from_millis(250)
-    }
-
-    #[test]
-    fn plan_for_typical_image() {
-        // 384 B image over 116 B payloads = 4 frames; 1 slot/cycle ->
-        // 4 cycles transfer + 2 overhead = 6 cycles = 1.5 s.
-        let plan = MigrationPlan::new(&TaskImage::typical_control_task(), 1, cycle());
-        assert_eq!(plan.image_bytes, 384);
-        assert_eq!(plan.frames, 4);
-        assert_eq!(plan.duration, SimDuration::from_millis(1_500));
-    }
-
-    #[test]
-    fn more_slots_speed_up_transfer() {
-        let img = TaskImage::with_sizes(32, 2048, 512, 64);
-        let slow = MigrationPlan::new(&img, 1, cycle());
-        let fast = MigrationPlan::new(&img, 4, cycle());
-        assert!(fast.duration < slow.duration);
-        assert_eq!(slow.frames, fast.frames, "frames depend only on size");
-    }
-
-    #[test]
-    fn lossless_execution_matches_plan() {
-        let plan = MigrationPlan::new(&TaskImage::typical_control_task(), 1, cycle());
-        let mut rng = SimRng::seed_from(1);
-        let out = execute_migration(&plan, 0.0, 10, &mut rng).unwrap();
-        assert_eq!(out.frames_sent, plan.frames);
-        assert_eq!(out.retries, 0);
-        assert_eq!(out.duration, plan.duration);
-    }
-
-    #[test]
-    fn loss_adds_retries_and_latency() {
-        let plan = MigrationPlan::new(&TaskImage::with_sizes(64, 1024, 256, 64), 2, cycle());
-        let mut rng = SimRng::seed_from(2);
-        let clean = execute_migration(&plan, 0.0, 50, &mut rng).unwrap();
-        let mut total_lossy = SimDuration::ZERO;
-        let runs = 50;
-        for _ in 0..runs {
-            let lossy = execute_migration(&plan, 0.3, 200, &mut rng).unwrap();
-            assert!(lossy.retries > 0 || lossy.frames_sent == plan.frames);
-            total_lossy += lossy.duration;
-        }
-        assert!(
-            total_lossy / runs > clean.duration,
-            "30% loss must cost time on average"
-        );
-    }
-
-    #[test]
-    fn hopeless_link_times_out() {
-        let plan = MigrationPlan::new(&TaskImage::typical_control_task(), 1, cycle());
-        let mut rng = SimRng::seed_from(3);
-        let err = execute_migration(&plan, 1.0, 5, &mut rng).unwrap_err();
-        assert!(
-            matches!(err, EvmError::MigrationTimeout { frames_remaining, .. } if frames_remaining > 0)
-        );
-    }
-
-    /// Regression (retry off-by-one): with `max_retries = 0` the first
-    /// chunk's failed *initial* transmission must not be booked as a
-    /// retry — the timeout reports zero retries and every frame still
-    /// outstanding, including the in-flight chunk.
-    #[test]
-    fn zero_retry_budget_times_out_with_zero_retries() {
-        let plan = MigrationPlan::new(&TaskImage::typical_control_task(), 1, cycle());
-        let mut rng = SimRng::seed_from(4);
-        let err = execute_migration(&plan, 1.0, 0, &mut rng).unwrap_err();
-        assert_eq!(
-            err,
-            EvmError::MigrationTimeout {
-                frames_remaining: plan.frames,
-                retries: 0,
-            },
-            "the failed initial TX is not a retry"
-        );
-    }
-
-    /// Regression: on timeout, only retransmissions actually sent count —
-    /// a chunk sent `max_retries + 1` times reports exactly `max_retries`
-    /// retries, and `frames_remaining` includes the in-flight chunk.
-    #[test]
-    fn timeout_retries_count_only_sent_retransmissions() {
-        let plan = MigrationPlan::new(&TaskImage::typical_control_task(), 1, cycle());
-        let mut rng = SimRng::seed_from(5);
-        let err = execute_migration(&plan, 1.0, 3, &mut rng).unwrap_err();
-        assert_eq!(
-            err,
-            EvmError::MigrationTimeout {
-                frames_remaining: plan.frames,
-                retries: 3,
-            }
-        );
-    }
-
-    #[test]
-    fn try_new_rejects_zero_slot_budget() {
-        let err = MigrationPlan::try_new(&TaskImage::typical_control_task(), 0, cycle());
-        assert!(matches!(err, Err(EvmError::InvalidMigrationPlan { .. })));
-        let ok = MigrationPlan::try_new(&TaskImage::typical_control_task(), 1, cycle()).unwrap();
-        assert_eq!(
-            ok,
-            MigrationPlan::new(&TaskImage::typical_control_task(), 1, cycle())
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn new_still_panics_on_zero_slots() {
-        let _ = MigrationPlan::new(&TaskImage::typical_control_task(), 0, cycle());
-    }
-
-    #[test]
-    fn duration_scales_with_image_size() {
-        let small = MigrationPlan::new(&TaskImage::with_sizes(16, 64, 16, 16), 1, cycle());
-        let large = MigrationPlan::new(&TaskImage::with_sizes(32, 4096, 1024, 64), 1, cycle());
-        assert!(large.duration > small.duration * 2);
-    }
 
     const KEY: AttestationKey = AttestationKey(0x0DD5_EED5);
     const HOST: NodeId = NodeId(3);

@@ -19,7 +19,8 @@
 //! drain into reusable scratch buffers.
 //!
 //! Construction lives in [`super::setup`]; the heads' fault plane
-//! (arbitration, migration, failover commits) in [`super::failover`].
+//! (arbitration, failover commits) in [`super::failover`], capsule
+//! migration in [`super::xfer`].
 
 use std::collections::HashMap;
 use std::mem;
@@ -39,7 +40,7 @@ use crate::runtime::topo::{FlowKind, RoleMap, VcId, VcMap};
 use crate::runtime::{Message, Scenario};
 
 /// Driver events. The fault plane (`super::failover`) schedules the
-/// arbitration/migration ones.
+/// arbitration ones.
 #[derive(Debug)]
 pub(super) enum Ev {
     PlantStep,
@@ -68,10 +69,6 @@ pub(super) enum Ev {
         vc: VcId,
     },
     HeadDecision {
-        suspect: NodeId,
-    },
-    MigrationDone {
-        target: NodeId,
         suspect: NodeId,
     },
     DormantDemote {
@@ -164,8 +161,9 @@ pub struct Engine {
     /// The authoritative capsule per VC (what a live migration ships),
     /// indexed by `VcId`. Version bumps happen at migration start.
     pub(super) capsules: Vec<crate::bytecode::Capsule>,
-    /// The in-flight capsule transfer, if any (see [`super::xfer`]).
-    pub(super) xfer: Option<crate::runtime::xfer::ActiveTransfer>,
+    /// The in-flight capsule transfers, at most one per VC, looked up by
+    /// VC (see [`super::xfer`]).
+    pub(super) xfer: Vec<crate::runtime::xfer::ActiveTransfer>,
     /// Completed capsule migrations, in completion order.
     pub(super) migrations: Vec<crate::metrics::MigrationRecord>,
 }
@@ -501,7 +499,6 @@ impl Engine {
             Ev::InjectBackupFault => self.on_inject_backup_fault(),
             Ev::CrashPrimary { vc } => self.on_crash_primary(vc),
             Ev::HeadDecision { suspect } => self.on_head_decision(suspect),
-            Ev::MigrationDone { target, suspect } => self.on_migration_done(target, suspect),
             Ev::DormantDemote { target } => self.on_dormant_demote(target),
             Ev::Reconfigure => self.on_forced_reconfig(),
         }

@@ -1,5 +1,5 @@
-//! The fault plane: injections, head-side arbitration, migration and
-//! failover commits — all keyed by Virtual Component.
+//! The fault plane: injections, head-side arbitration and failover
+//! commits — all keyed by Virtual Component.
 //!
 //! Backups compute the same capsule on the same PV stream and feed
 //! deviation detectors with (active output, own output) pairs; a confirmed
@@ -7,13 +7,15 @@
 //! over that VC's surviving replicas — with a global view standing in for
 //! the members' health publications — and commits the reconfiguration at
 //! its epoch boundary: the paper's Fig. 6(b) machinery, over arbitrary
-//! topologies and any number of concurrent VCs. A failover in one VC
+//! topologies and any number of concurrent VCs. A cold-standby target
+//! holds no task, so the head first ships it the capsule over the VC's
+//! transfer lane ([`super::xfer`]), and the transfer plane commits the
+//! failover once the capsule is active there. A failover in one VC
 //! never touches another VC's records, detectors or actuation gates.
 
 use evm_netsim::NodeId;
 
 use crate::arbitration::{select_master, Candidate};
-use crate::migration::{execute_migration, MigrationPlan};
 use crate::roles::ControllerMode;
 use crate::runtime::driver::{Engine, Ev};
 use crate::runtime::topo::VcId;
@@ -133,24 +135,7 @@ impl Engine {
             })
             .collect();
         let Some(target) = select_master(&candidates) else {
-            // §3.1.2 health-assessment response: LocalFailSafe. Demote the
-            // suspect and drive the VC's actuator to its safe position.
-            self.trace
-                .log(self.now, "vc", "no viable master; engaging fail-safe");
-            let _ = self.components[vc as usize].set_mode(suspect, ControllerMode::Indicator);
-            let fail_safe = self.scenario.fail_safe_value;
-            if let Some(plane) = self.head_plane_mut(head) {
-                plane.push_cmd(Message::Reconfig {
-                    vc,
-                    promote: None,
-                    demote: Some((suspect, ControllerMode::Indicator)),
-                });
-                plane.push_cmd(Message::FailSafe {
-                    vc,
-                    value: fail_safe,
-                });
-                plane.decision_pending = false;
-            }
+            self.engage_fail_safe(vc, head, suspect);
             return;
         };
         let warm = self
@@ -159,83 +144,44 @@ impl Engine {
             .has_task;
         if warm {
             self.commit_failover(target, suspect);
-        } else {
-            // Cold standby: migrate the task image first. A bad slot
-            // budget is a configuration error to surface in the trace,
-            // not a reason to abort the run mid-flight.
-            let plan = match MigrationPlan::try_new(
-                &evm_rtos::TaskImage::typical_control_task(),
-                1,
-                self.rtlink.config().cycle_duration(),
-            ) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    self.trace
-                        .log(self.now, "migration", format!("failed: {e}"));
-                    if let Some(plane) = self.head_plane_mut(head) {
-                        plane.decision_pending = false;
-                    }
-                    return;
-                }
-            };
-            let outcome = execute_migration(&plan, self.scenario.extra_loss, 100, &mut self.rng);
-            match outcome {
-                Ok(out) => {
-                    self.trace.log(
-                        self.now,
-                        "migration",
-                        format!(
-                            "image {} B in {} frames ({} retries), {}",
-                            plan.image_bytes, out.frames_sent, out.retries, out.duration
-                        ),
-                    );
-                    self.queue.push(
-                        self.now + out.duration,
-                        Ev::MigrationDone { target, suspect },
-                    );
-                }
-                Err(e) => {
-                    self.trace
-                        .log(self.now, "migration", format!("failed: {e}"));
-                    if let Some(plane) = self.head_plane_mut(head) {
-                        plane.decision_pending = false;
-                    }
-                }
-            }
+        } else if !self.start_capsule_transfer(vc, target, Some(suspect)) {
+            // Cold standby ships the capsule to the target first; the
+            // transfer plane commits the failover once it is active
+            // there. With no shipment possible (the primary that owns the
+            // lane is down), no replica can take over.
+            self.engage_fail_safe(vc, head, suspect);
         }
     }
 
-    pub(super) fn on_migration_done(&mut self, target: NodeId, suspect: NodeId) {
-        // Admission gate on the target before activation.
-        let admitted = self
-            .controller_mut(target)
-            .expect("target deployed")
-            .admit_focus_task();
-        if !admitted {
-            self.trace
-                .log(self.now, "migration", format!("{target} refused admission"));
-            let head = self
-                .vcs
-                .vc_of_controller(target)
-                .and_then(|vc| self.vcs.vc(vc).head);
-            if let Some(head) = head {
-                if let Some(plane) = self.head_plane_mut(head) {
-                    plane.decision_pending = false;
-                }
-            }
-            return;
-        }
-        // Warm-start the migrated integrator from the suspect's snapshot
-        // (the data section of the migrated TCB).
-        if let Some(suspect_core) = self.controller(suspect) {
-            let snapshot = suspect_core.snapshot_vars();
-            self.controller_mut(target)
-                .expect("target deployed")
-                .restore_vars(snapshot);
-        }
+    /// §3.1.2 health-assessment response: LocalFailSafe. Demote the
+    /// suspect and drive the VC's actuator to its safe position.
+    fn engage_fail_safe(&mut self, vc: VcId, head: NodeId, suspect: NodeId) {
         self.trace
-            .log(self.now, "migration", format!("task activated on {target}"));
-        self.commit_failover(target, suspect);
+            .log(self.now, "vc", "no viable master; engaging fail-safe");
+        let _ = self.components[vc as usize].set_mode(suspect, ControllerMode::Indicator);
+        let fail_safe = self.scenario.fail_safe_value;
+        if let Some(plane) = self.head_plane_mut(head) {
+            plane.push_cmd(Message::Reconfig {
+                vc,
+                promote: None,
+                demote: Some((suspect, ControllerMode::Indicator)),
+            });
+            plane.push_cmd(Message::FailSafe {
+                vc,
+                value: fail_safe,
+            });
+            plane.decision_pending = false;
+        }
+    }
+
+    /// Releases VC `vc`'s pending head decision after a cold-standby
+    /// shipment failed, so the next alert re-arbitrates.
+    pub(super) fn release_head_decision(&mut self, vc: VcId) {
+        if let Some(head) = self.vcs.vc(vc).head {
+            if let Some(plane) = self.head_plane_mut(head) {
+                plane.decision_pending = false;
+            }
+        }
     }
 
     pub(super) fn commit_failover(&mut self, target: NodeId, suspect: NodeId) {

@@ -466,7 +466,7 @@ impl Engine {
         // the new head over the dedicated transfer slots (see
         // `super::xfer`). Without transfer slots this is a no-op, which
         // keeps the pre-migration goldens byte-identical.
-        self.start_capsule_transfer(vc, new_head);
+        self.start_capsule_transfer(vc, new_head, None);
     }
 
     /// Recomputes the epoch over the surviving topology and stages it for

@@ -100,22 +100,27 @@ pub struct CheckedSetup {
     epoch0: Epoch,
 }
 
-/// Runs the first stage of engine setup: checks the timing knobs,
-/// resolves the topology spec, checks the hosting manifest and the
-/// scripted primary crashes against it, and computes epoch 0 (routes,
-/// slot schedule, transfer lane) with [`Reconfigurator::compute`]. Draws
-/// exactly the channel randomness engine construction draws, so the
-/// check sees the links the engine will.
+/// Runs the first stage of engine setup: checks the timing knobs and
+/// that cold standby has a transfer lane, resolves the topology spec,
+/// checks the hosting manifest and the scripted primary crashes against
+/// it, and computes epoch 0 (routes, slot schedule, transfer lane) with
+/// [`Reconfigurator::compute`]. Draws exactly the channel randomness
+/// engine construction draws, so the check sees the links the engine
+/// will.
 ///
 /// # Errors
 ///
-/// [`TopologyError`] for a zero timing knob, a malformed spec, a
-/// manifest whose loop count differs from the topology's VC count, a
-/// crash on an unhosted VC, an unroutable flow, or flows (or transfer
-/// lane) that do not fit the RT-Link cycle.
+/// [`TopologyError`] for a zero timing knob, cold standby without
+/// transfer slots, a malformed spec, a manifest whose loop count differs
+/// from the topology's VC count, a crash on an unhosted VC, an
+/// unroutable flow, or flows (or transfer lane) that do not fit the
+/// RT-Link cycle.
 pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
     if let Some(knob) = zero_timing_knob(scenario) {
         return Err(TopologyError::ZeroTiming(knob));
+    }
+    if !scenario.warm_backup && scenario.transfer_slots == 0 {
+        return Err(TopologyError::ColdStandbyWithoutTransferLane);
     }
     let mut rng = SimRng::seed_from(scenario.seed);
     let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
@@ -174,6 +179,7 @@ impl Engine {
             Ok(engine) => engine,
             Err(
                 e @ (TopologyError::ZeroTiming(_)
+                | TopologyError::ColdStandbyWithoutTransferLane
                 | TopologyError::ManifestMismatch { .. }
                 | TopologyError::CrashOnUnhostedVc { .. }
                 | TopologyError::Unroutable(_)
@@ -542,7 +548,7 @@ impl Engine {
             vc_stats,
             reconfig: ReconfigState::default(),
             capsules,
-            xfer: None,
+            xfer: Vec::new(),
             migrations: Vec::new(),
             scenario,
         };

@@ -833,6 +833,11 @@ pub enum TopologyError {
     /// field (`plant_dt`, `sample_every`, `rtlink.slot_duration` or
     /// `heartbeat_cycles`).
     ZeroTiming(&'static str),
+    /// Backups are cold standby but the scenario reserves no transfer
+    /// slots: a cold backup receives the task over the transfer lane
+    /// before it can be promoted, so without one no failover could
+    /// ever commit.
+    ColdStandbyWithoutTransferLane,
 }
 
 impl std::fmt::Display for TopologyError {
@@ -873,6 +878,11 @@ impl std::fmt::Display for TopologyError {
             TopologyError::Unroutable(e) => write!(f, "topology flows must route: {e}"),
             TopologyError::Unschedulable(e) => write!(f, "topology flows must schedule: {e}"),
             TopologyError::ZeroTiming(knob) => write!(f, "timing knob `{knob}` must be positive"),
+            TopologyError::ColdStandbyWithoutTransferLane => write!(
+                f,
+                "cold-standby backups receive the task over the transfer lane; \
+                 reserve `transfer_slots` >= 1"
+            ),
         }
     }
 }

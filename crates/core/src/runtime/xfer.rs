@@ -1,10 +1,12 @@
-//! The live capsule-transfer plane.
+//! The live capsule-transfer plane: the runtime's one migration path.
 //!
-//! When a head re-election fires under
-//! [`super::reconfig::ReroutePolicy::Heartbeat`] and the scenario
-//! reserved transfer slots, the VC's primary serializes its capsule plus
-//! the interpreter's resumable variable state into a
-//! [`CapsuleImage`], fragments it into
+//! A shipment starts in two places: when a head re-election fires under
+//! [`super::reconfig::ReroutePolicy::Heartbeat`] (the capsule moves to
+//! the new head), and when a head decides to promote a cold-standby
+//! backup that holds no task (the capsule moves to that backup, and the
+//! failover commits only once it has arrived). Either way the VC's
+//! primary serializes its capsule plus the interpreter's resumable
+//! variable state into a [`CapsuleImage`], fragments it into
 //! [`Message::CapsuleChunk`] frames, and ships one fragment per
 //! dedicated [`crate::runtime::topo::FlowKind::Transfer`] slot with
 //! stop-and-wait acknowledgment and retransmission. When the final
@@ -13,12 +15,14 @@
 //! check), passes kernel admission if the task is not yet resident, and
 //! resumes the interpreter from the transferred variable file — so
 //! failover latency becomes a measured function of image size ×
-//! transfer-slot budget (the Fig. 6b axis).
+//! transfer-slot budget (the Fig. 6b axis). Each VC has its own lane,
+//! so shipments of different VCs run side by side, at most one per VC.
 //!
 //! With `transfer_slots == 0` (the default) none of this code runs: no
 //! slots carry [`crate::runtime::topo::FlowKind::Transfer`], no frames
-//! are emitted, no RNG draws happen — every pre-existing golden stays
-//! byte-identical.
+//! are emitted, no RNG draws happen. Cold standby therefore requires a
+//! lane: setup rejects a cold backup without one
+//! ([`super::TopologyError::ColdStandbyWithoutTransferLane`]).
 
 use evm_netsim::NodeId;
 use evm_sim::SimTime;
@@ -33,16 +37,21 @@ use crate::runtime::topo::VcId;
 use crate::runtime::Message;
 
 /// One capsule shipment in flight: a stop-and-wait state machine over
-/// the epoch's transfer lane. Sender and receiver sides share this
-/// record (the engine owns both ends of the simulated link).
+/// its VC's transfer lane. Sender and receiver sides share this record
+/// (the engine owns both ends of the simulated link).
 #[derive(Debug)]
 pub(super) struct ActiveTransfer {
     /// The migrating Virtual Component.
     pub vc: VcId,
     /// Shipping node (owns the transfer slots).
     pub src: NodeId,
-    /// Receiving node (the newly elected head).
+    /// Receiving node: the newly elected head, or the cold backup being
+    /// promoted.
     pub dst: NodeId,
+    /// The suspect a cold-standby promotion replaces: the head commits
+    /// the failover `suspect -> dst` once the capsule is active on
+    /// `dst`. `None` for a head re-election.
+    pub promote: Option<NodeId>,
     /// The serialized capsule + interpreter state.
     pub image: CapsuleImage,
     /// Total fragments the image splits into.
@@ -80,28 +89,37 @@ enum ChunkOutcome {
 
 impl Engine {
     /// Starts a live capsule shipment for `vc` toward `dst` (the newly
-    /// elected head): validates the component's transfer relationships,
-    /// bumps the authoritative capsule version (receivers only accept
-    /// upgrades), snapshots the primary's interpreter state and computes
-    /// the advertised digest the receiver will attest against. A no-op
-    /// when the scenario reserved no transfer slots.
-    pub(super) fn start_capsule_transfer(&mut self, vc: VcId, dst: NodeId) {
+    /// elected head, or with `promote = Some(suspect)` the cold backup
+    /// replacing `suspect`): validates the component's transfer
+    /// relationships, bumps the authoritative capsule version (receivers
+    /// only accept upgrades), snapshots the primary's interpreter state
+    /// and computes the advertised digest the receiver will attest
+    /// against. Returns whether a shipment started: not when the
+    /// scenario reserved no transfer slots, the VC's lane is busy, the
+    /// primary is down or is `dst` itself, or no transfer relationship
+    /// permits the move.
+    pub(super) fn start_capsule_transfer(
+        &mut self,
+        vc: VcId,
+        dst: NodeId,
+        promote: Option<NodeId>,
+    ) -> bool {
         if self.scenario.transfer_slots == 0 {
-            return;
+            return false;
         }
-        if self.xfer.is_some() {
+        if self.xfer.iter().any(|x| x.vc == vc) {
             self.trace.log(
                 self.now,
                 "migrate",
                 "transfer lane busy; capsule migration skipped",
             );
-            return;
+            return false;
         }
         let Some(&src) = self.vcs.vc(vc).controllers.first() else {
-            return;
+            return false;
         };
         if src == dst || !self.alive(src) {
-            return;
+            return false;
         }
         // The Virtual Component is *defined* by its object-transfer
         // relationships: a shipment the records do not permit never
@@ -117,10 +135,10 @@ impl Engine {
                 "migrate",
                 format!("no transfer relationship {src_label} -> {dst_label}; migration refused"),
             );
-            return;
+            return false;
         }
         let Some(vars) = self.controller(src).map(|c| c.snapshot_vars()) else {
-            return;
+            return false;
         };
         // Receivers only accept strict upgrades, so every shipment is a
         // new version of the authoritative capsule.
@@ -148,10 +166,11 @@ impl Engine {
                 image.size_bytes(),
             ),
         );
-        self.xfer = Some(ActiveTransfer {
+        self.xfer.push(ActiveTransfer {
             vc,
             src,
             dst,
+            promote,
             image,
             total,
             next_chunk: 0,
@@ -162,6 +181,7 @@ impl Engine {
             started_at: self.now,
             corrupt_pending: self.scenario.corrupt_transfer_chunk,
         });
+        true
     }
 
     /// What `owner` transmits in a [`FlowKind::Transfer`] slot for `vc`:
@@ -171,13 +191,15 @@ impl Engine {
     /// the whole shipment with a [`EvmError::MigrationTimeout`] trace —
     /// the budget is checked *before* booking another retry, so a
     /// shipment with budget `n` sends each fragment at most `n + 1`
-    /// times.
+    /// times. An abandoned promotion releases the head's pending
+    /// decision, so the next alert re-arbitrates.
     ///
     /// [`FlowKind::Transfer`]: crate::runtime::topo::FlowKind::Transfer
     pub(super) fn take_transfer_chunk(&mut self, vc: VcId, owner: NodeId) -> Option<Message> {
+        let i = self.xfer.iter().position(|x| x.vc == vc)?;
         let give_up = {
-            let xfer = self.xfer.as_mut()?;
-            if xfer.vc != vc || xfer.src != owner || xfer.next_chunk >= xfer.total {
+            let xfer = &mut self.xfer[i];
+            if xfer.src != owner || xfer.next_chunk >= xfer.total {
                 return None;
             }
             if xfer.awaiting_ack {
@@ -193,7 +215,7 @@ impl Engine {
             }
         };
         if give_up {
-            let xfer = self.xfer.take().expect("transfer checked in flight");
+            let xfer = self.xfer.swap_remove(i);
             let (src_label, dst_label) = (self.label_of(xfer.src), self.label_of(xfer.dst));
             let err = EvmError::MigrationTimeout {
                 frames_remaining: xfer.total - xfer.next_chunk,
@@ -204,9 +226,12 @@ impl Engine {
                 "migrate",
                 format!("transfer {src_label} -> {dst_label} abandoned: {err}"),
             );
+            if xfer.promote.is_some() {
+                self.release_head_decision(vc);
+            }
             return None;
         }
-        let xfer = self.xfer.as_mut().expect("transfer checked in flight");
+        let xfer = &mut self.xfer[i];
         let seq = xfer.next_chunk;
         let len = (xfer.image.size_bytes() - seq * chunk_capacity()).min(chunk_capacity());
         xfer.awaiting_ack = true;
@@ -227,12 +252,13 @@ impl Engine {
     /// ack leaves the fragment unacknowledged and the sender re-sends it
     /// (the receiver-side duplicate is then ignored by the `seq` check).
     pub(super) fn on_chunk_delivered(&mut self, to: NodeId, from: NodeId, vc: VcId, seq: u16) {
+        let Some(i) = self.xfer.iter().position(|x| x.vc == vc) else {
+            return;
+        };
         let outcome = {
-            let Some(xfer) = self.xfer.as_mut() else {
-                return;
-            };
+            let xfer = &mut self.xfer[i];
             let seq = usize::from(seq);
-            if xfer.vc != vc || xfer.src != from || xfer.dst != to || seq != xfer.next_chunk {
+            if xfer.src != from || xfer.dst != to || seq != xfer.next_chunk {
                 ChunkOutcome::Ignore
             } else if xfer.corrupt_pending == Some(seq) {
                 xfer.corrupt_pending = None;
@@ -270,62 +296,28 @@ impl Engine {
                     format!("chunk {seq} ack lost; sender will retransmit"),
                 );
             }
-            ChunkOutcome::Complete => self.finish_transfer(),
+            ChunkOutcome::Complete => self.finish_transfer(i),
         }
     }
 
-    /// All fragments verified: run the arrival gate (attestation →
-    /// version monotonicity → capability check), then kernel admission
-    /// for hosts without the resident task, then resume the interpreter
-    /// from the transferred variable file. A rejection at any gate
-    /// leaves the receiver's resident state untouched.
-    fn finish_transfer(&mut self) {
-        let xfer = self.xfer.take().expect("transfer just completed");
-        let resident = self.controller(xfer.dst).and_then(|c| c.capsule_version);
-        // What a replica host provides: it computes the law and publishes
-        // on the data plane.
-        let host_caps = [Capability::ControllerRole, Capability::DataPlane];
+    /// All fragments of shipment `i` verified: run the arrival gate
+    /// (attestation → version monotonicity → capability check), then
+    /// kernel admission for hosts without the resident task, then resume
+    /// the interpreter from the transferred variable file. A promotion
+    /// then commits its failover. A rejection at any gate leaves the
+    /// receiver's resident state untouched and, for a promotion,
+    /// releases the head's pending decision.
+    fn finish_transfer(&mut self, i: usize) {
+        let xfer = self.xfer.swap_remove(i);
         let dst_label = self.label_of(xfer.dst);
-        if let Err(e) = admit_arrival(
-            &xfer.image.capsule,
-            xfer.image.advertised_digest,
-            resident,
-            &host_caps,
-            xfer.dst,
-            AttestationKey::for_vc(xfer.vc),
-        ) {
-            self.trace.log(
-                self.now,
-                "migrate",
-                format!(
-                    "{dst_label} rejected capsule v{}: {e}",
-                    xfer.image.capsule.version
-                ),
-            );
+        if let Err(reason) = self.activate_arrival(&xfer) {
+            self.trace
+                .log(self.now, "migrate", format!("{dst_label} {reason}"));
+            if xfer.promote.is_some() {
+                self.release_head_decision(xfer.vc);
+            }
             return;
         }
-        let Some(core) = self.controller_mut(xfer.dst) else {
-            self.trace.log(
-                self.now,
-                "migrate",
-                format!("{dst_label} hosts no replica core; capsule dropped"),
-            );
-            return;
-        };
-        if !core.has_task && !core.admit_focus_task() {
-            self.trace.log(
-                self.now,
-                "migrate",
-                format!("{dst_label} kernel refused the migrated task (admission)"),
-            );
-            return;
-        }
-        let mut vars = [0.0f64; N_VARS];
-        for (slot, v) in vars.iter_mut().zip(&xfer.image.vars) {
-            *slot = *v;
-        }
-        core.restore_vars(vars);
-        core.capsule_version = Some(xfer.image.capsule.version);
         let latency = self.now.saturating_since(xfer.started_at);
         self.trace.log(
             self.now,
@@ -350,5 +342,40 @@ impl Engine {
             retries: xfer.retries,
             latency,
         });
+        if let Some(suspect) = xfer.promote {
+            self.commit_failover(xfer.dst, suspect);
+        }
+    }
+
+    /// The gates of [`Engine::finish_transfer`] in order, and on success
+    /// the activation itself; on rejection, what the trace reports after
+    /// the receiver's label.
+    fn activate_arrival(&mut self, xfer: &ActiveTransfer) -> Result<(), String> {
+        let resident = self.controller(xfer.dst).and_then(|c| c.capsule_version);
+        // What a replica host provides: it computes the law and publishes
+        // on the data plane.
+        let host_caps = [Capability::ControllerRole, Capability::DataPlane];
+        admit_arrival(
+            &xfer.image.capsule,
+            xfer.image.advertised_digest,
+            resident,
+            &host_caps,
+            xfer.dst,
+            AttestationKey::for_vc(xfer.vc),
+        )
+        .map_err(|e| format!("rejected capsule v{}: {e}", xfer.image.capsule.version))?;
+        let core = self
+            .controller_mut(xfer.dst)
+            .ok_or("hosts no replica core; capsule dropped")?;
+        if !core.has_task && !core.admit_focus_task() {
+            return Err("kernel refused the migrated task (admission)".into());
+        }
+        let mut vars = [0.0f64; N_VARS];
+        for (slot, v) in vars.iter_mut().zip(&xfer.image.vars) {
+            *slot = *v;
+        }
+        core.restore_vars(vars);
+        core.capsule_version = Some(xfer.image.capsule.version);
+        Ok(())
     }
 }

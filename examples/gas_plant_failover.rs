@@ -6,9 +6,10 @@
 //!
 //! Runs the Fig. 6b fault under three Virtual-Component policies — the
 //! paper's scripted 300 s supervisory epoch, immediate (detection-limited)
-//! reconfiguration, and a cold standby that needs task migration — and
-//! compares how much process damage each allows. This is the experiment a
-//! plant engineer would run to pick a reconfiguration policy.
+//! reconfiguration, and a cold standby whose backup first receives the
+//! capsule over one transfer slot per cycle — and compares how much
+//! process damage each allows. This is the experiment a plant engineer
+//! would run to pick a reconfiguration policy.
 
 use evm::core::runtime::{Engine, Scenario};
 use evm::plant::ActuatorFault;
@@ -27,6 +28,7 @@ fn main() {
                 .fault_at(fault_at, ActuatorFault::paper_fault())
                 .reconfig_epoch(SimDuration::ZERO)
                 .cold_backup()
+                .transfer_slots(1)
                 .duration(horizon)
                 .build(),
         ),
@@ -51,6 +53,7 @@ fn main() {
     println!(
         "\nreading: the supervisory epoch dominates recovery; a warm replica \
          turns failover into a one-cycle mode switch, while cold standby adds \
-         the task-migration time (capability check + TCB/stack/data transfer)."
+         the measured capsule shipment over the transfer slots (image frames, \
+         acks and retransmissions, then attestation and admission)."
     );
 }
