@@ -455,9 +455,9 @@ fn wide_star_digest() {
     );
 }
 
-/// Fig. 6b under cold standby: the backup holds no task, so the head
-/// migrates the task image and warm-starts it before the failover
-/// commits.
+/// Fig. 6b under cold standby: the backup holds no task, so before the
+/// failover commits, Ctrl-A ships the capsule to Ctrl-B over one
+/// transfer slot per cycle, where it is attested and admitted.
 #[test]
 fn cold_standby_fig6b_digest() {
     let r = check(
@@ -466,15 +466,18 @@ fn cold_standby_fig6b_digest() {
             ScenarioBuilder::star()
                 .fault_at(SimTime::from_secs(300), ActuatorFault::paper_fault())
                 .cold_backup()
+                .transfer_slots(1)
                 .build()
         },
         &Golden {
-            result: 0x78ea_42a2_38e9_85cc,
-            trace: 0xe269_2526_6f9f_192c,
+            result: 0x8e36_d023_39a6_c5e7,
+            trace: 0xca71_34fd_c66a_6b0d,
         },
     );
-    assert!(
-        r.trace.render().contains("task activated on"),
+    let moved: Vec<_> = r.migrations.iter().map(|m| (m.vc, m.from, m.to)).collect();
+    assert_eq!(
+        moved,
+        [(0, NodeId(2), NodeId(3))],
         "the cold backup must receive the task by migration"
     );
 }
