@@ -704,6 +704,7 @@ impl Engine {
         // becomes visible here or never — frames are never torn across
         // epochs mid-cycle.
         self.reconfig_on_cycle_start();
+        self.drop_orphaned_transfers();
         let sync = self.scenario.rtlink.sync_listen;
         for ix in 0..self.node_ids.len() {
             if !self.alive(self.node_ids[ix]) {

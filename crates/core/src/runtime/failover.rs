@@ -147,15 +147,16 @@ impl Engine {
         } else if !self.start_capsule_transfer(vc, target, Some(suspect)) {
             // Cold standby ships the capsule to the target first; the
             // transfer plane commits the failover once it is active
-            // there. With no shipment possible (the primary that owns the
-            // lane is down), no replica can take over.
+            // there. When no shipment can start (the primary that owns
+            // the lane is down, or the VC's lane is already busy), no
+            // replica can take over.
             self.engage_fail_safe(vc, head, suspect);
         }
     }
 
     /// §3.1.2 health-assessment response: LocalFailSafe. Demote the
     /// suspect and drive the VC's actuator to its safe position.
-    fn engage_fail_safe(&mut self, vc: VcId, head: NodeId, suspect: NodeId) {
+    pub(super) fn engage_fail_safe(&mut self, vc: VcId, head: NodeId, suspect: NodeId) {
         self.trace
             .log(self.now, "vc", "no viable master; engaging fail-safe");
         let _ = self.components[vc as usize].set_mode(suspect, ControllerMode::Indicator);

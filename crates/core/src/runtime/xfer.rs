@@ -184,6 +184,25 @@ impl Engine {
         true
     }
 
+    /// Abandons every shipment whose shipping node is down: its slots
+    /// stay silent, so its retry budget would never run out and the
+    /// VC's lane would stay busy for good. A promotion left without a
+    /// source engages the VC's fail-safe, like one that cannot start.
+    pub(super) fn drop_orphaned_transfers(&mut self) {
+        while let Some(i) = self.xfer.iter().position(|x| !self.alive(x.src)) {
+            let xfer = self.xfer.swap_remove(i);
+            let (src_label, dst_label) = (self.label_of(xfer.src), self.label_of(xfer.dst));
+            self.trace.log(
+                self.now,
+                "migrate",
+                format!("transfer {src_label} -> {dst_label} abandoned: {src_label} is down"),
+            );
+            if let (Some(suspect), Some(head)) = (xfer.promote, self.vcs.vc(xfer.vc).head) {
+                self.engage_fail_safe(xfer.vc, head, suspect);
+            }
+        }
+    }
+
     /// What `owner` transmits in a [`FlowKind::Transfer`] slot for `vc`:
     /// the current fragment of the in-flight shipment (a retransmission
     /// if the previous copy went unacked), or nothing when the lane is

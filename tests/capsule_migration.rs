@@ -19,7 +19,8 @@
 //!    pre-migration engine.
 //! 5. **Cold standby rides the same lane** — promoting a cold backup
 //!    ships the capsule over the same transfer slots, so a tampered
-//!    image or a spent retry budget leaves the backup unpromoted.
+//!    image or a spent retry budget leaves the backup unpromoted, and a
+//!    shipment whose source dies fails the VC safe.
 //! 6. **One shipment per VC** — simultaneous head kills in different
 //!    VCs each migrate over their own VC's lane.
 
@@ -253,6 +254,31 @@ fn cold_standby_zero_retry_budget_abandons_the_shipment() {
         r.event_time("head commits failover").is_none(),
         "an abandoned shipment must not promote the cold backup"
     );
+    assert!(!ever_active(&r, "Ctrl-B"));
+    assert!(r.migrations.is_empty());
+}
+
+#[test]
+fn cold_standby_source_crash_mid_shipment_fails_safe() {
+    // The shipment starts at about 100.54 s and needs five cycles; Ctrl-A
+    // (n2), which owns the lane, crashes before the second fragment.
+    // Its slots go silent, so the shipment is abandoned at the next
+    // cycle boundary and the VC fails safe instead of hanging.
+    let s = cold_standby()
+        .crash_node_at(NodeId(2), SimTime::from_millis(100_800))
+        .build();
+    let r = Engine::new(s).run();
+    let started = r
+        .event_time("transfer started")
+        .expect("the shipment starts");
+    let dropped = r
+        .event_time("abandoned: Ctrl-A is down")
+        .expect("a shipment without its source is abandoned");
+    let fail_safe = r
+        .event_time("engaging fail-safe")
+        .expect("the VC fails safe");
+    assert!(started < dropped && dropped <= fail_safe);
+    assert!(r.event_time("head commits failover").is_none());
     assert!(!ever_active(&r, "Ctrl-B"));
     assert!(r.migrations.is_empty());
 }
