@@ -7,16 +7,18 @@ use evm_sim::{SimDuration, SimTime, TimeSeries, Trace};
 
 /// One completed live capsule migration: what moved, where, and what it
 /// cost on the air. `latency` is the shipment clock — transfer start
-/// (head re-election) to attested activation on the receiving host —
-/// i.e. the measured Fig. 6b failover-latency contribution, a function
-/// of image size × transfer-slot budget.
+/// (a head re-election, or a head's decision to promote a cold-standby
+/// backup) to attested activation on the receiving host — i.e. the
+/// measured Fig. 6b failover-latency contribution, a function of image
+/// size × transfer-slot budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationRecord {
     /// The migrating Virtual Component.
     pub vc: u16,
     /// Shipping node (the VC's primary replica).
     pub from: NodeId,
-    /// Receiving node (the newly elected head).
+    /// Receiving node: the newly elected head, or the cold-standby
+    /// backup being promoted.
     pub to: NodeId,
     /// Serialized image size, bytes (code + vars + metadata + padding).
     pub image_bytes: usize,
@@ -26,7 +28,8 @@ pub struct MigrationRecord {
     pub frames_sent: usize,
     /// Retransmissions among those.
     pub retries: usize,
-    /// Transfer start → attested activation.
+    /// Transfer start → attested activation (for a cold-standby
+    /// promotion, the failover commits at that same instant).
     pub latency: SimDuration,
 }
 
@@ -169,8 +172,9 @@ pub struct RunResult {
     /// marked down (or delivery never resumed).
     pub reroute_latency: Option<SimDuration>,
     /// Live capsule migrations completed during the run, in completion
-    /// order (empty unless the scenario reserved transfer slots and a
-    /// head re-election shipped a capsule).
+    /// order: capsules shipped to a re-elected head or to a promoted
+    /// cold-standby backup (empty unless the scenario reserved transfer
+    /// slots and one of the two happened).
     pub migrations: Vec<MigrationRecord>,
 }
 

@@ -21,8 +21,9 @@
 //!   controller replica, actuator, head),
 //! * [`reconfig`] — the epoch-based reconfiguration plane (the
 //!   [`Reconfigurator`] pipeline plus the driver's liveness triggers),
-//! * `xfer` — the live capsule-transfer plane: chunked, acked capsule
-//!   shipment over the epoch's dedicated transfer slots,
+//! * `xfer` — the live capsule-transfer plane, the one migration path:
+//!   chunked, acked capsule shipment over each VC's dedicated transfer
+//!   slots, to a re-elected head or a promoted cold-standby backup,
 //! * `driver` — the deterministic slot-pipeline [`Engine`].
 
 pub mod behavior;

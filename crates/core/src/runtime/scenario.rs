@@ -85,7 +85,10 @@ pub struct Scenario {
     /// Delay from demotion (Backup) to Dormant — the paper's T3 − T2.
     pub demote_dormant_after: SimDuration,
     /// `true`: backup controllers hold warm replicas (Fig. 6b). `false`:
-    /// the task must be migrated to a backup before promotion.
+    /// cold standby — the primary ships the capsule to a backup over the
+    /// transfer lane before promotion, which needs `transfer_slots >= 1`
+    /// ([`crate::runtime::TopologyError::ColdStandbyWithoutTransferLane`]
+    /// otherwise).
     pub warm_backup: bool,
     /// Heartbeat silence threshold in RT-Link cycles. Must be large enough
     /// that a burst of frame losses is not mistaken for a crash: at loss
@@ -129,10 +132,12 @@ pub struct Scenario {
     pub sensor_noise_std: f64,
     /// Dedicated capsule-transfer slots appended to each VC's epoch
     /// schedule. 0 (the default) disables live capsule migration — the
-    /// schedule, RNG stream and every golden stay byte-identical. With
-    /// `n > 0` under [`ReroutePolicy::Heartbeat`], a head re-election
-    /// ships the active capsule + interpreter state to the new head over
-    /// these slots, chunk by chunk with per-frame ack/retransmit.
+    /// schedule, RNG stream and every golden stay byte-identical — and
+    /// is rejected for cold standby. With `n > 0`, the primary ships its
+    /// capsule + interpreter state over these slots, chunk by chunk with
+    /// per-frame ack/retransmit: to the new head on a re-election under
+    /// [`ReroutePolicy::Heartbeat`], and to a cold-standby backup before
+    /// the head promotes it.
     pub transfer_slots: usize,
     /// Extra bytes padded onto every shipped capsule image (checkpoint
     /// blobs, logs) — the sweepable image-size knob behind Fig. 6b's
@@ -734,8 +739,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Chooses cold-standby mode: backups must receive the task by
-    /// migration before activation.
+    /// Chooses cold-standby mode: a backup must receive the capsule over
+    /// the transfer lane before activation, so the scenario also needs
+    /// [`ScenarioBuilder::transfer_slots`] of at least 1; without it,
+    /// setup fails with
+    /// [`crate::runtime::TopologyError::ColdStandbyWithoutTransferLane`].
     #[must_use]
     pub fn cold_backup(mut self) -> Self {
         self.inner.warm_backup = false;
@@ -777,7 +785,8 @@ impl ScenarioBuilder {
 
     /// Reserves `n` dedicated capsule-transfer slots per VC in every
     /// epoch schedule, enabling live capsule migration on head
-    /// re-election (0 = disabled, the default).
+    /// re-election and cold-standby promotion (0 = disabled, the
+    /// default; cold standby needs at least 1).
     #[must_use]
     pub fn transfer_slots(mut self, n: usize) -> Self {
         self.inner.transfer_slots = n;
