@@ -198,6 +198,8 @@ fn ever_active(r: &evm::core::RunResult, label: &str) -> bool {
         .any(|&(_, mode)| mode == ControllerMode::Active.as_f64())
 }
 
+/// The control for the cold-standby safety tests below: unsabotaged,
+/// the shipment lands and Ctrl-B takes over.
 #[test]
 fn cold_standby_promotes_over_the_transfer_lane() {
     let r = Engine::new(cold_standby().build()).run();
@@ -231,19 +233,12 @@ fn cold_standby_zero_retry_budget_abandons_the_shipment() {
         .build();
     let r = Engine::new(s).run();
     let trace = r.trace.render();
-    let started = trace
-        .lines()
-        .find(|l| l.contains("transfer started"))
-        .expect("the shipment starts");
-    // "capsule v2 (493 B, 5 frames) Ctrl-A -> Ctrl-B: transfer started"
-    let total: usize = started
-        .split(" B, ")
-        .nth(1)
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|n| n.parse().ok())
-        .expect("frame count in the start line");
+    assert!(
+        trace.contains("(493 B, 5 frames) Ctrl-A -> Ctrl-B: transfer started"),
+        "the cold Fig. 6b image splits into five frames"
+    );
     let timeout = EvmError::MigrationTimeout {
-        frames_remaining: total,
+        frames_remaining: 5,
         retries: 0,
     };
     assert!(
@@ -255,6 +250,32 @@ fn cold_standby_zero_retry_budget_abandons_the_shipment() {
         "an abandoned shipment must not promote the cold backup"
     );
     assert!(!ever_active(&r, "Ctrl-B"));
+    assert!(r.migrations.is_empty());
+}
+
+#[test]
+fn cold_standby_dead_receiver_spends_the_retry_budget_then_fails_safe() {
+    // Ctrl-B (n3) crashes after taking the first fragment, so the second
+    // is sent once plus three retransmissions and the shipment times
+    // out reporting exactly those three. The head's decision is then
+    // released, and the next alert finds no live replica to promote.
+    let s = cold_standby()
+        .migration_max_retries(3)
+        .crash_node_at(NodeId(3), SimTime::from_millis(100_600))
+        .build();
+    let r = Engine::new(s).run();
+    let timeout = EvmError::MigrationTimeout {
+        frames_remaining: 4,
+        retries: 3,
+    };
+    let abandoned = r
+        .event_time(&format!("Ctrl-A -> Ctrl-B abandoned: {timeout}"))
+        .expect("the shipment times out after its retry budget");
+    let fail_safe = r
+        .event_time("engaging fail-safe")
+        .expect("the next alert re-arbitrates and fails safe");
+    assert!(abandoned < fail_safe);
+    assert!(r.event_time("head commits failover").is_none());
     assert!(r.migrations.is_empty());
 }
 
