@@ -206,6 +206,11 @@ impl RunResult {
     }
 
     /// Fraction of actuations that met the cycle deadline.
+    ///
+    /// A run with no actuations reads 1.0: nothing missed its deadline
+    /// because nothing arrived. A claim made on this ratio therefore needs
+    /// an actuation floor beside it, or it holds for a loop that never
+    /// closed.
     #[must_use]
     pub fn deadline_hit_ratio(&self) -> f64 {
         if self.actuations == 0 {
