@@ -11,9 +11,9 @@
 //!    gas budget, capabilities) matches, using a pre-shared component key
 //!    (64-bit keyed FNV-style mix; a stand-in for the platform's real MAC
 //!    primitive with identical protocol behavior),
-//! 3. the **schedulability gate** is applied separately by the receiving
-//!    kernel (see `evm_rtos::Kernel::admit`) — attestation passing does
-//!    not bypass it.
+//! 3. the **schedulability gate** is applied after it by the receiving
+//!    kernel, in the same admission gate ([`crate::migration::admit`]) —
+//!    attestation passing does not bypass it.
 
 use crate::bytecode::{Capability, Capsule};
 

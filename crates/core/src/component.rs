@@ -1,52 +1,38 @@
-//! The Virtual Component.
+//! The Virtual Component, as its head commands it.
 //!
 //! "A Virtual Component is a composition of inter-connected communicating
 //! physical components defined by object transfer relationships" (§1.1).
-//! It is the unit the EVM keeps invariant while the physical network
-//! changes underneath: members join and leave, controllers swap modes,
-//! but the component's task manifest and transfer relationships persist.
+//! Who belongs to a component and who heads it live in the runtime's role
+//! map ([`crate::runtime::VcMap`]); this record holds what only the head
+//! decides: the mode it last commanded each controller into, and the
+//! object-transfer relationships. The nodes apply those commands when the
+//! head's `Reconfig` frames reach them, so a node's own mode can lag this
+//! view by a frame.
 
 use std::collections::BTreeMap;
 
-use evm_netsim::{NodeId, NodeKind};
+use evm_netsim::NodeId;
 
-use crate::bytecode::CapsuleId;
 use crate::roles::ControllerMode;
 use crate::transfers::ObjectTransfer;
 
-/// Per-member record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemberInfo {
-    /// The member node.
-    pub node: NodeId,
-    /// Its physical role.
-    pub kind: NodeKind,
-    /// Controller mode, for controller members hosting the focus task.
-    pub mode: Option<ControllerMode>,
-    /// Capsules currently hosted.
-    pub capsules: Vec<CapsuleId>,
-}
-
-/// A Virtual Component: membership, head, relationships, epoch.
+/// A Virtual Component's commanded view: controller modes and transfer
+/// relationships.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VirtualComponent {
     name: String,
-    members: BTreeMap<NodeId, MemberInfo>,
-    head: Option<NodeId>,
+    modes: BTreeMap<NodeId, ControllerMode>,
     transfers: Vec<ObjectTransfer>,
-    epoch: u64,
 }
 
 impl VirtualComponent {
-    /// Creates an empty component.
+    /// Creates a component with no controllers.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         VirtualComponent {
             name: name.into(),
-            members: BTreeMap::new(),
-            head: None,
+            modes: BTreeMap::new(),
             transfers: Vec::new(),
-            epoch: 0,
         }
     }
 
@@ -56,133 +42,45 @@ impl VirtualComponent {
         &self.name
     }
 
-    /// Configuration epoch; bumped on every membership or mode change so
-    /// stale messages are recognizable.
+    /// Records a controller in its deployment mode. Re-adding a
+    /// controller overwrites its mode without a transition check.
+    pub fn add_controller(&mut self, node: NodeId, mode: ControllerMode) {
+        self.modes.insert(node, mode);
+    }
+
+    /// The mode last commanded for `node`, if it is a controller here.
     #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    pub fn mode(&self, node: NodeId) -> Option<ControllerMode> {
+        self.modes.get(&node).copied()
     }
 
-    /// The current head, if elected.
-    #[must_use]
-    pub fn head(&self) -> Option<NodeId> {
-        self.head
-    }
-
-    /// All members in id order.
-    pub fn members(&self) -> impl Iterator<Item = &MemberInfo> {
-        self.members.values()
-    }
-
-    /// Looks up one member.
-    #[must_use]
-    pub fn member(&self, node: NodeId) -> Option<&MemberInfo> {
-        self.members.get(&node)
-    }
-
-    /// Number of members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` if the component has no members.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Adds a member (admission checks happen in
-    /// [`crate::membership`]). Re-adding an existing node updates its
-    /// record. Bumps the epoch and re-runs head election.
-    pub fn add_member(&mut self, info: MemberInfo) {
-        self.members.insert(info.node, info);
-        self.epoch += 1;
-        self.elect_head();
-    }
-
-    /// Removes a member (crash or planned leave). Bumps the epoch; if the
-    /// head left, a new one is elected.
-    pub fn remove_member(&mut self, node: NodeId) -> Option<MemberInfo> {
-        let gone = self.members.remove(&node);
-        if gone.is_some() {
-            self.epoch += 1;
-            if self.head == Some(node) {
-                self.elect_head();
-            }
-        }
-        gone
-    }
-
-    /// Deterministic head election: the lowest-id controller or gateway
-    /// member. Every node observing the same membership elects the same
-    /// head without extra messages.
-    pub fn elect_head(&mut self) {
-        self.head = self
-            .members
-            .values()
-            .find(|m| matches!(m.kind, NodeKind::Controller | NodeKind::Gateway))
-            .map(|m| m.node);
-    }
-
-    /// Pins the head explicitly (deployments often dedicate a supervisory
-    /// controller, as the paper's testbed does with its VC head).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is not a member.
-    pub fn set_head(&mut self, node: NodeId) {
-        assert!(self.members.contains_key(&node), "head must be a member");
-        self.head = Some(node);
-        self.epoch += 1;
-    }
-
-    /// Sets a controller member's mode.
+    /// Commands a controller into `mode`.
     ///
     /// # Errors
     ///
-    /// Returns `Err` if the node is unknown or the transition is illegal
-    /// per [`ControllerMode::can_transition_to`]. On error nothing
-    /// changes.
+    /// Returns `Err` if the node is not a controller of this component or
+    /// the transition is illegal per
+    /// [`ControllerMode::can_transition_to`]. On error nothing changes.
     pub fn set_mode(&mut self, node: NodeId, mode: ControllerMode) -> Result<(), String> {
-        let m = self
-            .members
+        let cur = self
+            .modes
             .get_mut(&node)
             .ok_or_else(|| format!("unknown member {node}"))?;
-        match m.mode {
-            Some(cur) if !cur.can_transition_to(mode) => {
-                Err(format!("illegal transition {cur} -> {mode} on {node}"))
-            }
-            _ => {
-                m.mode = Some(mode);
-                self.epoch += 1;
-                Ok(())
-            }
+        if !cur.can_transition_to(mode) {
+            return Err(format!("illegal transition {cur} -> {mode} on {node}"));
         }
+        *cur = mode;
+        Ok(())
     }
 
     /// The controller currently in `Active` mode, if exactly one exists.
     #[must_use]
     pub fn active_controller(&self) -> Option<NodeId> {
-        let mut it = self
-            .members
-            .values()
-            .filter(|m| m.mode == Some(ControllerMode::Active))
-            .map(|m| m.node);
+        let mut it = self.active();
         match (it.next(), it.next()) {
             (Some(n), None) => Some(n),
             _ => None,
         }
-    }
-
-    /// All controllers in `Backup` mode.
-    #[must_use]
-    pub fn backup_controllers(&self) -> Vec<NodeId> {
-        self.members
-            .values()
-            .filter(|m| m.mode == Some(ControllerMode::Backup))
-            .map(|m| m.node)
-            .collect()
     }
 
     /// Registers an object-transfer relationship.
@@ -196,16 +94,19 @@ impl VirtualComponent {
         &self.transfers
     }
 
-    /// Single-active-controller safety invariant: at most one member may
-    /// be `Active` (checked by property tests and asserted by the engine
-    /// after every reconfiguration).
+    /// Single-active-controller safety invariant over the commanded view:
+    /// the head has at most one controller in `Active`. The engine asserts
+    /// it after every event in debug builds.
     #[must_use]
     pub fn invariant_single_active(&self) -> bool {
-        self.members
-            .values()
-            .filter(|m| m.mode == Some(ControllerMode::Active))
-            .count()
-            <= 1
+        self.active().nth(1).is_none()
+    }
+
+    fn active(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.modes
+            .iter()
+            .filter(|&(_, &m)| m == ControllerMode::Active)
+            .map(|(&n, _)| n)
     }
 }
 
@@ -213,45 +114,11 @@ impl VirtualComponent {
 mod tests {
     use super::*;
 
-    fn member(id: u16, kind: NodeKind, mode: Option<ControllerMode>) -> MemberInfo {
-        MemberInfo {
-            node: NodeId(id),
-            kind,
-            mode,
-            capsules: vec![],
-        }
-    }
-
     fn paper_vc() -> VirtualComponent {
         let mut vc = VirtualComponent::new("lts-loop");
-        vc.add_member(member(1, NodeKind::Sensor, None));
-        vc.add_member(member(
-            2,
-            NodeKind::Controller,
-            Some(ControllerMode::Active),
-        ));
-        vc.add_member(member(
-            3,
-            NodeKind::Controller,
-            Some(ControllerMode::Backup),
-        ));
-        vc.add_member(member(4, NodeKind::Actuator, None));
+        vc.add_controller(NodeId(2), ControllerMode::Active);
+        vc.add_controller(NodeId(3), ControllerMode::Backup);
         vc
-    }
-
-    #[test]
-    fn head_is_lowest_controller() {
-        let vc = paper_vc();
-        assert_eq!(vc.head(), Some(NodeId(2)));
-    }
-
-    #[test]
-    fn head_reelected_on_departure() {
-        let mut vc = paper_vc();
-        let e0 = vc.epoch();
-        vc.remove_member(NodeId(2));
-        assert_eq!(vc.head(), Some(NodeId(3)));
-        assert!(vc.epoch() > e0);
     }
 
     #[test]
@@ -267,7 +134,7 @@ mod tests {
         assert_eq!(vc.active_controller(), Some(NodeId(3)));
         // T3: A -> Dormant.
         vc.set_mode(NodeId(2), ControllerMode::Dormant).unwrap();
-        assert_eq!(vc.backup_controllers(), Vec::<NodeId>::new());
+        assert_eq!(vc.mode(NodeId(2)), Some(ControllerMode::Dormant));
     }
 
     #[test]
@@ -276,18 +143,14 @@ mod tests {
         vc.set_mode(NodeId(2), ControllerMode::Dormant).unwrap();
         let err = vc.set_mode(NodeId(2), ControllerMode::Indicator);
         assert!(err.is_err());
-        assert_eq!(
-            vc.member(NodeId(2)).unwrap().mode,
-            Some(ControllerMode::Dormant)
-        );
+        assert_eq!(vc.mode(NodeId(2)), Some(ControllerMode::Dormant));
     }
 
     #[test]
     fn unknown_member_errors() {
         let mut vc = paper_vc();
         assert!(vc.set_mode(NodeId(99), ControllerMode::Active).is_err());
-        assert!(vc.member(NodeId(99)).is_none());
-        assert!(vc.remove_member(NodeId(99)).is_none());
+        assert_eq!(vc.mode(NodeId(99)), None);
     }
 
     #[test]
@@ -295,16 +158,5 @@ mod tests {
         let mut vc = paper_vc();
         vc.set_mode(NodeId(3), ControllerMode::Active).unwrap();
         assert_eq!(vc.active_controller(), None, "two actives is not a master");
-    }
-
-    #[test]
-    fn epoch_monotone_over_changes() {
-        let mut vc = paper_vc();
-        let mut last = vc.epoch();
-        vc.set_mode(NodeId(3), ControllerMode::Dormant).unwrap();
-        assert!(vc.epoch() > last);
-        last = vc.epoch();
-        vc.add_member(member(9, NodeKind::Controller, None));
-        assert!(vc.epoch() > last);
     }
 }

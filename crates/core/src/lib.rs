@@ -16,13 +16,15 @@
 //! * [`attest`] — software attestation for received code and data,
 //! * [`roles`] / [`transfers`] / [`component`] — controller modes
 //!   (Active / Backup / Dormant / Indicator), the five object-transfer
-//!   relationship types, and the Virtual Component itself,
-//! * [`membership`] — admission, head election and epochs,
+//!   relationship types, and the head's commanded view of a Virtual
+//!   Component (controller modes and transfer relationships),
+//! * [`membership`] — head election and heartbeat liveness,
 //! * [`health`] — output-deviation and heartbeat fault detectors,
 //! * [`arbitration`] — new-master selection,
 //! * [`migration`] — the capsule image (TCB + stack + data + metadata)
-//!   and its arrival gate; the runtime ships it for every migration,
-//!   head re-election and cold-standby promotion alike,
+//!   and the one admission gate every capsule passes (attestation,
+//!   version, capabilities, kernel admission); the runtime ships the
+//!   image for every head re-election and cold-standby promotion alike,
 //! * [`synthesis`] — logical-task → physical-node mapping and the binary
 //!   quadratic programming runtime optimizer (§3.1.1 op 7),
 //! * [`runtime`] — the co-simulation engine tying the plant, ModBus
@@ -52,12 +54,12 @@ pub mod transfers;
 pub use arbitration::{select_master, Candidate};
 pub use attest::{attest_capsule, AttestationKey, AttestationReport};
 pub use bytecode::{Capsule, ControlLawSpec, Op, Program, Vm, VmEnv, VmError};
-pub use component::{MemberInfo, VirtualComponent};
+pub use component::VirtualComponent;
 pub use error::EvmError;
 pub use health::{DeviationDetector, FaultEvidence, HeartbeatMonitor};
 pub use membership::{elect_head, HeadCandidate, HeartbeatLedger};
 pub use metrics::{MigrationRecord, NodeEnergy, RunAggregate, RunMeta, RunResult, VcRunStats};
-pub use migration::{admit_arrival, CapsuleImage};
+pub use migration::{admit, CapsuleImage};
 pub use roles::ControllerMode;
 pub use runtime::{
     Engine, ReroutePolicy, Scenario, ScenarioBuilder, TopologyError, TopologySpec, VcId, VcMap,

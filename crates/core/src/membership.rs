@@ -1,120 +1,18 @@
-//! Membership and admission (§3.1.1 op 6), head election and liveness
-//! bookkeeping.
+//! Head election and liveness bookkeeping for the runtime's
+//! reconfiguration plane (§3.1.1 op 6: "the membership of a Virtual
+//! Component is not fixed").
 //!
-//! "The membership of a Virtual Component is not fixed. If new nodes are
-//! present they are admitted to the Virtual Component." Admission is the
-//! safety gate sequence: attestation of the node's capsules → capability
-//! check → kernel admission (reserves + schedulability). A node that
-//! fails any step is not admitted, and the component is unchanged.
-//!
-//! Two further membership primitives back the runtime's reconfiguration
-//! plane: [`elect_head`] picks a replacement head deterministically
-//! (fittest candidate, lowest id on ties — every observer of the same
-//! candidate set elects the same head with no extra messages), and the
+//! [`elect_head`] picks a replacement head deterministically (fittest
+//! candidate, lowest id on ties — every observer of the same candidate
+//! set elects the same head with no extra messages), and the
 //! [`HeartbeatLedger`] tracks per-node transmission liveness in RT-Link
 //! cycle counts — never wall-clock — so silence detection is exactly
-//! reproducible across runs and thread counts.
+//! reproducible across runs and thread counts. Admitting a capsule onto a
+//! node is [`crate::migration::admit`]'s job.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use evm_netsim::{NodeId, NodeKind};
-use evm_rtos::Kernel;
-
-use crate::attest::{attest_capsule, AttestationKey};
-use crate::bytecode::{Capability, Capsule};
-use crate::component::{MemberInfo, VirtualComponent};
-use crate::error::EvmError;
-
-/// Capabilities a node advertises when joining.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeProfile {
-    /// The joining node.
-    pub node: NodeId,
-    /// Physical role.
-    pub kind: NodeKind,
-    /// Sensor ports wired on this node.
-    pub sensor_ports: Vec<u8>,
-    /// Actuator ports wired on this node.
-    pub actuator_ports: Vec<u8>,
-    /// Whether the node may host controller tasks.
-    pub controller_capable: bool,
-}
-
-impl NodeProfile {
-    /// `true` if this node satisfies `cap`.
-    #[must_use]
-    pub fn satisfies(&self, cap: &Capability) -> bool {
-        match cap {
-            Capability::SensorPort(p) => self.sensor_ports.contains(p),
-            Capability::ActuatorPort(p) => self.actuator_ports.contains(p),
-            Capability::ControllerRole => self.controller_capable,
-            Capability::DataPlane => true,
-        }
-    }
-
-    /// `true` if all of `caps` are satisfied.
-    #[must_use]
-    pub fn satisfies_all(&self, caps: &[Capability]) -> bool {
-        caps.iter().all(|c| self.satisfies(c))
-    }
-}
-
-/// Admits `profile` into `vc`, hosting `capsule` on the node's `kernel`.
-///
-/// Runs the full gate: attestation (against `advertised_digest` under the
-/// component `key`), capability check, then kernel admission of the
-/// capsule's task (WCET = gas budget × instruction cost at the capsule's
-/// period).
-///
-/// # Errors
-///
-/// [`EvmError::AttestationFailed`], [`EvmError::MissingCapability`] or
-/// [`EvmError::AdmissionRefused`]; the component and kernel are unchanged
-/// on error.
-pub fn admit_node(
-    vc: &mut VirtualComponent,
-    kernel: &mut Kernel,
-    profile: &NodeProfile,
-    capsule: &Capsule,
-    advertised_digest: u64,
-    key: AttestationKey,
-    task_period: evm_sim::SimDuration,
-) -> Result<(), EvmError> {
-    // 1. Attestation.
-    let report = attest_capsule(capsule, advertised_digest, key);
-    if !report.passed() {
-        return Err(EvmError::AttestationFailed {
-            reason: format!(
-                "integrity_ok={} digest_ok={}",
-                report.integrity_ok, report.digest_ok
-            ),
-        });
-    }
-    // 2. Capabilities.
-    if let Some(missing) = capsule.capabilities.iter().find(|c| !profile.satisfies(c)) {
-        return Err(EvmError::MissingCapability {
-            node: profile.node,
-            capability: missing.to_string(),
-        });
-    }
-    // 3. Kernel admission (reserves + schedulability).
-    let wcet = kernel.instr_cost() * capsule.gas_budget;
-    let spec = evm_rtos::TaskSpec::new(format!("{}", capsule.id), wcet, task_period);
-    kernel
-        .admit(spec, evm_rtos::TaskImage::typical_control_task(), None)
-        .map_err(|e| EvmError::AdmissionRefused {
-            node: profile.node,
-            reason: e.to_string(),
-        })?;
-    // 4. Commit membership.
-    vc.add_member(MemberInfo {
-        node: profile.node,
-        kind: profile.kind,
-        mode: None,
-        capsules: vec![capsule.id],
-    });
-    Ok(())
-}
+use evm_netsim::NodeId;
 
 /// One contender for a Virtual Component's head role.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,140 +126,6 @@ impl HeartbeatLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attest::capsule_digest;
-    use crate::bytecode::{CapsuleId, Op, Program};
-    use evm_sim::SimDuration;
-
-    const KEY: AttestationKey = AttestationKey(0x5EED);
-
-    fn capsule() -> Capsule {
-        Capsule::new(
-            CapsuleId(4),
-            1,
-            Program::new(vec![Op::ReadSensor(0), Op::WriteActuator(0), Op::Halt]),
-            64,
-            vec![
-                Capability::SensorPort(0),
-                Capability::ActuatorPort(0),
-                Capability::ControllerRole,
-            ],
-        )
-    }
-
-    fn profile(id: u16) -> NodeProfile {
-        NodeProfile {
-            node: NodeId(id),
-            kind: NodeKind::Controller,
-            sensor_ports: vec![0],
-            actuator_ports: vec![0],
-            controller_capable: true,
-        }
-    }
-
-    #[test]
-    fn full_gate_admits_good_node() {
-        let mut vc = VirtualComponent::new("vc");
-        let mut kernel = Kernel::new("n5");
-        let c = capsule();
-        let digest = capsule_digest(&c, KEY);
-        admit_node(
-            &mut vc,
-            &mut kernel,
-            &profile(5),
-            &c,
-            digest,
-            KEY,
-            SimDuration::from_millis(250),
-        )
-        .unwrap();
-        assert_eq!(vc.len(), 1);
-        assert!(vc.member(NodeId(5)).is_some());
-        assert_eq!(kernel.tcbs().len(), 1);
-    }
-
-    #[test]
-    fn bad_digest_rejected_before_any_commit() {
-        let mut vc = VirtualComponent::new("vc");
-        let mut kernel = Kernel::new("n5");
-        let c = capsule();
-        let err = admit_node(
-            &mut vc,
-            &mut kernel,
-            &profile(5),
-            &c,
-            0xBAD,
-            KEY,
-            SimDuration::from_millis(250),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EvmError::AttestationFailed { .. }));
-        assert!(vc.is_empty());
-        assert!(kernel.tcbs().is_empty());
-    }
-
-    #[test]
-    fn missing_capability_rejected() {
-        let mut vc = VirtualComponent::new("vc");
-        let mut kernel = Kernel::new("n6");
-        let c = capsule();
-        let digest = capsule_digest(&c, KEY);
-        let mut p = profile(6);
-        p.actuator_ports.clear();
-        let err = admit_node(
-            &mut vc,
-            &mut kernel,
-            &p,
-            &c,
-            digest,
-            KEY,
-            SimDuration::from_millis(250),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EvmError::MissingCapability { .. }));
-        assert!(vc.is_empty());
-    }
-
-    #[test]
-    fn overloaded_kernel_refuses() {
-        let mut vc = VirtualComponent::new("vc");
-        let mut kernel = Kernel::new("n7");
-        // Saturate the kernel first.
-        kernel
-            .admit(
-                evm_rtos::TaskSpec::new(
-                    "hog",
-                    SimDuration::from_millis(240),
-                    SimDuration::from_millis(250),
-                ),
-                evm_rtos::TaskImage::typical_control_task(),
-                None,
-            )
-            .unwrap();
-        let mut c = capsule();
-        c.gas_budget = 50_000; // 50 ms at 1 us/insn
-        let digest = capsule_digest(&c, KEY);
-        let err = admit_node(
-            &mut vc,
-            &mut kernel,
-            &profile(7),
-            &c,
-            digest,
-            KEY,
-            SimDuration::from_millis(250),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EvmError::AdmissionRefused { .. }));
-        assert!(vc.is_empty());
-        assert_eq!(kernel.tcbs().len(), 1, "only the hog remains");
-    }
-
-    #[test]
-    fn profile_capability_logic() {
-        let p = profile(1);
-        assert!(p.satisfies(&Capability::DataPlane));
-        assert!(p.satisfies_all(&capsule().capabilities));
-        assert!(!p.satisfies(&Capability::SensorPort(9)));
-    }
 
     fn cand(id: u16, eligible: bool, fitness: f64) -> HeadCandidate {
         HeadCandidate {

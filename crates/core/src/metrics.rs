@@ -89,13 +89,11 @@ pub struct VcRunStats {
 }
 
 impl VcRunStats {
-    /// Fraction of this VC's actuations that met the cycle deadline.
+    /// Fraction of this VC's actuations that met the cycle deadline; 1.0
+    /// when the VC never actuated (see [`RunResult::deadline_hit_ratio`]).
     #[must_use]
     pub fn deadline_hit_ratio(&self) -> f64 {
-        if self.actuations == 0 {
-            return 1.0;
-        }
-        1.0 - self.deadline_misses as f64 / self.actuations as f64
+        hit_ratio(self.actuations, self.deadline_misses)
     }
 
     /// Nearest-rank quantile of this VC's end-to-end latencies.
@@ -105,6 +103,15 @@ impl VcRunStats {
         v.sort_unstable();
         quantile_sorted(&v, q)
     }
+}
+
+/// The deadline hit ratio of `actuations` with `misses` among them: 1.0
+/// when nothing actuated, since nothing missed a deadline.
+fn hit_ratio(actuations: usize, misses: usize) -> f64 {
+    if actuations == 0 {
+        return 1.0;
+    }
+    1.0 - misses as f64 / actuations as f64
 }
 
 /// Nearest-rank quantile of an ascending-sorted sample — the one
@@ -213,10 +220,7 @@ impl RunResult {
     /// closed.
     #[must_use]
     pub fn deadline_hit_ratio(&self) -> f64 {
-        if self.actuations == 0 {
-            return 1.0;
-        }
-        1.0 - self.deadline_misses as f64 / self.actuations as f64
+        hit_ratio(self.actuations, self.deadline_misses)
     }
 
     /// Integral squared error of a tag against a reference over a window —
@@ -325,13 +329,11 @@ impl RunAggregate {
         self
     }
 
-    /// Pooled deadline hit ratio.
+    /// Pooled deadline hit ratio; 1.0 when no pooled run actuated (see
+    /// [`RunResult::deadline_hit_ratio`]).
     #[must_use]
     pub fn deadline_hit_ratio(&self) -> f64 {
-        if self.actuations == 0 {
-            return 1.0;
-        }
-        1.0 - self.deadline_misses as f64 / self.actuations as f64
+        hit_ratio(self.actuations, self.deadline_misses)
     }
 
     /// Nearest-rank quantile of the pooled end-to-end latencies.

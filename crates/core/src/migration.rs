@@ -6,13 +6,15 @@
 //! plane fragments it into RT-Link frames, ships one per owned transfer
 //! slot with per-frame acknowledgment and retransmission, and activates
 //! the task on the target only after the final chunk verifies and
-//! [`admit_arrival`] passes. Both migrations the runtime performs — the
-//! capsule hand-off to a re-elected head and the promotion of a cold
-//! standby backup — take this one path.
+//! [`admit`] passes. Both migrations the runtime performs — the capsule
+//! hand-off to a re-elected head and the promotion of a cold standby
+//! backup — take this one path, and setup admits every law's boot
+//! capsule through the same gate.
 
 use evm_netsim::frame::{frames_needed, max_payload};
 use evm_netsim::NodeId;
-use evm_rtos::TaskImage;
+use evm_rtos::{Kernel, TaskImage, TaskSpec};
+use evm_sim::SimDuration;
 
 use crate::attest::{attest_capsule, AttestationKey};
 use crate::bytecode::{Capability, Capsule};
@@ -78,24 +80,34 @@ impl CapsuleImage {
     }
 }
 
-/// The arrival gate (§3.1.1 ops 1+8): every capsule that lands on a host
-/// passes, in order, (1) attestation — transport integrity and keyed
-/// digest, (2) version monotonicity — receivers only accept upgrades,
-/// (3) the capability check against what the host actually provides.
-/// Kernel admission (the schedulability test) runs separately after this
-/// gate — see `evm_rtos::Kernel::admit`.
+/// The admission gate (§3.1.1 ops 1, 6 and 8), the one every capsule
+/// passes to land on a host, at deployment and on every migration alike.
+/// In order:
+///
+/// 1. attestation: transport integrity and the keyed digest,
+/// 2. version monotonicity: a host only accepts a strict upgrade over its
+///    `resident_version`,
+/// 3. the capability check against what the host provides,
+/// 4. kernel admission of the capsule's task, with WCET = the kernel's
+///    instruction cost × the gas budget, at `period` (reserves plus the
+///    schedulability test). It runs only when no capsule is resident,
+///    since a resident one already holds the task's reservation.
 ///
 /// # Errors
 ///
-/// [`EvmError::AttestationFailed`], [`EvmError::StaleCapsule`] or
-/// [`EvmError::MissingCapability`] naming the first check that failed.
-pub fn admit_arrival(
+/// [`EvmError::AttestationFailed`], [`EvmError::StaleCapsule`],
+/// [`EvmError::MissingCapability`] or [`EvmError::AdmissionRefused`],
+/// naming the first step that failed. The kernel is unchanged on error.
+#[allow(clippy::too_many_arguments)]
+pub fn admit(
     capsule: &Capsule,
     advertised_digest: u64,
-    resident_version: Option<u16>,
-    host_caps: &[Capability],
-    host: NodeId,
     key: AttestationKey,
+    host: NodeId,
+    host_caps: &[Capability],
+    resident_version: Option<u16>,
+    kernel: &mut Kernel,
+    period: SimDuration,
 ) -> Result<(), EvmError> {
     let report = attest_capsule(capsule, advertised_digest, key);
     if !report.passed() {
@@ -116,13 +128,21 @@ pub fn admit_arrival(
             });
         }
     }
-    for cap in &capsule.capabilities {
-        if !host_caps.contains(cap) {
-            return Err(EvmError::MissingCapability {
+    if let Some(missing) = capsule.capabilities.iter().find(|c| !host_caps.contains(c)) {
+        return Err(EvmError::MissingCapability {
+            node: host,
+            capability: missing.to_string(),
+        });
+    }
+    if resident_version.is_none() {
+        let wcet = kernel.instr_cost() * capsule.gas_budget;
+        let spec = TaskSpec::new(capsule.id.to_string(), wcet, period);
+        kernel
+            .admit(spec, TaskImage::typical_control_task(), None)
+            .map_err(|e| EvmError::AdmissionRefused {
                 node: host,
-                capability: cap.to_string(),
-            });
-        }
+                reason: e.to_string(),
+            })?;
     }
     Ok(())
 }
@@ -135,6 +155,7 @@ mod tests {
 
     const KEY: AttestationKey = AttestationKey(0x0DD5_EED5);
     const HOST: NodeId = NodeId(3);
+    const PERIOD: SimDuration = SimDuration::from_millis(250);
 
     fn host_caps() -> Vec<Capability> {
         vec![Capability::ControllerRole, Capability::DataPlane]
@@ -150,80 +171,116 @@ mod tests {
         )
     }
 
-    #[test]
-    fn arrival_gate_accepts_genuine_upgrade() {
-        let c = shipped_capsule(2);
-        let digest = capsule_digest(&c, KEY);
-        assert_eq!(
-            admit_arrival(&c, digest, Some(1), &host_caps(), HOST, KEY),
-            Ok(())
-        );
-        // Cold targets (no resident capsule) accept any version.
-        assert_eq!(
-            admit_arrival(&c, digest, None, &host_caps(), HOST, KEY),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn arrival_gate_rejects_same_or_older_version() {
-        let c = shipped_capsule(2);
-        let digest = capsule_digest(&c, KEY);
-        assert_eq!(
-            admit_arrival(&c, digest, Some(2), &host_caps(), HOST, KEY),
-            Err(EvmError::StaleCapsule {
-                incoming: 2,
-                resident: 2
-            }),
-            "same version is not an upgrade"
-        );
-        assert_eq!(
-            admit_arrival(&c, digest, Some(5), &host_caps(), HOST, KEY),
-            Err(EvmError::StaleCapsule {
-                incoming: 2,
-                resident: 5
-            })
-        );
-    }
-
-    #[test]
-    fn arrival_gate_rejects_tampered_gas_budget() {
-        let mut c = shipped_capsule(2);
-        let digest = capsule_digest(&c, KEY);
-        c.gas_budget *= 16; // inflate the WCET budget after digesting
-        let err = admit_arrival(&c, digest, None, &host_caps(), HOST, KEY).unwrap_err();
-        assert!(matches!(err, EvmError::AttestationFailed { .. }));
-    }
-
-    #[test]
-    fn arrival_gate_rejects_corrupted_code() {
-        let c = shipped_capsule(2);
-        let digest = capsule_digest(&c, KEY);
-        let bad = c.corrupted(2, 1).expect("still decodes");
-        let err = admit_arrival(&bad, digest, None, &host_caps(), HOST, KEY).unwrap_err();
-        assert!(matches!(err, EvmError::AttestationFailed { .. }));
-    }
-
-    #[test]
-    fn arrival_gate_checks_host_capabilities() {
-        let c = shipped_capsule(2);
-        let digest = capsule_digest(&c, KEY);
-        let err = admit_arrival(
+    /// A kernel holding the version-1 capsule's task, as a warm replica's
+    /// does.
+    fn warm_kernel() -> Kernel {
+        let c = shipped_capsule(1);
+        let mut kernel = Kernel::new("warm");
+        admit(
             &c,
-            digest,
-            None,
-            &[Capability::DataPlane], // host lacks ControllerRole
-            HOST,
+            capsule_digest(&c, KEY),
             KEY,
+            HOST,
+            &host_caps(),
+            None,
+            &mut kernel,
+            PERIOD,
         )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            EvmError::MissingCapability {
-                node: HOST,
-                capability: Capability::ControllerRole.to_string(),
+        .unwrap();
+        kernel
+    }
+
+    /// A kernel saturated by a 240 ms task at the capsule's period.
+    fn full_kernel() -> Kernel {
+        let mut kernel = Kernel::new("full");
+        let hog = TaskSpec::new("hog", SimDuration::from_millis(240), PERIOD);
+        kernel
+            .admit(hog, TaskImage::typical_control_task(), None)
+            .unwrap();
+        kernel
+    }
+
+    fn attestation(reason: &str) -> EvmError {
+        EvmError::AttestationFailed {
+            reason: reason.to_string(),
+        }
+    }
+
+    /// Name, capsule, advertised digest, host capabilities, resident
+    /// version, host kernel, expected outcome.
+    type Row<'a> = (
+        &'a str,
+        &'a Capsule,
+        u64,
+        &'a [Capability],
+        Option<u16>,
+        Kernel,
+        Result<(), EvmError>,
+    );
+
+    /// One row per outcome of the gate. A refused capsule leaves the
+    /// kernel's TCBs as they were; an admitted one adds a task only on a
+    /// host with nothing resident.
+    #[test]
+    fn admission_gate_outcomes() {
+        let genuine = shipped_capsule(2);
+        let digest = capsule_digest(&genuine, KEY);
+        let mut inflated = genuine.clone();
+        inflated.gas_budget *= 16; // inflate the WCET budget after digesting
+        let corrupted = genuine.corrupted(2, 1).expect("still decodes");
+        let mut heavy = genuine.clone();
+        heavy.gas_budget = 50_000; // 50 ms at 1 us/insn
+        let heavy_digest = capsule_digest(&heavy, KEY);
+        let caps = host_caps();
+        let data_only = [Capability::DataPlane];
+        #[rustfmt::skip]
+        let rows: [Row<'_>; 8] = [
+            ("genuine upgrade, task resident", &genuine, digest, &caps, Some(1), warm_kernel(), Ok(())),
+            ("cold target", &genuine, digest, &caps, None, Kernel::new("cold"), Ok(())),
+            ("same version", &genuine, digest, &caps, Some(2), warm_kernel(),
+                Err(EvmError::StaleCapsule { incoming: 2, resident: 2 })),
+            ("older version", &genuine, digest, &caps, Some(5), warm_kernel(),
+                Err(EvmError::StaleCapsule { incoming: 2, resident: 5 })),
+            ("tampered gas budget", &inflated, digest, &caps, None, Kernel::new("cold"),
+                Err(attestation("keyed digest mismatch (tampered or wrong key)"))),
+            ("corrupted code", &corrupted, digest, &caps, None, Kernel::new("cold"),
+                Err(attestation("code CRC mismatch (corrupted in transit)"))),
+            ("missing capability", &genuine, digest, &data_only, None, Kernel::new("cold"),
+                Err(EvmError::MissingCapability {
+                    node: HOST,
+                    capability: Capability::ControllerRole.to_string(),
+                })),
+            ("over-capacity kernel", &heavy, heavy_digest, &caps, None, full_kernel(),
+                Err(EvmError::AdmissionRefused { node: HOST, reason: String::new() })),
+        ];
+        for (name, capsule, digest, caps, resident, mut kernel, want) in rows {
+            let before = kernel.tcbs().to_vec();
+            let got = admit(
+                capsule,
+                digest,
+                KEY,
+                HOST,
+                caps,
+                resident,
+                &mut kernel,
+                PERIOD,
+            );
+            match (&got, &want) {
+                // The kernel's refusal reason is the kernel's to word.
+                (
+                    Err(EvmError::AdmissionRefused { node, .. }),
+                    Err(EvmError::AdmissionRefused {
+                        node: want_node, ..
+                    }),
+                ) => assert_eq!(node, want_node, "{name}"),
+                _ => assert_eq!(got, want, "{name}"),
             }
-        );
+            let added = usize::from(got.is_ok() && resident.is_none());
+            assert_eq!(kernel.tcbs().len(), before.len() + added, "{name}");
+            if added == 0 {
+                assert_eq!(kernel.tcbs(), &before[..], "{name}: TCBs unchanged");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Controller replicas: the EVM nodes hosting the focus control capsule.
 
 use evm_netsim::NodeId;
-use evm_rtos::{Kernel, TaskImage, TaskSpec};
+use evm_rtos::Kernel;
 use evm_sim::{SimDuration, SimRng, SimTime, Trace};
 
-use crate::bytecode::{Program, Vm, VmEnv, VmError};
+use crate::attest::{capsule_digest, AttestationKey};
+use crate::bytecode::{Capability, Capsule, Program, Vm, VmEnv, VmError};
 use crate::health::{DeviationDetector, HeartbeatMonitor};
+use crate::migration::admit;
 use crate::roles::ControllerMode;
 use crate::runtime::behavior::{NodeCtx, Timer};
 use crate::runtime::topo::VcId;
@@ -43,10 +45,9 @@ pub struct ControllerCore {
     program: Program,
     /// The node's nano-RK-style kernel (admission, utilization).
     pub kernel: Kernel,
-    /// `true` once the focus task image is resident and admitted.
-    pub has_task: bool,
     /// Version of the resident focus capsule (`None` until one is
-    /// resident). The arrival gate only accepts strict upgrades over it.
+    /// resident and admitted). The admission gate only accepts strict
+    /// upgrades over it.
     pub capsule_version: Option<u16>,
     latest_pv: Option<(f64, SimTime)>,
     computing: bool,
@@ -66,28 +67,41 @@ pub struct ControllerCore {
     params: ReplicaParams,
 }
 
-/// The focus task's spec on `kernel`: its WCET is the gas budget at the
-/// kernel's per-instruction cost.
-fn focus_task(kernel: &Kernel, gas: u64, period: SimDuration) -> TaskSpec {
-    TaskSpec::new("focus", kernel.instr_cost() * gas, period)
-}
+/// What a replica host provides, and so what a focus capsule may ask
+/// for: it computes the law and publishes on the data plane.
+pub(crate) const REPLICA_CAPS: [Capability; 2] =
+    [Capability::ControllerRole, Capability::DataPlane];
 
-/// A replica kernel with the focus task of a `gas`-budget law at
-/// `period` already admitted. Setup builds one per control law and
-/// clones it onto every warm replica, so the schedulability analysis
-/// runs once per law, not once per replica.
+/// A replica kernel with `capsule`'s focus task admitted at `period`
+/// through the admission gate, as VC `vc`'s replica `host` would run it.
+/// Setup builds one per control law and clones it onto every warm
+/// replica, so the gate runs once per law, not once per replica.
 ///
 /// # Panics
 ///
-/// Panics if the focus task fails admission on an empty kernel — a
-/// configuration error.
+/// Panics if the freshly compiled capsule fails the gate on an empty
+/// kernel — a configuration error.
 #[must_use]
-pub(crate) fn focus_kernel(gas: u64, period: SimDuration) -> Kernel {
+pub(crate) fn focus_kernel(
+    capsule: &Capsule,
+    vc: VcId,
+    host: NodeId,
+    period: SimDuration,
+) -> Kernel {
     let mut kernel = Kernel::new("");
-    let task = focus_task(&kernel, gas, period);
-    kernel
-        .admit(task, TaskImage::typical_control_task(), None)
-        .expect("focus task admits on an empty kernel");
+    let key = AttestationKey::for_vc(vc);
+    let digest = capsule_digest(capsule, key);
+    admit(
+        capsule,
+        digest,
+        key,
+        host,
+        &REPLICA_CAPS,
+        None,
+        &mut kernel,
+        period,
+    )
+    .expect("focus capsule admits on an empty kernel");
     kernel
 }
 
@@ -107,7 +121,6 @@ impl ControllerCore {
         params: &ReplicaParams,
     ) -> Self {
         let primary = params.primary;
-        let has_task = warm.is_some();
         let kernel = warm.cloned().unwrap_or_else(|| Kernel::new(""));
         ControllerCore {
             id,
@@ -116,8 +129,7 @@ impl ControllerCore {
             vm: Vm::new(gas),
             program: program.clone(),
             kernel,
-            has_task,
-            capsule_version: if has_task { Some(1) } else { None },
+            capsule_version: warm.map(|_| 1),
             latest_pv: None,
             computing: false,
             pending_output: None,
@@ -142,6 +154,12 @@ impl ControllerCore {
         self.believed_active
     }
 
+    /// The focus task's period.
+    #[must_use]
+    pub(crate) fn period(&self) -> SimDuration {
+        self.params.period
+    }
+
     /// Worst-case execution time of one capsule run.
     #[must_use]
     pub fn wcet(&self) -> SimDuration {
@@ -152,7 +170,7 @@ impl ControllerCore {
     /// replica computes. Returns the completion delay to schedule.
     pub fn on_pv(&mut self, value: f64, sampled_at: SimTime) -> Option<SimDuration> {
         self.latest_pv = Some((value, sampled_at));
-        if self.mode.computes() && self.has_task && !self.computing {
+        if self.mode.computes() && self.capsule_version.is_some() && !self.computing {
             self.computing = true;
             return Some(self.wcet());
         }
@@ -315,20 +333,6 @@ impl ControllerCore {
                 self.heartbeat = HeartbeatMonitor::new(target, self.params.hb_timeout);
             }
         }
-    }
-
-    /// Admission gate for a migrated focus task. Returns `false` if the
-    /// kernel refuses it.
-    pub fn admit_focus_task(&mut self) -> bool {
-        let task = focus_task(&self.kernel, self.vm.gas_limit(), self.params.period);
-        let admitted = self
-            .kernel
-            .admit(task, TaskImage::typical_control_task(), None)
-            .is_ok();
-        if admitted {
-            self.has_task = true;
-        }
-        admitted
     }
 
     /// The data-plane frames every replica host handles alike: its VC's

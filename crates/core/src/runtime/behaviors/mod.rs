@@ -14,7 +14,7 @@ mod relay;
 mod sensor;
 
 pub use actuator::{ActuationGate, ActuatorNode};
-pub(crate) use controller::{focus_kernel, log_confirmed_deviation};
+pub(crate) use controller::{focus_kernel, log_confirmed_deviation, REPLICA_CAPS};
 pub use controller::{ControllerCore, ReplicaParams};
 pub use gateway::GatewayNode;
 pub use head::{HeadNode, HeadPlane, CONTROL_PLANE_REPEATS};

@@ -103,7 +103,9 @@ pub struct Engine {
     pub(super) relay_cores: Vec<Option<RelayCore>>,
     /// Nodes carrying forwarding jobs in the committed epoch, id-sorted.
     pub(super) forwarders: Vec<NodeId>,
-    /// One Virtual Component record per hosted loop, indexed by `VcId`.
+    /// The head's commanded view of each hosted loop's Virtual
+    /// Component (controller modes, transfer relationships), indexed by
+    /// `VcId`.
     pub(super) components: Vec<VirtualComponent>,
     pub(super) rng: SimRng,
     pub(super) trace: Trace,
@@ -175,14 +177,7 @@ impl Engine {
         &self.schedule
     }
 
-    /// VC 0's component record (for inspection/tests; see
-    /// [`Engine::components`] for the whole pool).
-    #[must_use]
-    pub fn component(&self) -> &VirtualComponent {
-        &self.components[0]
-    }
-
-    /// Every hosted Virtual Component's record, indexed by `VcId`.
+    /// Every hosted Virtual Component's commanded view, indexed by `VcId`.
     #[must_use]
     pub fn components(&self) -> &[VirtualComponent] {
         &self.components
@@ -335,6 +330,9 @@ impl Engine {
         }
     }
 
+    /// Debug builds: every head has commanded at most one controller
+    /// `Active`. This checks the heads' commanded views, not the modes the
+    /// nodes themselves hold, which follow a `Reconfig` frame later.
     #[inline]
     fn debug_check_invariants(&self) {
         debug_assert!(

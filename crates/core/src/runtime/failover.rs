@@ -130,7 +130,7 @@ impl Engine {
                     battery: self.battery_fitness(id),
                     cpu_headroom: 1.0 - c.kernel.utilization(),
                     link_quality: 1.0,
-                    warm_replica: c.has_task,
+                    warm_replica: c.capsule_version.is_some(),
                 }
             })
             .collect();
@@ -141,7 +141,8 @@ impl Engine {
         let warm = self
             .controller(target)
             .expect("controller deployed")
-            .has_task;
+            .capsule_version
+            .is_some();
         if warm {
             self.commit_failover(target, suspect);
         } else if !self.start_capsule_transfer(vc, target, Some(suspect)) {

@@ -7,7 +7,7 @@
 //! mid-run through the [`Reconfigurator`], which produces an [`Epoch`] —
 //! routes, flow semantics, schedule and forwarding jobs — that the driver
 //! swaps in **atomically at an RT-Link cycle boundary** while every piece
-//! of long-lived state (plant, PID integrators, component records,
+//! of long-lived state (plant, PID integrators, commanded modes,
 //! failover detectors, energy meters) carries over untouched.
 //!
 //! Two triggers drive recomputation, both built on transmission-liveness
@@ -26,9 +26,8 @@
 //!    [`crate::membership::elect_head`] over the VC's surviving backup
 //!    replicas (fittest battery, lowest id on ties); the winner's node
 //!    swaps in place from a controller into a head (keeping its
-//!    replica state), the component record re-seats the head, and the
-//!    control plane (arbitration, failover commits) resumes on the new
-//!    node.
+//!    replica state), the role map re-seats the head, and the control
+//!    plane (arbitration, failover commits) resumes on the new node.
 //!
 //! Everything here is gated on [`ReroutePolicy::Heartbeat`]; under the
 //! default [`ReroutePolicy::Static`] the runtime behaves exactly as
@@ -396,14 +395,13 @@ impl Engine {
     }
 
     /// Membership consequences of a node marked down: dedicated relays
-    /// leave their VC's record; a dead head triggers re-election.
+    /// leave their VC's role map; a dead head triggers re-election.
     fn on_node_down(&mut self, node: NodeId) {
         for vc in 0..self.vcs.n_vcs() as VcId {
             if self.vcs.vc(vc).head == Some(node) {
                 self.reelect_head(vc, node);
             } else if self.vcs.vc(vc).relays.contains(&node) {
                 self.vcs.vcs[vc as usize].relays.retain(|&r| r != node);
-                self.components[vc as usize].remove_member(node);
             }
         }
     }
@@ -412,8 +410,9 @@ impl Engine {
     /// election over the surviving backup replicas, rehydration in place
     /// (the winner's [`Node::Controller`](super::Node::Controller)
     /// becomes a [`Node::Head`](super::Node::Head) around the *same*
-    /// replica core — detectors, VM state and kernel carry over), role-map
-    /// and component-record updates.
+    /// replica core — detectors, VM state and kernel carry over) and the
+    /// role-map update. The head's commanded view is untouched: it holds
+    /// controller modes, and a re-election commands none.
     fn reelect_head(&mut self, vc: VcId, dead: NodeId) {
         let candidates: Vec<HeadCandidate> = self
             .vcs
@@ -421,7 +420,7 @@ impl Engine {
             .controllers
             .iter()
             .map(|&id| {
-                let mode = self.components[vc as usize].member(id).and_then(|m| m.mode);
+                let mode = self.components[vc as usize].mode(id);
                 HeadCandidate {
                     node: id,
                     eligible: mode == Some(ControllerMode::Backup)
@@ -437,7 +436,6 @@ impl Engine {
                 "reconfig",
                 "head lost and no backup survives; control plane stays down",
             );
-            self.components[vc as usize].remove_member(dead);
             self.vcs.vcs[vc as usize].head = None;
             return;
         };
@@ -451,9 +449,6 @@ impl Engine {
             roles.head = Some(new_head);
             roles.controllers.retain(|&c| c != new_head);
         }
-        let record = &mut self.components[vc as usize];
-        record.remove_member(dead);
-        record.set_head(new_head);
         let (dead_label, new_label) = (self.label_of(dead), self.label_of(new_head));
         self.trace.log(
             self.now,

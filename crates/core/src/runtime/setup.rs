@@ -16,15 +16,15 @@ use evm_rtos::Kernel;
 use evm_sim::{EventQueue, SimDuration, SimRng, SimTime, TimeSeries, Trace};
 
 use crate::bytecode::{
-    compile_control_law, control_law_gas_budget, Capability, Capsule, CapsuleId, ControlLawSpec,
+    compile_control_law, control_law_gas_budget, Capsule, CapsuleId, ControlLawSpec,
 };
-use crate::component::{MemberInfo, VirtualComponent};
+use crate::component::VirtualComponent;
 use crate::metrics::VcRunStats;
 use crate::roles::ControllerMode;
 use crate::runtime::behavior::Node;
 use crate::runtime::behaviors::{
     focus_kernel, ActuationGate, ActuatorNode, ControllerCore, GatewayNode, HeadNode, RelayCore,
-    ReplicaParams, SensorNode,
+    ReplicaParams, SensorNode, REPLICA_CAPS,
 };
 use crate::runtime::driver::{Engine, Ev};
 use crate::runtime::plan::CyclePlan;
@@ -252,16 +252,11 @@ impl Engine {
                     None => {
                         let program = compile_control_law(&law_spec);
                         let gas = control_law_gas_budget(&program);
+                        let capsule = Capsule::new(id, 1, program, gas, REPLICA_CAPS.to_vec());
                         laws.push(CompiledLaw {
                             spec: law_spec,
-                            capsule: Capsule::new(
-                                id,
-                                1,
-                                program,
-                                gas,
-                                vec![Capability::ControllerRole, Capability::DataPlane],
-                            ),
-                            kernel: focus_kernel(gas, period),
+                            kernel: focus_kernel(&capsule, vc, vcs.vc(vc).primary(), period),
+                            capsule,
                         });
                         laws.len() - 1
                     }
@@ -412,69 +407,38 @@ impl Engine {
             nodes.push(node);
         }
 
-        // --- Virtual components (one record per hosted loop) -----------
-        // Built by a single pass over the topology (members land in
-        // topology order within each record, exactly as the per-VC scans
-        // produced).
-        let mut components: Vec<VirtualComponent> = vcs
+        // --- Virtual components: the head's commanded view per loop ----
+        let components: Vec<VirtualComponent> = vcs
             .vcs
             .iter()
-            .map(|roles| VirtualComponent::new(plans[roles.vc as usize].loop_name.clone()))
+            .map(|roles| {
+                let mut record = VirtualComponent::new(plans[roles.vc as usize].loop_name.clone());
+                let primary = roles.primary();
+                for &c in &roles.controllers {
+                    record.add_controller(
+                        c,
+                        if c == primary {
+                            ControllerMode::Active
+                        } else {
+                            b_mode
+                        },
+                    );
+                }
+                // Capsule-migration relationships: the primary may ship
+                // its capsule to any replica peer (head included). The
+                // transfer plane consults these before starting a
+                // migration.
+                for peer in roles.controllers.iter().copied().chain(roles.head) {
+                    if peer != primary {
+                        record.add_transfer(ObjectTransfer::Directional {
+                            from: primary,
+                            to: peer,
+                        });
+                    }
+                }
+                record
+            })
             .collect();
-        for (n, &node_duty) in topology.nodes().iter().zip(&duty) {
-            if n.id == vcs.gateway {
-                for record in &mut components {
-                    record.add_member(MemberInfo {
-                        node: n.id,
-                        kind: n.kind,
-                        mode: None,
-                        capsules: vec![],
-                    });
-                }
-                continue;
-            }
-            let Some(d) = node_duty else { continue };
-            let (vc, mode) = match d {
-                Duty::Controller(vc) => {
-                    let mode = if n.id == vcs.vc(vc).primary() {
-                        ControllerMode::Active
-                    } else {
-                        b_mode
-                    };
-                    (vc, Some(mode))
-                }
-                Duty::Head(vc) | Duty::Sensor(vc, _) | Duty::Actuator(vc) => (vc, None),
-                Duty::Relay => {
-                    let vc = vcs
-                        .vc_of_relay(n.id)
-                        .expect("relay duty implies relay role");
-                    (vc, None)
-                }
-            };
-            components[vc as usize].add_member(MemberInfo {
-                node: n.id,
-                kind: n.kind,
-                mode,
-                capsules: vec![],
-            });
-        }
-        for roles in &vcs.vcs {
-            if let Some(head) = roles.head {
-                components[roles.vc as usize].set_head(head);
-            }
-            // Capsule-migration relationships: the primary may ship its
-            // capsule to any replica peer (head included). The transfer
-            // plane consults these records before starting a migration.
-            let primary = roles.primary();
-            for peer in roles.controllers.iter().copied().chain(roles.head) {
-                if peer != primary {
-                    components[roles.vc as usize].add_transfer(ObjectTransfer::Directional {
-                        from: primary,
-                        to: peer,
-                    });
-                }
-            }
-        }
 
         let capsules: Vec<Capsule> = plans.iter().map(|p| p.capsule.clone()).collect();
 

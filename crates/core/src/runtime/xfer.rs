@@ -10,10 +10,10 @@
 //! [`Message::CapsuleChunk`] frames, and ships one fragment per
 //! dedicated [`crate::runtime::topo::FlowKind::Transfer`] slot with
 //! stop-and-wait acknowledgment and retransmission. When the final
-//! fragment verifies, the receiver runs the arrival gate
-//! ([`admit_arrival`]: attestation, version monotonicity, capability
-//! check), passes kernel admission if the task is not yet resident, and
-//! resumes the interpreter from the transferred variable file — so
+//! fragment verifies, the receiver runs the admission gate
+//! ([`admit`]: attestation, version monotonicity, capability check, and
+//! kernel admission if the task is not yet resident) and resumes the
+//! interpreter from the transferred variable file — so
 //! failover latency becomes a measured function of image size ×
 //! transfer-slot budget (the Fig. 6b axis). Each VC has its own lane,
 //! so shipments of different VCs run side by side, at most one per VC.
@@ -28,10 +28,11 @@ use evm_netsim::NodeId;
 use evm_sim::SimTime;
 
 use crate::attest::{capsule_digest, AttestationKey};
-use crate::bytecode::{Capability, N_VARS};
+use crate::bytecode::N_VARS;
 use crate::error::EvmError;
 use crate::metrics::MigrationRecord;
-use crate::migration::{admit_arrival, chunk_capacity, CapsuleImage};
+use crate::migration::{admit, chunk_capacity, CapsuleImage};
+use crate::runtime::behaviors::REPLICA_CAPS;
 use crate::runtime::driver::Engine;
 use crate::runtime::topo::VcId;
 use crate::runtime::Message;
@@ -83,7 +84,7 @@ enum ChunkOutcome {
     AckLost(usize),
     /// Fragment verified and acked; more to come.
     Advance,
-    /// The final fragment verified — run the arrival gate.
+    /// The final fragment verified — run the admission gate.
     Complete,
 }
 
@@ -319,9 +320,9 @@ impl Engine {
         }
     }
 
-    /// All fragments of shipment `i` verified: run the arrival gate
-    /// (attestation → version monotonicity → capability check), then
-    /// kernel admission for hosts without the resident task, then resume
+    /// All fragments of shipment `i` verified: run the admission gate
+    /// (attestation → version monotonicity → capability check → kernel
+    /// admission for hosts without the resident task), then resume
     /// the interpreter from the transferred variable file. A promotion
     /// then commits its failover. A rejection at any gate leaves the
     /// receiver's resident state untouched and, for a promotion,
@@ -370,25 +371,26 @@ impl Engine {
     /// the activation itself; on rejection, what the trace reports after
     /// the receiver's label.
     fn activate_arrival(&mut self, xfer: &ActiveTransfer) -> Result<(), String> {
-        let resident = self.controller(xfer.dst).and_then(|c| c.capsule_version);
-        // What a replica host provides: it computes the law and publishes
-        // on the data plane.
-        let host_caps = [Capability::ControllerRole, Capability::DataPlane];
-        admit_arrival(
-            &xfer.image.capsule,
-            xfer.image.advertised_digest,
-            resident,
-            &host_caps,
-            xfer.dst,
-            AttestationKey::for_vc(xfer.vc),
-        )
-        .map_err(|e| format!("rejected capsule v{}: {e}", xfer.image.capsule.version))?;
         let core = self
             .controller_mut(xfer.dst)
             .ok_or("hosts no replica core; capsule dropped")?;
-        if !core.has_task && !core.admit_focus_task() {
-            return Err("kernel refused the migrated task (admission)".into());
-        }
+        let period = core.period();
+        admit(
+            &xfer.image.capsule,
+            xfer.image.advertised_digest,
+            AttestationKey::for_vc(xfer.vc),
+            xfer.dst,
+            &REPLICA_CAPS,
+            core.capsule_version,
+            &mut core.kernel,
+            period,
+        )
+        .map_err(|e| match e {
+            EvmError::AdmissionRefused { .. } => {
+                "kernel refused the migrated task (admission)".to_string()
+            }
+            e => format!("rejected capsule v{}: {e}", xfer.image.capsule.version),
+        })?;
         let mut vars = [0.0f64; N_VARS];
         for (slot, v) in vars.iter_mut().zip(&xfer.image.vars) {
             *slot = *v;
@@ -396,5 +398,46 @@ impl Engine {
         core.restore_vars(vars);
         core.capsule_version = Some(xfer.image.capsule.version);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use evm_netsim::NodeId;
+    use evm_sim::{SimDuration, SimTime};
+
+    use crate::runtime::{Engine, ReroutePolicy, ScenarioBuilder};
+
+    /// A head re-election under warm standby ships v2 onto Ctrl-B, which
+    /// already hosts the v1 task: the gate upgrades the resident capsule
+    /// and the kernel still holds exactly one focus task.
+    #[test]
+    fn migration_onto_a_warm_replica_admits_no_second_task() {
+        let s = ScenarioBuilder::star()
+            .line(2)
+            .sensors(1)
+            .controllers(3)
+            .actuators(1)
+            .head(true)
+            .backup_relays(1)
+            .reroute(ReroutePolicy::Heartbeat)
+            .crash_node_at(NodeId(6), SimTime::from_secs(30))
+            .reconfig_epoch(SimDuration::ZERO)
+            .transfer_slots(2)
+            .build();
+        let new_head = NodeId(3);
+        let mut engine = Engine::new(s);
+        let before = engine
+            .controller(new_head)
+            .expect("Ctrl-B")
+            .kernel
+            .tcbs()
+            .to_vec();
+        assert_eq!(before.len(), 1, "a warm replica boots with its task");
+        engine.run_until(SimTime::from_secs(60));
+        assert_eq!(engine.migrations.len(), 1, "the re-election migrated");
+        let core = engine.controller(new_head).expect("Ctrl-B heads now");
+        assert_eq!(core.capsule_version, Some(2));
+        assert_eq!(core.kernel.tcbs(), &before[..], "one focus task, unchanged");
     }
 }

@@ -8,8 +8,9 @@
 //! > R. Mangharam and M. Pajic, *Embedded Virtual Machines for Robust
 //! > Wireless Control Systems*, Proc. 29th IEEE ICDCS Workshops, 2009.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record.
+//! See `ARCHITECTURE.md` for the system inventory and
+//! `tests/paper_claims.rs` for the paper-vs-measured record (one test per
+//! figure or claim).
 
 #![forbid(unsafe_code)]
 

@@ -9,14 +9,23 @@ use evm::core::bytecode::{
     compile_control_law, control_law_gas_budget, Capability, Capsule, CapsuleId, ControlLawSpec,
     NullEnv, Vm,
 };
-use evm::core::membership::{admit_node, NodeProfile};
-use evm::core::VirtualComponent;
-use evm::netsim::{NodeId, NodeKind};
+use evm::core::migration::admit;
+use evm::netsim::NodeId;
 use evm::plant::{lts_level_loop, LocalController};
 use evm::rtos::Kernel;
 use evm::sim::SimDuration;
 
 const KEY: AttestationKey = AttestationKey(0x2009_0601);
+const PERIOD: SimDuration = SimDuration::from_millis(250);
+
+/// What a controller node wired to sensor port 0 and actuator port 0
+/// provides.
+const CONTROLLER_CAPS: [Capability; 4] = [
+    Capability::SensorPort(0),
+    Capability::ActuatorPort(0),
+    Capability::ControllerRole,
+    Capability::DataPlane,
+];
 
 fn focus_capsule() -> Capsule {
     let law = ControlLawSpec::from_loop(&lts_level_loop());
@@ -44,25 +53,19 @@ fn full_pipeline_compile_attest_admit_execute() {
     assert!(attest_capsule(&capsule, digest, KEY).passed());
 
     // Admission onto a controller node.
-    let mut vc = VirtualComponent::new("lts-loop");
     let mut kernel = Kernel::new("ctrl-b");
-    let profile = NodeProfile {
-        node: NodeId(3),
-        kind: NodeKind::Controller,
-        sensor_ports: vec![0],
-        actuator_ports: vec![0],
-        controller_capable: true,
-    };
-    admit_node(
-        &mut vc,
-        &mut kernel,
-        &profile,
+    admit(
         &capsule,
         digest,
         KEY,
-        SimDuration::from_millis(250),
+        NodeId(3),
+        &CONTROLLER_CAPS,
+        None,
+        &mut kernel,
+        PERIOD,
     )
     .expect("admission passes");
+    assert_eq!(kernel.tcbs().len(), 1);
     assert!(kernel.verdict().schedulable);
 
     // Execution matches the wired controller on a step trajectory.
@@ -86,27 +89,19 @@ fn tampered_capsule_is_rejected_end_to_end() {
     let digest = capsule_digest(&capsule, KEY);
     let tampered = capsule.corrupted(10, 2).expect("still decodes");
 
-    let mut vc = VirtualComponent::new("lts-loop");
     let mut kernel = Kernel::new("mallory");
-    let profile = NodeProfile {
-        node: NodeId(9),
-        kind: NodeKind::Controller,
-        sensor_ports: vec![0],
-        actuator_ports: vec![0],
-        controller_capable: true,
-    };
-    let err = admit_node(
-        &mut vc,
-        &mut kernel,
-        &profile,
+    let err = admit(
         &tampered,
         digest,
         KEY,
-        SimDuration::from_millis(250),
+        NodeId(9),
+        &CONTROLLER_CAPS,
+        None,
+        &mut kernel,
+        PERIOD,
     )
     .expect_err("tampered code must not be admitted");
     assert!(matches!(err, evm::core::EvmError::AttestationFailed { .. }));
-    assert!(vc.is_empty());
     assert!(kernel.tcbs().is_empty());
 }
 
@@ -128,25 +123,18 @@ fn admission_gate_enforces_capacity_across_capsules() {
         )
         .expect("hog fits alone");
 
-    let mut vc = VirtualComponent::new("vc");
     let mut capsule = focus_capsule();
     capsule.gas_budget = 60_000; // 60 ms at 1 us/instruction
     let digest = capsule_digest(&capsule, KEY);
-    let profile = NodeProfile {
-        node: NodeId(4),
-        kind: NodeKind::Controller,
-        sensor_ports: vec![0],
-        actuator_ports: vec![0],
-        controller_capable: true,
-    };
-    let err = admit_node(
-        &mut vc,
-        &mut kernel,
-        &profile,
+    let err = admit(
         &capsule,
         digest,
         KEY,
-        SimDuration::from_millis(250),
+        NodeId(4),
+        &CONTROLLER_CAPS,
+        None,
+        &mut kernel,
+        PERIOD,
     )
     .expect_err("over capacity");
     assert!(matches!(err, evm::core::EvmError::AdmissionRefused { .. }));

@@ -93,3 +93,22 @@ fn runs_are_deterministic_per_seed_and_differ_across_seeds() {
         "different seeds must diverge under loss"
     );
 }
+
+#[test]
+fn stale_alert_after_commit_starts_no_second_failover() {
+    // Once the head commits n2 -> n3 it no longer commands n2 Active, so
+    // alerts still in flight from the switchover window are dropped: the
+    // head's commanded view filters them, and no second failover follows.
+    let result = Engine::new(Scenario::fig6b()).run();
+    let commits: Vec<(SimTime, &str)> = result
+        .trace
+        .entries()
+        .iter()
+        .filter(|e| e.message.starts_with("head commits failover"))
+        .map(|e| (e.at, e.message.as_str()))
+        .collect();
+    assert_eq!(
+        commits,
+        [(SimTime::from_secs(600), "head commits failover n2 -> n3")]
+    );
+}
