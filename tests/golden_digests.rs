@@ -19,6 +19,7 @@ use evm::core::{MigrationRecord, NodeEnergy, RunMeta, RunResult, VcRunStats};
 use evm::netsim::{NodeCrash, NodeId};
 use evm::plant::ActuatorFault;
 use evm::prelude::*;
+use evm::sim::derive_seed;
 use evm::sweep::{available_threads, run_cells, StarShape, SweepGrid, SweepReport};
 
 /// Incremental FNV-1a, 64-bit.
@@ -480,6 +481,29 @@ fn cold_standby_fig6b_digest() {
         [(0, NodeId(2), NodeId(3))],
         "the cold backup must receive the task by migration"
     );
+}
+
+/// A 256-VC fleet through the fleet generator and its serial
+/// schedule, for 4 RT-Link cycles: the deployment shape of the
+/// `fleet_dense` benchmark at a size a debug build runs quickly.
+#[test]
+fn fleet_digest() {
+    let r = check(
+        "fleet",
+        || {
+            let mut s = ScenarioBuilder::star()
+                .fleet(256)
+                .seed(derive_seed(1, 0))
+                .build();
+            s.duration = s.rtlink.cycle_duration() * 4;
+            s
+        },
+        &Golden {
+            result: 0x0366_b870_7b56_1bbc,
+            trace: 0xcbf2_9ce4_8422_2325,
+        },
+    );
+    assert_eq!(r.vc_stats.len(), 256, "every fleet VC is hosted");
 }
 
 /// The two pinned digests of one sweep grid.
