@@ -17,7 +17,7 @@
 //!    completes a subsequent deviation failover.
 
 use evm::core::runtime::{Engine, ReroutePolicy, Scenario, ScenarioBuilder};
-use evm::netsim::NodeId;
+use evm::netsim::{ChannelConfig, GilbertElliott, NodeId};
 use evm::plant::ActuatorFault;
 use evm::prelude::*;
 
@@ -40,22 +40,63 @@ const R1: NodeId = NodeId(6);
 /// swapped run is indistinguishable from the static run in every
 /// physical observable — series, actuations, latencies, energy — and
 /// differs only in its trace, which records the epoch commit.
+///
+/// Checked over three channels: the default ideal one; an unshadowed
+/// bursty one, whose budgeted deliveries draw from per-link
+/// Gilbert–Elliott state that the epoch's plan rebuild must neither
+/// reset nor reorder; and the shadowed industrial preset, whose links
+/// sample through the lazy unbudgeted path.
 #[test]
 fn noop_reconfiguration_is_byte_identical_to_the_static_run() {
-    let base = line_with_backup().duration(SimDuration::from_secs(120));
-    let plain = Engine::new(base.clone().build()).run();
-    // Mid-cycle request: 40.1 s is inside a 250 ms cycle.
-    let forced = Engine::new(base.force_reconfig_at(SimTime::from_secs_f64(40.1)).build()).run();
+    let bursty = ChannelConfig {
+        burst: GilbertElliott::new(0.05, 0.3, 0.0, 0.7),
+        ..ChannelConfig::default()
+    };
+    let mut ideal_actuations = None;
+    for (name, channel) in [
+        ("ideal", ChannelConfig::default()),
+        ("bursty", bursty),
+        ("industrial", ChannelConfig::industrial()),
+    ] {
+        let base = line_with_backup().duration(SimDuration::from_secs(120));
+        let with_channel = |b: ScenarioBuilder| {
+            let mut s = b.build();
+            s.channel = channel.clone();
+            s
+        };
+        let plain = Engine::new(with_channel(base.clone())).run();
+        // Mid-cycle request: 40.1 s is inside a 250 ms cycle.
+        let forced = Engine::new(with_channel(
+            base.force_reconfig_at(SimTime::from_secs_f64(40.1)),
+        ))
+        .run();
 
-    assert_eq!(forced.epochs, 1, "the forced epoch committed");
-    assert_eq!(plain.epochs, 0);
-    assert_eq!(forced.series, plain.series, "plant series identical");
-    assert_eq!(forced.actuations, plain.actuations);
-    assert_eq!(forced.deadline_misses, plain.deadline_misses);
-    assert_eq!(forced.e2e_latencies, plain.e2e_latencies);
-    assert_eq!(forced.node_energy, plain.node_energy);
-    assert_eq!(forced.vc_stats, plain.vc_stats);
-    assert_eq!(forced.reroute_latency, None, "nothing was marked down");
+        assert_eq!(forced.epochs, 1, "{name}: the forced epoch committed");
+        assert_eq!(plain.epochs, 0, "{name}");
+        assert_eq!(
+            forced.series, plain.series,
+            "{name}: plant series identical"
+        );
+        assert_eq!(forced.actuations, plain.actuations, "{name}");
+        assert_eq!(forced.deadline_misses, plain.deadline_misses, "{name}");
+        assert_eq!(forced.e2e_latencies, plain.e2e_latencies, "{name}");
+        assert_eq!(forced.node_energy, plain.node_energy, "{name}");
+        assert_eq!(forced.vc_stats, plain.vc_stats, "{name}");
+        assert_eq!(
+            forced.reroute_latency, None,
+            "{name}: nothing was marked down"
+        );
+        // A lossy channel must actually have lost frames, or its burst
+        // state was never exercised: fewer loop closures than ideal.
+        match ideal_actuations {
+            None => ideal_actuations = Some(plain.actuations),
+            Some(ideal) => assert!(
+                plain.actuations < ideal,
+                "{name}: the channel must lose frames ({} vs {ideal} actuations)",
+                plain.actuations
+            ),
+        }
+    }
 }
 
 /// Epoch swaps never tear a cycle: the commit of a mid-cycle request
