@@ -42,6 +42,13 @@ impl VirtualComponent {
         &self.name
     }
 
+    /// The component's name, by value: how a run hands it on to its
+    /// result without copying it.
+    #[must_use]
+    pub fn into_name(self) -> String {
+        self.name
+    }
+
     /// Records a controller in its deployment mode. Re-adding a
     /// controller overwrites its mode without a transition check.
     pub fn add_controller(&mut self, node: NodeId, mode: ControllerMode) {

@@ -1,5 +1,7 @@
 //! Controller replicas: the EVM nodes hosting the focus control capsule.
 
+use std::sync::Arc;
+
 use evm_netsim::NodeId;
 use evm_rtos::Kernel;
 use evm_sim::{SimDuration, SimRng, SimTime, Trace};
@@ -43,8 +45,10 @@ pub struct ControllerCore {
     pub mode: ControllerMode,
     vm: Vm,
     program: Program,
-    /// The node's nano-RK-style kernel (admission, utilization).
-    pub kernel: Kernel,
+    /// The node's nano-RK-style kernel (admission, utilization). Warm
+    /// replicas of one law share their booted kernel until one of them
+    /// admits a migrated task, which copies it for that replica alone.
+    kernel: Arc<Kernel>,
     /// Version of the resident focus capsule (`None` until one is
     /// resident and admitted). The admission gate only accepts strict
     /// upgrades over it.
@@ -74,7 +78,7 @@ pub(crate) const REPLICA_CAPS: [Capability; 2] =
 
 /// A replica kernel with `capsule`'s focus task admitted at `period`
 /// through the admission gate, as VC `vc`'s replica `host` would run it.
-/// Setup builds one per control law and clones it onto every warm
+/// Setup builds one per control law and shares it with every warm
 /// replica, so the gate runs once per law, not once per replica.
 ///
 /// # Panics
@@ -106,8 +110,8 @@ pub(crate) fn focus_kernel(
 }
 
 impl ControllerCore {
-    /// Builds a replica. A warm replica starts on a clone of `warm`, its
-    /// law's kernel with the focus task already admitted; without one
+    /// Builds a replica. A warm replica starts on `warm`, its law's
+    /// shared kernel with the focus task already admitted; without one
     /// the replica starts on an empty kernel and the task must arrive by
     /// migration.
     #[must_use]
@@ -115,13 +119,13 @@ impl ControllerCore {
         id: NodeId,
         vc: VcId,
         mode: ControllerMode,
-        warm: Option<&Kernel>,
+        warm: Option<&Arc<Kernel>>,
         program: &Program,
         gas: u64,
         params: &ReplicaParams,
     ) -> Self {
         let primary = params.primary;
-        let kernel = warm.cloned().unwrap_or_else(|| Kernel::new(""));
+        let kernel = warm.map_or_else(|| Arc::new(Kernel::new("")), Arc::clone);
         ControllerCore {
             id,
             vc,
@@ -146,6 +150,18 @@ impl ControllerCore {
             believed_active: primary,
             params: params.clone(),
         }
+    }
+
+    /// The node's kernel (admission, utilization).
+    #[must_use]
+    pub fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+
+    /// The node's kernel, for admitting a task: copied first if other
+    /// replicas still share it.
+    pub(crate) fn kernel_mut(&mut self) -> &mut Kernel {
+        Arc::make_mut(&mut self.kernel)
     }
 
     /// The replica's current belief of the Active controller.

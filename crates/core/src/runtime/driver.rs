@@ -15,8 +15,8 @@
 //! number, so the same-instant event order (which the golden digests
 //! pin) does not depend on how many slots were skipped. The steady
 //! state is allocation-free: node state lives in dense topology-indexed
-//! tables, labels are interned at setup, and dispatch effects/timers
-//! drain into reusable scratch buffers.
+//! tables, labels are borrowed from the topology, and dispatch
+//! effects/timers drain into reusable scratch buffers.
 //!
 //! Construction lives in [`super::setup`]; the heads' fault plane
 //! (arbitration, failover commits) in [`super::failover`], capsule
@@ -27,9 +27,10 @@ use std::mem;
 
 use evm_mac::rtlink::{RtLink, SlotSchedule};
 use evm_netsim::{Battery, Channel, EnergyMeter, Frame, FrameKind, NodeId, RadioState, Topology};
-use evm_plant::{GasPlant, LocalController, Plant, RegisterMap};
+use evm_plant::{BoundTag, GasPlant, LocalController, Plant, RegisterMap};
 use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
 
+use crate::bytecode::{Capsule, CapsuleId};
 use crate::component::VirtualComponent;
 use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
 use crate::runtime::behavior::{Effect, Node, NodeCtx, Timer};
@@ -80,15 +81,33 @@ pub(super) enum Ev {
     Reconfigure,
 }
 
+/// One VC's per-cycle regulation-error trace (the `Err.<loop>` series).
+#[derive(Debug)]
+pub(super) struct ErrTrace {
+    /// The loop's PV tag, bound at setup; `None` when the plant does not
+    /// publish it, and the trace then stays empty.
+    pub(super) pv: Option<BoundTag>,
+    pub(super) setpoint: f64,
+    /// The series' key in the run's result (its name), built at setup
+    /// so finalize moves it instead of copying it.
+    pub(super) key: String,
+    pub(super) series: TimeSeries,
+}
+
 /// The co-simulation engine. Build with [`Engine::new`], run with
 /// [`Engine::run`] (or incrementally with [`Engine::run_until`] +
 /// [`Engine::finalize`]).
 pub struct Engine {
+    /// The scenario the engine was built from, less what setup moved
+    /// out of it: the topology spec (into [`Engine::topology`]) and the
+    /// hosted loops' names (into [`Engine::components`]) are empty.
     pub(super) scenario: Scenario,
     pub(super) plant: GasPlant,
     pub(super) regmap: RegisterMap,
     pub(super) local_loops: Vec<LocalController>,
     pub(super) channel: Channel,
+    /// The deployment, owner of the node labels (`NodeCtx.label` borrows
+    /// them; [`Engine::finalize`] moves them into the result).
     pub(super) topology: Topology,
     pub(super) vcs: VcMap,
     pub(super) rtlink: RtLink,
@@ -115,21 +134,18 @@ pub struct Engine {
     pub(super) nodes: Vec<Node>,
 
     pub(super) series: HashMap<String, TimeSeries>,
-    /// Per-replica controller-mode traces, keyed by the replica's dense
-    /// index.
-    pub(super) mode_series: Vec<(usize, TimeSeries)>,
-    /// Per-VC per-cycle regulation-error traces (`Err.<loop>` series):
-    /// `(pv tag, setpoint, series)`, indexed by `VcId`.
-    pub(super) err_series: Vec<(String, f64, TimeSeries)>,
+    /// Per-replica controller-mode traces: `(dense index, result key,
+    /// series)`, the key built at setup like [`ErrTrace::key`].
+    pub(super) mode_series: Vec<(usize, String, TimeSeries)>,
+    /// Per-VC per-cycle regulation-error traces, indexed by `VcId`.
+    pub(super) err_series: Vec<ErrTrace>,
     /// Radio energy meters, one per topology node, in topology order.
     pub(super) meters: Vec<EnergyMeter>,
     /// Topology node ids in topology order — the dense index space
     /// ([`Topology::index_of`]) shared by [`Engine::nodes`],
-    /// [`Engine::meters`], [`Engine::relay_cores`] and [`Engine::labels`].
+    /// [`Engine::meters`], [`Engine::relay_cores`] and the topology's
+    /// node list.
     pub(super) node_ids: Vec<NodeId>,
-    /// Interned node labels, by dense index — `NodeCtx.label` borrows
-    /// from here instead of allocating per dispatch.
-    pub(super) labels: Vec<String>,
     /// The epoch-compiled cycle plan the slot loop runs from (see
     /// [`super::plan`]); rebuilt at setup and at every epoch commit.
     pub(super) plan: CyclePlan,
@@ -155,14 +171,20 @@ pub struct Engine {
     pub(super) vslot_seq: u64,
     /// Per-VC QoS tallies, indexed by `VcId` — the single source of
     /// truth; the global `RunResult` counters are derived from these at
-    /// the end of the run.
+    /// the end of the run, when each takes its loop name from
+    /// [`Engine::components`].
     pub(super) vc_stats: Vec<VcRunStats>,
     /// The reconfiguration plane: liveness ledger, committed/staged
     /// epochs, reroute timestamps (see [`super::reconfig`]).
     pub(super) reconfig: ReconfigState,
-    /// The authoritative capsule per VC (what a live migration ships),
-    /// indexed by `VcId`. Version bumps happen at migration start.
-    pub(super) capsules: Vec<crate::bytecode::Capsule>,
+    /// The compiled control laws, one capsule per distinct law (version
+    /// 1, under its first host VC's id).
+    pub(super) laws: Vec<Capsule>,
+    /// Each VC's authoritative capsule (what a live migration ships) as
+    /// `(law, version)`, indexed by `VcId`: its law's capsule under the
+    /// VC's id at that version (see [`Engine::vc_capsule`]). Version
+    /// bumps happen at migration start.
+    pub(super) vc_capsules: Vec<(usize, u16)>,
     /// The in-flight capsule transfers, at most one per VC, looked up by
     /// VC (see [`super::xfer`]).
     pub(super) xfer: Vec<crate::runtime::xfer::ActiveTransfer>,
@@ -224,6 +246,15 @@ impl Engine {
             .iter()
             .find(|f| f.owner == owner && f.kind == kind)
             .map(|f| f.slot)
+    }
+
+    /// VC `vc`'s authoritative capsule, materialized from its law.
+    pub(super) fn vc_capsule(&self, vc: VcId) -> Capsule {
+        let (law, version) = self.vc_capsules[vc as usize];
+        let mut capsule = self.laws[law].clone();
+        capsule.id = CapsuleId(u32::from(vc));
+        capsule.version = version;
+        capsule
     }
 
     /// The radio energy meter of `id`, if deployed.
@@ -345,23 +376,31 @@ impl Engine {
     }
 
     /// Closes out energy accounting (everything not spent on the radio
-    /// was deep sleep) and extracts the [`RunResult`].
+    /// was deep sleep) and extracts the [`RunResult`]. Names move into
+    /// the result: node labels from the topology, loop names from the
+    /// component records.
     #[must_use]
     pub fn finalize(self) -> RunResult {
         let total = self.scenario.duration;
+        let meta = RunMeta {
+            seed: self.scenario.seed,
+            duration: self.scenario.duration,
+            nodes: self.topology.nodes().len(),
+            controllers: self.vcs.vcs.iter().map(|r| r.controllers.len()).sum(),
+            vcs: self.vcs.n_vcs(),
+        };
         let mut meters = self.meters;
-        // Labels were interned at setup in topology (= meter) order:
-        // hand them over instead of re-cloning from the topology.
         let node_energy = self
-            .labels
+            .topology
+            .into_nodes()
             .into_iter()
             .zip(meters.iter_mut())
-            .map(|(label, m)| {
+            .map(|(node, m)| {
                 let accounted = m.total_time();
                 m.add(RadioState::Sleep, total.saturating_sub(accounted));
                 let avg = m.average_current_ma();
                 (
-                    label,
+                    node.label,
                     NodeEnergy {
                         avg_current_ma: avg,
                         radio_duty: m.radio_duty_cycle(),
@@ -370,38 +409,27 @@ impl Engine {
                 )
             })
             .collect();
+        let mut vc_stats = self.vc_stats;
+        for (stats, record) in vc_stats.iter_mut().zip(self.components) {
+            stats.loop_name = record.into_name();
+        }
         RunResult {
-            meta: RunMeta {
-                seed: self.scenario.seed,
-                duration: self.scenario.duration,
-                nodes: self.topology.nodes().len(),
-                controllers: self.vcs.vcs.iter().map(|r| r.controllers.len()).sum(),
-                vcs: self.vcs.n_vcs(),
-            },
+            meta,
             series: self
                 .series
                 .into_iter()
-                .chain(
-                    self.mode_series
-                        .into_iter()
-                        .map(|(_, s)| (s.name().to_string(), s)),
-                )
-                .chain(
-                    self.err_series
-                        .into_iter()
-                        .map(|(_, _, s)| (s.name().to_string(), s)),
-                )
+                .chain(self.mode_series.into_iter().map(|(_, key, s)| (key, s)))
+                .chain(self.err_series.into_iter().map(|e| (e.key, e.series)))
                 .collect(),
             trace: self.trace,
-            e2e_latencies: self
-                .vc_stats
+            e2e_latencies: vc_stats
                 .iter()
                 .flat_map(|s| s.e2e_latencies.iter().copied())
                 .collect(),
-            deadline_misses: self.vc_stats.iter().map(|s| s.deadline_misses).sum(),
-            actuations: self.vc_stats.iter().map(|s| s.actuations).sum(),
+            deadline_misses: vc_stats.iter().map(|s| s.deadline_misses).sum(),
+            actuations: vc_stats.iter().map(|s| s.actuations).sum(),
             node_energy,
-            vc_stats: self.vc_stats,
+            vc_stats,
             epochs: self.reconfig.epoch,
             reroute_latency: self.reconfig.reroute_latency,
             migrations: self.migrations,
@@ -423,7 +451,7 @@ impl Engine {
 
     pub(super) fn label_of(&self, id: NodeId) -> String {
         match self.topology.index_of(id) {
-            Some(ix) => self.labels[ix].clone(),
+            Some(ix) => self.topology.nodes()[ix].label.clone(),
             None => id.to_string(),
         }
     }
@@ -440,7 +468,7 @@ impl Engine {
         let mut ctx = NodeCtx {
             now: self.now,
             id: self.node_ids[ix],
-            label: &self.labels[ix],
+            label: &self.topology.nodes()[ix].label,
             vcs: &self.vcs,
             rng: &mut self.rng,
             trace: &mut self.trace,
@@ -519,7 +547,7 @@ impl Engine {
                 series.push(self.now, v);
             }
         }
-        for (ix, series) in &mut self.mode_series {
+        for (ix, _, series) in &mut self.mode_series {
             let mode = self.nodes[*ix].controller().expect("replica host").mode;
             series.push(self.now, mode.as_f64());
         }
@@ -713,9 +741,10 @@ impl Engine {
                 self.dispatch(ix, |n, ctx| n.on_cycle_start(ctx));
             }
         }
-        for ((_, setpoint, series), tag) in self.err_series.iter_mut().zip(&self.plan.err_tags) {
-            if let Some(tag) = tag {
-                series.push(self.now, self.plant.read_bound(*tag) - *setpoint);
+        for e in &mut self.err_series {
+            if let Some(pv) = e.pv {
+                e.series
+                    .push(self.now, self.plant.read_bound(pv) - e.setpoint);
             }
         }
     }

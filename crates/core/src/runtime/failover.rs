@@ -128,7 +128,7 @@ impl Engine {
                     node: id,
                     eligible: self.alive(id),
                     battery: self.battery_fitness(id),
-                    cpu_headroom: 1.0 - c.kernel.utilization(),
+                    cpu_headroom: 1.0 - c.kernel().utilization(),
                     link_quality: 1.0,
                     warm_replica: c.capsule_version.is_some(),
                 }
@@ -213,7 +213,7 @@ impl Engine {
                     Some(target),
                     Some((suspect, ControllerMode::Backup)),
                     self.now,
-                    &self.labels[ix],
+                    &self.topology.nodes()[ix].label,
                     &mut self.trace,
                 );
             }

@@ -6,7 +6,7 @@
 //! interpreting: at setup and at every epoch commit the
 //! schedule and its flow semantics are lowered into flat records with
 //! every slot-invariant term pre-resolved (dense indices, distances,
-//! channel budgets, bound plant tags), plus a
+//! channel budgets, burst-state handles), plus a
 //! next-occupied-slot index the slot cursor jumps over empty stretches
 //! with. The hot path is reduced to the RNG draws.
 //!
@@ -31,11 +31,10 @@
 //! generation is strictly enough.
 
 use evm_netsim::{BurstSlot, LinkBudget, NodeId};
-use evm_plant::BoundTag;
 use evm_sim::SimDuration;
 
 use crate::runtime::driver::Engine;
-use crate::runtime::reconfig::{kind_at, ReroutePolicy};
+use crate::runtime::reconfig::ReroutePolicy;
 use crate::runtime::topo::FlowKind;
 
 /// One pre-resolved listener of a scheduled transmission.
@@ -92,9 +91,6 @@ pub(super) struct CyclePlan {
     /// `true` under the heartbeat reroute policy: transmissions stamp
     /// the liveness ledger and eligible empty slots are keepalive-filled.
     pub(super) keepalives: bool,
-    /// Pre-bound plant-tag handle per `err_series` row (`None` when the
-    /// tag is unpublished: that row is silently not sampled).
-    pub(super) err_tags: Vec<Option<BoundTag>>,
     /// Monotone plan identity; folded broadcasts carry it so delivery
     /// resolves against the generation that scheduled the transmission.
     pub(super) generation: u64,
@@ -104,6 +100,21 @@ impl CyclePlan {
     /// `true` if `slot` carries at least one scheduled transmission.
     pub(super) fn is_occupied(&self, slot: usize) -> bool {
         self.per_slot[slot].0 != self.per_slot[slot].1
+    }
+
+    /// The most folded-broadcast events one slot can push: per
+    /// transmission, one per 64-listener chunk.
+    pub(super) fn widest_slot_chunks(&self) -> usize {
+        self.per_slot
+            .iter()
+            .map(|&(lo, hi)| {
+                self.entries[lo as usize..hi as usize]
+                    .iter()
+                    .map(|e| (e.hi - e.lo).div_ceil(64) as usize)
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Virtual-slot distance from unoccupied `slot` to the next stop:
@@ -124,25 +135,38 @@ impl Engine {
         let generation = self.plan.generation + 1;
         let spc = self.scenario.rtlink.slots_per_cycle;
         let keepalives = self.scenario.reroute == ReroutePolicy::Heartbeat;
+        // Past its highest placed slot the schedule is empty: a fleet
+        // cycle is far longer than the stretch its flows occupy.
+        let placed = self.schedule.max_slot().map_or(0, |s| s + 1);
+        let (n_entries, n_listeners) = (0..placed)
+            .flat_map(|slot| self.schedule.in_slot(slot))
+            .fold((0, 0), |(e, l), a| (e + 1, l + a.listeners.len()));
         let mut per_slot = Vec::with_capacity(spc);
-        let mut entries = Vec::new();
-        let mut listeners = Vec::new();
-        for slot in 0..spc {
+        let mut entries = Vec::with_capacity(n_entries);
+        let mut listeners = Vec::with_capacity(n_listeners);
+        let nodes = self.topology.nodes();
+        let dense = |id: NodeId| {
+            self.topology
+                .index_of(id)
+                .expect("scheduled nodes are deployed")
+        };
+        // The flow table is sorted by `(slot, owner)` and the slots are
+        // walked in ascending order, so each slot's rows are the next
+        // run of the table: a cursor, not a search per entry.
+        let mut kinds = self.flow_kinds.as_slice();
+        for slot in 0..placed {
             let first = u32::try_from(entries.len()).expect("schedule fits u32");
+            let (slot_kinds, rest) =
+                kinds.split_at(kinds.iter().take_while(|f| f.slot == slot).count());
+            kinds = rest;
             for a in self.schedule.in_slot(slot) {
                 let owner = a.owner;
-                let owner_ix = self
-                    .topology
-                    .index_of(owner)
-                    .expect("scheduled owner is deployed");
-                let kind = kind_at(&self.flow_kinds, slot, owner);
+                let owner_ix = dense(owner);
+                let kind = slot_kinds.iter().find(|f| f.owner == owner).map(|f| f.kind);
                 let lo = u32::try_from(listeners.len()).expect("listener count fits u32");
                 for &l in &a.listeners {
-                    let ix = self
-                        .topology
-                        .index_of(l)
-                        .expect("scheduled listener is deployed");
-                    let distance = self.topology.distance(owner, l);
+                    let ix = dense(l);
+                    let distance = nodes[owner_ix].position.distance_to(&nodes[ix].position);
                     listeners.push(PlanListener {
                         id: l,
                         ix: u32::try_from(ix).expect("dense index fits u32"),
@@ -168,19 +192,18 @@ impl Engine {
             let end = u32::try_from(entries.len()).expect("schedule fits u32");
             per_slot.push((first, end));
         }
+        debug_assert!(kinds.is_empty(), "every flow row has a slot in the cycle");
+        let end = u32::try_from(entries.len()).expect("schedule fits u32");
+        per_slot.resize(spc, (end, end));
+        // Slots from `placed` on are empty: their next stop is the end.
         let mut next_occ = vec![u32::try_from(spc).expect("slot count fits u32"); spc + 1];
-        for slot in (0..spc).rev() {
+        for slot in (0..placed).rev() {
             next_occ[slot] = if per_slot[slot].0 != per_slot[slot].1 {
                 u32::try_from(slot).expect("slot fits u32")
             } else {
                 next_occ[slot + 1]
             };
         }
-        let err_tags = self
-            .err_series
-            .iter()
-            .map(|(tag, _, _)| self.plant.bind_tag(tag))
-            .collect();
         let detect = self.scenario.rtlink.guard
             + evm_netsim::frame::airtime_for_bytes(evm_netsim::PHY_HEADER_BYTES);
         let plan = CyclePlan {
@@ -190,7 +213,6 @@ impl Engine {
             next_occ,
             detect,
             keepalives,
-            err_tags,
             generation,
         };
         self.plan_prev = std::mem::replace(&mut self.plan, plan);

@@ -84,15 +84,6 @@ pub struct SlotFlow {
     pub kind: FlowKind,
 }
 
-/// The kind `owner` serves in `slot`, looked up by binary search in a
-/// table sorted by `(slot, owner)` (see [`Epoch::flow_kinds`]).
-pub(super) fn kind_at(flows: &[SlotFlow], slot: usize, owner: NodeId) -> Option<FlowKind> {
-    flows
-        .binary_search_by_key(&(slot, owner), |f| (f.slot, f.owner))
-        .ok()
-        .map(|i| flows[i].kind)
-}
-
 /// One configuration epoch: everything the driver swaps when the network
 /// is re-programmed mid-run. Produced by [`Reconfigurator::compute`];
 /// epoch 0 is the setup-time configuration.
@@ -178,11 +169,11 @@ impl Reconfigurator {
         };
         let logical = prune_down_flows(synth_flows(vcs), down);
         let routed = route_flows(view, &logical).map_err(ReconfigError::Unroutable)?;
-        let flows: Vec<_> = routed.flows.iter().map(|(f, _)| f.clone()).collect();
+        let flows = routed.flows.iter().map(|(f, _)| f);
         let (mut schedule, placed) = if serial_schedule {
-            SlotSchedule::place_flows_serial(rtlink, &flows)
+            SlotSchedule::place_flows_serial(rtlink, flows)
         } else {
-            SlotSchedule::place_flows(rtlink, view, &flows)
+            SlotSchedule::place_flows(rtlink, view, flows)
         }
         .map_err(ReconfigError::Unschedulable)?;
         let mut flow_kinds: Vec<SlotFlow> = routed
@@ -672,8 +663,7 @@ mod tests {
     }
 
     /// The flow table is sorted by `(slot, owner)` and names exactly the
-    /// schedule's assignments, so `kind_at` finds every one of them and
-    /// nothing else.
+    /// schedule's assignments: every one of them once, and nothing else.
     #[test]
     fn flow_table_is_sorted_and_mirrors_the_schedule() {
         let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
@@ -692,15 +682,13 @@ mod tests {
             let mut assigned = 0;
             for slot in 0..cfg.slots_per_cycle {
                 for a in epoch.schedule.in_slot(slot) {
-                    let kind = kind_at(table, slot, a.owner).expect("every assignment has a kind");
-                    assert!(table.contains(&SlotFlow {
-                        slot,
-                        owner: a.owner,
-                        kind
-                    }));
+                    let rows = table
+                        .iter()
+                        .filter(|f| f.slot == slot && f.owner == a.owner)
+                        .count();
+                    assert_eq!(rows, 1, "every assignment has one kind");
                     assigned += 1;
                 }
-                assert_eq!(kind_at(table, slot, NodeId(999)), None);
             }
             assert_eq!(assigned, table.len());
         }

@@ -6,8 +6,20 @@
 //! table built once (instead of per-node scans over every VC), identical
 //! control laws compile and pass kernel admission once and are shared,
 //! and the hot-loop state the driver reads every slot (meters, relay
-//! cores, labels, slot occupancy) is laid out in dense topology-indexed
-//! tables.
+//! cores, slot occupancy) is laid out in dense topology-indexed tables.
+//!
+//! **Who owns what.** Setup copies nothing per node or per VC that a run
+//! already holds. The engine's topology owns the node labels, moved out
+//! of the scenario's spec; the driver borrows them, and
+//! [`Engine::finalize`] moves them into the result. Each VC's component
+//! record owns its loop name, which finalize moves into the VC's
+//! statistics. PV tags and setpoints are read from the scenario's
+//! hosting manifest where needed. Warm replicas share their law's booted
+//! kernel, and a VC's capsule is its law's, materialized only when a
+//! migration ships it.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use evm_mac::rtlink::RtLink;
 use evm_netsim::{Channel, EnergyMeter, NodeId, RadioPowerModel, Topology};
@@ -26,10 +38,10 @@ use crate::runtime::behaviors::{
     focus_kernel, ActuationGate, ActuatorNode, ControllerCore, GatewayNode, HeadNode, RelayCore,
     ReplicaParams, SensorNode, REPLICA_CAPS,
 };
-use crate::runtime::driver::{Engine, Ev};
+use crate::runtime::driver::{Engine, ErrTrace, Ev};
 use crate::runtime::plan::CyclePlan;
 use crate::runtime::reconfig::{Epoch, ReconfigError, ReconfigState, Reconfigurator};
-use crate::runtime::topo::{TopologyError, VcId, VcMap};
+use crate::runtime::topo::{TopologyError, TopologySpec, VcId, VcMap};
 use crate::runtime::Scenario;
 use crate::transfers::ObjectTransfer;
 
@@ -39,23 +51,17 @@ struct CompiledLaw {
     spec: ControlLawSpec,
     capsule: Capsule,
     /// An empty replica kernel with the law's focus task admitted,
-    /// cloned onto every warm replica.
-    kernel: Kernel,
+    /// shared by every warm replica.
+    kernel: Arc<Kernel>,
 }
 
 /// Everything VC-specific the node loop below needs, prepared once per VC.
 struct VcPlan {
-    /// The authoritative capsule the VC would ship on a live migration:
-    /// the compiled law with its gas budget.
-    capsule: Capsule,
-    /// The VC's law in the setup law cache.
+    /// The VC's law in the setup law cache; the VC's capsule is that
+    /// law's under the VC's id.
     law: usize,
     params: ReplicaParams,
-    primary: NodeId,
     act_register: u16,
-    pv_tag: String,
-    setpoint: f64,
-    loop_name: String,
 }
 
 /// The single wireless duty a non-gateway node holds (roles are disjoint
@@ -69,6 +75,14 @@ enum Duty {
     Relay,
     Controller(VcId),
     Actuator(VcId),
+}
+
+/// `prefix` followed by `name`, in one exactly sized allocation.
+fn prefixed(prefix: &str, name: &str) -> String {
+    let mut s = String::with_capacity(prefix.len() + name.len());
+    s.push_str(prefix);
+    s.push_str(name);
+    s
 }
 
 /// The timing knobs that must be positive, by field path: each divides a
@@ -116,6 +130,16 @@ pub struct CheckedSetup {
 /// unroutable flow, or flows (or transfer lane) that do not fit the
 /// RT-Link cycle.
 pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
+    check_with_spec(scenario, Cow::Borrowed(&scenario.topology))
+}
+
+/// [`check_setup`] over `spec`, which stands in for the scenario's own
+/// topology spec: an owned spec is consumed, so its labels move into the
+/// resolved topology instead of being copied.
+fn check_with_spec(
+    scenario: &Scenario,
+    spec: Cow<'_, TopologySpec>,
+) -> Result<CheckedSetup, TopologyError> {
     if let Some(knob) = zero_timing_knob(scenario) {
         return Err(TopologyError::ZeroTiming(knob));
     }
@@ -124,7 +148,10 @@ pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
     }
     let mut rng = SimRng::seed_from(scenario.seed);
     let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
-    let (topology, vcs) = scenario.topology.try_resolve(&mut channel)?;
+    let (topology, vcs) = match spec {
+        Cow::Borrowed(spec) => spec.try_resolve(&mut channel)?,
+        Cow::Owned(spec) => spec.try_into_resolved(&mut channel)?,
+    };
     let hosted = vcs.n_vcs();
     if hosted != scenario.n_vcs() {
         return Err(TopologyError::ManifestMismatch {
@@ -203,14 +230,23 @@ impl Engine {
     /// Panics if a VC's focus sensor reads a register other than its
     /// hosted loop's PV — a misconfigured manifest.
     #[allow(clippy::too_many_lines)]
-    pub fn try_new(scenario: Scenario) -> Result<Self, TopologyError> {
+    pub fn try_new(mut scenario: Scenario) -> Result<Self, TopologyError> {
+        // The engine's topology takes over the spec (labels included);
+        // nothing reads the scenario's copy after setup.
+        let spec = std::mem::replace(
+            &mut scenario.topology,
+            TopologySpec {
+                nodes: Vec::new(),
+                links: None,
+            },
+        );
         let CheckedSetup {
             rng,
             channel,
             topology,
             vcs,
             epoch0,
-        } = check_setup(&scenario)?;
+        } = check_with_spec(&scenario, Cow::Owned(spec))?;
 
         // --- Dense node tables (the driver's hot-loop index space) -----
         let node_ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
@@ -219,7 +255,6 @@ impl Engine {
                 .index_of(id)
                 .expect("VC members and forwarders are deployed")
         };
-        let labels: Vec<String> = topology.nodes().iter().map(|n| n.label.clone()).collect();
 
         let schedule = epoch0.schedule;
         let flow_kinds = epoch0.flow_kinds;
@@ -234,12 +269,13 @@ impl Engine {
 
         // --- Per-VC plans: capsule, task params, registers -------------
         // Identical laws (fleet deployments host clones of the standard
-        // loops) compile, budget, checksum and admit once: each VC clones
-        // its law's capsule, whose `Program` shares one instruction list,
-        // and each warm replica clones its law's admitted kernel. The
-        // capsule carries the capabilities a computing replica needs,
-        // version 1 at boot.
+        // loops) compile, budget, checksum and admit once: each VC's
+        // capsule is its law's under the VC's id, every replica's
+        // `Program` shares the law's instruction list, and every warm
+        // replica shares its law's admitted kernel. The capsule carries
+        // the capabilities a computing replica needs, version 1 at boot.
         let mut laws: Vec<CompiledLaw> = Vec::new();
+        let mut registers: Vec<(&str, &str, u16, u16)> = Vec::new();
         let plans: Vec<VcPlan> = (0..vcs.n_vcs())
             .map(|k| {
                 let vc = k as VcId;
@@ -255,31 +291,45 @@ impl Engine {
                         let capsule = Capsule::new(id, 1, program, gas, REPLICA_CAPS.to_vec());
                         laws.push(CompiledLaw {
                             spec: law_spec,
-                            kernel: focus_kernel(&capsule, vc, vcs.vc(vc).primary(), period),
+                            kernel: Arc::new(focus_kernel(
+                                &capsule,
+                                vc,
+                                vcs.vc(vc).primary(),
+                                period,
+                            )),
                             capsule,
                         });
                         laws.len() - 1
                     }
                 };
-                let mut capsule = laws[law].capsule.clone();
-                capsule.id = id;
+                // Fleet loops repeat a few tag pairs: look each pair's
+                // registers up once.
+                let (pv_register, act_register) = match registers
+                    .iter()
+                    .find(|r| r.0 == spec.pv_tag && r.1 == spec.op_tag)
+                {
+                    Some(&(_, _, pv, act)) => (pv, act),
+                    None => {
+                        let pv = regmap
+                            .input_register_of(&spec.pv_tag)
+                            .unwrap_or_else(|| panic!("no input register for {}", spec.pv_tag));
+                        let act = regmap
+                            .holding_register_of(&spec.op_tag)
+                            .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
+                        registers.push((&spec.pv_tag, &spec.op_tag, pv, act));
+                        (pv, act)
+                    }
+                };
                 // The focus sensor's downlink register must agree with the
                 // loop the VC hosts — a misconfigured manifest is caught
                 // here rather than silently regulating the wrong PV.
-                let pv_register = regmap
-                    .input_register_of(&spec.pv_tag)
-                    .unwrap_or_else(|| panic!("no input register for {}", spec.pv_tag));
                 assert_eq!(
                     vcs.vc(vc).sensor_registers[0],
                     pv_register,
                     "VC {vc}'s focus sensor register does not match the {} loop",
                     spec.name
                 );
-                let act_register = regmap
-                    .holding_register_of(&spec.op_tag)
-                    .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
                 VcPlan {
-                    capsule,
                     law,
                     params: ReplicaParams {
                         detect_threshold: scenario.detect_threshold,
@@ -288,21 +338,16 @@ impl Engine {
                         period,
                         primary: vcs.vc(vc).primary(),
                     },
-                    primary: vcs.vc(vc).primary(),
                     act_register,
-                    pv_tag: spec.pv_tag.clone(),
-                    setpoint: spec.setpoint,
-                    loop_name: spec.name.clone(),
                 }
             })
             .collect();
 
         // --- Plant + local (wired) loops for the unhosted loops --------
         let plant = GasPlant::default();
-        let hosted: Vec<String> = plans.iter().map(|p| p.loop_name.clone()).collect();
         let local_loops: Vec<LocalController> = evm_plant::standard_loops()
             .into_iter()
-            .filter(|l| !hosted.contains(&l.name))
+            .filter(|l| (0..plans.len()).all(|vc| scenario.vc_loop(vc as VcId).name != l.name))
             .map(LocalController::new)
             .collect();
 
@@ -372,8 +417,8 @@ impl Engine {
                             vc,
                             ControllerMode::Backup,
                             Some(&laws[p.law].kernel),
-                            &p.capsule.program,
-                            p.capsule.gas_budget,
+                            &laws[p.law].capsule.program,
+                            laws[p.law].capsule.gas_budget,
                             &p.params,
                         ))))
                     }
@@ -383,7 +428,7 @@ impl Engine {
                     Some(Duty::Relay) => Node::Relay,
                     Some(Duty::Controller(vc)) => {
                         let p = &plans[vc as usize];
-                        let (mode, hosts_task) = if id == p.primary {
+                        let (mode, hosts_task) = if id == p.params.primary {
                             (ControllerMode::Active, true)
                         } else {
                             (b_mode, scenario.warm_backup)
@@ -393,13 +438,13 @@ impl Engine {
                             vc,
                             mode,
                             hosts_task.then_some(&laws[p.law].kernel),
-                            &p.capsule.program,
-                            p.capsule.gas_budget,
+                            &laws[p.law].capsule.program,
+                            laws[p.law].capsule.gas_budget,
                             &p.params,
                         )))
                     }
                     Some(Duty::Actuator(vc)) => {
-                        Node::Actuator(ActuatorNode::new(vc, plans[vc as usize].primary))
+                        Node::Actuator(ActuatorNode::new(vc, plans[vc as usize].params.primary))
                     }
                     None => panic!("node must hold a role in some VC"),
                 }
@@ -408,11 +453,17 @@ impl Engine {
         }
 
         // --- Virtual components: the head's commanded view per loop ----
+        // Each record takes over its loop's name from the scenario: the
+        // run's one copy of it.
         let components: Vec<VirtualComponent> = vcs
             .vcs
             .iter()
             .map(|roles| {
-                let mut record = VirtualComponent::new(plans[roles.vc as usize].loop_name.clone());
+                let name = match roles.vc {
+                    0 => &mut scenario.focus_loop.name,
+                    vc => &mut scenario.extra_vc_loops[vc as usize - 1].name,
+                };
+                let mut record = VirtualComponent::new(std::mem::take(name));
                 let primary = roles.primary();
                 for &c in &roles.controllers {
                     record.add_controller(
@@ -440,8 +491,6 @@ impl Engine {
             })
             .collect();
 
-        let capsules: Vec<Capsule> = plans.iter().map(|p| p.capsule.clone()).collect();
-
         let series = scenario
             .sampled_tags
             .iter()
@@ -451,26 +500,28 @@ impl Engine {
             .all_controllers()
             .map(|(_, n)| {
                 let ix = dense_ix(n);
-                (ix, TimeSeries::new(format!("Mode.{}", labels[ix])))
+                let key = prefixed("Mode.", &topology.nodes()[ix].label);
+                (ix, key.clone(), TimeSeries::new(key))
             })
             .collect();
-        let err_series = plans
+        let err_series = components
             .iter()
-            .map(|p| {
-                (
-                    p.pv_tag.clone(),
-                    p.setpoint,
-                    TimeSeries::new(format!("Err.{}", p.loop_name)),
-                )
+            .enumerate()
+            .map(|(vc, record)| {
+                let spec = scenario.vc_loop(vc as VcId);
+                let key = prefixed("Err.", record.name());
+                ErrTrace {
+                    pv: plant.bind_tag(&spec.pv_tag),
+                    setpoint: spec.setpoint,
+                    key: key.clone(),
+                    series: TimeSeries::new(key),
+                }
             })
             .collect();
-        let vc_stats = plans
-            .iter()
-            .map(|p| VcRunStats {
-                loop_name: p.loop_name.clone(),
-                ..VcRunStats::default()
-            })
-            .collect();
+        // Loop names join the statistics at finalize, from the records.
+        let vc_stats = plans.iter().map(|_| VcRunStats::default()).collect();
+        let vc_capsules = plans.iter().map(|p| (p.law, 1)).collect();
+        let laws = laws.into_iter().map(|l| l.capsule).collect();
         let meters = node_ids
             .iter()
             .map(|_| EnergyMeter::new(RadioPowerModel::cc2420()))
@@ -499,7 +550,6 @@ impl Engine {
             err_series,
             meters,
             node_ids,
-            labels,
             plan: CyclePlan::default(),
             plan_prev: CyclePlan::default(),
             fx_effects: Vec::with_capacity(8),
@@ -511,7 +561,8 @@ impl Engine {
             vslot_seq: 0,
             vc_stats,
             reconfig: ReconfigState::default(),
-            capsules,
+            laws,
+            vc_capsules,
             xfer: Vec::new(),
             migrations: Vec::new(),
             scenario,
@@ -542,21 +593,40 @@ impl Engine {
         for s in engine.series.values_mut() {
             s.reserve(samples);
         }
-        for (_, s) in &mut engine.mode_series {
+        for (_, _, s) in &mut engine.mode_series {
             s.reserve(samples);
         }
         let cycles = usize::try_from(duration / engine.scenario.rtlink.cycle_duration() + 2)
             .expect("cycle count fits usize");
-        for (_, _, s) in &mut engine.err_series {
-            s.reserve(cycles);
+        for e in &mut engine.err_series {
+            e.series.reserve(cycles);
         }
         for st in &mut engine.vc_stats {
             st.e2e_latencies.reserve(cycles);
         }
-        engine.queue.reserve(64 + 4 * engine.node_ids.len());
 
         // Compile the setup epoch's cycle plan (draws no RNG).
         engine.rebuild_plan();
+
+        // The queue holds at most: the seed events below; one `TaskDone`
+        // per replica host (a replica runs one capsule at a time); a
+        // failover decision and a dormant demotion per head; and the
+        // folded broadcasts of one slot, which all land within it.
+        let s = &engine.scenario;
+        let seeded = 2
+            + usize::from(s.fault.is_some())
+            + usize::from(s.backup_fault.is_some())
+            + s.primary_crashes.len()
+            + s.force_reconfig.len();
+        let replicas = engine
+            .nodes
+            .iter()
+            .filter(|n| n.controller().is_some())
+            .count();
+        let heads = engine.vcs.vcs.iter().filter(|r| r.head.is_some()).count();
+        engine
+            .queue
+            .reserve(seeded + replicas + 2 * heads + engine.plan.widest_slot_chunks());
 
         // Seed events. The slot chain is a cursor, not queue traffic,
         // but the first slot still takes its sequence number here,

@@ -752,16 +752,31 @@ impl TopologySpec {
     /// or controller, or more than one actuator/head per VC.
     pub fn try_resolve(&self, channel: &mut Channel) -> Result<(Topology, VcMap), TopologyError> {
         let map = VcMap::try_from_spec(self)?;
-        let infos: Vec<NodeInfo> = self
+        let infos = self
             .nodes
             .iter()
             .map(|n| NodeInfo::new(n.id, n.role.kind(), n.position, n.label.clone()))
             .collect();
-        let topology = match &self.links {
-            Some(links) => Topology::with_links(infos, links),
-            None => Topology::derive(infos, channel),
-        };
-        Ok((topology, map))
+        Ok((connect(infos, self.links.as_deref(), channel), map))
+    }
+
+    /// [`TopologySpec::try_resolve`] consuming the spec: the node labels
+    /// move into the [`Topology`] instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// As [`TopologySpec::try_resolve`].
+    pub fn try_into_resolved(
+        self,
+        channel: &mut Channel,
+    ) -> Result<(Topology, VcMap), TopologyError> {
+        let map = VcMap::try_from_spec(&self)?;
+        let infos = self
+            .nodes
+            .into_iter()
+            .map(|n| NodeInfo::new(n.id, n.role.kind(), n.position, n.label))
+            .collect();
+        Ok((connect(infos, self.links.as_deref(), channel), map))
     }
 
     /// Panicking wrapper over [`TopologySpec::try_resolve`] for the
@@ -776,6 +791,19 @@ impl TopologySpec {
             Ok(out) => out,
             Err(e) => panic!("malformed topology spec: {e}"),
         }
+    }
+}
+
+/// The physical topology of `infos`: over the explicit `links` if the
+/// spec lists them, else derived from the channel model.
+fn connect(
+    infos: Vec<NodeInfo>,
+    links: Option<&[(NodeId, NodeId)]>,
+    channel: &mut Channel,
+) -> Topology {
+    match links {
+        Some(links) => Topology::with_links(infos, links),
+        None => Topology::derive(infos, channel),
     }
 }
 
@@ -1058,20 +1086,25 @@ impl VcMap {
     /// See [`TopologyError`].
     pub fn try_from_spec(spec: &TopologySpec) -> Result<Self, TopologyError> {
         let gateway = check_nodes(spec)?;
-        // Bucket the nodes by VC in one pass, spec order kept inside each
-        // bucket — what a per-VC scan over the whole spec would visit,
-        // without its quadratic cost in fleet deployments.
+        // Group the nodes by VC with one stable sort, spec order kept
+        // inside each group: what a per-VC scan over the whole spec would
+        // visit, without its quadratic cost in fleet deployments, and in
+        // one list rather than one per VC.
         let n_vcs = spec.n_vcs();
-        let mut buckets: Vec<Vec<&NodeSpec>> = vec![Vec::new(); n_vcs];
-        for n in &spec.nodes {
-            if let Some(bucket) = buckets.get_mut(n.vc as usize) {
-                bucket.push(n);
-            }
-        }
-        let vcs = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(vc, nodes)| RoleMap::try_from_nodes(vc as VcId, gateway, nodes))
+        let mut by_vc: Vec<&NodeSpec> = spec
+            .nodes
+            .iter()
+            .filter(|n| (n.vc as usize) < n_vcs)
+            .collect();
+        by_vc.sort_by_key(|n| n.vc);
+        let mut rest = by_vc.as_slice();
+        let vcs = (0..n_vcs)
+            .map(|vc| {
+                let (nodes, tail) =
+                    rest.split_at(rest.iter().take_while(|n| n.vc as usize == vc).count());
+                rest = tail;
+                RoleMap::try_from_nodes(vc as VcId, gateway, nodes.iter().copied())
+            })
             .collect::<Result<_, _>>()?;
         Ok(VcMap { gateway, vcs })
     }
@@ -1239,7 +1272,18 @@ impl FlowKind {
 ///    downlink and publish.
 #[must_use]
 pub fn synth_flows(map: &VcMap) -> Vec<(Flow, FlowKind)> {
-    let mut flows: Vec<(Flow, FlowKind)> = Vec::new();
+    let n_flows = map
+        .vcs
+        .iter()
+        .map(|r| {
+            let monitors = r.sensors.len().saturating_sub(1);
+            2 + r.controllers.len()
+                + r.actuators.len()
+                + usize::from(r.head.is_some())
+                + 2 * monitors
+        })
+        .sum();
+    let mut flows: Vec<(Flow, FlowKind)> = Vec::with_capacity(n_flows);
     for roles in &map.vcs {
         let vc = roles.vc;
         // Per-VC chain head: each VC's pipeline is after-chained
@@ -1432,9 +1476,10 @@ pub fn route_flows(
         listeners: Vec<NodeId>,
     }
 
-    let mut out: Vec<(Flow, FlowKind)> = Vec::new();
+    // Every logical flow yields at least one physical flow.
+    let mut out: Vec<(Flow, FlowKind)> = Vec::with_capacity(logical.len());
     let mut jobs: BTreeMap<NodeId, Vec<RelayJob>> = BTreeMap::new();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
+    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(logical.len());
 
     for (li, (flow, kind)) in logical.iter().enumerate() {
         assert!(

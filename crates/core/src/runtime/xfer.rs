@@ -143,8 +143,8 @@ impl Engine {
         };
         // Receivers only accept strict upgrades, so every shipment is a
         // new version of the authoritative capsule.
-        self.capsules[vc as usize].version += 1;
-        let mut shipped = self.capsules[vc as usize].clone();
+        self.vc_capsules[vc as usize].1 += 1;
+        let mut shipped = self.vc_capsule(vc);
         let advertised_digest = capsule_digest(&shipped, AttestationKey::for_vc(vc));
         if self.scenario.tamper_gas_budget {
             // Scripted attack: inflate the WCET budget *after* the digest
@@ -382,7 +382,7 @@ impl Engine {
             xfer.dst,
             &REPLICA_CAPS,
             core.capsule_version,
-            &mut core.kernel,
+            core.kernel_mut(),
             period,
         )
         .map_err(|e| match e {
@@ -430,7 +430,7 @@ mod tests {
         let before = engine
             .controller(new_head)
             .expect("Ctrl-B")
-            .kernel
+            .kernel()
             .tcbs()
             .to_vec();
         assert_eq!(before.len(), 1, "a warm replica boots with its task");
@@ -438,6 +438,10 @@ mod tests {
         assert_eq!(engine.migrations.len(), 1, "the re-election migrated");
         let core = engine.controller(new_head).expect("Ctrl-B heads now");
         assert_eq!(core.capsule_version, Some(2));
-        assert_eq!(core.kernel.tcbs(), &before[..], "one focus task, unchanged");
+        assert_eq!(
+            core.kernel().tcbs(),
+            &before[..],
+            "one focus task, unchanged"
+        );
     }
 }

@@ -25,6 +25,13 @@
 //! replica and capsule of a shared law does — shares its instructions
 //! instead of copying them.
 //!
+//! Two windows bound what a fleet pays to build and tear down an engine.
+//! Across `fleet(200)` and `fleet(1000)`, the per-VC slope of
+//! [`Engine::try_new`]'s allocations and of [`Engine::finalize`]'s frees
+//! must stay within budget: setup shares what repeats from VC to VC
+//! (laws, kernels, names, link state) instead of copying it, and
+//! teardown hands names on instead of freeing them.
+//!
 //! A single `#[test]` covers all windows sequentially: the counters
 //! are process-global, so concurrent tests would pollute each other's
 //! windows.
@@ -115,6 +122,25 @@ fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
     assert_eq!(deallocs, 0, "{label}: warmed steady state must not free");
 }
 
+/// Allocations made by [`Engine::try_new`] and frees made by
+/// [`Engine::finalize`] for an `n`-VC fleet run for one cycle (the
+/// `fleet_dense` benchmark's deployment). The scenario is built before
+/// the window opens.
+fn fleet_setup_and_teardown(n: usize) -> (u64, u64) {
+    let mut s = ScenarioBuilder::star().fleet(n).build();
+    s.duration = s.rtlink.cycle_duration();
+    let end = SimTime::ZERO + s.duration;
+    let before = ALLOCS.load(Relaxed);
+    let mut engine = Engine::try_new(s).expect("fleet sets up");
+    let allocs = ALLOCS.load(Relaxed) - before;
+    engine.run_until(end);
+    let before = DEALLOCS.load(Relaxed);
+    let result = std::hint::black_box(engine.finalize());
+    let frees = DEALLOCS.load(Relaxed) - before;
+    assert_eq!(result.vc_stats.len(), n, "every VC reports");
+    (allocs, frees)
+}
+
 /// Allocations made while running `f`.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.load(Relaxed);
@@ -172,4 +198,24 @@ fn warmed_hot_loop_never_touches_the_heap() {
     let (allocs, copy) = allocs_during(|| law.clone());
     assert_eq!(allocs, 0, "a program clone must share its instructions");
     assert_eq!(copy, law);
+
+    // Per VC, setup makes 15 allocations: three role-map lists, three
+    // slot listener lists, the replica's box, the commanded-mode map, and
+    // the mode and error traces' key, name and sample buffer each, plus
+    // the latency buffer. Teardown makes 11 frees.
+    let (small_allocs, small_frees) = fleet_setup_and_teardown(200);
+    let (large_allocs, large_frees) = fleet_setup_and_teardown(1000);
+    let per_vc = |small: u64, large: u64| (large - small) as f64 / 800.0;
+    let setup = per_vc(small_allocs, large_allocs);
+    let teardown = per_vc(small_frees, large_frees);
+    assert!(
+        setup <= 16.0,
+        "Engine::try_new allocates {setup:.2} times per VC ({small_allocs} at 200 VCs, \
+         {large_allocs} at 1000)"
+    );
+    assert!(
+        teardown <= 12.0,
+        "Engine::finalize frees {teardown:.2} times per VC ({small_frees} at 200 VCs, \
+         {large_frees} at 1000)"
+    );
 }

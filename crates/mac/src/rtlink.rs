@@ -113,7 +113,8 @@ impl Flow {
     }
 
     fn all_listeners(&self) -> Vec<NodeId> {
-        let mut v = vec![self.dst];
+        let mut v = Vec::with_capacity(1 + self.extra_listeners.len());
+        v.push(self.dst);
         v.extend(self.extra_listeners.iter().copied());
         v.sort_unstable();
         v.dedup();
@@ -159,7 +160,7 @@ pub struct SlotSchedule {
     /// highest assigned slot, not to `slots_per_cycle`: a fleet cycle is
     /// far longer than the stretch its schedule occupies. The last row is
     /// therefore never empty.
-    slots: Vec<Vec<SlotAssignment>>,
+    slots: Vec<SlotRow>,
     slots_per_cycle: usize,
     /// Configuration epoch this schedule belongs to. Epoch 0 is the
     /// setup-time schedule; a runtime reconfiguration installs a
@@ -167,6 +168,43 @@ pub struct SlotSchedule {
     /// boundary, so every transmission of one cycle provably comes from
     /// one epoch's timetable.
     epoch: u64,
+}
+
+/// The assignments of one slot. Most slots carry exactly one (every slot
+/// of a serial schedule), held inline; only a spatially reused slot
+/// allocates a list.
+#[derive(Debug, Clone)]
+enum SlotRow {
+    One(SlotAssignment),
+    Many(Vec<SlotAssignment>),
+}
+
+impl Default for SlotRow {
+    fn default() -> Self {
+        SlotRow::Many(Vec::new())
+    }
+}
+
+impl SlotRow {
+    fn as_slice(&self) -> &[SlotAssignment] {
+        match self {
+            SlotRow::One(a) => std::slice::from_ref(a),
+            SlotRow::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, assignment: SlotAssignment) {
+        match self {
+            SlotRow::Many(v) if v.is_empty() => *self = SlotRow::One(assignment),
+            SlotRow::Many(v) => v.push(assignment),
+            SlotRow::One(_) => {
+                let SlotRow::One(first) = std::mem::take(self) else {
+                    unreachable!("matched above")
+                };
+                *self = SlotRow::Many(vec![first, assignment]);
+            }
+        }
+    }
 }
 
 impl SlotSchedule {
@@ -213,7 +251,8 @@ impl SlotSchedule {
             assignment.slot
         );
         if assignment.slot >= self.slots.len() {
-            self.slots.resize_with(assignment.slot + 1, Vec::new);
+            self.slots
+                .resize_with(assignment.slot + 1, SlotRow::default);
         }
         self.slots[assignment.slot].push(assignment);
     }
@@ -221,7 +260,7 @@ impl SlotSchedule {
     /// All assignments in a slot (empty past the highest assigned slot).
     #[must_use]
     pub fn in_slot(&self, slot: usize) -> &[SlotAssignment] {
-        self.slots.get(slot).map_or(&[], Vec::as_slice)
+        self.slots.get(slot).map_or(&[], SlotRow::as_slice)
     }
 
     /// The highest slot index carrying an assignment — i.e. how much of
@@ -286,7 +325,7 @@ impl SlotSchedule {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, asgs)| asgs.iter().any(&pred))
+            .filter(|(_, row)| row.as_slice().iter().any(&pred))
             .map(|(s, _)| s)
             .collect()
     }
@@ -332,23 +371,26 @@ impl SlotSchedule {
     }
 
     /// Like [`SlotSchedule::for_flows`], but also reports the slot each
-    /// flow was placed in (`result.1[i]` is the slot of `flows[i]`), so a
-    /// caller synthesizing a schedule from a flow specification can map
-    /// slots back to flow semantics without guessing.
+    /// flow was placed in (`result.1[i]` is the slot of the `i`-th flow),
+    /// so a caller synthesizing a schedule from a flow specification can
+    /// map slots back to flow semantics without guessing. Takes the flows
+    /// by reference in order (a slice, or borrowed out of a richer list),
+    /// so no caller copies them to place them.
     ///
     /// # Errors
     ///
     /// [`ScheduleError::OutOfSlots`] if a flow cannot be placed,
     /// [`ScheduleError::BadPrecedence`] on a forward/dangling dependency.
-    pub fn place_flows(
+    pub fn place_flows<'a>(
         config: &RtLinkConfig,
         topology: &Topology,
-        flows: &[Flow],
+        flows: impl IntoIterator<Item = &'a Flow>,
     ) -> Result<(SlotSchedule, Vec<usize>), ScheduleError> {
+        let flows = flows.into_iter();
         let mut schedule = SlotSchedule::new(config.slots_per_cycle);
-        let mut placed_slot: Vec<usize> = Vec::with_capacity(flows.len());
+        let mut placed_slot: Vec<usize> = Vec::with_capacity(flows.size_hint().0);
         let mut footprint = Footprint::default();
-        for (i, flow) in flows.iter().enumerate() {
+        for (i, flow) in flows.enumerate() {
             let min_slot = match flow.after {
                 None => 1,
                 Some(dep) if dep < i => placed_slot[dep] + 1,
@@ -380,13 +422,14 @@ impl SlotSchedule {
     /// [`ScheduleError::OutOfSlots`] if the cycle is too short for one
     /// slot per flow, [`ScheduleError::BadPrecedence`] on a
     /// forward/dangling dependency.
-    pub fn place_flows_serial(
+    pub fn place_flows_serial<'a>(
         config: &RtLinkConfig,
-        flows: &[Flow],
+        flows: impl IntoIterator<Item = &'a Flow>,
     ) -> Result<(SlotSchedule, Vec<usize>), ScheduleError> {
+        let flows = flows.into_iter();
         let mut schedule = SlotSchedule::new(config.slots_per_cycle);
-        let mut placed_slot: Vec<usize> = Vec::with_capacity(flows.len());
-        for (i, flow) in flows.iter().enumerate() {
+        let mut placed_slot: Vec<usize> = Vec::with_capacity(flows.size_hint().0);
+        for (i, flow) in flows.enumerate() {
             match flow.after {
                 Some(dep) if dep >= i => return Err(ScheduleError::BadPrecedence { flow: i }),
                 _ => {}
@@ -410,7 +453,8 @@ impl SlotSchedule {
     /// Verifies the 2-hop interference-freedom invariant for every slot.
     #[must_use]
     pub fn is_interference_free(&self, topology: &Topology) -> bool {
-        self.slots.iter().all(|asgs| {
+        self.slots.iter().all(|row| {
+            let asgs = row.as_slice();
             asgs.iter().enumerate().all(|(i, a)| {
                 asgs[i + 1..]
                     .iter()

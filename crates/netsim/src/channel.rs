@@ -91,15 +91,56 @@ struct LinkModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstSlot(u32);
 
+/// The burst-pool slots of one source's outgoing links, sorted by
+/// destination. Most nodes transmit to a single destination, so one link
+/// is held inline and only fan-out sources (a gateway downlinking to
+/// every sensor) allocate.
+#[derive(Debug, Default)]
+enum Fanout {
+    #[default]
+    None,
+    One(NodeId, u32),
+    Many(Vec<(NodeId, u32)>),
+}
+
+impl Fanout {
+    /// The pool slot of the link to `dst`; `fresh` (recorded as that
+    /// link's slot) if the link is new.
+    fn slot(&mut self, dst: NodeId, fresh: u32) -> u32 {
+        match self {
+            Fanout::None => {
+                *self = Fanout::One(dst, fresh);
+                fresh
+            }
+            Fanout::One(d, ix) if *d == dst => *ix,
+            Fanout::One(d, ix) => {
+                let mut links = vec![(*d, *ix), (dst, fresh)];
+                links.sort_unstable_by_key(|&(d, _)| d);
+                *self = Fanout::Many(links);
+                fresh
+            }
+            Fanout::Many(links) => match links.binary_search_by_key(&dst, |&(d, _)| d) {
+                Ok(i) => links[i].1,
+                Err(i) => {
+                    links.insert(i, (dst, fresh));
+                    fresh
+                }
+            },
+        }
+    }
+}
+
 /// The shared radio medium.
 ///
 /// Stateless with respect to node positions (those live in the topology);
 /// stateful per directed link for shadowing realizations and burst
 /// processes, so the same link keeps the same character over a run.
-/// Burst states live in a dense pool reached through the link-pair
-/// index; interning a link ([`Channel::burst_slot`]) draws no RNG and
-/// creates the same default state lazy first use would, so eager
-/// interning never perturbs a run.
+/// Burst states live in a dense pool, created in first-use order and
+/// reached through a per-source table indexed by the source's raw id:
+/// nothing is hashed. Interning a link ([`Channel::burst_slot`]) draws
+/// no RNG and creates the same default state lazy first use would, so
+/// eager interning never perturbs a run, and re-interning a link (a plan
+/// rebuild) returns its existing state.
 ///
 /// **The link-model memo.** Without shadowing, a link's BER and its
 /// [`Channel::is_connected`] verdict are pure functions of distance, so
@@ -114,10 +155,11 @@ pub struct Channel {
     link_models: BTreeMap<u64, LinkModel>,
     /// Frozen shadowing realization per (src, dst) pair.
     shadowing_db: HashMap<(NodeId, NodeId), f64>,
-    /// Burst-state pool index per (src, dst) pair.
-    burst_index: HashMap<(NodeId, NodeId), u32>,
-    /// The burst states, dense; reached via `burst_index` or an
-    /// interned [`BurstSlot`].
+    /// Burst-state pool slots of each source's outgoing links, indexed
+    /// by the source's raw id.
+    burst_index: Vec<Fanout>,
+    /// The burst states, dense, in first-use order; reached via
+    /// `burst_index` or an interned [`BurstSlot`].
     burst_states: Vec<GilbertElliott>,
     rng: SimRng,
 }
@@ -130,7 +172,7 @@ impl Channel {
             config,
             link_models: BTreeMap::new(),
             shadowing_db: HashMap::new(),
-            burst_index: HashMap::new(),
+            burst_index: Vec::new(),
             burst_states: Vec::new(),
             rng,
         }
@@ -218,17 +260,17 @@ impl Channel {
     /// The pool slot of `link`'s burst state, interning it (with the
     /// config's default process) on first sight. Creation draws no RNG,
     /// so interning early is indistinguishable from lazy first use.
-    fn burst_ix(&mut self, link: (NodeId, NodeId)) -> usize {
-        use std::collections::hash_map::Entry;
-        match self.burst_index.entry(link) {
-            Entry::Occupied(e) => *e.get() as usize,
-            Entry::Vacant(v) => {
-                let ix = self.burst_states.len();
-                v.insert(u32::try_from(ix).expect("burst pool fits u32"));
-                self.burst_states.push(self.config.burst.clone());
-                ix
-            }
+    fn burst_ix(&mut self, (src, dst): (NodeId, NodeId)) -> usize {
+        if src.index() >= self.burst_index.len() {
+            self.burst_index
+                .resize_with(src.index() + 1, Fanout::default);
         }
+        let fresh = u32::try_from(self.burst_states.len()).expect("burst pool fits u32");
+        let ix = self.burst_index[src.index()].slot(dst, fresh);
+        if ix == fresh {
+            self.burst_states.push(self.config.burst.clone());
+        }
+        ix as usize
     }
 
     /// Interns `link`'s burst state and returns its dense handle, for
@@ -463,6 +505,29 @@ mod tests {
             let b = planned.sample_delivery_budget(slot, budget, f.air_bytes());
             assert_eq!(a, b, "draw {i} diverged");
         }
+    }
+
+    /// Burst states are created in first-use order, one per directed
+    /// link, and re-interning a link (as every plan rebuild does) returns
+    /// its existing state, including a degraded process installed since.
+    #[test]
+    fn burst_slots_are_stable_per_link_in_first_use_order() {
+        let mut c = ch();
+        let links = [(3, 1), (0, 5), (0, 2), (1, 3), (0, 9), (0, 4)];
+        let slots: Vec<BurstSlot> = links
+            .iter()
+            .map(|&(a, b)| c.burst_slot((NodeId(a), NodeId(b))))
+            .collect();
+        assert_eq!(slots, (0..6).map(BurstSlot).collect::<Vec<_>>());
+        for (&(a, b), &slot) in links.iter().zip(&slots).rev() {
+            assert_eq!(c.burst_slot((NodeId(a), NodeId(b))), slot);
+        }
+        let link = (NodeId(0), NodeId(2));
+        c.set_link_burst(link, GilbertElliott::bernoulli(1.0));
+        let budget = c.link_budget(link, 5.0).expect("unshadowed");
+        assert_eq!(c.burst_slot(link), slots[2], "degrading reuses the slot");
+        assert!(!c.sample_delivery_budget(slots[2], budget, 20));
+        assert_eq!(c.burst_slot((NodeId(0), NodeId(7))), BurstSlot(6));
     }
 
     /// The link-model memo is keyed on distance: queried at distances

@@ -16,17 +16,22 @@ const ABSENT: u32 = u32::MAX;
 /// A static deployment of nodes plus its derived connectivity graph.
 ///
 /// Node ids are small integers, so every per-node table is dense: `by_id`
-/// maps a raw id straight to the node's index in `nodes`, and neighbor
-/// lists sit parallel to `nodes`. Nothing is hashed.
+/// maps a raw id straight to the node's index in `nodes`, and the
+/// adjacency is one compressed-row table parallel to `nodes`. Nothing is
+/// hashed, and a deployment's links take two allocations, not one per
+/// node.
 #[derive(Debug)]
 pub struct Topology {
     nodes: Vec<NodeInfo>,
     /// Raw id → index into `nodes` ([`ABSENT`] for ids not deployed),
     /// grown to the highest deployed id.
     by_id: Vec<u32>,
-    /// Adjacency (bidirectional usable links), parallel to `nodes`:
-    /// sorted and deduplicated.
-    neighbors: Vec<Vec<NodeId>>,
+    /// Adjacency (bidirectional usable links): node index `i`'s
+    /// neighbors are `adjacency[row[i]..row[i + 1]]`, sorted and
+    /// deduplicated.
+    adjacency: Vec<NodeId>,
+    /// Row offsets into `adjacency`, `nodes.len() + 1` of them.
+    row: Vec<u32>,
 }
 
 /// The raw id → node index table of `nodes`.
@@ -45,14 +50,43 @@ fn index_ids(nodes: &[NodeInfo]) -> Vec<u32> {
     by_id
 }
 
-/// Sorts and deduplicates every neighbor list. Dedup is defensive: a
-/// duplicate edge would double-count a neighbor in BFS expansions and
-/// interference sets.
-fn normalize(neighbors: &mut [Vec<NodeId>]) {
-    for v in neighbors {
-        v.sort_unstable();
-        v.dedup();
+/// The compressed adjacency rows of `nodes` joined by `edges` (node
+/// index pairs, each one bidirectional link). Every row is sorted and
+/// deduplicated. Dedup is defensive: a duplicate edge would double-count
+/// a neighbor in BFS expansions and interference sets.
+fn adjacency_rows(nodes: &[NodeInfo], edges: &[(usize, usize)]) -> (Vec<NodeId>, Vec<u32>) {
+    let mut row = vec![0u32; nodes.len() + 1];
+    for &(i, j) in edges {
+        row[i + 1] += 1;
+        row[j + 1] += 1;
     }
+    for i in 0..nodes.len() {
+        row[i + 1] += row[i];
+    }
+    let mut fill: Vec<u32> = row[..nodes.len()].to_vec();
+    let mut adjacency = vec![NodeId(0); row[nodes.len()] as usize];
+    for &(i, j) in edges {
+        adjacency[fill[i] as usize] = nodes[j].id;
+        fill[i] += 1;
+        adjacency[fill[j] as usize] = nodes[i].id;
+        fill[j] += 1;
+    }
+    // Sort each row, then compact out duplicates in place.
+    let mut kept = 0;
+    for i in 0..nodes.len() {
+        let (lo, hi) = (row[i] as usize, row[i + 1] as usize);
+        adjacency[lo..hi].sort_unstable();
+        row[i] = u32::try_from(kept).expect("link count fits u32");
+        for k in lo..hi {
+            if k == lo || adjacency[k] != adjacency[k - 1] {
+                adjacency[kept] = adjacency[k];
+                kept += 1;
+            }
+        }
+    }
+    row[nodes.len()] = u32::try_from(kept).expect("link count fits u32");
+    adjacency.truncate(kept);
+    (adjacency, row)
 }
 
 impl Topology {
@@ -69,10 +103,7 @@ impl Topology {
         // Unshadowed links are reciprocal and draw nothing, so the reverse
         // query would only repeat the forward answer.
         let reciprocal = !channel.is_shadowed();
-        // Edges first, so every neighbor list is allocated once at its
-        // final degree instead of regrowing push by push.
         let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut degree = vec![0usize; nodes.len()];
         for (i, a) in nodes.iter().enumerate() {
             for (j, b) in nodes.iter().enumerate() {
                 if a.id >= b.id {
@@ -83,22 +114,15 @@ impl Topology {
                     && (reciprocal || channel.is_connected((b.id, a.id), d))
                 {
                     edges.push((i, j));
-                    degree[i] += 1;
-                    degree[j] += 1;
                 }
             }
         }
-        let mut neighbors: Vec<Vec<NodeId>> =
-            degree.iter().map(|&n| Vec::with_capacity(n)).collect();
-        for (i, j) in edges {
-            neighbors[i].push(nodes[j].id);
-            neighbors[j].push(nodes[i].id);
-        }
-        normalize(&mut neighbors);
+        let (adjacency, row) = adjacency_rows(&nodes, &edges);
         Topology {
             nodes,
             by_id,
-            neighbors,
+            adjacency,
+            row,
         }
     }
 
@@ -115,22 +139,26 @@ impl Topology {
     /// unknown id.
     #[must_use]
     pub fn with_links(nodes: Vec<NodeInfo>, links: &[(NodeId, NodeId)]) -> Self {
-        let mut topology = Topology {
-            by_id: index_ids(&nodes),
-            neighbors: vec![Vec::new(); nodes.len()],
-            nodes,
+        let by_id = index_ids(&nodes);
+        let index = |id: NodeId| match by_id.get(id.index()) {
+            Some(&i) if i != ABSENT => i as usize,
+            _ => panic!("link references unknown id {id}"),
         };
-        for &(a, b) in links {
-            let [ia, ib] = [a, b].map(|id| {
-                let ix = topology.index_of(id);
-                ix.unwrap_or_else(|| panic!("link references unknown id {id}"))
-            });
-            assert!(a != b, "self-link on id {a}");
-            topology.neighbors[ia].push(b);
-            topology.neighbors[ib].push(a);
+        let edges: Vec<(usize, usize)> = links
+            .iter()
+            .map(|&(a, b)| {
+                let edge = (index(a), index(b));
+                assert!(a != b, "self-link on id {a}");
+                edge
+            })
+            .collect();
+        let (adjacency, row) = adjacency_rows(&nodes, &edges);
+        Topology {
+            nodes,
+            by_id,
+            adjacency,
+            row,
         }
-        normalize(&mut topology.neighbors);
-        topology
     }
 
     /// Builds the paper's Fig. 5 testbed shape: a gateway at the origin and
@@ -207,8 +235,19 @@ impl Topology {
     /// Direct neighbors of `id` (usable bidirectional links).
     #[must_use]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        self.index_of(id)
-            .map_or(&[], |i| self.neighbors[i].as_slice())
+        self.index_of(id).map_or(&[], |i| self.row_of(i))
+    }
+
+    /// The neighbors of the node at index `i`.
+    fn row_of(&self, i: usize) -> &[NodeId] {
+        &self.adjacency[self.row[i] as usize..self.row[i + 1] as usize]
+    }
+
+    /// The deployed nodes, by value, in [`Topology::nodes`] order: how a
+    /// run's owner hands their labels on without copying them.
+    #[must_use]
+    pub fn into_nodes(self) -> Vec<NodeInfo> {
+        self.nodes
     }
 
     /// `true` if `a` and `b` share a usable link. Binary search: every
@@ -246,7 +285,7 @@ impl Topology {
         parent[src] = src as u32;
         let mut queue = VecDeque::from([src]);
         'bfs: while let Some(cur) = queue.pop_front() {
-            for &nb in &self.neighbors[cur] {
+            for &nb in self.row_of(cur) {
                 let i = self.index_of(nb).expect("neighbors are deployed");
                 if parent[i] == ABSENT {
                     parent[i] = cur as u32;
@@ -281,7 +320,7 @@ impl Topology {
         let mut reached = 1;
         let mut queue = VecDeque::from([0]);
         while let Some(cur) = queue.pop_front() {
-            for &nb in &self.neighbors[cur] {
+            for &nb in self.row_of(cur) {
                 let i = self.index_of(nb).expect("neighbors are deployed");
                 if !seen[i] {
                     seen[i] = true;
@@ -327,20 +366,25 @@ impl Topology {
     /// channel's RNG stream (runtime re-routing depends on this).
     #[must_use]
     pub fn without_nodes(&self, dead: &[NodeId]) -> Topology {
-        let (nodes, neighbors): (Vec<NodeInfo>, Vec<Vec<NodeId>>) = self
+        let alive = |id: &NodeId| !dead.contains(id);
+        let nodes: Vec<NodeInfo> = self
             .nodes
             .iter()
-            .zip(&self.neighbors)
-            .filter(|(n, _)| !dead.contains(&n.id))
-            .map(|(n, nbs)| {
-                let nbs = nbs.iter().copied().filter(|nb| !dead.contains(nb));
-                (n.clone(), nbs.collect())
-            })
-            .unzip();
+            .filter(|n| alive(&n.id))
+            .cloned()
+            .collect();
+        let mut adjacency = Vec::with_capacity(self.adjacency.len());
+        let mut row = Vec::with_capacity(nodes.len() + 1);
+        row.push(0);
+        for i in (0..self.nodes.len()).filter(|&i| alive(&self.nodes[i].id)) {
+            adjacency.extend(self.row_of(i).iter().copied().filter(alive));
+            row.push(u32::try_from(adjacency.len()).expect("link count fits u32"));
+        }
         Topology {
             by_id: index_ids(&nodes),
             nodes,
-            neighbors,
+            adjacency,
+            row,
         }
     }
 }
