@@ -77,14 +77,6 @@ enum Duty {
     Actuator(VcId),
 }
 
-/// `prefix` followed by `name`, in one exactly sized allocation.
-fn prefixed(prefix: &str, name: &str) -> String {
-    let mut s = String::with_capacity(prefix.len() + name.len());
-    s.push_str(prefix);
-    s.push_str(name);
-    s
-}
-
 /// The timing knobs that must be positive, by field path: each divides a
 /// duration or paces a recurring event, so zero would panic mid-setup or
 /// mid-run.
@@ -500,7 +492,7 @@ impl Engine {
             .all_controllers()
             .map(|(_, n)| {
                 let ix = dense_ix(n);
-                let key = prefixed("Mode.", &topology.nodes()[ix].label);
+                let key = ["Mode.", &topology.nodes()[ix].label].concat();
                 (ix, key.clone(), TimeSeries::new(key))
             })
             .collect();
@@ -509,7 +501,7 @@ impl Engine {
             .enumerate()
             .map(|(vc, record)| {
                 let spec = scenario.vc_loop(vc as VcId);
-                let key = prefixed("Err.", record.name());
+                let key = ["Err.", record.name()].concat();
                 ErrTrace {
                     pv: plant.bind_tag(&spec.pv_tag),
                     setpoint: spec.setpoint,
