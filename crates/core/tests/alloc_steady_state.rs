@@ -200,9 +200,11 @@ fn warmed_hot_loop_never_touches_the_heap() {
     assert_eq!(copy, law);
 
     // Per VC, setup makes 15 allocations: three role-map lists, three
-    // slot listener lists, the replica's box, the commanded-mode map, and
-    // the mode and error traces' key, name and sample buffer each, plus
-    // the latency buffer. Teardown makes 11 frees.
+    // slot listener lists, the replica's box, the commanded-mode map, the
+    // mode and error traces' key, name and sample buffer each, and the
+    // latency buffer. Teardown makes 11 frees: the role-map and listener
+    // lists, the box, the replica's interpreter stack, the mode map, and
+    // the scenario's PV and output tags.
     let (small_allocs, small_frees) = fleet_setup_and_teardown(200);
     let (large_allocs, large_frees) = fleet_setup_and_teardown(1000);
     let per_vc = |small: u64, large: u64| (large - small) as f64 / 800.0;

@@ -49,7 +49,7 @@ const R1: NodeId = NodeId(6);
 #[test]
 fn noop_reconfiguration_is_byte_identical_to_the_static_run() {
     let bursty = ChannelConfig {
-        burst: GilbertElliott::new(0.05, 0.3, 0.0, 0.7),
+        burst: GilbertElliott::new(0.05, 0.2, 0.0, 0.8),
         ..ChannelConfig::default()
     };
     let mut ideal_actuations = None;
