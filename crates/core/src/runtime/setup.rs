@@ -600,10 +600,11 @@ impl Engine {
         // Compile the setup epoch's cycle plan (draws no RNG).
         engine.rebuild_plan();
 
-        // The queue holds at most: the seed events below; one `TaskDone`
-        // per replica host (a replica runs one capsule at a time); a
-        // failover decision and a dormant demotion per head; and the
-        // folded broadcasts of one slot, which all land within it.
+        // Reserve what can be in flight at once: the seed events below;
+        // one `TaskDone` per replica host (a replica runs one capsule at
+        // a time); a failover decision and a dormant demotion per head;
+        // and the folded broadcasts of one slot, which all land within
+        // it. Anything rarer (overlapping demotions) grows the queue.
         let s = &engine.scenario;
         let seeded = 2
             + usize::from(s.fault.is_some())
