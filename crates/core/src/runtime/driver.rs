@@ -88,9 +88,6 @@ pub(super) struct ErrTrace {
     /// publish it, and the trace then stays empty.
     pub(super) pv: Option<BoundTag>,
     pub(super) setpoint: f64,
-    /// The series' key in the run's result (its name), built at setup
-    /// so finalize moves it instead of copying it.
-    pub(super) key: String,
     pub(super) series: TimeSeries,
 }
 
@@ -134,9 +131,9 @@ pub struct Engine {
     pub(super) nodes: Vec<Node>,
 
     pub(super) series: HashMap<String, TimeSeries>,
-    /// Per-replica controller-mode traces: `(dense index, result key,
-    /// series)`, the key built at setup like [`ErrTrace::key`].
-    pub(super) mode_series: Vec<(usize, String, TimeSeries)>,
+    /// Per-replica controller-mode traces, keyed by the replica's dense
+    /// index.
+    pub(super) mode_series: Vec<(usize, TimeSeries)>,
     /// Per-VC per-cycle regulation-error traces, indexed by `VcId`.
     pub(super) err_series: Vec<ErrTrace>,
     /// Radio energy meters, one per topology node, in topology order.
@@ -418,8 +415,16 @@ impl Engine {
             series: self
                 .series
                 .into_iter()
-                .chain(self.mode_series.into_iter().map(|(_, key, s)| (key, s)))
-                .chain(self.err_series.into_iter().map(|e| (e.key, e.series)))
+                .chain(
+                    self.mode_series
+                        .into_iter()
+                        .map(|(_, s)| (s.name().to_string(), s)),
+                )
+                .chain(
+                    self.err_series
+                        .into_iter()
+                        .map(|e| (e.series.name().to_string(), e.series)),
+                )
                 .collect(),
             trace: self.trace,
             e2e_latencies: vc_stats
@@ -547,7 +552,7 @@ impl Engine {
                 series.push(self.now, v);
             }
         }
-        for (ix, _, series) in &mut self.mode_series {
+        for (ix, series) in &mut self.mode_series {
             let mode = self.nodes[*ix].controller().expect("replica host").mode;
             series.push(self.now, mode.as_f64());
         }

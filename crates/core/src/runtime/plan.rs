@@ -216,5 +216,31 @@ impl Engine {
             generation,
         };
         self.plan_prev = std::mem::replace(&mut self.plan, plan);
+        self.reserve_in_flight();
+    }
+
+    /// Grows the event queue to hold what can be in flight at once under
+    /// the current plan: the events seeded at setup; one `TaskDone` per
+    /// replica host (a replica runs one capsule at a time); a failover
+    /// decision and a dormant demotion per head; and the folded
+    /// broadcasts of one slot, which all land within it. Every plan
+    /// rebuild calls it, so an epoch whose widest slot fans out further
+    /// grows the queue at its commit, not inside a fired slot. Anything
+    /// rarer (overlapping demotions) grows the queue where it happens.
+    fn reserve_in_flight(&mut self) {
+        let s = &self.scenario;
+        let seeded = 2
+            + usize::from(s.fault.is_some())
+            + usize::from(s.backup_fault.is_some())
+            + s.primary_crashes.len()
+            + s.force_reconfig.len();
+        let replicas = self
+            .nodes
+            .iter()
+            .filter(|n| n.controller().is_some())
+            .count();
+        let heads = self.vcs.vcs.iter().filter(|r| r.head.is_some()).count();
+        let bound = seeded + replicas + 2 * heads + self.plan.widest_slot_chunks();
+        self.queue.reserve(bound.saturating_sub(self.queue.len()));
     }
 }

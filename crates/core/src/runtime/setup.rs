@@ -18,7 +18,6 @@
 //! kernel, and a VC's capsule is its law's, materialized only when a
 //! migration ships it.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use evm_mac::rtlink::RtLink;
@@ -122,16 +121,13 @@ pub struct CheckedSetup {
 /// unroutable flow, or flows (or transfer lane) that do not fit the
 /// RT-Link cycle.
 pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
-    check_with_spec(scenario, Cow::Borrowed(&scenario.topology))
+    check_with_spec(scenario, scenario.topology.clone())
 }
 
 /// [`check_setup`] over `spec`, which stands in for the scenario's own
-/// topology spec: an owned spec is consumed, so its labels move into the
-/// resolved topology instead of being copied.
-fn check_with_spec(
-    scenario: &Scenario,
-    spec: Cow<'_, TopologySpec>,
-) -> Result<CheckedSetup, TopologyError> {
+/// topology spec and is consumed: its labels move into the resolved
+/// topology.
+fn check_with_spec(scenario: &Scenario, spec: TopologySpec) -> Result<CheckedSetup, TopologyError> {
     if let Some(knob) = zero_timing_knob(scenario) {
         return Err(TopologyError::ZeroTiming(knob));
     }
@@ -140,10 +136,7 @@ fn check_with_spec(
     }
     let mut rng = SimRng::seed_from(scenario.seed);
     let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
-    let (topology, vcs) = match spec {
-        Cow::Borrowed(spec) => spec.try_resolve(&mut channel)?,
-        Cow::Owned(spec) => spec.try_into_resolved(&mut channel)?,
-    };
+    let (topology, vcs) = spec.try_into_resolved(&mut channel)?;
     let hosted = vcs.n_vcs();
     if hosted != scenario.n_vcs() {
         return Err(TopologyError::ManifestMismatch {
@@ -238,7 +231,7 @@ impl Engine {
             topology,
             vcs,
             epoch0,
-        } = check_with_spec(&scenario, Cow::Owned(spec))?;
+        } = check_with_spec(&scenario, spec)?;
 
         // --- Dense node tables (the driver's hot-loop index space) -----
         let node_ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
@@ -267,7 +260,6 @@ impl Engine {
         // replica shares its law's admitted kernel. The capsule carries
         // the capabilities a computing replica needs, version 1 at boot.
         let mut laws: Vec<CompiledLaw> = Vec::new();
-        let mut registers: Vec<(&str, &str, u16, u16)> = Vec::new();
         let plans: Vec<VcPlan> = (0..vcs.n_vcs())
             .map(|k| {
                 let vc = k as VcId;
@@ -294,33 +286,21 @@ impl Engine {
                         laws.len() - 1
                     }
                 };
-                // Fleet loops repeat a few tag pairs: look each pair's
-                // registers up once.
-                let (pv_register, act_register) = match registers
-                    .iter()
-                    .find(|r| r.0 == spec.pv_tag && r.1 == spec.op_tag)
-                {
-                    Some(&(_, _, pv, act)) => (pv, act),
-                    None => {
-                        let pv = regmap
-                            .input_register_of(&spec.pv_tag)
-                            .unwrap_or_else(|| panic!("no input register for {}", spec.pv_tag));
-                        let act = regmap
-                            .holding_register_of(&spec.op_tag)
-                            .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
-                        registers.push((&spec.pv_tag, &spec.op_tag, pv, act));
-                        (pv, act)
-                    }
-                };
                 // The focus sensor's downlink register must agree with the
                 // loop the VC hosts — a misconfigured manifest is caught
                 // here rather than silently regulating the wrong PV.
+                let pv_register = regmap
+                    .input_register_of(&spec.pv_tag)
+                    .unwrap_or_else(|| panic!("no input register for {}", spec.pv_tag));
                 assert_eq!(
                     vcs.vc(vc).sensor_registers[0],
                     pv_register,
                     "VC {vc}'s focus sensor register does not match the {} loop",
                     spec.name
                 );
+                let act_register = regmap
+                    .holding_register_of(&spec.op_tag)
+                    .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
                 VcPlan {
                     law,
                     params: ReplicaParams {
@@ -492,8 +472,8 @@ impl Engine {
             .all_controllers()
             .map(|(_, n)| {
                 let ix = dense_ix(n);
-                let key = ["Mode.", &topology.nodes()[ix].label].concat();
-                (ix, key.clone(), TimeSeries::new(key))
+                let name = ["Mode.", &topology.nodes()[ix].label].concat();
+                (ix, TimeSeries::new(name))
             })
             .collect();
         let err_series = components
@@ -501,12 +481,10 @@ impl Engine {
             .enumerate()
             .map(|(vc, record)| {
                 let spec = scenario.vc_loop(vc as VcId);
-                let key = ["Err.", record.name()].concat();
                 ErrTrace {
                     pv: plant.bind_tag(&spec.pv_tag),
                     setpoint: spec.setpoint,
-                    key: key.clone(),
-                    series: TimeSeries::new(key),
+                    series: TimeSeries::new(["Err.", record.name()].concat()),
                 }
             })
             .collect();
@@ -585,7 +563,7 @@ impl Engine {
         for s in engine.series.values_mut() {
             s.reserve(samples);
         }
-        for (_, _, s) in &mut engine.mode_series {
+        for (_, s) in &mut engine.mode_series {
             s.reserve(samples);
         }
         let cycles = usize::try_from(duration / engine.scenario.rtlink.cycle_duration() + 2)
@@ -597,29 +575,9 @@ impl Engine {
             st.e2e_latencies.reserve(cycles);
         }
 
-        // Compile the setup epoch's cycle plan (draws no RNG).
+        // Compile the setup epoch's cycle plan (draws no RNG); this also
+        // reserves the event queue (see `Engine::reserve_in_flight`).
         engine.rebuild_plan();
-
-        // Reserve what can be in flight at once: the seed events below;
-        // one `TaskDone` per replica host (a replica runs one capsule at
-        // a time); a failover decision and a dormant demotion per head;
-        // and the folded broadcasts of one slot, which all land within
-        // it. Anything rarer (overlapping demotions) grows the queue.
-        let s = &engine.scenario;
-        let seeded = 2
-            + usize::from(s.fault.is_some())
-            + usize::from(s.backup_fault.is_some())
-            + s.primary_crashes.len()
-            + s.force_reconfig.len();
-        let replicas = engine
-            .nodes
-            .iter()
-            .filter(|n| n.controller().is_some())
-            .count();
-        let heads = engine.vcs.vcs.iter().filter(|r| r.head.is_some()).count();
-        engine
-            .queue
-            .reserve(seeded + replicas + 2 * heads + engine.plan.widest_slot_chunks());
 
         // Seed events. The slot chain is a cursor, not queue traffic,
         // but the first slot still takes its sequence number here,

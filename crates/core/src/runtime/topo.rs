@@ -751,13 +751,7 @@ impl TopologySpec {
     /// labels, non-contiguous VC or role indices, a missing focus sensor
     /// or controller, or more than one actuator/head per VC.
     pub fn try_resolve(&self, channel: &mut Channel) -> Result<(Topology, VcMap), TopologyError> {
-        let map = VcMap::try_from_spec(self)?;
-        let infos = self
-            .nodes
-            .iter()
-            .map(|n| NodeInfo::new(n.id, n.role.kind(), n.position, n.label.clone()))
-            .collect();
-        Ok((connect(infos, self.links.as_deref(), channel), map))
+        self.clone().try_into_resolved(channel)
     }
 
     /// [`TopologySpec::try_resolve`] consuming the spec: the node labels
@@ -776,7 +770,11 @@ impl TopologySpec {
             .into_iter()
             .map(|n| NodeInfo::new(n.id, n.role.kind(), n.position, n.label))
             .collect();
-        Ok((connect(infos, self.links.as_deref(), channel), map))
+        let topology = match &self.links {
+            Some(links) => Topology::with_links(infos, links),
+            None => Topology::derive(infos, channel),
+        };
+        Ok((topology, map))
     }
 
     /// Panicking wrapper over [`TopologySpec::try_resolve`] for the
@@ -791,19 +789,6 @@ impl TopologySpec {
             Ok(out) => out,
             Err(e) => panic!("malformed topology spec: {e}"),
         }
-    }
-}
-
-/// The physical topology of `infos`: over the explicit `links` if the
-/// spec lists them, else derived from the channel model.
-fn connect(
-    infos: Vec<NodeInfo>,
-    links: Option<&[(NodeId, NodeId)]>,
-    channel: &mut Channel,
-) -> Topology {
-    match links {
-        Some(links) => Topology::with_links(infos, links),
-        None => Topology::derive(infos, channel),
     }
 }
 

@@ -199,10 +199,10 @@ fn warmed_hot_loop_never_touches_the_heap() {
     assert_eq!(allocs, 0, "a program clone must share its instructions");
     assert_eq!(copy, law);
 
-    // Per VC, setup makes 15 allocations: three role-map lists, three
+    // Per VC, setup makes 13 allocations: three role-map lists, three
     // slot listener lists, the replica's box, the commanded-mode map, the
-    // mode and error traces' key, name and sample buffer each, and the
-    // latency buffer. Teardown makes 11 frees: the role-map and listener
+    // mode and error traces' name and sample buffer each, and the latency
+    // buffer. Teardown makes 11 frees: the role-map and listener
     // lists, the box, the replica's interpreter stack, the mode map, and
     // the scenario's PV and output tags.
     let (small_allocs, small_frees) = fleet_setup_and_teardown(200);
@@ -211,7 +211,7 @@ fn warmed_hot_loop_never_touches_the_heap() {
     let setup = per_vc(small_allocs, large_allocs);
     let teardown = per_vc(small_frees, large_frees);
     assert!(
-        setup <= 16.0,
+        setup <= 14.0,
         "Engine::try_new allocates {setup:.2} times per VC ({small_allocs} at 200 VCs, \
          {large_allocs} at 1000)"
     );
