@@ -577,7 +577,9 @@ mod tests {
 
     fn fig5_parts() -> (Topology, VcMap) {
         let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
-        TopologySpec::fig5().resolve(&mut ch)
+        TopologySpec::fig5()
+            .try_into_resolved(&mut ch)
+            .expect("fig5 resolves")
     }
 
     /// An empty down set is the identity: epoch 0 from the
@@ -668,7 +670,7 @@ mod tests {
     fn flow_table_is_sorted_and_mirrors_the_schedule() {
         let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
         let spec = TopologySpec::multi_star(3, 2, 2, 1, true, 15.0);
-        let (topology, vcs) = spec.resolve(&mut ch);
+        let (topology, vcs) = spec.try_into_resolved(&mut ch).expect("spec resolves");
         let cfg = evm_mac::RtLinkConfig {
             slots_per_cycle: 64,
             ..evm_mac::RtLinkConfig::default()
@@ -701,7 +703,7 @@ mod tests {
     fn unroutable_survivors_report_instead_of_panicking() {
         let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
         let spec = TopologySpec::line(2, 1, 1, 1, false, crate::runtime::topo::LINE_SPACING_M);
-        let (topology, vcs) = spec.resolve(&mut ch);
+        let (topology, vcs) = spec.try_into_resolved(&mut ch).expect("spec resolves");
         let cfg = evm_mac::RtLinkConfig::default();
         // R1 (node 4) is the only bridge to the sensor: no backup chain.
         let err =

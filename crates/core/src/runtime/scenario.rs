@@ -7,8 +7,10 @@ use evm_sim::{SimDuration, SimTime};
 
 use crate::bytecode::Tier;
 use crate::runtime::reconfig::ReroutePolicy;
+use crate::runtime::setup::check_scenario;
 use crate::runtime::topo::{
-    TopologySpec, VcId, CLUSTER_HOP_M, CLUSTER_RING_M, GRID_SPACING_M, LINE_SPACING_M, MAX_VCS,
+    TopologyError, TopologySpec, VcId, CLUSTER_HOP_M, CLUSTER_RING_M, GRID_SPACING_M,
+    LINE_SPACING_M, MAX_VCS,
 };
 
 /// The physical layout family the builder materializes (and the
@@ -255,16 +257,9 @@ impl Scenario {
     /// dropped with them (a fault can only apply where its VC exists, so
     /// a `vcs` sweep axis never builds a cell that would abort
     /// mid-batch). Does **not** touch the topology — the builder and the
-    /// sweep grid pair this with [`TopologyShape::materialize`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is outside `1..=MAX_VCS`.
+    /// sweep grid pair this with [`TopologyShape::materialize`], which
+    /// checks `n` against the layout.
     pub fn host_vcs(&mut self, n: usize) {
-        assert!(
-            (1..=MAX_VCS).contains(&n),
-            "vc count out of 1..={MAX_VCS}: {n}"
-        );
         let outgoing: Vec<String> = self
             .extra_vc_loops
             .iter()
@@ -274,7 +269,7 @@ impl Scenario {
         self.extra_vc_loops = evm_plant::vc_host_loops()
             .into_iter()
             .filter(|l| l.name != self.focus_loop.name)
-            .take(n - 1)
+            .take(n.saturating_sub(1))
             .collect();
         for vc in 0..n {
             let tag = self.vc_loop(vc as VcId).pv_tag.clone();
@@ -293,12 +288,7 @@ impl Scenario {
     /// plant's local-control subtraction works exactly as in
     /// [`Scenario::host_vcs`]. Every hosted PV tag (at most the eight
     /// canonical ones) is added to [`Scenario::sampled_tags`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
     pub fn host_fleet(&mut self, n: usize) {
-        assert!(n >= 1, "a fleet hosts at least one VC");
         let outgoing: Vec<String> = self
             .extra_vc_loops
             .iter()
@@ -387,52 +377,54 @@ impl TopologyShape {
         }
     }
 
-    /// Builds the topology spec of this shape.
+    /// Builds the topology spec of this shape. The role counts are
+    /// checked later, on the spec ([`crate::runtime::check_setup`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a single-VC layout (line, grid) is asked to host more
-    /// than one VC, backup relays are asked of a layout without a relay
-    /// chain (star, grid), or the layout's generator rejects the role
-    /// counts.
-    #[must_use]
-    pub fn materialize(&self) -> TopologySpec {
-        let chainless = |family: &str| {
-            assert!(
-                self.backup_relays == 0,
-                "backup relays apply to line/clustered layouts, not {family}"
-            );
-        };
-        let single_vc = |family: &str| {
-            assert!(
-                self.vcs == 1,
-                "{family} layouts host a single VC, got {}",
-                self.vcs
-            );
-        };
+    /// [`TopologyError::InvalidShape`] if a star or clustered layout hosts
+    /// a VC count outside `1..=MAX_VCS`, a line or grid more than one VC,
+    /// a star or grid backup relays, a line zero hops, or a lattice has
+    /// fewer cells than roles.
+    #[deny(clippy::panic_in_result_fn)]
+    pub fn materialize(&self) -> Result<TopologySpec, TopologyError> {
         let (s, c, a, h) = (self.sensors, self.controllers, self.actuators, self.head);
-        match self.layout {
-            Layout::Star => {
-                chainless("star");
-                TopologySpec::multi_star(self.vcs, s, c, a, h, self.radius_m)
+        let broken = match self.layout {
+            Layout::Star | Layout::Clustered if !(1..=MAX_VCS).contains(&self.vcs) => {
+                Some("vc count out of range")
             }
-            Layout::Line { hops } => {
-                single_vc("line");
-                TopologySpec::line_with_backups(
-                    hops,
-                    s,
-                    c,
-                    a,
-                    h,
-                    LINE_SPACING_M,
-                    self.backup_relays,
-                )
+            Layout::Line { .. } if self.vcs != 1 => Some("line layouts host a single VC"),
+            Layout::Grid { .. } if self.vcs != 1 => Some("grid layouts host a single VC"),
+            Layout::Star | Layout::Grid { .. } if self.backup_relays > 0 => {
+                Some("backup relays need a line or clustered layout")
             }
-            Layout::Grid { w, h: rows } => {
-                single_vc("grid");
-                chainless("grid");
-                TopologySpec::grid(w, rows, s, c, a, h, GRID_SPACING_M)
+            Layout::Line { hops: 0 } => Some("a line needs at least one hop"),
+            Layout::Grid { w, h: rows }
+                if w.saturating_mul(rows) < 1 + s + c + a + usize::from(h) =>
+            {
+                Some("the lattice cannot seat every role")
             }
+            _ => None,
+        };
+        if let Some(rule) = broken {
+            return Err(TopologyError::InvalidShape {
+                layout: self.layout,
+                vcs: self.vcs,
+                rule,
+            });
+        }
+        Ok(match self.layout {
+            Layout::Star => TopologySpec::multi_star(self.vcs, s, c, a, h, self.radius_m),
+            Layout::Line { hops } => TopologySpec::line_with_backups(
+                hops,
+                s,
+                c,
+                a,
+                h,
+                LINE_SPACING_M,
+                self.backup_relays,
+            ),
+            Layout::Grid { w, h: rows } => TopologySpec::grid(w, rows, s, c, a, h, GRID_SPACING_M),
             Layout::Clustered => TopologySpec::clustered_with_backups(
                 self.vcs,
                 s,
@@ -443,7 +435,7 @@ impl TopologyShape {
                 CLUSTER_RING_M,
                 self.backup_relays,
             ),
-        }
+        })
     }
 }
 
@@ -489,16 +481,8 @@ impl ScenarioBuilder {
     /// `controllers`, …); VC 0 hosts the focus loop and VCs `1..` host
     /// the next loops of the canonical [`evm_plant::vc_host_loops`]
     /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is outside `1..=MAX_VCS`.
     #[must_use]
     pub fn vcs(mut self, n: usize) -> Self {
-        assert!(
-            (1..=MAX_VCS).contains(&n),
-            "vc count out of 1..={MAX_VCS}: {n}"
-        );
         self.shape.vcs = n;
         self
     }
@@ -551,14 +535,9 @@ impl ScenarioBuilder {
     /// `controllers`, `actuators`, `head`) apply as usual; `line(2)` with
     /// one sensor/controller/actuator is the paper-style
     /// `sensor—relay—gateway—controller—actuator` chain. Single-VC:
-    /// `vcs(n > 1)` is rejected at build time.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `hops >= 1`.
+    /// `vcs(n > 1)` is rejected at build time, and so is `hops == 0`.
     #[must_use]
     pub fn line(mut self, hops: usize) -> Self {
-        assert!(hops >= 1, "a line needs at least one hop");
         self.shape.layout = Layout::Line { hops };
         self
     }
@@ -566,14 +545,10 @@ impl ScenarioBuilder {
     /// Switches to the `w × h` lattice layout: gateway and focus sensor
     /// in opposite corners, roles filling cells row-major, leftover cells
     /// becoming relays ([`TopologySpec::grid`]). Single-VC: `vcs(n > 1)`
-    /// is rejected at build time.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the lattice is non-degenerate.
+    /// is rejected at build time, and so is a lattice with fewer cells
+    /// than roles.
     #[must_use]
     pub fn grid(mut self, w: usize, h: usize) -> Self {
-        assert!(w >= 1 && h >= 1, "degenerate lattice");
         self.shape.layout = Layout::Grid { w, h };
         self
     }
@@ -582,16 +557,8 @@ impl ScenarioBuilder {
     /// Components, one tight cluster per VC behind a two-relay chain from
     /// the shared gateway ([`TopologySpec::clustered`]) — the layout
     /// whose intra-cluster slots the scheduler reuses across clusters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is outside `1..=MAX_VCS`.
     #[must_use]
     pub fn clustered(mut self, k: usize) -> Self {
-        assert!(
-            (1..=MAX_VCS).contains(&k),
-            "vc count out of 1..={MAX_VCS}: {k}"
-        );
         self.shape.layout = Layout::Clustered;
         self.shape.vcs = k;
         self
@@ -627,10 +594,6 @@ impl ScenarioBuilder {
     /// The plant step is capped at 10 s: the discretizations are
     /// unconditionally stable, and no fleet loop samples faster than a
     /// quarter cycle, so sub-second integration buys nothing there.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= n <= 32000`.
     #[must_use]
     pub fn fleet(mut self, n: usize) -> Self {
         self.inner.topology = TopologySpec::fleet(n);
@@ -667,14 +630,10 @@ impl ScenarioBuilder {
 
     /// Sets the RT-Link cycle length in slots (slot 0 is the sync slot).
     /// Multi-hop layouts expand flows into per-hop slots, so relay-heavy
-    /// deployments need a longer cycle than the default 25.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n >= 2`.
+    /// deployments need a longer cycle than the default 25; fewer than
+    /// two slots is rejected at build time.
     #[must_use]
     pub fn slots_per_cycle(mut self, n: usize) -> Self {
-        assert!(n >= 2, "a cycle needs the sync slot plus a data slot");
         self.inner.rtlink.slots_per_cycle = n;
         self
     }
@@ -717,7 +676,8 @@ impl ScenarioBuilder {
         self.crash_vc_primary_at(0, at)
     }
 
-    /// Crashes VC `vc`'s primary node at `at` (per-VC fault injection).
+    /// Crashes VC `vc`'s primary node at `at` (per-VC fault injection);
+    /// a VC the scenario does not host is rejected at build time.
     #[must_use]
     pub fn crash_vc_primary_at(mut self, vc: VcId, at: SimTime) -> Self {
         self.inner.primary_crashes.push((vc, at));
@@ -742,22 +702,18 @@ impl ScenarioBuilder {
     /// Chooses cold-standby mode: a backup must receive the capsule over
     /// the transfer lane before activation, so the scenario also needs
     /// [`ScenarioBuilder::transfer_slots`] of at least 1; without it,
-    /// setup fails with
-    /// [`crate::runtime::TopologyError::ColdStandbyWithoutTransferLane`].
+    /// [`ScenarioBuilder::try_build`] fails with
+    /// [`TopologyError::ColdStandbyWithoutTransferLane`].
     #[must_use]
     pub fn cold_backup(mut self) -> Self {
         self.inner.warm_backup = false;
         self
     }
 
-    /// Adds uniform extra link loss (E14).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
+    /// Adds uniform extra link loss (E14); `p` outside `[0, 1]` is
+    /// rejected at build time.
     #[must_use]
     pub fn extra_loss(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss out of [0,1]");
         self.inner.extra_loss = p;
         self
     }
@@ -771,14 +727,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Adds Gaussian measurement noise at the sensor interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std` is negative.
+    /// Adds Gaussian measurement noise at the sensor interface; a
+    /// negative or non-finite `std` is rejected at build time.
     #[must_use]
     pub fn sensor_noise(mut self, std: f64) -> Self {
-        assert!(std >= 0.0, "noise std must be non-negative");
         self.inner.sensor_noise_std = std;
         self
     }
@@ -826,7 +778,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the fault-detection parameters.
+    /// Sets the fault-detection parameters; a negative threshold or zero
+    /// consecutive count is rejected at build time.
     #[must_use]
     pub fn detection(mut self, threshold: f64, consecutive: u32) -> Self {
         self.inner.detect_threshold = threshold;
@@ -839,29 +792,38 @@ impl ScenarioBuilder {
     /// topology was set. `.vcs(n)` / `.clustered(n)` with `n > 1` also
     /// derives the hosting manifest ([`Scenario::host_vcs`]).
     ///
+    /// # Errors
+    ///
+    /// [`TopologyError`] if the layout cannot build the shape
+    /// ([`TopologyShape::materialize`]), a knob breaks its rule, or a
+    /// scripted crash targets a VC the scenario does not host — the
+    /// scenario stage of [`crate::runtime::check_setup`]. The deployment
+    /// stages (role counts, routes, schedule) run at engine setup.
+    #[deny(clippy::panic_in_result_fn)]
+    pub fn try_build(mut self) -> Result<Scenario, TopologyError> {
+        let hosted = if self.explicit_topology {
+            self.inner.n_vcs()
+        } else {
+            self.inner.topology = self.shape.materialize()?;
+            self.shape.vcs
+        };
+        // Checked before re-hosting, which would drop the crashes on VCs
+        // the layout does not host.
+        check_scenario(&self.inner, hosted)?;
+        if hosted != self.inner.n_vcs() {
+            self.inner.host_vcs(hosted);
+        }
+        Ok(self.inner)
+    }
+
+    /// [`ScenarioBuilder::try_build`] for tests and examples.
+    ///
     /// # Panics
     ///
-    /// Panics if the role parameters are degenerate (no sensor or no
-    /// controller), a scripted crash targets a VC the layout does not
-    /// host, or a single-VC layout (line, grid) was combined with
-    /// `.vcs(n > 1)`.
+    /// Panics with the error of [`ScenarioBuilder::try_build`].
     #[must_use]
-    pub fn build(mut self) -> Scenario {
-        if !self.explicit_topology {
-            let p = &self.shape;
-            for &(vc, at) in &self.inner.primary_crashes {
-                assert!(
-                    (vc as usize) < p.vcs,
-                    "crash at {at} targets VC {vc}, but the layout hosts only {} VC(s)",
-                    p.vcs,
-                );
-            }
-            self.inner.topology = p.materialize();
-            if p.vcs != self.inner.n_vcs() {
-                self.inner.host_vcs(p.vcs);
-            }
-        }
-        self.inner
+    pub fn build(self) -> Scenario {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -889,6 +851,7 @@ mod tests {
             .extra_loss(0.25)
             .detection(2.0, 5)
             .cold_backup()
+            .transfer_slots(1)
             .build();
         assert_eq!(s.seed, 7);
         assert_eq!(s.extra_loss, 0.25);
@@ -899,7 +862,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "loss out of")]
     fn bad_loss_rejected() {
-        let _ = Scenario::builder().extra_loss(1.5);
+        let _ = Scenario::builder().extra_loss(1.5).build();
     }
 
     #[test]
@@ -974,7 +937,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "vc count out of")]
     fn bad_vc_count_rejected() {
-        let _ = Scenario::builder().vcs(9);
+        let _ = Scenario::builder().vcs(9).build();
     }
 
     /// Re-hosting a smaller pool drops the outgoing loops' PV tags, so a

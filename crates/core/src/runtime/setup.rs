@@ -60,7 +60,6 @@ struct VcPlan {
     /// law's under the VC's id.
     law: usize,
     params: ReplicaParams,
-    act_register: u16,
 }
 
 /// The single wireless duty a non-gateway node holds (roles are disjoint
@@ -76,50 +75,106 @@ enum Duty {
     Actuator(VcId),
 }
 
-/// The timing knobs that must be positive, by field path: each divides a
-/// duration or paces a recurring event, so zero would panic mid-setup or
-/// mid-run.
-fn zero_timing_knob(scenario: &Scenario) -> Option<&'static str> {
-    [
-        ("plant_dt", scenario.plant_dt.is_zero()),
-        ("sample_every", scenario.sample_every.is_zero()),
+/// The scenario stage of the setup check, which needs neither RNG nor
+/// topology: every knob rule, by field path, then the crash script
+/// against the `hosted` VC count. [`check_setup`] runs it first, and
+/// [`crate::runtime::ScenarioBuilder::try_build`] runs it before
+/// re-hosting the manifest (which would drop the crashes it checks).
+#[deny(clippy::panic_in_result_fn)]
+pub(crate) fn check_scenario(s: &Scenario, hosted: usize) -> Result<(), TopologyError> {
+    let zero = TopologyError::ZeroTiming;
+    let knob = |knob, rule| TopologyError::InvalidKnob { knob, rule };
+    // Timing knobs divide a duration or pace a recurring event, so zero
+    // would panic mid-setup or mid-run; the other ranges are the
+    // contracts of the slot pipeline, the channel, the noise source and
+    // the deviation detector.
+    let rules = [
+        (s.plant_dt.is_zero(), zero("plant_dt")),
+        (s.sample_every.is_zero(), zero("sample_every")),
         (
-            "rtlink.slot_duration",
-            scenario.rtlink.slot_duration.is_zero(),
+            s.rtlink.slot_duration.is_zero(),
+            zero("rtlink.slot_duration"),
         ),
-        ("heartbeat_cycles", scenario.heartbeat_cycles == 0),
-    ]
-    .into_iter()
-    .find_map(|(knob, zero)| zero.then_some(knob))
+        (s.heartbeat_cycles == 0, zero("heartbeat_cycles")),
+        (
+            s.rtlink.slots_per_cycle < 2,
+            knob(
+                "rtlink.slots_per_cycle",
+                "needs the sync slot plus a data slot",
+            ),
+        ),
+        (
+            !(0.0..=1.0).contains(&s.extra_loss),
+            knob("extra_loss", "out of [0, 1]"),
+        ),
+        (
+            !s.sensor_noise_std.is_finite() || s.sensor_noise_std < 0.0,
+            knob("sensor_noise_std", "must be finite and non-negative"),
+        ),
+        (
+            s.detect_threshold.is_nan() || s.detect_threshold < 0.0,
+            knob("detect_threshold", "must be non-negative"),
+        ),
+        (
+            s.detect_consecutive == 0,
+            knob("detect_consecutive", "must be at least 1"),
+        ),
+        (
+            !s.warm_backup && s.transfer_slots == 0,
+            TopologyError::ColdStandbyWithoutTransferLane,
+        ),
+    ];
+    if let Some((_, e)) = rules.into_iter().find(|(broken, _)| *broken) {
+        return Err(e);
+    }
+    match s
+        .primary_crashes
+        .iter()
+        .find(|&&(vc, _)| vc as usize >= hosted)
+    {
+        Some(&(vc, at)) => Err(TopologyError::CrashOnUnhostedVc { vc, at, hosted }),
+        None => Ok(()),
+    }
 }
 
-/// The first stage of engine setup, checked: the resolved deployment and
-/// its epoch-0 configuration. [`Engine::try_new`] builds the engine from
-/// it; batch runners call [`check_setup`] alone to reject a scenario
-/// before any engine exists.
+/// The setup check's result: the resolved deployment, each VC's loop
+/// registers and the epoch-0 configuration. [`Engine::try_new`] builds
+/// the engine from it; batch runners call [`check_setup`] alone to reject
+/// a scenario before any engine exists.
 pub struct CheckedSetup {
     rng: SimRng,
     channel: Channel,
     topology: Topology,
     vcs: VcMap,
+    regmap: RegisterMap,
+    /// Each VC's actuation (holding) register, by `VcId`.
+    act_registers: Vec<u16>,
     epoch0: Epoch,
 }
 
-/// Runs the first stage of engine setup: checks the timing knobs and
-/// that cold standby has a transfer lane, resolves the topology spec,
-/// checks the hosting manifest and the scripted primary crashes against
-/// it, and computes epoch 0 (routes, slot schedule, transfer lane) with
-/// [`Reconfigurator::compute`]. Draws exactly the channel randomness
-/// engine construction draws, so the check sees the links the engine
-/// will.
+/// Checks everything engine setup needs, in stages, so that setup itself
+/// meets no malformed input:
+///
+/// 1. the scenario: knob rules and the crash script against the hosting
+///    manifest;
+/// 2. the topology spec, resolved (roles, ids, labels, registers);
+/// 3. the manifest against the spec's VC count, and each VC's loop
+///    against the plant's register map;
+/// 4. epoch 0 (routes, slot schedule, transfer lane), computed with
+///    [`Reconfigurator::compute`].
+///
+/// Draws exactly the channel randomness engine construction draws, so the
+/// check sees the links the engine will.
 ///
 /// # Errors
 ///
-/// [`TopologyError`] for a zero timing knob, cold standby without
-/// transfer slots, a malformed spec, a manifest whose loop count differs
-/// from the topology's VC count, a crash on an unhosted VC, an
+/// [`TopologyError`] for a knob that breaks its rule, cold standby
+/// without transfer slots, a crash on an unhosted VC, a malformed spec, a
+/// manifest whose loop count differs from the topology's VC count, a
+/// loop whose registers do not fit the plant or its focus sensor, an
 /// unroutable flow, or flows (or transfer lane) that do not fit the
 /// RT-Link cycle.
+#[deny(clippy::panic_in_result_fn)]
 pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
     check_with_spec(scenario, scenario.topology.clone())
 }
@@ -127,30 +182,38 @@ pub fn check_setup(scenario: &Scenario) -> Result<CheckedSetup, TopologyError> {
 /// [`check_setup`] over `spec`, which stands in for the scenario's own
 /// topology spec and is consumed: its labels move into the resolved
 /// topology.
+#[deny(clippy::panic_in_result_fn)]
 fn check_with_spec(scenario: &Scenario, spec: TopologySpec) -> Result<CheckedSetup, TopologyError> {
-    if let Some(knob) = zero_timing_knob(scenario) {
-        return Err(TopologyError::ZeroTiming(knob));
-    }
-    if !scenario.warm_backup && scenario.transfer_slots == 0 {
-        return Err(TopologyError::ColdStandbyWithoutTransferLane);
-    }
+    check_scenario(scenario, scenario.n_vcs())?;
     let mut rng = SimRng::seed_from(scenario.seed);
     let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
     let (topology, vcs) = spec.try_into_resolved(&mut channel)?;
-    let hosted = vcs.n_vcs();
-    if hosted != scenario.n_vcs() {
+    if vcs.n_vcs() != scenario.n_vcs() {
         return Err(TopologyError::ManifestMismatch {
-            topology: hosted,
+            topology: vcs.n_vcs(),
             manifest: scenario.n_vcs(),
         });
     }
-    if let Some(&(vc, at)) = scenario
-        .primary_crashes
+    // Each VC's focus sensor must read its loop's PV, so no VC regulates
+    // the wrong signal; the OP register is looked up once, here.
+    let regmap = RegisterMap::gas_plant_standard();
+    let act_registers = vcs
+        .vcs
         .iter()
-        .find(|&&(vc, _)| vc as usize >= hosted)
-    {
-        return Err(TopologyError::CrashOnUnhostedVc { vc, at, hosted });
-    }
+        .map(|roles| {
+            let spec = scenario.vc_loop(roles.vc);
+            let broken = |rule| TopologyError::LoopRegister { vc: roles.vc, rule };
+            let pv = regmap
+                .input_register_of(&spec.pv_tag)
+                .ok_or(broken("the loop's PV tag has no plant input register"))?;
+            if roles.sensor_registers[0] != pv {
+                return Err(broken("the focus sensor must read the loop's PV register"));
+            }
+            regmap
+                .holding_register_of(&spec.op_tag)
+                .ok_or(broken("the loop's OP tag has no plant holding register"))
+        })
+        .collect::<Result<_, _>>()?;
     // The same Reconfigurator the runtime re-invokes mid-run builds the
     // setup-time configuration: logical single-hop flows, the multi-hop
     // routing pass (on a fully-connected star the routed list is
@@ -174,47 +237,33 @@ fn check_with_spec(scenario: &Scenario, spec: TopologySpec) -> Result<CheckedSet
         channel,
         topology,
         vcs,
+        regmap,
+        act_registers,
         epoch0,
     })
 }
 
 impl Engine {
-    /// Builds the deployment described by the scenario's topology.
+    /// [`Engine::try_new`] for tests and examples.
     ///
     /// # Panics
     ///
-    /// Panics on any [`TopologyError`] — configuration errors, not
-    /// runtime conditions.
+    /// Panics with the error of [`Engine::try_new`].
     #[must_use]
     pub fn new(scenario: Scenario) -> Self {
-        match Engine::try_new(scenario) {
-            Ok(engine) => engine,
-            Err(
-                e @ (TopologyError::ZeroTiming(_)
-                | TopologyError::ColdStandbyWithoutTransferLane
-                | TopologyError::ManifestMismatch { .. }
-                | TopologyError::CrashOnUnhostedVc { .. }
-                | TopologyError::Unroutable(_)
-                | TopologyError::Unschedulable(_)),
-            ) => panic!("{e}"),
-            Err(e) => panic!("malformed topology spec: {e}"),
-        }
+        Engine::try_new(scenario).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`Engine::new`], but reports every setup failure as a typed
-    /// [`TopologyError`] instead of panicking — the path batch runners
-    /// use so one bad cell fails alone instead of aborting the whole
-    /// sweep.
+    /// Builds the deployment described by the scenario's topology,
+    /// reporting every setup failure as a typed [`TopologyError`] — the
+    /// path batch runners use so one bad cell fails alone instead of
+    /// aborting the whole sweep.
     ///
     /// # Errors
     ///
     /// Any [`TopologyError`] from [`check_setup`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a VC's focus sensor reads a register other than its
-    /// hosted loop's PV — a misconfigured manifest.
     #[allow(clippy::too_many_lines)]
+    #[deny(clippy::panic_in_result_fn)]
     pub fn try_new(mut scenario: Scenario) -> Result<Self, TopologyError> {
         // The engine's topology takes over the spec (labels included);
         // nothing reads the scenario's copy after setup.
@@ -230,6 +279,8 @@ impl Engine {
             channel,
             topology,
             vcs,
+            regmap,
+            mut act_registers,
             epoch0,
         } = check_with_spec(&scenario, spec)?;
 
@@ -250,9 +301,7 @@ impl Engine {
             forwarders.push(id);
         }
 
-        let regmap = RegisterMap::gas_plant_standard();
-
-        // --- Per-VC plans: capsule, task params, registers -------------
+        // --- Per-VC plans: capsule, task params ------------------------
         // Identical laws (fleet deployments host clones of the standard
         // loops) compile, budget, checksum and admit once: each VC's
         // capsule is its law's under the VC's id, every replica's
@@ -286,21 +335,6 @@ impl Engine {
                         laws.len() - 1
                     }
                 };
-                // The focus sensor's downlink register must agree with the
-                // loop the VC hosts — a misconfigured manifest is caught
-                // here rather than silently regulating the wrong PV.
-                let pv_register = regmap
-                    .input_register_of(&spec.pv_tag)
-                    .unwrap_or_else(|| panic!("no input register for {}", spec.pv_tag));
-                assert_eq!(
-                    vcs.vc(vc).sensor_registers[0],
-                    pv_register,
-                    "VC {vc}'s focus sensor register does not match the {} loop",
-                    spec.name
-                );
-                let act_register = regmap
-                    .holding_register_of(&spec.op_tag)
-                    .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
                 VcPlan {
                     law,
                     params: ReplicaParams {
@@ -310,7 +344,6 @@ impl Engine {
                         period,
                         primary: vcs.vc(vc).primary(),
                     },
-                    act_register,
                 }
             })
             .collect();
@@ -357,68 +390,66 @@ impl Engine {
         };
         let mut nodes = Vec::with_capacity(node_ids.len());
         for (&id, &node_duty) in node_ids.iter().zip(&duty) {
-            let node = if id == vcs.gateway {
-                // One gate per VC without an actuator node: the gateway is
-                // then that VC's actuation endpoint.
-                let gates = vcs
-                    .vcs
-                    .iter()
-                    .map(|r| {
-                        r.actuators
-                            .is_empty()
-                            .then(|| ActuationGate::new(r.primary()))
-                    })
-                    .collect();
-                let act_registers = plans.iter().map(|p| p.act_register).collect();
-                Node::Gateway(Box::new(GatewayNode::new(
-                    scenario.sensor_noise_std,
-                    act_registers,
-                    gates,
-                )))
-            } else {
-                match node_duty {
-                    // A head always runs a monitor replica of its VC's
-                    // law: it observes the data plane and can detect
-                    // output deviations itself, which is what makes
-                    // cold-standby deployments (no warm backup computing)
-                    // still fail over.
-                    Some(Duty::Head(vc)) => {
-                        let p = &plans[vc as usize];
-                        Node::Head(Box::new(HeadNode::new(ControllerCore::new(
-                            id,
-                            vc,
-                            ControllerMode::Backup,
-                            Some(&laws[p.law].kernel),
-                            &laws[p.law].capsule.program,
-                            laws[p.law].capsule.gas_budget,
-                            &p.params,
-                        ))))
-                    }
-                    Some(Duty::Sensor(vc, tag)) => Node::Sensor(SensorNode::new(vc, tag)),
-                    // Dedicated forwarders: their duties live in the
-                    // routed relay cores, not the node.
-                    Some(Duty::Relay) => Node::Relay,
-                    Some(Duty::Controller(vc)) => {
-                        let p = &plans[vc as usize];
-                        let (mode, hosts_task) = if id == p.params.primary {
-                            (ControllerMode::Active, true)
-                        } else {
-                            (b_mode, scenario.warm_backup)
-                        };
-                        Node::Controller(Box::new(ControllerCore::new(
-                            id,
-                            vc,
-                            mode,
-                            hosts_task.then_some(&laws[p.law].kernel),
-                            &laws[p.law].capsule.program,
-                            laws[p.law].capsule.gas_budget,
-                            &p.params,
-                        )))
-                    }
-                    Some(Duty::Actuator(vc)) => {
-                        Node::Actuator(ActuatorNode::new(vc, plans[vc as usize].params.primary))
-                    }
-                    None => panic!("node must hold a role in some VC"),
+            let node = match node_duty {
+                // A head always runs a monitor replica of its VC's law: it
+                // observes the data plane and can detect output deviations
+                // itself, which is what makes cold-standby deployments (no
+                // warm backup computing) still fail over.
+                Some(Duty::Head(vc)) => {
+                    let p = &plans[vc as usize];
+                    Node::Head(Box::new(HeadNode::new(ControllerCore::new(
+                        id,
+                        vc,
+                        ControllerMode::Backup,
+                        Some(&laws[p.law].kernel),
+                        &laws[p.law].capsule.program,
+                        laws[p.law].capsule.gas_budget,
+                        &p.params,
+                    ))))
+                }
+                Some(Duty::Sensor(vc, tag)) => Node::Sensor(SensorNode::new(vc, tag)),
+                // Dedicated forwarders: their duties live in the routed
+                // relay cores, not the node.
+                Some(Duty::Relay) => Node::Relay,
+                Some(Duty::Controller(vc)) => {
+                    let p = &plans[vc as usize];
+                    let (mode, hosts_task) = if id == p.params.primary {
+                        (ControllerMode::Active, true)
+                    } else {
+                        (b_mode, scenario.warm_backup)
+                    };
+                    Node::Controller(Box::new(ControllerCore::new(
+                        id,
+                        vc,
+                        mode,
+                        hosts_task.then_some(&laws[p.law].kernel),
+                        &laws[p.law].capsule.program,
+                        laws[p.law].capsule.gas_budget,
+                        &p.params,
+                    )))
+                }
+                Some(Duty::Actuator(vc)) => {
+                    Node::Actuator(ActuatorNode::new(vc, plans[vc as usize].params.primary))
+                }
+                // Every node but the shared gateway holds a duty in some
+                // VC (the spec check rejects a second gateway). One gate
+                // per VC without an actuator node: the gateway is then that
+                // VC's actuation endpoint.
+                None => {
+                    let gates = vcs
+                        .vcs
+                        .iter()
+                        .map(|r| {
+                            r.actuators
+                                .is_empty()
+                                .then(|| ActuationGate::new(r.primary()))
+                        })
+                        .collect();
+                    Node::Gateway(Box::new(GatewayNode::new(
+                        scenario.sensor_noise_std,
+                        std::mem::take(&mut act_registers),
+                        gates,
+                    )))
                 }
             };
             nodes.push(node);

@@ -27,6 +27,8 @@ use evm_mac::rtlink::{Flow, ScheduleError};
 use evm_netsim::{Channel, NodeId, NodeInfo, NodeKind, Position, Topology};
 use evm_sim::SimTime;
 
+use crate::runtime::scenario::Layout;
+
 /// Identifies one Virtual Component hosted by the deployment (dense,
 /// starting at 0; VC 0 is the focus loop). `u16` so a fleet deployment
 /// can host tens of thousands of VCs in one process; the star family
@@ -182,10 +184,6 @@ impl TopologySpec {
     /// the Fig. 5 convention: focus sensor, controllers, actuators,
     /// monitoring sensors, head — so `star(2, 2, 1, true, 15.0)` *is* the
     /// testbed.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is at least one sensor and one controller.
     #[must_use]
     pub fn star(
         sensors: usize,
@@ -207,12 +205,8 @@ impl TopologySpec {
     ///
     /// Each VC's focus sensor reads that VC's loop PV register
     /// ([`VC_FOCUS_REGISTERS`]); monitoring sensors draw from the shared
-    /// monitor table ([`monitor_register`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= vcs <= MAX_VCS` and each VC has at least one
-    /// sensor and one controller.
+    /// monitor table ([`monitor_register`]); a VC past that table gets
+    /// none.
     #[must_use]
     pub fn multi_star(
         vcs: usize,
@@ -222,12 +216,6 @@ impl TopologySpec {
         head: bool,
         radius_m: f64,
     ) -> Self {
-        assert!(
-            (1..=MAX_VCS).contains(&vcs),
-            "vc count out of 1..={MAX_VCS}: {vcs}"
-        );
-        assert!(sensors >= 1, "a control loop needs its focus sensor");
-        assert!(controllers >= 1, "a control loop needs a controller");
         let mut roles: Vec<(VcId, Role, String)> = Vec::new();
         for vc in 0..vcs as VcId {
             let prefix = if vc == 0 {
@@ -235,7 +223,9 @@ impl TopologySpec {
             } else {
                 format!("V{vc}.")
             };
-            roles.push((vc, Role::Sensor(0), format!("{prefix}S1")));
+            if sensors > 0 {
+                roles.push((vc, Role::Sensor(0), format!("{prefix}S1")));
+            }
             for i in 0..controllers {
                 roles.push((vc, Role::Controller(i as u8), controller_label(&prefix, i)));
             }
@@ -262,7 +252,7 @@ impl TopologySpec {
         for (i, (vc, role, label)) in roles.into_iter().enumerate() {
             let angle = 2.0 * std::f64::consts::PI * i as f64 / ring as f64;
             let register = match role {
-                Role::Sensor(0) => Some(VC_FOCUS_REGISTERS[vc as usize]),
+                Role::Sensor(0) => VC_FOCUS_REGISTERS.get(vc as usize).copied(),
                 Role::Sensor(tag) => Some(monitor_register(tag as usize - 1)),
                 _ => None,
             };
@@ -302,11 +292,6 @@ impl TopologySpec {
     /// the star convention (gateway, focus sensor, controllers,
     /// actuators, monitors, head) with relays appended last, `R1` nearest
     /// the gateway.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `hops >= 1` and there is at least one sensor and one
-    /// controller.
     #[must_use]
     pub fn line(
         hops: usize,
@@ -328,11 +313,6 @@ impl TopologySpec {
     /// the backups exist for the runtime reconfiguration plane to re-route
     /// through when a primary forwarder dies. Backup ids follow the
     /// primary relays.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `hops >= 1` and there is at least one sensor and one
-    /// controller.
     #[must_use]
     pub fn line_with_backups(
         hops: usize,
@@ -343,13 +323,12 @@ impl TopologySpec {
         spacing_m: f64,
         backups: usize,
     ) -> Self {
-        assert!(hops >= 1, "a line needs at least one hop to the sensor");
-        assert!(sensors >= 1, "a control loop needs its focus sensor");
-        assert!(controllers >= 1, "a control loop needs a controller");
         let d = spacing_m;
         let far = -(hops as f64) * d;
         let mut roles: Vec<(Role, String, Position)> = Vec::new();
-        roles.push((Role::Sensor(0), "S1".into(), Position::new(far, 0.0)));
+        if sensors > 0 {
+            roles.push((Role::Sensor(0), "S1".into(), Position::new(far, 0.0)));
+        }
         for i in 0..controllers {
             roles.push((
                 Role::Controller(i as u8),
@@ -376,7 +355,7 @@ impl TopologySpec {
         }
         for k in 1..hops {
             roles.push((
-                Role::Relay(k as u8 - 1),
+                Role::Relay((k - 1) as u8),
                 format!("R{k}"),
                 Position::new(-(k as f64) * d, 0.0),
             ));
@@ -408,12 +387,8 @@ impl TopologySpec {
     ///
     /// Node ids follow the star convention (gateway, focus sensor,
     /// controllers, actuators, monitors, head, relays); positions come
-    /// from the assigned cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the lattice has a cell per role (`w·h >=` role
-    /// count) and there is at least one sensor and one controller.
+    /// from the assigned cells. A lattice with fewer cells than roles
+    /// seats the surplus roles past its last row.
     #[must_use]
     pub fn grid(
         w: usize,
@@ -424,18 +399,19 @@ impl TopologySpec {
         head: bool,
         spacing_m: f64,
     ) -> Self {
-        assert!(sensors >= 1, "a control loop needs its focus sensor");
-        assert!(controllers >= 1, "a control loop needs a controller");
-        let roles_total = 1 + sensors + controllers + actuators + usize::from(head);
-        assert!(
-            w >= 1 && h >= 1 && w * h >= roles_total,
-            "a {w}x{h} grid cannot seat {roles_total} roles"
-        );
-        let cell =
-            |idx: usize| Position::new((idx % w) as f64 * spacing_m, (idx / w) as f64 * spacing_m);
+        let cols = w.max(1);
+        let cell = |idx: usize| {
+            Position::new(
+                (idx % cols) as f64 * spacing_m,
+                (idx / cols) as f64 * spacing_m,
+            )
+        };
+        let last = w.saturating_mul(h).saturating_sub(1);
         let mut roles: Vec<(Role, String, Position)> = Vec::new();
         let mut next_cell = 1usize; // cell 0 is the gateway's
-        roles.push((Role::Sensor(0), "S1".into(), cell(w * h - 1)));
+        if sensors > 0 {
+            roles.push((Role::Sensor(0), "S1".into(), cell(last)));
+        }
         let seat = |role: Role, label: String, next_cell: &mut usize| {
             let c = *next_cell;
             *next_cell += 1;
@@ -466,7 +442,7 @@ impl TopologySpec {
             roles.push(r);
         }
         let mut relay = 0u8;
-        while next_cell < w * h - 1 {
+        while next_cell < last {
             relay += 1;
             let r = seat(Role::Relay(relay - 1), format!("R{relay}"), &mut next_cell);
             roles.push(r);
@@ -486,11 +462,6 @@ impl TopologySpec {
     /// ring of `ring_m` around `3·hop_m`. Ids are sequential per VC in
     /// star convention with the VC's relays appended; VC `k > 0` labels
     /// carry the `Vk.` prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= clusters <= MAX_VCS` and each cluster has at
-    /// least one sensor and one controller.
     #[must_use]
     pub fn clustered(
         clusters: usize,
@@ -521,11 +492,6 @@ impl TopologySpec {
     /// keep routes on the lower-id primaries; the backups carry the
     /// cluster after a primary relay dies and the reconfiguration plane
     /// re-routes. Backup ids follow each cluster's primary relays.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= clusters <= MAX_VCS` and each cluster has at
-    /// least one sensor and one controller.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn clustered_with_backups(
@@ -538,12 +504,6 @@ impl TopologySpec {
         ring_m: f64,
         backups: usize,
     ) -> Self {
-        assert!(
-            (1..=MAX_VCS).contains(&clusters),
-            "cluster count out of 1..={MAX_VCS}: {clusters}"
-        );
-        assert!(sensors >= 1, "a control loop needs its focus sensor");
-        assert!(controllers >= 1, "a control loop needs a controller");
         let mut nodes = vec![NodeSpec {
             id: NodeId(0),
             vc: 0,
@@ -563,7 +523,10 @@ impl TopologySpec {
             let angle = 2.0 * std::f64::consts::PI * f64::from(vc) / clusters as f64;
             let (dx, dy) = (angle.cos(), angle.sin());
             let center = Position::new(3.0 * hop_m * dx, 3.0 * hop_m * dy);
-            let mut roles: Vec<(Role, String)> = vec![(Role::Sensor(0), format!("{prefix}S1"))];
+            let mut roles: Vec<(Role, String)> = Vec::with_capacity(members);
+            if sensors > 0 {
+                roles.push((Role::Sensor(0), format!("{prefix}S1")));
+            }
             for i in 0..controllers {
                 roles.push((Role::Controller(i as u8), controller_label(&prefix, i)));
             }
@@ -576,11 +539,10 @@ impl TopologySpec {
             if head {
                 roles.push((Role::Head, format!("{prefix}Head")));
             }
-            debug_assert_eq!(roles.len(), members);
             for (i, (role, label)) in roles.into_iter().enumerate() {
                 let theta = 2.0 * std::f64::consts::PI * i as f64 / members as f64;
                 let register = match role {
-                    Role::Sensor(0) => Some(VC_FOCUS_REGISTERS[vc as usize]),
+                    Role::Sensor(0) => VC_FOCUS_REGISTERS.get(vc as usize).copied(),
                     Role::Sensor(tag) => Some(monitor_register(tag as usize - 1)),
                     _ => None,
                 };
@@ -648,17 +610,10 @@ impl TopologySpec {
     /// Connectivity is **explicit** (`links`): gateway↔sensor,
     /// gateway↔controller and sensor↔controller per VC — every flow is
     /// single-hop, and the O(n²) channel derivation (which would mesh
-    /// all co-located cells) is bypassed.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= n <= 32000` (node ids are `u16`).
+    /// all co-located cells) is bypassed. Node ids are `u16`, so past
+    /// 32767 VCs they wrap and the spec check reports a duplicate id.
     #[must_use]
     pub fn fleet(n: usize) -> Self {
-        assert!(
-            (1..=32_000).contains(&n),
-            "fleet size out of 1..=32000: {n}"
-        );
         let mut nodes = Vec::with_capacity(1 + 2 * n);
         let mut links = Vec::with_capacity(3 * n);
         nodes.push(NodeSpec {
@@ -743,23 +698,16 @@ impl TopologySpec {
     }
 
     /// Resolves the spec into the physical [`Topology`] plus the
-    /// [`VcMap`] used for dispatch.
+    /// [`VcMap`] used for dispatch. Consumes the spec: the node labels
+    /// move into the [`Topology`] instead of being copied.
     ///
     /// # Errors
     ///
     /// [`TopologyError`] on a malformed spec: no gateway, duplicate ids or
     /// labels, non-contiguous VC or role indices, a missing focus sensor
-    /// or controller, or more than one actuator/head per VC.
-    pub fn try_resolve(&self, channel: &mut Channel) -> Result<(Topology, VcMap), TopologyError> {
-        self.clone().try_into_resolved(channel)
-    }
-
-    /// [`TopologySpec::try_resolve`] consuming the spec: the node labels
-    /// move into the [`Topology`] instead of being copied.
-    ///
-    /// # Errors
-    ///
-    /// As [`TopologySpec::try_resolve`].
+    /// or controller, a sensor without a register, or more than one
+    /// actuator/head per VC.
+    #[deny(clippy::panic_in_result_fn)]
     pub fn try_into_resolved(
         self,
         channel: &mut Channel,
@@ -776,26 +724,13 @@ impl TopologySpec {
         };
         Ok((topology, map))
     }
-
-    /// Panicking wrapper over [`TopologySpec::try_resolve`] for the
-    /// builder path, where a malformed spec is a configuration error.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`TopologyError`].
-    #[must_use]
-    pub fn resolve(&self, channel: &mut Channel) -> (Topology, VcMap) {
-        match self.try_resolve(channel) {
-            Ok(out) => out,
-            Err(e) => panic!("malformed topology spec: {e}"),
-        }
-    }
 }
 
-/// A scenario whose deployment cannot be set up: a malformed
-/// [`TopologySpec`], a hosting manifest or crash script that does not fit
-/// it, flows that cannot be routed or scheduled, or a zero timing knob.
-/// Reported per cell instead of aborting a whole sweep.
+/// A scenario that cannot be built or set up: a knob out of its range, a
+/// topology shape its layout cannot build, a malformed [`TopologySpec`],
+/// a hosting manifest, crash script or loop register that does not fit
+/// it, or flows that cannot be routed or scheduled. Reported per cell
+/// instead of aborting a whole sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
     /// No gateway node in the spec.
@@ -851,6 +786,35 @@ pub enum TopologyError {
     /// before it can be promoted, so without one no failover could
     /// ever commit.
     ColdStandbyWithoutTransferLane,
+    /// A scalar knob breaks its rule; names the scenario field
+    /// (`extra_loss`, `sensor_noise_std`, `detect_threshold`,
+    /// `detect_consecutive` or `rtlink.slots_per_cycle`) and the rule.
+    InvalidKnob {
+        /// The scenario field.
+        knob: &'static str,
+        /// The rule it breaks.
+        rule: &'static str,
+    },
+    /// A topology shape its layout family cannot build: a VC count out
+    /// of the family's range, backup relays without a relay chain, a
+    /// zero-hop line, or a lattice too small to seat every role.
+    InvalidShape {
+        /// The layout family and size asked for.
+        layout: Layout,
+        /// The VC count asked for.
+        vcs: usize,
+        /// The layout rule the shape breaks.
+        rule: &'static str,
+    },
+    /// A VC's hosted loop does not fit the plant's register map: its PV
+    /// or OP tag has no register, or its focus sensor reads another
+    /// register than the loop's PV.
+    LoopRegister {
+        /// The VC.
+        vc: VcId,
+        /// The register rule it breaks.
+        rule: &'static str,
+    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -896,6 +860,11 @@ impl std::fmt::Display for TopologyError {
                 "cold-standby backups receive the task over the transfer lane; \
                  reserve `transfer_slots` >= 1"
             ),
+            TopologyError::InvalidKnob { knob, rule } => write!(f, "scenario knob {knob} {rule}"),
+            TopologyError::InvalidShape { layout, vcs, rule } => {
+                write!(f, "{rule}: {vcs}-VC {} layout", layout.label())
+            }
+            TopologyError::LoopRegister { vc, rule } => write!(f, "VC {vc}: {rule}"),
         }
     }
 }
@@ -1069,6 +1038,7 @@ impl VcMap {
     /// # Errors
     ///
     /// See [`TopologyError`].
+    #[deny(clippy::panic_in_result_fn)]
     pub fn try_from_spec(spec: &TopologySpec) -> Result<Self, TopologyError> {
         let gateway = check_nodes(spec)?;
         // Group the nodes by VC with one stable sort, spec order kept
@@ -1092,19 +1062,6 @@ impl VcMap {
             })
             .collect::<Result<_, _>>()?;
         Ok(VcMap { gateway, vcs })
-    }
-
-    /// Panicking wrapper over [`VcMap::try_from_spec`] (builder path).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`TopologyError`].
-    #[must_use]
-    pub fn from_spec(spec: &TopologySpec) -> Self {
-        match VcMap::try_from_spec(spec) {
-            Ok(map) => map,
-            Err(e) => panic!("malformed topology spec: {e}"),
-        }
     }
 
     /// Number of hosted Virtual Components.
@@ -1603,7 +1560,7 @@ mod tests {
 
     #[test]
     fn fig5_flow_synthesis_reproduces_the_eight_testbed_flows() {
-        let map = VcMap::from_spec(&TopologySpec::fig5());
+        let map = VcMap::try_from_spec(&TopologySpec::fig5()).expect("well-formed spec");
         let flows = synth_flows(&map);
         let as_tuple = |f: &Flow| (f.src.raw(), f.dst.raw(), f.extra_listeners.clone());
         assert_eq!(flows.len(), 8);
@@ -1633,7 +1590,8 @@ mod tests {
     /// Head=7.
     #[test]
     fn golden_flows_for_two_sensor_three_controller_star() {
-        let map = VcMap::from_spec(&TopologySpec::star(2, 3, 1, true, 15.0));
+        let map = VcMap::try_from_spec(&TopologySpec::star(2, 3, 1, true, 15.0))
+            .expect("well-formed spec");
         let flows = synth_flows(&map);
         let got: Vec<(u16, u16, Vec<u16>, FlowKind)> = flows
             .iter()
@@ -1682,7 +1640,7 @@ mod tests {
     #[test]
     fn golden_flows_for_two_vc_star() {
         let spec = TopologySpec::multi_star(2, 1, 2, 1, true, 15.0);
-        let map = VcMap::from_spec(&spec);
+        let map = VcMap::try_from_spec(&spec).expect("well-formed spec");
         assert_eq!(map.n_vcs(), 2);
         let flows = synth_flows(&map);
         let got: Vec<FlowTuple> = flows
@@ -1756,7 +1714,7 @@ mod tests {
     fn multi_star_vc_focus_registers_and_labels() {
         let spec = TopologySpec::multi_star(3, 2, 2, 1, true, 15.0);
         assert_eq!(spec.n_vcs(), 3);
-        let map = VcMap::from_spec(&spec);
+        let map = VcMap::try_from_spec(&spec).expect("well-formed spec");
         assert_eq!(map.vc(0).sensor_registers[0], 30001);
         assert_eq!(map.vc(1).sensor_registers[0], 30002);
         assert_eq!(map.vc(2).sensor_registers[0], 30003);
@@ -1789,7 +1747,7 @@ mod tests {
 
     #[test]
     fn minimal_topology_routes_actuation_through_gateway() {
-        let map = VcMap::from_spec(&TopologySpec::minimal(10.0));
+        let map = VcMap::try_from_spec(&TopologySpec::minimal(10.0)).expect("well-formed spec");
         let roles = map.vc(0);
         assert_eq!(roles.actuation_endpoint(), roles.gateway);
         assert!(roles.head.is_none());
@@ -1803,7 +1761,8 @@ mod tests {
 
     #[test]
     fn wide_star_flows_scale_with_roles() {
-        let map = VcMap::from_spec(&TopologySpec::star(3, 3, 1, true, 15.0));
+        let map = VcMap::try_from_spec(&TopologySpec::star(3, 3, 1, true, 15.0))
+            .expect("well-formed spec");
         let flows = synth_flows(&map);
         // 1 downlink + 1 publish + 3 outputs + 1 forward + 1 plane
         // + 2 * (downlink + publish) = 11.
@@ -1968,14 +1927,6 @@ mod tests {
         assert_eq!(try_map(&shuffled), try_map(&TopologySpec::fleet(64)));
     }
 
-    #[test]
-    #[should_panic(expected = "malformed topology spec")]
-    fn panicking_wrapper_kept_for_builder_path() {
-        let mut spec = TopologySpec::fig5();
-        spec.nodes.retain(|n| n.role != Role::Gateway);
-        let _ = VcMap::from_spec(&spec);
-    }
-
     // ---- multi-hop layouts and the routing pass ----------------------
 
     use evm_netsim::ChannelConfig;
@@ -1983,7 +1934,9 @@ mod tests {
 
     fn resolve(spec: &TopologySpec) -> (Topology, VcMap) {
         let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
-        spec.resolve(&mut ch)
+        spec.clone()
+            .try_into_resolved(&mut ch)
+            .expect("well-formed spec")
     }
 
     #[test]
@@ -1994,7 +1947,7 @@ mod tests {
         assert_eq!(spec.nodes[1].position, Position::new(-80.0, 0.0));
         assert_eq!(spec.nodes[6].position, Position::new(-40.0, 0.0));
         assert_eq!(spec.nodes[4].position, Position::new(80.0, 0.0));
-        let map = VcMap::from_spec(&spec);
+        let map = VcMap::try_from_spec(&spec).expect("well-formed spec");
         assert_eq!(map.vc(0).relays, vec![NodeId(6)]);
         assert_eq!(map.vc_of_relay(NodeId(6)), Some(0));
 
@@ -2030,10 +1983,25 @@ mod tests {
         assert_eq!(topo.hops(NodeId(0), NodeId(1)), Some(3));
     }
 
+    /// The lattice rule is the layout's, checked when a shape is
+    /// materialized; the generator itself seats whatever it is asked.
     #[test]
-    #[should_panic(expected = "cannot seat")]
     fn grid_rejects_too_small_lattices() {
-        let _ = TopologySpec::grid(2, 2, 2, 2, 1, true, GRID_SPACING_M);
+        let layout = Layout::Grid { w: 2, h: 2 };
+        let shape = crate::runtime::TopologyShape {
+            layout,
+            ..crate::runtime::TopologyShape::fig5()
+        };
+        assert_eq!(
+            shape.materialize(),
+            Err(TopologyError::InvalidShape {
+                layout,
+                vcs: 1,
+                rule: "the lattice cannot seat every role"
+            })
+        );
+        let spec = TopologySpec::grid(2, 2, 2, 2, 1, true, GRID_SPACING_M);
+        assert_eq!(spec.nodes.len(), 7);
     }
 
     #[test]
@@ -2061,7 +2029,7 @@ mod tests {
                 "V1.R2",
             ]
         );
-        let map = VcMap::from_spec(&spec);
+        let map = VcMap::try_from_spec(&spec).expect("well-formed spec");
         assert_eq!(map.vc(0).relays.len(), 2);
         assert_eq!(map.vc(1).relays.len(), 2);
         assert_eq!(map.vc(0).sensor_registers[0], 30001);

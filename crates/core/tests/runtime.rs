@@ -335,7 +335,12 @@ fn cold_backup_requires_migration() {
 
 #[test]
 fn cold_backup_without_transfer_lane_is_a_typed_error() {
-    let scenario = cold_standby().transfer_slots(0).build();
+    assert_eq!(
+        cold_standby().transfer_slots(0).try_build().err(),
+        Some(TopologyError::ColdStandbyWithoutTransferLane)
+    );
+    let mut scenario = cold_standby().build();
+    scenario.transfer_slots = 0;
     match Engine::try_new(scenario) {
         Err(TopologyError::ColdStandbyWithoutTransferLane) => {}
         Err(e) => panic!("wrong error: {e}"),

@@ -86,9 +86,11 @@ pub fn run_cells(cells: &[SweepCell], threads: usize) -> Vec<RunResult> {
 
 /// Like [`run_cells`], but a cell that fails engine setup reports its
 /// [`TopologyError`] in place instead of panicking the worker — one bad
-/// cell (e.g. a hand-built spec in the template) fails alone and the
-/// rest of the batch completes. `SweepGrid::expand` already runs the same
-/// setup check up front, so this is the belt for cells built or mutated
+/// cell (a hand-built spec, an out-of-range knob) fails alone and the
+/// rest of the batch completes. Engine setup runs the whole setup check
+/// ([`evm_core::runtime::check_setup`]) before it builds anything, so
+/// every scenario rule is reported here; `SweepGrid::expand` runs the
+/// same check up front, so this is the belt for cells built or mutated
 /// outside the grid DSL.
 #[must_use]
 pub fn run_cells_checked(
@@ -216,5 +218,37 @@ mod tests {
             &TopologyError::ZeroTiming("sample_every")
         );
         assert!(out[1].is_ok());
+    }
+
+    /// Detector parameters out of range fail their own cells with typed
+    /// errors; they used to pass the setup check and panic the worker
+    /// inside the deviation detector.
+    #[test]
+    fn checked_run_reports_bad_detection_in_place() {
+        use evm_core::runtime::Scenario;
+        use evm_sim::SimDuration;
+        let mut template = Scenario::fig5();
+        template.duration = SimDuration::from_secs(2);
+        let mut cells = crate::grid::SweepGrid::new(template)
+            .over_loss(&[0.0, 0.1, 0.2])
+            .expand();
+        cells[0].scenario.detect_consecutive = 0;
+        cells[1].scenario.detect_threshold = -1.0;
+        let out = run_cells_checked(&cells, 2);
+        assert_eq!(
+            out[0].as_ref().unwrap_err(),
+            &TopologyError::InvalidKnob {
+                knob: "detect_consecutive",
+                rule: "must be at least 1"
+            }
+        );
+        assert_eq!(
+            out[1].as_ref().unwrap_err(),
+            &TopologyError::InvalidKnob {
+                knob: "detect_threshold",
+                rule: "must be non-negative"
+            }
+        );
+        assert!(out[2].is_ok());
     }
 }

@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use evm_core::runtime::{
-    check_setup, Layout, ReroutePolicy, Role, Scenario, TopologyShape, TopologySpec, MAX_VCS,
+    check_setup, Layout, ReroutePolicy, Role, Scenario, TopologyShape, TopologySpec,
 };
 use evm_sim::derive_seed;
 
@@ -281,16 +281,10 @@ impl SweepGrid {
 
     /// Sweeps the number of Virtual Components hosted on the shared cycle
     /// (each cell rebuilds its topology at that VC count and re-derives
-    /// the hosting manifest via `Scenario::host_vcs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is outside `1..=MAX_VCS`.
+    /// the hosting manifest via `Scenario::host_vcs`). A count the layout
+    /// cannot host is rejected at expansion.
     #[must_use]
     pub fn over_vcs(self, vcs: &[usize]) -> Self {
-        for &n in vcs {
-            assert!((1..=MAX_VCS).contains(&n), "vc count out of range: {n}");
-        }
         self.axis("vcs", vcs, |d, n| d.shape().vcs = n)
     }
 
@@ -318,20 +312,15 @@ impl SweepGrid {
         })
     }
 
-    /// Sweeps the extra per-link Bernoulli loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `[0, 1]`.
+    /// Sweeps the extra per-link Bernoulli loss probability. A
+    /// probability outside `[0, 1]` is rejected at expansion.
     #[must_use]
     pub fn over_loss(self, losses: &[f64]) -> Self {
-        for &p in losses {
-            assert!((0.0..=1.0).contains(&p), "loss out of [0,1]: {p}");
-        }
         self.axis("loss", losses, |d, p| d.scenario.extra_loss = p)
     }
 
-    /// Sweeps the deviation detector's `(threshold, consecutive)` pair.
+    /// Sweeps the deviation detector's `(threshold, consecutive)` pair. A
+    /// negative threshold or zero count is rejected at expansion.
     #[must_use]
     pub fn over_detection(self, detection: &[(f64, u32)]) -> Self {
         self.axis("detection", detection, |d, (threshold, consecutive)| {
@@ -404,15 +393,15 @@ impl SweepGrid {
     ///
     /// Each cell applies its axis edits to the template, rebuilds its
     /// topology and hosting manifest once if a topology axis touched it,
-    /// and then passes the first stage of engine setup ([`check_setup`]).
-    /// A malformed grid therefore fails fast at definition, with the cell
-    /// id and the typed error, instead of panicking a worker hours into
-    /// the batch.
+    /// and then passes the setup check ([`check_setup`]). A malformed
+    /// grid therefore fails fast at definition, with the cell id and the
+    /// typed error, instead of panicking a worker hours into the batch.
     ///
     /// # Panics
     ///
-    /// Panics if a cell's topology shape cannot be built or the cell
-    /// fails the setup check.
+    /// Panics with the cell id and the typed error of the first cell
+    /// whose topology shape cannot be built or that fails the setup
+    /// check.
     #[must_use]
     pub fn expand(&self) -> Vec<SweepCell> {
         let len = self.len();
@@ -433,7 +422,9 @@ impl SweepGrid {
                     shape,
                 } = draft;
                 if let Some(shape) = &shape {
-                    scenario.topology = shape.materialize();
+                    scenario.topology = shape
+                        .materialize()
+                        .unwrap_or_else(|e| panic!("sweep cell {id}: {e}"));
                     scenario.host_vcs(shape.vcs);
                 }
                 scenario.seed = derive_seed(self.base_seed, id as u64);
@@ -560,9 +551,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "loss out of [0,1]")]
+    #[should_panic(expected = "sweep cell 0: scenario knob extra_loss out of [0, 1]")]
     fn bad_loss_axis_rejected() {
-        let _ = SweepGrid::new(short_template()).over_loss(&[1.5]);
+        let _ = SweepGrid::new(short_template()).over_loss(&[1.5]).expand();
     }
 
     #[test]
@@ -588,9 +579,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "vc count out of range")]
+    #[should_panic(expected = "sweep cell 0: vc count out of range: 0-VC star layout")]
     fn bad_vcs_axis_rejected() {
-        let _ = SweepGrid::new(short_template()).over_vcs(&[0]);
+        let _ = SweepGrid::new(short_template()).over_vcs(&[0]).expand();
     }
 
     /// The `over_topology` axis rebuilds each cell's topology per layout

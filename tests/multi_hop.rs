@@ -30,7 +30,10 @@ type FlowTuple = (u16, u16, Vec<u16>, FlowKind, Option<usize>);
 
 fn routed_tuples(spec: &TopologySpec) -> (Vec<FlowTuple>, Vec<(u16, Vec<RelayJob>)>) {
     let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
-    let (topo, map) = spec.resolve(&mut ch);
+    let (topo, map) = spec
+        .clone()
+        .try_into_resolved(&mut ch)
+        .expect("spec resolves");
     let routed = route_flows(&topo, &synth_flows(&map)).expect("routable");
     let flows = routed
         .flows
