@@ -9,7 +9,7 @@
 //! runtime topology-generic.
 
 use evm_netsim::NodeId;
-use evm_plant::{GasPlant, RegisterMap};
+use evm_plant::GasPlant;
 use evm_sim::{SimRng, SimTime, Trace};
 
 use crate::roles::ControllerMode;
@@ -62,10 +62,9 @@ pub struct NodeCtx<'a> {
     pub rng: &'a mut SimRng,
     /// The structured event log.
     pub trace: &'a mut Trace,
-    /// The plant (only the gateway bridges to it).
+    /// The plant (only the gateway bridges to it, through registers
+    /// bound at setup).
     pub plant: &'a mut GasPlant,
-    /// The ModBus register map.
-    pub regmap: &'a RegisterMap,
     /// Side effects for the driver to apply after the callback.
     pub effects: &'a mut Vec<Effect>,
     /// Timers to schedule for this node: `(fire_at, timer)`.

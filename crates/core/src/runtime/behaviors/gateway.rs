@@ -1,5 +1,6 @@
 //! The gateway node: ModBus bridge between the plant and the radio.
 
+use evm_plant::{BoundHolding, BoundInput};
 use evm_sim::SimTime;
 
 use crate::runtime::behavior::{Effect, NodeCtx};
@@ -11,27 +12,46 @@ use crate::runtime::Message;
 /// every hosted Virtual Component, applies forwarded actuations to each
 /// VC's register, and — for VCs without an actuator node — gates that
 /// VC's controller outputs itself. All per-VC state is indexed by
-/// [`VcId`].
+/// [`VcId`]. Registers are bound to plant handles at setup, so serving
+/// a downlink or an actuation looks nothing up by address or name.
 pub struct GatewayNode {
     /// Gaussian measurement noise added to each VC's focus PV read.
     noise_std: f64,
-    /// Actuation holding register per VC.
-    act_registers: Vec<u16>,
+    /// Each VC's actuation holding register; `None` where the plant
+    /// cannot be commanded through it (the write is then dropped).
+    act: Vec<Option<BoundHolding>>,
+    /// Every VC's sensor input registers, concatenated in `VcId` then
+    /// tag order; `None` where the register reads no plant measurement
+    /// (that downlink stays empty).
+    inputs: Vec<Option<BoundInput>>,
+    /// VC `vc`'s sensor registers are `inputs[input_base[vc]..
+    /// input_base[vc + 1]]`.
+    input_base: Vec<u32>,
     /// Per-VC gate; `Some` when this gateway is that VC's actuation
     /// endpoint (no actuator node in the VC).
     gates: Vec<Option<ActuationGate>>,
 }
 
 impl GatewayNode {
-    /// Builds the gateway. `act_registers[vc]` is VC `vc`'s actuation
-    /// holding register; `gates[vc]` is `Some` where the gateway is the
-    /// actuation endpoint.
+    /// Builds the gateway. `act[vc]` is VC `vc`'s bound actuation
+    /// register, `inputs` and `input_base` its bound sensor registers
+    /// (see the fields), and `gates[vc]` is `Some` where the gateway is
+    /// the actuation endpoint.
     #[must_use]
-    pub fn new(noise_std: f64, act_registers: Vec<u16>, gates: Vec<Option<ActuationGate>>) -> Self {
-        debug_assert_eq!(act_registers.len(), gates.len());
+    pub fn new(
+        noise_std: f64,
+        act: Vec<Option<BoundHolding>>,
+        inputs: Vec<Option<BoundInput>>,
+        input_base: Vec<u32>,
+        gates: Vec<Option<ActuationGate>>,
+    ) -> Self {
+        debug_assert_eq!(act.len(), gates.len());
+        debug_assert_eq!(input_base.len(), gates.len() + 1);
         GatewayNode {
             noise_std,
-            act_registers,
+            act,
+            inputs,
+            input_base,
             gates,
         }
     }
@@ -39,9 +59,24 @@ impl GatewayNode {
     /// Writes an accepted actuation to the VC's plant register and
     /// accounts for it.
     fn actuate(&self, vc: VcId, value: f64, pv_sampled_at: SimTime, ctx: &mut NodeCtx<'_>) {
-        let register = self.act_registers[vc as usize];
-        let _ = ctx.regmap.write_scaled(ctx.plant, register, value);
+        if let Some(register) = &self.act[vc as usize] {
+            let _ = register.write(ctx.plant, value);
+        }
         ctx.effects.push(Effect::Actuated { vc, pv_sampled_at });
+    }
+
+    /// VC `vc`'s bound input register for sensor `tag`, if it has one.
+    fn input(&self, vc: VcId, tag: u8) -> Option<BoundInput> {
+        let (lo, hi) = (
+            self.input_base[vc as usize],
+            self.input_base[vc as usize + 1],
+        );
+        let ix = lo + u32::from(tag);
+        if ix < hi {
+            self.inputs[ix as usize]
+        } else {
+            None
+        }
     }
 
     /// Serves a HIL downlink from the plant's register map.
@@ -52,8 +87,7 @@ impl GatewayNode {
     ) -> Option<Message> {
         match kind {
             FlowKind::HilDownlink { vc, tag } => {
-                let register = *ctx.vcs.vc(vc).sensor_registers.get(tag as usize)?;
-                let mut v = ctx.regmap.read_scaled(ctx.plant, register).ok()?;
+                let mut v = self.input(vc, tag)?.read(ctx.plant);
                 // Measurement noise applies at the focus PV interface.
                 if tag == 0 && self.noise_std > 0.0 {
                     v += ctx.rng.normal(0.0, self.noise_std);

@@ -22,12 +22,11 @@
 //! (arbitration, failover commits) in [`super::failover`], capsule
 //! migration in [`super::xfer`].
 
-use std::collections::HashMap;
 use std::mem;
 
 use evm_mac::rtlink::{RtLink, SlotSchedule};
 use evm_netsim::{Battery, Channel, EnergyMeter, Frame, FrameKind, NodeId, RadioState, Topology};
-use evm_plant::{BoundTag, GasPlant, LocalController, Plant, RegisterMap};
+use evm_plant::{BoundTag, GasPlant, LocalController, LoopTags, Plant};
 use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
 
 use crate::bytecode::{Capsule, CapsuleId};
@@ -100,8 +99,9 @@ pub struct Engine {
     /// hosted loops' names (into [`Engine::components`]) are empty.
     pub(super) scenario: Scenario,
     pub(super) plant: GasPlant,
-    pub(super) regmap: RegisterMap,
-    pub(super) local_loops: Vec<LocalController>,
+    /// The wired loops the gateway runs against the plant directly, with
+    /// their tags bound at setup.
+    pub(super) local_loops: Vec<(LocalController, LoopTags)>,
     pub(super) channel: Channel,
     /// The deployment, owner of the node labels (`NodeCtx.label` borrows
     /// them; [`Engine::finalize`] moves them into the result).
@@ -130,7 +130,10 @@ pub struct Engine {
     /// Every deployed node, indexed like [`Engine::meters`].
     pub(super) nodes: Vec<Node>,
 
-    pub(super) series: HashMap<String, TimeSeries>,
+    /// The sampled plant series, one per distinct sampled tag, each with
+    /// its tag's handle (`None` when the plant does not publish it, and
+    /// the series then stays empty).
+    pub(super) series: Vec<(Option<BoundTag>, TimeSeries)>,
     /// Per-replica controller-mode traces, keyed by the replica's dense
     /// index.
     pub(super) mode_series: Vec<(usize, TimeSeries)>,
@@ -415,6 +418,7 @@ impl Engine {
             series: self
                 .series
                 .into_iter()
+                .map(|(_, s)| (s.name().to_string(), s))
                 .chain(
                     self.mode_series
                         .into_iter()
@@ -478,7 +482,6 @@ impl Engine {
             rng: &mut self.rng,
             trace: &mut self.trace,
             plant: &mut self.plant,
-            regmap: &self.regmap,
             effects: &mut effects,
             timers: &mut timers,
         };
@@ -539,8 +542,8 @@ impl Engine {
         let dt = self.scenario.plant_dt;
         // Wired loops run at the gateway against the plant directly.
         let now_s = self.now.as_secs_f64();
-        for c in &mut self.local_loops {
-            let _ = c.poll(&mut self.plant, now_s);
+        for (c, tags) in &mut self.local_loops {
+            let _ = c.poll_bound(&mut self.plant, *tags, now_s);
         }
         self.plant.step(dt.as_secs_f64());
         self.queue.push(self.now + dt, Ev::PlantStep);
@@ -548,8 +551,8 @@ impl Engine {
 
     fn on_sample(&mut self) {
         for (tag, series) in &mut self.series {
-            if let Some(v) = self.plant.read_tag(tag) {
-                series.push(self.now, v);
+            if let Some(tag) = *tag {
+                series.push(self.now, self.plant.read_bound(tag));
             }
         }
         for (ix, series) in &mut self.mode_series {

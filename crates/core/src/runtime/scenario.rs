@@ -384,8 +384,8 @@ impl TopologyShape {
     ///
     /// [`TopologyError::InvalidShape`] if a star or clustered layout hosts
     /// a VC count outside `1..=MAX_VCS`, a line or grid more than one VC,
-    /// a star or grid backup relays, a line zero hops, or a lattice has
-    /// fewer cells than roles.
+    /// a star has a NaN or infinite ring radius, a star or grid backup
+    /// relays, a line zero hops, or a lattice has fewer cells than roles.
     #[deny(clippy::panic_in_result_fn)]
     pub fn materialize(&self) -> Result<TopologySpec, TopologyError> {
         let (s, c, a, h) = (self.sensors, self.controllers, self.actuators, self.head);
@@ -395,6 +395,7 @@ impl TopologyShape {
             }
             Layout::Line { .. } if self.vcs != 1 => Some("line layouts host a single VC"),
             Layout::Grid { .. } if self.vcs != 1 => Some("grid layouts host a single VC"),
+            Layout::Star if !self.radius_m.is_finite() => Some("the ring radius must be finite"),
             Layout::Star | Layout::Grid { .. } if self.backup_relays > 0 => {
                 Some("backup relays need a line or clustered layout")
             }
@@ -719,6 +720,8 @@ impl ScenarioBuilder {
     }
 
     /// Crashes an arbitrary node at `at` (sensors, actuators, the head).
+    /// A node the deployment does not have is rejected by the setup
+    /// check ([`TopologyError::FaultOnMissingNode`]).
     #[must_use]
     pub fn crash_node_at(mut self, node: evm_netsim::NodeId, at: SimTime) -> Self {
         self.inner

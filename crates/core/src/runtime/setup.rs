@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use evm_mac::rtlink::RtLink;
 use evm_netsim::{Channel, EnergyMeter, NodeId, RadioPowerModel, Topology};
-use evm_plant::{GasPlant, LocalController, RegisterMap};
+use evm_plant::{BoundTag, GasPlant, LocalController, LoopTags, RegisterMap};
 use evm_rtos::Kernel;
 use evm_sim::{EventQueue, SimDuration, SimRng, SimTime, TimeSeries, Trace};
 
@@ -137,6 +137,26 @@ pub(crate) fn check_scenario(s: &Scenario, hosted: usize) -> Result<(), Topology
     }
 }
 
+/// The fault-plan stage of the setup check: every scripted crash and
+/// link blackout names deployed nodes. A fault on a missing node would
+/// otherwise be dropped silently and the run would go fault-free.
+#[deny(clippy::panic_in_result_fn)]
+fn check_fault_plan(scenario: &Scenario, topology: &Topology) -> Result<(), TopologyError> {
+    let plan = &scenario.fault_plan;
+    let crashes = plan.crashes().iter().map(|c| (c.node, c.at));
+    let blackouts = plan
+        .blackouts()
+        .iter()
+        .flat_map(|b| [(b.from, b.at), (b.to, b.at)]);
+    match crashes
+        .chain(blackouts)
+        .find(|&(node, _)| topology.index_of(node).is_none())
+    {
+        Some((node, at)) => Err(TopologyError::FaultOnMissingNode { node, at }),
+        None => Ok(()),
+    }
+}
+
 /// The setup check's result: the resolved deployment, each VC's loop
 /// registers and the epoch-0 configuration. [`Engine::try_new`] builds
 /// the engine from it; batch runners call [`check_setup`] alone to reject
@@ -157,7 +177,8 @@ pub struct CheckedSetup {
 ///
 /// 1. the scenario: knob rules and the crash script against the hosting
 ///    manifest;
-/// 2. the topology spec, resolved (roles, ids, labels, registers);
+/// 2. the topology spec, resolved (positions, roles, ids, labels,
+///    registers), and the fault plan against the resolved nodes;
 /// 3. the manifest against the spec's VC count, and each VC's loop
 ///    against the plant's register map;
 /// 4. epoch 0 (routes, slot schedule, transfer lane), computed with
@@ -170,6 +191,7 @@ pub struct CheckedSetup {
 ///
 /// [`TopologyError`] for a knob that breaks its rule, cold standby
 /// without transfer slots, a crash on an unhosted VC, a malformed spec, a
+/// scripted crash or blackout on a node the deployment does not have, a
 /// manifest whose loop count differs from the topology's VC count, a
 /// loop whose registers do not fit the plant or its focus sensor, an
 /// unroutable flow, or flows (or transfer lane) that do not fit the
@@ -188,6 +210,7 @@ fn check_with_spec(scenario: &Scenario, spec: TopologySpec) -> Result<CheckedSet
     let mut rng = SimRng::seed_from(scenario.seed);
     let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
     let (topology, vcs) = spec.try_into_resolved(&mut channel)?;
+    check_fault_plan(scenario, &topology)?;
     if vcs.n_vcs() != scenario.n_vcs() {
         return Err(TopologyError::ManifestMismatch {
             topology: vcs.n_vcs(),
@@ -280,7 +303,7 @@ impl Engine {
             topology,
             vcs,
             regmap,
-            mut act_registers,
+            act_registers,
             epoch0,
         } = check_with_spec(&scenario, spec)?;
 
@@ -349,11 +372,18 @@ impl Engine {
             .collect();
 
         // --- Plant + local (wired) loops for the unhosted loops --------
+        // Every plant access of the run goes through handles bound in
+        // this function: the wired loops', the gateway's registers, the
+        // sampled series' and the error traces' tags.
         let plant = GasPlant::default();
-        let local_loops: Vec<LocalController> = evm_plant::standard_loops()
+        let local_loops: Vec<(LocalController, LoopTags)> = evm_plant::standard_loops()
             .into_iter()
             .filter(|l| (0..plans.len()).all(|vc| scenario.vc_loop(vc as VcId).name != l.name))
-            .map(LocalController::new)
+            .map(|l| {
+                let c = LocalController::new(l);
+                let tags = c.bind(&plant).expect("standard loops fit the plant");
+                (c, tags)
+            })
             .collect();
 
         // --- Dense node → duty table (roles are disjoint across VCs) ---
@@ -436,6 +466,22 @@ impl Engine {
                 // per VC without an actuator node: the gateway is then that
                 // VC's actuation endpoint.
                 None => {
+                    let act = act_registers
+                        .iter()
+                        .map(|&r| regmap.bind_holding(&plant, r))
+                        .collect();
+                    let mut inputs =
+                        Vec::with_capacity(vcs.vcs.iter().map(|r| r.sensor_registers.len()).sum());
+                    let mut input_base = Vec::with_capacity(vcs.n_vcs() + 1);
+                    input_base.push(0);
+                    for r in &vcs.vcs {
+                        inputs.extend(
+                            r.sensor_registers
+                                .iter()
+                                .map(|&reg| regmap.bind_input(&plant, reg)),
+                        );
+                        input_base.push(u32::try_from(inputs.len()).expect("registers fit u32"));
+                    }
                     let gates = vcs
                         .vcs
                         .iter()
@@ -447,7 +493,9 @@ impl Engine {
                         .collect();
                     Node::Gateway(Box::new(GatewayNode::new(
                         scenario.sensor_noise_std,
-                        std::mem::take(&mut act_registers),
+                        act,
+                        inputs,
+                        input_base,
                         gates,
                     )))
                 }
@@ -494,11 +542,15 @@ impl Engine {
             })
             .collect();
 
-        let series = scenario
-            .sampled_tags
-            .iter()
-            .map(|t| (t.clone(), TimeSeries::new(t.clone())))
-            .collect();
+        // One series per distinct sampled tag; a tag the plant does not
+        // publish keeps an empty series.
+        let mut series: Vec<(Option<BoundTag>, TimeSeries)> =
+            Vec::with_capacity(scenario.sampled_tags.len());
+        for t in &scenario.sampled_tags {
+            if series.iter().all(|(_, s)| s.name() != t) {
+                series.push((plant.bind_tag(t), TimeSeries::new(t.clone())));
+            }
+        }
         let mode_series = vcs
             .all_controllers()
             .map(|(_, n)| {
@@ -530,7 +582,6 @@ impl Engine {
 
         let mut engine = Engine {
             plant,
-            regmap,
             local_loops,
             channel,
             topology,
@@ -575,7 +626,7 @@ impl Engine {
         // empty, which should be visible in the trace, not silent.
         for roles in &engine.vcs.vcs {
             for (tag, &reg) in roles.sensor_registers.iter().enumerate().skip(1) {
-                if engine.regmap.tag_of(reg).is_none() {
+                if regmap.tag_of(reg).is_none() {
                     let label = engine.label_of(roles.sensors[tag]);
                     engine.trace.log(
                         SimTime::ZERO,
@@ -591,7 +642,7 @@ impl Engine {
         let duration = engine.scenario.duration;
         let samples = usize::try_from(duration / engine.scenario.sample_every + 2)
             .expect("sample count fits usize");
-        for s in engine.series.values_mut() {
+        for (_, s) in &mut engine.series {
             s.reserve(samples);
         }
         for (_, s) in &mut engine.mode_series {

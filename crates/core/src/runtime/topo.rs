@@ -741,6 +741,9 @@ pub enum TopologyError {
     DuplicateNodeId(NodeId),
     /// Two nodes share a label (per-node results are keyed by label).
     DuplicateLabel(String),
+    /// A node's position has a NaN or infinite coordinate, which the
+    /// link model cannot turn into a distance.
+    NonFinitePosition(NodeId),
     /// A sensor node has no input register.
     MissingSensorRegister(NodeId),
     /// A VC has two head nodes.
@@ -762,6 +765,14 @@ pub enum TopologyError {
         topology: usize,
         /// Loops the manifest names.
         manifest: usize,
+    },
+    /// A scripted crash or link blackout of the scenario's fault plan
+    /// names a node the deployment does not have.
+    FaultOnMissingNode {
+        /// The named node.
+        node: NodeId,
+        /// When the crash or blackout was scripted to start.
+        at: SimTime,
     },
     /// A scripted primary crash targets a VC the deployment does not host.
     CrashOnUnhostedVc {
@@ -824,6 +835,9 @@ impl std::fmt::Display for TopologyError {
             TopologyError::DuplicateGateway => write!(f, "two gateways in topology spec"),
             TopologyError::DuplicateNodeId(n) => write!(f, "duplicate node id {n}"),
             TopologyError::DuplicateLabel(l) => write!(f, "duplicate node label {l:?}"),
+            TopologyError::NonFinitePosition(n) => {
+                write!(f, "node {n} needs a finite position")
+            }
             TopologyError::MissingSensorRegister(n) => {
                 write!(f, "sensor {n} needs an input register")
             }
@@ -847,6 +861,10 @@ impl std::fmt::Display for TopologyError {
                 f,
                 "topology hosts {topology} VC(s) but the scenario's manifest names \
                  {manifest} loop(s); pair `.vcs(n)` / `multi_star` with `Scenario::host_vcs`"
+            ),
+            TopologyError::FaultOnMissingNode { node, at } => write!(
+                f,
+                "fault at {at} targets node {node}, which the deployment does not have"
             ),
             TopologyError::CrashOnUnhostedVc { vc, at, hosted } => write!(
                 f,
@@ -872,10 +890,18 @@ impl std::fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// The deployment-wide checks of [`VcMap::try_from_spec`], in order:
-/// unique node ids, unique labels (a run's per-node energy and mode
-/// series are keyed by label), then exactly one gateway, whose id is
-/// returned.
+/// finite positions (a NaN distance would otherwise read as a perfect
+/// link), unique node ids, unique labels (a run's per-node energy and
+/// mode series are keyed by label), then exactly one gateway, whose id
+/// is returned.
 fn check_nodes(spec: &TopologySpec) -> Result<NodeId, TopologyError> {
+    if let Some(n) = spec
+        .nodes
+        .iter()
+        .find(|n| !(n.position.x.is_finite() && n.position.y.is_finite()))
+    {
+        return Err(TopologyError::NonFinitePosition(n.id));
+    }
     let mut ids: Vec<NodeId> = spec.nodes.iter().map(|n| n.id).collect();
     ids.sort_unstable();
     if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {

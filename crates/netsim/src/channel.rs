@@ -339,9 +339,27 @@ fn received_dbm(config: &ChannelConfig, d: f64, shadow_db: f64) -> f64 {
 }
 
 /// Packet error rate of an `air_bytes`-byte frame at bit error rate
-/// `ber`.
+/// `ber`: `1 - (1 - ber)^bits`.
+///
+/// A link whose BER rounds away against 1 (exactly 0, as on every short
+/// link, or below 2⁻⁵³) has `1 - ber == 1`, whose every power is exactly
+/// 1, so its PER is exactly 0 without the power. The lossy case stays a
+/// call, so the compiler cannot if-convert the branch into an
+/// unconditional power plus a select.
+#[inline]
 fn per_from_ber(ber: f64, air_bytes: usize) -> f64 {
-    1.0 - (1.0 - ber).powi((air_bytes * 8) as i32)
+    let keep = 1.0 - ber;
+    if keep == 1.0 {
+        0.0
+    } else {
+        lossy_per(keep, air_bytes)
+    }
+}
+
+/// `1 - keep^bits` for a frame of `air_bytes` bytes.
+#[inline(never)]
+fn lossy_per(keep: f64, air_bytes: usize) -> f64 {
+    1.0 - keep.powi((air_bytes * 8) as i32)
 }
 
 /// BER of IEEE 802.15.4 O-QPSK with DSSS as a function of SNR in dB.
@@ -581,5 +599,31 @@ mod tests {
                 "PER {per} at d={d} bytes={bytes}"
             );
         }
+    }
+
+    /// The lossless shortcut of `per_from_ber` has the closed form's
+    /// bits: on BERs that vanish against 1, at the edge (2⁻⁵⁴ rounds
+    /// away, 2⁻⁵³ does not) and above it, for every frame length the
+    /// radio sends.
+    #[test]
+    fn per_shortcut_is_bit_identical_to_the_closed_form() {
+        let bers = [
+            0.0,
+            1e-300,
+            2f64.powi(-54),
+            2f64.powi(-53),
+            1e-16,
+            1e-9,
+            1e-3,
+        ];
+        for ber in bers {
+            for bytes in 5..=133usize {
+                let closed = 1.0 - (1.0 - ber).powi((bytes * 8) as i32);
+                let got = per_from_ber(ber, bytes);
+                assert_eq!(got.to_bits(), closed.to_bits(), "BER {ber:e}, {bytes} B");
+            }
+        }
+        assert_eq!(per_from_ber(2f64.powi(-54), 133).to_bits(), 0);
+        assert!(per_from_ber(2f64.powi(-53), 5) > 0.0);
     }
 }

@@ -8,6 +8,7 @@
 //! baseline) or be compiled into an EVM capsule and hosted on wireless
 //! controller nodes.
 
+use crate::gasplant::{BoundActuator, BoundTag, GasPlant};
 use crate::pid::{PidController, PidParams, SecondOrderFilter};
 use crate::Plant;
 
@@ -30,6 +31,14 @@ pub struct ControlLoopSpec {
     pub period_s: f64,
     /// Nominal output for bumpless start.
     pub nominal_output: f64,
+}
+
+/// A loop's PV and OP tags resolved to [`GasPlant`] handles once, by
+/// [`LocalController::bind`], for [`LocalController::poll_bound`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopTags {
+    pv: BoundTag,
+    op: BoundActuator,
 }
 
 /// A runnable controller instance built from a [`ControlLoopSpec`].
@@ -80,17 +89,53 @@ impl LocalController {
         self.pid.update(pv, dt_s)
     }
 
+    /// Resolves the loop's PV and OP tags against `plant`; `None` if the
+    /// plant does not publish the PV or cannot be commanded on the OP.
+    #[must_use]
+    pub fn bind(&self, plant: &GasPlant) -> Option<LoopTags> {
+        Some(LoopTags {
+            pv: plant.bind_tag(&self.spec.pv_tag)?,
+            op: plant.bind_actuator(&self.spec.op_tag)?,
+        })
+    }
+
+    /// `true` if the loop's period has elapsed at `now_s`, and then the
+    /// next deadline is armed: the due check both poll paths share.
+    fn take_due(&mut self, now_s: f64) -> bool {
+        if now_s + 1e-9 < self.next_due_s {
+            return false;
+        }
+        self.next_due_s = now_s + self.spec.period_s;
+        true
+    }
+
     /// Runs the loop against a [`Plant`] if its period has elapsed;
     /// returns the command written, if any.
     pub fn poll(&mut self, plant: &mut dyn Plant, now_s: f64) -> Option<f64> {
-        if now_s + 1e-9 < self.next_due_s {
+        if !self.take_due(now_s) {
             return None;
         }
-        self.next_due_s = now_s + self.spec.period_s;
         let pv = plant.read_tag(&self.spec.pv_tag)?;
         let out = self.compute(pv, self.spec.period_s);
         plant
             .write_tag(&self.spec.op_tag, out)
+            .expect("actuator tag must be writable");
+        Some(out)
+    }
+
+    /// [`LocalController::poll`] through tags bound once: the same due
+    /// check, arithmetic and command, without a lookup by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the control law computes a NaN command, as `poll` does.
+    pub fn poll_bound(&mut self, plant: &mut GasPlant, tags: LoopTags, now_s: f64) -> Option<f64> {
+        if !self.take_due(now_s) {
+            return None;
+        }
+        let out = self.compute(plant.read_bound(tags.pv), self.spec.period_s);
+        plant
+            .write_bound(tags.op, out)
             .expect("actuator tag must be writable");
         Some(out)
     }
@@ -236,6 +281,52 @@ mod tests {
         assert!(ctrl.poll(&mut plant, 0.0).is_some());
         assert!(ctrl.poll(&mut plant, 0.1).is_none(), "before period");
         assert!(ctrl.poll(&mut plant, 0.25).is_some());
+    }
+
+    /// Every standard loop, wired through bound tags, makes the same
+    /// commands and leaves the plant with the same bits as the name path
+    /// over 10k plant steps.
+    #[test]
+    fn bound_poll_matches_poll_bit_for_bit() {
+        let mut by_name = GasPlant::default();
+        let mut by_handle = by_name.clone();
+        let mut named: Vec<LocalController> = standard_loops()
+            .into_iter()
+            .map(LocalController::new)
+            .collect();
+        let mut bound: Vec<(LocalController, LoopTags)> = named
+            .iter()
+            .map(|c| (c.clone(), c.bind(&by_handle).expect("standard loops bind")))
+            .collect();
+        let dt = 0.1;
+        for k in 0..10_000u32 {
+            let t = f64::from(k) * dt;
+            for (a, (b, tags)) in named.iter_mut().zip(&mut bound) {
+                let want = a.poll(&mut by_name, t).map(f64::to_bits);
+                let got = b.poll_bound(&mut by_handle, *tags, t).map(f64::to_bits);
+                assert_eq!(got, want, "{} at step {k}", a.spec().name);
+            }
+            by_name.step(dt);
+            by_handle.step(dt);
+        }
+        for tag in crate::gasplant::MEASUREMENT_TAGS {
+            let (a, b) = (
+                by_name.read_tag(tag).unwrap(),
+                by_handle.read_tag(tag).unwrap(),
+            );
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag}");
+        }
+    }
+
+    #[test]
+    fn unpublished_tags_do_not_bind() {
+        let plant = GasPlant::default();
+        let mut spec = lts_level_loop();
+        spec.op_tag = "LTS.LiquidPct".into();
+        assert!(LocalController::new(spec.clone()).bind(&plant).is_none());
+        spec.op_tag = "LTSLiqValve.Cmd".into();
+        spec.pv_tag = "No.Such.Tag".into();
+        assert!(LocalController::new(spec).bind(&plant).is_none());
     }
 
     #[test]

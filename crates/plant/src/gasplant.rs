@@ -15,8 +15,6 @@
 //! in Fig. 6b), the other valves at mid-range. Vessel levels start at
 //! their 50 % setpoints.
 
-use std::collections::HashMap;
-
 use crate::blocks::{Chiller, Depropanizer, GasGasExchanger, Separator, Valve};
 use crate::stream::Stream;
 use crate::thermo::{flash, Composition};
@@ -93,8 +91,6 @@ pub struct GasPlant {
     /// exchanger, one-step delay for a stable explicit solution).
     lts_vapor_prev: Stream,
 
-    /// Tag name → position in [`MEASUREMENT_TAGS`] and `tag_values`.
-    tag_index: HashMap<&'static str, usize>,
     /// Latest published measurements, in [`MEASUREMENT_TAGS`] order.
     tag_values: [f64; MEASUREMENT_TAGS.len()],
     /// Elapsed simulation time, s.
@@ -104,10 +100,18 @@ pub struct GasPlant {
 /// A pre-resolved handle to one published plant tag.
 ///
 /// Obtained from [`GasPlant::bind_tag`] once, then read with
-/// [`GasPlant::read_bound`] without the per-read string hash of
+/// [`GasPlant::read_bound`] without the per-read name lookup of
 /// [`Plant::read_tag`]. Handles never go stale: the tag table is fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundTag(usize);
+
+/// A pre-resolved handle to one writable (actuator) plant tag.
+///
+/// Obtained from [`GasPlant::bind_actuator`] once, then written with
+/// [`GasPlant::write_bound`], the one write path: [`Plant::write_tag`]
+/// resolves the name and calls it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundActuator(usize);
 
 impl GasPlant {
     /// Builds and calibrates the plant at its steady operating point.
@@ -194,11 +198,6 @@ impl GasPlant {
             condenser_duty_pct: 60.0,
             feed,
             lts_vapor_prev,
-            tag_index: MEASUREMENT_TAGS
-                .iter()
-                .enumerate()
-                .map(|(ix, &tag)| (tag, ix))
-                .collect(),
             tag_values: [0.0; MEASUREMENT_TAGS.len()],
             elapsed_s: 0.0,
         };
@@ -239,13 +238,50 @@ impl GasPlant {
     /// snapshot, so every measurement tag reads a live value from step zero.
     #[must_use]
     pub fn bind_tag(&self, tag: &str) -> Option<BoundTag> {
-        self.tag_index.get(tag).copied().map(BoundTag)
+        MEASUREMENT_TAGS
+            .iter()
+            .position(|&t| t == tag)
+            .map(BoundTag)
     }
 
     /// Reads the latest value of a tag through its pre-resolved handle.
     #[must_use]
     pub fn read_bound(&self, slot: BoundTag) -> f64 {
         self.tag_values[slot.0]
+    }
+
+    /// Resolves a writable tag name to a reusable [`BoundActuator`]
+    /// handle: its position in [`ACTUATOR_TAGS`]. Returns `None` for
+    /// read-only and unknown tags.
+    #[must_use]
+    pub fn bind_actuator(&self, tag: &str) -> Option<BoundActuator> {
+        ACTUATOR_TAGS
+            .iter()
+            .position(|&t| t == tag)
+            .map(BoundActuator)
+    }
+
+    /// Commands an actuator through its pre-resolved handle. Valves and
+    /// duties clamp the command into their range (infinities included).
+    ///
+    /// # Errors
+    ///
+    /// Refuses a NaN command, which leaves the plant untouched.
+    pub fn write_bound(&mut self, act: BoundActuator, value: f64) -> Result<(), String> {
+        if value.is_nan() {
+            return Err(format!("command is NaN: {}", ACTUATOR_TAGS[act.0]));
+        }
+        match act.0 {
+            0 => self.sep_liq_valve.command(value),
+            1 => self.lts_liq_valve.command(value),
+            2 => self.chiller_valve.command(value),
+            3 => self.sales_valve.command(value),
+            4 => self.bottoms_valve.command(value),
+            5 => self.distillate_valve.command(value),
+            6 => self.reboiler_duty_pct = value.clamp(0.0, 100.0),
+            _ => self.condenser_duty_pct = value.clamp(0.0, 100.0),
+        }
+        Ok(())
     }
 }
 
@@ -279,7 +315,7 @@ pub const MEASUREMENT_TAGS: [&str; 25] = [
     "CondenserDuty.Pct",
 ];
 
-/// Names of all writable (actuator) tags.
+/// Names of all writable (actuator) tags, in [`BoundActuator`] order.
 pub const ACTUATOR_TAGS: [&str; 8] = [
     "SepLiqValve.Cmd",
     "LTSLiqValve.Cmd",
@@ -376,28 +412,15 @@ impl Plant for GasPlant {
     }
 
     fn read_tag(&self, tag: &str) -> Option<f64> {
-        self.tag_index.get(tag).map(|&ix| self.tag_values[ix])
+        self.bind_tag(tag).map(|slot| self.read_bound(slot))
     }
 
     fn write_tag(&mut self, tag: &str, value: f64) -> Result<(), String> {
-        match tag {
-            _ if value.is_nan() && ACTUATOR_TAGS.contains(&tag) => {
-                return Err(format!("command is NaN: {tag}"));
-            }
-            "SepLiqValve.Cmd" => self.sep_liq_valve.command(value),
-            "LTSLiqValve.Cmd" => self.lts_liq_valve.command(value),
-            "ChillerValve.Cmd" => self.chiller_valve.command(value),
-            "SalesValve.Cmd" => self.sales_valve.command(value),
-            "BottomsValve.Cmd" => self.bottoms_valve.command(value),
-            "DistillateValve.Cmd" => self.distillate_valve.command(value),
-            "ReboilerDuty.Cmd" => self.reboiler_duty_pct = value.clamp(0.0, 100.0),
-            "CondenserDuty.Cmd" => self.condenser_duty_pct = value.clamp(0.0, 100.0),
-            other if self.tag_index.contains_key(other) => {
-                return Err(format!("tag is read-only: {other}"));
-            }
-            other => return Err(format!("unknown tag: {other}")),
+        match self.bind_actuator(tag) {
+            Some(act) => self.write_bound(act, value),
+            None if self.bind_tag(tag).is_some() => Err(format!("tag is read-only: {tag}")),
+            None => Err(format!("unknown tag: {tag}")),
         }
-        Ok(())
     }
 
     fn tags(&self) -> Vec<String> {
@@ -565,6 +588,53 @@ mod tests {
         p.step(0.1);
         assert_eq!(p.read_tag("ReboilerDuty.Pct"), Some(0.0));
         assert!(p.lts_valve_pct() > 11.48 && p.lts_valve_pct() <= 100.0);
+    }
+
+    /// The handles are the name path minus the lookup: on every
+    /// actuator, `write_bound` returns what `write_tag` returns (the NaN
+    /// refusal included) and leaves the plant with the same bits (the
+    /// infinity and range clamps included); on every measurement,
+    /// `read_bound` reads what `read_tag` reads.
+    #[test]
+    fn handles_match_the_name_path_bit_for_bit() {
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -5.0,
+            0.0,
+            37.5,
+            100.0,
+            150.0,
+        ];
+        let mut by_name = GasPlant::default();
+        let mut by_handle = by_name.clone();
+        for (i, tag) in ACTUATOR_TAGS.iter().enumerate() {
+            let act = by_handle.bind_actuator(tag).expect("actuator binds");
+            assert_eq!(act, BoundActuator(i), "{tag}");
+            for v in values {
+                assert_eq!(
+                    by_name.write_tag(tag, v),
+                    by_handle.write_bound(act, v),
+                    "{tag} <- {v}"
+                );
+                by_name.step(0.1);
+                by_handle.step(0.1);
+                for m in MEASUREMENT_TAGS {
+                    let slot = by_handle.bind_tag(m).expect("measurement binds");
+                    let (a, b) = (by_name.read_tag(m).unwrap(), by_handle.read_bound(slot));
+                    assert_eq!(a.to_bits(), b.to_bits(), "{tag} <- {v}: {m}");
+                }
+            }
+        }
+        for tag in MEASUREMENT_TAGS {
+            assert!(by_handle.bind_actuator(tag).is_none(), "{tag} is read-only");
+        }
+        assert!(by_handle.bind_actuator("No.Such.Tag").is_none());
+        assert!(by_name
+            .write_tag("No.Such.Tag", 1.0)
+            .unwrap_err()
+            .contains("unknown"));
     }
 
     #[test]

@@ -38,11 +38,11 @@ pub mod stream;
 pub mod thermo;
 
 pub use control::{
-    lts_level_loop, standard_loops, vc_host_loops, ControlLoopSpec, LocalController,
+    lts_level_loop, standard_loops, vc_host_loops, ControlLoopSpec, LocalController, LoopTags,
 };
 pub use faults::ActuatorFault;
-pub use gasplant::{BoundTag, GasPlant, PlantConfig};
-pub use modbus::{ModbusError, RegisterMap};
+pub use gasplant::{BoundActuator, BoundTag, GasPlant, PlantConfig};
+pub use modbus::{BoundHolding, BoundInput, ModbusError, RegisterMap};
 pub use pid::{PidController, PidParams, SecondOrderFilter};
 pub use stream::Stream;
 pub use thermo::{flash, Component, Composition, FlashResult, N_COMPONENTS};

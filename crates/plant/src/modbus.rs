@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::gasplant::{BoundActuator, BoundTag, GasPlant};
 use crate::Plant;
 
 /// Errors from register operations.
@@ -55,6 +56,47 @@ fn to_raw(v: f64, scale: f64, offset: f64) -> u16 {
 /// Engineering value `v` as it arrives after a trip through the wire.
 fn quantize(v: f64, scale: f64, offset: f64) -> f64 {
     f64::from(to_raw(v, scale, offset)) * scale + offset
+}
+
+/// A register whose tag is a [`GasPlant`] measurement, resolved once by
+/// [`RegisterMap::bind_input`]: reads skip the register and tag lookups.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundInput {
+    tag: BoundTag,
+    scale: f64,
+    offset: f64,
+}
+
+impl BoundInput {
+    /// [`RegisterMap::read_scaled`] through the handle: the same
+    /// quantized engineering value.
+    #[must_use]
+    pub fn read(&self, plant: &GasPlant) -> f64 {
+        quantize(plant.read_bound(self.tag), self.scale, self.offset)
+    }
+}
+
+/// A holding register whose tag is a [`GasPlant`] actuator, resolved
+/// once by [`RegisterMap::bind_holding`]: writes skip the register and
+/// tag lookups.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundHolding {
+    act: BoundActuator,
+    scale: f64,
+    offset: f64,
+}
+
+impl BoundHolding {
+    /// [`RegisterMap::write_scaled`] through the handle: the command is
+    /// quantized through the register exactly as the wire would.
+    ///
+    /// # Errors
+    ///
+    /// None in practice: a quantized command is never NaN, the one
+    /// value [`GasPlant::write_bound`] refuses.
+    pub fn write(&self, plant: &mut GasPlant, value: f64) -> Result<(), String> {
+        plant.write_bound(self.act, quantize(value, self.scale, self.offset))
+    }
 }
 
 /// A ModBus register map over a [`Plant`]'s tags.
@@ -132,6 +174,32 @@ impl RegisterMap {
             .iter()
             .find(|(_, e)| e.writable && e.tag == tag)
             .map(|(&addr, _)| addr)
+    }
+
+    /// Resolves register `addr` for reads from `plant`; `None` if it is
+    /// unmapped or its tag is not a published measurement (the cases in
+    /// which [`RegisterMap::read_scaled`] fails).
+    #[must_use]
+    pub fn bind_input(&self, plant: &GasPlant, addr: u16) -> Option<BoundInput> {
+        let e = self.regs.get(&addr)?;
+        Some(BoundInput {
+            tag: plant.bind_tag(&e.tag)?,
+            scale: e.scale,
+            offset: e.offset,
+        })
+    }
+
+    /// Resolves holding register `addr` for commands to `plant`; `None`
+    /// if it is unmapped, read-only, or its tag is not a plant actuator
+    /// (the cases in which [`RegisterMap::write_scaled`] fails).
+    #[must_use]
+    pub fn bind_holding(&self, plant: &GasPlant, addr: u16) -> Option<BoundHolding> {
+        let e = self.regs.get(&addr).filter(|e| e.writable)?;
+        Some(BoundHolding {
+            act: plant.bind_actuator(&e.tag)?,
+            scale: e.scale,
+            offset: e.offset,
+        })
     }
 
     /// Reads a register: fetches the tag, applies scaling, clamps into the
@@ -287,6 +355,54 @@ mod tests {
         assert_eq!(to_raw(f64::NAN, 0.01, 0.0), 0);
         assert_eq!(to_raw(f64::INFINITY, 0.01, 0.0), u16::MAX);
         assert_eq!(to_raw(f64::NEG_INFINITY, 0.01, 0.0), 0);
+    }
+
+    /// Bound registers read and write what the map's name path does, bit
+    /// for bit, on every register of the standard map, and bind exactly
+    /// where that path succeeds.
+    #[test]
+    fn bound_registers_match_the_map() {
+        let m = RegisterMap::gas_plant_standard();
+        let mut by_name = GasPlant::default();
+        let mut by_handle = by_name.clone();
+        let values = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -3.0,
+            0.004,
+            42.125,
+            99.995,
+            1e9,
+        ];
+        for addr in [1, 30001, 30003, 30012, 40001, 40002, 40007, 40008, 40009] {
+            let input = m.bind_input(&by_handle, addr);
+            assert_eq!(
+                input.is_some(),
+                m.read_scaled(&by_name, addr).is_ok(),
+                "{addr}"
+            );
+            if let Some(input) = input {
+                let want = m.read_scaled(&by_name, addr).unwrap();
+                assert_eq!(input.read(&by_handle).to_bits(), want.to_bits(), "{addr}");
+            }
+            let Some(holding) = m.bind_holding(&by_handle, addr) else {
+                assert!(m.write_scaled(&mut by_name, addr, 1.0).is_err(), "{addr}");
+                continue;
+            };
+            for v in values {
+                m.write_scaled(&mut by_name, addr, v).unwrap();
+                holding.write(&mut by_handle, v).unwrap();
+                by_name.step(0.1);
+                by_handle.step(0.1);
+                for tag in crate::gasplant::MEASUREMENT_TAGS {
+                    let (a, b) = (
+                        by_name.read_tag(tag).unwrap(),
+                        by_handle.read_tag(tag).unwrap(),
+                    );
+                    assert_eq!(a.to_bits(), b.to_bits(), "{addr} <- {v}: {tag}");
+                }
+            }
+        }
     }
 
     #[test]

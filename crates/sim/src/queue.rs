@@ -1,12 +1,18 @@
 //! Future-event list.
 //!
-//! A thin wrapper over a binary heap keyed by `(time, sequence)`. The
-//! monotonically increasing sequence number guarantees FIFO order among
-//! events scheduled for the same instant, which in turn makes the whole
-//! simulation deterministic regardless of heap internals.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! A vector kept sorted by descending `(time, sequence)`, so the earliest
+//! event is the last element: a pop is `Vec::pop` and a push is a binary
+//! search plus one insert. The monotonically increasing sequence number
+//! guarantees FIFO order among events scheduled for the same instant,
+//! which in turn makes the whole simulation deterministic.
+//!
+//! Why sorted and not a heap: the engine keeps only a handful of events
+//! pending. Measured at each pop, the mean depth is 3.8 on the Fig. 6b
+//! run, 4.3 on a failover-sweep cell and 3.0 on a 2000-VC fleet, and the
+//! maximum is 6, 7 and 3. At that depth an insert moves a few entries,
+//! while a binary heap pays a sift-down of 64-byte entries on every pop.
+//! A deep queue still costs only O(log n) compares per push, plus the
+//! move of the entries that pop before the new one.
 
 use crate::SimTime;
 
@@ -29,7 +35,9 @@ use crate::SimTime;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Pending events, sorted by descending `(at, seq)`: the next to pop
+    /// is the last.
+    entries: Vec<Entry<E>>,
     seq: u64,
 }
 
@@ -40,34 +48,21 @@ struct Entry<E> {
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            entries: Vec::new(),
             seq: 0,
         }
     }
 
     /// Schedules `event` at absolute time `at`.
+    ///
+    /// The new entry carries the largest sequence number yet, so it pops
+    /// after every pending entry at the same instant: it goes in front of
+    /// them, behind every later entry.
     pub fn push(&mut self, at: SimTime, event: E) {
         let entry = Entry {
             at,
@@ -75,34 +70,35 @@ impl<E> EventQueue<E> {
             event,
         };
         self.seq += 1;
-        self.heap.push(Reverse(entry));
+        let ix = self.entries.partition_point(|e| e.at > at);
+        self.entries.insert(ix, entry);
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        self.entries.pop().map(|e| (e.at, e.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.entries.last().map(|e| e.at)
     }
 
     /// The `(time, sequence)` key of the earliest pending event, if any.
     ///
     /// Together with [`EventQueue::skip_seq`] this lets a caller maintain
-    /// a *virtual* event outside the heap and still order it exactly as
+    /// a *virtual* event outside the queue and still order it exactly as
     /// if it had been pushed: compare `(at, seq)` tuples.
     #[must_use]
     pub fn peek_entry(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
+        self.entries.last().map(|e| (e.at, e.seq))
     }
 
     /// Consumes one sequence number without pushing an event, returning
     /// the number consumed — the seq a [`EventQueue::push`] at this point
     /// would have been assigned. Lets a caller keep a recurring event
-    /// *virtual* (outside the heap) while preserving the exact tie-break
+    /// *virtual* (outside the queue) while preserving the exact tie-break
     /// order a pushed event would have had.
     pub fn skip_seq(&mut self) -> u64 {
         let s = self.seq;
@@ -122,26 +118,26 @@ impl<E> EventQueue<E> {
         self.seq - 1
     }
 
-    /// Reserves heap capacity for at least `additional` more events.
+    /// Reserves capacity for at least `additional` more events.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.entries.reserve(additional);
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
     /// `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.entries.is_empty()
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.entries.clear();
     }
 }
 

@@ -9,6 +9,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use evm::core::runtime::{check_setup, Engine, Layout, Scenario, ScenarioBuilder, TopologyError};
+use evm::netsim::{LinkBlackout, NodeId, Position};
 use evm::plant::ActuatorFault;
 use evm::prelude::*;
 use evm::sim::SimRng;
@@ -240,6 +241,35 @@ fn every_scenario_rule_is_its_own_typed_error() {
                 hosted: 2,
             },
         ),
+        (
+            "crashed node",
+            || {
+                short()
+                    .crash_node_at(NodeId(99), SimTime::from_secs(1))
+                    .try_build()
+            },
+            TopologyError::FaultOnMissingNode {
+                node: NodeId(99),
+                at: SimTime::from_secs(1),
+            },
+        ),
+        (
+            "blacked-out node",
+            || {
+                edited(|s| {
+                    s.fault_plan.add_blackout(LinkBlackout::new(
+                        NodeId(1),
+                        NodeId(77),
+                        SimTime::from_millis(500),
+                        SimTime::from_secs(1),
+                    ));
+                })
+            },
+            TopologyError::FaultOnMissingNode {
+                node: NodeId(77),
+                at: SimTime::from_millis(500),
+            },
+        ),
         // Layouts.
         (
             "vc count",
@@ -261,6 +291,11 @@ fn every_scenario_rule_is_its_own_typed_error() {
             ),
         ),
         (
+            "ring radius",
+            || short().radius_m(f64::NAN).try_build(),
+            shape(star, 1, "the ring radius must be finite"),
+        ),
+        (
             "backup relays",
             || short().backup_relays(1).try_build(),
             shape(star, 1, "backup relays need a line or clustered layout"),
@@ -280,6 +315,11 @@ fn every_scenario_rule_is_its_own_typed_error() {
             ),
         ),
         // The spec and the loop registers.
+        (
+            "node position",
+            || edited(|s| s.topology.nodes[2].position = Position::new(0.0, f64::INFINITY)),
+            TopologyError::NonFinitePosition(NodeId(2)),
+        ),
         (
             "focus sensor",
             || short().sensors(0).try_build(),
