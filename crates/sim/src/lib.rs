@@ -3,7 +3,11 @@
 //! This crate is the foundation of the EVM reproduction. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulation time,
-//! * [`EventQueue`] — a deterministic future-event list with FIFO tie-break,
+//! * [`EventQueue`] — a deterministic future-event list with FIFO tie-break:
+//!   a list sorted by `(time, seq)`, because the co-simulation engine keeps
+//!   only a few events pending (measured at each pop: a mean of 3.0–4.3 and
+//!   at most 7 across the benchmark workloads), and at that depth a sorted
+//!   insert costs less than a binary heap's sifts,
 //! * [`SimRng`] — a seedable random source with the distributions the upper
 //!   layers need (uniform, Bernoulli, normal, exponential),
 //! * [`Trace`] — a structured event recorder used by every experiment,

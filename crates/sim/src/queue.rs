@@ -10,7 +10,8 @@
 //! pending. Measured at each pop, the mean depth is 3.8 on the Fig. 6b
 //! run, 4.3 on a failover-sweep cell and 3.0 on a 2000-VC fleet, and the
 //! maximum is 6, 7 and 3. At that depth an insert moves a few entries,
-//! while a binary heap pays a sift-down of 64-byte entries on every pop.
+//! where a binary heap sifts the engine's 64-byte entries on every push
+//! and every pop.
 //! A deep queue still costs only O(log n) compares per push, plus the
 //! move of the entries that pop before the new one.
 
