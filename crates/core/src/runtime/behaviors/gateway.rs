@@ -71,12 +71,10 @@ impl GatewayNode {
             self.input_base[vc as usize],
             self.input_base[vc as usize + 1],
         );
-        let ix = lo + u32::from(tag);
-        if ix < hi {
-            self.inputs[ix as usize]
-        } else {
-            None
-        }
+        self.inputs[lo as usize..hi as usize]
+            .get(usize::from(tag))
+            .copied()
+            .flatten()
     }
 
     /// Serves a HIL downlink from the plant's register map.

@@ -136,7 +136,7 @@ impl LocalController {
         let out = self.compute(plant.read_bound(tags.pv), self.spec.period_s);
         plant
             .write_bound(tags.op, out)
-            .expect("actuator tag must be writable");
+            .expect("the control law computes a number");
         Some(out)
     }
 }
