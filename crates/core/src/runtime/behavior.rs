@@ -74,6 +74,7 @@ pub struct NodeCtx<'a> {
 /// One deployed node. A Virtual Component deploys a closed set of
 /// roles, and the only role change is a backup replica's promotion to
 /// head (`promote_to_head`). The driver is the only caller.
+#[derive(Clone)]
 pub enum Node {
     /// The ModBus bridge between the plant and the radio. Boxed: its
     /// per-VC tables would otherwise set the size of every node's slot,

@@ -55,6 +55,7 @@ impl ActuationGate {
 
 /// An actuator node: gates its VC's controller outputs and forwards
 /// accepted commands to the gateway in its own slot.
+#[derive(Clone)]
 pub struct ActuatorNode {
     vc: VcId,
     gate: ActuationGate,

@@ -35,7 +35,7 @@ pub struct ReplicaParams {
 /// detectors, and the node's view of who is currently Active. Hosted by
 /// [`Node::Controller`](crate::runtime::Node::Controller) and by the
 /// head's monitor.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ControllerCore {
     /// The hosting node.
     pub id: NodeId,

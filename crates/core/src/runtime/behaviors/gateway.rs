@@ -14,6 +14,7 @@ use crate::runtime::Message;
 /// VC's controller outputs itself. All per-VC state is indexed by
 /// [`VcId`]. Registers are bound to plant handles at setup, so serving
 /// a downlink or an actuation looks nothing up by address or name.
+#[derive(Clone)]
 pub struct GatewayNode {
     /// Gaussian measurement noise added to each VC's focus PV read.
     noise_std: f64,

@@ -18,7 +18,7 @@ use crate::runtime::Message;
 pub const CONTROL_PLANE_REPEATS: u32 = 20;
 
 /// The head's control-plane state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HeadPlane {
     /// Pending control-plane commands with a retransmission budget (the
     /// fault plane must survive lossy links; receivers apply commands
@@ -38,6 +38,7 @@ impl HeadPlane {
 }
 
 /// The head node: monitor replica + control plane.
+#[derive(Clone)]
 pub struct HeadNode {
     pub(crate) monitor: ControllerCore,
     pub(crate) plane: HeadPlane,

@@ -22,7 +22,7 @@ use crate::runtime::Message;
 /// same last-write-wins rule the actuation gate applies), and a taken
 /// frame leaves the slot empty until the next capture — a dead upstream
 /// starves the hop instead of replaying stale frames forever.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RelayCore {
     jobs: Vec<RelayJob>,
     pending: Vec<Option<Message>>,

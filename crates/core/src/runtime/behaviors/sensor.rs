@@ -5,6 +5,7 @@ use crate::runtime::topo::{FlowKind, VcId};
 use crate::runtime::Message;
 
 /// A sensor node publishing one plant signal of one Virtual Component.
+#[derive(Clone)]
 pub struct SensorNode {
     vc: VcId,
     tag: u8,

@@ -23,8 +23,9 @@
 //! migration in [`super::xfer`].
 
 use std::mem;
+use std::sync::Arc;
 
-use evm_mac::rtlink::{RtLink, SlotSchedule};
+use evm_mac::rtlink::SlotSchedule;
 use evm_netsim::{Battery, Channel, EnergyMeter, Frame, FrameKind, NodeId, RadioState, Topology};
 use evm_plant::{BoundTag, GasPlant, LocalController, LoopTags, Plant};
 use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
@@ -34,14 +35,15 @@ use crate::component::VirtualComponent;
 use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
 use crate::runtime::behavior::{Effect, Node, NodeCtx, Timer};
 use crate::runtime::behaviors::{ControllerCore, HeadPlane, RelayCore};
-use crate::runtime::plan::CyclePlan;
-use crate::runtime::reconfig::{ReconfigState, SlotFlow};
+use crate::runtime::deployment::Deployment;
+use crate::runtime::plan::Wiring;
+use crate::runtime::reconfig::ReconfigState;
 use crate::runtime::topo::{FlowKind, RoleMap, VcId, VcMap};
 use crate::runtime::{Message, Scenario};
 
 /// Driver events. The fault plane (`super::failover`) schedules the
 /// arbitration ones.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) enum Ev {
     PlantStep,
     Sample,
@@ -81,7 +83,7 @@ pub(super) enum Ev {
 }
 
 /// One VC's per-cycle regulation-error trace (the `Err.<loop>` series).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) struct ErrTrace {
     /// The loop's PV tag, bound at setup; `None` when the plant does not
     /// publish it, and the trace then stays empty.
@@ -93,32 +95,51 @@ pub(super) struct ErrTrace {
 /// The co-simulation engine. Build with [`Engine::new`], run with
 /// [`Engine::run`] (or incrementally with [`Engine::run_until`] +
 /// [`Engine::finalize`]).
+///
+/// An engine is a shared [`Deployment`] plus one run's `RunState`. A
+/// clone shares the deployment and copies the run state, so it continues
+/// from the same instant exactly as the original would.
+#[derive(Clone)]
 pub struct Engine {
-    /// The scenario the engine was built from, less what setup moved
-    /// out of it: the topology spec (into [`Engine::topology`]) and the
-    /// hosted loops' names (into [`Engine::components`]) are empty.
+    /// The run-invariant half, shared by every run of its key.
+    pub(super) dep: Arc<Deployment>,
+    /// Everything this run changes.
+    pub(super) run: RunState,
+}
+
+/// The per-run half of an [`Engine`]: RNG, channel burst state, queue,
+/// nodes, meters, series and trace, plus the run's views of the shared
+/// state it may change. Those views start as the deployment's own
+/// (`Arc` clones) and are copied only when the run writes them: the role
+/// map at a head re-election or a relay's removal (`Arc::make_mut`), the
+/// wiring at an epoch commit (replaced whole).
+#[derive(Clone)]
+pub(super) struct RunState {
+    /// The scenario the run was built from, less what setup moved out of
+    /// it: without a shared deployment the topology spec (into the
+    /// deployment's topology) is empty, and the hosted loops' names
+    /// (into [`RunState::components`]) always are.
     pub(super) scenario: Scenario,
     pub(super) plant: GasPlant,
     /// The wired loops the gateway runs against the plant directly, with
     /// their tags bound at setup.
     pub(super) local_loops: Vec<(LocalController, LoopTags)>,
+    /// The run's channel: shares the deployment's link models, owns its
+    /// burst states and stream.
     pub(super) channel: Channel,
-    /// The deployment, owner of the node labels (`NodeCtx.label` borrows
-    /// them; [`Engine::finalize`] moves them into the result).
-    pub(super) topology: Topology,
-    pub(super) vcs: VcMap,
-    pub(super) rtlink: RtLink,
-    pub(super) schedule: SlotSchedule,
-    /// The flow semantic of every scheduled transmission, sorted by
-    /// `(slot, owner)` (the cold, inspectable copy; the hot loop reads
-    /// [`Engine::plan`]).
-    pub(super) flow_kinds: Vec<SlotFlow>,
+    /// The current role-resolved addressing (re-seated heads, dropped
+    /// relays).
+    pub(super) vcs: Arc<VcMap>,
+    /// The committed epoch's wiring, whose plan the slot loop runs from
+    /// (see [`super::plan`]).
+    pub(super) wiring: Arc<Wiring>,
+    /// The retired previous wiring: in-flight folded broadcasts pushed
+    /// just before an epoch commit resolve against its plan.
+    pub(super) wiring_prev: Arc<Wiring>,
     /// Store-and-forward state per forwarding node ([`FlowKind::Relay`]
     /// slots transmit from here, not from the node itself), indexed
-    /// like [`Engine::meters`].
+    /// like [`RunState::meters`].
     pub(super) relay_cores: Vec<Option<RelayCore>>,
-    /// Nodes carrying forwarding jobs in the committed epoch, id-sorted.
-    pub(super) forwarders: Vec<NodeId>,
     /// The head's commanded view of each hosted loop's Virtual
     /// Component (controller modes, transfer relationships), indexed by
     /// `VcId`.
@@ -127,7 +148,7 @@ pub struct Engine {
     pub(super) trace: Trace,
     pub(super) queue: EventQueue<Ev>,
     pub(super) now: SimTime,
-    /// Every deployed node, indexed like [`Engine::meters`].
+    /// Every deployed node, indexed like [`RunState::meters`].
     pub(super) nodes: Vec<Node>,
 
     /// The sampled plant series, one per distinct sampled tag, each with
@@ -139,23 +160,13 @@ pub struct Engine {
     pub(super) mode_series: Vec<(usize, TimeSeries)>,
     /// Per-VC per-cycle regulation-error traces, indexed by `VcId`.
     pub(super) err_series: Vec<ErrTrace>,
-    /// Radio energy meters, one per topology node, in topology order.
+    /// Radio energy meters, one per topology node, in topology order
+    /// (the deployment's dense index space).
     pub(super) meters: Vec<EnergyMeter>,
-    /// Topology node ids in topology order — the dense index space
-    /// ([`Topology::index_of`]) shared by [`Engine::nodes`],
-    /// [`Engine::meters`], [`Engine::relay_cores`] and the topology's
-    /// node list.
-    pub(super) node_ids: Vec<NodeId>,
-    /// The epoch-compiled cycle plan the slot loop runs from (see
-    /// [`super::plan`]); rebuilt at setup and at every epoch commit.
-    pub(super) plan: CyclePlan,
-    /// The retired previous plan generation — in-flight folded
-    /// broadcasts pushed just before an epoch commit resolve here.
-    pub(super) plan_prev: CyclePlan,
     /// Dispatch scratch: effects drain here and are reused, so the
     /// steady state never allocates.
     pub(super) fx_effects: Vec<Effect>,
-    /// Dispatch scratch for timers (see [`Engine::fx_effects`]).
+    /// Dispatch scratch for timers (see [`RunState::fx_effects`]).
     pub(super) fx_timers: Vec<(SimTime, Timer)>,
     /// Heartbeat-scan scratch: the watch set (heads + forwarders).
     pub(super) scratch_watch: Vec<NodeId>,
@@ -172,14 +183,11 @@ pub struct Engine {
     /// Per-VC QoS tallies, indexed by `VcId` — the single source of
     /// truth; the global `RunResult` counters are derived from these at
     /// the end of the run, when each takes its loop name from
-    /// [`Engine::components`].
+    /// [`RunState::components`].
     pub(super) vc_stats: Vec<VcRunStats>,
     /// The reconfiguration plane: liveness ledger, committed/staged
     /// epochs, reroute timestamps (see [`super::reconfig`]).
     pub(super) reconfig: ReconfigState,
-    /// The compiled control laws, one capsule per distinct law (version
-    /// 1, under its first host VC's id).
-    pub(super) laws: Vec<Capsule>,
     /// Each VC's authoritative capsule (what a live migration ships) as
     /// `(law, version)`, indexed by `VcId`: its law's capsule under the
     /// VC's id at that version (see [`Engine::vc_capsule`]). Version
@@ -190,44 +198,55 @@ pub struct Engine {
     pub(super) xfer: Vec<crate::runtime::xfer::ActiveTransfer>,
     /// Completed capsule migrations, in completion order.
     pub(super) migrations: Vec<crate::metrics::MigrationRecord>,
+    /// Debug builds: the VCs whose commanded view changed since the last
+    /// invariant check (see [`Engine::component_mut`]).
+    #[cfg(debug_assertions)]
+    pub(super) changed_vcs: Vec<VcId>,
 }
 
 impl Engine {
     /// The slot schedule (for inspection/tests).
     #[must_use]
     pub fn schedule(&self) -> &SlotSchedule {
-        &self.schedule
+        &self.run.wiring.schedule
     }
 
     /// Every hosted Virtual Component's commanded view, indexed by `VcId`.
     #[must_use]
     pub fn components(&self) -> &[VirtualComponent] {
-        &self.components
+        &self.run.components
     }
 
     /// VC 0's role-resolved addressing (for inspection/tests; see
     /// [`Engine::vc_map`] for all VCs).
     #[must_use]
     pub fn roles(&self) -> &RoleMap {
-        self.vcs.vc(0)
+        self.run.vcs.vc(0)
     }
 
     /// Role-resolved addressing for every hosted VC.
     #[must_use]
     pub fn vc_map(&self) -> &VcMap {
-        &self.vcs
+        &self.run.vcs
     }
 
     /// The physical topology (for inspection/tests).
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.dep.topology
+    }
+
+    /// The deployment this run is built on, shared with every engine of
+    /// its key (for inspection/tests).
+    #[must_use]
+    pub fn deployment(&self) -> &Arc<Deployment> {
+        &self.dep
     }
 
     /// The committed configuration epoch (0 until a reconfiguration).
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.reconfig.epoch
+        self.run.reconfig.epoch
     }
 
     /// The nodes carrying forwarding jobs in the committed epoch, in id
@@ -235,14 +254,16 @@ impl Engine {
     /// to kill without re-deriving the routing pass out of band).
     #[must_use]
     pub fn forwarding_nodes(&self) -> Vec<NodeId> {
-        self.forwarders.clone()
+        self.run.wiring.forwarders.clone()
     }
 
     /// The lowest slot in which `owner` serves `kind`, if scheduled: the
     /// first match in the slot-ordered flow table.
     #[must_use]
     pub fn slot_serving(&self, owner: NodeId, kind: FlowKind) -> Option<usize> {
-        self.flow_kinds
+        self.run
+            .wiring
+            .flow_kinds
             .iter()
             .find(|f| f.owner == owner && f.kind == kind)
             .map(|f| f.slot)
@@ -250,8 +271,8 @@ impl Engine {
 
     /// VC `vc`'s authoritative capsule, materialized from its law.
     pub(super) fn vc_capsule(&self, vc: VcId) -> Capsule {
-        let (law, version) = self.vc_capsules[vc as usize];
-        let mut capsule = self.laws[law].clone();
+        let (law, version) = self.run.vc_capsules[vc as usize];
+        let mut capsule = self.dep.laws[law].capsule.clone();
         capsule.id = CapsuleId(u32::from(vc));
         capsule.version = version;
         capsule
@@ -260,35 +281,41 @@ impl Engine {
     /// The radio energy meter of `id`, if deployed.
     #[inline]
     pub(super) fn meter(&self, id: NodeId) -> Option<&EnergyMeter> {
-        self.topology.index_of(id).map(|ix| &self.meters[ix])
+        self.dep
+            .topology
+            .index_of(id)
+            .map(|ix| &self.run.meters[ix])
     }
 
     /// The controller replica hosted by `id` (controller nodes and the
     /// head's monitor).
     pub(super) fn controller(&self, id: NodeId) -> Option<&ControllerCore> {
-        self.topology
+        self.dep
+            .topology
             .index_of(id)
-            .and_then(|ix| self.nodes[ix].controller())
+            .and_then(|ix| self.run.nodes[ix].controller())
     }
 
     /// Mutable controller replica access.
     pub(super) fn controller_mut(&mut self, id: NodeId) -> Option<&mut ControllerCore> {
-        self.topology
+        self.dep
+            .topology
             .index_of(id)
-            .and_then(|ix| self.nodes[ix].controller_mut())
+            .and_then(|ix| self.run.nodes[ix].controller_mut())
     }
 
     /// The control plane of `head`, if it is a head node.
     pub(super) fn head_plane_mut(&mut self, head: NodeId) -> Option<&mut HeadPlane> {
-        self.topology
+        self.dep
+            .topology
             .index_of(head)
-            .and_then(|ix| self.nodes[ix].head_plane_mut())
+            .and_then(|ix| self.run.nodes[ix].head_plane_mut())
     }
 
     /// Runs the scenario to completion and returns the results.
     #[must_use]
     pub fn run(mut self) -> RunResult {
-        let end = SimTime::ZERO + self.scenario.duration;
+        let end = SimTime::ZERO + self.run.scenario.duration;
         self.run_until(end);
         self.finalize()
     }
@@ -305,38 +332,38 @@ impl Engine {
     /// one queue sequence number, as if it were a queued event, so every
     /// same-instant ordering decision is independent of skipping.
     pub fn run_until(&mut self, until: SimTime) {
-        let dur = self.scenario.rtlink.slot_duration;
-        let spc = self.scenario.rtlink.slots_per_cycle as u64;
+        let dur = self.run.scenario.rtlink.slot_duration;
+        let spc = self.run.scenario.rtlink.slots_per_cycle as u64;
         loop {
-            let head = self.queue.peek_entry();
+            let head = self.run.queue.peek_entry();
             let slot_first = match head {
                 None => true,
-                Some((qt, qseq)) => (self.vslot_time, self.vslot_seq) < (qt, qseq),
+                Some((qt, qseq)) => (self.run.vslot_time, self.run.vslot_seq) < (qt, qseq),
             };
             if !slot_first {
                 let (qt, _) = head.expect("queue event ordered first");
                 if qt >= until {
                     break;
                 }
-                let (t, ev) = self.queue.pop().expect("peeked event");
-                self.now = t;
+                let (t, ev) = self.run.queue.pop().expect("peeked event");
+                self.run.now = t;
                 self.handle(ev);
                 self.debug_check_invariants();
                 continue;
             }
-            if self.vslot_time >= until {
+            if self.run.vslot_time >= until {
                 break;
             }
-            let slot = usize::try_from(self.vslot_k % spc).expect("slot fits usize");
-            if slot == 0 || self.plan.is_occupied(slot) {
-                let cycle = self.vslot_k / spc;
-                self.now = self.vslot_time;
+            let slot = usize::try_from(self.run.vslot_k % spc).expect("slot fits usize");
+            if slot == 0 || self.run.wiring.plan.is_occupied(slot) {
+                let cycle = self.run.vslot_k / spc;
+                self.run.now = self.run.vslot_time;
                 self.on_slot_body(cycle, slot);
                 // The next slot takes its sequence number now, after the
                 // pushes this slot made: the pinned event order.
-                self.vslot_k += 1;
-                self.vslot_time += dur;
-                self.vslot_seq = self.queue.skip_seq();
+                self.run.vslot_k += 1;
+                self.run.vslot_time += dur;
+                self.run.vslot_seq = self.run.queue.skip_seq();
                 self.debug_check_invariants();
             } else {
                 // Batch-skip the empty stretch. Only slots that provably
@@ -346,91 +373,123 @@ impl Engine {
                     Some((qt, _)) => qt.min(until),
                     None => until,
                 };
-                let span = horizon.saturating_since(self.vslot_time);
+                let span = horizon.saturating_since(self.run.vslot_time);
                 let whole = span / dur;
                 let n_time = if (span % dur).is_zero() {
                     whole
                 } else {
                     whole + 1
                 };
-                let n = self.plan.slots_until_stop(slot).min(n_time).max(1);
-                self.vslot_k += n;
-                self.vslot_time += dur * n;
-                self.vslot_seq = self.queue.skip_seqs(n);
+                let n = self
+                    .run
+                    .wiring
+                    .plan
+                    .slots_until_stop(slot)
+                    .min(n_time)
+                    .max(1);
+                self.run.vslot_k += n;
+                self.run.vslot_time += dur * n;
+                self.run.vslot_seq = self.run.queue.skip_seqs(n);
             }
         }
     }
 
+    /// VC `vc`'s commanded view, for writing. Debug builds note the VC
+    /// for the next invariant check.
+    pub(super) fn component_mut(&mut self, vc: VcId) -> &mut VirtualComponent {
+        #[cfg(debug_assertions)]
+        self.run.changed_vcs.push(vc);
+        &mut self.run.components[vc as usize]
+    }
+
     /// Debug builds: every head has commanded at most one controller
     /// `Active`. This checks the heads' commanded views, not the modes the
-    /// nodes themselves hold, which follow a `Reconfig` frame later.
+    /// nodes themselves hold, which follow a `Reconfig` frame later, and
+    /// only the views changed since the last check
+    /// ([`Engine::component_mut`]): the others still hold.
     #[inline]
-    fn debug_check_invariants(&self) {
-        debug_assert!(
-            self.components
-                .iter()
-                .all(VirtualComponent::invariant_single_active),
-            "single-active invariant violated at {}",
-            self.now
-        );
+    fn debug_check_invariants(&mut self) {
+        #[cfg(debug_assertions)]
+        for vc in self.run.changed_vcs.drain(..) {
+            assert!(
+                self.run.components[vc as usize].invariant_single_active(),
+                "single-active invariant violated in VC {vc} at {}",
+                self.run.now
+            );
+        }
     }
 
     /// Closes out energy accounting (everything not spent on the radio
     /// was deep sleep) and extracts the [`RunResult`]. Names move into
     /// the result: node labels from the topology, loop names from the
     /// component records.
+    ///
+    /// The labels move out of a deployment this engine alone holds (a
+    /// single-use one); a shared deployment keeps its labels and the
+    /// result gets copies.
     #[must_use]
     pub fn finalize(self) -> RunResult {
-        let total = self.scenario.duration;
+        let Engine { dep, run } = self;
+        let total = run.scenario.duration;
         let meta = RunMeta {
-            seed: self.scenario.seed,
-            duration: self.scenario.duration,
-            nodes: self.topology.nodes().len(),
-            controllers: self.vcs.vcs.iter().map(|r| r.controllers.len()).sum(),
-            vcs: self.vcs.n_vcs(),
+            seed: run.scenario.seed,
+            duration: run.scenario.duration,
+            nodes: dep.topology.nodes().len(),
+            controllers: run.vcs.vcs.iter().map(|r| r.controllers.len()).sum(),
+            vcs: run.vcs.n_vcs(),
         };
-        let mut meters = self.meters;
-        let node_energy = self
-            .topology
-            .into_nodes()
-            .into_iter()
-            .zip(meters.iter_mut())
-            .map(|(node, m)| {
-                let accounted = m.total_time();
-                m.add(RadioState::Sleep, total.saturating_sub(accounted));
-                let avg = m.average_current_ma();
-                (
-                    node.label,
-                    NodeEnergy {
-                        avg_current_ma: avg,
-                        radio_duty: m.radio_duty_cycle(),
-                        lifetime_years: Battery::two_aa().lifetime_years_at(avg.max(1e-9)),
-                    },
-                )
-            })
-            .collect();
-        let mut vc_stats = self.vc_stats;
-        for (stats, record) in vc_stats.iter_mut().zip(self.components) {
+        let mut meters = run.meters;
+        let energy = |label: String, m: &mut EnergyMeter| {
+            let accounted = m.total_time();
+            m.add(RadioState::Sleep, total.saturating_sub(accounted));
+            let avg = m.average_current_ma();
+            (
+                label,
+                NodeEnergy {
+                    avg_current_ma: avg,
+                    radio_duty: m.radio_duty_cycle(),
+                    lifetime_years: Battery::two_aa().lifetime_years_at(avg.max(1e-9)),
+                },
+            )
+        };
+        let node_energy = match Arc::try_unwrap(dep) {
+            Ok(dep) => dep
+                .topology
+                .into_nodes()
+                .into_iter()
+                .zip(meters.iter_mut())
+                .map(|(node, m)| energy(node.label, m))
+                .collect(),
+            Err(shared) => shared
+                .topology
+                .nodes()
+                .iter()
+                .zip(meters.iter_mut())
+                .map(|(node, m)| energy(node.label.clone(), m))
+                .collect(),
+        };
+        let mut vc_stats = run.vc_stats;
+        for (stats, record) in vc_stats.iter_mut().zip(run.components) {
             stats.loop_name = record.into_name();
         }
         RunResult {
             meta,
-            series: self
+            series: run
                 .series
                 .into_iter()
                 .map(|(_, s)| (s.name().to_string(), s))
                 .chain(
-                    self.mode_series
+                    run.mode_series
                         .into_iter()
                         .map(|(_, s)| (s.name().to_string(), s)),
                 )
                 .chain(
-                    self.err_series
+                    run.err_series
                         .into_iter()
                         .map(|e| (e.series.name().to_string(), e.series)),
                 )
                 .collect(),
-            trace: self.trace,
+            trace: run.trace,
             e2e_latencies: vc_stats
                 .iter()
                 .flat_map(|s| s.e2e_latencies.iter().copied())
@@ -439,14 +498,14 @@ impl Engine {
             actuations: vc_stats.iter().map(|s| s.actuations).sum(),
             node_energy,
             vc_stats,
-            epochs: self.reconfig.epoch,
-            reroute_latency: self.reconfig.reroute_latency,
-            migrations: self.migrations,
+            epochs: run.reconfig.epoch,
+            reroute_latency: run.reconfig.reroute_latency,
+            migrations: run.migrations,
         }
     }
 
     pub(super) fn alive(&self, node: NodeId) -> bool {
-        self.scenario.fault_plan.node_alive(node, self.now)
+        self.run.scenario.fault_plan.node_alive(node, self.run.now)
     }
 
     /// Remaining battery fraction of `node` in `[0, 1]` — the one
@@ -459,8 +518,8 @@ impl Engine {
     }
 
     pub(super) fn label_of(&self, id: NodeId) -> String {
-        match self.topology.index_of(id) {
-            Some(ix) => self.topology.nodes()[ix].label.clone(),
+        match self.dep.topology.index_of(id) {
+            Some(ix) => self.dep.topology.nodes()[ix].label.clone(),
             None => id.to_string(),
         }
     }
@@ -472,29 +531,29 @@ impl Engine {
         ix: usize,
         f: impl FnOnce(&mut Node, &mut NodeCtx<'_>) -> R,
     ) -> R {
-        let mut effects = mem::take(&mut self.fx_effects);
-        let mut timers = mem::take(&mut self.fx_timers);
+        let mut effects = mem::take(&mut self.run.fx_effects);
+        let mut timers = mem::take(&mut self.run.fx_timers);
         let mut ctx = NodeCtx {
-            now: self.now,
-            id: self.node_ids[ix],
-            label: &self.topology.nodes()[ix].label,
-            vcs: &self.vcs,
-            rng: &mut self.rng,
-            trace: &mut self.trace,
-            plant: &mut self.plant,
+            now: self.run.now,
+            id: self.dep.node_ids[ix],
+            label: &self.dep.topology.nodes()[ix].label,
+            vcs: &self.run.vcs,
+            rng: &mut self.run.rng,
+            trace: &mut self.run.trace,
+            plant: &mut self.run.plant,
             effects: &mut effects,
             timers: &mut timers,
         };
-        let out = f(&mut self.nodes[ix], &mut ctx);
+        let out = f(&mut self.run.nodes[ix], &mut ctx);
         let node = u32::try_from(ix).expect("dense index fits u32");
         for (at, timer) in timers.drain(..) {
-            self.queue.push(at, Ev::NodeTimer { ix: node, timer });
+            self.run.queue.push(at, Ev::NodeTimer { ix: node, timer });
         }
-        self.fx_timers = timers;
+        self.run.fx_timers = timers;
         for effect in effects.drain(..) {
             self.apply_effect(effect);
         }
-        self.fx_effects = effects;
+        self.run.fx_effects = effects;
         out
     }
 
@@ -502,9 +561,9 @@ impl Engine {
         match effect {
             Effect::Alert { suspect, observer } => self.head_on_alert(suspect, observer),
             Effect::Actuated { vc, pv_sampled_at } => {
-                let e2e = self.now.saturating_since(pv_sampled_at);
-                let deadline = self.rtlink.config().cycle_duration() / 3;
-                let stats = &mut self.vc_stats[vc as usize];
+                let e2e = self.run.now.saturating_since(pv_sampled_at);
+                let deadline = self.dep.rtlink.config().cycle_duration() / 3;
+                let stats = &mut self.run.vc_stats[vc as usize];
                 if e2e > deadline {
                     stats.deadline_misses += 1;
                 }
@@ -539,28 +598,29 @@ impl Engine {
     }
 
     fn on_plant_step(&mut self) {
-        let dt = self.scenario.plant_dt;
+        let dt = self.run.scenario.plant_dt;
         // Wired loops run at the gateway against the plant directly.
-        let now_s = self.now.as_secs_f64();
-        for (c, tags) in &mut self.local_loops {
-            let _ = c.poll_bound(&mut self.plant, *tags, now_s);
+        let now_s = self.run.now.as_secs_f64();
+        for (c, tags) in &mut self.run.local_loops {
+            let _ = c.poll_bound(&mut self.run.plant, *tags, now_s);
         }
-        self.plant.step(dt.as_secs_f64());
-        self.queue.push(self.now + dt, Ev::PlantStep);
+        self.run.plant.step(dt.as_secs_f64());
+        self.run.queue.push(self.run.now + dt, Ev::PlantStep);
     }
 
     fn on_sample(&mut self) {
-        for (tag, series) in &mut self.series {
+        for (tag, series) in &mut self.run.series {
             if let Some(tag) = *tag {
-                series.push(self.now, self.plant.read_bound(tag));
+                series.push(self.run.now, self.run.plant.read_bound(tag));
             }
         }
-        for (ix, series) in &mut self.mode_series {
-            let mode = self.nodes[*ix].controller().expect("replica host").mode;
-            series.push(self.now, mode.as_f64());
+        for (ix, series) in &mut self.run.mode_series {
+            let mode = self.run.nodes[*ix].controller().expect("replica host").mode;
+            series.push(self.run.now, mode.as_f64());
         }
-        self.queue
-            .push(self.now + self.scenario.sample_every, Ev::Sample);
+        self.run
+            .queue
+            .push(self.run.now + self.run.scenario.sample_every, Ev::Sample);
     }
 
     /// Processes all transmissions of `slot` (in `cycle`), starting now,
@@ -574,20 +634,20 @@ impl Engine {
         if slot == 0 {
             self.on_cycle_start();
         }
-        let guard = self.scenario.rtlink.guard;
-        // Lift the plan out for the slot so nodes can be dispatched
-        // while iterating it; nothing mid-slot rebuilds it (epoch commits
-        // happen in `on_cycle_start`, above).
-        let plan = mem::take(&mut self.plan);
-        let (lo, hi) = plan.per_slot[slot];
+        let guard = self.run.scenario.rtlink.guard;
+        // Nothing mid-slot replaces the wiring (epoch commits happen in
+        // `on_cycle_start`, above), so every entry read below is of the
+        // plan the slot started on. Entries are copied out so nodes can
+        // be dispatched between reads.
+        let (lo, hi) = self.run.wiring.plan.per_slot[slot];
         for eix in lo..hi {
-            let e = &plan.entries[eix as usize];
+            let e = self.run.wiring.plan.entries[eix as usize];
             let owner = e.owner;
             if !self.alive(owner) {
                 continue;
             }
             let msg = match e.kind {
-                Some(FlowKind::Relay { job, .. }) => self.relay_cores[e.owner_ix as usize]
+                Some(FlowKind::Relay { job, .. }) => self.run.relay_cores[e.owner_ix as usize]
                     .as_mut()
                     .and_then(|c| c.take(job as usize)),
                 Some(FlowKind::Transfer { vc }) => self.take_transfer_chunk(vc, owner),
@@ -599,24 +659,25 @@ impl Engine {
                 None if e.keepalive_eligible => Some(Message::Heartbeat { from: owner }),
                 None => None,
             };
+            let plan = &self.run.wiring.plan;
             let listeners = &plan.listeners[e.lo as usize..e.hi as usize];
             let Some(msg) = msg else {
                 // Empty slot: listeners still pay the detect window.
                 for l in listeners {
                     if self.alive(l.id) {
-                        self.meters[l.ix as usize].add(RadioState::Listen, plan.detect);
+                        self.run.meters[l.ix as usize].add(RadioState::Listen, plan.detect);
                     }
                 }
                 continue;
             };
             if plan.keepalives {
-                self.reconfig.ledger.heard(owner, cycle);
+                self.run.reconfig.ledger.heard(owner, cycle);
             }
             let air_bytes = evm_netsim::PHY_HEADER_BYTES
                 + evm_netsim::frame::MAC_HEADER_BYTES
                 + msg.payload_bytes();
             let airtime = evm_netsim::frame::airtime_for_bytes(air_bytes);
-            let m = &mut self.meters[e.owner_ix as usize];
+            let m = &mut self.run.meters[e.owner_ix as usize];
             m.add(RadioState::Idle, guard);
             m.add(RadioState::Tx, airtime);
             // One event per 64-listener chunk with deliveries. Chunks
@@ -630,33 +691,41 @@ impl Engine {
                     if !self.alive(l.id) {
                         continue;
                     }
-                    self.meters[l.ix as usize].add(RadioState::Rx, guard + airtime);
-                    if !self.scenario.fault_plan.link_usable(owner, l.id, self.now) {
+                    self.run.meters[l.ix as usize].add(RadioState::Rx, guard + airtime);
+                    if !self
+                        .run
+                        .scenario
+                        .fault_plan
+                        .link_usable(owner, l.id, self.run.now)
+                    {
                         continue;
                     }
                     let received = match l.budget {
-                        Some(b) => self.channel.sample_delivery_budget(l.burst, b, air_bytes),
+                        Some(b) => self
+                            .run
+                            .channel
+                            .sample_delivery_budget(l.burst, b, air_bytes),
                         None => {
                             // Shadowed link: the realization is drawn
                             // lazily from the channel RNG, so sample
                             // unbudgeted.
                             let frame =
                                 Frame::new(owner, FrameKind::Broadcast, msg.payload_bytes(), 0);
-                            self.channel.sample_delivery(&frame, l.id, l.distance)
+                            self.run.channel.sample_delivery(&frame, l.id, l.distance)
                         }
                     };
                     if !received {
                         continue;
                     }
-                    if self.rng.chance(self.scenario.extra_loss) {
+                    if self.run.rng.chance(self.run.scenario.extra_loss) {
                         continue;
                     }
                     mask |= 1u64 << i;
                     delivered += 1;
                 }
                 if delivered > 0 {
-                    self.queue.push(
-                        self.now + guard + airtime,
+                    self.run.queue.push(
+                        self.run.now + guard + airtime,
                         Ev::Broadcast {
                             gen: plan.generation,
                             entry: eix,
@@ -668,12 +737,11 @@ impl Engine {
                     if delivered > 1 {
                         // Reserve the sequence numbers of the
                         // per-listener deliveries this event folded.
-                        self.queue.skip_seqs(delivered - 1);
+                        self.run.queue.skip_seqs(delivered - 1);
                     }
                 }
             }
         }
-        self.plan = plan;
     }
 
     /// Delivers one folded broadcast chunk: dispatches each masked
@@ -688,19 +756,11 @@ impl Engine {
         mask: u64,
         msg: &Message,
     ) {
-        let current = self.plan.generation == gen;
-        let plan = if current {
-            mem::take(&mut self.plan)
-        } else {
-            mem::take(&mut self.plan_prev)
-        };
-        debug_assert_eq!(plan.generation, gen, "broadcast outlived its plan");
-        let e = &plan.entries[entry as usize];
-        let from = e.owner;
-        let listeners = &plan.listeners[(e.lo + base) as usize..e.hi as usize];
+        let e = self.plan_of(gen).entries[entry as usize];
+        let (from, first) = (e.owner, (e.lo + base) as usize);
         let mut bits = mask;
         while bits != 0 {
-            let l = &listeners[bits.trailing_zeros() as usize];
+            let l = self.plan_of(gen).listeners[first + bits.trailing_zeros() as usize];
             bits &= bits - 1;
             // Capsule fragments belong to the engine's transfer plane,
             // not to the node: consume them here.
@@ -713,15 +773,10 @@ impl Engine {
             // scheduled forwarding slots, *and* still consumes the frame
             // itself (a controller lending a hop also hears the PV it
             // forwards).
-            if let Some(core) = self.relay_cores[l.ix as usize].as_mut() {
+            if let Some(core) = self.run.relay_cores[l.ix as usize].as_mut() {
                 core.offer(from, msg);
             }
             self.dispatch(l.ix as usize, |n, ctx| n.on_deliver(msg, ctx));
-        }
-        if current {
-            self.plan = plan;
-        } else {
-            self.plan_prev = plan;
         }
     }
 
@@ -739,20 +794,20 @@ impl Engine {
         // epochs mid-cycle.
         self.reconfig_on_cycle_start();
         self.drop_orphaned_transfers();
-        let sync = self.scenario.rtlink.sync_listen;
-        for ix in 0..self.node_ids.len() {
-            if !self.alive(self.node_ids[ix]) {
+        let sync = self.run.scenario.rtlink.sync_listen;
+        for ix in 0..self.dep.node_ids.len() {
+            if !self.alive(self.dep.node_ids[ix]) {
                 continue;
             }
-            self.meters[ix].add(RadioState::Rx, sync);
-            if matches!(self.nodes[ix], Node::Controller(_) | Node::Head(_)) {
+            self.run.meters[ix].add(RadioState::Rx, sync);
+            if matches!(self.run.nodes[ix], Node::Controller(_) | Node::Head(_)) {
                 self.dispatch(ix, |n, ctx| n.on_cycle_start(ctx));
             }
         }
-        for e in &mut self.err_series {
+        for e in &mut self.run.err_series {
             if let Some(pv) = e.pv {
                 e.series
-                    .push(self.now, self.plant.read_bound(pv) - e.setpoint);
+                    .push(self.run.now, self.run.plant.read_bound(pv) - e.setpoint);
             }
         }
     }

@@ -23,50 +23,58 @@ use crate::runtime::Message;
 
 impl Engine {
     pub(super) fn on_inject_fault(&mut self) {
-        if let Some((_, fault)) = self.scenario.fault {
-            let primary = self.vcs.vc(0).primary();
-            let now = self.now;
+        if let Some((_, fault)) = self.run.scenario.fault {
+            let primary = self.run.vcs.vc(0).primary();
+            let now = self.run.now;
             if let Some(c) = self.controller_mut(primary) {
                 c.fault = Some((now, fault));
             }
             let label = self.label_of(primary);
-            self.trace
-                .log(self.now, "fault", format!("inject {fault:?} on {label}"));
+            self.run.trace.log(
+                self.run.now,
+                "fault",
+                format!("inject {fault:?} on {label}"),
+            );
         }
     }
 
     pub(super) fn on_inject_backup_fault(&mut self) {
-        let Some(&backup) = self.vcs.vc(0).controllers.get(1) else {
+        let Some(&backup) = self.run.vcs.vc(0).controllers.get(1) else {
             return;
         };
-        if let Some((_, fault)) = self.scenario.backup_fault {
-            let now = self.now;
+        if let Some((_, fault)) = self.run.scenario.backup_fault {
+            let now = self.run.now;
             if let Some(c) = self.controller_mut(backup) {
                 c.fault = Some((now, fault));
             }
             let label = self.label_of(backup);
-            self.trace
-                .log(self.now, "fault", format!("inject {fault:?} on {label}"));
+            self.run.trace.log(
+                self.run.now,
+                "fault",
+                format!("inject {fault:?} on {label}"),
+            );
         }
     }
 
     pub(super) fn on_crash_primary(&mut self, vc: VcId) {
-        let primary = self.vcs.vc(vc).primary();
-        self.scenario
+        let primary = self.run.vcs.vc(vc).primary();
+        self.run
+            .scenario
             .fault_plan
-            .add_crash(evm_netsim::NodeCrash::permanent(primary, self.now));
+            .add_crash(evm_netsim::NodeCrash::permanent(primary, self.run.now));
         let label = self.label_of(primary);
-        self.trace
-            .log(self.now, "fault", format!("{label} crashed"));
+        self.run
+            .trace
+            .log(self.run.now, "fault", format!("{label} crashed"));
     }
 
     /// Head-side alert handling for the suspect's VC: schedule the
     /// reconfiguration decision at the next epoch boundary.
     pub(super) fn head_on_alert(&mut self, suspect: NodeId, observer: NodeId) {
-        let Some(vc) = self.vcs.vc_of_controller(suspect) else {
+        let Some(vc) = self.run.vcs.vc_of_controller(suspect) else {
             return;
         };
-        let Some(head) = self.vcs.vc(vc).head else {
+        let Some(head) = self.run.vcs.vc(vc).head else {
             return;
         };
         let Some(plane) = self.head_plane_mut(head) else {
@@ -78,31 +86,31 @@ impl Engine {
         // Only the controller its component believes is Active can be the
         // subject of a failover (stale alerts from the switchover window
         // are dropped here).
-        if self.components[vc as usize].active_controller() != Some(suspect) {
+        if self.run.components[vc as usize].active_controller() != Some(suspect) {
             return;
         }
         if let Some(plane) = self.head_plane_mut(head) {
             plane.decision_pending = true;
         }
-        let epoch = self.scenario.reconfig_epoch;
+        let epoch = self.run.scenario.reconfig_epoch;
         let decide_at = if epoch.is_zero() {
-            self.now + self.scenario.rtlink.slot_duration
+            self.run.now + self.run.scenario.rtlink.slot_duration
         } else {
-            self.now.ceil_to(epoch)
+            self.run.now.ceil_to(epoch)
         };
-        self.trace.log(
-            self.now,
+        self.run.trace.log(
+            self.run.now,
             "vc",
             format!("head received alert from {observer} on {suspect}; deciding at {decide_at}"),
         );
-        self.queue.push(decide_at, Ev::HeadDecision { suspect });
+        self.run.queue.push(decide_at, Ev::HeadDecision { suspect });
     }
 
     pub(super) fn on_head_decision(&mut self, suspect: NodeId) {
-        let Some(vc) = self.vcs.vc_of_controller(suspect) else {
+        let Some(vc) = self.run.vcs.vc_of_controller(suspect) else {
             return;
         };
-        let Some(head) = self.vcs.vc(vc).head else {
+        let Some(head) = self.run.vcs.vc(vc).head else {
             return;
         };
         let suspected = {
@@ -117,6 +125,7 @@ impl Engine {
         // Arbitration over the VC's surviving, unsuspected controller
         // replicas (deterministic order: the role map's precedence).
         let candidates: Vec<Candidate> = self
+            .run
             .vcs
             .vc(vc)
             .controllers
@@ -158,10 +167,13 @@ impl Engine {
     /// §3.1.2 health-assessment response: LocalFailSafe. Demote the
     /// suspect and drive the VC's actuator to its safe position.
     pub(super) fn engage_fail_safe(&mut self, vc: VcId, head: NodeId, suspect: NodeId) {
-        self.trace
-            .log(self.now, "vc", "no viable master; engaging fail-safe");
-        let _ = self.components[vc as usize].set_mode(suspect, ControllerMode::Indicator);
-        let fail_safe = self.scenario.fail_safe_value;
+        self.run
+            .trace
+            .log(self.run.now, "vc", "no viable master; engaging fail-safe");
+        let _ = self
+            .component_mut(vc)
+            .set_mode(suspect, ControllerMode::Indicator);
+        let fail_safe = self.run.scenario.fail_safe_value;
         if let Some(plane) = self.head_plane_mut(head) {
             plane.push_cmd(Message::Reconfig {
                 vc,
@@ -179,7 +191,7 @@ impl Engine {
     /// Releases VC `vc`'s pending head decision after a cold-standby
     /// shipment failed, so the next alert re-arbitrates.
     pub(super) fn release_head_decision(&mut self, vc: VcId) {
-        if let Some(head) = self.vcs.vc(vc).head {
+        if let Some(head) = self.run.vcs.vc(vc).head {
             if let Some(plane) = self.head_plane_mut(head) {
                 plane.decision_pending = false;
             }
@@ -187,14 +199,14 @@ impl Engine {
     }
 
     pub(super) fn commit_failover(&mut self, target: NodeId, suspect: NodeId) {
-        let Some(vc) = self.vcs.vc_of_controller(target) else {
+        let Some(vc) = self.run.vcs.vc_of_controller(target) else {
             return;
         };
         // The VC head's authoritative view: demote first, then promote.
-        let record = &mut self.components[vc as usize];
+        let record = self.component_mut(vc);
         let _ = record.set_mode(suspect, ControllerMode::Backup);
         let _ = record.set_mode(target, ControllerMode::Active);
-        let Some(head) = self.vcs.vc(vc).head else {
+        let Some(head) = self.run.vcs.vc(vc).head else {
             return;
         };
         if let Some(plane) = self.head_plane_mut(head) {
@@ -207,34 +219,36 @@ impl Engine {
         }
         // The head applies its own commit immediately (it never hears its
         // own broadcast): the monitor re-aims at the new Active.
-        if let Some(ix) = self.topology.index_of(head) {
-            if let Some(monitor) = self.nodes[ix].controller_mut() {
+        if let Some(ix) = self.dep.topology.index_of(head) {
+            if let Some(monitor) = self.run.nodes[ix].controller_mut() {
                 monitor.apply_reconfig(
                     Some(target),
                     Some((suspect, ControllerMode::Backup)),
-                    self.now,
-                    &self.topology.nodes()[ix].label,
-                    &mut self.trace,
+                    self.run.now,
+                    &self.dep.topology.nodes()[ix].label,
+                    &mut self.run.trace,
                 );
             }
         }
-        self.queue.push(
-            self.now + self.scenario.demote_dormant_after,
+        self.run.queue.push(
+            self.run.now + self.run.scenario.demote_dormant_after,
             Ev::DormantDemote { target: suspect },
         );
-        self.trace.log(
-            self.now,
+        self.run.trace.log(
+            self.run.now,
             "vc",
             format!("head commits failover {suspect} -> {target}"),
         );
     }
 
     pub(super) fn on_dormant_demote(&mut self, target: NodeId) {
-        let Some(vc) = self.vcs.vc_of_controller(target) else {
+        let Some(vc) = self.run.vcs.vc_of_controller(target) else {
             return;
         };
-        let _ = self.components[vc as usize].set_mode(target, ControllerMode::Dormant);
-        if let Some(head) = self.vcs.vc(vc).head {
+        let _ = self
+            .component_mut(vc)
+            .set_mode(target, ControllerMode::Dormant);
+        if let Some(head) = self.run.vcs.vc(vc).head {
             if let Some(plane) = self.head_plane_mut(head) {
                 plane.push_cmd(Message::Reconfig {
                     vc,

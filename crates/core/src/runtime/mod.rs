@@ -17,6 +17,9 @@
 //! * [`behavior`] — the closed [`Node`] enum (one variant per role) and
 //!   its driver-side contract; the engine keeps one per topology node,
 //!   indexed like the topology ([`evm_netsim::Topology::index_of`]),
+//! * [`Deployment`] — the run-invariant half of an engine (resolved
+//!   topology, epoch-0 wiring, compiled laws, plant prototype), checked
+//!   and built once per key and shared by every run of it,
 //! * [`behaviors`] — each role's state and duties (gateway, sensor,
 //!   controller replica, actuator, head),
 //! * [`reconfig`] — the epoch-based reconfiguration plane (the
@@ -24,10 +27,12 @@
 //! * `xfer` — the live capsule-transfer plane, the one migration path:
 //!   chunked, acked capsule shipment over each VC's dedicated transfer
 //!   slots, to a re-elected head or a promoted cold-standby backup,
-//! * `driver` — the deterministic slot-pipeline [`Engine`].
+//! * `driver` — the deterministic slot-pipeline [`Engine`]: a shared
+//!   deployment plus one run's state.
 
 pub mod behavior;
 pub mod behaviors;
+mod deployment;
 mod driver;
 mod failover;
 mod messages;
@@ -39,12 +44,12 @@ pub mod topo;
 mod xfer;
 
 pub use behavior::{Effect, Node, NodeCtx, Timer};
+pub use deployment::{check_setup, Deployment};
 pub use driver::Engine;
 pub use messages::Message;
 pub use reconfig::{Epoch, ReconfigError, Reconfigurator, ReroutePolicy, SlotFlow};
 pub use scenario::Layout;
 pub use scenario::{Scenario, ScenarioBuilder, TopologyShape};
-pub use setup::{check_setup, CheckedSetup};
 pub use topo::{
     monitor_register, route_flows, synth_flows, FlowKind, NodeSpec, RelayJob, Role, RoleMap,
     RouteError, RoutedFlows, TopologyError, TopologySpec, VcId, VcMap, CLUSTER_HOP_M,

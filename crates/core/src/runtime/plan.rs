@@ -23,22 +23,25 @@
 //! distance and outlives plan rebuilds: each distinct distance is
 //! evaluated once per run, not once per listener or per epoch.
 //!
-//! **The rebuild rule.** The plan is rebuilt at engine setup and at
-//! epoch commit (`apply_epoch`), both strictly at cycle boundaries. One
-//! previous generation is kept so a folded broadcast pushed in the last
+//! **The rebuild rule.** The plan is compiled once per deployment, for
+//! epoch 0, and every run starts on that shared plan; a run recompiles
+//! its own at each epoch commit (`apply_epoch`), strictly at a cycle
+//! boundary. One previous generation is kept so a folded broadcast pushed in the last
 //! slots before a commit can still resolve its listener set; deliveries
 //! land within their own slot (guard + airtime < slot), so one
 //! generation is strictly enough.
 
-use evm_netsim::{BurstSlot, LinkBudget, NodeId};
+use evm_mac::rtlink::SlotSchedule;
+use evm_mac::RtLinkConfig;
+use evm_netsim::{BurstSlot, Channel, LinkBudget, NodeId, Topology};
 use evm_sim::SimDuration;
 
 use crate::runtime::driver::Engine;
-use crate::runtime::reconfig::ReroutePolicy;
+use crate::runtime::reconfig::{ReroutePolicy, SlotFlow};
 use crate::runtime::topo::FlowKind;
 
 /// One pre-resolved listener of a scheduled transmission.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(super) struct PlanListener {
     /// The listening node.
     pub(super) id: NodeId,
@@ -56,7 +59,7 @@ pub(super) struct PlanListener {
 }
 
 /// One scheduled transmission with its slot-invariant terms resolved.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(super) struct PlanEntry {
     /// The transmitting node.
     pub(super) owner: NodeId,
@@ -75,7 +78,7 @@ pub(super) struct PlanEntry {
 
 /// The compiled cycle: everything slot-invariant, resolved once per
 /// epoch. See the module docs for the invariants.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(super) struct CyclePlan {
     /// [`CyclePlan::entries`] range per slot (`slots_per_cycle` rows).
     pub(super) per_slot: Vec<(u32, u32)>,
@@ -127,39 +130,59 @@ impl CyclePlan {
     }
 }
 
-impl Engine {
-    /// Lowers the committed schedule and flow semantics (plus the
-    /// cycle-boundary state) into a fresh [`CyclePlan`], retiring the
-    /// previous plan to `plan_prev`. Draws no RNG.
-    pub(super) fn rebuild_plan(&mut self) {
-        let generation = self.plan.generation + 1;
-        let spc = self.scenario.rtlink.slots_per_cycle;
-        let keepalives = self.scenario.reroute == ReroutePolicy::Heartbeat;
+/// One epoch's wiring: the schedule, its flow semantics, the nodes
+/// carrying forwarding jobs, and the plan compiled from them. An epoch
+/// commit replaces it whole, so runs share epoch 0's with their
+/// deployment and never copy it.
+#[derive(Debug)]
+pub(super) struct Wiring {
+    pub(super) schedule: SlotSchedule,
+    /// The flow semantic of every scheduled transmission, sorted by
+    /// `(slot, owner)` (the cold, inspectable copy; the hot loop reads
+    /// [`Wiring::plan`]).
+    pub(super) flow_kinds: Vec<SlotFlow>,
+    /// Nodes carrying forwarding jobs, id-sorted.
+    pub(super) forwarders: Vec<NodeId>,
+    pub(super) plan: CyclePlan,
+}
+
+impl CyclePlan {
+    /// Lowers `schedule` and its flow table `kinds` into a plan of
+    /// generation `generation`: every slot-invariant term resolved
+    /// against `topology` and `channel`. Draws no RNG; interns each
+    /// listened link's burst state in `channel`.
+    pub(super) fn compile(
+        schedule: &SlotSchedule,
+        kinds: &[SlotFlow],
+        topology: &Topology,
+        channel: &mut Channel,
+        rtlink: &RtLinkConfig,
+        reroute: ReroutePolicy,
+        generation: u64,
+    ) -> CyclePlan {
+        let spc = rtlink.slots_per_cycle;
+        let keepalives = reroute == ReroutePolicy::Heartbeat;
         // Past its highest placed slot the schedule is empty: a fleet
         // cycle is far longer than the stretch its flows occupy.
-        let placed = self.schedule.max_slot().map_or(0, |s| s + 1);
+        let placed = schedule.max_slot().map_or(0, |s| s + 1);
         let (n_entries, n_listeners) = (0..placed)
-            .flat_map(|slot| self.schedule.in_slot(slot))
+            .flat_map(|slot| schedule.in_slot(slot))
             .fold((0, 0), |(e, l), a| (e + 1, l + a.listeners.len()));
         let mut per_slot = Vec::with_capacity(spc);
         let mut entries = Vec::with_capacity(n_entries);
         let mut listeners = Vec::with_capacity(n_listeners);
-        let nodes = self.topology.nodes();
-        let dense = |id: NodeId| {
-            self.topology
-                .index_of(id)
-                .expect("scheduled nodes are deployed")
-        };
+        let nodes = topology.nodes();
+        let dense = |id: NodeId| topology.index_of(id).expect("scheduled nodes are deployed");
         // The flow table is sorted by `(slot, owner)` and the slots are
         // walked in ascending order, so each slot's rows are the next
         // run of the table: a cursor, not a search per entry.
-        let mut kinds = self.flow_kinds.as_slice();
+        let mut kinds = kinds;
         for slot in 0..placed {
             let first = u32::try_from(entries.len()).expect("schedule fits u32");
             let (slot_kinds, rest) =
                 kinds.split_at(kinds.iter().take_while(|f| f.slot == slot).count());
             kinds = rest;
-            for a in self.schedule.in_slot(slot) {
+            for a in schedule.in_slot(slot) {
                 let owner = a.owner;
                 let owner_ix = dense(owner);
                 let kind = slot_kinds.iter().find(|f| f.owner == owner).map(|f| f.kind);
@@ -171,8 +194,8 @@ impl Engine {
                         id: l,
                         ix: u32::try_from(ix).expect("dense index fits u32"),
                         distance,
-                        budget: self.channel.link_budget((owner, l), distance),
-                        burst: self.channel.burst_slot((owner, l)),
+                        budget: channel.link_budget((owner, l), distance),
+                        burst: channel.burst_slot((owner, l)),
                     });
                 }
                 let hi = u32::try_from(listeners.len()).expect("listener count fits u32");
@@ -204,9 +227,9 @@ impl Engine {
                 next_occ[slot + 1]
             };
         }
-        let detect = self.scenario.rtlink.guard
-            + evm_netsim::frame::airtime_for_bytes(evm_netsim::PHY_HEADER_BYTES);
-        let plan = CyclePlan {
+        let detect =
+            rtlink.guard + evm_netsim::frame::airtime_for_bytes(evm_netsim::PHY_HEADER_BYTES);
+        CyclePlan {
             per_slot,
             entries,
             listeners,
@@ -214,33 +237,47 @@ impl Engine {
             detect,
             keepalives,
             generation,
-        };
-        self.plan_prev = std::mem::replace(&mut self.plan, plan);
-        self.reserve_in_flight();
+        }
+    }
+}
+
+impl Engine {
+    /// The plan of generation `gen`: the committed one or, for a folded
+    /// broadcast pushed just before the last commit, the one before it.
+    pub(super) fn plan_of(&self, gen: u64) -> &CyclePlan {
+        let current = &self.run.wiring.plan;
+        if current.generation == gen {
+            return current;
+        }
+        let prev = &self.run.wiring_prev.plan;
+        debug_assert_eq!(prev.generation, gen, "broadcast outlived its plan");
+        prev
     }
 
     /// Grows the event queue to hold what can be in flight at once under
     /// the current plan: the events seeded at setup; one `TaskDone` per
     /// replica host (a replica runs one capsule at a time); a failover
     /// decision and a dormant demotion per head; and the folded
-    /// broadcasts of one slot, which all land within it. Every plan
-    /// rebuild calls it, so an epoch whose widest slot fans out further
-    /// grows the queue at its commit, not inside a fired slot. Anything
-    /// rarer (overlapping demotions) grows the queue where it happens.
-    fn reserve_in_flight(&mut self) {
-        let s = &self.scenario;
+    /// broadcasts of one slot, which all land within it. Run setup and
+    /// every epoch commit call it, so an epoch whose widest slot fans out
+    /// further grows the queue at its commit, not inside a fired slot.
+    /// Anything rarer (overlapping demotions) grows the queue where it
+    /// happens.
+    pub(super) fn reserve_in_flight(&mut self) {
+        let run = &mut self.run;
+        let s = &run.scenario;
         let seeded = 2
             + usize::from(s.fault.is_some())
             + usize::from(s.backup_fault.is_some())
             + s.primary_crashes.len()
             + s.force_reconfig.len();
-        let replicas = self
+        let replicas = run
             .nodes
             .iter()
             .filter(|n| n.controller().is_some())
             .count();
-        let heads = self.vcs.vcs.iter().filter(|r| r.head.is_some()).count();
-        let bound = seeded + replicas + 2 * heads + self.plan.widest_slot_chunks();
-        self.queue.reserve(bound.saturating_sub(self.queue.len()));
+        let heads = run.vcs.vcs.iter().filter(|r| r.head.is_some()).count();
+        let bound = seeded + replicas + 2 * heads + run.wiring.plan.widest_slot_chunks();
+        run.queue.reserve(bound.saturating_sub(run.queue.len()));
     }
 }

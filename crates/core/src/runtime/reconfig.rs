@@ -36,6 +36,7 @@
 
 use std::collections::BTreeMap;
 use std::mem;
+use std::sync::Arc;
 
 use evm_mac::rtlink::{Flow, RtLinkConfig, ScheduleError, SlotSchedule};
 use evm_netsim::{NodeId, Topology};
@@ -45,6 +46,7 @@ use crate::membership::{elect_head, HeadCandidate, HeartbeatLedger};
 use crate::roles::ControllerMode;
 use crate::runtime::behaviors::RelayCore;
 use crate::runtime::driver::Engine;
+use crate::runtime::plan::{CyclePlan, Wiring};
 use crate::runtime::topo::{route_flows, synth_flows, FlowKind, RelayJob, RouteError, VcId, VcMap};
 
 /// When (and whether) the runtime re-routes around failures mid-run.
@@ -87,7 +89,7 @@ pub struct SlotFlow {
 /// One configuration epoch: everything the driver swaps when the network
 /// is re-programmed mid-run. Produced by [`Reconfigurator::compute`];
 /// epoch 0 is the setup-time configuration.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Epoch {
     /// Monotone epoch sequence number (tags the schedule).
     pub seq: u64,
@@ -296,7 +298,7 @@ fn prune_down_flows(logical: Vec<(Flow, FlowKind)>, down: &[NodeId]) -> Vec<(Flo
 /// The driver's half of the reconfiguration plane: liveness ledger,
 /// committed/staged epochs, and the detect→commit→recover timestamps the
 /// reports read off.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct ReconfigState {
     /// Transmission liveness per node, in cycle counts.
     pub ledger: HeartbeatLedger,
@@ -333,66 +335,69 @@ impl Engine {
     /// epoch first presses it into service ([`Engine::apply_epoch`]'s
     /// commit-time stamp).
     pub(super) fn reconfig_on_cycle_start(&mut self) {
-        if let Some(epoch) = self.reconfig.pending.take() {
+        if let Some(epoch) = self.run.reconfig.pending.take() {
             self.apply_epoch(epoch);
         }
-        if self.scenario.reroute != ReroutePolicy::Heartbeat {
+        if self.run.scenario.reroute != ReroutePolicy::Heartbeat {
             return;
         }
-        let (cycle, _) = self.rtlink.slot_at(self.now);
+        let (cycle, _) = self.dep.rtlink.slot_at(self.run.now);
         // The scan runs every cycle on every heartbeat deployment, so its
         // two working lists live in reusable engine scratch.
-        let mut watch = mem::take(&mut self.scratch_watch);
+        let mut watch = mem::take(&mut self.run.scratch_watch);
         watch.clear();
-        watch.extend(self.vcs.vcs.iter().filter_map(|r| r.head));
-        watch.extend_from_slice(&self.forwarders);
+        watch.extend(self.run.vcs.vcs.iter().filter_map(|r| r.head));
+        watch.extend_from_slice(&self.run.wiring.forwarders);
         // Sorted + deduped: down-marks must trace deterministically.
         watch.sort_unstable();
         watch.dedup();
-        let mut newly_down = mem::take(&mut self.scratch_down);
+        let mut newly_down = mem::take(&mut self.run.scratch_down);
         newly_down.clear();
         for &node in &watch {
-            if !self.reconfig.ledger.is_down(node)
+            if !self.run.reconfig.ledger.is_down(node)
                 && self
+                    .run
                     .reconfig
                     .ledger
-                    .silent(node, cycle, self.scenario.heartbeat_cycles)
+                    .silent(node, cycle, self.run.scenario.heartbeat_cycles)
             {
-                self.reconfig.ledger.mark_down(node);
+                self.run.reconfig.ledger.mark_down(node);
                 newly_down.push(node);
             }
         }
-        self.scratch_watch = watch;
+        self.run.scratch_watch = watch;
         if newly_down.is_empty() {
-            self.scratch_down = newly_down;
+            self.run.scratch_down = newly_down;
             return;
         }
-        if self.reconfig.detect_at.is_none() {
-            self.reconfig.detect_at = Some(self.now);
+        if self.run.reconfig.detect_at.is_none() {
+            self.run.reconfig.detect_at = Some(self.run.now);
         }
         for &node in &newly_down {
             let label = self.label_of(node);
-            self.trace.log(
-                self.now,
+            self.run.trace.log(
+                self.run.now,
                 "reconfig",
                 format!("{label} missed heartbeats; marked down"),
             );
             self.on_node_down(node);
         }
-        self.scratch_down = newly_down;
+        self.run.scratch_down = newly_down;
         if self.stage_recompute() {
-            self.reconfig.awaiting_recovery = true;
+            self.run.reconfig.awaiting_recovery = true;
         }
     }
 
     /// Membership consequences of a node marked down: dedicated relays
     /// leave their VC's role map; a dead head triggers re-election.
     fn on_node_down(&mut self, node: NodeId) {
-        for vc in 0..self.vcs.n_vcs() as VcId {
-            if self.vcs.vc(vc).head == Some(node) {
+        for vc in 0..self.run.vcs.n_vcs() as VcId {
+            if self.run.vcs.vc(vc).head == Some(node) {
                 self.reelect_head(vc, node);
-            } else if self.vcs.vc(vc).relays.contains(&node) {
-                self.vcs.vcs[vc as usize].relays.retain(|&r| r != node);
+            } else if self.run.vcs.vc(vc).relays.contains(&node) {
+                Arc::make_mut(&mut self.run.vcs).vcs[vc as usize]
+                    .relays
+                    .retain(|&r| r != node);
             }
         }
     }
@@ -406,43 +411,44 @@ impl Engine {
     /// controller modes, and a re-election commands none.
     fn reelect_head(&mut self, vc: VcId, dead: NodeId) {
         let candidates: Vec<HeadCandidate> = self
+            .run
             .vcs
             .vc(vc)
             .controllers
             .iter()
             .map(|&id| {
-                let mode = self.components[vc as usize].mode(id);
+                let mode = self.run.components[vc as usize].mode(id);
                 HeadCandidate {
                     node: id,
                     eligible: mode == Some(ControllerMode::Backup)
                         && self.alive(id)
-                        && !self.reconfig.ledger.is_down(id),
+                        && !self.run.reconfig.ledger.is_down(id),
                     fitness: self.battery_fitness(id),
                 }
             })
             .collect();
         let Some(new_head) = elect_head(&candidates) else {
-            self.trace.log(
-                self.now,
+            self.run.trace.log(
+                self.run.now,
                 "reconfig",
                 "head lost and no backup survives; control plane stays down",
             );
-            self.vcs.vcs[vc as usize].head = None;
+            Arc::make_mut(&mut self.run.vcs).vcs[vc as usize].head = None;
             return;
         };
         // Rehydrate: the winner keeps its replica core (mode, detectors,
         // integrator state) but gains the head's control plane.
-        if let Some(ix) = self.topology.index_of(new_head) {
-            self.nodes[ix].promote_to_head();
+        if let Some(ix) = self.dep.topology.index_of(new_head) {
+            self.run.nodes[ix].promote_to_head();
         }
         {
-            let roles = &mut self.vcs.vcs[vc as usize];
+            let roles = &mut Arc::make_mut(&mut self.run.vcs).vcs[vc as usize];
             roles.head = Some(new_head);
             roles.controllers.retain(|&c| c != new_head);
         }
         let (dead_label, new_label) = (self.label_of(dead), self.label_of(new_head));
-        self.trace.log(
-            self.now,
+        self.run.trace.log(
+            self.run.now,
             "reconfig",
             format!("head {dead_label} lost; {new_label} re-elected head"),
         );
@@ -460,20 +466,20 @@ impl Engine {
     /// failed recompute (no alternate path, cycle too short) leaves the
     /// current epoch in force.
     pub(super) fn stage_recompute(&mut self) -> bool {
-        let seq = self.reconfig.epoch + 1;
-        let down = self.reconfig.ledger.down_nodes();
+        let seq = self.run.reconfig.epoch + 1;
+        let down = self.run.reconfig.ledger.down_nodes();
         match Reconfigurator::compute(
             seq,
-            &self.topology,
+            &self.dep.topology,
             &down,
-            &self.vcs,
-            &self.scenario.rtlink,
-            self.scenario.serial_schedule,
-            self.scenario.transfer_slots,
+            &self.run.vcs,
+            &self.run.scenario.rtlink,
+            self.run.scenario.serial_schedule,
+            self.run.scenario.transfer_slots,
         ) {
             Ok(epoch) => {
-                self.trace.log(
-                    self.now,
+                self.run.trace.log(
+                    self.run.now,
                     "reconfig",
                     format!(
                         "epoch {seq} staged: {} scheduled flows over {} slots",
@@ -481,45 +487,62 @@ impl Engine {
                         epoch.schedule.max_slot().map_or(0, |s| s + 1),
                     ),
                 );
-                self.reconfig.pending = Some(epoch);
+                self.run.reconfig.pending = Some(epoch);
                 true
             }
             Err(e) => {
-                self.trace
-                    .log(self.now, "reconfig", format!("reroute failed: {e}"));
+                self.run
+                    .trace
+                    .log(self.run.now, "reconfig", format!("reroute failed: {e}"));
                 false
             }
         }
     }
 
     /// Commits a staged epoch: swaps schedule, flow semantics and relay
-    /// programs in one step. Pending frames of forwarding jobs that
-    /// survive into the new epoch migrate with it, so a no-op swap is
-    /// invisible to the data plane.
+    /// programs in one step, as a new wiring (the old one, possibly the
+    /// deployment's, is retired, never written). Pending frames of
+    /// forwarding jobs that survive into the new epoch migrate with it,
+    /// so a no-op swap is invisible to the data plane.
     fn apply_epoch(&mut self, epoch: Epoch) {
-        let mut cores: Vec<Option<RelayCore>> = (0..self.node_ids.len()).map(|_| None).collect();
+        let mut cores: Vec<Option<RelayCore>> =
+            (0..self.dep.node_ids.len()).map(|_| None).collect();
         let mut forwarders: Vec<NodeId> = Vec::with_capacity(epoch.jobs.len());
         for (id, jobs) in epoch.jobs {
             let mut core = RelayCore::new(jobs);
             let ix = self
+                .dep
                 .topology
                 .index_of(id)
                 .expect("forwarder is a topology node");
-            if let Some(old) = self.relay_cores[ix].as_mut() {
+            if let Some(old) = self.run.relay_cores[ix].as_mut() {
                 core.migrate_from(old);
             }
             cores[ix] = Some(core);
             forwarders.push(id);
         }
-        self.relay_cores = cores;
-        self.forwarders = forwarders;
-        self.schedule = epoch.schedule;
-        self.flow_kinds = epoch.flow_kinds;
+        self.run.relay_cores = cores;
         // The hot loop reads the compiled cycle plan, not the schedule
         // maps: re-lower it at this commit's boundary (see `super::plan`).
-        self.rebuild_plan();
-        self.reconfig.epoch = epoch.seq;
-        self.reconfig.last_commit_at = Some(self.now);
+        let plan = CyclePlan::compile(
+            &epoch.schedule,
+            &epoch.flow_kinds,
+            &self.dep.topology,
+            &mut self.run.channel,
+            &self.run.scenario.rtlink,
+            self.run.scenario.reroute,
+            self.run.wiring.plan.generation + 1,
+        );
+        let wiring = Arc::new(Wiring {
+            schedule: epoch.schedule,
+            flow_kinds: epoch.flow_kinds,
+            forwarders,
+            plan,
+        });
+        self.run.wiring_prev = mem::replace(&mut self.run.wiring, wiring);
+        self.reserve_in_flight();
+        self.run.reconfig.epoch = epoch.seq;
+        self.run.reconfig.last_commit_at = Some(self.run.now);
         // Start the silence clock for every forwarder of the new epoch:
         // a node first pressed into service here may never have
         // transmitted (an idle backup chain), and never-heard nodes are
@@ -527,15 +550,15 @@ impl Engine {
         // backup that died *before* gaining jobs could starve the new
         // routes forever undetected. (Stamps are max-monotone, so this
         // never rolls a live node's liveness back.)
-        if self.scenario.reroute == ReroutePolicy::Heartbeat {
-            let (cycle, _) = self.rtlink.slot_at(self.now);
-            for i in 0..self.forwarders.len() {
-                let node = self.forwarders[i];
-                self.reconfig.ledger.heard(node, cycle);
+        if self.run.scenario.reroute == ReroutePolicy::Heartbeat {
+            let (cycle, _) = self.dep.rtlink.slot_at(self.run.now);
+            for i in 0..self.run.wiring.forwarders.len() {
+                let node = self.run.wiring.forwarders[i];
+                self.run.reconfig.ledger.heard(node, cycle);
             }
         }
-        self.trace.log(
-            self.now,
+        self.run.trace.log(
+            self.run.now,
             "reconfig",
             format!("epoch {} committed", epoch.seq),
         );
@@ -554,16 +577,18 @@ impl Engine {
     /// Gated on `awaiting_recovery` so a failed reroute (starvation
     /// persists) never lets an unrelated later commit claim a recovery.
     pub(super) fn note_actuation_for_reroute_clock(&mut self) {
-        if !self.reconfig.awaiting_recovery || self.reconfig.reroute_latency.is_some() {
+        if !self.run.reconfig.awaiting_recovery || self.run.reconfig.reroute_latency.is_some() {
             return;
         }
-        let (Some(detect), Some(commit)) = (self.reconfig.detect_at, self.reconfig.last_commit_at)
-        else {
+        let (Some(detect), Some(commit)) = (
+            self.run.reconfig.detect_at,
+            self.run.reconfig.last_commit_at,
+        ) else {
             return;
         };
         if commit >= detect {
-            self.reconfig.reroute_latency = Some(self.now.saturating_since(detect));
-            self.reconfig.awaiting_recovery = false;
+            self.run.reconfig.reroute_latency = Some(self.run.now.saturating_since(detect));
+            self.run.reconfig.awaiting_recovery = false;
         }
     }
 }

@@ -1,13 +1,15 @@
 //! Scenario configuration and the topology-aware builder DSL.
 
+use std::sync::Arc;
+
 use evm_mac::RtLinkConfig;
 use evm_netsim::{ChannelConfig, FaultPlan};
 use evm_plant::{ActuatorFault, ControlLoopSpec};
 use evm_sim::{SimDuration, SimTime};
 
 use crate::bytecode::Tier;
+use crate::runtime::deployment::{check_scenario, Deployment};
 use crate::runtime::reconfig::ReroutePolicy;
-use crate::runtime::setup::check_scenario;
 use crate::runtime::topo::{
     TopologyError, TopologySpec, VcId, CLUSTER_HOP_M, CLUSTER_RING_M, GRID_SPACING_M,
     LINE_SPACING_M, MAX_VCS,
@@ -160,6 +162,10 @@ pub struct Scenario {
     pub fault_plan: FaultPlan,
     /// Plant tags to sample into the result series.
     pub sampled_tags: Vec<String>,
+    /// A checked deployment to run on, when one was attached
+    /// ([`Scenario::attach_deployment`]); the builder and the
+    /// constructors never attach one.
+    pub(crate) deployment: Option<Arc<Deployment>>,
 }
 
 impl Scenario {
@@ -216,7 +222,31 @@ impl Scenario {
                 "TowerFeed.MolarFlow".into(),
                 "LTSLiqValve.OpeningPct".into(),
             ],
+            deployment: None,
         }
+    }
+
+    /// Attaches a checked deployment ([`crate::runtime::check_setup`]),
+    /// typically one shared by every scenario of a sweep with its key.
+    /// [`crate::runtime::Engine::try_new`] runs on it when it
+    /// [fits](Deployment::fits) the scenario as the engine finds it — a
+    /// scenario edited after attaching is checked and built afresh, so
+    /// an attached deployment never changes what a run does, only what
+    /// its setup costs.
+    pub fn attach_deployment(&mut self, deployment: Arc<Deployment>) {
+        self.deployment = Some(deployment);
+    }
+
+    /// The attached deployment, if any.
+    #[must_use]
+    pub fn deployment(&self) -> Option<&Arc<Deployment>> {
+        self.deployment.as_ref()
+    }
+
+    /// Detaches and returns the attached deployment: an engine for the
+    /// scenario then checks and builds its own.
+    pub fn detach_deployment(&mut self) -> Option<Arc<Deployment>> {
+        self.deployment.take()
     }
 
     /// The paper's Fig. 5 testbed, unmodified — an alias of

@@ -21,7 +21,8 @@
 //! flow semantics carry the `VcId` explicitly, so one shared TDMA cycle
 //! closes every hosted loop without cross-talk.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use evm_mac::rtlink::{Flow, ScheduleError};
 use evm_netsim::{Channel, NodeId, NodeInfo, NodeKind, Position, Topology};
@@ -889,11 +890,35 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// FNV-1a, for the label-uniqueness set of [`check_nodes`]: labels are
+/// short, and a spec is no adversary a keyed hash would guard against.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
 /// The deployment-wide checks of [`VcMap::try_from_spec`], in order:
 /// finite positions (a NaN distance would otherwise read as a perfect
 /// link), unique node ids, unique labels (a run's per-node energy and
 /// mode series are keyed by label), then exactly one gateway, whose id
-/// is returned.
+/// is returned. A duplicate is reported at its first repeat in spec
+/// order: the id (or label) of the first node that reuses an earlier
+/// node's.
 fn check_nodes(spec: &TopologySpec) -> Result<NodeId, TopologyError> {
     if let Some(n) = spec
         .nodes
@@ -902,15 +927,19 @@ fn check_nodes(spec: &TopologySpec) -> Result<NodeId, TopologyError> {
     {
         return Err(TopologyError::NonFinitePosition(n.id));
     }
-    let mut ids: Vec<NodeId> = spec.nodes.iter().map(|n| n.id).collect();
-    ids.sort_unstable();
-    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-        return Err(TopologyError::DuplicateNodeId(w[0]));
+    // Ids are dense small integers: a by-raw-id table finds repeats in
+    // one pass.
+    let max_id = spec.nodes.iter().map(|n| n.id.index()).max().unwrap_or(0);
+    let mut seen = vec![false; max_id + 1];
+    for n in &spec.nodes {
+        if std::mem::replace(&mut seen[n.id.index()], true) {
+            return Err(TopologyError::DuplicateNodeId(n.id));
+        }
     }
-    let mut labels: Vec<&str> = spec.nodes.iter().map(|n| n.label.as_str()).collect();
-    labels.sort_unstable();
-    if let Some(w) = labels.windows(2).find(|w| w[0] == w[1]) {
-        return Err(TopologyError::DuplicateLabel(w[0].to_string()));
+    let mut labels: HashSet<&str, BuildHasherDefault<Fnv1a>> =
+        HashSet::with_capacity_and_hasher(spec.nodes.len(), BuildHasherDefault::default());
+    if let Some(n) = spec.nodes.iter().find(|n| !labels.insert(&n.label)) {
+        return Err(TopologyError::DuplicateLabel(n.label.clone()));
     }
     let mut gateway = None;
     for n in &spec.nodes {

@@ -40,7 +40,7 @@ use crate::runtime::Message;
 /// One capsule shipment in flight: a stop-and-wait state machine over
 /// its VC's transfer lane. Sender and receiver sides share this record
 /// (the engine owns both ends of the simulated link).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) struct ActiveTransfer {
     /// The migrating Virtual Component.
     pub vc: VcId,
@@ -105,18 +105,18 @@ impl Engine {
         dst: NodeId,
         promote: Option<NodeId>,
     ) -> bool {
-        if self.scenario.transfer_slots == 0 {
+        if self.run.scenario.transfer_slots == 0 {
             return false;
         }
-        if self.xfer.iter().any(|x| x.vc == vc) {
-            self.trace.log(
-                self.now,
+        if self.run.xfer.iter().any(|x| x.vc == vc) {
+            self.run.trace.log(
+                self.run.now,
                 "migrate",
                 "transfer lane busy; capsule migration skipped",
             );
             return false;
         }
-        let Some(&src) = self.vcs.vc(vc).controllers.first() else {
+        let Some(&src) = self.run.vcs.vc(vc).controllers.first() else {
             return false;
         };
         if src == dst || !self.alive(src) {
@@ -125,14 +125,14 @@ impl Engine {
         // The Virtual Component is *defined* by its object-transfer
         // relationships: a shipment the records do not permit never
         // starts.
-        let permitted = self.components[vc as usize]
+        let permitted = self.run.components[vc as usize]
             .transfers()
             .iter()
-            .any(|t| t.permits(src, dst, self.now, true));
+            .any(|t| t.permits(src, dst, self.run.now, true));
         let (src_label, dst_label) = (self.label_of(src), self.label_of(dst));
         if !permitted {
-            self.trace.log(
-                self.now,
+            self.run.trace.log(
+                self.run.now,
                 "migrate",
                 format!("no transfer relationship {src_label} -> {dst_label}; migration refused"),
             );
@@ -143,10 +143,10 @@ impl Engine {
         };
         // Receivers only accept strict upgrades, so every shipment is a
         // new version of the authoritative capsule.
-        self.vc_capsules[vc as usize].1 += 1;
+        self.run.vc_capsules[vc as usize].1 += 1;
         let mut shipped = self.vc_capsule(vc);
         let advertised_digest = capsule_digest(&shipped, AttestationKey::for_vc(vc));
-        if self.scenario.tamper_gas_budget {
+        if self.run.scenario.tamper_gas_budget {
             // Scripted attack: inflate the WCET budget *after* the digest
             // was advertised — arrival attestation must catch this.
             shipped.gas_budget = shipped.gas_budget.saturating_mul(16).max(1);
@@ -155,11 +155,11 @@ impl Engine {
             capsule: shipped,
             vars: vars.to_vec(),
             advertised_digest,
-            pad_bytes: self.scenario.capsule_pad_bytes,
+            pad_bytes: self.run.scenario.capsule_pad_bytes,
         };
         let total = image.frames();
-        self.trace.log(
-            self.now,
+        self.run.trace.log(
+            self.run.now,
             "migrate",
             format!(
                 "capsule v{} ({} B, {total} frames) {src_label} -> {dst_label}: transfer started",
@@ -167,7 +167,7 @@ impl Engine {
                 image.size_bytes(),
             ),
         );
-        self.xfer.push(ActiveTransfer {
+        self.run.xfer.push(ActiveTransfer {
             vc,
             src,
             dst,
@@ -179,8 +179,8 @@ impl Engine {
             retries_this_chunk: 0,
             frames_sent: 0,
             retries: 0,
-            started_at: self.now,
-            corrupt_pending: self.scenario.corrupt_transfer_chunk,
+            started_at: self.run.now,
+            corrupt_pending: self.run.scenario.corrupt_transfer_chunk,
         });
         true
     }
@@ -190,15 +190,15 @@ impl Engine {
     /// VC's lane would stay busy for good. A promotion left without a
     /// source engages the VC's fail-safe, like one that cannot start.
     pub(super) fn drop_orphaned_transfers(&mut self) {
-        while let Some(i) = self.xfer.iter().position(|x| !self.alive(x.src)) {
-            let xfer = self.xfer.swap_remove(i);
+        while let Some(i) = self.run.xfer.iter().position(|x| !self.alive(x.src)) {
+            let xfer = self.run.xfer.swap_remove(i);
             let (src_label, dst_label) = (self.label_of(xfer.src), self.label_of(xfer.dst));
-            self.trace.log(
-                self.now,
+            self.run.trace.log(
+                self.run.now,
                 "migrate",
                 format!("transfer {src_label} -> {dst_label} abandoned: {src_label} is down"),
             );
-            if let (Some(suspect), Some(head)) = (xfer.promote, self.vcs.vc(xfer.vc).head) {
+            if let (Some(suspect), Some(head)) = (xfer.promote, self.run.vcs.vc(xfer.vc).head) {
                 self.engage_fail_safe(xfer.vc, head, suspect);
             }
         }
@@ -216,14 +216,14 @@ impl Engine {
     ///
     /// [`FlowKind::Transfer`]: crate::runtime::topo::FlowKind::Transfer
     pub(super) fn take_transfer_chunk(&mut self, vc: VcId, owner: NodeId) -> Option<Message> {
-        let i = self.xfer.iter().position(|x| x.vc == vc)?;
+        let i = self.run.xfer.iter().position(|x| x.vc == vc)?;
         let give_up = {
-            let xfer = &mut self.xfer[i];
+            let xfer = &mut self.run.xfer[i];
             if xfer.src != owner || xfer.next_chunk >= xfer.total {
                 return None;
             }
             if xfer.awaiting_ack {
-                if xfer.retries_this_chunk >= self.scenario.migration_max_retries {
+                if xfer.retries_this_chunk >= self.run.scenario.migration_max_retries {
                     true
                 } else {
                     xfer.retries_this_chunk += 1;
@@ -235,14 +235,14 @@ impl Engine {
             }
         };
         if give_up {
-            let xfer = self.xfer.swap_remove(i);
+            let xfer = self.run.xfer.swap_remove(i);
             let (src_label, dst_label) = (self.label_of(xfer.src), self.label_of(xfer.dst));
             let err = EvmError::MigrationTimeout {
                 frames_remaining: xfer.total - xfer.next_chunk,
                 retries: xfer.retries,
             };
-            self.trace.log(
-                self.now,
+            self.run.trace.log(
+                self.run.now,
                 "migrate",
                 format!("transfer {src_label} -> {dst_label} abandoned: {err}"),
             );
@@ -251,7 +251,7 @@ impl Engine {
             }
             return None;
         }
-        let xfer = &mut self.xfer[i];
+        let xfer = &mut self.run.xfer[i];
         let seq = xfer.next_chunk;
         let len = (xfer.image.size_bytes() - seq * chunk_capacity()).min(chunk_capacity());
         xfer.awaiting_ack = true;
@@ -272,18 +272,18 @@ impl Engine {
     /// ack leaves the fragment unacknowledged and the sender re-sends it
     /// (the receiver-side duplicate is then ignored by the `seq` check).
     pub(super) fn on_chunk_delivered(&mut self, to: NodeId, from: NodeId, vc: VcId, seq: u16) {
-        let Some(i) = self.xfer.iter().position(|x| x.vc == vc) else {
+        let Some(i) = self.run.xfer.iter().position(|x| x.vc == vc) else {
             return;
         };
         let outcome = {
-            let xfer = &mut self.xfer[i];
+            let xfer = &mut self.run.xfer[i];
             let seq = usize::from(seq);
             if xfer.src != from || xfer.dst != to || seq != xfer.next_chunk {
                 ChunkOutcome::Ignore
             } else if xfer.corrupt_pending == Some(seq) {
                 xfer.corrupt_pending = None;
                 ChunkOutcome::Corrupted(seq)
-            } else if self.rng.chance(self.scenario.extra_loss) {
+            } else if self.run.rng.chance(self.run.scenario.extra_loss) {
                 ChunkOutcome::AckLost(seq)
             } else {
                 xfer.next_chunk += 1;
@@ -303,15 +303,15 @@ impl Engine {
                 // receiver drops it without acking — the sender's
                 // retransmission, not this copy, gets activated.
                 let dst_label = self.label_of(to);
-                self.trace.log(
-                    self.now,
+                self.run.trace.log(
+                    self.run.now,
                     "migrate",
                     format!("chunk {seq} corrupted in flight; {dst_label} dropped it unacked"),
                 );
             }
             ChunkOutcome::AckLost(seq) => {
-                self.trace.log(
-                    self.now,
+                self.run.trace.log(
+                    self.run.now,
                     "migrate",
                     format!("chunk {seq} ack lost; sender will retransmit"),
                 );
@@ -328,19 +328,20 @@ impl Engine {
     /// receiver's resident state untouched and, for a promotion,
     /// releases the head's pending decision.
     fn finish_transfer(&mut self, i: usize) {
-        let xfer = self.xfer.swap_remove(i);
+        let xfer = self.run.xfer.swap_remove(i);
         let dst_label = self.label_of(xfer.dst);
         if let Err(reason) = self.activate_arrival(&xfer) {
-            self.trace
-                .log(self.now, "migrate", format!("{dst_label} {reason}"));
+            self.run
+                .trace
+                .log(self.run.now, "migrate", format!("{dst_label} {reason}"));
             if xfer.promote.is_some() {
                 self.release_head_decision(xfer.vc);
             }
             return;
         }
-        let latency = self.now.saturating_since(xfer.started_at);
-        self.trace.log(
-            self.now,
+        let latency = self.run.now.saturating_since(xfer.started_at);
+        self.run.trace.log(
+            self.run.now,
             "migrate",
             format!(
                 "capsule v{} attested and activated on {dst_label} \
@@ -352,7 +353,7 @@ impl Engine {
                 latency.as_secs_f64(),
             ),
         );
-        self.migrations.push(MigrationRecord {
+        self.run.migrations.push(MigrationRecord {
             vc: xfer.vc,
             from: xfer.src,
             to: xfer.dst,
@@ -435,7 +436,7 @@ mod tests {
             .to_vec();
         assert_eq!(before.len(), 1, "a warm replica boots with its task");
         engine.run_until(SimTime::from_secs(60));
-        assert_eq!(engine.migrations.len(), 1, "the re-election migrated");
+        assert_eq!(engine.run.migrations.len(), 1, "the re-election migrated");
         let core = engine.controller(new_head).expect("Ctrl-B heads now");
         assert_eq!(core.capsule_version, Some(2));
         assert_eq!(

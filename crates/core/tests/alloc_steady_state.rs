@@ -32,15 +32,21 @@
 //! (laws, kernels, names, link state) instead of copying it, and
 //! teardown hands names on instead of freeing them.
 //!
+//! One more window bounds what a sweep batch pays per cell to set up: one
+//! shared deployment ([`check_setup`]) and eight engines on it, for the
+//! 8-cell `vc_failover_sweep` batch shape. A cell that copied the
+//! deployment instead of sharing it would pay its whole build again.
+//!
 //! A single `#[test]` covers all windows sequentially: the counters
 //! are process-global, so concurrent tests would pollute each other's
 //! windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 use evm_core::bytecode::NullEnv;
-use evm_core::runtime::{Engine, ReroutePolicy, Scenario, ScenarioBuilder};
+use evm_core::runtime::{check_setup, Engine, ReroutePolicy, Scenario, ScenarioBuilder};
 use evm_core::{Op, Program, Vm};
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
@@ -141,6 +147,51 @@ fn fleet_setup_and_teardown(n: usize) -> (u64, u64) {
     (allocs, frees)
 }
 
+/// Allocations per cell of setting up an 8-cell batch of the
+/// `vc_failover_sweep` shape (8 VCs of 3 replicas, heartbeat reroute, a
+/// transfer lane) whose cells differ in seed and loss: one shared
+/// deployment, then one engine per cell on it. Each engine is built from
+/// its own copy of its cell's scenario, as a sweep worker builds it; the
+/// copies are made before the window opens.
+fn shared_batch_setup() -> f64 {
+    let template = ScenarioBuilder::star()
+        .vcs(8)
+        .sensors(1)
+        .controllers(3)
+        .actuators(1)
+        .head(true)
+        .slots_per_cycle(96)
+        .reroute(ReroutePolicy::Heartbeat)
+        .transfer_slots(1)
+        .capsule_pad_bytes(1024)
+        .duration(SimDuration::from_secs(300))
+        .build();
+    let cells: Vec<Scenario> = (0..8u64)
+        .map(|k| {
+            let mut s = template.clone();
+            s.seed = k;
+            s.extra_loss = [0.0, 0.02][(k % 2) as usize];
+            s
+        })
+        .collect();
+    let (allocs, engines) = allocs_during(|| {
+        let deployment = check_setup(&template).expect("the batch sets up");
+        cells
+            .into_iter()
+            .map(|mut s| {
+                s.attach_deployment(Arc::clone(&deployment));
+                Engine::try_new(s).expect("the cell sets up")
+            })
+            .collect::<Vec<_>>()
+    });
+    let shared = engines[0].deployment();
+    assert!(
+        engines.iter().all(|e| Arc::ptr_eq(e.deployment(), shared)),
+        "every cell runs on the shared deployment"
+    );
+    allocs as f64 / 8.0
+}
+
 /// Allocations made while running `f`.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.load(Relaxed);
@@ -205,6 +256,15 @@ fn warmed_hot_loop_never_touches_the_heap() {
     // buffer. Teardown makes 11 frees: the role-map and listener
     // lists, the box, the replica's interpreter stack, the mode map, and
     // the scenario's PV and output tags.
+    // Per cell, a shared batch makes 261 allocations: its eighth of the
+    // deployment's 759, plus 166 for its own engine. A cold engine for
+    // the same cell makes 787 on its own.
+    let per_cell = shared_batch_setup();
+    assert!(
+        per_cell <= 261.0,
+        "a shared 8-cell batch allocates {per_cell:.1} times per cell to set up"
+    );
+
     let (small_allocs, small_frees) = fleet_setup_and_teardown(200);
     let (large_allocs, large_frees) = fleet_setup_and_teardown(1000);
     let per_vc = |small: u64, large: u64| (large - small) as f64 / 800.0;

@@ -16,7 +16,7 @@ use evm_netsim::{NodeId, Topology};
 use evm_sim::{SimDuration, SimTime};
 
 /// RT-Link cycle/slot parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RtLinkConfig {
     /// Length of one TDMA slot.
     pub slot_duration: SimDuration,

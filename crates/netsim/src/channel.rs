@@ -9,6 +9,7 @@
 //! bursts.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use evm_sim::SimRng;
 
@@ -17,7 +18,7 @@ use crate::gilbert::GilbertElliott;
 use crate::node::NodeId;
 
 /// Channel and radio parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
     /// Transmit power in dBm (CC2420 maximum is 0 dBm).
     pub tx_power_dbm: f64,
@@ -51,6 +52,13 @@ impl Default for ChannelConfig {
 }
 
 impl ChannelConfig {
+    /// `true` if links draw a log-normal shadowing realization from the
+    /// channel stream on first use (see [`Channel::is_shadowed`]).
+    #[must_use]
+    pub fn is_shadowed(&self) -> bool {
+        self.shadowing_sigma_db > 0.0
+    }
+
     /// An industrial-plant-like preset: stronger attenuation, mild
     /// shadowing, and bursty links.
     #[must_use]
@@ -95,7 +103,7 @@ pub struct BurstSlot(u32);
 /// destination. Most nodes transmit to a single destination, so one link
 /// is held inline and only fan-out sources (a gateway downlinking to
 /// every sensor) allocate.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 enum Fanout {
     #[default]
     None,
@@ -104,6 +112,18 @@ enum Fanout {
 }
 
 impl Fanout {
+    /// The pool slot of the link to `dst`, if interned.
+    fn find(&self, dst: NodeId) -> Option<u32> {
+        match self {
+            Fanout::None => None,
+            Fanout::One(d, ix) => (*d == dst).then_some(*ix),
+            Fanout::Many(links) => links
+                .binary_search_by_key(&dst, |&(d, _)| d)
+                .ok()
+                .map(|i| links[i].1),
+        }
+    }
+
     /// The pool slot of the link to `dst`; `fresh` (recorded as that
     /// link's slot) if the link is new.
     fn slot(&mut self, dst: NodeId, fresh: u32) -> u32 {
@@ -130,6 +150,22 @@ impl Fanout {
     }
 }
 
+/// The seed-free half of a channel: its configuration, the link-model
+/// memo and the burst-pool interning table. Every entry is a pure
+/// function of the configuration and of the order links were first
+/// used, so channels that restart from one another share it
+/// ([`Channel::restart`]) and copy it only when one of them meets a
+/// distance or a link it does not hold yet.
+#[derive(Debug, Clone)]
+struct LinkTable {
+    config: ChannelConfig,
+    /// Link model per distance (`f64::to_bits`), unshadowed only.
+    link_models: BTreeMap<u64, LinkModel>,
+    /// Burst-state pool slots of each source's outgoing links, indexed
+    /// by the source's raw id.
+    burst_index: Vec<Fanout>,
+}
+
 /// The shared radio medium.
 ///
 /// Stateless with respect to node positions (those live in the topology);
@@ -148,18 +184,18 @@ impl Fanout {
 /// its bit pattern) and answers every later query on any link at that
 /// distance from the memo, bit for bit. A shadowed channel never
 /// touches the memo, so its RNG draw order is unchanged.
-#[derive(Debug)]
+///
+/// **Sharing.** The memo and the interning table sit behind an `Arc`:
+/// a clone or a [`Channel::restart`] shares them, and the first new
+/// entry either channel records copies them for that channel alone.
+/// Shadowing realizations, burst states and the stream are per channel.
+#[derive(Debug, Clone)]
 pub struct Channel {
-    config: ChannelConfig,
-    /// Link model per distance (`f64::to_bits`), unshadowed only.
-    link_models: BTreeMap<u64, LinkModel>,
+    links: Arc<LinkTable>,
     /// Frozen shadowing realization per (src, dst) pair.
     shadowing_db: HashMap<(NodeId, NodeId), f64>,
-    /// Burst-state pool slots of each source's outgoing links, indexed
-    /// by the source's raw id.
-    burst_index: Vec<Fanout>,
-    /// The burst states, dense, in first-use order; reached via
-    /// `burst_index` or an interned [`BurstSlot`].
+    /// The burst states, dense, in first-use order; reached via the
+    /// link table's interning index or an interned [`BurstSlot`].
     burst_states: Vec<GilbertElliott>,
     rng: SimRng,
 }
@@ -169,11 +205,34 @@ impl Channel {
     #[must_use]
     pub fn new(config: ChannelConfig, rng: SimRng) -> Self {
         Channel {
-            config,
-            link_models: BTreeMap::new(),
+            links: Arc::new(LinkTable {
+                config,
+                link_models: BTreeMap::new(),
+                burst_index: Vec::new(),
+            }),
             shadowing_db: HashMap::new(),
-            burst_index: Vec::new(),
             burst_states: Vec::new(),
+            rng,
+        }
+    }
+
+    /// A fresh channel over this one's links, drawing from `rng`: the
+    /// link-model memo and the interned burst slots are shared, not
+    /// copied, and every burst process starts over from the configured
+    /// one. The new channel samples exactly as a new channel that had
+    /// been asked the same link questions would.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shadowed channel, whose realizations were drawn from
+    /// its own stream and cannot be restarted on another.
+    #[must_use]
+    pub fn restart(&self, rng: SimRng) -> Channel {
+        assert!(!self.is_shadowed(), "a shadowed channel cannot restart");
+        Channel {
+            links: Arc::clone(&self.links),
+            shadowing_db: HashMap::new(),
+            burst_states: vec![self.links.config.burst.clone(); self.burst_states.len()],
             rng,
         }
     }
@@ -181,13 +240,13 @@ impl Channel {
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &ChannelConfig {
-        &self.config
+        &self.links.config
     }
 
     /// Received power in dBm at distance `d` meters (deterministic part +
     /// the link's frozen shadowing realization).
     pub fn received_power_dbm(&mut self, link: (NodeId, NodeId), d: f64) -> f64 {
-        let sigma = self.config.shadowing_sigma_db;
+        let sigma = self.links.config.shadowing_sigma_db;
         let shadow = if self.is_shadowed() {
             let rng = &mut self.rng;
             *self
@@ -197,7 +256,7 @@ impl Channel {
         } else {
             0.0
         };
-        received_dbm(&self.config, d, shadow)
+        received_dbm(&self.links.config, d, shadow)
     }
 
     /// `true` if links draw a log-normal shadowing realization from the
@@ -205,12 +264,12 @@ impl Channel {
     /// function of distance: both directions agree and no query draws.
     #[must_use]
     pub fn is_shadowed(&self) -> bool {
-        self.config.shadowing_sigma_db > 0.0
+        self.links.config.is_shadowed()
     }
 
     /// Signal-to-noise ratio in dB on `link` at distance `d`.
     pub fn snr_db(&mut self, link: (NodeId, NodeId), d: f64) -> f64 {
-        self.received_power_dbm(link, d) - self.config.noise_floor_dbm
+        self.received_power_dbm(link, d) - self.links.config.noise_floor_dbm
     }
 
     /// Expected packet error rate for an `air_bytes`-byte frame on `link`
@@ -224,7 +283,7 @@ impl Channel {
     pub fn is_connected(&mut self, link: (NodeId, NodeId), d: f64) -> bool {
         if self.is_shadowed() {
             self.packet_error_rate(link, d, CONNECT_FRAME_BYTES)
-                <= self.config.connect_per_threshold
+                <= self.links.config.connect_per_threshold
         } else {
             self.link_model(d).connected
         }
@@ -233,14 +292,18 @@ impl Channel {
     /// The memoized unshadowed link model at distance `d`, evaluated on
     /// first sight with exactly the arithmetic of the per-link path.
     fn link_model(&mut self, d: f64) -> LinkModel {
-        let config = &self.config;
-        *self.link_models.entry(d.to_bits()).or_insert_with(|| {
-            let ber = oqpsk_ber(received_dbm(config, d, 0.0) - config.noise_floor_dbm);
-            LinkModel {
-                ber,
-                connected: per_from_ber(ber, CONNECT_FRAME_BYTES) <= config.connect_per_threshold,
-            }
-        })
+        if let Some(&model) = self.links.link_models.get(&d.to_bits()) {
+            return model;
+        }
+        let links = Arc::make_mut(&mut self.links);
+        let config = &links.config;
+        let ber = oqpsk_ber(received_dbm(config, d, 0.0) - config.noise_floor_dbm);
+        let model = LinkModel {
+            ber,
+            connected: per_from_ber(ber, CONNECT_FRAME_BYTES) <= config.connect_per_threshold,
+        };
+        links.link_models.insert(d.to_bits(), model);
+        model
     }
 
     /// Samples whether a concrete transmission of `frame` from its source to
@@ -261,15 +324,20 @@ impl Channel {
     /// config's default process) on first sight. Creation draws no RNG,
     /// so interning early is indistinguishable from lazy first use.
     fn burst_ix(&mut self, (src, dst): (NodeId, NodeId)) -> usize {
-        if src.index() >= self.burst_index.len() {
-            self.burst_index
+        let known = self.links.burst_index.get(src.index());
+        if let Some(ix) = known.and_then(|f| f.find(dst)) {
+            return ix as usize;
+        }
+        let links = Arc::make_mut(&mut self.links);
+        if src.index() >= links.burst_index.len() {
+            links
+                .burst_index
                 .resize_with(src.index() + 1, Fanout::default);
         }
         let fresh = u32::try_from(self.burst_states.len()).expect("burst pool fits u32");
-        let ix = self.burst_index[src.index()].slot(dst, fresh);
-        if ix == fresh {
-            self.burst_states.push(self.config.burst.clone());
-        }
+        let ix = links.burst_index[src.index()].slot(dst, fresh);
+        debug_assert_eq!(ix, fresh, "a known link was looked up above");
+        self.burst_states.push(links.config.burst.clone());
         ix as usize
     }
 

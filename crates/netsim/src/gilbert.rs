@@ -30,7 +30,7 @@ enum GeState {
 /// let losses = (0..1000).filter(|_| link.sample_loss(&mut rng)).count();
 /// assert!(losses > 0 && losses < 300);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GilbertElliott {
     /// P(Good -> Bad) per packet.
     p_gb: f64,

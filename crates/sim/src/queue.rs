@@ -34,7 +34,7 @@ use crate::SimTime;
 /// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
 /// assert_eq!(order, ["a", "b", "c"]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Pending events, sorted by descending `(at, seq)`: the next to pop
     /// is the last.
@@ -42,7 +42,7 @@ pub struct EventQueue<E> {
     seq: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,

@@ -74,9 +74,10 @@ where
 
 /// Runs every cell's engine on the pool; results come back in cell order.
 ///
-/// This is the sweep fast path: one `Engine` per cell, no shared state
-/// between cells, per-cell seeds fixed at expansion time — so the result
-/// vector is byte-identical across thread counts.
+/// This is the sweep fast path: one `Engine` per cell, no mutable state
+/// shared between cells (cells of one deployment key share only their
+/// read-only deployment), per-cell seeds fixed at expansion time — so the
+/// result vector is byte-identical across thread counts.
 #[must_use]
 pub fn run_cells(cells: &[SweepCell], threads: usize) -> Vec<RunResult> {
     run_indexed(cells, threads, |_, cell| {
@@ -88,8 +89,9 @@ pub fn run_cells(cells: &[SweepCell], threads: usize) -> Vec<RunResult> {
 /// [`TopologyError`] in place instead of panicking the worker — one bad
 /// cell (a hand-built spec, an out-of-range knob) fails alone and the
 /// rest of the batch completes. Engine setup runs the whole setup check
-/// ([`evm_core::runtime::check_setup`]) before it builds anything, so
-/// every scenario rule is reported here; `SweepGrid::expand` runs the
+/// ([`evm_core::runtime::check_setup`]) before it builds anything — only
+/// its per-run stages when the cell carries a deployment that fits it —
+/// so every scenario rule is reported here; `SweepGrid::expand` runs the
 /// same check up front, so this is the belt for cells built or mutated
 /// outside the grid DSL.
 #[must_use]

@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use evm_core::runtime::{
-    check_setup, Layout, ReroutePolicy, Role, Scenario, TopologyShape, TopologySpec,
+    check_setup, Deployment, Layout, ReroutePolicy, Role, Scenario, TopologyShape, TopologySpec,
 };
 use evm_sim::derive_seed;
 
@@ -393,9 +393,22 @@ impl SweepGrid {
     ///
     /// Each cell applies its axis edits to the template, rebuilds its
     /// topology and hosting manifest once if a topology axis touched it,
-    /// and then passes the setup check ([`check_setup`]). A malformed
-    /// grid therefore fails fast at definition, with the cell id and the
-    /// typed error, instead of panicking a worker hours into the batch.
+    /// and then passes the setup check. A malformed grid therefore fails
+    /// fast at definition, with the cell id and the typed error, instead
+    /// of panicking a worker hours into the batch.
+    ///
+    /// The check builds the cell's [`Deployment`], and cells share it:
+    /// the first cell of each distinct deployment key runs the whole
+    /// [`check_setup`], and every later cell of that key runs only the
+    /// per-run stages ([`Deployment::check_run`]: knob rules, crash
+    /// script, fault plan) and shares the first one's deployment. Cells
+    /// that differ only in seed, loss, detection or capsule size have one
+    /// key (unless the channel is shadowed: its key holds the seed). Each
+    /// cell's scenario carries its deployment
+    /// ([`Scenario::attach_deployment`]), so the workers' engines skip
+    /// setup's shared half; a cell edited after expansion no longer fits
+    /// it and is checked and built afresh. Either way a cell rejects
+    /// exactly what `check_setup` would, with the same error.
     ///
     /// # Panics
     ///
@@ -406,6 +419,10 @@ impl SweepGrid {
     pub fn expand(&self) -> Vec<SweepCell> {
         let len = self.len();
         let reps = self.seeds_per_cell as usize;
+        // The distinct deployments built so far, newest first in search
+        // order: a grid's key-changing axes are its outer ones, so a cell
+        // mostly shares the deployment of the cell before it.
+        let mut built: Vec<Arc<Deployment>> = Vec::new();
         (0..len)
             .map(|id| {
                 let mut draft = Draft {
@@ -428,8 +445,13 @@ impl SweepGrid {
                     scenario.host_vcs(shape.vcs);
                 }
                 scenario.seed = derive_seed(self.base_seed, id as u64);
-                if let Err(e) = check_setup(&scenario) {
-                    panic!("sweep cell {id}: {e}");
+                let deployment = match built.iter().rev().find(|d| d.fits(&scenario)) {
+                    Some(d) => d.check_run(&scenario).map(|()| Arc::clone(d)),
+                    None => check_setup(&scenario).inspect(|d| built.push(Arc::clone(d))),
+                };
+                match deployment {
+                    Ok(d) => scenario.attach_deployment(d),
+                    Err(e) => panic!("sweep cell {id}: {e}"),
                 }
                 let rep = u32::try_from(id % reps).expect("replicate index fits u32");
                 SweepCell {

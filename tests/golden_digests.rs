@@ -12,15 +12,23 @@
 //! The sweep goldens pin the grid layer the same way: seven short grids
 //! that together use every `SweepGrid` axis, each reduced to a digest of
 //! its expanded cells (id, seed, key and run digest) and a digest of the
-//! six rendered report views.
+//! six rendered report views. Every grid's cells run twice, on the
+//! deployments `SweepGrid::expand` shares between them and on cold ones
+//! each engine builds itself, and both must give the same digests; the
+//! sharing tests at the end pin which cells share a deployment. Engine
+//! clones are pinned too: a clone taken mid-run finishes with its
+//! original's digests.
+
+use std::sync::Arc;
 
 use evm::core::runtime::{Engine, Layout, ReroutePolicy, Role, Scenario, ScenarioBuilder};
 use evm::core::{MigrationRecord, NodeEnergy, RunMeta, RunResult, VcRunStats};
+use evm::netsim::{ChannelConfig, Position};
 use evm::netsim::{NodeCrash, NodeId};
 use evm::plant::ActuatorFault;
 use evm::prelude::*;
 use evm::sim::derive_seed;
-use evm::sweep::{available_threads, run_cells, StarShape, SweepGrid, SweepReport};
+use evm::sweep::{available_threads, run_cells, StarShape, SweepCell, SweepGrid, SweepReport};
 
 /// Incremental FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -196,8 +204,14 @@ struct Golden {
 /// returns the run for scenario-specific checks.
 fn check(name: &str, make: impl Fn() -> Scenario, pinned: &Golden) -> RunResult {
     let r = Engine::new(make()).run();
+    assert_pinned(name, &r, pinned);
+    r
+}
+
+/// Asserts that `r` reproduces `pinned`.
+fn assert_pinned(name: &str, r: &RunResult, pinned: &Golden) {
     assert!(r.actuations > 20, "{name}: run must exercise the loop");
-    let (result, trace) = (result_digest(&r), trace_digest(&r));
+    let (result, trace) = (result_digest(r), trace_digest(r));
     assert!(
         result == pinned.result && trace == pinned.trace,
         "{name}: digests moved: result {result:#018x} (pinned {:#018x}), \
@@ -205,7 +219,6 @@ fn check(name: &str, make: impl Fn() -> Scenario, pinned: &Golden) -> RunResult 
         pinned.result,
         pinned.trace
     );
-    r
 }
 
 /// The first dedicated relay that carries forwarding jobs in the
@@ -240,16 +253,14 @@ fn fig5_digest() {
 }
 
 /// Fig. 6b: the paper's 1000 s failover timeline.
+const FIG6B: Golden = Golden {
+    result: 0xf145_d5db_93b1_0eb4,
+    trace: 0xc1eb_c90e_6ed7_8d60,
+};
+
 #[test]
 fn fig6b_digest() {
-    check(
-        "fig6b",
-        Scenario::fig6b,
-        &Golden {
-            result: 0xf145_d5db_93b1_0eb4,
-            trace: 0xc1eb_c90e_6ed7_8d60,
-        },
-    );
+    check("fig6b", Scenario::fig6b, &FIG6B);
 }
 
 /// Multi-hop line: relay flows spanning two hops, serial schedule.
@@ -332,29 +343,33 @@ fn heartbeat_reroute_digest() {
 
 /// Head-kill live migration: the head crashes at 10 s and re-election
 /// ships the padded capsule over two transfer slots, chunk by chunk.
+fn head_kill_migration() -> Scenario {
+    ScenarioBuilder::star()
+        .reroute(ReroutePolicy::Heartbeat)
+        .line(2)
+        .sensors(1)
+        .controllers(3)
+        .actuators(1)
+        .head(true)
+        .backup_relays(1)
+        .transfer_slots(2)
+        .capsule_pad_bytes(512)
+        .crash_node_at(NodeId(6), SimTime::from_secs(10))
+        .duration(SimDuration::from_secs(90))
+        .build()
+}
+
+const HEAD_KILL_MIGRATION: Golden = Golden {
+    result: 0xa757_9a10_4c7e_3d4f,
+    trace: 0x65df_9346_9c20_ca37,
+};
+
 #[test]
 fn head_kill_migration_digest() {
     let r = check(
         "head_kill_migration",
-        || {
-            ScenarioBuilder::star()
-                .reroute(ReroutePolicy::Heartbeat)
-                .line(2)
-                .sensors(1)
-                .controllers(3)
-                .actuators(1)
-                .head(true)
-                .backup_relays(1)
-                .transfer_slots(2)
-                .capsule_pad_bytes(512)
-                .crash_node_at(NodeId(6), SimTime::from_secs(10))
-                .duration(SimDuration::from_secs(90))
-                .build()
-        },
-        &Golden {
-            result: 0xa757_9a10_4c7e_3d4f,
-            trace: 0x65df_9346_9c20_ca37,
-        },
+        head_kill_migration,
+        &HEAD_KILL_MIGRATION,
     );
     assert_eq!(r.migrations.len(), 1, "the head kill must migrate live");
 }
@@ -384,36 +399,34 @@ fn two_vc_crash_digest() {
 /// 1 KiB capsule pad. VC 1's head dies at 60 s, VC 3's primary at
 /// 110 s and VC 5's head at 160 s, so the run recomputes the schedule
 /// at setup and after each head kill.
+fn vc_failover_cell() -> Scenario {
+    let mut s = ScenarioBuilder::star()
+        .vcs(8)
+        .sensors(1)
+        .controllers(3)
+        .actuators(1)
+        .head(true)
+        .slots_per_cycle(96)
+        .reroute(ReroutePolicy::Heartbeat)
+        .transfer_slots(1)
+        .capsule_pad_bytes(1024)
+        .duration(SimDuration::from_secs(300))
+        .crash_vc_primary_at(3, SimTime::from_secs(110))
+        .build();
+    let probe = Engine::new(s.clone());
+    let head = |vc| probe.vc_map().vc(vc).head.expect("every VC has a head");
+    for (node, at) in [(head(1), 60), (head(5), 160)] {
+        s.fault_plan
+            .add_crash(NodeCrash::permanent(node, SimTime::from_secs(at)));
+    }
+    s
+}
+
 #[test]
 fn vc_failover_cell_digest() {
-    let base = || {
-        ScenarioBuilder::star()
-            .vcs(8)
-            .sensors(1)
-            .controllers(3)
-            .actuators(1)
-            .head(true)
-            .slots_per_cycle(96)
-            .reroute(ReroutePolicy::Heartbeat)
-            .transfer_slots(1)
-            .capsule_pad_bytes(1024)
-            .duration(SimDuration::from_secs(300))
-            .crash_vc_primary_at(3, SimTime::from_secs(110))
-            .build()
-    };
-    let probe = Engine::new(base());
-    let head = |vc| probe.vc_map().vc(vc).head.expect("every VC has a head");
-    let kills = [(head(1), 60), (head(5), 160)];
     let r = check(
         "vc_failover_cell",
-        || {
-            let mut s = base();
-            for &(node, at) in &kills {
-                s.fault_plan
-                    .add_crash(NodeCrash::permanent(node, SimTime::from_secs(at)));
-            }
-            s
-        },
+        vc_failover_cell,
         &Golden {
             result: 0x60e0_1b11_23fb_d67d,
             trace: 0x2e51_09f1_7533_0013,
@@ -512,11 +525,39 @@ struct SweepGolden {
     report: u64,
 }
 
+/// `cells` with their deployments detached: each engine checks and
+/// builds its own.
+fn cold(cells: &[SweepCell]) -> Vec<SweepCell> {
+    let mut cold = cells.to_vec();
+    for c in &mut cold {
+        assert!(
+            c.scenario.detach_deployment().is_some(),
+            "expand attaches a deployment to cell {}",
+            c.id
+        );
+    }
+    cold
+}
+
+/// Asserts that `shared` and `cold` give the same runs, cell for cell.
+fn assert_same_runs(name: &str, shared: &[RunResult], cold: &[RunResult]) {
+    assert_eq!(shared.len(), cold.len());
+    for (k, (a, b)) in shared.iter().zip(cold).enumerate() {
+        assert!(
+            result_digest(a) == result_digest(b) && trace_digest(a) == trace_digest(b),
+            "{name}: cell {k} on its shared deployment differs from a cold build"
+        );
+    }
+}
+
 /// Expands and runs `grid`, and asserts the cell list and the rendered
-/// report reproduce `pinned`.
+/// report reproduce `pinned`, and that the cells give the same runs
+/// built cold.
 fn check_sweep(name: &str, grid: &SweepGrid, pinned: &SweepGolden) {
     let cells = grid.expand();
-    let results = run_cells(&cells, available_threads().min(4));
+    let threads = available_threads().min(4);
+    let results = run_cells(&cells, threads);
+    assert_same_runs(name, &results, &run_cells(&cold(&cells), threads));
     let mut h = Fnv::new();
     h.len(cells.len());
     for (c, r) in cells.iter().zip(&results) {
@@ -699,4 +740,123 @@ fn sweep_star_detection_digest() {
             report: 0xe6f1_e600_5cb7_1b4f,
         },
     );
+}
+
+/// Clones of an engine taken mid-run finish with the original's pinned
+/// digests: Fig. 6b before the fault, at it and at the failover commit,
+/// and the head-kill migration halfway through its shipment.
+#[test]
+fn clones_finish_like_their_originals() {
+    let finish = |name: &str, original: Engine, pinned: &Golden| {
+        let clone = original.clone();
+        assert!(Arc::ptr_eq(clone.deployment(), original.deployment()));
+        assert_pinned(&format!("{name} clone"), &clone.run(), pinned);
+        assert_pinned(&format!("{name} original"), &original.run(), pinned);
+    };
+    for at in [150, 300, 600] {
+        let mut engine = Engine::new(Scenario::fig6b());
+        engine.run_until(SimTime::from_secs(at));
+        finish(&format!("fig6b at {at} s"), engine, &FIG6B);
+    }
+    // Halfway between the shipment's start and its activation.
+    let r = Engine::new(head_kill_migration()).run();
+    let started = r
+        .trace
+        .entries()
+        .iter()
+        .find(|e| e.message.contains("transfer started"))
+        .expect("the head kill starts a shipment")
+        .at;
+    let mid = started + r.migrations[0].latency / 2;
+    assert!(mid > started, "the shipment spans more than one instant");
+    let mut engine = Engine::new(head_kill_migration());
+    engine.run_until(mid);
+    finish("head kill mid-shipment", engine, &HEAD_KILL_MIGRATION);
+}
+
+/// The distinct deployments (by pointer) among `cells`, in first-use
+/// order.
+fn distinct_deployments(cells: &[SweepCell]) -> usize {
+    let mut seen: Vec<&Arc<_>> = Vec::new();
+    for c in cells {
+        let d = c.scenario.deployment().expect("expand attaches one");
+        if !seen.iter().any(|s| Arc::ptr_eq(s, d)) {
+            seen.push(d);
+        }
+    }
+    seen.len()
+}
+
+/// Cells that differ only in seed and loss share one deployment: the
+/// `vc_failover_sweep` batch builds one for its 8 cells, and a star-shape
+/// axis builds one per shape.
+#[test]
+fn cells_of_one_key_share_one_deployment() {
+    let failover = SweepGrid::new(vc_failover_cell())
+        .over_loss(&[0.0, 0.02])
+        .seeds_per_cell(4)
+        .expand();
+    assert_eq!(failover.len(), 8);
+    assert_eq!(distinct_deployments(&failover), 1);
+    let shapes = SweepGrid::new(smoke_template())
+        .over_stars(&[StarShape::fig5(), StarShape::with_controllers(3)])
+        .over_loss(&[0.0, 0.1])
+        .seeds_per_cell(2)
+        .expand();
+    assert_eq!(distinct_deployments(&shapes), 2);
+    for half in shapes.chunks(4) {
+        assert_eq!(distinct_deployments(half), 1, "one shape, one deployment");
+    }
+}
+
+/// A shadowed channel derives its topology from the seeded channel
+/// stream, so its cells share nothing across seeds, and still run as
+/// they would cold.
+#[test]
+fn shadowed_cells_share_nothing_across_seeds() {
+    let mut template = smoke_template();
+    template.channel = ChannelConfig::industrial();
+    let cells = SweepGrid::new(template).seeds_per_cell(3).expand();
+    assert_eq!(distinct_deployments(&cells), 3);
+    let threads = available_threads().min(4);
+    assert_same_runs(
+        "shadowed",
+        &run_cells(&cells, threads),
+        &run_cells(&cold(&cells), threads),
+    );
+}
+
+/// A cell edited after expansion no longer fits its deployment: the
+/// engine builds a fresh one and runs as the edited cell would cold.
+#[test]
+fn cells_edited_after_expansion_rebuild() {
+    let cells = SweepGrid::new(smoke_template()).seeds_per_cell(2).expand();
+    let lane: fn(&mut Scenario) = |s| s.transfer_slots = 2;
+    let moved: fn(&mut Scenario) = |s| {
+        let p = s.topology.nodes[1].position;
+        s.topology.nodes[1].position = Position::new(p.x + 1.0, p.y);
+    };
+    for (name, edit) in [("transfer_slots", lane), ("node position", moved)] {
+        let mut edited = cells[1].scenario.clone();
+        edit(&mut edited);
+        let engine = Engine::new(edited.clone());
+        let attached = edited.deployment().expect("expand attaches one");
+        assert!(
+            !Arc::ptr_eq(engine.deployment(), attached),
+            "{name}: the edited cell must not run on the stale deployment"
+        );
+        edited.detach_deployment();
+        assert_same_runs(name, &[engine.run()], &[Engine::new(edited).run()]);
+    }
+}
+
+/// A cell that shares an earlier cell's deployment still passes its own
+/// per-run checks: the first bad cell fails expansion with its id.
+#[test]
+#[should_panic(expected = "sweep cell 2: scenario knob extra_loss out of [0, 1]")]
+fn a_bad_cell_sharing_a_deployment_fails_expansion() {
+    let _ = SweepGrid::new(smoke_template())
+        .over_loss(&[0.0, 1.5])
+        .seeds_per_cell(2)
+        .expand();
 }

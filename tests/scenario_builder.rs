@@ -320,6 +320,30 @@ fn every_scenario_rule_is_its_own_typed_error() {
             || edited(|s| s.topology.nodes[2].position = Position::new(0.0, f64::INFINITY)),
             TopologyError::NonFinitePosition(NodeId(2)),
         ),
+        // Two repeated ids (2 at index 3, 1 at index 5): the first repeat
+        // in spec order is reported, not the smallest id.
+        (
+            "node ids",
+            || {
+                edited(|s| {
+                    s.topology.nodes[3].id = NodeId(2);
+                    s.topology.nodes[5].id = NodeId(1);
+                })
+            },
+            TopologyError::DuplicateNodeId(NodeId(2)),
+        ),
+        // Two repeated labels ("S1" at index 4, "Ctrl-A" at index 5):
+        // the first repeat in spec order, not the first in sort order.
+        (
+            "labels",
+            || {
+                edited(|s| {
+                    s.topology.nodes[4].label = "S1".into();
+                    s.topology.nodes[5].label = "Ctrl-A".into();
+                })
+            },
+            TopologyError::DuplicateLabel("S1".into()),
+        ),
         (
             "focus sensor",
             || short().sensors(0).try_build(),
