@@ -1,5 +1,7 @@
 //! The gateway node: ModBus bridge between the plant and the radio.
 
+use std::sync::Arc;
+
 use evm_plant::{BoundHolding, BoundInput};
 use evm_sim::SimTime;
 
@@ -7,6 +9,21 @@ use crate::runtime::behavior::{Effect, NodeCtx};
 use crate::runtime::behaviors::ActuationGate;
 use crate::runtime::topo::{FlowKind, VcId};
 use crate::runtime::Message;
+
+/// The gateway's plant handles, bound once per deployment and shared by
+/// every run's gateway: nothing a run does writes them.
+pub(crate) struct GatewayPorts {
+    /// Each VC's actuation holding register; `None` where the plant
+    /// cannot be commanded through it (the write is then dropped).
+    pub(crate) act: Vec<Option<BoundHolding>>,
+    /// Every VC's sensor input registers, concatenated in `VcId` then
+    /// tag order; `None` where the register reads no plant measurement
+    /// (that downlink stays empty).
+    pub(crate) inputs: Vec<Option<BoundInput>>,
+    /// VC `vc`'s sensor registers are `inputs[input_base[vc]..
+    /// input_base[vc + 1]]`.
+    pub(crate) input_base: Vec<u32>,
+}
 
 /// The gateway: serves HIL downlinks from the plant's register map for
 /// every hosted Virtual Component, applies forwarded actuations to each
@@ -18,41 +35,26 @@ use crate::runtime::Message;
 pub struct GatewayNode {
     /// Gaussian measurement noise added to each VC's focus PV read.
     noise_std: f64,
-    /// Each VC's actuation holding register; `None` where the plant
-    /// cannot be commanded through it (the write is then dropped).
-    act: Vec<Option<BoundHolding>>,
-    /// Every VC's sensor input registers, concatenated in `VcId` then
-    /// tag order; `None` where the register reads no plant measurement
-    /// (that downlink stays empty).
-    inputs: Vec<Option<BoundInput>>,
-    /// VC `vc`'s sensor registers are `inputs[input_base[vc]..
-    /// input_base[vc + 1]]`.
-    input_base: Vec<u32>,
+    ports: Arc<GatewayPorts>,
     /// Per-VC gate; `Some` when this gateway is that VC's actuation
     /// endpoint (no actuator node in the VC).
     gates: Vec<Option<ActuationGate>>,
 }
 
 impl GatewayNode {
-    /// Builds the gateway. `act[vc]` is VC `vc`'s bound actuation
-    /// register, `inputs` and `input_base` its bound sensor registers
-    /// (see the fields), and `gates[vc]` is `Some` where the gateway is
-    /// the actuation endpoint.
+    /// Builds the gateway on the deployment's bound `ports`; `gates[vc]`
+    /// is `Some` where the gateway is the actuation endpoint.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         noise_std: f64,
-        act: Vec<Option<BoundHolding>>,
-        inputs: Vec<Option<BoundInput>>,
-        input_base: Vec<u32>,
+        ports: Arc<GatewayPorts>,
         gates: Vec<Option<ActuationGate>>,
     ) -> Self {
-        debug_assert_eq!(act.len(), gates.len());
-        debug_assert_eq!(input_base.len(), gates.len() + 1);
+        debug_assert_eq!(ports.act.len(), gates.len());
+        debug_assert_eq!(ports.input_base.len(), gates.len() + 1);
         GatewayNode {
             noise_std,
-            act,
-            inputs,
-            input_base,
+            ports,
             gates,
         }
     }
@@ -60,7 +62,7 @@ impl GatewayNode {
     /// Writes an accepted actuation to the VC's plant register and
     /// accounts for it.
     fn actuate(&self, vc: VcId, value: f64, pv_sampled_at: SimTime, ctx: &mut NodeCtx<'_>) {
-        if let Some(register) = &self.act[vc as usize] {
+        if let Some(register) = &self.ports.act[vc as usize] {
             let _ = register.write(ctx.plant, value);
         }
         ctx.effects.push(Effect::Actuated { vc, pv_sampled_at });
@@ -68,11 +70,12 @@ impl GatewayNode {
 
     /// VC `vc`'s bound input register for sensor `tag`, if it has one.
     fn input(&self, vc: VcId, tag: u8) -> Option<BoundInput> {
+        let ports = &*self.ports;
         let (lo, hi) = (
-            self.input_base[vc as usize],
-            self.input_base[vc as usize + 1],
+            ports.input_base[vc as usize],
+            ports.input_base[vc as usize + 1],
         );
-        self.inputs[lo as usize..hi as usize]
+        ports.inputs[lo as usize..hi as usize]
             .get(usize::from(tag))
             .copied()
             .flatten()

@@ -17,6 +17,7 @@ pub use actuator::{ActuationGate, ActuatorNode};
 pub(crate) use controller::{focus_kernel, log_confirmed_deviation, REPLICA_CAPS};
 pub use controller::{ControllerCore, ReplicaParams};
 pub use gateway::GatewayNode;
+pub(crate) use gateway::GatewayPorts;
 pub use head::{HeadNode, HeadPlane, CONTROL_PLANE_REPEATS};
 pub use relay::RelayCore;
 pub use sensor::SensorNode;

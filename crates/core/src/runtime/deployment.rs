@@ -32,17 +32,14 @@ use std::sync::Arc;
 use evm_mac::rtlink::RtLink;
 use evm_mac::RtLinkConfig;
 use evm_netsim::{Channel, ChannelConfig, NodeId, Topology};
-use evm_plant::{
-    BoundHolding, BoundInput, BoundTag, ControlLoopSpec, GasPlant, LocalController, LoopTags,
-    RegisterMap,
-};
+use evm_plant::{BoundTag, ControlLoopSpec, GasPlant, LocalController, LoopTags, RegisterMap};
 use evm_rtos::Kernel;
 use evm_sim::{SimDuration, SimRng};
 
 use crate::bytecode::{
     compile_control_law, control_law_gas_budget, Capsule, CapsuleId, ControlLawSpec,
 };
-use crate::runtime::behaviors::{focus_kernel, REPLICA_CAPS};
+use crate::runtime::behaviors::{focus_kernel, GatewayPorts, REPLICA_CAPS};
 use crate::runtime::plan::{CyclePlan, Wiring};
 use crate::runtime::reconfig::{ReconfigError, Reconfigurator, ReroutePolicy};
 use crate::runtime::topo::{RelayJob, TopologyError, TopologySpec, VcId, VcMap};
@@ -212,15 +209,6 @@ pub(super) enum Duty {
     Actuator(VcId),
 }
 
-/// The gateway's plant handles, bound once: each VC's actuation register
-/// and every VC's sensor registers (see
-/// [`crate::runtime::behaviors::GatewayNode::new`]).
-pub(super) struct GatewayPorts {
-    pub(super) act: Vec<Option<BoundHolding>>,
-    pub(super) inputs: Vec<Option<BoundInput>>,
-    pub(super) input_base: Vec<u32>,
-}
-
 /// The run-invariant half of an engine, checked and built once by
 /// [`check_setup`] (or inside [`crate::runtime::Engine::try_new`]) and
 /// shared, behind an `Arc`, by every run of its key. See the module docs
@@ -244,7 +232,9 @@ pub struct Deployment {
     pub(super) rtlink: RtLink,
     /// The channel the topology was derived and epoch 0's plan compiled
     /// against: its link models and interned burst slots are what every
-    /// run's channel starts from.
+    /// run's channel starts from. Unshadowed, only its link tables
+    /// ([`Channel::into_template`]); a shadowed one is kept whole, since
+    /// its runs continue its stream.
     pub(super) channel: Channel,
     /// Epoch 0's schedule, flow table, forwarders and compiled plan.
     pub(super) wiring: Arc<Wiring>,
@@ -260,7 +250,8 @@ pub struct Deployment {
     /// The wired loops the gateway runs against the plant directly, with
     /// their tags bound.
     pub(super) local_loops: Vec<(LocalController, LoopTags)>,
-    pub(super) gateway: GatewayPorts,
+    /// The gateway's bound registers, shared by every run's gateway.
+    pub(super) gateway: Arc<GatewayPorts>,
     /// One sampled series per distinct sampled tag: its handle (`None`
     /// when the plant does not publish it) and name.
     pub(super) sampled: Vec<(Option<BoundTag>, String)>,
@@ -473,14 +464,14 @@ impl Deployment {
             );
             input_base.push(u32::try_from(inputs.len()).expect("registers fit u32"));
         }
-        let gateway = GatewayPorts {
+        let gateway = Arc::new(GatewayPorts {
             act: act_registers
                 .iter()
                 .map(|&r| regmap.bind_holding(&plant, r))
                 .collect(),
             inputs,
             input_base,
-        };
+        });
         let mut sampled: Vec<(Option<BoundTag>, String)> =
             Vec::with_capacity(scenario.sampled_tags.len());
         for t in &scenario.sampled_tags {
@@ -552,6 +543,13 @@ impl Deployment {
             plan,
         });
 
+        // An unshadowed run restarts on the link tables with fresh burst
+        // states, so the deployment keeps the tables alone.
+        let channel = if channel.is_shadowed() {
+            channel
+        } else {
+            channel.into_template()
+        };
         Ok(Deployment {
             key: None,
             topology,

@@ -20,16 +20,17 @@
 //! this order.
 //!
 //! Budgets come from the channel's link-model memo, which is keyed on
-//! distance and outlives plan rebuilds: each distinct distance is
-//! evaluated once per run, not once per listener or per epoch.
+//! distance, outlives plan rebuilds and is shared by a deployment's
+//! runs: each distinct distance is evaluated once per deployment, not
+//! once per listener, per epoch or per run.
 //!
 //! **The rebuild rule.** The plan is compiled once per deployment, for
 //! epoch 0, and every run starts on that shared plan; a run recompiles
 //! its own at each epoch commit (`apply_epoch`), strictly at a cycle
-//! boundary. One previous generation is kept so a folded broadcast pushed in the last
-//! slots before a commit can still resolve its listener set; deliveries
-//! land within their own slot (guard + airtime < slot), so one
-//! generation is strictly enough.
+//! boundary. One previous generation is kept so a folded broadcast
+//! pushed in the last slots before a commit can still resolve its
+//! listener set; deliveries land within their own slot (guard + airtime
+//! < slot), so one generation is strictly enough.
 
 use evm_mac::rtlink::SlotSchedule;
 use evm_mac::RtLinkConfig;

@@ -197,12 +197,9 @@ impl Engine {
                                 .then(|| ActuationGate::new(r.primary()))
                         })
                         .collect();
-                    let ports = &dep.gateway;
                     Node::Gateway(Box::new(GatewayNode::new(
                         scenario.sensor_noise_std,
-                        ports.act.clone(),
-                        ports.inputs.clone(),
-                        ports.input_base.clone(),
+                        Arc::clone(&dep.gateway),
                         gates,
                     )))
                 }

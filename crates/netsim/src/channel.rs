@@ -164,6 +164,8 @@ struct LinkTable {
     /// Burst-state pool slots of each source's outgoing links, indexed
     /// by the source's raw id.
     burst_index: Vec<Fanout>,
+    /// Links interned so far: the burst pool's length.
+    interned: u32,
 }
 
 /// The shared radio medium.
@@ -209,6 +211,7 @@ impl Channel {
                 config,
                 link_models: BTreeMap::new(),
                 burst_index: Vec::new(),
+                interned: 0,
             }),
             shadowing_db: HashMap::new(),
             burst_states: Vec::new(),
@@ -232,8 +235,24 @@ impl Channel {
         Channel {
             links: Arc::clone(&self.links),
             shadowing_db: HashMap::new(),
-            burst_states: vec![self.links.config.burst.clone(); self.burst_states.len()],
+            burst_states: vec![self.links.config.burst.clone(); self.links.interned as usize],
             rng,
+        }
+    }
+
+    /// This channel's link tables without its burst states: a template
+    /// that channels [`restart`](Channel::restart) from, holding nothing
+    /// a restart rebuilds. The template itself must not sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shadowed channel, which cannot restart.
+    #[must_use]
+    pub fn into_template(self) -> Channel {
+        assert!(!self.is_shadowed(), "a shadowed channel cannot restart");
+        Channel {
+            burst_states: Vec::new(),
+            ..self
         }
     }
 
@@ -334,10 +353,16 @@ impl Channel {
                 .burst_index
                 .resize_with(src.index() + 1, Fanout::default);
         }
-        let fresh = u32::try_from(self.burst_states.len()).expect("burst pool fits u32");
+        let fresh = links.interned;
         let ix = links.burst_index[src.index()].slot(dst, fresh);
         debug_assert_eq!(ix, fresh, "a known link was looked up above");
+        links.interned = fresh.checked_add(1).expect("burst pool fits u32");
         self.burst_states.push(links.config.burst.clone());
+        debug_assert_eq!(
+            self.burst_states.len(),
+            links.interned as usize,
+            "a template channel does not sample"
+        );
         ix as usize
     }
 
@@ -614,6 +639,49 @@ mod tests {
         assert_eq!(c.burst_slot(link), slots[2], "degrading reuses the slot");
         assert!(!c.sample_delivery_budget(slots[2], budget, 20));
         assert_eq!(c.burst_slot((NodeId(0), NodeId(7))), BurstSlot(6));
+    }
+
+    /// A channel restarted from a template samples draw for draw like a
+    /// fresh channel asked the same link questions, keeps the template's
+    /// slots, and copies the shared tables only to intern a new link.
+    #[test]
+    fn restarts_sample_like_fresh_channels() {
+        let config = ChannelConfig {
+            burst: GilbertElliott::new(0.2, 0.3, 0.0, 0.9),
+            ..ChannelConfig::default()
+        };
+        let links = [(0, 1), (0, 2), (2, 1), (1, 0)];
+        let ask = |c: &mut Channel| -> Vec<(BurstSlot, LinkBudget)> {
+            links
+                .iter()
+                .map(|&(a, b)| {
+                    let link = (NodeId(a), NodeId(b));
+                    (
+                        c.burst_slot(link),
+                        c.link_budget(link, 40.0).expect("unshadowed"),
+                    )
+                })
+                .collect()
+        };
+        let mut built = Channel::new(config.clone(), SimRng::seed_from(1));
+        let asked = ask(&mut built);
+        let template = built.into_template();
+        for seed in [3, 4] {
+            let mut fresh = Channel::new(config.clone(), SimRng::seed_from(seed));
+            assert_eq!(ask(&mut fresh), asked);
+            let mut restarted = template.restart(SimRng::seed_from(seed));
+            for _ in 0..200 {
+                for &(slot, budget) in &asked {
+                    assert_eq!(
+                        restarted.sample_delivery_budget(slot, budget, 60),
+                        fresh.sample_delivery_budget(slot, budget, 60)
+                    );
+                }
+            }
+            assert!(Arc::ptr_eq(&restarted.links, &template.links));
+            assert_eq!(restarted.burst_slot((NodeId(5), NodeId(6))), BurstSlot(4));
+            assert!(!Arc::ptr_eq(&restarted.links, &template.links));
+        }
     }
 
     /// The link-model memo is keyed on distance: queried at distances

@@ -8,6 +8,8 @@
 //! baseline) or be compiled into an EVM capsule and hosted on wireless
 //! controller nodes.
 
+use std::sync::Arc;
+
 use crate::gasplant::{BoundActuator, BoundTag, GasPlant};
 use crate::pid::{PidController, PidParams, SecondOrderFilter};
 use crate::Plant;
@@ -42,9 +44,12 @@ pub struct LoopTags {
 }
 
 /// A runnable controller instance built from a [`ControlLoopSpec`].
+///
+/// A clone shares the spec and copies only the controller state, so
+/// every run started from one prototype copies no tag strings.
 #[derive(Debug, Clone)]
 pub struct LocalController {
-    spec: ControlLoopSpec,
+    spec: Arc<ControlLoopSpec>,
     pid: PidController,
     filter: SecondOrderFilter,
     next_due_s: f64,
@@ -59,7 +64,7 @@ impl LocalController {
         LocalController {
             filter: SecondOrderFilter::new(spec.filter_tau_s),
             next_due_s: 0.0,
-            spec,
+            spec: Arc::new(spec),
             pid,
         }
     }
@@ -76,10 +81,10 @@ impl LocalController {
         self.pid.last_output()
     }
 
-    /// Changes the setpoint (mode change).
+    /// Changes the setpoint (mode change); copies a shared spec first.
     pub fn set_setpoint(&mut self, sp: f64) {
         self.pid.set_setpoint(sp);
-        self.spec.setpoint = sp;
+        Arc::make_mut(&mut self.spec).setpoint = sp;
     }
 
     /// Computes the control law on a raw PV sample: filter then PID.
@@ -395,5 +400,17 @@ mod tests {
         }
         let lvl = plant.lts_level_pct();
         assert!((lvl - 60.0).abs() < 3.0, "tracked to {lvl}");
+    }
+
+    /// Clones share the spec until one changes its setpoint, which then
+    /// moves that clone alone.
+    #[test]
+    fn setpoint_change_moves_one_clone() {
+        let prototype = LocalController::new(lts_level_loop());
+        let mut run = prototype.clone();
+        assert!(Arc::ptr_eq(&run.spec, &prototype.spec));
+        run.set_setpoint(60.0);
+        assert_eq!(run.spec().setpoint, 60.0);
+        assert_eq!(prototype.spec().setpoint, lts_level_loop().setpoint);
     }
 }
