@@ -149,8 +149,6 @@ pub struct Vm {
     extensions: Vec<Option<Program>>,
     gas_limit: u64,
     gas_used_last: u64,
-    /// Data stack reused by the interpreter across invocations.
-    stack: Vec<f64>,
 }
 
 impl Vm {
@@ -167,7 +165,6 @@ impl Vm {
             extensions: Vec::new(),
             gas_limit,
             gas_used_last: 0,
-            stack: Vec::new(),
         }
     }
 
@@ -225,6 +222,23 @@ impl Vm {
         self.vars = vars;
     }
 
+    /// The task-local variables.
+    pub(super) fn vars(&self) -> &[f64; N_VARS] {
+        &self.vars
+    }
+
+    /// `true` if an extension word was ever registered.
+    pub(super) fn has_extensions(&self) -> bool {
+        !self.extensions.is_empty()
+    }
+
+    /// Takes over the outcome of a recorded run: the variables it left
+    /// and the gas it used.
+    pub(super) fn adopt(&mut self, vars: &[f64; N_VARS], gas_used: u64) {
+        self.vars = *vars;
+        self.gas_used_last = gas_used;
+    }
+
     /// Executes `program` from instruction 0 until `halt`.
     ///
     /// Returns the top of stack at halt (or 0.0 for an empty stack) — by
@@ -240,7 +254,6 @@ impl Vm {
             program,
             &self.extensions,
             &mut self.vars,
-            &mut self.stack,
             self.gas_limit,
             &mut gas,
             env,
@@ -255,251 +268,295 @@ fn exec(
     program: &Program,
     extensions: &[Option<Program>],
     vars: &mut [f64; N_VARS],
-    stack: &mut Vec<f64>,
     gas_limit: u64,
     gas_out: &mut u64,
     env: &mut dyn VmEnv,
 ) -> Result<f64, VmError> {
-    {
-        // The caller's buffer is reused across runs: once it has grown to
-        // `MAX_STACK`, a run never allocates.
-        stack.clear();
-        stack.reserve(MAX_STACK);
-        // The executing code (the main program or an extension word's
-        // body) and the return stack of (code, pc) pairs, a fixed array
-        // so that `call` and `ext` never allocate.
-        let mut ops: &[Op] = program.ops();
-        let mut calls: [(&[Op], usize); MAX_CALLS] = [(&[], 0); MAX_CALLS];
-        let mut depth = 0usize;
-        // The call depth at which the run left the main program for an
-        // extension body; `None` while the main program executes. Code
-        // reached from an extension body is extension code, so returning
-        // to this depth is returning to the main program.
-        let mut ext_base: Option<usize> = None;
-        let mut gas: u64 = 0;
-        let mut pc = 0usize;
+    // The data stack lives in this frame, `sp` cells high: a run never
+    // allocates, whatever the VM ran before.
+    let mut stack = [0.0f64; MAX_STACK];
+    let mut sp = 0usize;
+    // The executing code (the main program or an extension word's body)
+    // and the return stack of (code, pc) pairs, a fixed array so that
+    // `call` and `ext` never allocate.
+    let mut ops: &[Op] = program.ops();
+    let mut calls: [(&[Op], usize); MAX_CALLS] = [(&[], 0); MAX_CALLS];
+    let mut depth = 0usize;
+    // The call depth at which the run left the main program for an
+    // extension body; `None` while the main program executes. Code
+    // reached from an extension body is extension code, so returning to
+    // this depth is returning to the main program.
+    let mut ext_base: Option<usize> = None;
+    let mut gas: u64 = 0;
+    let mut pc = 0usize;
 
-        macro_rules! pop {
-            () => {
-                stack.pop().ok_or(VmError::StackUnderflow)?
-            };
-        }
-        macro_rules! push {
-            ($v:expr) => {{
-                if stack.len() >= MAX_STACK {
-                    return Err(VmError::StackOverflow);
-                }
-                stack.push($v);
-            }};
-        }
-        macro_rules! save_frame {
-            () => {{
-                if depth >= MAX_CALLS {
-                    return Err(VmError::CallDepthExceeded);
-                }
-                calls[depth] = (ops, pc);
-                depth += 1;
-            }};
-        }
-        macro_rules! restore_frame {
-            () => {{
-                depth -= 1;
-                (ops, pc) = calls[depth];
-                if ext_base == Some(depth) {
-                    ext_base = None;
-                }
-            }};
-        }
-
-        loop {
-            if gas >= gas_limit {
-                *gas_out = gas;
-                return Err(VmError::OutOfGas);
-            }
-            let Some(&op) = ops.get(pc) else {
-                // Falling off an extension body behaves like ret; falling
-                // off the main program traps, at any call depth.
-                if ext_base.is_some() {
-                    restore_frame!();
-                    continue;
-                }
-                *gas_out = gas;
-                return Err(VmError::PcOutOfRange);
-            };
-            gas += 1;
+    // Every exit reports the gas used so far, exactly once.
+    macro_rules! exit {
+        ($r:expr) => {{
             *gas_out = gas;
-            pc += 1;
-            match op {
-                Op::Push(v) => push!(v),
-                Op::Dup => {
-                    let a = *stack.last().ok_or(VmError::StackUnderflow)?;
-                    push!(a);
-                }
-                Op::Drop => {
-                    let _ = pop!();
-                }
-                Op::Swap => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(b);
-                    push!(a);
-                }
-                Op::Over => {
-                    if stack.len() < 2 {
-                        return Err(VmError::StackUnderflow);
-                    }
-                    let a = stack[stack.len() - 2];
-                    push!(a);
-                }
-                Op::Rot => {
-                    if stack.len() < 3 {
-                        return Err(VmError::StackUnderflow);
-                    }
-                    let n = stack.len();
-                    stack[n - 3..].rotate_left(1);
-                }
-                Op::Add => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a + b);
-                }
-                Op::Sub => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a - b);
-                }
-                Op::Mul => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a * b);
-                }
-                Op::Div => {
-                    let b = pop!();
-                    let a = pop!();
-                    if b == 0.0 {
-                        return Err(VmError::DivideByZero);
-                    }
-                    push!(a / b);
-                }
-                Op::Neg => {
-                    let a = pop!();
-                    push!(-a);
-                }
-                Op::Abs => {
-                    let a = pop!();
-                    push!(a.abs());
-                }
-                Op::Min => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a.min(b));
-                }
-                Op::Max => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a.max(b));
-                }
-                Op::Gt => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(if a > b { 1.0 } else { 0.0 });
-                }
-                Op::Lt => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(if a < b { 1.0 } else { 0.0 });
-                }
-                Op::Ge => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(if a >= b { 1.0 } else { 0.0 });
-                }
-                Op::Le => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(if a <= b { 1.0 } else { 0.0 });
-                }
-                Op::Eq => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(if a == b { 1.0 } else { 0.0 });
-                }
-                Op::Not => {
-                    let a = pop!();
-                    push!(if a == 0.0 { 1.0 } else { 0.0 });
-                }
-                Op::Load(n) => {
-                    if n as usize >= N_VARS {
-                        return Err(VmError::BadVariable);
-                    }
-                    push!(vars[n as usize]);
-                }
-                Op::Store(n) => {
-                    if n as usize >= N_VARS {
-                        return Err(VmError::BadVariable);
-                    }
-                    vars[n as usize] = pop!();
-                }
-                Op::Jmp(off) => {
-                    pc = jump_target(pc, off)?;
-                }
-                Op::Jz(off) => {
-                    let c = pop!();
-                    if c == 0.0 {
-                        pc = jump_target(pc, off)?;
-                    }
-                }
-                Op::Call(addr) => {
-                    if addr as usize >= ops.len() {
-                        return Err(VmError::PcOutOfRange);
-                    }
-                    save_frame!();
-                    pc = addr as usize;
-                }
-                Op::Ret => {
-                    if depth == 0 {
-                        *gas_out = gas;
-                        return Ok(stack.last().copied().unwrap_or(0.0));
-                    }
-                    restore_frame!();
-                }
-                Op::Halt => {
-                    *gas_out = gas;
-                    return Ok(stack.last().copied().unwrap_or(0.0));
-                }
-                Op::ReadSensor(p) => {
-                    let v = env.read_sensor(p)?;
-                    push!(v);
-                }
-                Op::WriteActuator(p) => {
-                    let v = pop!();
-                    env.write_actuator(p, v)?;
-                }
-                Op::Emit(ch) => {
-                    let v = pop!();
-                    env.emit(ch, v);
-                }
-                Op::ReadClock => push!(env.clock_s()),
-                Op::ReadBattery => push!(env.battery_fraction()),
-                Op::ReadRole => push!(env.role_code()),
-                Op::Ext(n) => {
-                    save_frame!();
-                    let Some(Some(body)) = extensions.get(n as usize) else {
-                        return Err(VmError::UnknownExtension);
-                    };
-                    ext_base.get_or_insert(depth - 1);
-                    ops = body.ops();
-                    pc = 0;
-                }
-                Op::Nop => {}
+            return $r;
+        }};
+    }
+    macro_rules! trap {
+        ($e:expr) => {
+            exit!(Err($e))
+        };
+    }
+    macro_rules! top {
+        () => {
+            if sp == 0 {
+                0.0
+            } else {
+                stack[sp - 1]
             }
+        };
+    }
+    macro_rules! pop {
+        () => {{
+            if sp == 0 {
+                trap!(VmError::StackUnderflow);
+            }
+            sp -= 1;
+            stack[sp]
+        }};
+    }
+    macro_rules! push {
+        ($v:expr) => {{
+            let v = $v;
+            if sp >= MAX_STACK {
+                trap!(VmError::StackOverflow);
+            }
+            stack[sp] = v;
+            sp += 1;
+        }};
+    }
+    macro_rules! binop {
+        (|$a:ident, $b:ident| $v:expr) => {{
+            let $b = pop!();
+            let $a = pop!();
+            push!($v);
+        }};
+    }
+    macro_rules! save_frame {
+        () => {{
+            if depth >= MAX_CALLS {
+                trap!(VmError::CallDepthExceeded);
+            }
+            calls[depth] = (ops, pc);
+            depth += 1;
+        }};
+    }
+    macro_rules! restore_frame {
+        () => {{
+            depth -= 1;
+            (ops, pc) = calls[depth];
+            if ext_base == Some(depth) {
+                ext_base = None;
+            }
+        }};
+    }
+    macro_rules! jump {
+        ($off:expr) => {
+            match jump_target(pc, $off) {
+                Some(target) => pc = target,
+                None => trap!(VmError::PcOutOfRange),
+            }
+        };
+    }
+
+    loop {
+        if gas >= gas_limit {
+            trap!(VmError::OutOfGas);
+        }
+        let Some(&op) = ops.get(pc) else {
+            // Falling off an extension body behaves like ret; falling off
+            // the main program traps, at any call depth.
+            if ext_base.is_some() {
+                restore_frame!();
+                continue;
+            }
+            trap!(VmError::PcOutOfRange);
+        };
+        gas += 1;
+        pc += 1;
+        match op {
+            Op::Push(v) => push!(v),
+            Op::Dup => {
+                if sp == 0 {
+                    trap!(VmError::StackUnderflow);
+                }
+                push!(stack[sp - 1]);
+            }
+            Op::Drop => {
+                let _ = pop!();
+            }
+            Op::Swap => {
+                if sp < 2 {
+                    trap!(VmError::StackUnderflow);
+                }
+                stack.swap(sp - 1, sp - 2);
+            }
+            Op::Over => {
+                if sp < 2 {
+                    trap!(VmError::StackUnderflow);
+                }
+                push!(stack[sp - 2]);
+            }
+            Op::Rot => {
+                if sp < 3 {
+                    trap!(VmError::StackUnderflow);
+                }
+                stack[sp - 3..sp].rotate_left(1);
+            }
+            Op::Add => binop!(|a, b| a + b),
+            Op::Sub => binop!(|a, b| a - b),
+            Op::Mul => binop!(|a, b| a * b),
+            Op::Div => {
+                let b = pop!();
+                let a = pop!();
+                if b == 0.0 {
+                    trap!(VmError::DivideByZero);
+                }
+                push!(a / b);
+            }
+            Op::Neg => {
+                let a = pop!();
+                push!(-a);
+            }
+            Op::Abs => {
+                let a = pop!();
+                push!(a.abs());
+            }
+            Op::Min => binop!(|a, b| a.min(b)),
+            Op::Max => binop!(|a, b| a.max(b)),
+            Op::Gt => binop!(|a, b| if a > b { 1.0 } else { 0.0 }),
+            Op::Lt => binop!(|a, b| if a < b { 1.0 } else { 0.0 }),
+            Op::Ge => binop!(|a, b| if a >= b { 1.0 } else { 0.0 }),
+            Op::Le => binop!(|a, b| if a <= b { 1.0 } else { 0.0 }),
+            Op::Eq => binop!(|a, b| if a == b { 1.0 } else { 0.0 }),
+            Op::Not => {
+                let a = pop!();
+                push!(if a == 0.0 { 1.0 } else { 0.0 });
+            }
+            Op::Load(n) => {
+                let Some(&v) = vars.get(n as usize) else {
+                    trap!(VmError::BadVariable);
+                };
+                push!(v);
+            }
+            Op::Store(n) => {
+                if n as usize >= N_VARS {
+                    trap!(VmError::BadVariable);
+                }
+                vars[n as usize] = pop!();
+            }
+            Op::Jmp(off) => jump!(off),
+            Op::Jz(off) => {
+                if pop!() == 0.0 {
+                    jump!(off);
+                }
+            }
+            Op::Call(addr) => {
+                if addr as usize >= ops.len() {
+                    trap!(VmError::PcOutOfRange);
+                }
+                save_frame!();
+                pc = addr as usize;
+            }
+            Op::Ret => {
+                if depth == 0 {
+                    exit!(Ok(top!()));
+                }
+                restore_frame!();
+            }
+            Op::Halt => exit!(Ok(top!())),
+            Op::ReadSensor(p) => match env.read_sensor(p) {
+                Ok(v) => push!(v),
+                Err(e) => trap!(e),
+            },
+            Op::WriteActuator(p) => {
+                let v = pop!();
+                if let Err(e) = env.write_actuator(p, v) {
+                    trap!(e);
+                }
+            }
+            Op::Emit(ch) => {
+                let v = pop!();
+                env.emit(ch, v);
+            }
+            Op::ReadClock => push!(env.clock_s()),
+            Op::ReadBattery => push!(env.battery_fraction()),
+            Op::ReadRole => push!(env.role_code()),
+            Op::Ext(n) => {
+                save_frame!();
+                let Some(Some(body)) = extensions.get(n as usize) else {
+                    trap!(VmError::UnknownExtension);
+                };
+                ext_base.get_or_insert(depth - 1);
+                ops = body.ops();
+                pc = 0;
+            }
+            Op::Nop => {}
         }
     }
 }
 
-fn jump_target(pc_after_fetch: usize, off: i16) -> Result<usize, VmError> {
+/// The target of a relative jump fetched just before `pc_after_fetch`;
+/// `None` below address 0 (a target past the end traps at the next
+/// fetch).
+fn jump_target(pc_after_fetch: usize, off: i16) -> Option<usize> {
     let target = pc_after_fetch as i64 - 1 + off as i64;
-    usize::try_from(target).map_err(|_| VmError::PcOutOfRange)
+    usize::try_from(target).ok()
+}
+
+/// Random programs for the interpreter's property tests (and the run
+/// memo's).
+#[cfg(test)]
+pub(crate) mod random {
+    use super::Op;
+    use evm_sim::SimRng;
+
+    /// Draws one random (not necessarily well-formed) instruction.
+    fn random_op(rng: &mut SimRng) -> Op {
+        match rng.index(30) {
+            0 => Op::Push(rng.range(-100.0, 100.0)),
+            1 => Op::Dup,
+            2 => Op::Drop,
+            3 => Op::Swap,
+            4 => Op::Over,
+            5 => Op::Rot,
+            6 => Op::Add,
+            7 => Op::Sub,
+            8 => Op::Mul,
+            9 => Op::Div,
+            10 => Op::Neg,
+            11 => Op::Abs,
+            12 => Op::Min,
+            13 => Op::Max,
+            14 => Op::Gt,
+            15 => Op::Lt,
+            16 => Op::Eq,
+            17 => Op::Not,
+            18 => Op::Load(rng.index(256) as u8),
+            19 => Op::Store(rng.index(256) as u8),
+            20 => Op::Jmp(rng.int_range(-20, 19) as i16),
+            21 => Op::Jz(rng.int_range(-20, 19) as i16),
+            22 => Op::Call(rng.index(32) as u16),
+            23 => Op::Ret,
+            24 => Op::Halt,
+            25 => Op::ReadSensor(rng.index(256) as u8),
+            26 => Op::WriteActuator(rng.index(256) as u8),
+            27 => Op::Emit(rng.index(256) as u8),
+            28 => Op::ReadClock,
+            _ => Op::Ext(rng.index(256) as u8),
+        }
+    }
+
+    /// A random program of fewer than `max_len` instructions.
+    pub(crate) fn random_ops(rng: &mut SimRng, max_len: usize) -> Vec<Op> {
+        let len = rng.index(max_len);
+        (0..len).map(|_| random_op(rng)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -757,49 +814,9 @@ mod tests {
     }
 
     mod fuzz {
+        use super::super::random::random_ops;
         use super::*;
         use evm_sim::SimRng;
-
-        /// Draws one random (not necessarily well-formed) instruction.
-        fn random_op(rng: &mut SimRng) -> Op {
-            match rng.index(30) {
-                0 => Op::Push(rng.range(-100.0, 100.0)),
-                1 => Op::Dup,
-                2 => Op::Drop,
-                3 => Op::Swap,
-                4 => Op::Over,
-                5 => Op::Rot,
-                6 => Op::Add,
-                7 => Op::Sub,
-                8 => Op::Mul,
-                9 => Op::Div,
-                10 => Op::Neg,
-                11 => Op::Abs,
-                12 => Op::Min,
-                13 => Op::Max,
-                14 => Op::Gt,
-                15 => Op::Lt,
-                16 => Op::Eq,
-                17 => Op::Not,
-                18 => Op::Load(rng.index(256) as u8),
-                19 => Op::Store(rng.index(256) as u8),
-                20 => Op::Jmp(rng.int_range(-20, 19) as i16),
-                21 => Op::Jz(rng.int_range(-20, 19) as i16),
-                22 => Op::Call(rng.index(32) as u16),
-                23 => Op::Ret,
-                24 => Op::Halt,
-                25 => Op::ReadSensor(rng.index(256) as u8),
-                26 => Op::WriteActuator(rng.index(256) as u8),
-                27 => Op::Emit(rng.index(256) as u8),
-                28 => Op::ReadClock,
-                _ => Op::Ext(rng.index(256) as u8),
-            }
-        }
-
-        fn random_ops(rng: &mut SimRng, max_len: usize) -> Vec<Op> {
-            let len = rng.index(max_len);
-            (0..len).map(|_| random_op(rng)).collect()
-        }
 
         /// The interpreter is total: any byte-valid program either halts
         /// with a value or traps with a typed error — it never panics, and

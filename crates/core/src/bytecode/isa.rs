@@ -98,6 +98,24 @@ pub enum Op {
     Nop,
 }
 
+/// What a program reads from its node environment besides its
+/// task-local variables: the inputs a run of it can depend on. Computed
+/// by [`Program::inputs`] from the instructions alone, so once per law.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProgramInputs {
+    /// The program reads a sensor port (`ReadSensor`).
+    pub sensor: bool,
+    /// The program reads the node clock (`ReadClock`).
+    pub clock: bool,
+    /// The program reads the node's controller mode (`ReadRole`).
+    pub role: bool,
+    /// The program reads the battery (`ReadBattery`).
+    pub battery: bool,
+    /// The program invokes extension words (`Ext`), whose bodies belong
+    /// to the VM, not the program, and may read anything.
+    pub ext: bool,
+}
+
 /// A sequence of instructions plus its byte encoding.
 ///
 /// The instructions live behind an [`Arc`], so a clone is a reference
@@ -137,6 +155,31 @@ impl Program {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// `true` if `other` shares this program's instruction list: a clone
+    /// of it, or of a clone. Programs built apart are never the same
+    /// code, even when their instructions are equal.
+    #[must_use]
+    pub fn same_code(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.ops, &other.ops)
+    }
+
+    /// The environment inputs the instructions read.
+    #[must_use]
+    pub fn inputs(&self) -> ProgramInputs {
+        let mut inputs = ProgramInputs::default();
+        for op in self.ops.iter() {
+            match op {
+                Op::ReadSensor(_) => inputs.sensor = true,
+                Op::ReadClock => inputs.clock = true,
+                Op::ReadRole => inputs.role = true,
+                Op::ReadBattery => inputs.battery = true,
+                Op::Ext(_) => inputs.ext = true,
+                _ => {}
+            }
+        }
+        inputs
     }
 
     /// Serializes to the wire format (what migration actually moves).

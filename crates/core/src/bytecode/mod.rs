@@ -9,13 +9,16 @@
 //! WCET for the schedulability gate, and the interpreter enforces it.
 //!
 //! There is one execution path: the stack interpreter behind
-//! [`Vm::run`].
+//! [`Vm::run`]. Replicas of one law may share a run through a
+//! [`RunMemo`], which adopts a recorded run bit for bit instead of
+//! repeating it.
 
 mod asm;
 mod builder;
 mod capsule;
 mod interp;
 mod isa;
+mod memo;
 
 pub use asm::{assemble, disassemble, AsmError};
 pub use builder::{
@@ -23,4 +26,5 @@ pub use builder::{
 };
 pub use capsule::{Capability, Capsule, CapsuleId};
 pub use interp::{NullEnv, Tier, Vm, VmEnv, VmError, MAX_STACK, N_VARS};
-pub use isa::{Op, Program};
+pub use isa::{Op, Program, ProgramInputs};
+pub use memo::{ReplicaInput, ReplicaRun, RunMemo};

@@ -12,6 +12,7 @@ use evm_netsim::NodeId;
 use evm_plant::GasPlant;
 use evm_sim::{SimRng, SimTime, Trace};
 
+use crate::bytecode::RunMemo;
 use crate::roles::ControllerMode;
 use crate::runtime::behaviors::{
     log_confirmed_deviation, ActuatorNode, ControllerCore, GatewayNode, HeadNode, HeadPlane,
@@ -69,6 +70,9 @@ pub struct NodeCtx<'a> {
     pub effects: &'a mut Vec<Effect>,
     /// Timers to schedule for this node: `(fire_at, timer)`.
     pub timers: &'a mut Vec<(SimTime, Timer)>,
+    /// The run's capsule-run memo, one entry per VC whose replicas share
+    /// runs.
+    pub(crate) memo: &'a mut [RunMemo],
 }
 
 /// One deployed node. A Virtual Component deploys a closed set of

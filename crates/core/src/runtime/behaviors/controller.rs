@@ -4,10 +4,10 @@ use std::sync::Arc;
 
 use evm_netsim::NodeId;
 use evm_rtos::Kernel;
-use evm_sim::{SimDuration, SimRng, SimTime, Trace};
+use evm_sim::{SimDuration, SimTime, Trace};
 
 use crate::attest::{capsule_digest, AttestationKey};
-use crate::bytecode::{Capability, Capsule, Program, Vm, VmEnv, VmError};
+use crate::bytecode::{Capability, Capsule, Program, ProgramInputs, ReplicaInput, Vm};
 use crate::health::{DeviationDetector, HeartbeatMonitor};
 use crate::migration::admit;
 use crate::roles::ControllerMode;
@@ -45,6 +45,10 @@ pub struct ControllerCore {
     pub mode: ControllerMode,
     vm: Vm,
     program: Program,
+    /// The VC's entry in the run's capsule-run memo and the law's input
+    /// set, for a VC whose replicas share runs (see
+    /// [`ControllerCore::share_runs`]).
+    memo: Option<(u32, ProgramInputs)>,
     /// The node's nano-RK-style kernel (admission, utilization). Warm
     /// replicas of one law share their booted kernel until one of them
     /// admits a migrated task, which copies it for that replica alone.
@@ -132,6 +136,7 @@ impl ControllerCore {
             mode,
             vm: Vm::new(gas),
             program: program.clone(),
+            memo: None,
             kernel,
             capsule_version: warm.map(|_| 1),
             latest_pv: None,
@@ -150,6 +155,14 @@ impl ControllerCore {
             believed_active: primary,
             params: params.clone(),
         }
+    }
+
+    /// Runs the capsule through memo entry `slot` of the run, which every
+    /// replica of this VC shares: a run whose variables and inputs equal
+    /// the VC's previous run adopts its outcome. `inputs` is the law's
+    /// input set.
+    pub(crate) fn share_runs(&mut self, slot: u32, inputs: ProgramInputs) {
+        self.memo = Some((slot, inputs));
     }
 
     /// The node's kernel (admission, utilization).
@@ -225,7 +238,11 @@ impl ControllerCore {
 
     /// The capsule run completed: execute the VM against the latest PV and
     /// stage the (possibly fault-corrupted) output for the next TX slot.
-    pub fn run_capsule(&mut self, now: SimTime, rng: &mut SimRng, trace: &mut Trace) {
+    /// A replica that shares runs with its VC's others (through the run's
+    /// [`RunMemo`](crate::bytecode::RunMemo)) adopts the VC's previous run
+    /// when it would repeat it exactly, and still pays its WCET, which
+    /// elapsed before this call.
+    pub fn run_capsule(&mut self, ctx: &mut NodeCtx<'_>) {
         self.computing = false;
         if !self.mode.computes() {
             return;
@@ -233,45 +250,30 @@ impl ControllerCore {
         let Some((pv, pv_ts)) = self.latest_pv else {
             return;
         };
-        struct Env {
-            pv: f64,
-            out: Option<f64>,
-            now_s: f64,
-            role: f64,
-        }
-        impl VmEnv for Env {
-            fn read_sensor(&mut self, _p: u8) -> Result<f64, VmError> {
-                Ok(self.pv)
-            }
-            fn write_actuator(&mut self, _p: u8, v: f64) -> Result<(), VmError> {
-                self.out = Some(v);
-                Ok(())
-            }
-            fn emit(&mut self, _ch: u8, _v: f64) {}
-            fn clock_s(&self) -> f64 {
-                self.now_s
-            }
-            fn role_code(&self) -> f64 {
-                self.role
-            }
-        }
-        let mut env = Env {
+        let now = ctx.now;
+        let input = ReplicaInput {
             pv,
-            out: None,
-            now_s: now.as_secs_f64(),
+            clock_s: now.as_secs_f64(),
             role: self.mode.as_f64(),
         };
-        if self.vm.run(&self.program, &mut env).is_err() {
-            trace.log(now, "vm", format!("{} capsule trapped", self.id));
+        let run = match self.memo {
+            Some((slot, inputs)) => {
+                ctx.memo[slot as usize].run(&mut self.vm, &self.program, inputs, input)
+            }
+            None => input.run(&mut self.vm, &self.program),
+        };
+        if run.result.is_err() {
+            ctx.trace
+                .log(now, "vm", format!("{} capsule trapped", self.id));
             return;
         }
-        let correct = env.out.unwrap_or(0.0);
+        let correct = run.output.unwrap_or(0.0);
         self.last_own_output = Some(correct);
         // Apply the scripted controller fault to the *published* output.
         let published = match self.fault {
             Some((since, fault)) => {
                 let elapsed = now.saturating_since(since).as_secs_f64();
-                fault.apply(correct, elapsed, rng)
+                fault.apply(correct, elapsed, ctx.rng)
             }
             None => correct,
         };
@@ -395,7 +397,7 @@ impl ControllerCore {
     /// A timer scheduled by this replica's host fired.
     pub(crate) fn on_timer(&mut self, timer: Timer, ctx: &mut NodeCtx<'_>) {
         match timer {
-            Timer::TaskDone => self.run_capsule(ctx.now, ctx.rng, ctx.trace),
+            Timer::TaskDone => self.run_capsule(ctx),
         }
     }
 

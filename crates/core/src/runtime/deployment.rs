@@ -37,7 +37,7 @@ use evm_rtos::Kernel;
 use evm_sim::{SimDuration, SimRng};
 
 use crate::bytecode::{
-    compile_control_law, control_law_gas_budget, Capsule, CapsuleId, ControlLawSpec,
+    compile_control_law, control_law_gas_budget, Capsule, CapsuleId, ControlLawSpec, ProgramInputs,
 };
 use crate::runtime::behaviors::{focus_kernel, GatewayPorts, REPLICA_CAPS};
 use crate::runtime::plan::{CyclePlan, Wiring};
@@ -194,6 +194,22 @@ pub(super) struct CompiledLaw {
     /// An empty replica kernel with the law's focus task admitted,
     /// shared by every warm replica.
     pub(super) kernel: Arc<Kernel>,
+    /// What the law's program reads besides its variables: the inputs a
+    /// shared replica run is keyed on.
+    pub(super) inputs: ProgramInputs,
+}
+
+/// One VC's law, as its replicas run it.
+#[derive(Clone, Copy)]
+pub(super) struct VcLaw {
+    /// The law, an index into [`Deployment::laws`].
+    pub(super) law: usize,
+    /// The focus task's period.
+    pub(super) period: SimDuration,
+    /// The VC's entry in a run's capsule-run memo: `Some` when the VC
+    /// deploys at least two replicas (controllers and the head's monitor)
+    /// and its law has no `ext`, so replica runs can repeat each other.
+    pub(super) memo: Option<u32>,
 }
 
 /// The single wireless duty a non-gateway node holds (roles are disjoint
@@ -241,22 +257,29 @@ pub struct Deployment {
     /// Epoch 0's forwarding jobs, by forwarder.
     pub(super) relay_jobs: BTreeMap<NodeId, Vec<RelayJob>>,
     pub(super) laws: Vec<CompiledLaw>,
-    /// Each VC's law (an index into `laws`) and focus-task period.
-    pub(super) vc_laws: Vec<(usize, SimDuration)>,
+    /// Each VC's law, focus-task period and memo entry.
+    pub(super) vc_laws: Vec<VcLaw>,
+    /// Memo entries a run keeps: one per VC with `VcLaw::memo`.
+    pub(super) memo_entries: u32,
     /// Each node's duty, in topology order; `None` for the gateway.
     pub(super) duty: Vec<Option<Duty>>,
-    /// The calibrated plant every run starts from.
-    pub(super) plant: GasPlant,
+    /// The calibrated plant every run starts from. `None` once the one
+    /// run of a single-use deployment took it ([`Deployment::run_plant`]).
+    plant: Option<GasPlant>,
     /// The wired loops the gateway runs against the plant directly, with
-    /// their tags bound.
-    pub(super) local_loops: Vec<(LocalController, LoopTags)>,
+    /// their tags bound (taken with the plant).
+    local_loops: Vec<(LocalController, LoopTags)>,
     /// The gateway's bound registers, shared by every run's gateway.
     pub(super) gateway: Arc<GatewayPorts>,
     /// One sampled series per distinct sampled tag: its handle (`None`
     /// when the plant does not publish it) and name.
-    pub(super) sampled: Vec<(Option<BoundTag>, String)>,
-    /// Each VC's PV handle for its regulation-error trace.
-    pub(super) err_pv: Vec<Option<BoundTag>>,
+    pub(super) sampled: Vec<(Option<BoundTag>, Arc<str>)>,
+    /// Each controller's mode trace: the controller's dense index and
+    /// the series name, `Mode.<label>`.
+    pub(super) mode_series: Vec<(usize, Arc<str>)>,
+    /// Each VC's regulation-error trace: its PV handle and the series
+    /// name, `Err.<loop>`.
+    pub(super) err_series: Vec<(Option<BoundTag>, Arc<str>)>,
     /// Setup notes every run's trace opens with.
     pub(super) notes: Vec<String>,
 }
@@ -407,6 +430,7 @@ impl Deployment {
         // replica shares its law's admitted kernel. The capsule carries
         // the capabilities a computing replica needs, version 1 at boot.
         let mut laws: Vec<CompiledLaw> = Vec::new();
+        let mut memo_entries = 0u32;
         let vc_laws = (0..vcs.n_vcs())
             .map(|k| {
                 let vc = k as VcId;
@@ -422,6 +446,7 @@ impl Deployment {
                         let capsule = Capsule::new(id, 1, program, gas, REPLICA_CAPS.to_vec());
                         laws.push(CompiledLaw {
                             spec: law_spec,
+                            inputs: capsule.program.inputs(),
                             kernel: Arc::new(focus_kernel(
                                 &capsule,
                                 vc,
@@ -433,7 +458,13 @@ impl Deployment {
                         laws.len() - 1
                     }
                 };
-                (law, period)
+                let roles = vcs.vc(vc);
+                let replicas = roles.controllers.len() + usize::from(roles.head.is_some());
+                let memo = (replicas >= 2 && !laws[law].inputs.ext).then(|| {
+                    memo_entries += 1;
+                    memo_entries - 1
+                });
+                VcLaw { law, period, memo }
             })
             .collect();
 
@@ -472,15 +503,33 @@ impl Deployment {
             inputs,
             input_base,
         });
-        let mut sampled: Vec<(Option<BoundTag>, String)> =
+        // Series names, built once for every run: each is an `Arc<str>`
+        // made from one scratch buffer, one allocation a name.
+        let mut buf = String::new();
+        let mut name = |parts: [&str; 2]| -> Arc<str> {
+            buf.clear();
+            buf.extend(parts);
+            Arc::from(buf.as_str())
+        };
+        let mut sampled: Vec<(Option<BoundTag>, Arc<str>)> =
             Vec::with_capacity(scenario.sampled_tags.len());
         for t in &scenario.sampled_tags {
-            if sampled.iter().all(|(_, name)| name != t) {
-                sampled.push((plant.bind_tag(t), t.clone()));
+            if sampled.iter().all(|(_, name)| **name != **t) {
+                sampled.push((plant.bind_tag(t), Arc::from(t.as_str())));
             }
         }
-        let err_pv = (0..vcs.n_vcs())
-            .map(|vc| plant.bind_tag(&scenario.vc_loop(vc as VcId).pv_tag))
+        let mode_series = vcs
+            .all_controllers()
+            .map(|(_, n)| {
+                let ix = dense_ix(n);
+                (ix, name(["Mode.", &topology.nodes()[ix].label]))
+            })
+            .collect();
+        let err_series = (0..vcs.n_vcs())
+            .map(|vc| {
+                let spec = scenario.vc_loop(vc as VcId);
+                (plant.bind_tag(&spec.pv_tag), name(["Err.", &spec.name]))
+            })
             .collect();
 
         // --- Dense node → duty table (roles are disjoint across VCs) ---
@@ -561,13 +610,36 @@ impl Deployment {
             relay_jobs: epoch0.jobs,
             laws,
             vc_laws,
+            memo_entries,
             duty,
-            plant,
+            plant: Some(plant),
             local_loops,
             gateway,
             sampled,
-            err_pv,
+            mode_series,
+            err_series,
             notes,
         })
+    }
+
+    /// The plant prototype and wired loops a run on `dep` starts from.
+    /// A single-use deployment that `dep` alone holds hands over its own:
+    /// no other run can start on it, since it fits no scenario. Any other
+    /// deployment hands out copies.
+    pub(super) fn run_plant(
+        dep: &mut Arc<Deployment>,
+    ) -> (GasPlant, Vec<(LocalController, LoopTags)>) {
+        match Arc::get_mut(dep) {
+            Some(single) if single.key.is_none() => (
+                single.plant.take().expect("a deployment starts one run"),
+                std::mem::take(&mut single.local_loops),
+            ),
+            _ => (
+                dep.plant
+                    .clone()
+                    .expect("a shared deployment keeps its plant"),
+                dep.local_loops.clone(),
+            ),
+        }
     }
 }

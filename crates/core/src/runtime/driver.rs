@@ -30,7 +30,7 @@ use evm_netsim::{Battery, Channel, EnergyMeter, Frame, FrameKind, NodeId, RadioS
 use evm_plant::{BoundTag, GasPlant, LocalController, LoopTags, Plant};
 use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
 
-use crate::bytecode::{Capsule, CapsuleId};
+use crate::bytecode::{Capsule, CapsuleId, RunMemo};
 use crate::component::VirtualComponent;
 use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
 use crate::runtime::behavior::{Effect, Node, NodeCtx, Timer};
@@ -90,6 +90,18 @@ pub(super) struct ErrTrace {
     pub(super) pv: Option<BoundTag>,
     pub(super) setpoint: f64,
     pub(super) series: TimeSeries,
+}
+
+/// How a run's replicas shared capsule runs ([`Engine::memo_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Memo entries: one per VC whose replicas share runs (at least two
+    /// replicas, a law without `ext`).
+    pub entries: usize,
+    /// Capsule runs made through the entries.
+    pub runs: u64,
+    /// Runs that adopted their VC's previous run instead of running it.
+    pub shared: u64,
 }
 
 /// The co-simulation engine. Build with [`Engine::new`], run with
@@ -193,6 +205,9 @@ pub(super) struct RunState {
     /// VC's id at that version (see [`Engine::vc_capsule`]). Version
     /// bumps happen at migration start.
     pub(super) vc_capsules: Vec<(usize, u16)>,
+    /// The capsule-run memo: one entry per VC whose replicas share runs
+    /// (see [`crate::bytecode::RunMemo`]), indexed by the VC's slot.
+    pub(super) memo: Vec<RunMemo>,
     /// The in-flight capsule transfers, at most one per VC, looked up by
     /// VC (see [`super::xfer`]).
     pub(super) xfer: Vec<crate::runtime::xfer::ActiveTransfer>,
@@ -241,6 +256,17 @@ impl Engine {
     #[must_use]
     pub fn deployment(&self) -> &Arc<Deployment> {
         &self.dep
+    }
+
+    /// How this run's replicas have shared capsule runs so far (for
+    /// inspection/tests).
+    #[must_use]
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            entries: self.run.memo.len(),
+            runs: self.run.memo.iter().map(RunMemo::runs).sum(),
+            shared: self.run.memo.iter().map(RunMemo::hits).sum(),
+        }
     }
 
     /// The committed configuration epoch (0 until a reconfiguration).
@@ -543,6 +569,7 @@ impl Engine {
             plant: &mut self.run.plant,
             effects: &mut effects,
             timers: &mut timers,
+            memo: &mut self.run.memo,
         };
         let out = f(&mut self.run.nodes[ix], &mut ctx);
         let node = u32::try_from(ix).expect("dense index fits u32");

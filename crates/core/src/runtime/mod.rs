@@ -45,7 +45,7 @@ mod xfer;
 
 pub use behavior::{Effect, Node, NodeCtx, Timer};
 pub use deployment::{check_setup, Deployment};
-pub use driver::Engine;
+pub use driver::{Engine, MemoStats};
 pub use messages::Message;
 pub use reconfig::{Epoch, ReconfigError, Reconfigurator, ReroutePolicy, SlotFlow};
 pub use scenario::Layout;

@@ -15,16 +15,20 @@
 //! deployment itself; the driver borrows them, and [`Engine::finalize`]
 //! moves them into the result when no other engine shares the
 //! deployment. Each VC's component record owns its loop name, which
-//! finalize moves into the VC's statistics. PV tags and setpoints are
-//! read from the scenario's hosting manifest where needed. Warm replicas
+//! finalize moves into the VC's statistics. Series names are the
+//! deployment's, shared by every run. PV tags and setpoints are read
+//! from the scenario's hosting manifest where needed. Warm replicas
 //! share their law's booted kernel, and a VC's capsule is its law's,
-//! materialized only when a migration ships it.
+//! materialized only when a migration ships it. A single-use deployment
+//! hands its plant prototype and wired loops to its one run; a shared
+//! one copies them for each.
 
 use std::sync::Arc;
 
 use evm_netsim::{EnergyMeter, RadioPowerModel};
 use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
 
+use crate::bytecode::RunMemo;
 use crate::component::VirtualComponent;
 use crate::metrics::VcRunStats;
 use crate::roles::ControllerMode;
@@ -33,7 +37,7 @@ use crate::runtime::behaviors::{
     ActuationGate, ActuatorNode, ControllerCore, GatewayNode, HeadNode, RelayCore, ReplicaParams,
     SensorNode,
 };
-use crate::runtime::deployment::{Deployment, Duty};
+use crate::runtime::deployment::{Deployment, Duty, VcLaw};
 use crate::runtime::driver::{Engine, ErrTrace, Ev, RunState};
 use crate::runtime::reconfig::ReconfigState;
 use crate::runtime::topo::{TopologyError, TopologySpec, VcId};
@@ -94,7 +98,8 @@ impl Engine {
     /// Draws nothing: the run's stream starts where the deployment's
     /// build started, at the scenario's seed.
     #[allow(clippy::too_many_lines)]
-    fn start(dep: Arc<Deployment>, mut scenario: Scenario) -> Engine {
+    fn start(mut dep: Arc<Deployment>, mut scenario: Scenario) -> Engine {
+        let (plant, local_loops) = Deployment::run_plant(&mut dep);
         // The engine stream, and the channel stream forked off it. A
         // shadowed channel's key holds the seed and its build already
         // drew the link realizations from that stream: the run continues
@@ -126,7 +131,7 @@ impl Engine {
             .vc_laws
             .iter()
             .zip(&vcs.vcs)
-            .map(|(&(_, period), roles)| ReplicaParams {
+            .map(|(&VcLaw { period, .. }, roles)| ReplicaParams {
                 detect_threshold: scenario.detect_threshold,
                 detect_consecutive: scenario.detect_consecutive,
                 hb_timeout,
@@ -135,8 +140,9 @@ impl Engine {
             })
             .collect();
         let replica = |id, vc: VcId, mode, warm: bool| {
-            let law = &dep.laws[dep.vc_laws[vc as usize].0];
-            ControllerCore::new(
+            let vc_law = dep.vc_laws[vc as usize];
+            let law = &dep.laws[vc_law.law];
+            let mut core = ControllerCore::new(
                 id,
                 vc,
                 mode,
@@ -144,7 +150,11 @@ impl Engine {
                 &law.capsule.program,
                 law.capsule.gas_budget,
                 &params[vc as usize],
-            )
+            );
+            if let Some(slot) = vc_law.memo {
+                core.share_runs(slot, law.inputs);
+            }
+            core
         };
 
         // --- Nodes, in topology (dense index) order ---------------------
@@ -252,31 +262,30 @@ impl Engine {
             .expect("sample count fits usize");
         let cycles = usize::try_from(scenario.duration / dep.rtlink.config().cycle_duration() + 2)
             .expect("cycle count fits usize");
-        let reserved = |name: String, n: usize| {
-            let mut s = TimeSeries::new(name);
+        // The deployment built every series name; each run shares them.
+        let reserved = |name: &Arc<str>, n: usize| {
+            let mut s = TimeSeries::new(Arc::clone(name));
             s.reserve(n);
             s
         };
         let series = dep
             .sampled
             .iter()
-            .map(|(tag, name)| (*tag, reserved(name.clone(), samples)))
+            .map(|(tag, name)| (*tag, reserved(name, samples)))
             .collect();
-        let mode_series = vcs
-            .all_controllers()
-            .map(|(_, n)| {
-                let ix = dense_ix(n);
-                let name = ["Mode.", &dep.topology.nodes()[ix].label].concat();
-                (ix, reserved(name, samples))
-            })
+        let mode_series = dep
+            .mode_series
+            .iter()
+            .map(|(ix, name)| (*ix, reserved(name, samples)))
             .collect();
-        let err_series = components
+        let err_series = dep
+            .err_series
             .iter()
             .enumerate()
-            .map(|(vc, record)| ErrTrace {
-                pv: dep.err_pv[vc],
+            .map(|(vc, (pv, name))| ErrTrace {
+                pv: *pv,
                 setpoint: scenario.vc_loop(vc as VcId).setpoint,
-                series: reserved(["Err.", record.name()].concat(), cycles),
+                series: reserved(name, cycles),
             })
             .collect();
         // Loop names join the statistics at finalize, from the records.
@@ -287,7 +296,10 @@ impl Engine {
                 st
             })
             .collect();
-        let vc_capsules = dep.vc_laws.iter().map(|&(law, _)| (law, 1)).collect();
+        let vc_capsules = dep.vc_laws.iter().map(|l| (l.law, 1)).collect();
+        // One memo entry per VC whose replicas share runs; none (and no
+        // allocation) for a deployment of single-replica VCs.
+        let memo = (0..dep.memo_entries).map(|_| RunMemo::default()).collect();
         let meters = dep
             .node_ids
             .iter()
@@ -301,8 +313,8 @@ impl Engine {
 
         let mut engine = Engine {
             run: RunState {
-                plant: dep.plant.clone(),
-                local_loops: dep.local_loops.clone(),
+                plant,
+                local_loops,
                 channel,
                 vcs,
                 wiring: Arc::clone(&dep.wiring),
@@ -328,6 +340,7 @@ impl Engine {
                 vc_stats,
                 reconfig: ReconfigState::default(),
                 vc_capsules,
+                memo,
                 xfer: Vec::new(),
                 migrations: Vec::new(),
                 #[cfg(debug_assertions)]

@@ -1,19 +1,23 @@
 //! Zero-alloc contract for the fleet hot loop.
 //!
-//! Once an engine is warmed — every interpreter stack grown, every
-//! series/queue reservation made at setup, the cycle plan compiled —
-//! the steady-state slot loop must not touch the heap at all: no
-//! per-slot clones, no label `String`s, no dispatch scratch growth, no
-//! per-listener message copies, no per-run interpreter stack. This test
+//! Once an engine is warmed — every series/queue reservation made at
+//! setup, the cycle plan compiled — the steady-state slot loop must not
+//! touch the heap at all: no per-slot clones, no label `String`s, no
+//! dispatch scratch growth, no per-listener message copies, no
+//! interpreter stack (it lives in the interpreter's frame). This test
 //! installs a counting global allocator, warms a run, then steps several
 //! more seconds of simulated time and asserts that **zero** allocations
 //! and **zero** deallocations happened in the window.
 //!
-//! Covered engine windows: a fault-free star, and a run with a live
+//! Covered engine windows: a fault-free star; a run with a live
 //! capsule migration in flight — multi-listener folded
 //! broadcasts with a `CapsuleChunk` crossing the window every cycle (the
 //! image is padded so the stop-and-wait shipment spans the whole
-//! measured window; its start and completion both land outside it).
+//! measured window; its start and completion both land outside it);
+//! and a noisy, lossy warm-backup star whose replicas share every run
+//! they repeat until a lost PV splits them inside the window, so a
+//! replica that had only adopted shared runs runs the interpreter for
+//! the first time there.
 //!
 //! A VM window pins that a warmed [`Vm`] running a program with `call`
 //! and a registered `ext` word allocates nothing: the return stack is a
@@ -23,7 +27,8 @@
 //! [`Vm`] allocates nothing (its extension table is grown only on the
 //! first registered word), and cloning a [`Program`] — what every
 //! replica and capsule of a shared law does — shares its instructions
-//! instead of copying them.
+//! instead of copying them. A fleet of single-replica VCs keeps no
+//! capsule-run memo at all.
 //!
 //! Two windows bound what a fleet pays to build and tear down an engine.
 //! Across `fleet(200)` and `fleet(1000)`, the per-VC slope of
@@ -46,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use evm_core::bytecode::NullEnv;
-use evm_core::runtime::{check_setup, Engine, ReroutePolicy, Scenario, ScenarioBuilder};
+use evm_core::runtime::{check_setup, Engine, MemoStats, ReroutePolicy, Scenario, ScenarioBuilder};
 use evm_core::{Op, Program, Vm};
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
@@ -107,17 +112,35 @@ fn migration_scenario() -> Scenario {
         .build()
 }
 
-fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
+/// A warm-backup star with sensor noise and extra loss. Its three
+/// replicas (Ctrl-A, Ctrl-B, the head's monitor) stay in step, sharing
+/// two of every three runs, until a replica loses a PV at about 15 s;
+/// from then on their states differ and most runs are real.
+fn diverging_scenario() -> Scenario {
+    ScenarioBuilder::star()
+        .sensor_noise(0.2)
+        .extra_loss(0.02)
+        .seed(1)
+        .duration(SimDuration::from_secs(30))
+        .build()
+}
+
+/// Runs `s` warm to 10 s, then to 20 s with the allocator watched, and
+/// asserts the window allocated and freed nothing. Returns the memo
+/// statistics at the window's open and close.
+fn assert_zero_alloc_steady_state(label: &str, s: Scenario) -> [MemoStats; 2] {
     let mut engine = Engine::new(s);
     // Warm: ~40 RT-Link cycles — every capsule run at least once,
     // every lazily-grown structure at its steady footprint.
     engine.run_until(SimTime::from_secs(10));
+    let open = engine.memo_stats();
 
     let allocs_before = ALLOCS.load(Relaxed);
     let deallocs_before = DEALLOCS.load(Relaxed);
     engine.run_until(SimTime::from_secs(20));
     let allocs = ALLOCS.load(Relaxed) - allocs_before;
     let deallocs = DEALLOCS.load(Relaxed) - deallocs_before;
+    let close = engine.memo_stats();
 
     let result = engine.finalize();
     assert!(
@@ -126,6 +149,7 @@ fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
     );
     assert_eq!(allocs, 0, "{label}: warmed steady state must not allocate");
     assert_eq!(deallocs, 0, "{label}: warmed steady state must not free");
+    [open, close]
 }
 
 /// Allocations made by [`Engine::try_new`] and frees made by
@@ -220,6 +244,20 @@ fn warmed_hot_loop_never_touches_the_heap() {
         );
     }
     assert_zero_alloc_steady_state("migration-in-flight", migration);
+    let [open, close] = assert_zero_alloc_steady_state("diverging", diverging_scenario());
+    // Before the window at most one run in two was real (in step, one in
+    // three); inside it more than one in two was, so the replicas split
+    // there and a replica that had only adopted runs ran for real.
+    let real = |m: MemoStats| m.runs - m.shared;
+    assert!(
+        real(open) * 2 < open.runs,
+        "in step before the window: {open:?}"
+    );
+    let (runs, real) = (close.runs - open.runs, real(close) - real(open));
+    assert!(
+        real * 2 > runs,
+        "split inside the window: {real} of {runs} runs real"
+    );
 
     // main: push 3; call square; ext 7 (add 1); halt   square: dup mul ret
     let mut vm = Vm::new(64);
@@ -252,18 +290,27 @@ fn warmed_hot_loop_never_touches_the_heap() {
 
     // Per VC, setup makes 13 allocations: three role-map lists, three
     // slot listener lists, the replica's box, the commanded-mode map, the
-    // mode and error traces' name and sample buffer each, and the latency
-    // buffer. Teardown makes 11 frees: the role-map and listener
-    // lists, the box, the replica's interpreter stack, the mode map, and
-    // the scenario's PV and output tags.
-    // Per cell, a shared batch makes 258.1 allocations: its eighth of
-    // the deployment's 760, plus 163 for its own engine. A cold engine
-    // for the same cell makes 785 on its own.
+    // mode and error traces' name (built by the deployment) and sample
+    // buffer each, and the latency buffer. Teardown makes 10 frees: the
+    // role-map and listener lists, the box, the mode map, and the
+    // scenario's PV and output tags.
+    // Per cell, a shared batch makes 216.9 allocations: its eighth of
+    // the deployment's 798, plus 117 for its own engine, whose series
+    // share the deployment's names and whose one memo table holds an
+    // entry for each of the 8 VCs.
     let per_cell = shared_batch_setup();
     assert!(
-        per_cell <= 259.0,
+        per_cell <= 217.0,
         "a shared 8-cell batch allocates {per_cell:.1} times per cell to set up"
     );
+
+    let fleet = Engine::new(ScenarioBuilder::star().fleet(200).build());
+    assert_eq!(
+        fleet.memo_stats().entries,
+        0,
+        "single-replica VCs share no runs, so a fleet keeps no memo"
+    );
+    drop(fleet);
 
     let (small_allocs, small_frees) = fleet_setup_and_teardown(200);
     let (large_allocs, large_frees) = fleet_setup_and_teardown(1000);
@@ -276,7 +323,7 @@ fn warmed_hot_loop_never_touches_the_heap() {
          {large_allocs} at 1000)"
     );
     assert!(
-        teardown <= 12.0,
+        teardown <= 10.0,
         "Engine::finalize frees {teardown:.2} times per VC ({small_frees} at 200 VCs, \
          {large_frees} at 1000)"
     );

@@ -1,6 +1,7 @@
 //! Sampled time series and the statistics the paper's figures need.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::SimTime;
 
@@ -19,7 +20,9 @@ use crate::SimTime;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    name: String,
+    /// Shared, not copied: every run of one deployment names its series
+    /// from the same strings.
+    name: Arc<str>,
     samples: Vec<(SimTime, f64)>,
 }
 
@@ -41,7 +44,7 @@ pub struct SeriesStats {
 impl TimeSeries {
     /// Creates an empty series with the given signal name.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         TimeSeries {
             name: name.into(),
             samples: Vec::new(),

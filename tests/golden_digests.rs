@@ -21,7 +21,9 @@
 
 use std::sync::Arc;
 
-use evm::core::runtime::{Engine, Layout, ReroutePolicy, Role, Scenario, ScenarioBuilder};
+use evm::core::runtime::{
+    Engine, Layout, MemoStats, ReroutePolicy, Role, Scenario, ScenarioBuilder,
+};
 use evm::core::{MigrationRecord, NodeEnergy, RunMeta, RunResult, VcRunStats};
 use evm::netsim::{ChannelConfig, Position};
 use evm::netsim::{NodeCrash, NodeId};
@@ -422,16 +424,14 @@ fn vc_failover_cell() -> Scenario {
     s
 }
 
+const VC_FAILOVER_CELL: Golden = Golden {
+    result: 0x60e0_1b11_23fb_d67d,
+    trace: 0x2e51_09f1_7533_0013,
+};
+
 #[test]
 fn vc_failover_cell_digest() {
-    let r = check(
-        "vc_failover_cell",
-        vc_failover_cell,
-        &Golden {
-            result: 0x60e0_1b11_23fb_d67d,
-            trace: 0x2e51_09f1_7533_0013,
-        },
-    );
+    let r = check("vc_failover_cell", vc_failover_cell, &VC_FAILOVER_CELL);
     for vc in [1, 5] {
         assert!(
             r.migrations.iter().any(|m| m.vc == vc),
@@ -772,6 +772,42 @@ fn clones_finish_like_their_originals() {
     let mut engine = Engine::new(head_kill_migration());
     engine.run_until(mid);
     finish("head kill mid-shipment", engine, &HEAD_KILL_MIGRATION);
+}
+
+/// A VC's replicas share each capsule run they would repeat: on Fig. 6b,
+/// three of every four runs of the one memo entry adopt the previous
+/// run (Ctrl-A, Ctrl-B and the head's monitor compute on the same PV),
+/// and the run keeps its pinned digests. The failover cell's VCs host
+/// four replicas each, and share most runs through its kills and crash.
+#[test]
+fn replicas_share_capsule_runs() {
+    let shares = |name: &str, s: Scenario, pinned: &Golden, expect: MemoStats| {
+        let end = SimTime::ZERO + s.duration;
+        let mut engine = Engine::new(s);
+        engine.run_until(end);
+        assert_eq!(engine.memo_stats(), expect, "{name}");
+        assert_pinned(name, &engine.finalize(), pinned);
+    };
+    shares(
+        "fig6b",
+        Scenario::fig6b(),
+        &FIG6B,
+        MemoStats {
+            entries: 1,
+            runs: 11_201,
+            shared: 8_400,
+        },
+    );
+    shares(
+        "vc_failover_cell",
+        vc_failover_cell(),
+        &VC_FAILOVER_CELL,
+        MemoStats {
+            entries: 8,
+            runs: 9_418,
+            shared: 7_756,
+        },
+    );
 }
 
 /// The distinct deployments (by pointer) among `cells`, in first-use
