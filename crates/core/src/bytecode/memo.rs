@@ -14,18 +14,22 @@
 //! **Why it is exact.** A replica run is a pure function of its key.
 //! [`ReplicaInput`] is the whole environment: every sensor port reads the
 //! PV, an actuator write is kept as the output and always succeeds,
-//! emissions go nowhere, and the battery is always full, so a program
-//! that reads it reads a constant. The interpreter's arithmetic is
+//! emissions go nowhere, and the battery reads the host's remaining
+//! fraction ([`battery_fraction`] of its radio meter), whose bits join the
+//! key of a program that reads it. The interpreter's arithmetic is
 //! deterministic on equal bits. Extension words are VM state outside the
 //! key, so a program with `ext`, or a VM with registered words, always
 //! runs.
 
+use evm_netsim::EnergyMeter;
+
 use super::interp::{Vm, VmEnv, VmError, N_VARS};
 use super::isa::{Program, ProgramInputs};
+use crate::metrics::battery_fraction;
 
 /// The environment inputs of one replica run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaInput {
+pub struct ReplicaInput<'a> {
     /// The VC's published PV, served on every sensor port.
     pub pv: f64,
     /// The node clock, seconds.
@@ -33,6 +37,9 @@ pub struct ReplicaInput {
     /// The replica's controller mode code
     /// ([`crate::roles::ControllerMode::as_f64`]).
     pub role: f64,
+    /// The host's radio meter. Read only for a program that reads the
+    /// battery, which gets the meter's [`battery_fraction`].
+    pub meter: &'a EnergyMeter,
 }
 
 /// What one replica run produced.
@@ -45,12 +52,12 @@ pub struct ReplicaRun {
 }
 
 /// The [`VmEnv`] a replica runs against.
-struct ReplicaEnv {
-    input: ReplicaInput,
+struct ReplicaEnv<'a> {
+    input: ReplicaInput<'a>,
     output: Option<f64>,
 }
 
-impl VmEnv for ReplicaEnv {
+impl VmEnv for ReplicaEnv<'_> {
     fn read_sensor(&mut self, _port: u8) -> Result<f64, VmError> {
         Ok(self.input.pv)
     }
@@ -65,9 +72,12 @@ impl VmEnv for ReplicaEnv {
     fn role_code(&self) -> f64 {
         self.input.role
     }
+    fn battery_fraction(&self) -> f64 {
+        battery_fraction(self.input.meter)
+    }
 }
 
-impl ReplicaInput {
+impl ReplicaInput<'_> {
     /// Runs `program` on `vm` against this input.
     pub fn run(self, vm: &mut Vm, program: &Program) -> ReplicaRun {
         let mut env = ReplicaEnv {
@@ -81,14 +91,20 @@ impl ReplicaInput {
         }
     }
 
-    /// The bits of the PV, clock and role, each 0 when the program does
-    /// not read it.
-    fn key(self, inputs: ProgramInputs) -> [u64; 3] {
+    /// The bits of the PV, clock, role and battery fraction, each 0 when
+    /// the program does not read it (the meter is read only then).
+    fn key(self, inputs: ProgramInputs) -> [u64; 4] {
         let bits = |read: bool, v: f64| if read { v.to_bits() } else { 0 };
+        let battery = if inputs.battery {
+            battery_fraction(self.meter).to_bits()
+        } else {
+            0
+        };
         [
             bits(inputs.sensor, self.pv),
             bits(inputs.clock, self.clock_s),
             bits(inputs.role, self.role),
+            battery,
         ]
     }
 }
@@ -111,14 +127,14 @@ struct Entry {
     /// The bits of the variables before the run.
     vars_in: [u64; N_VARS],
     /// [`ReplicaInput::key`].
-    env: [u64; 3],
+    env: [u64; 4],
     vars_out: [f64; N_VARS],
     gas_used: u64,
     run: ReplicaRun,
 }
 
 impl Entry {
-    fn matches(&self, vm: &Vm, program: &Program, env: [u64; 3]) -> bool {
+    fn matches(&self, vm: &Vm, program: &Program, env: [u64; 4]) -> bool {
         self.env == env
             && self.gas_limit == vm.gas_limit()
             && self.program.same_code(program)
@@ -197,13 +213,27 @@ mod tests {
     use super::*;
     use crate::bytecode::interp::random::random_ops;
     use crate::bytecode::{compile_control_law, control_law_gas_budget, ControlLawSpec, Op};
-    use evm_sim::SimRng;
+    use evm_netsim::{RadioPowerModel, RadioState};
+    use evm_sim::{SimDuration, SimRng};
+    use std::sync::LazyLock;
 
-    fn input(pv: f64) -> ReplicaInput {
+    /// A host that has spent nothing.
+    static FULL: LazyLock<EnergyMeter> =
+        LazyLock::new(|| EnergyMeter::new(RadioPowerModel::cc2420()));
+
+    /// A host that has transmitted for `hours`.
+    fn drained(hours: u64) -> EnergyMeter {
+        let mut m = EnergyMeter::new(RadioPowerModel::cc2420());
+        m.add(RadioState::Tx, SimDuration::from_secs(hours * 3600));
+        m
+    }
+
+    fn input(pv: f64) -> ReplicaInput<'static> {
         ReplicaInput {
             pv,
             clock_s: 1.5,
             role: 1.0,
+            meter: &FULL,
         }
     }
 
@@ -332,6 +362,19 @@ mod tests {
             assert!(!run_both(&mut memo, &mut z, &p, moved), "{reader}");
         }
 
+        // The battery is keyed only for a program that reads it.
+        let low = drained(100);
+        let (mut g, mut h) = (a.clone(), a.clone());
+        assert!(!run_both(&mut memo, &mut g, &law, input(pv + 2.0)));
+        let on_low = ReplicaInput {
+            meter: &low,
+            ..input(pv + 2.0)
+        };
+        assert!(
+            run_both(&mut memo, &mut h, &law, on_low),
+            "the law does not read the battery"
+        );
+
         // A program with `ext`, and a VM with a registered word, always
         // run.
         let ext = Program::new(vec![Op::ReadSensor(0), Op::Ext(1), Op::Halt]);
@@ -355,5 +398,57 @@ mod tests {
         let (mut x, mut y) = (Vm::new(gas), Vm::new(gas + 1));
         assert!(!run_both(&mut memo, &mut x, &law, input(pv)));
         assert!(!run_both(&mut memo, &mut y, &law, input(pv)));
+    }
+
+    #[test]
+    fn a_replica_reads_its_hosts_battery() {
+        let reader = Program::new(vec![Op::ReadBattery, Op::Halt]);
+        let low = drained(100);
+        let run = |meter| {
+            let input = ReplicaInput {
+                meter,
+                ..input(1.0)
+            };
+            input.run(&mut Vm::new(16), &reader).result.expect("runs")
+        };
+        assert_eq!(run(&FULL), 1.0);
+        let read = run(&low);
+        assert!(read < 1.0, "a drained host reads {read}");
+        assert_eq!(read.to_bits(), battery_fraction(&low).to_bits());
+    }
+
+    #[test]
+    fn replicas_on_different_batteries_do_not_share_a_run() {
+        let reader = Program::new(vec![
+            Op::ReadBattery,
+            Op::Store(0),
+            Op::ReadSensor(0),
+            Op::Halt,
+        ]);
+        let (low, twin, lower) = (drained(10), drained(10), drained(20));
+        let on = |meter| ReplicaInput {
+            meter,
+            ..input(30.0)
+        };
+        let mut memo = RunMemo::default();
+        let (mut x, mut y, mut z) = (Vm::new(16), Vm::new(16), Vm::new(16));
+        assert!(!run_both(&mut memo, &mut x, &reader, on(&low)));
+        assert!(
+            run_both(&mut memo, &mut y, &reader, on(&twin)),
+            "an equal battery shares the run"
+        );
+        assert!(!run_both(&mut memo, &mut z, &reader, on(&lower)));
+        assert_ne!(x.vars()[0].to_bits(), z.vars()[0].to_bits());
+    }
+
+    #[test]
+    fn no_standard_law_reads_the_battery() {
+        for spec in evm_plant::standard_loops()
+            .iter()
+            .chain(&evm_plant::vc_host_loops())
+        {
+            let law = compile_control_law(&ControlLawSpec::from_loop(spec));
+            assert!(!law.inputs().battery, "{} reads the battery", spec.name);
+        }
     }
 }

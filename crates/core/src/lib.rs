@@ -58,7 +58,10 @@ pub use component::VirtualComponent;
 pub use error::EvmError;
 pub use health::{DeviationDetector, FaultEvidence, HeartbeatMonitor};
 pub use membership::{elect_head, HeadCandidate, HeartbeatLedger};
-pub use metrics::{MigrationRecord, NodeEnergy, RunAggregate, RunMeta, RunResult, VcRunStats};
+pub use metrics::{
+    MigrationRecord, NodeEnergies, NodeEnergy, RunAggregate, RunMeta, RunResult, SeriesSet,
+    VcRunStats,
+};
 pub use migration::{admit, CapsuleImage};
 pub use roles::ControllerMode;
 pub use runtime::{

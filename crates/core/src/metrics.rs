@@ -1,8 +1,15 @@
 //! Run results and QoS metrics.
+//!
+//! A [`RunResult`] keeps its per-node and per-series data dense, in the
+//! order the run made it, next to names it shares with its deployment:
+//! a [`SeriesSet`] of time series named by `Arc<str>`s, and a
+//! [`NodeEnergies`] table of closed-out radio meters beside the
+//! deployment's node labels. Closing a run moves these tables; nothing
+//! is hashed, copied or derived per node until a caller reads it.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use evm_netsim::NodeId;
+use evm_netsim::{Battery, EnergyMeter, NodeId};
 use evm_sim::{SimDuration, SimTime, TimeSeries, Trace};
 
 /// One completed live capsule migration: what moved, where, and what it
@@ -42,6 +49,168 @@ pub struct NodeEnergy {
     pub radio_duty: f64,
     /// Projected lifetime on 2×AA at this average current, years.
     pub lifetime_years: f64,
+}
+
+impl NodeEnergy {
+    /// The summary of a closed-out meter (one that accounts the whole
+    /// run).
+    fn of(meter: &EnergyMeter) -> Self {
+        let avg = meter.average_current_ma();
+        NodeEnergy {
+            avg_current_ma: avg,
+            radio_duty: meter.radio_duty_cycle(),
+            lifetime_years: Battery::two_aa().lifetime_years_at(avg.max(1e-9)),
+        }
+    }
+}
+
+/// Remaining fraction of a node's 2×AA battery, in `[0, 1]`, after the
+/// charge `meter` has accounted: what master arbitration and head
+/// election rank candidates by, and what a capsule's `ReadBattery`
+/// reads.
+#[must_use]
+pub fn battery_fraction(meter: &EnergyMeter) -> f64 {
+    (1.0 - meter.consumed_mah() / Battery::two_aa().capacity_mah()).max(0.0)
+}
+
+/// Every node's radio energy of one run, in deployment order: the
+/// deployment's label table (shared, not copied) beside each node's
+/// closed-out meter. A [`NodeEnergy`] is derived when it is read.
+///
+/// Lookups by label scan the table. [`NodeEnergies::iter`] walks
+/// deployment order; [`NodeEnergies::by_label`] sorts, for callers whose
+/// output depends on label order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeEnergies {
+    labels: Arc<[String]>,
+    meters: Vec<EnergyMeter>,
+}
+
+impl NodeEnergies {
+    /// Pairs a label table with one meter per label, in the same order.
+    /// Each meter must account the whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two differ in length.
+    #[must_use]
+    pub fn new(labels: Arc<[String]>, meters: Vec<EnergyMeter>) -> Self {
+        assert_eq!(labels.len(), meters.len(), "one meter per label");
+        NodeEnergies { labels, meters }
+    }
+
+    /// Number of metered nodes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.meters.len()
+    }
+
+    /// `true` for a result without energy accounting.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.meters.is_empty()
+    }
+
+    /// The node labels, in deployment order.
+    #[must_use]
+    pub fn labels(&self) -> &[String] {
+        &self.labels
+    }
+
+    /// The energy summary of the node labelled `label`.
+    #[must_use]
+    pub fn get(&self, label: &str) -> Option<NodeEnergy> {
+        let ix = self.labels.iter().position(|l| l == label)?;
+        Some(NodeEnergy::of(&self.meters[ix]))
+    }
+
+    /// `(label, energy)` per node, in deployment order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, NodeEnergy)> + '_ {
+        self.labels
+            .iter()
+            .zip(&self.meters)
+            .map(|(l, m)| (l.as_str(), NodeEnergy::of(m)))
+    }
+
+    /// `(label, energy)` per node, in label order.
+    #[must_use]
+    pub fn by_label(&self) -> Vec<(&str, NodeEnergy)> {
+        let mut order: Vec<usize> = (0..self.labels.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.labels[a].cmp(&self.labels[b]));
+        order
+            .into_iter()
+            .map(|ix| (self.labels[ix].as_str(), NodeEnergy::of(&self.meters[ix])))
+            .collect()
+    }
+}
+
+/// A run's sampled series, in the order the run made them: the sampled
+/// plant tags first, then one `Mode.<label>` trace per controller
+/// replica, then one `Err.<loop>` trace per VC. Each name is an
+/// `Arc<str>` shared with the deployment, and no two series share one
+/// (the setup check refuses a deployment whose names would collide).
+///
+/// Lookups by name scan; the sampled tags come first, so theirs are
+/// short.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SeriesSet {
+    series: Vec<TimeSeries>,
+}
+
+impl SeriesSet {
+    /// An empty set.
+    #[must_use]
+    pub fn new() -> Self {
+        SeriesSet::default()
+    }
+
+    /// A set of series whose names are distinct (the run's, checked at
+    /// setup).
+    pub(crate) fn from_distinct(series: Vec<TimeSeries>) -> Self {
+        SeriesSet { series }
+    }
+
+    /// Appends a series.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set already holds a series of that name.
+    pub fn push(&mut self, series: TimeSeries) {
+        assert!(
+            self.get(series.name()).is_none(),
+            "series {} is already in the set",
+            series.name()
+        );
+        self.series.push(series);
+    }
+
+    /// The series named `name`, if the run kept one.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<&TimeSeries> {
+        self.series.iter().find(|s| s.name() == name)
+    }
+
+    /// Number of series.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.series.len()
+    }
+
+    /// `true` if the set holds no series.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.series.is_empty()
+    }
+
+    /// The series in set order.
+    pub fn iter(&self) -> std::slice::Iter<'_, TimeSeries> {
+        self.series.iter()
+    }
+
+    /// The series in set order, for the run that fills them.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [TimeSeries] {
+        &mut self.series
+    }
 }
 
 /// Identifying metadata of the run that produced a [`RunResult`] — the
@@ -155,8 +324,10 @@ fn merge_sorted(dst: &mut Vec<SimDuration>, src: &[SimDuration]) {
 pub struct RunResult {
     /// Which run produced this result (cell metadata for sweeps).
     pub meta: RunMeta,
-    /// Sampled plant tags by name (the Fig. 6b series among them).
-    pub series: HashMap<String, TimeSeries>,
+    /// Every series the run sampled: plant tags (the Fig. 6b series
+    /// among them), controller modes and regulation errors. Look one up
+    /// with [`RunResult::series`].
+    pub series: SeriesSet,
     /// The structured event log.
     pub trace: Trace,
     /// End-to-end sensor→actuator latencies observed (per actuation).
@@ -165,8 +336,8 @@ pub struct RunResult {
     pub deadline_misses: usize,
     /// Total actuations delivered.
     pub actuations: usize,
-    /// Radio energy accounting per node label (e.g. `"Ctrl-A"`).
-    pub node_energy: HashMap<String, NodeEnergy>,
+    /// Radio energy accounting per node, by label (e.g. `"Ctrl-A"`).
+    pub node_energy: NodeEnergies,
     /// Per-VC QoS tallies, indexed by `VcId` (one entry per hosted VC;
     /// the global counters above are their sums).
     pub vc_stats: Vec<VcRunStats>,
@@ -232,21 +403,17 @@ impl RunResult {
             .integral_squared_error(reference)
     }
 
-    /// Mean radio current across nodes in label order (deterministic
-    /// regardless of the map's iteration order), mA. `None` for results
-    /// without energy accounting.
+    /// Mean radio current across nodes, summed in label order (so its
+    /// bits do not depend on the deployment's node order), mA. `None` for
+    /// results without energy accounting.
     #[must_use]
     pub fn mean_node_current_ma(&self) -> Option<f64> {
         if self.node_energy.is_empty() {
             return None;
         }
-        let mut labels: Vec<&String> = self.node_energy.keys().collect();
-        labels.sort();
-        let sum: f64 = labels
-            .iter()
-            .map(|l| self.node_energy[*l].avg_current_ma)
-            .sum();
-        Some(sum / labels.len() as f64)
+        let nodes = self.node_energy.by_label();
+        let sum: f64 = nodes.iter().map(|(_, e)| e.avg_current_ma).sum();
+        Some(sum / nodes.len() as f64)
     }
 
     /// Header matching [`RunResult::csv_row`] (serde-free CSV dumps for
@@ -347,13 +514,15 @@ impl RunAggregate {
 mod tests {
     use super::*;
 
+    use evm_netsim::{RadioPowerModel, RadioState};
+
     fn result() -> RunResult {
-        let mut series = HashMap::new();
+        let mut series = SeriesSet::new();
         let mut s = TimeSeries::new("LTS.LiquidPct");
         for i in 0..10 {
             s.push(SimTime::from_secs(i), 50.0 + i as f64);
         }
-        series.insert("LTS.LiquidPct".to_string(), s);
+        series.push(s);
         let mut trace = Trace::new();
         trace.log(SimTime::from_secs(300), "fault", "inject stuck-75");
         trace.log(SimTime::from_secs(600), "vc", "promote n3");
@@ -375,7 +544,7 @@ mod tests {
             ],
             deadline_misses: 1,
             actuations: 4,
-            node_energy: HashMap::new(),
+            node_energy: NodeEnergies::default(),
             epochs: 0,
             reroute_latency: None,
             migrations: Vec::new(),
@@ -481,20 +650,74 @@ mod tests {
         assert!((ab.deadline_hit_ratio() - 5.0 / 6.0).abs() < 1e-12);
     }
 
+    /// A meter that spent `tx_h` hours transmitting and the rest of a
+    /// 10-hour run asleep.
+    fn meter(tx_h: u64) -> EnergyMeter {
+        let mut m = EnergyMeter::new(RadioPowerModel::cc2420());
+        m.add(RadioState::Tx, SimDuration::from_secs(tx_h * 3600));
+        m.add(
+            RadioState::Sleep,
+            SimDuration::from_secs((10 - tx_h) * 3600),
+        );
+        m
+    }
+
+    fn energies() -> NodeEnergies {
+        let labels: Arc<[String]> = ["b", "a", "c"].map(String::from).into();
+        NodeEnergies::new(labels, vec![meter(2), meter(1), meter(6)])
+    }
+
     #[test]
     fn mean_current_uses_label_order() {
         let mut r = result();
         assert_eq!(r.mean_node_current_ma(), None);
-        for (label, ma) in [("b", 2.0), ("a", 1.0), ("c", 6.0)] {
-            r.node_energy.insert(
-                label.to_string(),
-                NodeEnergy {
-                    avg_current_ma: ma,
-                    radio_duty: 0.1,
-                    lifetime_years: 1.0,
-                },
-            );
-        }
-        assert!((r.mean_node_current_ma().unwrap() - 3.0).abs() < 1e-12);
+        r.node_energy = energies();
+        let ma = |tx_h: u64| meter(tx_h).average_current_ma();
+        let in_label_order = (ma(1) + ma(2)) + ma(6);
+        assert_eq!(
+            r.mean_node_current_ma().unwrap().to_bits(),
+            (in_label_order / 3.0).to_bits()
+        );
+    }
+
+    #[test]
+    fn node_energies_derive_on_read() {
+        let e = energies();
+        assert_eq!(e.len(), 3);
+        assert_eq!(e.get("nope"), None);
+        let a = e.get("a").expect("metered");
+        let m = meter(1);
+        assert_eq!(a.avg_current_ma.to_bits(), m.average_current_ma().to_bits());
+        assert_eq!(a.radio_duty, 0.1);
+        let order: Vec<&str> = e.iter().map(|(l, _)| l).collect();
+        assert_eq!(order, ["b", "a", "c"]);
+        let sorted: Vec<&str> = e.by_label().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(sorted, ["a", "b", "c"]);
+        assert_eq!(e.by_label()[0].1, a);
+    }
+
+    #[test]
+    fn series_set_keeps_one_series_per_name() {
+        let r = result();
+        assert_eq!(r.series.len(), 1);
+        assert!(r.series.get("LTS.LiquidPct").is_some());
+        assert!(r.series.get("nope").is_none());
+        let caught = std::panic::catch_unwind(|| {
+            let mut set = result().series;
+            set.push(TimeSeries::new("LTS.LiquidPct"));
+        });
+        assert!(caught.is_err(), "a second series of one name is refused");
+    }
+
+    #[test]
+    fn battery_fraction_drains_with_the_meter() {
+        let mut m = EnergyMeter::new(RadioPowerModel::cc2420());
+        assert_eq!(battery_fraction(&m), 1.0);
+        // 2500 mAh at 17.4 mA: about 144 h of transmitting drains it.
+        m.add(RadioState::Tx, SimDuration::from_secs(72 * 3600));
+        let half = battery_fraction(&m);
+        assert!(half > 0.49 && half < 0.51, "{half}");
+        m.add(RadioState::Tx, SimDuration::from_secs(100 * 3600));
+        assert_eq!(battery_fraction(&m), 0.0);
     }
 }

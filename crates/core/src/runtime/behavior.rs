@@ -8,7 +8,7 @@
 //! never by reaching into another node's state, which is what keeps the
 //! runtime topology-generic.
 
-use evm_netsim::NodeId;
+use evm_netsim::{EnergyMeter, NodeId};
 use evm_plant::GasPlant;
 use evm_sim::{SimRng, SimTime, Trace};
 
@@ -73,6 +73,8 @@ pub struct NodeCtx<'a> {
     /// The run's capsule-run memo, one entry per VC whose replicas share
     /// runs.
     pub(crate) memo: &'a mut [RunMemo],
+    /// The node's radio meter, which its battery reading derives from.
+    pub(crate) meter: &'a EnergyMeter,
 }
 
 /// One deployed node. A Virtual Component deploys a closed set of

@@ -255,6 +255,7 @@ impl ControllerCore {
             pv,
             clock_s: now.as_secs_f64(),
             role: self.mode.as_f64(),
+            meter: ctx.meter,
         };
         let run = match self.memo {
             Some((slot, inputs)) => {

@@ -25,8 +25,9 @@
 //! (knob rules, crash script, fault plan) for another scenario of the same
 //! key, which is all a shared deployment leaves to check.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use evm_mac::rtlink::RtLink;
@@ -42,7 +43,7 @@ use crate::bytecode::{
 use crate::runtime::behaviors::{focus_kernel, GatewayPorts, REPLICA_CAPS};
 use crate::runtime::plan::{CyclePlan, Wiring};
 use crate::runtime::reconfig::{ReconfigError, Reconfigurator, ReroutePolicy};
-use crate::runtime::topo::{RelayJob, TopologyError, TopologySpec, VcId, VcMap};
+use crate::runtime::topo::{Fnv1a, RelayJob, TopologyError, TopologySpec, VcId, VcMap};
 use crate::runtime::Scenario;
 
 /// The scenario stage of the setup check, which needs neither RNG nor
@@ -123,6 +124,41 @@ fn check_fault_plan(scenario: &Scenario, topology: &Topology) -> Result<(), Topo
         .find(|&(node, _)| topology.index_of(node).is_none())
     {
         Some((node, at)) => Err(TopologyError::FaultOnMissingNode { node, at }),
+        None => Ok(()),
+    }
+}
+
+/// The series-name stage of the setup check: a run keeps one series per
+/// name, so no two of the sampled tags, the `Mode.<label>` traces and
+/// the `Err.<loop>` traces may share one. Sampled tags are distinct
+/// already (the deployment keeps each once), and mode names are, since
+/// labels are. So two names collide only when two VCs host loops of one
+/// name, or a sampled tag carries a trace's prefix and name. Hashes the
+/// loop names once; a tag is compared with the traces only when it has
+/// a trace prefix.
+#[deny(clippy::panic_in_result_fn)]
+fn check_series_names(
+    sampled: &[(Option<BoundTag>, Arc<str>)],
+    mode: &[(usize, Arc<str>)],
+    err: &[(Option<BoundTag>, Arc<str>)],
+) -> Result<(), TopologyError> {
+    let duplicate = |name: &str| Err(TopologyError::DuplicateSeriesName(name.to_string()));
+    let mut loops: HashSet<&str, BuildHasherDefault<Fnv1a>> =
+        HashSet::with_capacity_and_hasher(err.len(), BuildHasherDefault::default());
+    if let Some((_, name)) = err.iter().find(|(_, name)| !loops.insert(name)) {
+        return duplicate(name);
+    }
+    let traced = |tag: &str| {
+        mode.iter()
+            .map(|(_, name)| name)
+            .chain(err.iter().map(|(_, name)| name))
+            .any(|name| **name == *tag)
+    };
+    match sampled
+        .iter()
+        .find(|(_, tag)| (tag.starts_with("Mode.") || tag.starts_with("Err.")) && traced(tag))
+    {
+        Some((_, tag)) => duplicate(tag),
         None => Ok(()),
     }
 }
@@ -238,8 +274,12 @@ pub struct Deployment {
     /// The fields the deployment was built from; `None` for one built
     /// inside `Engine::try_new`, which no other scenario reuses.
     key: Option<DeploymentKey>,
-    /// The resolved nodes, owner of the node labels.
+    /// The resolved nodes, less their labels (moved into
+    /// [`Deployment::labels`]).
     pub(super) topology: Topology,
+    /// Each node's label, in topology order: shared with every run's
+    /// result ([`crate::NodeEnergies`]), never copied.
+    pub(super) labels: Arc<[String]>,
     /// Topology node ids in topology order — the dense index space
     /// ([`Topology::index_of`]) of every per-node table.
     pub(super) node_ids: Vec<NodeId>,
@@ -307,7 +347,8 @@ impl fmt::Debug for Deployment {
 /// 3. the manifest against the spec's VC count, and each VC's loop
 ///    against the plant's register map;
 /// 4. epoch 0 (routes, slot schedule, transfer lane), computed with
-///    [`Reconfigurator::compute`].
+///    [`Reconfigurator::compute`];
+/// 5. the run's series names: one series per name.
 ///
 /// Draws exactly the channel randomness engine construction draws, so the
 /// check sees the links the engine will.
@@ -319,8 +360,8 @@ impl fmt::Debug for Deployment {
 /// scripted crash or blackout on a node the deployment does not have, a
 /// manifest whose loop count differs from the topology's VC count, a
 /// loop whose registers do not fit the plant or its focus sensor, an
-/// unroutable flow, or flows (or transfer lane) that do not fit the
-/// RT-Link cycle.
+/// unroutable flow, flows (or transfer lane) that do not fit the
+/// RT-Link cycle, or two series of one name.
 #[deny(clippy::panic_in_result_fn)]
 pub fn check_setup(scenario: &Scenario) -> Result<Arc<Deployment>, TopologyError> {
     let mut deployment = Deployment::build(scenario, scenario.topology.clone())?;
@@ -366,7 +407,7 @@ impl Deployment {
         check_scenario(scenario, scenario.n_vcs())?;
         let mut rng = SimRng::seed_from(scenario.seed);
         let mut channel = Channel::new(scenario.channel.clone(), rng.fork(1));
-        let (topology, vcs) = spec.try_into_resolved(&mut channel)?;
+        let (mut topology, vcs) = spec.try_into_resolved(&mut channel)?;
         check_fault_plan(scenario, &topology)?;
         if vcs.n_vcs() != scenario.n_vcs() {
             return Err(TopologyError::ManifestMismatch {
@@ -518,19 +559,20 @@ impl Deployment {
                 sampled.push((plant.bind_tag(t), Arc::from(t.as_str())));
             }
         }
-        let mode_series = vcs
+        let mode_series: Vec<_> = vcs
             .all_controllers()
             .map(|(_, n)| {
                 let ix = dense_ix(n);
                 (ix, name(["Mode.", &topology.nodes()[ix].label]))
             })
             .collect();
-        let err_series = (0..vcs.n_vcs())
+        let err_series: Vec<_> = (0..vcs.n_vcs())
             .map(|vc| {
                 let spec = scenario.vc_loop(vc as VcId);
                 (plant.bind_tag(&spec.pv_tag), name(["Err.", &spec.name]))
             })
             .collect();
+        check_series_names(&sampled, &mode_series, &err_series)?;
 
         // --- Dense node → duty table (roles are disjoint across VCs) ---
         let mut duty: Vec<Option<Duty>> = vec![None; node_ids.len()];
@@ -599,9 +641,11 @@ impl Deployment {
         } else {
             channel.into_template()
         };
+        let labels = topology.take_labels().into();
         Ok(Deployment {
             key: None,
             topology,
+            labels,
             node_ids,
             vcs: Arc::new(vcs),
             rtlink: RtLink::new(scenario.rtlink.clone()),

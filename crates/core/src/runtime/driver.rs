@@ -26,13 +26,13 @@ use std::mem;
 use std::sync::Arc;
 
 use evm_mac::rtlink::SlotSchedule;
-use evm_netsim::{Battery, Channel, EnergyMeter, Frame, FrameKind, NodeId, RadioState, Topology};
+use evm_netsim::{Channel, EnergyMeter, Frame, FrameKind, NodeId, RadioState, Topology};
 use evm_plant::{BoundTag, GasPlant, LocalController, LoopTags, Plant};
-use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
+use evm_sim::{EventQueue, SimRng, SimTime, Trace};
 
 use crate::bytecode::{Capsule, CapsuleId, RunMemo};
 use crate::component::VirtualComponent;
-use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
+use crate::metrics::{battery_fraction, NodeEnergies, RunMeta, RunResult, SeriesSet, VcRunStats};
 use crate::runtime::behavior::{Effect, Node, NodeCtx, Timer};
 use crate::runtime::behaviors::{ControllerCore, HeadPlane, RelayCore};
 use crate::runtime::deployment::Deployment;
@@ -82,14 +82,14 @@ pub(super) enum Ev {
     Reconfigure,
 }
 
-/// One VC's per-cycle regulation-error trace (the `Err.<loop>` series).
+/// What one VC's per-cycle regulation-error trace (its `Err.<loop>`
+/// series) is sampled from.
 #[derive(Debug, Clone)]
 pub(super) struct ErrTrace {
     /// The loop's PV tag, bound at setup; `None` when the plant does not
     /// publish it, and the trace then stays empty.
     pub(super) pv: Option<BoundTag>,
     pub(super) setpoint: f64,
-    pub(super) series: TimeSeries,
 }
 
 /// How a run's replicas shared capsule runs ([`Engine::memo_stats`]).
@@ -163,15 +163,15 @@ pub(super) struct RunState {
     /// Every deployed node, indexed like [`RunState::meters`].
     pub(super) nodes: Vec<Node>,
 
-    /// The sampled plant series, one per distinct sampled tag, each with
-    /// its tag's handle (`None` when the plant does not publish it, and
-    /// the series then stays empty).
-    pub(super) series: Vec<(Option<BoundTag>, TimeSeries)>,
-    /// Per-replica controller-mode traces, keyed by the replica's dense
-    /// index.
-    pub(super) mode_series: Vec<(usize, TimeSeries)>,
-    /// Per-VC per-cycle regulation-error traces, indexed by `VcId`.
-    pub(super) err_series: Vec<ErrTrace>,
+    /// Every series of the run, in result order, parallel to the
+    /// deployment's name tables: one per distinct sampled tag
+    /// ([`Deployment::sampled`], whose handle is `None` when the plant
+    /// does not publish the tag, and the series then stays empty), one
+    /// controller-mode trace per replica ([`Deployment::mode_series`]),
+    /// and one regulation-error trace per VC ([`Deployment::err_series`]).
+    pub(super) series: SeriesSet,
+    /// What each VC's error trace is sampled from, indexed by `VcId`.
+    pub(super) err_traces: Vec<ErrTrace>,
     /// Radio energy meters, one per topology node, in topology order
     /// (the deployment's dense index space).
     pub(super) meters: Vec<EnergyMeter>,
@@ -245,7 +245,9 @@ impl Engine {
         &self.run.vcs
     }
 
-    /// The physical topology (for inspection/tests).
+    /// The physical topology (for inspection/tests). Its nodes carry no
+    /// labels: the deployment moved them into the label table every
+    /// result shares ([`crate::NodeEnergies::labels`]).
     #[must_use]
     pub fn topology(&self) -> &Topology {
         &self.dep.topology
@@ -446,13 +448,11 @@ impl Engine {
     }
 
     /// Closes out energy accounting (everything not spent on the radio
-    /// was deep sleep) and extracts the [`RunResult`]. Names move into
-    /// the result: node labels from the topology, loop names from the
-    /// component records.
-    ///
-    /// The labels move out of a deployment this engine alone holds (a
-    /// single-use one); a shared deployment keeps its labels and the
-    /// result gets copies.
+    /// was deep sleep) and extracts the [`RunResult`]. Tables move into
+    /// the result whole: the series, the closed-out meters (beside the
+    /// deployment's label table, shared, so no label is copied whether
+    /// or not other runs share the deployment) and the loop names from
+    /// the component records. Nothing is hashed or derived per node.
     #[must_use]
     pub fn finalize(self) -> RunResult {
         let Engine { dep, run } = self;
@@ -464,62 +464,29 @@ impl Engine {
             controllers: run.vcs.vcs.iter().map(|r| r.controllers.len()).sum(),
             vcs: run.vcs.n_vcs(),
         };
+        // Close every meter out: the run sleeps wherever it accounted
+        // nothing.
         let mut meters = run.meters;
-        let energy = |label: String, m: &mut EnergyMeter| {
+        for m in &mut meters {
             let accounted = m.total_time();
             m.add(RadioState::Sleep, total.saturating_sub(accounted));
-            let avg = m.average_current_ma();
-            (
-                label,
-                NodeEnergy {
-                    avg_current_ma: avg,
-                    radio_duty: m.radio_duty_cycle(),
-                    lifetime_years: Battery::two_aa().lifetime_years_at(avg.max(1e-9)),
-                },
-            )
-        };
-        let node_energy = match Arc::try_unwrap(dep) {
-            Ok(dep) => dep
-                .topology
-                .into_nodes()
-                .into_iter()
-                .zip(meters.iter_mut())
-                .map(|(node, m)| energy(node.label, m))
-                .collect(),
-            Err(shared) => shared
-                .topology
-                .nodes()
-                .iter()
-                .zip(meters.iter_mut())
-                .map(|(node, m)| energy(node.label.clone(), m))
-                .collect(),
-        };
+        }
+        let node_energy = NodeEnergies::new(Arc::clone(&dep.labels), meters);
         let mut vc_stats = run.vc_stats;
         for (stats, record) in vc_stats.iter_mut().zip(run.components) {
             stats.loop_name = record.into_name();
         }
+        // The pooled latencies, sized once: one allocation at any scale.
+        let mut e2e_latencies =
+            Vec::with_capacity(vc_stats.iter().map(|s| s.e2e_latencies.len()).sum());
+        for s in &vc_stats {
+            e2e_latencies.extend_from_slice(&s.e2e_latencies);
+        }
         RunResult {
             meta,
-            series: run
-                .series
-                .into_iter()
-                .map(|(_, s)| (s.name().to_string(), s))
-                .chain(
-                    run.mode_series
-                        .into_iter()
-                        .map(|(_, s)| (s.name().to_string(), s)),
-                )
-                .chain(
-                    run.err_series
-                        .into_iter()
-                        .map(|e| (e.series.name().to_string(), e.series)),
-                )
-                .collect(),
+            series: run.series,
             trace: run.trace,
-            e2e_latencies: vc_stats
-                .iter()
-                .flat_map(|s| s.e2e_latencies.iter().copied())
-                .collect(),
+            e2e_latencies,
             deadline_misses: vc_stats.iter().map(|s| s.deadline_misses).sum(),
             actuations: vc_stats.iter().map(|s| s.actuations).sum(),
             node_energy,
@@ -539,13 +506,12 @@ impl Engine {
     /// candidates by, so the two planes can never diverge on how they
     /// order the same nodes.
     pub(super) fn battery_fitness(&self, node: NodeId) -> f64 {
-        let consumed = self.meter(node).map_or(0.0, EnergyMeter::consumed_mah);
-        (1.0 - consumed / Battery::two_aa().capacity_mah()).max(0.0)
+        self.meter(node).map_or(1.0, battery_fraction)
     }
 
     pub(super) fn label_of(&self, id: NodeId) -> String {
         match self.dep.topology.index_of(id) {
-            Some(ix) => self.dep.topology.nodes()[ix].label.clone(),
+            Some(ix) => self.dep.labels[ix].clone(),
             None => id.to_string(),
         }
     }
@@ -562,7 +528,7 @@ impl Engine {
         let mut ctx = NodeCtx {
             now: self.run.now,
             id: self.dep.node_ids[ix],
-            label: &self.dep.topology.nodes()[ix].label,
+            label: &self.dep.labels[ix],
             vcs: &self.run.vcs,
             rng: &mut self.run.rng,
             trace: &mut self.run.trace,
@@ -570,6 +536,7 @@ impl Engine {
             effects: &mut effects,
             timers: &mut timers,
             memo: &mut self.run.memo,
+            meter: &self.run.meters[ix],
         };
         let out = f(&mut self.run.nodes[ix], &mut ctx);
         let node = u32::try_from(ix).expect("dense index fits u32");
@@ -636,12 +603,18 @@ impl Engine {
     }
 
     fn on_sample(&mut self) {
-        for (tag, series) in &mut self.run.series {
+        let dep = &*self.dep;
+        let (sampled, traces) = self
+            .run
+            .series
+            .as_mut_slice()
+            .split_at_mut(dep.sampled.len());
+        for ((tag, _), series) in dep.sampled.iter().zip(sampled) {
             if let Some(tag) = *tag {
                 series.push(self.run.now, self.run.plant.read_bound(tag));
             }
         }
-        for (ix, series) in &mut self.run.mode_series {
+        for ((ix, _), series) in dep.mode_series.iter().zip(traces) {
             let mode = self.run.nodes[*ix].controller().expect("replica host").mode;
             series.push(self.run.now, mode.as_f64());
         }
@@ -831,11 +804,68 @@ impl Engine {
                 self.dispatch(ix, |n, ctx| n.on_cycle_start(ctx));
             }
         }
-        for e in &mut self.run.err_series {
+        let series = self.run.series.as_mut_slice();
+        let first_err = series.len() - self.run.err_traces.len();
+        for (e, series) in self.run.err_traces.iter().zip(&mut series[first_err..]) {
             if let Some(pv) = e.pv {
-                e.series
-                    .push(self.run.now, self.run.plant.read_bound(pv) - e.setpoint);
+                series.push(self.run.now, self.run.plant.read_bound(pv) - e.setpoint);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use evm_netsim::Battery;
+    use evm_sim::SimDuration;
+
+    use super::*;
+    use crate::runtime::ScenarioBuilder;
+
+    /// The bits of a node's energy summary.
+    type Bits = [u64; 3];
+
+    /// A result's energies, read in label order, are bit for bit a
+    /// recomputation from the engine's own meters with the arithmetic a
+    /// result used to be built with: close the meter out with sleep, then
+    /// the average current, the duty cycle, and the lifetime on 2×AA.
+    #[test]
+    fn node_energies_match_a_recomputation_from_the_meters() {
+        let s = ScenarioBuilder::star()
+            .vcs(2)
+            .duration(SimDuration::from_secs(20))
+            .build();
+        let end = SimTime::ZERO + s.duration;
+        let mut engine = Engine::new(s);
+        engine.run_until(end);
+        let total = engine.run.scenario.duration;
+        let mut expect: Vec<(String, Bits)> = engine
+            .dep
+            .node_ids
+            .iter()
+            .zip(engine.dep.labels.iter())
+            .map(|(&id, label)| {
+                let mut m = engine.meter(id).expect("deployed").clone();
+                m.add(RadioState::Sleep, total.saturating_sub(m.total_time()));
+                let avg = m.average_current_ma();
+                let life = Battery::two_aa().lifetime_years_at(avg.max(1e-9));
+                let bits = [avg, m.radio_duty_cycle(), life].map(f64::to_bits);
+                (label.clone(), bits)
+            })
+            .collect();
+        expect.sort_by(|a, b| a.0.cmp(&b.0));
+        let r = engine.finalize();
+        let got: Vec<(String, Bits)> = r
+            .node_energy
+            .by_label()
+            .into_iter()
+            .map(|(label, e)| {
+                let bits = [e.avg_current_ma, e.radio_duty, e.lifetime_years].map(f64::to_bits);
+                (label.to_string(), bits)
+            })
+            .collect();
+        assert_eq!(got.len(), r.meta.nodes);
+        assert_eq!(got, expect);
+        assert_eq!(r.node_energy.get("nope"), None);
     }
 }

@@ -225,7 +225,7 @@ impl Engine {
                     Some(target),
                     Some((suspect, ControllerMode::Backup)),
                     self.run.now,
-                    &self.dep.topology.nodes()[ix].label,
+                    &self.dep.labels[ix],
                     &mut self.run.trace,
                 );
             }

@@ -30,6 +30,7 @@ use evm_sim::{EventQueue, SimRng, SimTime, TimeSeries, Trace};
 
 use crate::bytecode::RunMemo;
 use crate::component::VirtualComponent;
+use crate::metrics::SeriesSet;
 use crate::metrics::VcRunStats;
 use crate::roles::ControllerMode;
 use crate::runtime::behavior::Node;
@@ -268,24 +269,28 @@ impl Engine {
             s.reserve(n);
             s
         };
-        let series = dep
-            .sampled
-            .iter()
-            .map(|(tag, name)| (*tag, reserved(name, samples)))
-            .collect();
-        let mode_series = dep
-            .mode_series
-            .iter()
-            .map(|(ix, name)| (*ix, reserved(name, samples)))
-            .collect();
-        let err_series = dep
+        // One table in result order (sampled tags, modes, errors), which
+        // the result takes over whole.
+        let mut series =
+            Vec::with_capacity(dep.sampled.len() + dep.mode_series.len() + dep.err_series.len());
+        series.extend(dep.sampled.iter().map(|(_, name)| reserved(name, samples)));
+        series.extend(
+            dep.mode_series
+                .iter()
+                .map(|(_, name)| reserved(name, samples)),
+        );
+        series.extend(
+            dep.err_series
+                .iter()
+                .map(|(_, name)| reserved(name, cycles)),
+        );
+        let err_traces = dep
             .err_series
             .iter()
             .enumerate()
-            .map(|(vc, (pv, name))| ErrTrace {
+            .map(|(vc, (pv, _))| ErrTrace {
                 pv: *pv,
                 setpoint: scenario.vc_loop(vc as VcId).setpoint,
-                series: reserved(name, cycles),
             })
             .collect();
         // Loop names join the statistics at finalize, from the records.
@@ -326,9 +331,8 @@ impl Engine {
                 queue: EventQueue::new(),
                 now: SimTime::ZERO,
                 nodes,
-                series,
-                mode_series,
-                err_series,
+                series: SeriesSet::from_distinct(series),
+                err_traces,
                 meters,
                 fx_effects: Vec::with_capacity(8),
                 fx_timers: Vec::with_capacity(8),

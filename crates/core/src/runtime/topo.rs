@@ -742,6 +742,11 @@ pub enum TopologyError {
     DuplicateNodeId(NodeId),
     /// Two nodes share a label (per-node results are keyed by label).
     DuplicateLabel(String),
+    /// Two of a run's series would share this name: two VCs host loops
+    /// of one name (each VC keeps an `Err.<loop>` trace), or a sampled
+    /// tag is spelled like a controller's `Mode.<label>` or a VC's
+    /// `Err.<loop>` trace.
+    DuplicateSeriesName(String),
     /// A node's position has a NaN or infinite coordinate, which the
     /// link model cannot turn into a distance.
     NonFinitePosition(NodeId),
@@ -836,6 +841,10 @@ impl std::fmt::Display for TopologyError {
             TopologyError::DuplicateGateway => write!(f, "two gateways in topology spec"),
             TopologyError::DuplicateNodeId(n) => write!(f, "duplicate node id {n}"),
             TopologyError::DuplicateLabel(l) => write!(f, "duplicate node label {l:?}"),
+            TopologyError::DuplicateSeriesName(n) => write!(
+                f,
+                "two series named {n:?}: loop names and sampled tags must name every series once"
+            ),
             TopologyError::NonFinitePosition(n) => {
                 write!(f, "node {n} needs a finite position")
             }
@@ -890,9 +899,10 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// FNV-1a, for the label-uniqueness set of [`check_nodes`]: labels are
-/// short, and a spec is no adversary a keyed hash would guard against.
-struct Fnv1a(u64);
+/// FNV-1a, for the uniqueness sets of the setup check (node labels,
+/// loop names): names are short, and a spec is no adversary a keyed
+/// hash would guard against.
+pub(super) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {

@@ -35,12 +35,18 @@
 //! [`Engine::try_new`]'s allocations and of [`Engine::finalize`]'s frees
 //! must stay within budget: setup shares what repeats from VC to VC
 //! (laws, kernels, names, link state) instead of copying it, and
-//! teardown hands names on instead of freeing them.
+//! teardown hands names on instead of freeing them. `finalize` must
+//! allocate as often at 1000 VCs as at 200: it moves the run's tables
+//! into the result instead of rebuilding them per node.
 //!
 //! One more window bounds what a sweep batch pays per cell to set up: one
 //! shared deployment ([`check_setup`]) and eight engines on it, for the
 //! 8-cell `vc_failover_sweep` batch shape. A cell that copied the
 //! deployment instead of sharing it would pay its whole build again.
+//! Closing each cell must copy none of the shared deployment's labels.
+//!
+//! The last window counts a whole Fig. 6b run: a trace line allocates
+//! its message, never its category.
 //!
 //! A single `#[test]` covers all windows sequentially: the counters
 //! are process-global, so concurrent tests would pollute each other's
@@ -152,23 +158,46 @@ fn assert_zero_alloc_steady_state(label: &str, s: Scenario) -> [MemoStats; 2] {
     [open, close]
 }
 
-/// Allocations made by [`Engine::try_new`] and frees made by
-/// [`Engine::finalize`] for an `n`-VC fleet run for one cycle (the
-/// `fleet_dense` benchmark's deployment). The scenario is built before
-/// the window opens.
-fn fleet_setup_and_teardown(n: usize) -> (u64, u64) {
+/// What an `n`-VC fleet run for one cycle (the `fleet_dense`
+/// benchmark's deployment) pays to build and close: the allocations
+/// made by [`Engine::try_new`], and the allocations and frees made by
+/// [`Engine::finalize`]. The scenario is built before the window opens.
+struct Lifecycle {
+    setup_allocs: u64,
+    finalize_allocs: u64,
+    finalize_frees: u64,
+}
+
+fn fleet_lifecycle(n: usize) -> Lifecycle {
     let mut s = ScenarioBuilder::star().fleet(n).build();
     s.duration = s.rtlink.cycle_duration();
     let end = SimTime::ZERO + s.duration;
-    let before = ALLOCS.load(Relaxed);
-    let mut engine = Engine::try_new(s).expect("fleet sets up");
-    let allocs = ALLOCS.load(Relaxed) - before;
+    let (setup_allocs, mut engine) = allocs_during(|| Engine::try_new(s).expect("fleet sets up"));
     engine.run_until(end);
-    let before = DEALLOCS.load(Relaxed);
-    let result = std::hint::black_box(engine.finalize());
-    let frees = DEALLOCS.load(Relaxed) - before;
+    let frees = DEALLOCS.load(Relaxed);
+    let (finalize_allocs, result) = allocs_during(|| engine.finalize());
+    let finalize_frees = DEALLOCS.load(Relaxed) - frees;
     assert_eq!(result.vc_stats.len(), n, "every VC reports");
-    (allocs, frees)
+    assert_eq!(
+        result.node_energy.len(),
+        result.meta.nodes,
+        "every node reports"
+    );
+    Lifecycle {
+        setup_allocs,
+        finalize_allocs,
+        finalize_frees,
+    }
+}
+
+/// Allocations made by a whole Fig. 6b `run_until`, and the trace lines
+/// it logged.
+fn fig6b_run_allocs() -> (u64, usize) {
+    let s = Scenario::fig6b();
+    let end = SimTime::ZERO + s.duration;
+    let mut engine = Engine::new(s);
+    let (allocs, ()) = allocs_during(|| engine.run_until(end));
+    (allocs, engine.finalize().trace.len())
 }
 
 /// Allocations per cell of setting up an 8-cell batch of the
@@ -176,8 +205,9 @@ fn fleet_setup_and_teardown(n: usize) -> (u64, u64) {
 /// transfer lane) whose cells differ in seed and loss: one shared
 /// deployment, then one engine per cell on it. Each engine is built from
 /// its own copy of its cell's scenario, as a sweep worker builds it; the
-/// copies are made before the window opens.
-fn shared_batch_setup() -> f64 {
+/// copies are made before the window opens. Also returns the most
+/// allocations one cell's [`Engine::finalize`] made.
+fn shared_batch_setup() -> (f64, u64) {
     let template = ScenarioBuilder::star()
         .vcs(8)
         .sensors(1)
@@ -213,7 +243,17 @@ fn shared_batch_setup() -> f64 {
         engines.iter().all(|e| Arc::ptr_eq(e.deployment(), shared)),
         "every cell runs on the shared deployment"
     );
-    allocs as f64 / 8.0
+    // Close each cell after one second: its result shares the
+    // deployment's labels and series names.
+    let mut closing = 0;
+    for mut engine in engines {
+        engine.run_until(SimTime::from_secs(2));
+        let (allocs, result) = allocs_during(|| engine.finalize());
+        assert!(result.actuations > 0, "the cell ran its loops");
+        assert_eq!(result.node_energy.len(), result.meta.nodes);
+        closing = closing.max(allocs);
+    }
+    (allocs as f64 / 8.0, closing)
 }
 
 /// Allocations made while running `f`.
@@ -293,15 +333,22 @@ fn warmed_hot_loop_never_touches_the_heap() {
     // mode and error traces' name (built by the deployment) and sample
     // buffer each, and the latency buffer. Teardown makes 10 frees: the
     // role-map and listener lists, the box, the mode map, and the
-    // scenario's PV and output tags.
-    // Per cell, a shared batch makes 216.9 allocations: its eighth of
+    // scenario's PV and output tags. It allocates once at any scale,
+    // for the pooled latency list: series, meters and labels move into
+    // the result.
+    // Per cell, a shared batch makes 216.3 allocations: its eighth of
     // the deployment's 798, plus 117 for its own engine, whose series
     // share the deployment's names and whose one memo table holds an
-    // entry for each of the 8 VCs.
-    let per_cell = shared_batch_setup();
+    // entry for each of the 8 VCs. Closing a cell copies no label: it
+    // allocates once, as a fleet does.
+    let (per_cell, closing) = shared_batch_setup();
     assert!(
         per_cell <= 217.0,
         "a shared 8-cell batch allocates {per_cell:.1} times per cell to set up"
+    );
+    assert!(
+        closing <= 1,
+        "closing a cell on a shared deployment allocates {closing} times"
     );
 
     let fleet = Engine::new(ScenarioBuilder::star().fleet(200).build());
@@ -312,19 +359,39 @@ fn warmed_hot_loop_never_touches_the_heap() {
     );
     drop(fleet);
 
-    let (small_allocs, small_frees) = fleet_setup_and_teardown(200);
-    let (large_allocs, large_frees) = fleet_setup_and_teardown(1000);
+    let small = fleet_lifecycle(200);
+    let large = fleet_lifecycle(1000);
     let per_vc = |small: u64, large: u64| (large - small) as f64 / 800.0;
-    let setup = per_vc(small_allocs, large_allocs);
-    let teardown = per_vc(small_frees, large_frees);
+    let setup = per_vc(small.setup_allocs, large.setup_allocs);
+    let teardown = per_vc(small.finalize_frees, large.finalize_frees);
     assert!(
         setup <= 14.0,
-        "Engine::try_new allocates {setup:.2} times per VC ({small_allocs} at 200 VCs, \
-         {large_allocs} at 1000)"
+        "Engine::try_new allocates {setup:.2} times per VC ({} at 200 VCs, {} at 1000)",
+        small.setup_allocs,
+        large.setup_allocs
     );
     assert!(
         teardown <= 10.0,
-        "Engine::finalize frees {teardown:.2} times per VC ({small_frees} at 200 VCs, \
-         {large_frees} at 1000)"
+        "Engine::finalize frees {teardown:.2} times per VC ({} at 200 VCs, {} at 1000)",
+        small.finalize_frees,
+        large.finalize_frees
+    );
+    assert_eq!(
+        small.finalize_allocs, large.finalize_allocs,
+        "Engine::finalize allocates as often at 1000 VCs as at 200"
+    );
+    assert!(
+        large.finalize_allocs <= 1,
+        "Engine::finalize allocates {} times",
+        large.finalize_allocs
+    );
+
+    // A trace line allocates its message, not its category (a static
+    // string). Beyond one allocation a line, a Fig. 6b run makes 23:
+    // the trace's own doubling (11) and a few growing buffers.
+    let (allocs, lines) = fig6b_run_allocs();
+    assert!(
+        allocs <= lines as u64 + 32,
+        "a Fig. 6b run allocates {allocs} times for {lines} trace lines"
     );
 }

@@ -7,8 +7,10 @@ use evm_core::bytecode::{
     compile_control_law, control_law_gas_budget, Capability, Capsule, CapsuleId, ControlLawSpec,
     N_VARS,
 };
+use std::sync::Arc;
+
 use evm_core::runtime::{
-    nodes, Engine, FlowKind, Reconfigurator, Scenario, ScenarioBuilder, TopologyError,
+    check_setup, nodes, Engine, FlowKind, Reconfigurator, Scenario, ScenarioBuilder, TopologyError,
 };
 use evm_core::{CapsuleImage, RunResult};
 use evm_sim::{SimDuration, SimTime};
@@ -363,4 +365,45 @@ fn duplicate_labels_are_a_typed_setup_error() {
         Err(e) => panic!("wrong error: {e}"),
         Ok(_) => panic!("a duplicate label must not set up"),
     }
+}
+
+#[test]
+#[should_panic(expected = "tag Nope.Level was not sampled")]
+fn an_unsampled_tag_panics_by_name() {
+    let r = short(Scenario::baseline(), 5);
+    assert!(r.series.get("Nope.Level").is_none());
+    let _ = r.series("Nope.Level");
+}
+
+/// A cell on a shared deployment gets the result its cold twin gets, and
+/// its result shares the deployment's label table instead of copying it.
+#[test]
+fn a_shared_cell_matches_its_cold_twin() {
+    let mut s = ScenarioBuilder::star()
+        .vcs(2)
+        .duration(SimDuration::from_secs(20))
+        .build();
+    s.seed = 3;
+    let deployment = check_setup(&s).expect("sets up");
+    let shared = |seed| {
+        let mut cell = s.clone();
+        cell.seed = seed;
+        cell.attach_deployment(Arc::clone(&deployment));
+        Engine::try_new(cell).expect("cell sets up").run()
+    };
+    let (a, b) = (shared(3), shared(4));
+    let cold = Engine::new(s.clone()).run();
+    assert_eq!(a.series, cold.series);
+    assert_eq!(a.node_energy, cold.node_energy);
+    assert_eq!(a, cold);
+    assert_eq!(a.node_energy.get("nope"), None);
+    assert!(a.node_energy.get("Ctrl-A").is_some());
+    assert!(
+        std::ptr::eq(a.node_energy.labels(), b.node_energy.labels()),
+        "cells on one deployment share its labels"
+    );
+    assert!(!std::ptr::eq(
+        a.node_energy.labels(),
+        cold.node_energy.labels()
+    ));
 }

@@ -114,7 +114,7 @@ impl Default for RadioPowerModel {
 /// m.add(RadioState::Rx, SimDuration::from_secs(3600));
 /// assert!((m.consumed_mah() - 19.7).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyMeter {
     model: RadioPowerModel,
     /// Accumulated time per state, µs (indexed like `RadioState::ALL`).

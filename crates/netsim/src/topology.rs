@@ -243,11 +243,16 @@ impl Topology {
         &self.adjacency[self.row[i] as usize..self.row[i + 1] as usize]
     }
 
-    /// The deployed nodes, by value, in [`Topology::nodes`] order: how a
-    /// run's owner hands their labels on without copying them.
+    /// Moves every node's label out, in [`Topology::nodes`] order, and
+    /// leaves each node's label empty: how a deployment takes over the
+    /// labels for a table it shares with its results, without copying
+    /// them.
     #[must_use]
-    pub fn into_nodes(self) -> Vec<NodeInfo> {
+    pub fn take_labels(&mut self) -> Vec<String> {
         self.nodes
+            .iter_mut()
+            .map(|n| std::mem::take(&mut n.label))
+            .collect()
     }
 
     /// `true` if `a` and `b` share a usable link. Binary search: every
@@ -439,6 +444,15 @@ mod tests {
         assert!(!topo.are_neighbors(NodeId(0), NodeId(2)));
         assert_eq!(topo.hops(NodeId(0), NodeId(4)), Some(4));
         assert_eq!(topo.hops(NodeId(2), NodeId(2)), Some(0));
+    }
+
+    #[test]
+    fn taken_labels_leave_the_links() {
+        let mut topo = line(4, 40.0);
+        let labels = topo.take_labels();
+        assert_eq!(labels, ["c0", "c1", "c2", "c3"]);
+        assert!(topo.nodes().iter().all(|n| n.label.is_empty()));
+        assert_eq!(topo.hops(NodeId(0), NodeId(3)), Some(3));
     }
 
     #[test]

@@ -14,8 +14,9 @@ use crate::SimTime;
 pub struct TraceEntry {
     /// When the event happened.
     pub at: SimTime,
-    /// Category tag, e.g. `"vc"`, `"mac"`, `"fault"`, `"migration"`.
-    pub category: String,
+    /// Category tag, e.g. `"vc"`, `"mac"`, `"fault"`, `"migration"`:
+    /// one of a fixed set, so an entry stores it without allocating.
+    pub category: &'static str,
     /// Human-readable (and grep-able) description.
     pub message: String,
 }
@@ -58,13 +59,13 @@ impl Trace {
     ///
     /// Panics (in debug builds) if `at` is earlier than the last entry;
     /// traces are recorded in simulation order by construction.
-    pub fn log(&mut self, at: SimTime, category: impl Into<String>, message: impl Into<String>) {
+    pub fn log(&mut self, at: SimTime, category: &'static str, message: impl Into<String>) {
         if let Some(last) = self.entries.last() {
             debug_assert!(at >= last.at, "trace must be appended in time order");
         }
         self.entries.push(TraceEntry {
             at,
-            category: category.into(),
+            category,
             message: message.into(),
         });
     }

@@ -103,12 +103,12 @@ fn result_digest(r: &RunResult) -> u64 {
     h.len(*nodes);
     h.len(*controllers);
     h.len(*vcs);
-    let mut names: Vec<&String> = series.keys().collect();
-    names.sort();
-    h.len(names.len());
-    for name in names {
-        h.str(name);
-        let samples = series[name].samples();
+    let mut sorted: Vec<&TimeSeries> = series.iter().collect();
+    sorted.sort_by(|a, b| a.name().cmp(b.name()));
+    h.len(sorted.len());
+    for s in sorted {
+        h.str(s.name());
+        let samples = s.samples();
         h.len(samples.len());
         for &(t, v) in samples {
             h.time(t);
@@ -118,7 +118,7 @@ fn result_digest(r: &RunResult) -> u64 {
     h.len(trace.len());
     for e in trace.entries() {
         h.time(e.at);
-        h.str(&e.category);
+        h.str(e.category);
         h.str(&e.message);
     }
     h.len(e2e_latencies.len());
@@ -127,15 +127,14 @@ fn result_digest(r: &RunResult) -> u64 {
     }
     h.len(*deadline_misses);
     h.len(*actuations);
-    let mut labels: Vec<&String> = node_energy.keys().collect();
-    labels.sort();
-    h.len(labels.len());
-    for label in labels {
+    let nodes = node_energy.by_label();
+    h.len(nodes.len());
+    for (label, energy) in nodes {
         let NodeEnergy {
             avg_current_ma,
             radio_duty,
             lifetime_years,
-        } = &node_energy[label];
+        } = &energy;
         h.str(label);
         h.f64(*avg_current_ma);
         h.f64(*radio_duty);

@@ -156,11 +156,8 @@ fn fig5_hil_latency() {
     write_result("fig5_hil_latency.csv", &csv);
 
     // Per-node radio energy over the run (the testbed's energy budget).
-    let mut names: Vec<&String> = result.node_energy.keys().collect();
-    names.sort();
     let mut ecsv = String::from("node,radio_duty,avg_ma,lifetime_years\n");
-    for name in names {
-        let e = &result.node_energy[name];
+    for (name, e) in result.node_energy.by_label() {
         ecsv.push_str(&format!(
             "{name},{:.5},{:.5},{:.3}\n",
             e.radio_duty, e.avg_current_ma, e.lifetime_years

@@ -109,8 +109,12 @@ fn fig5_is_deterministic_per_seed() {
         a.series("LTS.LiquidPct").samples(),
         b.series("LTS.LiquidPct").samples()
     );
-    for (label, energy) in &a.node_energy {
-        assert_eq!(energy, &b.node_energy[label], "{label} energy differs");
+    for (label, energy) in a.node_energy.iter() {
+        assert_eq!(
+            Some(energy),
+            b.node_energy.get(label),
+            "{label} energy differs"
+        );
     }
     let c = run(10);
     assert!(
@@ -374,6 +378,33 @@ fn every_scenario_rule_is_its_own_typed_error() {
             || edited(|s| s.focus_loop.op_tag = "Nowhere.Valve".into()),
             register("the loop's OP tag has no plant holding register"),
         ),
+        // Series names: two VCs hosting loops of one name would keep two
+        // `Err.<loop>` traces of one name, and a sampled tag spelled like
+        // a trace would collide with it.
+        (
+            "loop names",
+            || {
+                let mut s = short().vcs(2).build();
+                s.extra_vc_loops[0].name = s.focus_loop.name.clone();
+                Ok(s)
+            },
+            TopologyError::DuplicateSeriesName("Err.LC-LTS".into()),
+        ),
+        (
+            "sampled mode tag",
+            || edited(|s| s.sampled_tags.push("Mode.Ctrl-B".into())),
+            TopologyError::DuplicateSeriesName("Mode.Ctrl-B".into()),
+        ),
+        (
+            "sampled error tag",
+            || {
+                let mut s = short().vcs(2).build();
+                let tag = format!("Err.{}", s.extra_vc_loops[0].name);
+                s.sampled_tags.push(tag);
+                Ok(s)
+            },
+            TopologyError::DuplicateSeriesName("Err.LC-InletSep".into()),
+        ),
     ];
     for (i, (name, make, want)) in rows.iter().enumerate() {
         let got = make().and_then(|s| check_setup(&s).map(|_| s));
@@ -382,6 +413,38 @@ fn every_scenario_rule_is_its_own_typed_error() {
             assert_ne!(want, theirs, "{name} and {other} share an error");
         }
     }
+}
+
+/// Every builder-made layout names each of its series once, so the
+/// setup check passes it: fleets suffix their loop names (`LC-LTS#1`, …)
+/// past the first eight VCs, so no two VCs share an `Err.<loop>` trace.
+#[test]
+fn builder_scenarios_name_every_series_once() {
+    let roomy = || short().slots_per_cycle(96);
+    let builders = [
+        short(),
+        roomy().vcs(8),
+        roomy().line(3),
+        roomy().grid(3, 3),
+        roomy().clustered(3),
+        roomy().line(2).backup_relays(1),
+        short().fleet(8),
+        short().fleet(300),
+    ];
+    for b in builders {
+        let s = b.build();
+        check_setup(&s).unwrap_or_else(|e| panic!("{} VCs: {e}", s.n_vcs()));
+    }
+    let mut s = short().fleet(64).build();
+    s.duration = s.rtlink.cycle_duration();
+    let r = Engine::new(s).run();
+    let errs = r
+        .series
+        .iter()
+        .filter(|t| t.name().starts_with("Err."))
+        .count();
+    assert_eq!(errs, 64, "one error trace per VC");
+    assert!(r.series.get("Err.LC-LTS#1").is_some());
 }
 
 /// A draw from `lo..=hi`.
