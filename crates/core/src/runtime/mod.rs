@@ -52,7 +52,7 @@ pub use scenario::Layout;
 pub use scenario::{Scenario, ScenarioBuilder, TopologyShape};
 pub use topo::{
     monitor_register, route_flows, synth_flows, FlowKind, NodeSpec, RelayJob, Role, RoleMap,
-    RouteError, RoutedFlows, TopologyError, TopologySpec, VcId, VcMap, CLUSTER_HOP_M,
+    RouteError, RoutedFlows, StarShape, TopologyError, TopologySpec, VcId, VcMap, CLUSTER_HOP_M,
     CLUSTER_RING_M, GRID_SPACING_M, LINE_SPACING_M, MAX_VCS,
 };
 

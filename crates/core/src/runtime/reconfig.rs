@@ -694,7 +694,10 @@ mod tests {
     #[test]
     fn flow_table_is_sorted_and_mirrors_the_schedule() {
         let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
-        let spec = TopologySpec::multi_star(3, 2, 2, 1, true, 15.0);
+        let spec = crate::runtime::ScenarioBuilder::star()
+            .vcs(3)
+            .build()
+            .topology;
         let (topology, vcs) = spec.try_into_resolved(&mut ch).expect("spec resolves");
         let cfg = evm_mac::RtLinkConfig {
             slots_per_cycle: 64,
@@ -727,7 +730,13 @@ mod tests {
     #[test]
     fn unroutable_survivors_report_instead_of_panicking() {
         let mut ch = Channel::new(ChannelConfig::default(), SimRng::seed_from(1));
-        let spec = TopologySpec::line(2, 1, 1, 1, false, crate::runtime::topo::LINE_SPACING_M);
+        let spec = crate::runtime::ScenarioBuilder::star()
+            .line(2)
+            .sensors(1)
+            .controllers(1)
+            .head(false)
+            .build()
+            .topology;
         let (topology, vcs) = spec.try_into_resolved(&mut ch).expect("spec resolves");
         let cfg = evm_mac::RtLinkConfig::default();
         // R1 (node 4) is the only bridge to the sensor: no backup chain.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use evm_mac::RtLinkConfig;
-use evm_netsim::{ChannelConfig, FaultPlan};
+use evm_netsim::{ChannelConfig, FaultPlan, Position};
 use evm_plant::{ActuatorFault, ControlLoopSpec};
 use evm_sim::{SimDuration, SimTime};
 
@@ -11,26 +11,28 @@ use crate::bytecode::Tier;
 use crate::runtime::deployment::{check_scenario, Deployment};
 use crate::runtime::reconfig::ReroutePolicy;
 use crate::runtime::topo::{
-    TopologyError, TopologySpec, VcId, CLUSTER_HOP_M, CLUSTER_RING_M, GRID_SPACING_M,
-    LINE_SPACING_M, MAX_VCS,
+    NodeSpec, Role, StarShape, TopologyError, TopologySpec, VcId, CLUSTER_HOP_M, CLUSTER_RING_M,
+    GRID_SPACING_M, LINE_SPACING_M, MAX_VCS,
 };
 
 /// The physical layout family the builder materializes (and the
 /// `over_topology` sweep axis in `evm-sweep`). Star is the Fig. 5
 /// single-hop family; the other three exercise the multi-hop relay
-/// pipeline end to end.
+/// pipeline end to end. Every family seats the same per-VC role order;
+/// it only places the seats ([`TopologyShape::materialize`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
-    /// Single-hop ring around the gateway ([`TopologySpec::multi_star`]).
+    /// Single-hop ring around the gateway: each VC's nodes on one arc of
+    /// a shared ring of [`TopologyShape::radius_m`].
     Star,
     /// Sensor `hops` hops left of the gateway behind relays, control pod
-    /// on the right ([`TopologySpec::line`]). Single-VC.
+    /// on the right, spaced [`LINE_SPACING_M`]. Single-VC.
     Line {
         /// Radio hops from the focus sensor to the gateway (≥ 1).
         hops: usize,
     },
-    /// `w × h` lattice, gateway and sensor in opposite corners
-    /// ([`TopologySpec::grid`]). Single-VC.
+    /// `w × h` lattice spaced [`GRID_SPACING_M`], gateway and sensor in
+    /// opposite corners, leftover cells relays. Single-VC.
     Grid {
         /// Lattice width (cells).
         w: usize,
@@ -38,7 +40,7 @@ pub enum Layout {
         h: usize,
     },
     /// One tight cluster per VC, each behind a two-relay chain from the
-    /// shared gateway ([`TopologySpec::clustered`]).
+    /// shared gateway ([`CLUSTER_HOP_M`], [`CLUSTER_RING_M`]).
     Clustered,
 }
 
@@ -375,16 +377,10 @@ pub struct TopologyShape {
     pub layout: Layout,
     /// Virtual Components hosted (1 for line and grid).
     pub vcs: usize,
-    /// Sensor nodes per VC (≥ 1; sensor 0 carries the focus PV).
-    pub sensors: usize,
-    /// Controller replicas per VC (≥ 1; the first is the initial primary).
-    pub controllers: usize,
-    /// Actuator nodes per VC (0 routes actuation through the gateway).
-    pub actuators: usize,
-    /// Whether each VC deploys its head.
-    pub head: bool,
+    /// Each VC's role counts.
+    pub roles: StarShape,
     /// Star ring radius in meters (the other layouts use their
-    /// calibrated default spacings).
+    /// calibrated spacings).
     pub radius_m: f64,
     /// Redundant relay chains (line and clustered layouts only).
     pub backup_relays: usize,
@@ -398,75 +394,159 @@ impl TopologyShape {
         TopologyShape {
             layout: Layout::Star,
             vcs: 1,
-            sensors: 2,
-            controllers: 2,
-            actuators: 1,
-            head: true,
+            roles: StarShape::fig5(),
             radius_m: 15.0,
             backup_relays: 0,
         }
     }
 
-    /// Builds the topology spec of this shape. The role counts are
-    /// checked later, on the spec ([`crate::runtime::check_setup`]).
+    /// Builds the topology spec of this shape: the gateway at the origin,
+    /// then each VC's roles in the one order every layout shares — focus
+    /// sensor, controllers, actuators, monitoring sensors, head, then its
+    /// relay chains — each placed by the layout. Node ids follow that
+    /// order. The role counts are checked later, on the spec
+    /// ([`crate::runtime::check_setup`]).
+    ///
+    /// - Star: VC `k`'s nodes on the `k`-th arc of one ring around the
+    ///   gateway, so one VC of the Fig. 5 role set on a 15 m ring *is*
+    ///   the testbed ([`TopologyShape::fig5`]).
+    /// - Line (spacing `d`): the focus sensor at `(-hops·d, 0)` with the
+    ///   monitors stacked at `0.3·d` y-offsets beside it, relay `R_k` at
+    ///   `(-k·d, 0)`, controller `i` at `(d, 0.25·d·i)`, the head at
+    ///   `(d, -0.25·d)` and actuator `j` at `(2d, 0.25·d·j)`: the
+    ///   `sensor—relay—gateway—controller—actuator` chain, whose skip
+    ///   links are out of range. Backup chain `b` mirrors the relays at a
+    ///   `0.25·d·b` y-offset (still loss-free for `b = 1`).
+    /// - Grid: the gateway in cell 0 and the focus sensor in the opposite
+    ///   corner, so every sensor flow crosses the lattice; the other
+    ///   roles fill cells row-major, and each cell left over is a relay.
+    /// - Clustered: VC `k`'s members on a ring of [`CLUSTER_RING_M`]
+    ///   around `3·hop` along the ray at `2πk/vcs`, relays `R1`/`R2` at
+    ///   `hop` and `2·hop` on it, and backup chain `b` beside them along
+    ///   the ray's normal (`10·b` m at the first hop, `0.5·b` m at the
+    ///   second). Clusters are far out of each other's interference
+    ///   sets, so the scheduler reuses intra-cluster slots across them.
+    ///
+    /// Routing's BFS tie-breaks keep routes on the lower-id primary
+    /// relays; the backups carry a VC after runtime re-routing drops a
+    /// dead primary.
     ///
     /// # Errors
     ///
     /// [`TopologyError::InvalidShape`] if a star or clustered layout hosts
     /// a VC count outside `1..=MAX_VCS`, a line or grid more than one VC,
     /// a star has a NaN or infinite ring radius, a star or grid backup
-    /// relays, a line zero hops, or a lattice has fewer cells than roles.
+    /// relays, a line zero hops, a lattice has fewer cells than roles, or
+    /// a VC more than 256 sensors, controllers, actuators or relays.
     #[deny(clippy::panic_in_result_fn)]
     pub fn materialize(&self) -> Result<TopologySpec, TopologyError> {
-        let (s, c, a, h) = (self.sensors, self.controllers, self.actuators, self.head);
+        let (roles, vcs) = (self.roles, self.vcs);
+        // Nodes per VC besides relays. Saturating, so a count too large to
+        // seat still reaches the seating routine's typed rejection.
+        let members = [roles.sensors, roles.controllers, roles.actuators]
+            .into_iter()
+            .fold(usize::from(roles.head), usize::saturating_add);
         let broken = match self.layout {
-            Layout::Star | Layout::Clustered if !(1..=MAX_VCS).contains(&self.vcs) => {
+            Layout::Star | Layout::Clustered if !(1..=MAX_VCS).contains(&vcs) => {
                 Some("vc count out of range")
             }
-            Layout::Line { .. } if self.vcs != 1 => Some("line layouts host a single VC"),
-            Layout::Grid { .. } if self.vcs != 1 => Some("grid layouts host a single VC"),
+            Layout::Line { .. } if vcs != 1 => Some("line layouts host a single VC"),
+            Layout::Grid { .. } if vcs != 1 => Some("grid layouts host a single VC"),
             Layout::Star if !self.radius_m.is_finite() => Some("the ring radius must be finite"),
             Layout::Star | Layout::Grid { .. } if self.backup_relays > 0 => {
                 Some("backup relays need a line or clustered layout")
             }
             Layout::Line { hops: 0 } => Some("a line needs at least one hop"),
-            Layout::Grid { w, h: rows }
-                if w.saturating_mul(rows) < 1 + s + c + a + usize::from(h) =>
-            {
+            Layout::Grid { w, h } if w.saturating_mul(h) <= members => {
                 Some("the lattice cannot seat every role")
             }
             _ => None,
         };
+        let invalid = |rule| TopologyError::InvalidShape {
+            layout: self.layout,
+            vcs,
+            rule,
+        };
         if let Some(rule) = broken {
-            return Err(TopologyError::InvalidShape {
-                layout: self.layout,
-                vcs: self.vcs,
-                rule,
-            });
+            return Err(invalid(rule));
         }
-        Ok(match self.layout {
-            Layout::Star => TopologySpec::multi_star(self.vcs, s, c, a, h, self.radius_m),
-            Layout::Line { hops } => TopologySpec::line_with_backups(
-                hops,
-                s,
-                c,
-                a,
-                h,
-                LINE_SPACING_M,
-                self.backup_relays,
-            ),
-            Layout::Grid { w, h: rows } => TopologySpec::grid(w, rows, s, c, a, h, GRID_SPACING_M),
-            Layout::Clustered => TopologySpec::clustered_with_backups(
-                self.vcs,
-                s,
-                c,
-                a,
-                h,
-                CLUSTER_HOP_M,
-                CLUSTER_RING_M,
-                self.backup_relays,
-            ),
-        })
+        let mut spec = TopologySpec {
+            nodes: vec![NodeSpec::gateway()],
+            links: None,
+        };
+        let tau = 2.0 * std::f64::consts::PI;
+        let seated = match self.layout {
+            Layout::Star => {
+                let (radius, ring) = (self.radius_m, vcs.saturating_mul(members));
+                (0..vcs).try_for_each(|vc| {
+                    spec.seat_vc(vc as VcId, &roles, 0, 0, |i, _| {
+                        let angle = tau * (vc * members + i) as f64 / ring as f64;
+                        Position::new(radius * angle.cos(), radius * angle.sin())
+                    })
+                })
+            }
+            Layout::Line { hops } => {
+                let (d, chain) = (LINE_SPACING_M, hops - 1);
+                let far = -(hops as f64) * d;
+                spec.seat_vc(0, &roles, chain, self.backup_relays, |_, role| match role {
+                    Role::Sensor(k) => Position::new(far, 0.3 * d * f64::from(k)),
+                    Role::Controller(i) => Position::new(d, 0.25 * d * f64::from(i)),
+                    Role::Actuator(j) => Position::new(2.0 * d, 0.25 * d * f64::from(j)),
+                    Role::Relay(r) => {
+                        let (b, k) = (usize::from(r) / chain, usize::from(r) % chain + 1);
+                        Position::new(-(k as f64) * d, 0.25 * d * b as f64)
+                    }
+                    Role::Head | Role::Gateway => Position::new(d, -0.25 * d),
+                })
+            }
+            Layout::Grid { w, h } => {
+                let cols = w.max(1);
+                let cell = |idx: usize| {
+                    Position::new(
+                        (idx % cols) as f64 * GRID_SPACING_M,
+                        (idx / cols) as f64 * GRID_SPACING_M,
+                    )
+                };
+                let last = w.saturating_mul(h).saturating_sub(1);
+                // Cell 0 is the gateway's and the last the focus sensor's,
+                // so the other seats start at cell 1 either way.
+                let skip = usize::from(roles.sensors == 0);
+                let relays = last.saturating_sub(members + skip);
+                spec.seat_vc(0, &roles, relays, 0, |i, role| match role {
+                    Role::Sensor(0) => cell(last),
+                    _ => cell(i + skip),
+                })
+            }
+            Layout::Clustered => {
+                let (hop, ring) = (CLUSTER_HOP_M, CLUSTER_RING_M);
+                (0..vcs).try_for_each(|vc| {
+                    let angle = tau * vc as f64 / vcs as f64;
+                    let (dx, dy) = (angle.cos(), angle.sin());
+                    // The unit normal of the cluster's ray.
+                    let (nx, ny) = (-dy, dx);
+                    let center = Position::new(3.0 * hop * dx, 3.0 * hop * dy);
+                    spec.seat_vc(vc as VcId, &roles, 2, self.backup_relays, |i, role| {
+                        let Role::Relay(r) = role else {
+                            let theta = tau * i as f64 / members as f64;
+                            return Position::new(
+                                center.x + ring * theta.cos(),
+                                center.y + ring * theta.sin(),
+                            );
+                        };
+                        let b = usize::from(r) / 2;
+                        let (dist, off) = [(hop, 10.0), (2.0 * hop, 0.5)][usize::from(r) % 2];
+                        if b == 0 {
+                            Position::new(dist * dx, dist * dy)
+                        } else {
+                            let off = off * b as f64;
+                            Position::new(dist * dx + off * nx, dist * dy + off * ny)
+                        }
+                    })
+                })
+            }
+        };
+        seated.map_err(invalid)?;
+        Ok(spec)
     }
 }
 
@@ -522,7 +602,7 @@ impl ScenarioBuilder {
     /// focus PV, the rest publish monitoring flows).
     #[must_use]
     pub fn sensors(mut self, n: usize) -> Self {
-        self.shape.sensors = n;
+        self.shape.roles.sensors = n;
         self
     }
 
@@ -530,7 +610,7 @@ impl ScenarioBuilder {
     /// initial primary).
     #[must_use]
     pub fn controllers(mut self, n: usize) -> Self {
-        self.shape.controllers = n;
+        self.shape.roles.controllers = n;
         self
     }
 
@@ -540,7 +620,7 @@ impl ScenarioBuilder {
     /// endpoint for now).
     #[must_use]
     pub fn actuators(mut self, n: usize) -> Self {
-        self.shape.actuators = n;
+        self.shape.roles.actuators = n;
         self
     }
 
@@ -548,7 +628,7 @@ impl ScenarioBuilder {
     /// there is no arbitration and no failover — the minimal data plane.
     #[must_use]
     pub fn head(mut self, present: bool) -> Self {
-        self.shape.head = present;
+        self.shape.roles.head = present;
         self
     }
 
@@ -562,8 +642,9 @@ impl ScenarioBuilder {
     /// Switches to the multi-hop line layout: the focus sensor `hops`
     /// radio hops left of the gateway behind `hops - 1` relays, the
     /// control pod one hop right and the actuator beyond it
-    /// ([`TopologySpec::line`]). Role-count knobs (`sensors`,
-    /// `controllers`, `actuators`, `head`) apply as usual; `line(2)` with
+    /// ([`Layout::Line`], placed by [`TopologyShape::materialize`]).
+    /// Role-count knobs (`sensors`, `controllers`, `actuators`, `head`)
+    /// apply as usual; `line(2)` with
     /// one sensor/controller/actuator is the paper-style
     /// `sensor—relay—gateway—controller—actuator` chain. Single-VC:
     /// `vcs(n > 1)` is rejected at build time, and so is `hops == 0`.
@@ -575,9 +656,10 @@ impl ScenarioBuilder {
 
     /// Switches to the `w × h` lattice layout: gateway and focus sensor
     /// in opposite corners, roles filling cells row-major, leftover cells
-    /// becoming relays ([`TopologySpec::grid`]). Single-VC: `vcs(n > 1)`
-    /// is rejected at build time, and so is a lattice with fewer cells
-    /// than roles.
+    /// becoming relays ([`Layout::Grid`], placed by
+    /// [`TopologyShape::materialize`]). Single-VC: `vcs(n > 1)` is
+    /// rejected at build time, and so is a lattice with fewer cells than
+    /// roles.
     #[must_use]
     pub fn grid(mut self, w: usize, h: usize) -> Self {
         self.shape.layout = Layout::Grid { w, h };
@@ -586,8 +668,9 @@ impl ScenarioBuilder {
 
     /// Switches to the clustered layout *and* hosts `k` Virtual
     /// Components, one tight cluster per VC behind a two-relay chain from
-    /// the shared gateway ([`TopologySpec::clustered`]) — the layout
-    /// whose intra-cluster slots the scheduler reuses across clusters.
+    /// the shared gateway ([`Layout::Clustered`], placed by
+    /// [`TopologyShape::materialize`]) — the layout whose intra-cluster
+    /// slots the scheduler reuses across clusters.
     #[must_use]
     pub fn clustered(mut self, k: usize) -> Self {
         self.shape.layout = Layout::Clustered;
@@ -1007,7 +1090,7 @@ mod tests {
 
     #[test]
     fn explicit_topology_wins() {
-        let spec = TopologySpec::minimal(22.0);
+        let spec = ScenarioBuilder::minimal().radius_m(22.0).build().topology;
         let s = Scenario::builder().topology(spec.clone()).build();
         assert_eq!(s.topology, spec);
         // ...even when star knobs are touched afterwards.

@@ -136,19 +136,24 @@ pub const VC_FOCUS_REGISTERS: [u16; MAX_VCS] = [
     30011, // TC-Tray: Column.TrayTempK
 ];
 
-/// Default adjacent-link spacing of [`TopologySpec::line`], calibrated
-/// against the default channel model: 40 m links are loss-free (packet
-/// error rate exactly zero) while 80 m skip links are out of range, so a
-/// line closes its loop only through the relays.
+/// Adjacent-link spacing of the line layout ([`Layout::Line`]),
+/// calibrated against the default channel model: 40 m links are loss-free
+/// (packet error rate exactly zero) while 80 m skip links are out of
+/// range, so a line closes its loop only through the relays.
 pub const LINE_SPACING_M: f64 = 40.0;
-/// Default lattice spacing of [`TopologySpec::grid`]: 52 m orthogonal
+/// Lattice spacing of the grid layout ([`Layout::Grid`]): 52 m orthogonal
 /// links connect, 73.5 m diagonals do not — clean 4-connectivity.
 pub const GRID_SPACING_M: f64 = 52.0;
-/// Default relay-chain hop of [`TopologySpec::clustered`] (loss-free).
+/// Relay-chain hop of the clustered layout ([`Layout::Clustered`];
+/// loss-free).
 pub const CLUSTER_HOP_M: f64 = 40.0;
-/// Default cluster disc radius of [`TopologySpec::clustered`]:
+/// Cluster disc radius of the clustered layout ([`Layout::Clustered`]):
 /// intra-cluster links stay within a few meters, far below any loss.
 pub const CLUSTER_RING_M: f64 = 2.0;
+
+/// Why [`TopologySpec::seat_vc`] rejects a shape: role and relay indices
+/// are `u8`.
+const SEAT_RULE: &str = "a VC seats at most 256 sensors, controllers, actuators or relays";
 
 /// `Ctrl-A`, `Ctrl-B`, … (wraps to `Ctrl-27` past the alphabet).
 fn controller_label(prefix: &str, i: usize) -> String {
@@ -156,6 +161,89 @@ fn controller_label(prefix: &str, i: usize) -> String {
         format!("{prefix}Ctrl-{}", char::from(b'A' + i as u8))
     } else {
         format!("{prefix}Ctrl-{i}")
+    }
+}
+
+/// Per-VC role counts: the role set every layout seats for each of its
+/// Virtual Components ([`crate::runtime::TopologyShape::materialize`]),
+/// and one value of the sweep grid's role-count axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StarShape {
+    /// Sensor nodes (≥ 1; sensor 0 carries the focus PV).
+    pub sensors: usize,
+    /// Controller replicas (≥ 1; the first is the initial primary).
+    pub controllers: usize,
+    /// Actuator nodes (0 routes actuation through the gateway).
+    pub actuators: usize,
+    /// Whether the Virtual Component head is deployed.
+    pub head: bool,
+}
+
+impl StarShape {
+    /// The paper's Fig. 5 testbed shape (2 sensors, 2 controllers,
+    /// 1 actuator, head).
+    #[must_use]
+    pub fn fig5() -> Self {
+        StarShape {
+            sensors: 2,
+            controllers: 2,
+            actuators: 1,
+            head: true,
+        }
+    }
+
+    /// A shape with `n` controller replicas, otherwise Fig. 5.
+    #[must_use]
+    pub fn with_controllers(n: usize) -> Self {
+        StarShape {
+            controllers: n,
+            ..StarShape::fig5()
+        }
+    }
+
+    /// Reads the per-VC shape off an existing topology spec: VC 0's role
+    /// counts, which for the symmetric multi-VC layouts is every VC's
+    /// shape.
+    #[must_use]
+    pub fn of_spec(spec: &TopologySpec) -> Self {
+        let count = |pred: fn(&Role) -> bool| {
+            spec.nodes
+                .iter()
+                .filter(|n| n.vc == 0 && pred(&n.role))
+                .count()
+        };
+        StarShape {
+            sensors: count(|r| matches!(r, Role::Sensor(_))),
+            controllers: count(|r| matches!(r, Role::Controller(_))),
+            actuators: count(|r| matches!(r, Role::Actuator(_))),
+            head: spec.nodes.iter().any(|n| n.vc == 0 && n.role == Role::Head),
+        }
+    }
+
+    /// Stable label, e.g. `s2c3a1h` (trailing `h` iff the head is present).
+    #[must_use]
+    pub fn label(&self) -> String {
+        format!(
+            "s{}c{}a{}{}",
+            self.sensors,
+            self.controllers,
+            self.actuators,
+            if self.head { "h" } else { "" }
+        )
+    }
+}
+
+impl NodeSpec {
+    /// The gateway every deployment shares: node 0 at the origin.
+    pub(crate) fn gateway() -> Self {
+        NodeSpec {
+            id: NodeId(0),
+            vc: 0,
+            role: Role::Gateway,
+            label: "GW".to_string(),
+            position: Position::new(0.0, 0.0),
+            register: None,
+        }
     }
 }
 
@@ -177,425 +265,88 @@ impl TopologySpec {
     /// S1, Ctrl-A, Ctrl-B, A1, S2 and the head at 15 m.
     #[must_use]
     pub fn fig5() -> Self {
-        TopologySpec::star(2, 2, 1, true, 15.0)
+        crate::runtime::TopologyShape::fig5()
+            .materialize()
+            .expect("the Fig. 5 shape is valid")
     }
 
-    /// A single-VC star deployment: the gateway at the origin, all other
-    /// nodes on a ring of `radius_m`. Ring order (and id order) follows
-    /// the Fig. 5 convention: focus sensor, controllers, actuators,
-    /// monitoring sensors, head — so `star(2, 2, 1, true, 15.0)` *is* the
-    /// testbed.
-    #[must_use]
-    pub fn star(
-        sensors: usize,
-        controllers: usize,
-        actuators: usize,
-        head: bool,
-        radius_m: f64,
-    ) -> Self {
-        TopologySpec::multi_star(1, sensors, controllers, actuators, head, radius_m)
-    }
-
-    /// A multi-VC star deployment: one shared gateway at the origin and
-    /// `vcs` Virtual Components, each a full role set (`sensors`,
-    /// `controllers`, `actuators`, `head`) on one shared ring of
-    /// `radius_m`. VC `k`'s nodes occupy a contiguous arc; ids are
-    /// sequential across VCs; VC 0 keeps the legacy labels (`S1`,
-    /// `Ctrl-A`, …) while VC `k > 0` prefixes them with `Vk.`.
-    /// `multi_star(1, ...)` is exactly [`TopologySpec::star`].
+    /// Appends VC `vc`'s nodes in the one role order every layout shares:
+    /// focus sensor `S1`, controllers `Ctrl-A..`, actuators `A1..`,
+    /// monitoring sensors `S2..`, the head, then `backups + 1` relay
+    /// chains of `chain` hops each — the primary `R1..`, then `RB1..`,
+    /// `RB2.1..` and so on, hop `k` of chain `b` being relay
+    /// `chain·b + k − 1`. VC `k > 0` labels carry a `Vk.` prefix. Ids
+    /// continue from the spec's last node. The focus sensor reads its
+    /// VC's loop PV ([`VC_FOCUS_REGISTERS`]), monitor `k` the `k`-th
+    /// monitor register ([`monitor_register`]).
     ///
-    /// Each VC's focus sensor reads that VC's loop PV register
-    /// ([`VC_FOCUS_REGISTERS`]); monitoring sensors draw from the shared
-    /// monitor table ([`monitor_register`]); a VC past that table gets
-    /// none.
-    #[must_use]
-    pub fn multi_star(
-        vcs: usize,
-        sensors: usize,
-        controllers: usize,
-        actuators: usize,
-        head: bool,
-        radius_m: f64,
-    ) -> Self {
-        let mut roles: Vec<(VcId, Role, String)> = Vec::new();
-        for vc in 0..vcs as VcId {
-            let prefix = if vc == 0 {
-                String::new()
-            } else {
-                format!("V{vc}.")
-            };
-            if sensors > 0 {
-                roles.push((vc, Role::Sensor(0), format!("{prefix}S1")));
-            }
-            for i in 0..controllers {
-                roles.push((vc, Role::Controller(i as u8), controller_label(&prefix, i)));
-            }
-            for i in 0..actuators {
-                roles.push((vc, Role::Actuator(i as u8), format!("{prefix}A{}", i + 1)));
-            }
-            for i in 1..sensors {
-                roles.push((vc, Role::Sensor(i as u8), format!("{prefix}S{}", i + 1)));
-            }
-            if head {
-                roles.push((vc, Role::Head, format!("{prefix}Head")));
-            }
-        }
-
-        let ring = roles.len();
-        let mut nodes = vec![NodeSpec {
-            id: NodeId(0),
-            vc: 0,
-            role: Role::Gateway,
-            label: "GW".to_string(),
-            position: Position::new(0.0, 0.0),
-            register: None,
-        }];
-        for (i, (vc, role, label)) in roles.into_iter().enumerate() {
-            let angle = 2.0 * std::f64::consts::PI * i as f64 / ring as f64;
+    /// `place` maps each seat — its ordinal in this order and its role —
+    /// to a position: the layout is nothing but that map.
+    ///
+    /// # Errors
+    ///
+    /// The rule broken when a role or relay index does not fit a `u8`.
+    pub(crate) fn seat_vc(
+        &mut self,
+        vc: VcId,
+        roles: &StarShape,
+        chain: usize,
+        backups: usize,
+        place: impl Fn(usize, Role) -> Position,
+    ) -> Result<(), &'static str> {
+        let index = |i: usize| u8::try_from(i).map_err(|_| SEAT_RULE);
+        let prefix = if vc == 0 {
+            String::new()
+        } else {
+            format!("V{vc}.")
+        };
+        let first = self.nodes.len();
+        let mut seat = |role: Role, label: String| {
             let register = match role {
-                Role::Sensor(0) => VC_FOCUS_REGISTERS.get(vc as usize).copied(),
-                Role::Sensor(tag) => Some(monitor_register(tag as usize - 1)),
+                Role::Sensor(0) => VC_FOCUS_REGISTERS.get(usize::from(vc)).copied(),
+                Role::Sensor(tag) => Some(monitor_register(usize::from(tag) - 1)),
                 _ => None,
             };
-            nodes.push(NodeSpec {
-                id: NodeId((i + 1) as u16),
+            let i = self.nodes.len() - first;
+            self.nodes.push(NodeSpec {
+                // At most MAX_VCS × 1,025 seats: ids fit a u16.
+                id: NodeId(self.nodes.len() as u16),
                 vc,
                 role,
                 label,
-                position: Position::new(radius_m * angle.cos(), radius_m * angle.sin()),
+                position: place(i, role),
                 register,
             });
-        }
-        TopologySpec { nodes, links: None }
-    }
-
-    /// The degenerate three-node Virtual Component: gateway, one sensor,
-    /// one controller. The gateway doubles as the actuation endpoint and
-    /// no head means no failover machinery — the smallest closed loop the
-    /// runtime can express.
-    #[must_use]
-    pub fn minimal(radius_m: f64) -> Self {
-        TopologySpec::star(1, 1, 0, false, radius_m)
-    }
-
-    /// A multi-hop line: the focus sensor sits `hops` radio hops left of
-    /// the gateway behind `hops - 1` relays, and the control pod
-    /// (controllers, head) one hop right of it with the actuator one hop
-    /// further — the `sensor—relay—gateway—controller—actuator` chain of
-    /// the paper's multi-hop deployments. At the default 40 m spacing
-    /// every adjacent link is loss-free while skip links are out of
-    /// range, so closing the loop *requires* the relay flows.
-    ///
-    /// Geometry (spacing `d`): sensor at `(-hops·d, 0)` (monitors stacked
-    /// at `0.3·d` y-offsets beside it), relays at `(-k·d, 0)`, gateway at
-    /// the origin, controller `i` at `(d, 0.25·d·i)`, the head at
-    /// `(d, -0.25·d)` and actuators at `(2d, 0.25·d·j)`. Node ids follow
-    /// the star convention (gateway, focus sensor, controllers,
-    /// actuators, monitors, head) with relays appended last, `R1` nearest
-    /// the gateway.
-    #[must_use]
-    pub fn line(
-        hops: usize,
-        sensors: usize,
-        controllers: usize,
-        actuators: usize,
-        head: bool,
-        spacing_m: f64,
-    ) -> Self {
-        TopologySpec::line_with_backups(hops, sensors, controllers, actuators, head, spacing_m, 0)
-    }
-
-    /// [`TopologySpec::line`] plus `backups` redundant relay chains: for
-    /// each backup `b`, forwarders `RB1..` mirror the primary relays at a
-    /// `0.25·spacing·b` y-offset, so every primary hop has a geometric
-    /// twin (at the default 40 m spacing the first backup chain's links
-    /// are ≈41.2 m — still in the loss-free band). The routing pass's
-    /// deterministic BFS prefers the lower-id primaries while they live;
-    /// the backups exist for the runtime reconfiguration plane to re-route
-    /// through when a primary forwarder dies. Backup ids follow the
-    /// primary relays.
-    #[must_use]
-    pub fn line_with_backups(
-        hops: usize,
-        sensors: usize,
-        controllers: usize,
-        actuators: usize,
-        head: bool,
-        spacing_m: f64,
-        backups: usize,
-    ) -> Self {
-        let d = spacing_m;
-        let far = -(hops as f64) * d;
-        let mut roles: Vec<(Role, String, Position)> = Vec::new();
-        if sensors > 0 {
-            roles.push((Role::Sensor(0), "S1".into(), Position::new(far, 0.0)));
-        }
-        for i in 0..controllers {
-            roles.push((
-                Role::Controller(i as u8),
-                controller_label("", i),
-                Position::new(d, 0.25 * d * i as f64),
-            ));
-        }
-        for j in 0..actuators {
-            roles.push((
-                Role::Actuator(j as u8),
-                format!("A{}", j + 1),
-                Position::new(2.0 * d, 0.25 * d * j as f64),
-            ));
-        }
-        for k in 1..sensors {
-            roles.push((
-                Role::Sensor(k as u8),
-                format!("S{}", k + 1),
-                Position::new(far, 0.3 * d * k as f64),
-            ));
-        }
-        if head {
-            roles.push((Role::Head, "Head".into(), Position::new(d, -0.25 * d)));
-        }
-        for k in 1..hops {
-            roles.push((
-                Role::Relay((k - 1) as u8),
-                format!("R{k}"),
-                Position::new(-(k as f64) * d, 0.0),
-            ));
-        }
-        for b in 1..=backups {
-            for k in 1..hops {
-                let label = if b == 1 {
-                    format!("RB{k}")
-                } else {
-                    format!("RB{b}.{k}")
-                };
-                roles.push((
-                    Role::Relay(((hops - 1) * b + k - 1) as u8),
-                    label,
-                    Position::new(-(k as f64) * d, 0.25 * d * b as f64),
-                ));
-            }
-        }
-        TopologySpec::assemble_single_vc(roles)
-    }
-
-    /// A `w × h` lattice with `spacing_m` between orthogonal neighbors
-    /// (the default 52 m keeps diagonals out of range: clean
-    /// 4-connectivity). The gateway takes the first cell and the focus
-    /// sensor the opposite corner, so every sensor flow crosses the grid
-    /// over relay hops; the remaining roles (controllers, actuators,
-    /// monitors, head) fill cells in row-major order and every leftover
-    /// cell becomes a relay.
-    ///
-    /// Node ids follow the star convention (gateway, focus sensor,
-    /// controllers, actuators, monitors, head, relays); positions come
-    /// from the assigned cells. A lattice with fewer cells than roles
-    /// seats the surplus roles past its last row.
-    #[must_use]
-    pub fn grid(
-        w: usize,
-        h: usize,
-        sensors: usize,
-        controllers: usize,
-        actuators: usize,
-        head: bool,
-        spacing_m: f64,
-    ) -> Self {
-        let cols = w.max(1);
-        let cell = |idx: usize| {
-            Position::new(
-                (idx % cols) as f64 * spacing_m,
-                (idx / cols) as f64 * spacing_m,
-            )
         };
-        let last = w.saturating_mul(h).saturating_sub(1);
-        let mut roles: Vec<(Role, String, Position)> = Vec::new();
-        let mut next_cell = 1usize; // cell 0 is the gateway's
-        if sensors > 0 {
-            roles.push((Role::Sensor(0), "S1".into(), cell(last)));
+        if roles.sensors > 0 {
+            seat(Role::Sensor(0), format!("{prefix}S1"));
         }
-        let seat = |role: Role, label: String, next_cell: &mut usize| {
-            let c = *next_cell;
-            *next_cell += 1;
-            (role, label, cell(c))
-        };
-        for i in 0..controllers {
-            let r = seat(
-                Role::Controller(i as u8),
-                controller_label("", i),
-                &mut next_cell,
-            );
-            roles.push(r);
+        for i in 0..roles.controllers {
+            seat(Role::Controller(index(i)?), controller_label(&prefix, i));
         }
-        for j in 0..actuators {
-            let r = seat(
-                Role::Actuator(j as u8),
-                format!("A{}", j + 1),
-                &mut next_cell,
-            );
-            roles.push(r);
+        for j in 0..roles.actuators {
+            seat(Role::Actuator(index(j)?), format!("{prefix}A{}", j + 1));
         }
-        for k in 1..sensors {
-            let r = seat(Role::Sensor(k as u8), format!("S{}", k + 1), &mut next_cell);
-            roles.push(r);
+        for k in 1..roles.sensors {
+            seat(Role::Sensor(index(k)?), format!("{prefix}S{}", k + 1));
         }
-        if head {
-            let r = seat(Role::Head, "Head".into(), &mut next_cell);
-            roles.push(r);
+        if roles.head {
+            seat(Role::Head, format!("{prefix}Head"));
         }
-        let mut relay = 0u8;
-        while next_cell < last {
-            relay += 1;
-            let r = seat(Role::Relay(relay - 1), format!("R{relay}"), &mut next_cell);
-            roles.push(r);
-        }
-        TopologySpec::assemble_single_vc(roles)
-    }
-
-    /// `clusters` Virtual Components, each a full role set packed into a
-    /// tight disc three hops from the shared gateway behind a two-relay
-    /// chain. Intra-cluster links are a few meters, relay hops `hop_m`
-    /// (default 40 m, loss-free), and distinct clusters are far out of
-    /// each other's 2-hop interference sets — the layout that lets the
-    /// slot scheduler reuse intra-cluster slots across clusters.
-    ///
-    /// Cluster `k` sits at angle `2πk/clusters`: relays `R1`/`R2` at
-    /// `hop_m` and `2·hop_m` along the ray, the cluster's members on a
-    /// ring of `ring_m` around `3·hop_m`. Ids are sequential per VC in
-    /// star convention with the VC's relays appended; VC `k > 0` labels
-    /// carry the `Vk.` prefix.
-    #[must_use]
-    pub fn clustered(
-        clusters: usize,
-        sensors: usize,
-        controllers: usize,
-        actuators: usize,
-        head: bool,
-        hop_m: f64,
-        ring_m: f64,
-    ) -> Self {
-        TopologySpec::clustered_with_backups(
-            clusters,
-            sensors,
-            controllers,
-            actuators,
-            head,
-            hop_m,
-            ring_m,
-            0,
-        )
-    }
-
-    /// [`TopologySpec::clustered`] plus `backups` redundant relay chains
-    /// per cluster: backup forwarders `RB1`/`RB2` shadow the cluster's
-    /// two-relay chain at small perpendicular offsets (10 m at the first
-    /// hop, 0.5 m at the second — calibrated so every backup link stays
-    /// in the loss-free band at the default 40 m hop). BFS tie-breaks
-    /// keep routes on the lower-id primaries; the backups carry the
-    /// cluster after a primary relay dies and the reconfiguration plane
-    /// re-routes. Backup ids follow each cluster's primary relays.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn clustered_with_backups(
-        clusters: usize,
-        sensors: usize,
-        controllers: usize,
-        actuators: usize,
-        head: bool,
-        hop_m: f64,
-        ring_m: f64,
-        backups: usize,
-    ) -> Self {
-        let mut nodes = vec![NodeSpec {
-            id: NodeId(0),
-            vc: 0,
-            role: Role::Gateway,
-            label: "GW".to_string(),
-            position: Position::new(0.0, 0.0),
-            register: None,
-        }];
-        let members = sensors + controllers + actuators + usize::from(head);
-        let mut next_id = 1u16;
-        for vc in 0..clusters as VcId {
-            let prefix = if vc == 0 {
-                String::new()
-            } else {
-                format!("V{vc}.")
+        let relays = backups
+            .checked_add(1)
+            .and_then(|n| n.checked_mul(chain))
+            .ok_or(SEAT_RULE)?;
+        for r in 0..relays {
+            let (b, k) = (r / chain, r % chain + 1);
+            let label = match b {
+                0 => format!("{prefix}R{k}"),
+                1 => format!("{prefix}RB{k}"),
+                _ => format!("{prefix}RB{b}.{k}"),
             };
-            let angle = 2.0 * std::f64::consts::PI * f64::from(vc) / clusters as f64;
-            let (dx, dy) = (angle.cos(), angle.sin());
-            let center = Position::new(3.0 * hop_m * dx, 3.0 * hop_m * dy);
-            let mut roles: Vec<(Role, String)> = Vec::with_capacity(members);
-            if sensors > 0 {
-                roles.push((Role::Sensor(0), format!("{prefix}S1")));
-            }
-            for i in 0..controllers {
-                roles.push((Role::Controller(i as u8), controller_label(&prefix, i)));
-            }
-            for j in 0..actuators {
-                roles.push((Role::Actuator(j as u8), format!("{prefix}A{}", j + 1)));
-            }
-            for k in 1..sensors {
-                roles.push((Role::Sensor(k as u8), format!("{prefix}S{}", k + 1)));
-            }
-            if head {
-                roles.push((Role::Head, format!("{prefix}Head")));
-            }
-            for (i, (role, label)) in roles.into_iter().enumerate() {
-                let theta = 2.0 * std::f64::consts::PI * i as f64 / members as f64;
-                let register = match role {
-                    Role::Sensor(0) => VC_FOCUS_REGISTERS.get(vc as usize).copied(),
-                    Role::Sensor(tag) => Some(monitor_register(tag as usize - 1)),
-                    _ => None,
-                };
-                nodes.push(NodeSpec {
-                    id: NodeId(next_id),
-                    vc,
-                    role,
-                    label,
-                    position: Position::new(
-                        center.x + ring_m * theta.cos(),
-                        center.y + ring_m * theta.sin(),
-                    ),
-                    register,
-                });
-                next_id += 1;
-            }
-            for (r, dist) in [(0u8, hop_m), (1u8, 2.0 * hop_m)] {
-                nodes.push(NodeSpec {
-                    id: NodeId(next_id),
-                    vc,
-                    role: Role::Relay(r),
-                    label: format!("{prefix}R{}", r + 1),
-                    position: Position::new(dist * dx, dist * dy),
-                    register: None,
-                });
-                next_id += 1;
-            }
-            // Redundant chains at small perpendicular offsets (the unit
-            // normal of the cluster's ray): geometric twins of the
-            // primaries that the reconfiguration plane re-routes through.
-            let (nx, ny) = (-dy, dx);
-            for b in 1..=backups {
-                for (r, dist, off) in [(0u8, hop_m, 10.0), (1u8, 2.0 * hop_m, 0.5)] {
-                    let off = off * b as f64;
-                    let label = if b == 1 {
-                        format!("{prefix}RB{}", r + 1)
-                    } else {
-                        format!("{prefix}RB{b}.{}", r + 1)
-                    };
-                    nodes.push(NodeSpec {
-                        id: NodeId(next_id),
-                        vc,
-                        role: Role::Relay(2 * b as u8 + r),
-                        label,
-                        position: Position::new(dist * dx + off * nx, dist * dy + off * ny),
-                        register: None,
-                    });
-                    next_id += 1;
-                }
-            }
+            seat(Role::Relay(index(r)?), label);
         }
-        TopologySpec { nodes, links: None }
+        Ok(())
     }
 
     /// A fleet deployment: one shared gateway and `n` minimal Virtual
@@ -617,14 +368,7 @@ impl TopologySpec {
     pub fn fleet(n: usize) -> Self {
         let mut nodes = Vec::with_capacity(1 + 2 * n);
         let mut links = Vec::with_capacity(3 * n);
-        nodes.push(NodeSpec {
-            id: NodeId(0),
-            vc: 0,
-            role: Role::Gateway,
-            label: "GW".to_string(),
-            position: Position::new(0.0, 0.0),
-            register: None,
-        });
+        nodes.push(NodeSpec::gateway());
         for k in 0..n {
             let vc = k as VcId;
             let angle = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
@@ -657,36 +401,6 @@ impl TopologySpec {
         }
     }
 
-    /// Shared assembly for the single-VC multi-hop generators: prepends
-    /// the gateway at the origin, assigns sequential ids in role order and
-    /// fills sensor registers by tag.
-    fn assemble_single_vc(roles: Vec<(Role, String, Position)>) -> Self {
-        let mut nodes = vec![NodeSpec {
-            id: NodeId(0),
-            vc: 0,
-            role: Role::Gateway,
-            label: "GW".to_string(),
-            position: Position::new(0.0, 0.0),
-            register: None,
-        }];
-        for (i, (role, label, position)) in roles.into_iter().enumerate() {
-            let register = match role {
-                Role::Sensor(0) => Some(VC_FOCUS_REGISTERS[0]),
-                Role::Sensor(tag) => Some(monitor_register(tag as usize - 1)),
-                _ => None,
-            };
-            nodes.push(NodeSpec {
-                id: NodeId((i + 1) as u16),
-                vc: 0,
-                role,
-                label,
-                position,
-                register,
-            });
-        }
-        TopologySpec { nodes, links: None }
-    }
-
     /// Number of Virtual Components the spec hosts (1 + highest VC tag).
     #[must_use]
     pub fn n_vcs(&self) -> usize {
@@ -705,7 +419,7 @@ impl TopologySpec {
     /// # Errors
     ///
     /// [`TopologyError`] on a malformed spec: no gateway, duplicate ids or
-    /// labels, non-contiguous VC or role indices, a missing focus sensor
+    /// labels, non-contiguous VC, role or relay indices, a missing focus sensor
     /// or controller, a sensor without a register, or more than one
     /// actuator/head per VC.
     #[deny(clippy::panic_in_result_fn)]
@@ -758,6 +472,8 @@ pub enum TopologyError {
     NonContiguousSensors(VcId),
     /// A VC has no controller 0 (or its indices are not dense `0..n`).
     NonContiguousControllers(VcId),
+    /// A VC's relay indices are not dense `0..n`.
+    NonContiguousRelays(VcId),
     /// A VC has no sensor at all.
     MissingFocusSensor(VcId),
     /// A VC has no controller at all.
@@ -814,7 +530,9 @@ pub enum TopologyError {
     },
     /// A topology shape its layout family cannot build: a VC count out
     /// of the family's range, backup relays without a relay chain, a
-    /// zero-hop line, or a lattice too small to seat every role.
+    /// zero-hop line, a lattice too small to seat every role, or more
+    /// sensors, controllers, actuators or relays per VC than a `u8`
+    /// index can number.
     InvalidShape {
         /// The layout family and size asked for.
         layout: Layout,
@@ -858,6 +576,9 @@ impl std::fmt::Display for TopologyError {
             TopologyError::NonContiguousControllers(vc) => {
                 write!(f, "VC {vc} controller indices must be 0..n contiguous")
             }
+            TopologyError::NonContiguousRelays(vc) => {
+                write!(f, "VC {vc} relay indices must be 0..n contiguous")
+            }
             TopologyError::MissingFocusSensor(vc) => {
                 write!(f, "VC {vc} needs its focus sensor")
             }
@@ -870,7 +591,8 @@ impl std::fmt::Display for TopologyError {
             TopologyError::ManifestMismatch { topology, manifest } => write!(
                 f,
                 "topology hosts {topology} VC(s) but the scenario's manifest names \
-                 {manifest} loop(s); pair `.vcs(n)` / `multi_star` with `Scenario::host_vcs`"
+                 {manifest} loop(s); pair a multi-VC topology with `Scenario::host_vcs`, \
+                 as `.vcs(n)` does"
             ),
             TopologyError::FaultOnMissingNode { node, at } => write!(
                 f,
@@ -1043,6 +765,13 @@ impl RoleMap {
             .any(|(expect, &(i, _))| i as usize != expect)
         {
             return Err(TopologyError::NonContiguousControllers(vc));
+        }
+        if relays
+            .iter()
+            .enumerate()
+            .any(|(expect, &(i, _))| i as usize != expect)
+        {
+            return Err(TopologyError::NonContiguousRelays(vc));
         }
         if actuators.len() > 1 {
             return Err(TopologyError::MultipleActuators(vc));
@@ -1588,6 +1317,16 @@ pub fn route_flows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::ScenarioBuilder;
+
+    /// The topology a builder materializes.
+    fn built(b: ScenarioBuilder) -> TopologySpec {
+        b.build().topology
+    }
+
+    fn star() -> ScenarioBuilder {
+        ScenarioBuilder::star()
+    }
 
     /// The per-VC rescan that [`VcMap::try_from_spec`]'s one-pass
     /// bucketing replaced (quadratic in fleet deployments), kept as the
@@ -1655,8 +1394,7 @@ mod tests {
     /// Head=7.
     #[test]
     fn golden_flows_for_two_sensor_three_controller_star() {
-        let map = VcMap::try_from_spec(&TopologySpec::star(2, 3, 1, true, 15.0))
-            .expect("well-formed spec");
+        let map = VcMap::try_from_spec(&built(star().controllers(3))).expect("well-formed spec");
         let flows = synth_flows(&map);
         let got: Vec<(u16, u16, Vec<u16>, FlowKind)> = flows
             .iter()
@@ -1704,7 +1442,7 @@ mod tests {
 
     #[test]
     fn golden_flows_for_two_vc_star() {
-        let spec = TopologySpec::multi_star(2, 1, 2, 1, true, 15.0);
+        let spec = built(star().vcs(2).sensors(1));
         let map = VcMap::try_from_spec(&spec).expect("well-formed spec");
         assert_eq!(map.n_vcs(), 2);
         let flows = synth_flows(&map);
@@ -1776,8 +1514,8 @@ mod tests {
     }
 
     #[test]
-    fn multi_star_vc_focus_registers_and_labels() {
-        let spec = TopologySpec::multi_star(3, 2, 2, 1, true, 15.0);
+    fn multi_vc_star_focus_registers_and_labels() {
+        let spec = built(star().vcs(3));
         assert_eq!(spec.n_vcs(), 3);
         let map = VcMap::try_from_spec(&spec).expect("well-formed spec");
         assert_eq!(map.vc(0).sensor_registers[0], 30001);
@@ -1803,16 +1541,9 @@ mod tests {
     }
 
     #[test]
-    fn single_vc_star_is_multi_star_of_one() {
-        assert_eq!(
-            TopologySpec::star(2, 3, 1, true, 15.0),
-            TopologySpec::multi_star(1, 2, 3, 1, true, 15.0)
-        );
-    }
-
-    #[test]
     fn minimal_topology_routes_actuation_through_gateway() {
-        let map = VcMap::try_from_spec(&TopologySpec::minimal(10.0)).expect("well-formed spec");
+        let map = VcMap::try_from_spec(&built(ScenarioBuilder::minimal().radius_m(10.0)))
+            .expect("well-formed spec");
         let roles = map.vc(0);
         assert_eq!(roles.actuation_endpoint(), roles.gateway);
         assert!(roles.head.is_none());
@@ -1826,7 +1557,7 @@ mod tests {
 
     #[test]
     fn wide_star_flows_scale_with_roles() {
-        let map = VcMap::try_from_spec(&TopologySpec::star(3, 3, 1, true, 15.0))
+        let map = VcMap::try_from_spec(&built(star().sensors(3).controllers(3)))
             .expect("well-formed spec");
         let flows = synth_flows(&map);
         // 1 downlink + 1 publish + 3 outputs + 1 forward + 1 plane
@@ -1852,7 +1583,7 @@ mod tests {
         assert_eq!(monitor_register(11), 30013);
         assert_eq!(monitor_register(12), 30014);
         // A 20-sensor star: one focus + 19 monitors, all registers unique.
-        let spec = TopologySpec::star(20, 1, 0, false, 15.0);
+        let spec = built(star().sensors(20).controllers(1).actuators(0).head(false));
         let mut regs: Vec<u16> = spec.nodes.iter().filter_map(|n| n.register).collect();
         assert_eq!(regs.len(), 20);
         regs.sort_unstable();
@@ -1937,7 +1668,7 @@ mod tests {
 
         // Two malformed VCs, the later one first in spec order: the error
         // names the lowest malformed VC, as a per-VC scan would.
-        let mut two_bad = TopologySpec::multi_star(8, 1, 2, 1, true, 15.0);
+        let mut two_bad = built(star().vcs(8).sensors(1));
         two_bad
             .nodes
             .retain(|n| !(n.vc == 2 && matches!(n.role, Role::Controller(_))));
@@ -1946,6 +1677,18 @@ mod tests {
             .retain(|n| !(n.vc == 5 && matches!(n.role, Role::Sensor(_))));
         two_bad.nodes.reverse();
         assert_eq!(try_map(&two_bad), Err(TopologyError::MissingController(2)));
+
+        // A hand-written line whose second relay reuses the first's index.
+        let mut dup_relay = built(star().line(3));
+        for n in &mut dup_relay.nodes {
+            if n.role == Role::Relay(1) {
+                n.role = Role::Relay(0);
+            }
+        }
+        assert_eq!(
+            try_map(&dup_relay),
+            Err(TopologyError::NonContiguousRelays(0))
+        );
 
         let mut sparse_vc = good;
         for n in &mut sparse_vc.nodes {
@@ -1963,23 +1706,14 @@ mod tests {
     fn one_pass_vc_map_matches_per_vc_scan() {
         let specs = [
             TopologySpec::fig5(),
-            TopologySpec::minimal(15.0),
-            TopologySpec::star(3, 3, 1, true, 15.0),
-            TopologySpec::multi_star(MAX_VCS, 2, 2, 1, true, 15.0),
-            TopologySpec::line(2, 1, 2, 1, true, LINE_SPACING_M),
-            TopologySpec::line_with_backups(3, 2, 2, 1, true, LINE_SPACING_M, 2),
-            TopologySpec::grid(3, 3, 2, 2, 1, true, GRID_SPACING_M),
-            TopologySpec::clustered(2, 1, 2, 1, true, CLUSTER_HOP_M, CLUSTER_RING_M),
-            TopologySpec::clustered_with_backups(
-                3,
-                2,
-                2,
-                1,
-                true,
-                CLUSTER_HOP_M,
-                CLUSTER_RING_M,
-                2,
-            ),
+            built(ScenarioBuilder::minimal()),
+            built(star().sensors(3).controllers(3)),
+            built(star().vcs(MAX_VCS)),
+            built(star().line(2).sensors(1)),
+            built(star().line(3).backup_relays(2)),
+            built(star().grid(3, 3)),
+            built(star().clustered(2).sensors(1)),
+            built(star().clustered(3).backup_relays(2)),
             TopologySpec::fleet(64),
         ];
         for spec in &specs {
@@ -2006,7 +1740,7 @@ mod tests {
 
     #[test]
     fn line_spec_layout_and_relay_roles() {
-        let spec = TopologySpec::line(2, 1, 2, 1, true, LINE_SPACING_M);
+        let spec = built(star().line(2).sensors(1));
         let labels: Vec<&str> = spec.nodes.iter().map(|n| n.label.as_str()).collect();
         assert_eq!(labels, ["GW", "S1", "Ctrl-A", "Ctrl-B", "A1", "Head", "R1"]);
         assert_eq!(spec.nodes[1].position, Position::new(-80.0, 0.0));
@@ -2030,7 +1764,7 @@ mod tests {
 
     #[test]
     fn grid_spec_fills_cells_row_major() {
-        let spec = TopologySpec::grid(2, 3, 1, 2, 1, false, GRID_SPACING_M);
+        let spec = built(star().grid(2, 3).sensors(1).head(false));
         let labels: Vec<&str> = spec.nodes.iter().map(|n| n.label.as_str()).collect();
         assert_eq!(labels, ["GW", "S1", "Ctrl-A", "Ctrl-B", "A1", "R1"]);
         // GW cell 0, sensor the far corner, relay the last leftover cell.
@@ -2049,7 +1783,7 @@ mod tests {
     }
 
     /// The lattice rule is the layout's, checked when a shape is
-    /// materialized; the generator itself seats whatever it is asked.
+    /// materialized.
     #[test]
     fn grid_rejects_too_small_lattices() {
         let layout = Layout::Grid { w: 2, h: 2 };
@@ -2065,13 +1799,11 @@ mod tests {
                 rule: "the lattice cannot seat every role"
             })
         );
-        let spec = TopologySpec::grid(2, 2, 2, 2, 1, true, GRID_SPACING_M);
-        assert_eq!(spec.nodes.len(), 7);
     }
 
     #[test]
     fn clustered_spec_arcs_relays_per_vc() {
-        let spec = TopologySpec::clustered(2, 1, 2, 1, true, CLUSTER_HOP_M, CLUSTER_RING_M);
+        let spec = built(star().clustered(2).sensors(1));
         assert_eq!(spec.n_vcs(), 2);
         let labels: Vec<&str> = spec.nodes.iter().map(|n| n.label.as_str()).collect();
         assert_eq!(
@@ -2116,8 +1848,8 @@ mod tests {
     fn star_flows_route_byte_identically() {
         for spec in [
             TopologySpec::fig5(),
-            TopologySpec::star(2, 3, 1, true, 15.0),
-            TopologySpec::multi_star(2, 1, 2, 1, true, 15.0),
+            built(star().controllers(3)),
+            built(star().vcs(2).sensors(1)),
         ] {
             let (topo, map) = resolve(&spec);
             let logical = synth_flows(&map);
@@ -2147,7 +1879,7 @@ mod tests {
     /// chain stays intact across the expansion.
     #[test]
     fn line_routing_inserts_relay_hops() {
-        let spec = TopologySpec::line(2, 1, 1, 1, false, LINE_SPACING_M);
+        let spec = built(star().line(2).sensors(1).controllers(1).head(false));
         // GW=0, S1=1, Ctrl-A=2, A1=3, R1=4.
         let (topo, map) = resolve(&spec);
         let logical = synth_flows(&map);
@@ -2200,7 +1932,7 @@ mod tests {
     /// gets the primary's output over a forwarding hop.
     #[test]
     fn unreachable_listener_extends_the_chain() {
-        let spec = TopologySpec::grid(2, 3, 1, 2, 1, false, GRID_SPACING_M);
+        let spec = built(star().grid(2, 3).sensors(1).head(false));
         // GW=0, S1=1, Ctrl-A=2, Ctrl-B=3, A1=4, R1=5.
         let (topo, map) = resolve(&spec);
         assert!(!topo.are_neighbors(NodeId(2), NodeId(3)), "diagonal ctrls");
@@ -2228,7 +1960,7 @@ mod tests {
 
     #[test]
     fn unroutable_flows_are_reported() {
-        let mut spec = TopologySpec::minimal(10.0);
+        let mut spec = built(ScenarioBuilder::minimal().radius_m(10.0));
         // Strand the sensor 500 m out: nothing can reach it.
         spec.nodes[1].position = Position::new(500.0, 0.0);
         let (topo, map) = resolve(&spec);

@@ -184,13 +184,13 @@ mod tests {
     /// as a worker panic.
     #[test]
     fn checked_run_reports_setup_failures_in_place() {
-        use evm_core::runtime::{Scenario, TopologySpec};
+        use evm_core::runtime::{Scenario, ScenarioBuilder};
         let mut template = Scenario::baseline();
         template.duration = evm_sim::SimDuration::from_secs(2);
         let mut cells = crate::grid::SweepGrid::new(template)
             .over_loss(&[0.0, 0.1])
             .expand();
-        cells[1].scenario.topology = TopologySpec::multi_star(2, 2, 2, 1, true, 15.0);
+        cells[1].scenario.topology = ScenarioBuilder::star().vcs(2).build().topology;
         let out = run_cells_checked(&cells, 2);
         assert!(out[0].is_ok());
         assert_eq!(

@@ -16,76 +16,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use evm_core::runtime::{
-    check_setup, Deployment, Layout, ReroutePolicy, Role, Scenario, TopologyShape, TopologySpec,
+    check_setup, Deployment, Layout, ReroutePolicy, Scenario, StarShape, TopologyShape,
 };
 use evm_sim::derive_seed;
-
-/// Star-topology role counts for one grid axis value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StarShape {
-    /// Sensor nodes (≥ 1; sensor 0 carries the focus PV).
-    pub sensors: usize,
-    /// Controller replicas (≥ 1; the first is the initial primary).
-    pub controllers: usize,
-    /// Actuator nodes (0 routes actuation through the gateway).
-    pub actuators: usize,
-    /// Whether the Virtual Component head is deployed.
-    pub head: bool,
-}
-
-impl StarShape {
-    /// The paper's Fig. 5 testbed shape (2 sensors, 2 controllers,
-    /// 1 actuator, head).
-    #[must_use]
-    pub fn fig5() -> Self {
-        StarShape {
-            sensors: 2,
-            controllers: 2,
-            actuators: 1,
-            head: true,
-        }
-    }
-
-    /// A shape with `n` controller replicas, otherwise Fig. 5.
-    #[must_use]
-    pub fn with_controllers(n: usize) -> Self {
-        StarShape {
-            controllers: n,
-            ..StarShape::fig5()
-        }
-    }
-
-    /// Reads the per-VC shape off an existing topology spec: VC 0's role
-    /// counts, which for the symmetric multi-VC layouts is every VC's
-    /// shape.
-    #[must_use]
-    pub fn of_spec(spec: &TopologySpec) -> Self {
-        let count = |pred: fn(&Role) -> bool| {
-            spec.nodes
-                .iter()
-                .filter(|n| n.vc == 0 && pred(&n.role))
-                .count()
-        };
-        StarShape {
-            sensors: count(|r| matches!(r, Role::Sensor(_))),
-            controllers: count(|r| matches!(r, Role::Controller(_))),
-            actuators: count(|r| matches!(r, Role::Actuator(_))),
-            head: spec.nodes.iter().any(|n| n.vc == 0 && n.role == Role::Head),
-        }
-    }
-
-    /// Stable label, e.g. `s2c3a1h` (trailing `h` iff the head is present).
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!(
-            "s{}c{}a{}{}",
-            self.sensors,
-            self.controllers,
-            self.actuators,
-            if self.head { "h" } else { "" }
-        )
-    }
-}
 
 /// Cell metadata: the knob values (and derived seed) behind one scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,17 +125,11 @@ impl Draft {
     /// template's own: a star of its VC count and VC 0's role counts.
     fn shape(&mut self) -> &mut TopologyShape {
         let scenario = &self.scenario;
-        self.shape.get_or_insert_with(|| {
-            let roles = StarShape::of_spec(&scenario.topology);
-            TopologyShape {
-                layout: Layout::Star,
-                vcs: scenario.n_vcs(),
-                sensors: roles.sensors,
-                controllers: roles.controllers,
-                actuators: roles.actuators,
-                head: roles.head,
-                ..TopologyShape::fig5()
-            }
+        self.shape.get_or_insert_with(|| TopologyShape {
+            layout: Layout::Star,
+            vcs: scenario.n_vcs(),
+            roles: StarShape::of_spec(&scenario.topology),
+            ..TopologyShape::fig5()
         })
     }
 }
@@ -303,13 +230,7 @@ impl SweepGrid {
     /// topology axis of any kind the template topology is used unchanged.
     #[must_use]
     pub fn over_stars(self, shapes: &[StarShape]) -> Self {
-        self.axis("stars", shapes, |d, s| {
-            let shape = d.shape();
-            shape.sensors = s.sensors;
-            shape.controllers = s.controllers;
-            shape.actuators = s.actuators;
-            shape.head = s.head;
-        })
+        self.axis("stars", shapes, |d, s| d.shape().roles = s)
     }
 
     /// Sweeps the extra per-link Bernoulli loss probability. A
@@ -467,6 +388,7 @@ impl SweepGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evm_core::runtime::{Role, ScenarioBuilder};
     use evm_sim::SimDuration;
 
     fn short_template() -> Scenario {
@@ -786,7 +708,7 @@ mod tests {
     #[should_panic(expected = "sweep cell 0: topology hosts 2 VC(s)")]
     fn expand_rejects_manifest_mismatch() {
         let mut template = short_template();
-        template.topology = TopologySpec::multi_star(2, 2, 2, 1, true, 15.0);
+        template.topology = ScenarioBuilder::star().vcs(2).build().topology;
         let _ = SweepGrid::new(template).over_loss(&[0.0, 0.1]).expand();
     }
 

@@ -49,6 +49,7 @@ pub mod executor;
 pub mod grid;
 pub mod report;
 
+pub use evm_core::runtime::StarShape;
 pub use executor::{available_threads, run_cells, run_cells_checked, run_indexed};
-pub use grid::{CellConfig, StarShape, SweepCell, SweepGrid};
+pub use grid::{CellConfig, SweepCell, SweepGrid};
 pub use report::{CellStats, SweepReport, SweepRow, VcCellStats, VcRow};

@@ -18,7 +18,7 @@
 
 use evm::core::runtime::{
     route_flows, synth_flows, Engine, FlowKind, Layout, RelayJob, Scenario, ScenarioBuilder,
-    TopologySpec, GRID_SPACING_M, LINE_SPACING_M,
+    TopologySpec,
 };
 use evm::netsim::{Channel, ChannelConfig, NodeId};
 use evm::plant::ActuatorFault;
@@ -71,7 +71,13 @@ fn job(upstream: u16, origin: u16, kind: FlowKind) -> RelayJob {
 /// gateway (publish toward the pod) and Ctrl-A (actuation forward back).
 #[test]
 fn golden_routed_flows_for_the_two_hop_line() {
-    let spec = TopologySpec::line(2, 1, 1, 1, false, LINE_SPACING_M);
+    let spec = ScenarioBuilder::star()
+        .line(2)
+        .sensors(1)
+        .controllers(1)
+        .head(false)
+        .build()
+        .topology;
     let (flows, jobs) = routed_tuples(&spec);
     let dl = FlowKind::HilDownlink { vc: 0, tag: 0 };
     let pb = FlowKind::SensorPublish { vc: 0, tag: 0 };
@@ -113,7 +119,12 @@ fn golden_routed_flows_for_the_two_hop_line() {
 /// sparse topologies.
 #[test]
 fn golden_routed_flows_for_the_two_by_three_grid() {
-    let spec = TopologySpec::grid(2, 3, 1, 2, 1, false, GRID_SPACING_M);
+    let spec = ScenarioBuilder::star()
+        .grid(2, 3)
+        .sensors(1)
+        .head(false)
+        .build()
+        .topology;
     let (flows, jobs) = routed_tuples(&spec);
     let dl = FlowKind::HilDownlink { vc: 0, tag: 0 };
     let pb = FlowKind::SensorPublish { vc: 0, tag: 0 };

@@ -8,7 +8,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use evm::core::runtime::{check_setup, Engine, Layout, Scenario, ScenarioBuilder, TopologyError};
+use evm::core::runtime::{
+    check_setup, Engine, Layout, Role, Scenario, ScenarioBuilder, TopologyError,
+};
 use evm::netsim::{LinkBlackout, NodeId, Position};
 use evm::plant::ActuatorFault;
 use evm::prelude::*;
@@ -445,6 +447,60 @@ fn builder_scenarios_name_every_series_once() {
         .count();
     assert_eq!(errs, 64, "one error trace per VC");
     assert!(r.series.get("Err.LC-LTS#1").is_some());
+}
+
+/// Role and relay indices are `u8`: a shape seating more than 256 of
+/// any per VC is a typed shape error from `try_build`, in every build
+/// profile.
+#[test]
+fn oversized_role_counts_are_typed_shape_errors() {
+    const RULE: &str = "a VC seats at most 256 sensors, controllers, actuators or relays";
+    let rows: Vec<(&str, ScenarioBuilder, TopologyError)> = vec![
+        (
+            "controllers(257)",
+            short().controllers(257),
+            shape(Layout::Star, 1, RULE),
+        ),
+        (
+            "sensors(257)",
+            short().sensors(257),
+            shape(Layout::Star, 1, RULE),
+        ),
+        (
+            "line(300)",
+            short().line(300),
+            shape(Layout::Line { hops: 300 }, 1, RULE),
+        ),
+        (
+            "line(130).backup_relays(2)",
+            short().line(130).backup_relays(2),
+            shape(Layout::Line { hops: 130 }, 1, RULE),
+        ),
+        (
+            "clustered(2).backup_relays(130)",
+            short().clustered(2).backup_relays(130),
+            shape(Layout::Clustered, 2, RULE),
+        ),
+        (
+            "grid(20, 20)",
+            short().grid(20, 20),
+            shape(Layout::Grid { w: 20, h: 20 }, 1, RULE),
+        ),
+    ];
+    for (name, builder, want) in rows {
+        assert_eq!(builder.try_build().err(), Some(want), "{name}");
+    }
+    // The boundary: 256 controllers number 0..=255.
+    let widest = short().controllers(256).try_build().expect("256 fit");
+    let controllers: Vec<Role> = widest
+        .topology
+        .nodes
+        .iter()
+        .map(|n| n.role)
+        .filter(|r| matches!(r, Role::Controller(_)))
+        .collect();
+    assert_eq!(controllers.len(), 256);
+    assert_eq!(controllers.last(), Some(&Role::Controller(255)));
 }
 
 /// A draw from `lo..=hi`.
